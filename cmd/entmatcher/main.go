@@ -406,6 +406,11 @@ func run() error {
 				res.Matcher, *timeout, strings.Join(res.DegradedFrom, ", "))
 		}
 	}
+	if *explain {
+		gs := run.GraphStats()
+		fmt.Printf("candidate graphs: %d built, %d served from the memo, %d full tile passes, %.3f GiB held\n",
+			gs.Builds, gs.Hits, gs.Passes, float64(gs.Bytes)/(1<<30))
+	}
 	if anyDegraded {
 		return errDegraded
 	}

@@ -144,9 +144,15 @@ func run() error {
 		return err
 	}
 	st := srv.Stats()
-	fmt.Printf("entserver: drained, exiting (served quant=%d ann=%d exact=%d other=%d, cache hits=%d misses=%d, shed=%d, batches=%d coalesced=%d)\n",
+	var built, hit, held int64
+	for tier := range st.AlignGraphBuilds {
+		built += st.AlignGraphBuilds[tier]
+		hit += st.AlignGraphHits[tier]
+		held += st.AlignGraphBytes[tier]
+	}
+	fmt.Printf("entserver: drained, exiting (served quant=%d ann=%d exact=%d other=%d, cache hits=%d misses=%d, shed=%d, batches=%d coalesced=%d, align graphs built=%d hit=%d held=%dB)\n",
 		st.ServedQuant, st.ServedANN, st.ServedExact, st.ServedOther,
 		st.CacheHits, st.CacheMisses, st.GateRejections,
-		st.Batches, st.CoalescedDup)
+		st.Batches, st.CoalescedDup, built, hit, held)
 	return nil
 }

@@ -194,9 +194,13 @@ func (s *Source) quantCfg() (on bool, factor int, rerank bool) {
 	return s.state.qOn, s.state.qFactor, s.state.qRerank
 }
 
-// search runs one index query, dispatching to the quantized scan when
-// enabled.
-func (s *Source) search(ctx context.Context, ivf *IVF, queries *matrix.Dense, c int) ([]matrix.TopK, error) {
+// search runs one query table against the index that get returns (building
+// it on first use), dispatching to the quantized scan when enabled.
+func (s *Source) search(ctx context.Context, get func(context.Context) (*IVF, error), queries *matrix.Dense, c int) ([]matrix.TopK, error) {
+	ivf, err := get(ctx)
+	if err != nil {
+		return nil, err
+	}
 	np := s.nprobeFor(ivf)
 	if on, factor, rerank := s.quantCfg(); on {
 		return ivf.SearchQuant(ctx, queries, c, np, factor, rerank)
@@ -258,82 +262,66 @@ func (s *Source) nprobeFor(ivf *IVF) int {
 	return Config{Clusters: ivf.k}.withDefaults(ivf.n).NProbe
 }
 
+// ProduceParts implements matrix.PartsProducer: each requested part comes
+// from its own index search and nothing else is derived. The forward graph
+// queries the index over the target table with the source rows; the reverse
+// graph and the column statistic query the mirror index over the source
+// table with the target rows.
+//
+// The column statistic (CSLS's φ_t: per-target mean of its KCol best scores)
+// is an estimate: at partial nprobe a column that surfaces fewer than KCol
+// neighbors is averaged over what was found (and 0 with none, matching the
+// dense convention for empty heaps). At full coverage the selected scores
+// equal the exact statistic's; the sum runs in descending-score order rather
+// than the dense path's heap-array order, so means can differ in the last
+// ulps (KCol = 1 is exact).
+func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
+	var out matrix.GraphParts
+	var err error
+	if req.C > 0 {
+		if out.Fwd, err = s.graph(ctx, s.fwdIndex, s.srcTab, s.tgtTab.Rows(), req.C); err != nil {
+			return matrix.GraphParts{}, err
+		}
+	}
+	if req.CRev > 0 {
+		if out.Rev, err = s.graph(ctx, s.revIndex, s.tgtTab, s.srcTab.Rows(), req.CRev); err != nil {
+			return matrix.GraphParts{}, err
+		}
+	}
+	if req.KCol > 0 {
+		tks, err := s.search(ctx, s.revIndex, s.tgtTab, req.KCol)
+		if err != nil {
+			return matrix.GraphParts{}, err
+		}
+		out.ColMeans = matrix.TopKMeans(tks)
+	}
+	return out, nil
+}
+
+// graph searches every query row for its top-c corpus rows and assembles the
+// selections into a candidate graph over a width-wide column space.
+func (s *Source) graph(ctx context.Context, get func(context.Context) (*IVF, error), queries *matrix.Dense, width, c int) (*matrix.CandGraph, error) {
+	tks, err := s.search(ctx, get, queries, c)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.NewCandGraph(width, tks)
+}
+
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward
 // candidate graph from the index instead of the exhaustive pass.
 func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	ivf, err := s.fwdIndex(ctx)
-	if err != nil {
-		return nil, err
-	}
-	tks, err := s.search(ctx, ivf, s.srcTab, c)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.NewCandGraph(s.tgtTab.Rows(), tks)
+	return matrix.PartsCandGraph(ctx, s, c)
 }
 
 // ProduceCandGraphs implements matrix.CandGraphProducer; the reverse graph
 // comes from the mirror index over the source table.
 func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	fwd, err = s.ProduceCandGraph(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cRev <= 0 {
-		return fwd, nil, nil
-	}
-	ivf, err := s.revIndex(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	tks, err := s.search(ctx, ivf, s.tgtTab, cRev)
-	if err != nil {
-		return nil, nil, err
-	}
-	rev, err = matrix.NewCandGraph(s.srcTab.Rows(), tks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fwd, rev, nil
+	return matrix.PartsCandGraphs(ctx, s, c, cRev)
 }
 
-// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer. The
-// column statistic (CSLS's φ_t: per-target mean of its kCol best scores) is
-// estimated by querying each target row against the reverse index — at
-// partial nprobe a column that surfaces fewer than kCol neighbors is
-// averaged over what was found (and 0 with none, matching the dense
-// convention for empty heaps). At full coverage the selected scores equal
-// the exact statistic's; the sum runs in descending-score order rather than
-// the dense path's heap-array order, so means can differ in the last ulps
-// (kCol = 1 is exact). kCol <= 0 yields all-zero means, mirroring
-// Dense.ColTopKMeans.
+// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer; see
+// ProduceParts for how the column statistic is estimated.
 func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	fwd, err := s.ProduceCandGraph(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols := s.tgtTab.Rows()
-	means := make([]float64, cols)
-	if kCol <= 0 {
-		return fwd, means, nil
-	}
-	ivf, err := s.revIndex(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	tks, err := s.search(ctx, ivf, s.tgtTab, kCol)
-	if err != nil {
-		return nil, nil, err
-	}
-	for j, tk := range tks {
-		if len(tk.Values) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range tk.Values {
-			sum += v
-		}
-		means[j] = sum / float64(len(tk.Values))
-	}
-	return fwd, means, nil
+	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }

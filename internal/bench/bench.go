@@ -365,8 +365,12 @@ func fallbackChain(cfg *Config, m entmatcher.Matcher) entmatcher.Matcher {
 }
 
 // matchBudgeted runs m on run under cfg.RunTimeout (if any), recording a
-// degradation note on env when a cheaper tier answered.
+// degradation note on env when a cheaper tier answered. Every timed match in
+// the tables means "one matcher, cold" — the BENCH_* records and the
+// planner's sparse-build fit read it that way — so candidate graphs an
+// earlier matcher left in the run's memo are dropped first.
 func matchBudgeted(cfg *Config, env *Env, run *entmatcher.Run, m entmatcher.Matcher) (*entmatcher.MatchResult, entmatcher.Metrics, error) {
+	run.ForgetGraphs()
 	res, metrics, err := run.Match(fallbackChain(cfg, m))
 	noteIfDegraded(cfg, env, m, res)
 	return res, metrics, err

@@ -11,12 +11,13 @@ import (
 // RInfSparse is the reciprocal-preference matcher (RInf) over a candidate
 // graph. It computes exactly what RInfPB computes — per-entity preference
 // ranking within the top-C block in both directions, averaged with a
-// worst-rank penalty for absences — but from a single streaming pass and
+// worst-rank penalty for absences — but from the top-C candidate graphs and
 // with array-based rank joins instead of per-entity hash maps, so it scales
 // to 100k×100k where RInfPB's dense top-k input cannot exist.
 //
-// Both direction's statistics come from one BuildCandGraphs pass: the
-// forward graph's row heads are the exact row maxima and the reverse
+// Both direction's statistics come from one BuildCandGraphs call — a single
+// streaming pass on a cold source, no pass at all when the run's memo
+// (matrix.GraphMemo) already holds both graphs: the forward graph's row heads are the exact row maxima and the reverse
 // graph's row heads the exact column maxima (a top-C head is the true
 // maximum for any C >= 1), which is all the preference construction
 // p(u,v) = S(u,v) − max S + 1 needs. At C >= max(rows, cols) the result is

@@ -9,11 +9,15 @@ import (
 )
 
 // This file holds the sparse candidate-graph matcher twins. They consume a
-// matrix.CandGraph built in one tiled pass over the score stream (top-C
-// candidates per row, plus reverse statistics where needed) and run the
-// matching logic over the O(rows·C) edges alone, which is what lets the
-// paper's heaviest algorithms — RInf, Hungarian, SMat — run at DWY100K
-// scale without the dense matrix.
+// matrix.CandGraph (top-C candidates per row, plus reverse statistics where
+// needed) and run the matching logic over the O(rows·C) edges alone, which
+// is what lets the paper's heaviest algorithms — RInf, Hungarian, SMat — run
+// at DWY100K scale without the dense matrix. The graphs come from the
+// matrix.BuildCandGraph* entry points: one tiled pass over the score stream
+// when nothing is held, and on a prepared Run — whose tile source sits
+// behind a matrix.GraphMemo — only the parts no earlier matcher has built.
+// Graphs obtained this way are shared and read-only; a twin that needs
+// scratch (SinkhornSparse) clones.
 //
 // Exactness contract: at C >= cols (and C >= rows for the reverse side)
 // every sparse twin's selections are bit-identical to its dense
@@ -41,9 +45,10 @@ func sparseSource(ctx *Context) (matrix.TileSource, int, int, error) {
 // CSLSSparse is CSLS (cross-domain similarity local scaling + greedy) over
 // a candidate graph: the rescaled score 2·S(u,v) − φ_s(u) − φ_t(v) is
 // evaluated only on u's top-C candidates. φ_t comes from a fused per-column
-// top-K consumer in the same tiled pass that builds the graph; φ_s is the
-// mean of the first K stored candidates, which for C >= K is exactly the
-// dense top-K mean.
+// top-K consumer — in the same tiled pass as the graph on a cold source, in
+// a pass of its own carrying only the column heaps when the run's memo
+// already holds the graph; φ_s is the mean of the first K stored candidates,
+// which for C >= K is exactly the dense top-K mean.
 type CSLSSparse struct {
 	// C is the per-row candidate budget.
 	C int

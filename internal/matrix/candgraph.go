@@ -163,6 +163,103 @@ type CandGraphProducer interface {
 	ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*CandGraph, []float64, error)
 }
 
+// GraphRequest names the candidate-graph parts a caller wants, each by its
+// budget; a budget <= 0 leaves that part out. The three parts are
+// independent functions of the scores, which is what lets the memo (memo.go)
+// build only the ones it does not hold.
+type GraphRequest struct {
+	C    int // forward graph: top-C columns of every row
+	CRev int // reverse graph: top-CRev rows of every column
+	KCol int // per-column top-KCol means (the CSLS φ_t statistic)
+}
+
+// GraphParts is the answer to a GraphRequest; parts not asked for are nil.
+type GraphParts struct {
+	Fwd, Rev *CandGraph
+	ColMeans []float64
+}
+
+// PartsProducer is the one entry point behind a CandGraphProducer: every
+// part independently requestable, so no caller pays for a forward graph it
+// already has. The in-tree producers (ann, quant, shard, the memo) implement
+// this and express their three Produce* methods through the Parts* adapters
+// below.
+type PartsProducer interface {
+	Dims() (rows, cols int)
+	ProduceParts(ctx context.Context, req GraphRequest) (GraphParts, error)
+}
+
+// checkBudget rejects a forward budget below one candidate per row.
+func checkBudget(c int) error {
+	if c < 1 {
+		return fmt.Errorf("%w: candidate budget %d < 1", ErrShape, c)
+	}
+	return nil
+}
+
+// checkBuild validates the arguments every Build* entry point shares.
+func checkBuild(src TileSource, c int) error {
+	if src == nil {
+		return fmt.Errorf("matrix: nil tile source")
+	}
+	return checkBudget(c)
+}
+
+// PartsCandGraph is ProduceCandGraph over a PartsProducer.
+func PartsCandGraph(ctx context.Context, p PartsProducer, c int) (*CandGraph, error) {
+	if err := checkBudget(c); err != nil {
+		return nil, err
+	}
+	parts, err := p.ProduceParts(ctx, GraphRequest{C: c})
+	return parts.Fwd, err
+}
+
+// PartsCandGraphs is ProduceCandGraphs over a PartsProducer.
+func PartsCandGraphs(ctx context.Context, p PartsProducer, c, cRev int) (fwd, rev *CandGraph, err error) {
+	if err := checkBudget(c); err != nil {
+		return nil, nil, err
+	}
+	parts, err := p.ProduceParts(ctx, GraphRequest{C: c, CRev: cRev})
+	return parts.Fwd, parts.Rev, err
+}
+
+// PartsCandGraphWithColMeans is ProduceCandGraphWithColMeans over a
+// PartsProducer. kCol <= 0 yields all-zero means, mirroring
+// Dense.ColTopKMeans, without asking the producer for them.
+func PartsCandGraphWithColMeans(ctx context.Context, p PartsProducer, c, kCol int) (*CandGraph, []float64, error) {
+	if err := checkBudget(c); err != nil {
+		return nil, nil, err
+	}
+	parts, err := p.ProduceParts(ctx, GraphRequest{C: c, KCol: kCol})
+	if err != nil {
+		return nil, nil, err
+	}
+	if kCol <= 0 {
+		_, cols := p.Dims()
+		parts.ColMeans = make([]float64, cols)
+	}
+	return parts.Fwd, parts.ColMeans, nil
+}
+
+// TopKMeans averages each selection in its stored (descending) order; an
+// empty selection averages to 0. The index-backed producers estimate φ_t
+// this way from reverse searches, so their means can differ from the
+// exhaustive pass's heap-array-order sums in the last ulps at k > 1.
+func TopKMeans(tks []TopK) []float64 {
+	out := make([]float64, len(tks))
+	for j, tk := range tks {
+		if len(tk.Values) == 0 {
+			continue
+		}
+		var sum float64
+		for _, v := range tk.Values {
+			sum += v
+		}
+		out[j] = sum / float64(len(tk.Values))
+	}
+	return out
+}
+
 // BuildCandGraph streams src once and returns the forward candidate graph:
 // the top-c columns of every row (c is clamped to the matrix width). All
 // candidate selection funnels through the same bounded heap the dense
@@ -173,17 +270,13 @@ type CandGraphProducer interface {
 // graph directly instead of being streamed exhaustively; their result may be
 // approximate below full coverage.
 func BuildCandGraph(ctx context.Context, src TileSource, c int) (*CandGraph, error) {
-	if src == nil {
-		return nil, fmt.Errorf("matrix: nil tile source")
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("%w: candidate budget %d < 1", ErrShape, c)
+	if err := checkBuild(src, c); err != nil {
+		return nil, err
 	}
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraph(ctx, c)
 	}
-	fwd, _, err := buildGraphs(ctx, src, c, 0)
-	return fwd, err
+	return PartsCandGraph(ctx, exhaustive{src}, c)
 }
 
 // BuildCandGraphs streams src once and returns both the forward graph
@@ -194,16 +287,13 @@ func BuildCandGraph(ctx context.Context, src TileSource, c int) (*CandGraph, err
 // reverse-direction statistics — RInf's target-side preferences, the
 // Hungarian transpose fallback — without a second sweep over the scores.
 func BuildCandGraphs(ctx context.Context, src TileSource, c, cRev int) (fwd, rev *CandGraph, err error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("matrix: nil tile source")
-	}
-	if c < 1 {
-		return nil, nil, fmt.Errorf("%w: candidate budget %d < 1", ErrShape, c)
+	if err := checkBuild(src, c); err != nil {
+		return nil, nil, err
 	}
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraphs(ctx, c, cRev)
 	}
-	return buildGraphs(ctx, src, c, cRev)
+	return PartsCandGraphs(ctx, exhaustive{src}, c, cRev)
 }
 
 // BuildCandGraphWithColMeans streams src once and returns the forward graph
@@ -212,71 +302,66 @@ func BuildCandGraphs(ctx context.Context, src TileSource, c, cRev int) (fwd, rev
 // Dense.ColTopKMeans sums, so a sparse CSLS built on them matches the dense
 // transform bit-for-bit. kCol should arrive clamped to the row count.
 func BuildCandGraphWithColMeans(ctx context.Context, src TileSource, c, kCol int) (*CandGraph, []float64, error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("matrix: nil tile source")
-	}
-	if c < 1 {
-		return nil, nil, fmt.Errorf("%w: candidate budget %d < 1", ErrShape, c)
+	if err := checkBuild(src, c); err != nil {
+		return nil, nil, err
 	}
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraphWithColMeans(ctx, c, kCol)
 	}
-	rows, cols := src.Dims()
-	if c > cols {
-		c = cols
-	}
-	rowAcc := NewRunningTopK(rows, c)
-	defer rowAcc.Release()
-	colAcc := NewColTopKAcc(cols, kCol)
-	defer colAcc.Release()
-	if err := src.StreamTiles(ctx, rowAcc, colAcc); err != nil {
-		return nil, nil, err
-	}
-	fwd, err := graphFromHeaps(rowAcc.heaps, cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fwd, colAcc.Means(), nil
+	return PartsCandGraphWithColMeans(ctx, exhaustive{src}, c, kCol)
 }
 
-func buildGraphs(ctx context.Context, src TileSource, c, cRev int) (*CandGraph, *CandGraph, error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("matrix: nil tile source")
-	}
-	if c < 1 {
-		return nil, nil, fmt.Errorf("%w: candidate budget %d < 1", ErrShape, c)
-	}
+// exhaustive is the PartsProducer of a plain tile source: StreamParts.
+type exhaustive struct{ TileSource }
+
+func (e exhaustive) ProduceParts(ctx context.Context, req GraphRequest) (GraphParts, error) {
+	return StreamParts(ctx, e.TileSource, req)
+}
+
+// StreamParts is the one exhaustive builder: a single StreamTiles pass over
+// src carrying an accumulator per requested part and nothing else — a
+// RunningTopK for the forward graph, a ColTopKAcc(CRev) for the reverse
+// graph, a ColTopKAcc(KCol) for the column means. C and CRev are clamped to
+// the matrix shape; KCol is used as given (see BuildCandGraphWithColMeans).
+// An empty request streams nothing.
+func StreamParts(ctx context.Context, src TileSource, req GraphRequest) (GraphParts, error) {
 	rows, cols := src.Dims()
-	if c > cols {
-		c = cols
+	var consumers []TileConsumer
+	var fwdAcc *RunningTopK
+	var revAcc, meanAcc *ColTopKAcc
+	if req.C > 0 {
+		fwdAcc = NewRunningTopK(rows, min(req.C, cols))
+		defer fwdAcc.Release()
+		consumers = append(consumers, fwdAcc)
 	}
-	if cRev > rows {
-		cRev = rows
+	if req.CRev > 0 {
+		revAcc = NewColTopKAcc(cols, min(req.CRev, rows))
+		defer revAcc.Release()
+		consumers = append(consumers, revAcc)
 	}
-	rowAcc := NewRunningTopK(rows, c)
-	defer rowAcc.Release()
-	consumers := []TileConsumer{rowAcc}
-	var colAcc *ColTopKAcc
-	if cRev > 0 {
-		colAcc = NewColTopKAcc(cols, cRev)
-		defer colAcc.Release()
-		consumers = append(consumers, colAcc)
+	if req.KCol > 0 {
+		meanAcc = NewColTopKAcc(cols, req.KCol)
+		defer meanAcc.Release()
+		consumers = append(consumers, meanAcc)
 	}
-	if err := src.StreamTiles(ctx, consumers...); err != nil {
-		return nil, nil, err
+	var out GraphParts
+	if len(consumers) == 0 {
+		return out, nil
 	}
-	fwd, err := graphFromHeaps(rowAcc.heaps, cols)
+	err := src.StreamTiles(ctx, consumers...)
+	if err == nil && fwdAcc != nil {
+		out.Fwd, err = graphFromHeaps(fwdAcc.heaps, cols)
+	}
+	if err == nil && revAcc != nil {
+		out.Rev, err = graphFromHeaps(revAcc.heaps, rows)
+	}
 	if err != nil {
-		return nil, nil, err
+		return GraphParts{}, err
 	}
-	var rev *CandGraph
-	if colAcc != nil {
-		rev, err = graphFromHeaps(colAcc.heaps, rows)
-		if err != nil {
-			return nil, nil, err
-		}
+	if meanAcc != nil {
+		out.ColMeans = meanAcc.Means()
 	}
-	return fwd, rev, nil
+	return out, nil
 }
 
 // NewCandGraph assembles a candidate graph from per-row TopK selections over

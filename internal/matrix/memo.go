@@ -1,0 +1,218 @@
+package matrix
+
+import (
+	"context"
+	"sync/atomic"
+)
+
+// GraphMemo decorates a tile source with a memo of the candidate-graph
+// parts last built from it, so matchers that share a prepared source share
+// its graphs instead of each rebuilding them: per source it holds the last
+// forward graph (keyed by clamped c), the last reverse graph (keyed by
+// clamped cRev) and the last column top-k means (keyed by kCol), answers the
+// three CandGraphProducer entry points from those, and on a miss builds
+// only the parts it lacks — through the source's own PartsProducer, or in
+// one exhaustive StreamParts pass carrying just the missing accumulators.
+//
+// A part is reused only for the identical key. A wider graph is never
+// truncated and φ_t is never read off the reverse graph: SQ8's re-rank pool
+// depends on the budget and ColTopKAcc.Means sums in heap-array order, so
+// neither shortcut is bit-identical in general. A different budget replaces
+// its slot, which bounds the memo to one forward graph, one reverse graph
+// and one means vector. Every part handed out is the one the un-memoized
+// BuildCandGraph* call would have returned, and is shared: callers must not
+// mutate it (CandGraph.Row's contract; clone for scratch).
+//
+// One build runs at a time. The lock is a one-slot channel so a caller
+// waiting behind a build still returns on its own context; a failed or
+// cancelled build stores nothing and the next caller builds. Tile streams,
+// blocks and padded views pass straight through to the wrapped source, so a
+// view with virtual dummy columns (a different score matrix) is never
+// memoized.
+type GraphMemo struct {
+	src  TileSource
+	lock chan struct{} // holds one token while the slots are read or rebuilt
+
+	// The slots, guarded by lock. A nil part is absent.
+	fwd, rev   *CandGraph
+	means      []float64
+	fwdC, revC int
+	meansK     int
+
+	builds, hits, passes, bytes atomic.Int64
+}
+
+// MemoStats counts a memo's work. Builds and Hits count producer calls:
+// one that had to build at least one part, one answered wholly from the
+// slots. Passes counts full tile passes over the wrapped source — exhaustive
+// builds and direct StreamTiles calls alike. Bytes is what the slots hold.
+type MemoStats struct {
+	Builds int64 `json:"builds"`
+	Hits   int64 `json:"hits"`
+	Passes int64 `json:"passes"`
+	Bytes  int64 `json:"bytes"`
+}
+
+var (
+	_ CandGraphProducer = (*GraphMemo)(nil)
+	_ PartsProducer     = (*GraphMemo)(nil)
+	_ ColPadder         = (*GraphMemo)(nil)
+)
+
+// Memo wraps src in an empty candidate-graph memo.
+func Memo(src TileSource) *GraphMemo {
+	return &GraphMemo{src: src, lock: make(chan struct{}, 1)}
+}
+
+// Source returns the wrapped, un-memoized tile source.
+func (m *GraphMemo) Source() TileSource { return m.src }
+
+// Dims implements TileSource by delegation.
+func (m *GraphMemo) Dims() (rows, cols int) { return m.src.Dims() }
+
+// StreamTiles implements TileSource by delegation, counting the pass.
+func (m *GraphMemo) StreamTiles(ctx context.Context, consumers ...TileConsumer) error {
+	m.passes.Add(1)
+	return m.src.StreamTiles(ctx, consumers...)
+}
+
+// Block implements TileSource by delegation.
+func (m *GraphMemo) Block(ctx context.Context, rowIDs, colIDs []int) (*Dense, error) {
+	return m.src.Block(ctx, rowIDs, colIDs)
+}
+
+// PadCols implements ColPadder: the padded view is built on the wrapped
+// source and shares nothing with the memo.
+func (m *GraphMemo) PadCols(n int, score float64) TileSource { return PadCols(m.src, n, score) }
+
+// Stats snapshots the counters; it never waits for a build.
+func (m *GraphMemo) Stats() MemoStats {
+	return MemoStats{Builds: m.builds.Load(), Hits: m.hits.Load(), Passes: m.passes.Load(), Bytes: m.bytes.Load()}
+}
+
+// acquire takes the lock unless ctx ends first.
+func (m *GraphMemo) acquire(ctx context.Context) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	select {
+	case m.lock <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Forget drops every held part, waiting out a build in flight. It is cache
+// invalidation for callers that must time a cold build; graphs already
+// handed out stay valid.
+func (m *GraphMemo) Forget() {
+	m.lock <- struct{}{}
+	m.fwd, m.rev, m.means = nil, nil, nil
+	m.bytes.Store(0)
+	<-m.lock
+}
+
+// ProduceParts implements PartsProducer: the requested parts from the slots,
+// building and storing whichever are missing.
+func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphParts, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	rows, cols := m.src.Dims()
+	req.C, req.CRev = min(req.C, cols), min(req.CRev, rows)
+	if err := m.acquire(ctx); err != nil {
+		return GraphParts{}, err
+	}
+	defer func() { <-m.lock }()
+
+	var miss GraphRequest
+	if req.C > 0 && (m.fwd == nil || m.fwdC != req.C) {
+		miss.C = req.C
+	}
+	if req.CRev > 0 && (m.rev == nil || m.revC != req.CRev) {
+		miss.CRev = req.CRev
+	}
+	if req.KCol > 0 && (m.means == nil || m.meansK != req.KCol) {
+		miss.KCol = req.KCol
+	}
+	if miss == (GraphRequest{}) {
+		m.hits.Add(1)
+	} else {
+		built, err := m.build(ctx, req, miss)
+		if err != nil {
+			return GraphParts{}, err
+		}
+		if miss.C > 0 {
+			m.fwd, m.fwdC = built.Fwd, miss.C
+		}
+		if miss.CRev > 0 {
+			m.rev, m.revC = built.Rev, miss.CRev
+		}
+		if miss.KCol > 0 {
+			m.means, m.meansK = built.ColMeans, miss.KCol
+		}
+		m.builds.Add(1)
+		held := int64(len(m.means)) * 8
+		for _, g := range []*CandGraph{m.fwd, m.rev} {
+			if g != nil {
+				held += g.SizeBytes()
+			}
+		}
+		m.bytes.Store(held)
+	}
+	var out GraphParts
+	if req.C > 0 {
+		out.Fwd = m.fwd
+	}
+	if req.CRev > 0 {
+		out.Rev = m.rev
+	}
+	if req.KCol > 0 {
+		out.ColMeans = m.means
+	}
+	return out, nil
+}
+
+// build produces the missing parts of req from the wrapped source. A source
+// with a parts entry point builds exactly those and a plain tile source
+// streams them in one pass. A producer with only the three-method surface
+// cannot build a reverse graph or means alone, so it is asked for the calls
+// that cover the missing parts; the forward graph that comes along is
+// dropped when the slot already holds one.
+func (m *GraphMemo) build(ctx context.Context, req, miss GraphRequest) (GraphParts, error) {
+	switch p := m.src.(type) {
+	case PartsProducer:
+		return p.ProduceParts(ctx, miss)
+	case CandGraphProducer:
+		var out GraphParts
+		var err error
+		if miss.CRev > 0 {
+			out.Fwd, out.Rev, err = p.ProduceCandGraphs(ctx, req.C, miss.CRev)
+		}
+		if err == nil && miss.KCol > 0 {
+			out.Fwd, out.ColMeans, err = p.ProduceCandGraphWithColMeans(ctx, req.C, miss.KCol)
+		}
+		if err == nil && miss.C > 0 && out.Fwd == nil {
+			out.Fwd, err = p.ProduceCandGraph(ctx, miss.C)
+		}
+		return out, err
+	}
+	m.passes.Add(1)
+	return StreamParts(ctx, m.src, miss)
+}
+
+// ProduceCandGraph implements CandGraphProducer.
+func (m *GraphMemo) ProduceCandGraph(ctx context.Context, c int) (*CandGraph, error) {
+	return PartsCandGraph(ctx, m, c)
+}
+
+// ProduceCandGraphs implements CandGraphProducer.
+func (m *GraphMemo) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *CandGraph, err error) {
+	return PartsCandGraphs(ctx, m, c, cRev)
+}
+
+// ProduceCandGraphWithColMeans implements CandGraphProducer.
+func (m *GraphMemo) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*CandGraph, []float64, error) {
+	return PartsCandGraphWithColMeans(ctx, m, c, kCol)
+}

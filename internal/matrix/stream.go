@@ -369,21 +369,7 @@ func (t *RunningTopK) Finalize() []TopK {
 // Means returns each row's top-k mean (the CSLS φ_s statistic), averaging in
 // descending-sorted order exactly as Dense.RowTopKMeans does. Like Finalize,
 // it consumes the accumulator.
-func (t *RunningTopK) Means() []float64 {
-	out := make([]float64, len(t.heaps))
-	for i := range t.heaps {
-		tk := t.heaps[i].finalize()
-		if len(tk.Values) == 0 {
-			continue
-		}
-		var s float64
-		for _, v := range tk.Values {
-			s += v
-		}
-		out[i] = s / float64(len(tk.Values))
-	}
-	return out
-}
+func (t *RunningTopK) Means() []float64 { return TopKMeans(t.Finalize()) }
 
 // SizeBytes is the accumulator's heap footprint: O(rows·k).
 func (t *RunningTopK) SizeBytes() int64 { return int64(len(t.heaps)) * int64(t.k) * 16 }

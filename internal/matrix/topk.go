@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // TopK holds the k largest values of a row together with their column
 // indices, in descending value order.
@@ -17,8 +14,6 @@ type minHeap struct {
 	vals []float64
 	idx  []int
 }
-
-func (h *minHeap) Len() int { return len(h.vals) }
 
 // Less orders by ascending value with ties broken by DESCENDING index, so the
 // heap minimum among equal boundary values is always the latest-offered one
@@ -40,8 +35,17 @@ func (h *minHeap) Swap(i, j int) {
 	h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
 	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
 }
-func (h *minHeap) Push(x interface{}) { panic("matrix: minHeap.Push unused") }
-func (h *minHeap) Pop() interface{}   { panic("matrix: minHeap.Pop unused") }
+
+// heapify establishes the min-heap property over the whole array, bottom-up.
+// Together with down it is container/heap's Init/Fix(h, 0) — the same sift
+// and the same child choice, so the array layout (which heapMean sums in) is
+// unchanged — without the interface dispatch per comparison and swap.
+func (h *minHeap) heapify() {
+	n := len(h.vals)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
 
 // offer feeds one (value, index) candidate into a bounded-size-k heap:
 // while under capacity it appends (initializing the heap exactly at k), and
@@ -55,13 +59,13 @@ func (h *minHeap) offer(v float64, j, k int) {
 		h.vals = append(h.vals, v)
 		h.idx = append(h.idx, j)
 		if len(h.vals) == k {
-			heap.Init(h)
+			h.heapify()
 		}
 		return
 	}
 	if v > h.vals[0] {
 		h.vals[0], h.idx[0] = v, j
-		heap.Fix(h, 0)
+		h.down(0, k)
 	}
 }
 
@@ -77,11 +81,8 @@ func (h *minHeap) offer(v float64, j, k int) {
 // interface boxing sort.Sort would allocate per call (one per row per
 // streamed match).
 func (h *minHeap) finalize() TopK {
-	n := len(h.vals)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-	for end := n - 1; end > 0; end-- {
+	h.heapify()
+	for end := len(h.vals) - 1; end > 0; end-- {
 		h.Swap(0, end)
 		h.down(0, end)
 	}
@@ -166,13 +167,13 @@ func (b *BoundedTopK) Offer(v float64, j int) {
 		h.vals = append(h.vals, v)
 		h.idx = append(h.idx, j)
 		if len(h.vals) == b.k {
-			heap.Init(h)
+			h.heapify()
 		}
 		return
 	}
 	if v > h.vals[0] || (v == h.vals[0] && j < h.idx[0]) {
 		h.vals[0], h.idx[0] = v, j
-		heap.Fix(h, 0)
+		h.down(0, b.k)
 	}
 }
 

@@ -223,70 +223,62 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 	return s.searchAll(ctx, qTab, s.tgtQ, s.tgtTab, k)
 }
 
-// ProduceCandGraph implements matrix.CandGraphProducer: the forward
-// candidate graph from the quantized scan instead of the float64 tile pass.
-func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	if c < 1 {
-		return nil, fmt.Errorf("quant: candidate budget %d < 1", c)
+// ProduceParts implements matrix.PartsProducer: each requested part is one
+// two-phase scan and nothing else is derived. The forward graph scans the
+// target-side codes with each source row as the query; the reverse graph and
+// the column statistic scan the source-side codes with each target row.
+//
+// Like ann.Source, the column statistic (CSLS's φ_t) is estimated from each
+// target row's KCol best scores, summed in descending-score order rather
+// than the dense path's heap-array order, so means can differ in the last
+// ulps at KCol > 1 (KCol = 1 is pinned exact).
+func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
+	var out matrix.GraphParts
+	var err error
+	if req.C > 0 {
+		if out.Fwd, err = s.graph(ctx, s.srcTab, s.tgtQ, s.tgtTab, req.C); err != nil {
+			return matrix.GraphParts{}, err
+		}
 	}
-	tks, err := s.searchAll(ctx, s.srcTab, s.tgtQ, s.tgtTab, c)
+	if req.CRev > 0 {
+		if out.Rev, err = s.graph(ctx, s.tgtTab, s.srcQ, s.srcTab, req.CRev); err != nil {
+			return matrix.GraphParts{}, err
+		}
+	}
+	if req.KCol > 0 {
+		tks, err := s.searchAll(ctx, s.tgtTab, s.srcQ, s.srcTab, req.KCol)
+		if err != nil {
+			return matrix.GraphParts{}, err
+		}
+		out.ColMeans = matrix.TopKMeans(tks)
+	}
+	return out, nil
+}
+
+// graph scans every row of qTab against the corpus (cq, cf) and assembles
+// the top-c selections into a candidate graph over the corpus rows.
+func (s *Source) graph(ctx context.Context, qTab *matrix.Dense, cq *Table, cf *matrix.Dense, c int) (*matrix.CandGraph, error) {
+	tks, err := s.searchAll(ctx, qTab, cq, cf, c)
 	if err != nil {
 		return nil, err
 	}
-	return matrix.NewCandGraph(s.tgtTab.Rows(), tks)
+	return matrix.NewCandGraph(cf.Rows(), tks)
+}
+
+// ProduceCandGraph implements matrix.CandGraphProducer: the forward
+// candidate graph from the quantized scan instead of the float64 tile pass.
+func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
+	return matrix.PartsCandGraph(ctx, s, c)
 }
 
 // ProduceCandGraphs implements matrix.CandGraphProducer; the reverse graph
 // scans the source-side codes with each target row as the query.
 func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	fwd, err = s.ProduceCandGraph(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cRev <= 0 {
-		return fwd, nil, nil
-	}
-	tks, err := s.searchAll(ctx, s.tgtTab, s.srcQ, s.srcTab, cRev)
-	if err != nil {
-		return nil, nil, err
-	}
-	rev, err = matrix.NewCandGraph(s.srcTab.Rows(), tks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fwd, rev, nil
+	return matrix.PartsCandGraphs(ctx, s, c, cRev)
 }
 
-// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer. Like
-// ann.Source, the column statistic (CSLS's φ_t) is estimated by querying
-// each target row against the source-side codes for its kCol best scores;
-// the sum runs in descending-score order rather than the dense path's
-// heap-array order, so means can differ in the last ulps at kCol > 1
-// (kCol = 1 is pinned exact). kCol <= 0 yields all-zero means, mirroring
-// Dense.ColTopKMeans.
+// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer; see
+// ProduceParts for how the column statistic is estimated.
 func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	fwd, err := s.ProduceCandGraph(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols := s.tgtTab.Rows()
-	means := make([]float64, cols)
-	if kCol <= 0 {
-		return fwd, means, nil
-	}
-	tks, err := s.searchAll(ctx, s.tgtTab, s.srcQ, s.srcTab, kCol)
-	if err != nil {
-		return nil, nil, err
-	}
-	for j, tk := range tks {
-		if len(tk.Values) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range tk.Values {
-			sum += v
-		}
-		means[j] = sum / float64(len(tk.Values))
-	}
-	return fwd, means, nil
+	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }

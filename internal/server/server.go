@@ -150,6 +150,11 @@ type Server struct {
 	annSrc   matrix.TileSource // nil when the snapshot has no index
 	quantSrc matrix.TileSource // nil when the snapshot has no SQ8 tables
 
+	// alignTiers is the /align degradation ladder, best tier first: each of
+	// quantSrc, annSrc (as left by the options) and stream behind its own
+	// candidate-graph memo, so a repeated /align costs the matcher alone.
+	alignTiers []alignTier
+
 	searchers []TopKSearcher // walked in order; last is the exact scan
 	srcByName map[string]int
 	colIDs    []int // 0..cols-1, shared by the exact scans
@@ -205,6 +210,12 @@ type Stats struct {
 	BatchedQueries int64 `json:"batched_queries"`
 	CoalescedDup   int64 `json:"coalesced_dup"`
 	MaxBatchSize   int64 `json:"max_batch_size"`
+	// AlignGraph* are the /align tiers' candidate-graph memo counters, keyed
+	// by tier name: producer calls that built a part, calls answered wholly
+	// from the memo, and the bytes the memo holds.
+	AlignGraphBuilds map[string]int64 `json:"align_graph_builds"`
+	AlignGraphHits   map[string]int64 `json:"align_graph_hits"`
+	AlignGraphBytes  map[string]int64 `json:"align_graph_bytes"`
 	// Plan is the startup self-configuration plan's chosen engine in label
 	// form (e.g. "quant+sparse(C=64,f=4)"); empty when the planner
 	// calibration was unavailable at startup.
@@ -217,6 +228,11 @@ func (s *Server) Stats() Stats {
 	planLabel := ""
 	if s.plan != nil {
 		planLabel = s.plan.Chosen.Label()
+	}
+	builds, hits, held := map[string]int64{}, map[string]int64{}, map[string]int64{}
+	for _, t := range s.alignTiers {
+		st := t.src.Stats()
+		builds[t.name], hits[t.name], held[t.name] = st.Builds, st.Hits, st.Bytes
 	}
 	return Stats{
 		Plan:           planLabel,
@@ -234,6 +250,10 @@ func (s *Server) Stats() Stats {
 		BatchedQueries: s.batchedQueries.Load(),
 		CoalescedDup:   s.coalescedDup.Load(),
 		MaxBatchSize:   s.maxBatchSeen.Load(),
+
+		AlignGraphBuilds: builds,
+		AlignGraphHits:   hits,
+		AlignGraphBytes:  held,
 	}
 }
 
@@ -486,6 +506,14 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	for _, t := range []struct {
+		name string
+		src  matrix.TileSource
+	}{{"quant", s.quantSrc}, {"ann", s.annSrc}, {"exact", stream}} {
+		if t.src != nil {
+			s.alignTiers = append(s.alignTiers, alignTier{name: t.name, src: matrix.Memo(t.src)})
+		}
 	}
 	if s.searchers[0] == nil {
 		s.searchers = s.searchers[1:] // no index, no injected primary: exact only
@@ -790,14 +818,10 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	// (when the snapshot holds SQ8 tables), then the float ANN source, then
 	// the same matcher on the exact stream. The exact tier is the safety
 	// net — Fallback runs it under the request deadline only.
-	var tiers []core.Matcher
-	if s.quantSrc != nil {
-		tiers = append(tiers, &sourced{m: m, src: s.quantSrc, suffix: "@quant"})
+	tiers := make([]core.Matcher, len(s.alignTiers))
+	for i, t := range s.alignTiers {
+		tiers[i] = &sourced{m: m, src: t.src, suffix: "@" + t.name}
 	}
-	if s.annSrc != nil {
-		tiers = append(tiers, &sourced{m: m, src: s.annSrc, suffix: "@ann"})
-	}
-	tiers = append(tiers, &sourced{m: m, src: s.stream, suffix: "@exact"})
 	chain := core.NewFallback(budget, tiers...)
 
 	mctx := &core.Context{Stream: s.stream, Ctx: r.Context()}
@@ -870,6 +894,12 @@ func (s *Server) alignMatcher(req alignRequest) (core.Matcher, error) {
 	default:
 		return nil, fmt.Errorf("unknown matcher %q (have: DInf, CSLS, RInf, Sink., Hun., SMat)", req.Matcher)
 	}
+}
+
+// alignTier is one rung of the /align ladder: a tile source behind its memo.
+type alignTier struct {
+	name string // "quant", "ann" or "exact": the @suffix and the /statsz key
+	src  *matrix.GraphMemo
 }
 
 // sourced runs a matcher with the match context's tile source swapped, so a

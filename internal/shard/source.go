@@ -87,56 +87,42 @@ func (s *Source) Assignment(ctx context.Context) (*Assignment, error) {
 
 // ProduceCandGraph implements matrix.CandGraphProducer.
 func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	fwd, _, _, err := s.produce(ctx, c, 0, 0, false)
-	return fwd, err
+	return matrix.PartsCandGraph(ctx, s, c)
 }
 
 // ProduceCandGraphs implements matrix.CandGraphProducer; rev is nil when
 // cRev <= 0.
 func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	fwd, rev, _, err = s.produce(ctx, c, cRev, 0, false)
-	return fwd, rev, err
+	return matrix.PartsCandGraphs(ctx, s, c, cRev)
 }
 
 // ProduceCandGraphWithColMeans implements matrix.CandGraphProducer.
 func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	fwd, _, means, err := s.produce(ctx, c, 0, kCol, true)
-	return fwd, means, err
+	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }
 
-// shardResult is one shard's sub-build output, in local id spaces.
-type shardResult struct {
-	fwd   *matrix.CandGraph // rows: local src order; cols: local tgt space
-	rev   *matrix.CandGraph // rows: local tgt order; cols: local src space
-	means []float64         // per local tgt row
-}
-
-// produce runs the full sharded build: partition, per-shard sub-builds on a
+// ProduceParts implements matrix.PartsProducer. It runs the full sharded
+// build for the requested parts only: partition, per-shard sub-builds on a
 // bounded worker pool, then the deterministic reconciliation merge back to
-// global id spaces. Budgets c / cRev / kCol follow the producer contract:
-// clamped here to the global shape, re-clamped per shard to the sub-shape.
-func (s *Source) produce(ctx context.Context, c, cRev, kCol int, wantMeans bool) (*matrix.CandGraph, *matrix.CandGraph, []float64, error) {
+// global id spaces. Budgets follow the producer contract: clamped here to
+// the global shape, re-clamped per shard to the sub-shape.
+func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
 	srcRows, _ := s.src.Dims()
 	tgtRows, _ := s.tgt.Dims()
-	if c > tgtRows {
-		c = tgtRows
-	}
-	if cRev > srcRows {
-		cRev = srcRows
-	}
-	if kCol > srcRows {
-		kCol = srcRows
-	}
+	req.C = min(req.C, tgtRows)
+	req.CRev = min(req.CRev, srcRows)
+	req.KCol = min(req.KCol, srcRows)
 	asg, err := s.Assignment(ctx)
 	if err != nil {
-		return nil, nil, nil, err
+		return matrix.GraphParts{}, err
 	}
 	cfg, err := s.cfg.withDefaults(tgtRows)
 	if err != nil {
-		return nil, nil, nil, err
+		return matrix.GraphParts{}, err
 	}
 
-	results := make([]*shardResult, asg.Shards)
+	// results[i] is shard i's sub-build, in its local id spaces.
+	results := make([]*matrix.GraphParts, asg.Shards)
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sem := make(chan struct{}, cfg.Workers)
@@ -158,7 +144,7 @@ func (s *Source) produce(ctx context.Context, c, cRev, kCol int, wantMeans bool)
 				return
 			}
 			defer func() { <-sem }()
-			res, err := s.buildShard(gctx, asg, i, c, cRev, kCol, wantMeans)
+			res, err := s.buildShard(gctx, asg, i, req)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -168,48 +154,50 @@ func (s *Source) produce(ctx context.Context, c, cRev, kCol int, wantMeans bool)
 				cancel()
 				return
 			}
-			results[i] = res
+			results[i] = &res
 		}(i)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, nil, nil, firstErr
+		return matrix.GraphParts{}, firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return matrix.GraphParts{}, err
 	}
 
-	fwd, err := mergeForward(asg, results, srcRows, tgtRows, c)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var rev *matrix.CandGraph
-	if cRev > 0 {
-		if rev, err = scatterReverse(asg, results, srcRows, tgtRows); err != nil {
-			return nil, nil, nil, err
+	var out matrix.GraphParts
+	if req.C > 0 {
+		if out.Fwd, err = mergeForward(asg, results, srcRows, tgtRows, req.C); err != nil {
+			return matrix.GraphParts{}, err
 		}
 	}
-	var means []float64
-	if wantMeans {
-		means = make([]float64, tgtRows)
+	if req.CRev > 0 {
+		if out.Rev, err = scatterReverse(asg, results, srcRows, tgtRows); err != nil {
+			return matrix.GraphParts{}, err
+		}
+	}
+	if req.KCol > 0 {
+		out.ColMeans = make([]float64, tgtRows)
 		for i, res := range results {
 			if res == nil {
 				continue
 			}
 			for t, g := range asg.Tgt[i] {
-				means[g] = res.means[t]
+				out.ColMeans[g] = res.ColMeans[t]
 			}
 		}
 	}
-	return fwd, rev, means, nil
+	return out, nil
 }
 
-// buildShard gathers shard i's sub-tables and runs the exhaustive graph
-// builders on them, under the per-shard deadline. The gathered windows are
-// row-gathers of the prepared tables, so every score a sub-build computes
-// is bit-identical to the score the exhaustive engine computes for the same
-// (source, target) pair.
-func (s *Source) buildShard(ctx context.Context, asg *Assignment, i, c, cRev, kCol int, wantMeans bool) (*shardResult, error) {
+// buildShard gathers shard i's sub-tables and runs the exhaustive builder on
+// them for the requested parts, under the per-shard deadline. The result is
+// in the shard's local id spaces (forward rows in local src order over the
+// local tgt space, reverse rows and means per local tgt row). The gathered
+// windows are row-gathers of the prepared tables, so every score a sub-build
+// computes is bit-identical to the score the exhaustive engine computes for
+// the same (source, target) pair.
+func (s *Source) buildShard(ctx context.Context, asg *Assignment, i int, req matrix.GraphRequest) (matrix.GraphParts, error) {
 	sctx := ctx
 	if s.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -219,32 +207,24 @@ func (s *Source) buildShard(ctx context.Context, asg *Assignment, i, c, cRev, kC
 	srcIDs, tgtIDs := asg.Src[i], asg.Tgt[i]
 	srcTab, err := matrix.GatherRows(s.src, srcIDs)
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: gather src: %w", i, err)
+		return matrix.GraphParts{}, fmt.Errorf("shard %d: gather src: %w", i, err)
 	}
 	tgtTab, err := matrix.GatherRows(s.tgt, tgtIDs)
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: gather tgt: %w", i, err)
+		return matrix.GraphParts{}, fmt.Errorf("shard %d: gather tgt: %w", i, err)
 	}
 	ls, err := sim.NewStreamPrepared(srcTab, tgtTab, s.metric)
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", i, err)
+		return matrix.GraphParts{}, fmt.Errorf("shard %d: %w", i, err)
 	}
-	res := &shardResult{}
-	if wantMeans {
-		k := kCol
-		if k > len(srcIDs) {
-			k = len(srcIDs)
-		}
-		res.fwd, res.means, err = matrix.BuildCandGraphWithColMeans(sctx, ls, c, k)
-	} else {
-		res.fwd, res.rev, err = matrix.BuildCandGraphs(sctx, ls, c, cRev)
-	}
+	req.KCol = min(req.KCol, len(srcIDs))
+	res, err := matrix.StreamParts(sctx, ls, req)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			return nil, fmt.Errorf("%w: shard %d (%d x %d) after %v",
+			return matrix.GraphParts{}, fmt.Errorf("%w: shard %d (%d x %d) after %v",
 				ErrDeadline, i, len(srcIDs), len(tgtIDs), s.cfg.ShardTimeout)
 		}
-		return nil, fmt.Errorf("shard %d: %w", i, err)
+		return matrix.GraphParts{}, fmt.Errorf("shard %d: %w", i, err)
 	}
 	return res, nil
 }
@@ -263,7 +243,7 @@ type rowRef struct {
 // with ties to the smaller global column reproduces exactly the order the
 // exhaustive heap finalization emits. At Shards=1 every row has one list
 // with identity translation — the merge is a copy.
-func mergeForward(asg *Assignment, results []*shardResult, srcRows, tgtRows, c int) (*matrix.CandGraph, error) {
+func mergeForward(asg *Assignment, results []*matrix.GraphParts, srcRows, tgtRows, c int) (*matrix.CandGraph, error) {
 	refs := make([][]rowRef, srcRows)
 	var nnzCap int
 	for i, res := range results {
@@ -273,7 +253,7 @@ func mergeForward(asg *Assignment, results []*shardResult, srcRows, tgtRows, c i
 		for r, g := range asg.Src[i] {
 			refs[g] = append(refs[g], rowRef{shard: int32(i), local: int32(r)})
 		}
-		nnzCap += res.fwd.NNZ()
+		nnzCap += res.Fwd.NNZ()
 	}
 	// Shared backings keep the merge at two large allocations instead of
 	// 2·srcRows small ones; NewCandGraph copies out of them.
@@ -291,7 +271,7 @@ func mergeForward(asg *Assignment, results []*shardResult, srcRows, tgtRows, c i
 		curs = curs[:0]
 		for _, ref := range refs[g] {
 			res := results[ref.shard]
-			cols, vs := res.fwd.Row(int(ref.local))
+			cols, vs := res.Fwd.Row(int(ref.local))
 			if len(cols) > 0 {
 				curs = append(curs, cursor{vals: vs, cols: cols, tgt: asg.Tgt[ref.shard]})
 			}
@@ -328,11 +308,11 @@ func mergeForward(asg *Assignment, results []*shardResult, srcRows, tgtRows, c i
 // spaces. Every target row lives in exactly one shard, so rows scatter
 // without merging; within a row, local->global source translation is
 // monotone, preserving the (value desc, index asc) contract.
-func scatterReverse(asg *Assignment, results []*shardResult, srcRows, tgtRows int) (*matrix.CandGraph, error) {
+func scatterReverse(asg *Assignment, results []*matrix.GraphParts, srcRows, tgtRows int) (*matrix.CandGraph, error) {
 	var nnzCap int
 	for _, res := range results {
-		if res != nil && res.rev != nil {
-			nnzCap += res.rev.NNZ()
+		if res != nil && res.Rev != nil {
+			nnzCap += res.Rev.NNZ()
 		}
 	}
 	vals := make([]float64, 0, nnzCap)
@@ -341,12 +321,12 @@ func scatterReverse(asg *Assignment, results []*shardResult, srcRows, tgtRows in
 	// Deterministic scatter order (shard-major) is irrelevant to the result:
 	// each global row is written exactly once.
 	for i, res := range results {
-		if res == nil || res.rev == nil {
+		if res == nil || res.Rev == nil {
 			continue
 		}
 		srcIDs := asg.Src[i]
 		for t, g := range asg.Tgt[i] {
-			cols, vs := res.rev.Row(t)
+			cols, vs := res.Rev.Row(t)
 			start := len(vals)
 			for x, v := range vs {
 				vals = append(vals, v)

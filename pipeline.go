@@ -380,14 +380,58 @@ type Run struct {
 	// closer releases resources an out-of-core run holds open (the snapshot
 	// reader and its mappings). Nil for resident runs.
 	closer io.Closer
+
+	// graphs is the candidate-graph memo newRun wrapped around Ctx.Stream;
+	// nil on dense runs. Kept here so the counters stay reachable when a
+	// caller re-wraps Ctx.Stream.
+	graphs *matrix.GraphMemo
 }
 
-// Close releases the snapshot reader backing an out-of-core run. Safe on
-// any run (resident runs hold nothing) but required after out-of-core ones:
-// the run's engines read the snapshot file lazily, so it must stay open for
-// the run's lifetime and be closed exactly once afterwards. Copies made by
-// WithContext share the underlying reader — close once, via any of them.
+// GraphStats reports the work of the run's candidate-graph memo.
+type GraphStats = matrix.MemoStats
+
+// newRun assembles a prepared run. This is the one place the candidate-graph
+// memo is installed: whatever engine stack a prepare path left in
+// mctx.Stream (the plain stream, or the IVF, SQ8 or sharded producer over
+// it) is wrapped once, so every sparse matcher run on the Run shares the
+// graphs the first of them built. Dense runs have no tile source — sparse
+// matchers get a fresh DenseTileSource view per call — and stay un-memoized.
+func newRun(task *Task, s *Dense, stream *SimilarityStream, mctx *MatchContext) *Run {
+	r := &Run{Task: task, S: s, Stream: stream, Ctx: mctx}
+	if mctx.Stream != nil {
+		r.graphs = matrix.Memo(mctx.Stream)
+		mctx.Stream = r.graphs
+	}
+	return r
+}
+
+// GraphStats returns how often the run's sparse matchers built candidate
+// graphs, how often they were served from the memo instead, the full tile
+// passes streamed and the bytes the memo holds. Zero on dense runs.
+func (r *Run) GraphStats() GraphStats {
+	if r.graphs == nil {
+		return GraphStats{}
+	}
+	return r.graphs.Stats()
+}
+
+// ForgetGraphs drops the candidate graphs the run has memoized, so the next
+// sparse matcher rebuilds them — for callers timing one matcher cold (the
+// benchmark tables). Results never depend on it.
+func (r *Run) ForgetGraphs() {
+	if r.graphs != nil {
+		r.graphs.Forget()
+	}
+}
+
+// Close drops the run's memoized candidate graphs and releases the snapshot
+// reader backing an out-of-core run. Safe on any run (resident runs hold no
+// reader) but required after out-of-core ones: the run's engines read the
+// snapshot file lazily, so it must stay open for the run's lifetime and be
+// closed exactly once afterwards. Copies made by WithContext share the
+// underlying reader — close once, via any of them.
 func (r *Run) Close() error {
+	r.ForgetGraphs()
 	if r.closer == nil {
 		return nil
 	}
@@ -630,7 +674,7 @@ func (p *Pipeline) prepareEngines(ctx context.Context, d *Dataset, emb *Embeddin
 			Gold:      vt.Gold,
 		}
 	}
-	return &Run{Task: task, S: s, Stream: stream, Ctx: mctx}, nil
+	return newRun(task, s, stream, mctx), nil
 }
 
 // embeddings produces the configured feature embeddings.
@@ -826,7 +870,7 @@ func (p *Pipeline) prepareFromSnapshot(ctx context.Context, d *Dataset, snap *sn
 		}
 		mctx.Stream = shSrc
 	}
-	return &Run{Task: task, Stream: stream, Ctx: mctx}, nil
+	return newRun(task, nil, stream, mctx), nil
 }
 
 // checkSnapshotMeta verifies a snapshot's recorded configuration against the
@@ -976,7 +1020,9 @@ func (p *Pipeline) prepareFromReader(ctx context.Context, d *Dataset, r *snapsho
 		}
 		mctx.Stream = shSrc
 	}
-	return &Run{Task: task, Stream: stream, Ctx: mctx, OutOfCoreMode: mode, closer: r}, nil
+	run := newRun(task, nil, stream, mctx)
+	run.OutOfCoreMode, run.closer = mode, r
+	return run, nil
 }
 
 // task builds the evaluation task for the configured setting.
@@ -1001,7 +1047,7 @@ func (r *Run) WithContext(ctx context.Context) *Run {
 	mctx := *r.Ctx
 	mctx.Ctx = ctx
 	return &Run{Task: r.Task, S: r.S, Stream: r.Stream, Ctx: &mctx,
-		Plan: r.Plan, OutOfCoreMode: r.OutOfCoreMode, closer: r.closer}
+		Plan: r.Plan, OutOfCoreMode: r.OutOfCoreMode, closer: r.closer, graphs: r.graphs}
 }
 
 // Match runs a matcher on the prepared run and scores it against the gold
