@@ -394,10 +394,15 @@ func (ivf *IVF) rankCells(sc *searchScratch, q []float64, nprobe int) matrix.Top
 // the quantized form of the same prepared table the index was built over.
 // Codes are scattered into cell-slab order so a probe scans one contiguous
 // int8 run, exactly like the float slab. After attaching, SearchQuant
-// becomes available; Search is unaffected.
+// becomes available; Search is unaffected. Attaching the table that is
+// already attached is a no-op, so sources sharing one index can each enable
+// quantization without re-scattering the slab.
 func (ivf *IVF) AttachQuant(t *quant.Table) error {
 	if t == nil {
 		return fmt.Errorf("ann: nil quantized table")
+	}
+	if t == ivf.qt {
+		return nil
 	}
 	if t.Rows() != ivf.n || t.Dim() != ivf.dim {
 		return fmt.Errorf("ann: quantized table covers %d×%d but index holds %d×%d",

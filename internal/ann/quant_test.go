@@ -123,11 +123,22 @@ func TestAttachQuantValidation(t *testing.T) {
 	if ivf.HasQuant() {
 		t.Fatal("failed attach left quant enabled")
 	}
-	if err := ivf.AttachQuant(encodeTable(t, corpus)); err != nil {
+	codes := encodeTable(t, corpus)
+	if err := ivf.AttachQuant(codes); err != nil {
 		t.Fatal(err)
 	}
 	if !ivf.HasQuant() || ivf.QuantBytes() != int64(40*16)+16*8 {
 		t.Fatalf("QuantBytes = %d", ivf.QuantBytes())
+	}
+	// Re-attaching the attached table is a no-op: sources sharing the index
+	// (entserver's quant tier over the float tier's) must not pay a second
+	// n×dim scatter.
+	slab := &ivf.qvecs[0]
+	if err := ivf.AttachQuant(codes); err != nil {
+		t.Fatal(err)
+	}
+	if &ivf.qvecs[0] != slab {
+		t.Fatal("re-attaching the same table reallocated the code slab")
 	}
 }
 

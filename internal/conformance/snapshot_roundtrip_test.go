@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -9,6 +8,7 @@ import (
 	"entmatcher"
 	"entmatcher/internal/datagen"
 	"entmatcher/internal/matrix"
+	"entmatcher/internal/snapshot"
 )
 
 // The snapshot contract is the same one that pins sparse and ANN to dense:
@@ -78,78 +78,95 @@ func TestSnapshotRoundTripTablesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripCandGraphsBitIdentical(t *testing.T) {
-	d := roundTripDataset(t)
-	fresh, loaded := prepareFreshAndLoaded(t, d, roundTripConfig())
+// roundTripEngines is the engine axis of the preparation-identity table:
+// every producer internal/engine composes.
+var roundTripEngines = []struct {
+	name string
+	cfg  entmatcher.PipelineConfig
+}{
+	{"exact", entmatcher.PipelineConfig{CandidateBudget: 16}},
+	{"ann", roundTripConfig()},
+	{"quant", entmatcher.PipelineConfig{CandidateBudget: 16, Quant: &entmatcher.QuantConfig{}}},
+	{"ann+quant", entmatcher.PipelineConfig{CandidateBudget: 16, Quant: &entmatcher.QuantConfig{},
+		ANN: &entmatcher.ANNConfig{Clusters: 8, NProbe: 8}}},
+	{"shards=4", entmatcher.PipelineConfig{CandidateBudget: 16, Shards: 4}},
+}
 
-	ctx := context.Background()
-	for name, run := range map[string]*entmatcher.Run{"fresh": fresh, "loaded": loaded} {
-		if _, ok := run.Ctx.Stream.(matrix.CandGraphProducer); !ok {
-			t.Fatalf("%s run's stream is not a candidate-graph producer", name)
-		}
-	}
-	fg, err := fresh.Ctx.Stream.(matrix.CandGraphProducer).ProduceCandGraph(ctx, 8)
-	if err != nil {
-		t.Fatalf("fresh candidate graph: %v", err)
-	}
-	lg, err := loaded.Ctx.Stream.(matrix.CandGraphProducer).ProduceCandGraph(ctx, 8)
-	if err != nil {
-		t.Fatalf("loaded candidate graph: %v", err)
-	}
-	if fg.Rows() != lg.Rows() || fg.Cols() != lg.Cols() || fg.NNZ() != lg.NNZ() {
-		t.Fatalf("graph shapes differ: fresh %d×%d/%d, loaded %d×%d/%d",
-			fg.Rows(), fg.Cols(), fg.NNZ(), lg.Rows(), lg.Cols(), lg.NNZ())
-	}
-	for i := 0; i < fg.Rows(); i++ {
-		fc, fs := fg.Row(i)
-		lc, ls := lg.Row(i)
-		if len(fc) != len(lc) {
-			t.Fatalf("row %d: fresh has %d candidates, loaded %d", i, len(fc), len(lc))
-		}
-		for j := range fc {
-			if fc[j] != lc[j] || fs[j] != ls[j] {
-				t.Fatalf("row %d slot %d: fresh (%d, %v), loaded (%d, %v)",
-					i, j, fc[j], fs[j], lc[j], ls[j])
+// forEachEngineAndSource prepares every engine fresh and from each other
+// table source — a heap-loaded snapshot and the snapshot file served
+// out-of-core (mmap, or the ReadAt fallback on the purego leg) — and hands
+// check the fresh run with each. Only pairs the configuration layer rejects
+// are skipped, plus Quant out-of-core on builds without mmap (the exact
+// re-rank needs addressable tables).
+func forEachEngineAndSource(t *testing.T, check func(t *testing.T, fresh, other *entmatcher.Run)) {
+	d := roundTripDataset(t)
+	for _, eng := range roundTripEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			fresh, loaded := prepareFreshAndLoaded(t, d, eng.cfg)
+			t.Run("heap snapshot", func(t *testing.T) { check(t, fresh, loaded) })
+
+			oocCfg := eng.cfg
+			oocCfg.LoadSnapshot, oocCfg.OutOfCore = "prep.snap", true
+			if err := oocCfg.Validate(); err != nil {
+				t.Logf("out-of-core skipped: %v", err)
+				return
 			}
-		}
+			if eng.cfg.Quant != nil && !snapshot.MmapSupported {
+				t.Log("out-of-core skipped: Quant needs mmap")
+				return
+			}
+			t.Run("out-of-core", func(t *testing.T) { check(t, fresh, prepareOutOfCore(t, d, eng.cfg)) })
+		})
 	}
 }
 
-func TestSnapshotRoundTripMatcherResultsIdentical(t *testing.T) {
-	d := roundTripDataset(t)
-	fresh, loaded := prepareFreshAndLoaded(t, d, roundTripConfig())
-
-	for _, mk := range []struct {
-		name string
-		make func() entmatcher.Matcher
-	}{
-		{"DInf", func() entmatcher.Matcher { return entmatcher.NewDInfStream() }},
-		{"CSLS", func() entmatcher.Matcher { return entmatcher.NewCSLSSparse(16, 1) }},
-		{"RInf", func() entmatcher.Matcher { return entmatcher.NewRInfSparse(16) }},
-		{"Hun.", func() entmatcher.Matcher { return entmatcher.NewHungarianSparse(16) }},
-	} {
-		fres, fmet, err := fresh.Match(mk.make())
-		if err != nil {
-			t.Fatalf("%s on fresh run: %v", mk.name, err)
-		}
-		lres, lmet, err := loaded.Match(mk.make())
-		if err != nil {
-			t.Fatalf("%s on loaded run: %v", mk.name, err)
-		}
-		if fmet != lmet {
-			t.Errorf("%s: metrics differ: fresh %+v, loaded %+v", mk.name, fmet, lmet)
-		}
-		if len(fres.Pairs) != len(lres.Pairs) {
-			t.Fatalf("%s: fresh matched %d pairs, loaded %d", mk.name, len(fres.Pairs), len(lres.Pairs))
-		}
-		for i := range fres.Pairs {
-			if fres.Pairs[i] != lres.Pairs[i] {
-				// Pair equality includes the float64 score — bit identity,
-				// not tolerance.
-				t.Fatalf("%s pair %d: fresh %+v, loaded %+v", mk.name, i, fres.Pairs[i], lres.Pairs[i])
+func TestSnapshotRoundTripCandGraphsBitIdentical(t *testing.T) {
+	forEachEngineAndSource(t, func(t *testing.T, fresh, other *entmatcher.Run) {
+		for name, run := range map[string]*entmatcher.Run{"fresh": fresh, "other": other} {
+			if _, ok := run.Ctx.Stream.(matrix.CandGraphProducer); !ok {
+				t.Fatalf("%s run's stream is not a candidate-graph producer", name)
 			}
 		}
-	}
+		candGraphsIdentical(t, "forward", producerGraph(t, fresh, 8), producerGraph(t, other, 8))
+	})
+}
+
+func TestSnapshotRoundTripMatcherResultsIdentical(t *testing.T) {
+	forEachEngineAndSource(t, func(t *testing.T, fresh, other *entmatcher.Run) {
+		for _, mk := range []struct {
+			name string
+			make func() entmatcher.Matcher
+		}{
+			{"DInf", func() entmatcher.Matcher { return entmatcher.NewDInfStream() }},
+			{"CSLS", func() entmatcher.Matcher { return entmatcher.NewCSLSSparse(16, 1) }},
+			{"RInf", func() entmatcher.Matcher { return entmatcher.NewRInfSparse(16) }},
+			{"Sink.", func() entmatcher.Matcher { return entmatcher.NewSinkhornSparse(16, 20) }},
+			{"Hun.", func() entmatcher.Matcher { return entmatcher.NewHungarianSparse(16) }},
+			{"SMat", func() entmatcher.Matcher { return entmatcher.NewSMatSparse(16) }},
+		} {
+			fres, fmet, err := fresh.Match(mk.make())
+			if err != nil {
+				t.Fatalf("%s on fresh run: %v", mk.name, err)
+			}
+			ores, omet, err := other.Match(mk.make())
+			if err != nil {
+				t.Fatalf("%s on loaded run: %v", mk.name, err)
+			}
+			if fmet != omet {
+				t.Errorf("%s: metrics differ: fresh %+v, loaded %+v", mk.name, fmet, omet)
+			}
+			if len(fres.Pairs) != len(ores.Pairs) {
+				t.Fatalf("%s: fresh matched %d pairs, loaded %d", mk.name, len(fres.Pairs), len(ores.Pairs))
+			}
+			for i := range fres.Pairs {
+				if fres.Pairs[i] != ores.Pairs[i] {
+					// Pair equality includes the float64 score — bit identity,
+					// not tolerance.
+					t.Fatalf("%s pair %d: fresh %+v, loaded %+v", mk.name, i, fres.Pairs[i], ores.Pairs[i])
+				}
+			}
+		}
+	})
 }
 
 // TestSnapshotRoundTripWithoutANN pins the exact-sparse path: a snapshot
@@ -225,23 +242,57 @@ func TestSnapshotLoadRejectsMismatchedConfig(t *testing.T) {
 		t.Fatalf("prepare with save: %v", err)
 	}
 
-	for name, mutate := range map[string]func(*entmatcher.PipelineConfig){
-		"different features":     func(c *entmatcher.PipelineConfig) { c.Features = entmatcher.FeatureName },
-		"different setting":      func(c *entmatcher.PipelineConfig) { c.Setting = entmatcher.SettingUnmatchable },
-		"different metric":       func(c *entmatcher.PipelineConfig) { c.ANN = nil; c.Metric = entmatcher.MetricEuclidean },
-		"mismatched ANN cluster": func(c *entmatcher.PipelineConfig) { c.ANN.Clusters = 13 },
-		"nprobe past clusters":   func(c *entmatcher.PipelineConfig) { c.ANN.Clusters = 0; c.ANN.NProbe = 99 },
+	foreign, err := datagen.GenerateSplit(datagen.DBP15KZhEn.Scaled(0.01), 0.3, 0.1)
+	if err != nil {
+		t.Fatalf("generating foreign dataset: %v", err)
+	}
+
+	// Rows marked outOfCore also run without the ANN knob (OutOfCore rejects
+	// it) from the heap and from the file: the out-of-core load must report
+	// the same ErrSnapshotMismatch, word for word.
+	for name, tc := range map[string]struct {
+		mutate    func(*entmatcher.PipelineConfig)
+		data      *entmatcher.Dataset
+		outOfCore bool
+	}{
+		"different features":     {mutate: func(c *entmatcher.PipelineConfig) { c.Features = entmatcher.FeatureName }, outOfCore: true},
+		"different setting":      {mutate: func(c *entmatcher.PipelineConfig) { c.Setting = entmatcher.SettingUnmatchable }, outOfCore: true},
+		"different metric":       {mutate: func(c *entmatcher.PipelineConfig) { c.ANN = nil; c.Metric = entmatcher.MetricEuclidean }, outOfCore: true},
+		"mismatched ANN cluster": {mutate: func(c *entmatcher.PipelineConfig) { c.ANN.Clusters = 13 }},
+		"nprobe past clusters":   {mutate: func(c *entmatcher.PipelineConfig) { c.ANN.Clusters = 0; c.ANN.NProbe = 99 }},
 		// The snapshot was saved without -quant, so it holds no SQ8 tables;
 		// a quantized run must refuse it rather than silently re-encode.
-		"quant without SQ8 sections": func(c *entmatcher.PipelineConfig) { c.Quant = &entmatcher.QuantConfig{} },
+		"quant without SQ8 sections": {mutate: func(c *entmatcher.PipelineConfig) { c.Quant = &entmatcher.QuantConfig{} }, outOfCore: true},
+		// A dataset whose test split names other entities than the snapshot's
+		// vocabulary.
+		"foreign vocabulary": {mutate: func(*entmatcher.PipelineConfig) {}, data: foreign, outOfCore: true},
 	} {
+		data := d
+		if tc.data != nil {
+			data = tc.data
+		}
 		cfg := roundTripConfig()
 		cfg.ANN = &entmatcher.ANNConfig{Clusters: 8, NProbe: 8} // own copy per case
 		cfg.LoadSnapshot = path
-		mutate(&cfg)
-		_, err := entmatcher.NewPipeline(cfg).Prepare(d)
+		tc.mutate(&cfg)
+		_, err := entmatcher.NewPipeline(cfg).Prepare(data)
 		if !errors.Is(err, entmatcher.ErrSnapshotMismatch) {
 			t.Errorf("%s: got %v, want ErrSnapshotMismatch", name, err)
+		}
+		if !tc.outOfCore {
+			continue
+		}
+		if cfg.Quant != nil && !snapshot.MmapSupported {
+			continue // refused earlier, for the platform: Quant out-of-core needs mmap
+		}
+		cfg.ANN = nil
+		_, heapErr := entmatcher.NewPipeline(cfg).Prepare(data)
+		cfg.OutOfCore = true
+		_, oocErr := entmatcher.NewPipeline(cfg).Prepare(data)
+		if !errors.Is(oocErr, entmatcher.ErrSnapshotMismatch) {
+			t.Errorf("%s out-of-core: got %v, want ErrSnapshotMismatch", name, oocErr)
+		} else if heapErr == nil || heapErr.Error() != oocErr.Error() {
+			t.Errorf("%s: out-of-core reports %q, heap load %q", name, oocErr, heapErr)
 		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"entmatcher"
 	"entmatcher/internal/ann"
 	"entmatcher/internal/core"
+	"entmatcher/internal/engine"
 	"entmatcher/internal/matrix"
 	"entmatcher/internal/plan"
 	"entmatcher/internal/quant"
@@ -103,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 128
+	}
+	if c.MaxSnapshotBytes <= 0 {
+		c.MaxSnapshotBytes = snapshot.DefaultMaxBytes
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 32
@@ -273,11 +277,7 @@ func (s *Server) countServed(tier string) {
 
 // New loads the snapshot at path and builds a ready-to-serve Server.
 func New(path string, cfg Config, opts ...Option) (*Server, error) {
-	limit := cfg.MaxSnapshotBytes
-	if limit <= 0 {
-		limit = snapshot.DefaultMaxBytes
-	}
-	snap, err := snapshot.LoadLimit(path, limit)
+	snap, err := snapshot.LoadLimit(path, cfg.withDefaults().MaxSnapshotBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -293,15 +293,11 @@ func New(path string, cfg Config, opts ...Option) (*Server, error) {
 // resident — and Mapped reports which mode won. Close the returned server to
 // release the mapping.
 func NewMapped(path string, cfg Config, opts ...Option) (*Server, error) {
-	limit := cfg.MaxSnapshotBytes
-	if limit <= 0 {
-		limit = snapshot.DefaultMaxBytes
-	}
-	r, err := snapshot.OpenReaderLimit(path, limit)
+	r, err := snapshot.OpenReaderLimit(path, cfg.withDefaults().MaxSnapshotBytes)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := mappedSnapshot(r)
+	snap, err := r.Mapped(true, true)
 	if err != nil {
 		cerr := r.Close()
 		if errors.Is(err, snapshot.ErrMalformed) || cerr != nil {
@@ -320,43 +316,6 @@ func NewMapped(path string, cfg Config, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// mappedSnapshot assembles the in-memory snapshot view over a verified
-// reader: mmapped embedding tables, regularly loaded small sections.
-func mappedSnapshot(r *snapshot.Reader) (*snapshot.Snapshot, error) {
-	src, err := r.MapTable(snapshot.SectionSrcTable)
-	if err != nil {
-		return nil, err
-	}
-	tgt, err := r.MapTable(snapshot.SectionTgtTable)
-	if err != nil {
-		return nil, err
-	}
-	snap := &snapshot.Snapshot{Meta: r.Meta(), SrcTable: src, TgtTable: tgt}
-	snap.SrcVocab, snap.TgtVocab = r.Vocabs()
-	if r.Has(snapshot.SectionIVFFwd) {
-		if snap.FwdIndex, err = r.IVF(snapshot.SectionIVFFwd); err != nil {
-			return nil, err
-		}
-	}
-	if r.Has(snapshot.SectionIVFRev) {
-		if snap.RevIndex, err = r.IVF(snapshot.SectionIVFRev); err != nil {
-			return nil, err
-		}
-	}
-	if r.Has(snapshot.SectionSQ8Src) {
-		if snap.SrcQuant, err = r.SQ8(snapshot.SectionSQ8Src); err != nil {
-			return nil, err
-		}
-		if snap.TgtQuant, err = r.SQ8(snapshot.SectionSQ8Tgt); err != nil {
-			return nil, err
-		}
-	}
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
 // Mapped reports whether the embedding tables are served from a memory
 // mapping of the snapshot file rather than heap copies.
 func (s *Server) Mapped() bool { return s.mapped }
@@ -373,17 +332,41 @@ func (s *Server) Close() error {
 	return c.Close()
 }
 
-// NewFromSnapshot builds a Server over an already validated snapshot.
+// NewFromSnapshot builds a Server over an already validated snapshot. The
+// tiers are internal/engine producers over one Tables value, so the decoded
+// indexes and SQ8 tables are shared between them.
 func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Server, error) {
 	cfg = cfg.withDefaults()
-	stream, err := sim.NewStreamPrepared(snap.SrcTable, snap.TgtTable, sim.Metric(snap.Meta.Metric))
+	// Serve every tier the snapshot carries: the float index, and the SQ8
+	// slabs above it. The float index/stream tiers stay below the quantized
+	// one as the degradation floor, untouched — quantization only adds a
+	// side slab to the shared index.
+	var have engine.Knobs
+	var nprobe int
+	if snap.FwdIndex != nil {
+		nprobe = cfg.NProbe
+		if nprobe <= 0 {
+			nprobe = snap.Meta.ANN.NProbe
+		}
+		if nprobe > snap.FwdIndex.K {
+			nprobe = snap.FwdIndex.K
+		}
+		have.ANN = &ann.Config{NProbe: nprobe}
+	}
+	if snap.SrcQuant != nil {
+		if sim.Metric(snap.Meta.Metric) != sim.Cosine {
+			return nil, fmt.Errorf("server: snapshot carries SQ8 tables but metric %d is not cosine", snap.Meta.Metric)
+		}
+		have.Quant = snap.Meta.Quant
+	}
+	tables, err := engine.FromSnapshot(context.Background(), snap, have)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:       cfg,
 		snap:      snap,
-		stream:    stream,
+		stream:    tables.Stream,
 		srcByName: make(map[string]int, len(snap.SrcVocab)),
 		colIDs:    make([]int, snap.TgtTable.Rows()),
 		cache:     newLRU(cfg.CacheSize),
@@ -396,90 +379,23 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		s.colIDs[j] = j
 	}
 	s.searchers = []TopKSearcher{nil, &exactSearcher{s: s}}
-	var fwd, rev *ann.IVF
-	var nprobe int
-	if snap.FwdIndex != nil {
-		if fwd, err = ann.FromData(snap.FwdIndex); err != nil {
+	if have.ANN != nil {
+		s.searchers[0] = &ivfSearcher{s: s, ivf: tables.Fwd, nprobe: nprobe}
+		if s.annSrc, err = tables.Producer(engine.Knobs{ANN: have.ANN}); err != nil {
 			return nil, err
 		}
-		if snap.RevIndex != nil {
-			if rev, err = ann.FromData(snap.RevIndex); err != nil {
-				return nil, err
-			}
-		}
-		nprobe = cfg.NProbe
-		if nprobe <= 0 {
-			nprobe = snap.Meta.ANN.NProbe
-		}
-		if nprobe > fwd.Clusters() {
-			nprobe = fwd.Clusters()
-		}
-		s.searchers[0] = &ivfSearcher{s: s, ivf: fwd, nprobe: nprobe}
-		src, err := ann.NewSourceWithIndexes(stream, snap.SrcTable, snap.TgtTable, ann.Config{
-			Clusters:   snap.FwdIndex.K,
-			NProbe:     nprobe,
-			SampleSize: snap.Meta.ANN.SampleSize,
-			Iters:      snap.Meta.ANN.Iters,
-			Seed:       snap.Meta.ANN.Seed,
-		}, fwd, rev)
-		if err != nil {
-			return nil, err
-		}
-		s.annSrc = src
 	}
-
-	// SQ8 sections: serve both work endpoints from the quantized slabs as the
-	// top tier. The float index/stream tiers stay below as the degradation
-	// floor, untouched — AttachQuant only adds a side slab.
 	var qs *quantSearcher
-	if snap.SrcQuant != nil {
-		if sim.Metric(snap.Meta.Metric) != sim.Cosine {
-			return nil, fmt.Errorf("server: snapshot carries SQ8 tables but metric %d is not cosine", snap.Meta.Metric)
-		}
-		srcQ, err := quant.FromData(snap.SrcQuant)
-		if err != nil {
+	if have.Quant != nil {
+		// With an index this is a second view over the shared indexes with
+		// the quantized scan switched on (the float annSrc is unaffected —
+		// each view dispatches on its own state); without one, exhaustive
+		// quantized scans serve both endpoints.
+		if s.quantSrc, err = tables.Producer(have); err != nil {
 			return nil, err
 		}
-		tgtQ, err := quant.FromData(snap.TgtQuant)
-		if err != nil {
-			return nil, err
-		}
-		factor, rerank := quant.DefaultRerankFactor, true
-		if qm := snap.Meta.Quant; qm != nil {
-			factor, rerank = qm.RerankFactor, qm.Rerank
-		}
-		qs = &quantSearcher{s: s, factor: factor, rerank: rerank}
-		if fwd != nil {
-			if err := fwd.AttachQuant(tgtQ); err != nil {
-				return nil, err
-			}
-			qs.ivf, qs.nprobe = fwd, nprobe
-			// The /align quant tier: a second view over the shared indexes
-			// with the quantized scan switched on. The float annSrc is
-			// unaffected — each view dispatches on its own state.
-			qsrc, err := ann.NewSourceWithIndexes(stream, snap.SrcTable, snap.TgtTable, ann.Config{
-				Clusters:   snap.FwdIndex.K,
-				NProbe:     nprobe,
-				SampleSize: snap.Meta.ANN.SampleSize,
-				Iters:      snap.Meta.ANN.Iters,
-				Seed:       snap.Meta.ANN.Seed,
-			}, fwd, rev)
-			if err != nil {
-				return nil, err
-			}
-			if err := qsrc.EnableQuant(srcQ, tgtQ, factor, rerank); err != nil {
-				return nil, err
-			}
-			s.quantSrc = qsrc
-		} else {
-			// No index: exhaustive quantized scans for both endpoints.
-			qsrc, err := quant.NewSource(stream, snap.SrcTable, snap.TgtTable, srcQ, tgtQ, factor, rerank)
-			if err != nil {
-				return nil, err
-			}
-			qs.qsrc = qsrc
-			s.quantSrc = qsrc
-		}
+		qs = &quantSearcher{s: s, factor: have.Quant.RerankFactor, rerank: have.Quant.Rerank, ivf: tables.Fwd, nprobe: nprobe}
+		qs.qsrc, _ = s.quantSrc.(*quant.Source)
 	}
 	// Self-configuration: plan the served workload with the same calibration
 	// the CLIs use. Best-effort — a calibration failure must never keep a
@@ -510,7 +426,7 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 	for _, t := range []struct {
 		name string
 		src  matrix.TileSource
-	}{{"quant", s.quantSrc}, {"ann", s.annSrc}, {"exact", stream}} {
+	}{{"quant", s.quantSrc}, {"ann", s.annSrc}, {"exact", s.stream}} {
 		if t.src != nil {
 			s.alignTiers = append(s.alignTiers, alignTier{name: t.name, src: matrix.Memo(t.src)})
 		}

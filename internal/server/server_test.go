@@ -12,11 +12,14 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"entmatcher"
 	"entmatcher/internal/ann"
+	"entmatcher/internal/datagen"
 	"entmatcher/internal/matrix"
 	"entmatcher/internal/quant"
 	"entmatcher/internal/snapshot"
@@ -622,5 +625,66 @@ func TestMappedServerMatchesLoaded(t *testing.T) {
 	}
 	if err := mapped.Close(); err != nil {
 		t.Fatalf("second Close must be a no-op, got %v", err)
+	}
+}
+
+// TestAlignTiersMatchPipelineLoad is the cross-seam pin of the single
+// preparation path: for one snapshot saved by the pipeline, every /align tier
+// must return exactly the pairs a Pipeline{LoadSnapshot} run of the engine
+// that tier stands for returns, for the same matcher and candidate budget.
+func TestAlignTiersMatchPipelineLoad(t *testing.T) {
+	d, err := datagen.GenerateSplit(datagen.DBP15KZhEn.Scaled(0.01), 0.2, 0.1)
+	if err != nil {
+		t.Fatalf("generating dataset: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "prep.snap")
+	annCfg, quantCfg := &entmatcher.ANNConfig{Clusters: 8, NProbe: 4}, &entmatcher.QuantConfig{}
+	save := entmatcher.PipelineConfig{CandidateBudget: 16, ANN: annCfg, Quant: quantCfg, SaveSnapshot: path}
+	if _, err := entmatcher.NewPipeline(save).Prepare(d); err != nil {
+		t.Fatalf("prepare with save: %v", err)
+	}
+	srv, err := New(path, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tiers := srv.alignTiers
+	for i, engine := range []entmatcher.PipelineConfig{
+		{ANN: annCfg, Quant: quantCfg}, // @quant
+		{ANN: annCfg},                  // @ann
+		{},                             // @exact
+	} {
+		tier := []string{"quant", "ann", "exact"}[i]
+		if len(tiers) != 3 || tiers[i].name != tier {
+			t.Fatalf("tier %d of %d is not %s", i, len(tiers), tier)
+		}
+		engine.CandidateBudget, engine.LoadSnapshot = 16, path
+		run, err := entmatcher.NewPipeline(engine).Prepare(d)
+		if err != nil {
+			t.Fatalf("%s: pipeline load: %v", tier, err)
+		}
+		srv.alignTiers = tiers[i:] // the tier under test answers first
+		for name, m := range map[string]entmatcher.Matcher{
+			"RInf": entmatcher.NewRInfSparse(16),
+			"Hun.": entmatcher.NewHungarianSparse(16),
+		} {
+			want, _, err := run.Match(m)
+			if err != nil {
+				t.Fatalf("%s %s: pipeline match: %v", tier, name, err)
+			}
+			resp := postAlign(t, srv.Handler(), fmt.Sprintf(`{"matcher":%q,"cand":16}`, name), http.StatusOK)
+			if got := resp["matcher"].(string); !strings.HasSuffix(got, "@"+tier) {
+				t.Fatalf("%s %s: answered by %s", tier, name, got)
+			}
+			matches := resp["matches"].([]any)
+			if len(matches) != len(want.Pairs) {
+				t.Fatalf("%s %s: /align returned %d pairs, pipeline %d", tier, name, len(matches), len(want.Pairs))
+			}
+			for j, raw := range matches {
+				got, p := raw.(map[string]any), want.Pairs[j]
+				if got["source"] != float64(p.Source) || got["target"] != float64(p.Target) || got["score"] != p.Score {
+					t.Fatalf("%s %s pair %d: /align %v, pipeline %+v", tier, name, j, got, p)
+				}
+			}
+		}
 	}
 }

@@ -456,6 +456,52 @@ func (r *Reader) SQ8(kind SectionKind) (*quant.TableData, error) {
 	return decodeSQ8(payload)
 }
 
+// Mapped assembles the in-memory snapshot view over the verified file with
+// the embedding tables mmapped (valid until Close) and the small sections
+// loaded normally. The IVF sections (table-sized slabs) and the SQ8 sections
+// (an eighth of that) are decoded only on request; a class left out is
+// dropped from the view's metadata too, so the view validates as a snapshot
+// saved without it. Fails with ErrMmapUnsupported where tables cannot be
+// aliased — callers then fall back to Table's chunked-ReadAt views or to a
+// full Load.
+func (r *Reader) Mapped(index, codes bool) (*Snapshot, error) {
+	src, err := r.MapTable(SectionSrcTable)
+	if err != nil {
+		return nil, err
+	}
+	tgt, err := r.MapTable(SectionTgtTable)
+	if err != nil {
+		return nil, err
+	}
+	snap := &Snapshot{Meta: r.meta, SrcTable: src, TgtTable: tgt, SrcVocab: r.srcVocab, TgtVocab: r.tgtVocab}
+	if index && r.Has(SectionIVFFwd) {
+		if snap.FwdIndex, err = r.IVF(SectionIVFFwd); err != nil {
+			return nil, err
+		}
+		if r.Has(SectionIVFRev) {
+			if snap.RevIndex, err = r.IVF(SectionIVFRev); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		snap.Meta.ANN = nil
+	}
+	if codes && r.Has(SectionSQ8Src) {
+		if snap.SrcQuant, err = r.SQ8(SectionSQ8Src); err != nil {
+			return nil, err
+		}
+		if snap.TgtQuant, err = r.SQ8(SectionSQ8Tgt); err != nil {
+			return nil, err
+		}
+	} else {
+		snap.Meta.Quant = nil
+	}
+	if err := snap.Validate(); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
 // Close unmaps any mmapped table sections and closes the file. Every
 // SlabTable and mmapped Dense served by this Reader is invalid afterwards.
 func (r *Reader) Close() error {

@@ -4,17 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"sync"
 
 	"entmatcher/internal/ann"
 	"entmatcher/internal/core"
 	"entmatcher/internal/embed"
+	"entmatcher/internal/engine"
 	"entmatcher/internal/eval"
 	"entmatcher/internal/matrix"
 	"entmatcher/internal/plan"
-	"entmatcher/internal/quant"
-	"entmatcher/internal/shard"
 	"entmatcher/internal/sim"
 	"entmatcher/internal/snapshot"
 )
@@ -378,8 +377,9 @@ type Run struct {
 	OutOfCoreMode string
 
 	// closer releases resources an out-of-core run holds open (the snapshot
-	// reader and its mappings). Nil for resident runs.
-	closer io.Closer
+	// reader and its mappings). It runs once however many WithContext copies
+	// call it. Nil for resident runs.
+	closer func() error
 
 	// graphs is the candidate-graph memo newRun wrapped around Ctx.Stream;
 	// nil on dense runs. Kept here so the counters stay reachable when a
@@ -428,16 +428,14 @@ func (r *Run) ForgetGraphs() {
 // reader backing an out-of-core run. Safe on any run (resident runs hold no
 // reader) but required after out-of-core ones: the run's engines read the
 // snapshot file lazily, so it must stay open for the run's lifetime and be
-// closed exactly once afterwards. Copies made by WithContext share the
-// underlying reader — close once, via any of them.
+// closed afterwards. Copies made by WithContext share the underlying reader:
+// the first Close among them releases it, the rest are no-ops.
 func (r *Run) Close() error {
 	r.ForgetGraphs()
 	if r.closer == nil {
 		return nil
 	}
-	c := r.closer
-	r.closer = nil
-	return c.Close()
+	return r.closer()
 }
 
 // Dims returns the score-matrix shape of the run — from the dense matrix or
@@ -466,20 +464,7 @@ func (p *Pipeline) PrepareContext(ctx context.Context, d *Dataset) (*Run, error)
 		return nil, err
 	}
 	if p.cfg.LoadSnapshot != "" {
-		// The snapshot path must honor ctx like the fresh path does: check
-		// before the (potentially large) load, and thread ctx through the
-		// reconstruction so IVF and quant rebuilds stay cancellable.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if p.cfg.OutOfCore {
-			return p.prepareOutOfCore(ctx, d)
-		}
-		snap, err := snapshot.Load(p.cfg.LoadSnapshot)
-		if err != nil {
-			return nil, err
-		}
-		return p.prepareFromSnapshot(ctx, d, snap)
+		return p.prepareLoaded(ctx, d)
 	}
 	emb, err := p.embeddings(d)
 	if err != nil {
@@ -545,10 +530,10 @@ func (p *Pipeline) PrepareWithEmbeddingsContext(ctx context.Context, d *Dataset,
 	return run, nil
 }
 
-// prepareEngines builds the similarity engine stack (dense matrix or
-// streaming tiles, optionally wrapped by the IVF and/or SQ8 candidate
-// producers) for an already-resolved configuration — p.cfg here is the
-// effective config: either the caller's, or the planner's chosen knobs.
+// prepareEngines builds the fresh similarity engine (dense matrix, or the
+// streaming tables internal/engine prepares) for an already-resolved
+// configuration — p.cfg here is the effective config: either the caller's,
+// or the planner's chosen knobs.
 func (p *Pipeline) prepareEngines(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, srcSel, tgtSel *Dense) (*Run, error) {
 	streaming := p.cfg.Streaming || p.cfg.CandidateBudget > 0
 	if !streaming && p.cfg.MemoryBudgetBytes > 0 {
@@ -576,80 +561,54 @@ func (p *Pipeline) prepareEngines(ctx context.Context, d *Dataset, emb *Embeddin
 				ErrBadConfig, p.cfg.ANN.NProbe, k, srcSel.Rows(), tgtSel.Rows())
 		}
 	}
-	var s *Dense
-	var stream *SimilarityStream
-	var err error
-	if streaming {
-		stream, err = sim.NewStream(srcSel, tgtSel, p.cfg.Metric)
-	} else {
-		s, err = sim.MatrixContext(ctx, srcSel, tgtSel, p.cfg.Metric)
+	if !streaming {
+		s, err := sim.MatrixContext(ctx, srcSel, tgtSel, p.cfg.Metric)
+		if err != nil {
+			return nil, err
+		}
+		return p.assemble(ctx, d, emb, task, s, nil)
 	}
+	tables, err := engine.Fresh(ctx, srcSel, tgtSel, p.cfg.Metric, p.cfg.engineKnobs())
 	if err != nil {
 		return nil, err
 	}
+	return p.assemble(ctx, d, emb, task, nil, tables)
+}
+
+// engineKnobs translates the engine fields into internal/engine's form.
+func (c PipelineConfig) engineKnobs() engine.Knobs {
+	k := engine.Knobs{Shards: c.Shards}
+	if c.ANN != nil {
+		k.ANN = &ann.Config{Clusters: c.ANN.Clusters, NProbe: c.ANN.NProbe, SampleSize: c.ANN.SampleSize, Seed: c.ANN.Seed}
+	}
+	if c.Quant != nil {
+		k.Quant = &snapshot.QuantMeta{RerankFactor: c.Quant.RerankFactor, Rerank: !c.Quant.NoRerank}
+	}
+	return k
+}
+
+// assemble is the one tail every preparation ends in: the match context with
+// its adjacency, the producer the knobs select over the prepared tables
+// (tables is nil on dense runs), the optional snapshot save and validation
+// matrix, and the run with its candidate-graph memo. Run.Stream keeps the
+// plain engine, so the abstention path (virtual dummy columns) rebuilds from
+// exact scores whatever producer Ctx.Stream holds.
+func (p *Pipeline) assemble(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, s *Dense, tables *engine.Tables) (*Run, error) {
 	mctx := &core.Context{
 		S:         s,
 		SourceAdj: eval.LocalAdjacency(d.Source, task.SourceIDs),
 		TargetAdj: eval.LocalAdjacency(d.Target, task.TargetIDs),
 	}
-	var annSrc *ann.Source
-	var srcQ, tgtQ *quant.Table
-	if stream != nil {
-		mctx.Stream = stream
-		if p.cfg.ANN != nil {
-			// Swap the match context's tile source for the IVF producer:
-			// candidate-graph builders dispatch to the index, while tile and
-			// block consumers still stream exact scores through it. Run.Stream
-			// keeps the plain engine, so the abstention path (virtual dummy
-			// columns) rebuilds from exact scores.
-			sTab, tTab := stream.PreparedTables()
-			annSrc, err = ann.NewSource(stream, sTab, tTab, ann.Config{
-				Clusters:   p.cfg.ANN.Clusters,
-				NProbe:     p.cfg.ANN.NProbe,
-				SampleSize: p.cfg.ANN.SampleSize,
-				Seed:       p.cfg.ANN.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			mctx.Stream = annSrc
+	var stream *SimilarityStream
+	if tables != nil {
+		stream = tables.Stream
+		producer, err := tables.Producer(p.cfg.engineKnobs())
+		if err != nil {
+			return nil, err
 		}
-		if p.cfg.Quant != nil {
-			sTab, tTab := stream.PreparedTables()
-			if srcQ, err = quant.Encode(ctx, sTab); err != nil {
-				return nil, err
-			}
-			if tgtQ, err = quant.Encode(ctx, tTab); err != nil {
-				return nil, err
-			}
-			if annSrc != nil {
-				// IVF slabs scan quantized; the producer dispatch is inside
-				// ann.Source, so mctx.Stream stays the ANN producer.
-				if err = annSrc.EnableQuant(srcQ, tgtQ, p.cfg.Quant.RerankFactor, !p.cfg.Quant.NoRerank); err != nil {
-					return nil, err
-				}
-			} else {
-				qs, qerr := quant.NewSource(stream, sTab, tTab, srcQ, tgtQ,
-					p.cfg.Quant.RerankFactor, !p.cfg.Quant.NoRerank)
-				if qerr != nil {
-					return nil, qerr
-				}
-				mctx.Stream = qs
-			}
-		}
-		if p.cfg.Shards > 0 {
-			// Swap in the sharded producer: candidate-graph builders run the
-			// partitioned worker pool, while tile and block consumers still
-			// stream exact scores through the plain engine underneath.
-			sTab, tTab := stream.PreparedTables()
-			shSrc, err := shard.NewSource(stream, sTab, tTab, p.cfg.Metric, shard.Config{Shards: p.cfg.Shards})
-			if err != nil {
-				return nil, err
-			}
-			mctx.Stream = shSrc
-		}
+		mctx.Stream = producer
 		if p.cfg.SaveSnapshot != "" {
-			if err := p.saveSnapshot(ctx, d, task, stream, annSrc, srcQ, tgtQ); err != nil {
+			if err := p.saveSnapshot(ctx, d, task, tables, producer); err != nil {
 				return nil, err
 			}
 		}
@@ -721,8 +680,8 @@ func taskVocab(g *Graph, ids []int) []string {
 // saveSnapshot persists the prepared run at cfg.SaveSnapshot. With ANN
 // configured the indexes are trained eagerly here (forward and reverse), so
 // the snapshot amortizes quantizer training as well as table preparation.
-func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, stream *SimilarityStream, annSrc *ann.Source, srcQ, tgtQ *quant.Table) error {
-	sTab, tTab := stream.PreparedTables()
+func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, tables *engine.Tables, producer matrix.TileSource) error {
+	sTab, tTab := tables.Stream.PreparedTables()
 	snap := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
 			Tool:     "entmatcher",
@@ -738,139 +697,95 @@ func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, str
 		SrcVocab: taskVocab(d.Source, task.SourceIDs),
 		TgtVocab: taskVocab(d.Target, task.TargetIDs),
 	}
-	if annSrc != nil {
+	if annSrc, ok := producer.(*ann.Source); ok {
 		fwd, rev, err := annSrc.ExportIndexes(ctx, true)
 		if err != nil {
 			return err
 		}
 		snap.FwdIndex, snap.RevIndex = fwd, rev
-		cfg := annSrc.Config()
-		snap.Meta.ANN = &snapshot.ANNMeta{
-			Clusters:   fwd.K,
-			NProbe:     cfg.NProbe,
-			SampleSize: cfg.SampleSize,
-			Iters:      cfg.Iters,
-			Seed:       cfg.Seed,
-		}
+		// The configuration as given, with the cluster count the auto
+		// geometry resolved to.
+		meta := snapshot.ANNMeta(annSrc.Config())
+		meta.Clusters = fwd.K
+		snap.Meta.ANN = &meta
 	}
-	if srcQ != nil {
-		snap.SrcQuant, snap.TgtQuant = srcQ.Export(), tgtQ.Export()
-		snap.Meta.Quant = &snapshot.QuantMeta{
-			RerankFactor: p.cfg.Quant.RerankFactor,
-			Rerank:       !p.cfg.Quant.NoRerank,
-		}
+	if tables.SrcQ != nil {
+		snap.SrcQuant, snap.TgtQuant = tables.SrcQ.Export(), tables.TgtQ.Export()
+		snap.Meta.Quant = p.cfg.engineKnobs().Quant
 	}
 	return snap.Write(p.cfg.SaveSnapshot)
 }
 
-// prepareFromSnapshot reconstructs a streaming run from a loaded snapshot,
-// verifying — never assuming — that the snapshot matches the dataset and
-// the requested configuration. Every divergence is an ErrSnapshotMismatch:
-// the caller asked for something this snapshot does not hold, and silently
-// rebuilding would hide exactly the staleness a production loader must
-// surface.
-func (p *Pipeline) prepareFromSnapshot(ctx context.Context, d *Dataset, snap *snapshot.Snapshot) (*Run, error) {
-	if err := p.checkSnapshotMeta(snap.Meta); err != nil {
+// prepareLoaded reconstructs a streaming run from the snapshot at
+// cfg.LoadSnapshot, verifying — never assuming — that it matches the dataset
+// and the requested configuration. Every divergence is an
+// ErrSnapshotMismatch: the caller asked for something this snapshot does not
+// hold, and silently rebuilding would hide exactly the staleness a
+// production loader must surface. With OutOfCore the tables stay in the file
+// (validated section-streamed, then mmapped or read through slab windows)
+// and the returned run holds the reader open — callers must Close it.
+func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err error) {
+	// Honor ctx like the fresh path does: before the (potentially large)
+	// load, and again between the reconstruction's heavy steps.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var (
+		snap               *snapshot.Snapshot
+		r                  *snapshot.Reader
+		meta               snapshot.Meta
+		srcVocab, tgtVocab []string
+	)
+	if p.cfg.OutOfCore {
+		if r, err = snapshot.OpenReader(p.cfg.LoadSnapshot); err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil {
+				r.Close()
+			}
+		}()
+		meta = r.Meta()
+		srcVocab, tgtVocab = r.Vocabs()
+	} else {
+		if snap, err = snapshot.Load(p.cfg.LoadSnapshot); err != nil {
+			return nil, err
+		}
+		meta, srcVocab, tgtVocab = snap.Meta, snap.SrcVocab, snap.TgtVocab
+	}
+	if err := p.checkSnapshotMeta(meta); err != nil {
 		return nil, err
 	}
 	task, err := p.task(d)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSnapshotVocab(d, task, snap.SrcVocab, snap.TgtVocab); err != nil {
+	if err := checkSnapshotVocab(d, task, srcVocab, tgtVocab); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stream, err := sim.NewStreamPrepared(snap.SrcTable, snap.TgtTable, p.cfg.Metric)
+	var tables *engine.Tables
+	if r != nil {
+		tables, err = engine.FromReader(ctx, r, p.cfg.engineKnobs())
+	} else {
+		tables, err = engine.FromSnapshot(ctx, snap, p.cfg.engineKnobs())
+	}
 	if err != nil {
 		return nil, err
 	}
-	mctx := &core.Context{
-		Stream:    stream,
-		SourceAdj: eval.LocalAdjacency(d.Source, task.SourceIDs),
-		TargetAdj: eval.LocalAdjacency(d.Target, task.TargetIDs),
+	run, err := p.assemble(ctx, d, nil, task, nil, tables)
+	if err != nil {
+		return nil, err
 	}
-	var srcQ, tgtQ *quant.Table
-	if p.cfg.Quant != nil {
-		if snap.SrcQuant == nil {
-			return nil, fmt.Errorf("%w: run requests quantized scans but the snapshot holds no SQ8 tables (re-save with Quant configured)", ErrSnapshotMismatch)
-		}
-		// Quant table rebuilds re-validate every code slab; stay cancellable
-		// between them.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if srcQ, err = quant.FromData(snap.SrcQuant); err != nil {
-			return nil, err
-		}
-		if tgtQ, err = quant.FromData(snap.TgtQuant); err != nil {
-			return nil, err
-		}
-		if p.cfg.ANN == nil {
-			sTab, tTab := stream.PreparedTables()
-			qs, qerr := quant.NewSource(stream, sTab, tTab, srcQ, tgtQ,
-				p.cfg.Quant.RerankFactor, !p.cfg.Quant.NoRerank)
-			if qerr != nil {
-				return nil, qerr
-			}
-			mctx.Stream = qs
+	if r != nil {
+		run.OutOfCoreMode, run.closer = "mmap", sync.OnceValue(r.Close)
+		if tables.Stream.OutOfCore() {
+			run.OutOfCoreMode = "readat"
 		}
 	}
-	if p.cfg.ANN != nil {
-		if snap.FwdIndex == nil {
-			return nil, fmt.Errorf("%w: run requests ANN candidates but the snapshot holds no index (re-save with ANN configured)", ErrSnapshotMismatch)
-		}
-		if p.cfg.ANN.Clusters > 0 && p.cfg.ANN.Clusters != snap.FwdIndex.K {
-			return nil, fmt.Errorf("%w: run requests %d IVF clusters but the snapshot index was built with %d (re-save, or drop the cluster override)",
-				ErrSnapshotMismatch, p.cfg.ANN.Clusters, snap.FwdIndex.K)
-		}
-		if p.cfg.ANN.NProbe > snap.FwdIndex.K {
-			return nil, fmt.Errorf("%w: NProbe %d exceeds the snapshot index's %d clusters",
-				ErrSnapshotMismatch, p.cfg.ANN.NProbe, snap.FwdIndex.K)
-		}
-		// IVF reconstruction re-validates every slab invariant (O(n) per
-		// index); honor cancellation between the heavy steps.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fwd, err := ann.FromData(snap.FwdIndex)
-		if err != nil {
-			return nil, err
-		}
-		var rev *ann.IVF
-		if snap.RevIndex != nil {
-			if rev, err = ann.FromData(snap.RevIndex); err != nil {
-				return nil, err
-			}
-		}
-		cfg := ann.Config{
-			Clusters:   snap.FwdIndex.K,
-			NProbe:     p.cfg.ANN.NProbe,
-			SampleSize: snap.Meta.ANN.SampleSize,
-			Iters:      snap.Meta.ANN.Iters,
-			Seed:       snap.Meta.ANN.Seed,
-		}
-		annSrc, err := ann.NewSourceWithIndexes(stream, snap.SrcTable, snap.TgtTable, cfg, fwd, rev)
-		if err != nil {
-			return nil, err
-		}
-		if srcQ != nil {
-			if err := annSrc.EnableQuant(srcQ, tgtQ, p.cfg.Quant.RerankFactor, !p.cfg.Quant.NoRerank); err != nil {
-				return nil, err
-			}
-		}
-		mctx.Stream = annSrc
-	}
-	if p.cfg.Shards > 0 {
-		shSrc, err := shard.NewSource(stream, snap.SrcTable, snap.TgtTable, p.cfg.Metric, shard.Config{Shards: p.cfg.Shards})
-		if err != nil {
-			return nil, err
-		}
-		mctx.Stream = shSrc
-	}
-	return newRun(task, nil, stream, mctx), nil
+	return run, nil
 }
 
 // checkSnapshotMeta verifies a snapshot's recorded configuration against the
@@ -915,116 +830,6 @@ func checkSnapshotVocab(d *Dataset, task *Task, srcVocab, tgtVocab []string) err
 	return nil
 }
 
-// prepareOutOfCore reconstructs a streaming run whose tables stay in the
-// snapshot file: validation happens section-streamed (bounded memory), the
-// tables are mmapped when the platform allows and served through chunked
-// ReadAt windows otherwise, and the returned run holds the reader open —
-// callers must Close it.
-func (p *Pipeline) prepareOutOfCore(ctx context.Context, d *Dataset) (*Run, error) {
-	r, err := snapshot.OpenReader(p.cfg.LoadSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	run, err := p.prepareFromReader(ctx, d, r)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	return run, nil
-}
-
-func (p *Pipeline) prepareFromReader(ctx context.Context, d *Dataset, r *snapshot.Reader) (*Run, error) {
-	if err := p.checkSnapshotMeta(r.Meta()); err != nil {
-		return nil, err
-	}
-	task, err := p.task(d)
-	if err != nil {
-		return nil, err
-	}
-	srcVocab, tgtVocab := r.Vocabs()
-	if err := checkSnapshotVocab(d, task, srcVocab, tgtVocab); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Prefer aliasing the table sections into the address space: the whole
-	// engine stack then runs unchanged (and bit-identically) over file-backed
-	// pages the kernel reclaims under pressure. Any mmap failure degrades to
-	// the portable chunked-ReadAt slab windows, which compute the same tiles
-	// bit-for-bit from gathered row windows.
-	mode := "mmap"
-	var stream *sim.Stream
-	srcMap, errSrc := r.MapTable(snapshot.SectionSrcTable)
-	tgtMap, errTgt := r.MapTable(snapshot.SectionTgtTable)
-	if errSrc == nil && errTgt == nil {
-		stream, err = sim.NewStreamPrepared(srcMap, tgtMap, p.cfg.Metric)
-	} else {
-		mode = "readat"
-		var srcSlab, tgtSlab *matrix.SlabTable
-		if srcSlab, err = r.Table(snapshot.SectionSrcTable); err != nil {
-			return nil, err
-		}
-		if tgtSlab, err = r.Table(snapshot.SectionTgtTable); err != nil {
-			return nil, err
-		}
-		stream, err = sim.NewStreamOOC(srcSlab, tgtSlab, p.cfg.Metric)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mctx := &core.Context{
-		Stream:    stream,
-		SourceAdj: eval.LocalAdjacency(d.Source, task.SourceIDs),
-		TargetAdj: eval.LocalAdjacency(d.Target, task.TargetIDs),
-	}
-	if p.cfg.Quant != nil {
-		if mode != "mmap" {
-			return nil, fmt.Errorf("%w: Quant out-of-core needs the exact re-rank's addressable tables", snapshot.ErrMmapUnsupported)
-		}
-		if !r.Has(snapshot.SectionSQ8Src) {
-			return nil, fmt.Errorf("%w: run requests quantized scans but the snapshot holds no SQ8 tables (re-save with Quant configured)", ErrSnapshotMismatch)
-		}
-		srcQD, err := r.SQ8(snapshot.SectionSQ8Src)
-		if err != nil {
-			return nil, err
-		}
-		tgtQD, err := r.SQ8(snapshot.SectionSQ8Tgt)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		srcQ, err := quant.FromData(srcQD)
-		if err != nil {
-			return nil, err
-		}
-		tgtQ, err := quant.FromData(tgtQD)
-		if err != nil {
-			return nil, err
-		}
-		qs, err := quant.NewSource(stream, srcMap, tgtMap, srcQ, tgtQ,
-			p.cfg.Quant.RerankFactor, !p.cfg.Quant.NoRerank)
-		if err != nil {
-			return nil, err
-		}
-		mctx.Stream = qs
-	}
-	if p.cfg.Shards > 0 {
-		srcR, tgtR := stream.TableViews()
-		shSrc, err := shard.NewSource(stream, srcR, tgtR, p.cfg.Metric, shard.Config{Shards: p.cfg.Shards})
-		if err != nil {
-			return nil, err
-		}
-		mctx.Stream = shSrc
-	}
-	run := newRun(task, nil, stream, mctx)
-	run.OutOfCoreMode, run.closer = mode, r
-	return run, nil
-}
-
 // task builds the evaluation task for the configured setting.
 func (p *Pipeline) task(d *Dataset) (*Task, error) {
 	switch p.cfg.Setting {
@@ -1044,10 +849,10 @@ func (p *Pipeline) task(d *Dataset) (*Task, error) {
 // call on the returned run. The underlying task, similarity matrix and side
 // inputs are shared, not copied.
 func (r *Run) WithContext(ctx context.Context) *Run {
-	mctx := *r.Ctx
+	cp, mctx := *r, *r.Ctx
 	mctx.Ctx = ctx
-	return &Run{Task: r.Task, S: r.S, Stream: r.Stream, Ctx: &mctx,
-		Plan: r.Plan, OutOfCoreMode: r.OutOfCoreMode, closer: r.closer, graphs: r.graphs}
+	cp.Ctx = &mctx
+	return &cp
 }
 
 // Match runs a matcher on the prepared run and scores it against the gold

@@ -156,15 +156,21 @@ func TestPrepareContextCancelledBeforeSnapshotLoad(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	loadCfg := PipelineConfig{Model: ModelRREA, CandidateBudget: 16, LoadSnapshot: path}
-	run, err := NewPipeline(loadCfg).PrepareContext(ctx, d)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled snapshot prepare: run=%v err=%v, want context.Canceled", run != nil, err)
-	}
+	for _, ooc := range []bool{false, true} {
+		loadCfg := PipelineConfig{Model: ModelRREA, CandidateBudget: 16, LoadSnapshot: path, OutOfCore: ooc}
+		run, err := NewPipeline(loadCfg).PrepareContext(ctx, d)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("OutOfCore=%v: cancelled snapshot prepare: run=%v err=%v, want context.Canceled", ooc, run != nil, err)
+		}
 
-	// Sanity: the same config with a live context still loads.
-	if _, err := NewPipeline(loadCfg).PrepareContext(context.Background(), d); err != nil {
-		t.Fatal(err)
+		// Sanity: the same config with a live context still loads.
+		run, err = NewPipeline(loadCfg).PrepareContext(context.Background(), d)
+		if err != nil {
+			t.Fatalf("OutOfCore=%v: %v", ooc, err)
+		}
+		if err := run.Close(); err != nil {
+			t.Fatalf("OutOfCore=%v: close: %v", ooc, err)
+		}
 	}
 }
 

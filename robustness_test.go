@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -72,6 +74,61 @@ func TestRunWithContextCancellation(t *testing.T) {
 	// The original run is untouched and still works.
 	if _, metrics, err := run.Match(NewDInf()); err != nil || metrics.F1 <= 0 {
 		t.Fatalf("original run broken: F1=%v err=%v", metrics.F1, err)
+	}
+}
+
+// openFDs counts this process's descriptors open on path, or -1 where
+// /proc is not available.
+func openFDs(path string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunCloseOnceAcrossWithContextCopies pins the documented Close
+// contract: WithContext copies share the snapshot reader, whichever of them
+// closes first releases it, and every Close returns nil. Closing the
+// original after a copy used to close the file a second time
+// (os.ErrClosed).
+func TestRunCloseOnceAcrossWithContextCopies(t *testing.T) {
+	d := smallDataset(t)
+	path := filepath.Join(t.TempDir(), "prep.snap")
+	base := PipelineConfig{Model: ModelRREA, CandidateBudget: 16}
+	saveCfg := base
+	saveCfg.SaveSnapshot = path
+	if _, err := NewPipeline(saveCfg).Prepare(d); err != nil {
+		t.Fatal(err)
+	}
+	loadCfg := base
+	loadCfg.LoadSnapshot, loadCfg.OutOfCore = path, true
+	for _, copyFirst := range []bool{true, false} {
+		run, err := NewPipeline(loadCfg).Prepare(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := openFDs(path); n != 1 && n != -1 {
+			t.Fatalf("copyFirst=%v: %d descriptors on the snapshot while the run is open, want 1", copyFirst, n)
+		}
+		order := []*Run{run, run.WithContext(context.Background())}
+		if copyFirst {
+			order[0], order[1] = order[1], order[0]
+		}
+		for i, r := range order {
+			if err := r.Close(); err != nil {
+				t.Errorf("copyFirst=%v: Close #%d: %v", copyFirst, i+1, err)
+			}
+		}
+		if n := openFDs(path); n > 0 {
+			t.Errorf("copyFirst=%v: %d descriptors on the snapshot after Close, want 0", copyFirst, n)
+		}
 	}
 }
 
