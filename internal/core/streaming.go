@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -94,25 +95,28 @@ func (m *DInfStream) Match(ctx *Context) (*Result, error) {
 // the CSLS rescaling 2·S(u,v) − φ_s(u) − φ_t(v) to each streamed score and
 // keeps a running argmax of the transformed values. The arithmetic order
 // (double, subtract φ_s, subtract φ_t) matches the dense transform's sweep
-// order.
+// order. Like the matrix consumers it folds a tile's rows in parallel, each
+// row owning its argmax slot.
 type cslsArgmax struct {
 	phiS, phiT []float64
 	best       *matrix.RunningArgmax
 }
 
 func (c *cslsArgmax) ConsumeTile(rowOff, colOff int, tile *matrix.Dense) {
-	for r := 0; r < tile.Rows(); r++ {
-		row := tile.Row(r)
+	phiT := c.phiT[colOff : colOff+tile.Cols()]
+	// ConsumeTile carries no context and must fold every row: a tile is the
+	// pass's cancellation unit, checked by StreamTiles between tiles.
+	_ = matrix.ParallelRowsCtx(context.TODO(), tile.Rows(), func(r int) {
 		ps := c.phiS[rowOff+r]
 		best, bi := c.best.Vals[rowOff+r], c.best.Idx[rowOff+r]
-		for cI, v := range row {
-			tv := v*2 - ps - c.phiT[colOff+cI]
+		for cI, v := range tile.Row(r) {
+			tv := v*2 - ps - phiT[cI]
 			if tv > best {
 				best, bi = tv, colOff+cI
 			}
 		}
 		c.best.Vals[rowOff+r], c.best.Idx[rowOff+r] = best, bi
-	}
+	})
 }
 
 // CSLSStream is CSLS + greedy running on the tiled streaming engine in two
@@ -133,6 +137,23 @@ func NewCSLSStream(k int) *CSLSStream { return &CSLSStream{K: k} }
 // Name returns "CSLS" — the algorithm is CSLS; only the engine differs.
 func (*CSLSStream) Name() string { return "CSLS" }
 
+// phi is pass one: the φ statistics, folded by a row and a column top-K
+// accumulator whose pooled heap backing is released on every path (Means
+// returns fresh slices). accBytes is the two accumulators' footprint. The
+// column accumulator clamps K to the row count exactly as Dense.ColTopKMeans
+// does.
+func (m *CSLSStream) phi(cc context.Context, st matrix.TileSource) (phiS, phiT []float64, accBytes int64, err error) {
+	rows, cols := st.Dims()
+	rowAcc := matrix.NewRunningTopK(rows, m.K)
+	defer rowAcc.Release()
+	colAcc := matrix.NewColTopKAcc(cols, min(m.K, rows))
+	defer colAcc.Release()
+	if err := st.StreamTiles(cc, rowAcc, colAcc); err != nil {
+		return nil, nil, 0, err
+	}
+	return rowAcc.Means(), colAcc.Means(), rowAcc.SizeBytes() + colAcc.SizeBytes(), nil
+}
+
 // Match runs the two fused passes.
 func (m *CSLSStream) Match(ctx *Context) (*Result, error) {
 	st, err := streamOf(ctx)
@@ -148,19 +169,11 @@ func (m *CSLSStream) Match(ctx *Context) (*Result, error) {
 	if cols == 0 {
 		return nil, fmt.Errorf("greedy: matrix has no columns")
 	}
-	// Pass 1: φ statistics. The column accumulator clamps K to the row count
-	// exactly as Dense.ColTopKMeans does.
-	kCol := m.K
-	if kCol > rows {
-		kCol = rows
-	}
-	rowAcc := matrix.NewRunningTopK(rows, m.K)
-	colAcc := matrix.NewColTopKAcc(cols, kCol)
-	if err := st.StreamTiles(cc, rowAcc, colAcc); err != nil {
+	phiS, phiT, accBytes, err := m.phi(cc, st)
+	if err != nil {
 		return nil, err
 	}
-	phiS, phiT := rowAcc.Means(), colAcc.Means()
-	extra := rowAcc.SizeBytes() + colAcc.SizeBytes() + int64(rows+cols)*8
+	extra := accBytes + int64(rows+cols)*8
 
 	// Pass 2: fused rescale + argmax.
 	best := matrix.NewRunningArgmax(rows)

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"entmatcher/internal/matrix"
@@ -249,5 +251,36 @@ func TestStreamingContextValidation(t *testing.T) {
 	}
 	if _, err := NewCSLSStream(0).Match(sctx); err == nil {
 		t.Fatal("CSLSStream accepted K=0")
+	}
+}
+
+// TestCSLSStreamConsumersReleaseBacking pins the pooled heap backing of
+// streamed CSLS: pass one's accumulators hold (rows+cols)·K·16 bytes, and
+// Match must hand them back, so a second Match on the same context allocates
+// only its results — far less than one backing.
+func TestCSLSStreamConsumersReleaseBacking(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
+	const n, k = 512, 64
+	rng := rand.New(rand.NewSource(14))
+	st, err := sim.NewStream(randEmbeddings(rng, n, 8), randEmbeddings(rng, n, 8), sim.Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, m := &Context{Stream: st}, NewCSLSStream(k)
+	if _, err := m.Match(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := m.Match(ctx); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const backing = 2 * n * k * 16
+	if got := after.TotalAlloc - before.TotalAlloc; got > backing/2 {
+		t.Fatalf("second Match allocated %d bytes; the accumulators' backing (%d bytes) did not come from the pool", got, backing)
 	}
 }

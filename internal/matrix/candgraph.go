@@ -418,15 +418,16 @@ func NewCandGraph(cols int, rows []TopK) (*CandGraph, error) {
 	return g, nil
 }
 
-// graphFromHeaps finalizes one heap per graph row into CSR storage. The
-// heap contents are copied out, so the (pooled) heap backing can be
-// released afterwards.
+// graphFromHeaps finalizes one heap per graph row into CSR storage, rows in
+// parallel (each owns its heap and its CSR span). The heap contents are
+// copied out, so the (pooled) heap backing can be released afterwards.
 func graphFromHeaps(heaps []minHeap, width int) (*CandGraph, error) {
 	rows := len(heaps)
-	var nnz int64
+	rowPtr := make([]int64, rows+1)
 	for i := range heaps {
-		nnz += int64(len(heaps[i].vals))
+		rowPtr[i+1] = rowPtr[i] + int64(len(heaps[i].vals))
 	}
+	nnz := rowPtr[rows]
 	if nnz > math.MaxInt32 {
 		// CSCView's position join stores CSR offsets as int32.
 		return nil, fmt.Errorf("%w: candidate graph with %d edges exceeds int32 addressing", ErrShape, nnz)
@@ -434,20 +435,17 @@ func graphFromHeaps(heaps []minHeap, width int) (*CandGraph, error) {
 	g := &CandGraph{
 		rows:   rows,
 		cols:   width,
-		rowPtr: make([]int64, rows+1),
+		rowPtr: rowPtr,
 		colIdx: make([]int32, nnz),
 		score:  make([]float64, nnz),
 	}
-	var p int64
-	for i := range heaps {
-		g.rowPtr[i] = p
+	parallelRows(rows, func(i int) {
 		tk := heaps[i].finalize()
-		for x, v := range tk.Values {
-			g.colIdx[p] = int32(tk.Indices[x])
-			g.score[p] = v
-			p++
+		p := rowPtr[i]
+		copy(g.score[p:], tk.Values)
+		for x, j := range tk.Indices {
+			g.colIdx[p+int64(x)] = int32(j)
 		}
-	}
-	g.rowPtr[rows] = p
+	})
 	return g, nil
 }

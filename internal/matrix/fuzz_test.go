@@ -70,6 +70,8 @@ func naiveTopK(row []float64, k int) TopK {
 //     DenseTileSource are bit-identical to the dense kernels for degenerate
 //     1x1 tiles and a shape that splits rows and columns unevenly;
 //   - ColTopKMeans agrees bitwise with a streamed ColTopKAcc;
+//   - the streamed accumulators' heap arrays, before finalize, equal those of
+//     one serial offer per score (the oracle of consumer_test.go);
 //   - RowRanksInPlace emits a 1..cols permutation per row that inverts the
 //     value ordering.
 func FuzzRowKernels(f *testing.F) {
@@ -113,9 +115,12 @@ func FuzzRowKernels(f *testing.F) {
 			arg := NewRunningArgmax(rows)
 			top := NewRunningTopK(rows, k)
 			colAcc := NewColTopKAcc(cols, min(k, rows))
-			if err := src.StreamTiles(context.Background(), arg, top, colAcc); err != nil {
+			ref := newSerialOffer(rows, cols, k, min(k, rows))
+			if err := src.StreamTiles(context.Background(), arg, top, colAcc, ref); err != nil {
 				t.Fatalf("StreamTiles %v: %v", shape, err)
 			}
+			checkHeapArrays(t, "RunningTopK", top.heaps, ref.rows)
+			checkHeapArrays(t, "ColTopKAcc", colAcc.heaps, ref.cols)
 			if !reflect.DeepEqual(arg.Vals, maxVals) || !reflect.DeepEqual(arg.Idx, maxIdx) {
 				t.Fatalf("RunningArgmax tiles %v diverged from RowMax", shape)
 			}

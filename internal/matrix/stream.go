@@ -21,10 +21,13 @@ var negInf = math.Inf(-1)
 // Determinism contract: a TileSource must emit tiles in row-major block
 // order — row blocks in ascending row offset, and within a row block, col
 // blocks in ascending column offset — and consumers are invoked
-// sequentially, one tile at a time. Every consumer below therefore observes
-// scores for a given row in ascending column order and scores for a given
-// column in ascending row order, exactly the orders the dense one-shot scans
-// use, so selections and tie-breaking match the dense path.
+// sequentially, one tile at a time. Inside one ConsumeTile the consumers
+// below fold on all cores, but over disjoint state: row consumers split the
+// tile's rows, ColTopKAcc splits its columns into contiguous stripes. Every
+// row heap therefore still observes its scores in ascending column order and
+// every column heap in ascending row order, exactly the orders the dense
+// one-shot scans use, so heap layouts, selections and tie-breaking match the
+// dense path at any GOMAXPROCS.
 
 // TileConsumer folds streamed score tiles into running state. ConsumeTile is
 // called once per tile with the tile's global row/column offsets; tile is a
@@ -278,16 +281,15 @@ func NewRunningArgmax(rows int) *RunningArgmax {
 
 // ConsumeTile folds one tile into the running argmax.
 func (a *RunningArgmax) ConsumeTile(rowOff, colOff int, tile *Dense) {
-	for r := 0; r < tile.rows; r++ {
-		row := tile.Row(r)
+	parallelRows(tile.rows, func(r int) {
 		best, bi := a.Vals[rowOff+r], a.Idx[rowOff+r]
-		for c, v := range row {
+		for c, v := range tile.Row(r) {
 			if v > best {
 				best, bi = v, colOff+c
 			}
 		}
 		a.Vals[rowOff+r], a.Idx[rowOff+r] = best, bi
-	}
+	})
 }
 
 // SizeBytes is the accumulator's heap footprint (the O(n) streaming state).
@@ -347,12 +349,9 @@ func (t *RunningTopK) ConsumeTile(rowOff, colOff int, tile *Dense) {
 	if t.k == 0 {
 		return
 	}
-	for r := 0; r < tile.rows; r++ {
-		h := &t.heaps[rowOff+r]
-		for c, v := range tile.Row(r) {
-			h.offer(v, colOff+c, t.k)
-		}
-	}
+	parallelRows(tile.rows, func(r int) {
+		t.heaps[rowOff+r].offerRun(tile.Row(r), colOff, t.k)
+	})
 }
 
 // Finalize returns each row's candidates in descending value order (ties by
@@ -360,9 +359,9 @@ func (t *RunningTopK) ConsumeTile(rowOff, colOff int, tile *Dense) {
 // fed further tiles afterwards.
 func (t *RunningTopK) Finalize() []TopK {
 	out := make([]TopK, len(t.heaps))
-	for i := range t.heaps {
+	parallelRows(len(t.heaps), func(i int) {
 		out[i] = t.heaps[i].finalize()
-	}
+	})
 	return out
 }
 
@@ -382,6 +381,9 @@ func (t *RunningTopK) SizeBytes() int64 { return int64(len(t.heaps)) * int64(t.k
 type ColTopKAcc struct {
 	k     int
 	heaps []minHeap
+	// thr[j] is heaps[j].threshold(k), the gate offerCols reads; it is the
+	// tail of backingVals.
+	thr []float64
 	// Pooled flat heap storage, as in RunningTopK.
 	backingVals []float64
 	backingIdx  []int
@@ -397,13 +399,15 @@ func NewColTopKAcc(cols, k int) *ColTopKAcc {
 	}
 	a := &ColTopKAcc{k: k, heaps: make([]minHeap, cols)}
 	if k > 0 && cols > 0 {
-		a.backingVals = getHeapVals(cols * k)
+		a.backingVals = getHeapVals(cols*k + cols)
 		a.backingIdx = getHeapIdx(cols * k)
+		a.thr = a.backingVals[cols*k:]
 		for j := range a.heaps {
 			a.heaps[j] = minHeap{
 				vals: a.backingVals[j*k : j*k : (j+1)*k],
 				idx:  a.backingIdx[j*k : j*k : (j+1)*k],
 			}
+			a.thr[j] = gateOpen
 		}
 	}
 	return a
@@ -415,22 +419,24 @@ func (a *ColTopKAcc) Release() {
 	if a.backingVals != nil {
 		putHeapVals(a.backingVals)
 		putHeapIdx(a.backingIdx)
-		a.backingVals, a.backingIdx = nil, nil
+		a.backingVals, a.backingIdx, a.thr = nil, nil, nil
 	}
 	a.heaps = nil
 }
 
-// ConsumeTile folds one tile into the per-column heaps.
+// ConsumeTile folds one tile into the per-column heaps, one contiguous
+// column stripe per worker; each stripe walks the tile's rows in ascending
+// order.
 func (a *ColTopKAcc) ConsumeTile(rowOff, colOff int, tile *Dense) {
 	if a.k == 0 {
 		return
 	}
-	for r := 0; r < tile.rows; r++ {
-		row := tile.Row(r)
-		for c, v := range row {
-			a.heaps[colOff+c].offer(v, rowOff+r, a.k)
+	parallelChunks(tile.cols, func(lo, hi int) {
+		heaps, thr := a.heaps[colOff+lo:colOff+hi], a.thr[colOff+lo:colOff+hi]
+		for r := 0; r < tile.rows; r++ {
+			offerCols(heaps, thr, tile.Row(r)[lo:hi], rowOff+r, a.k)
 		}
-	}
+	})
 }
 
 // Means returns the per-column top-k means in heap-array order — the same
@@ -443,5 +449,8 @@ func (a *ColTopKAcc) Means() []float64 {
 	return out
 }
 
-// SizeBytes is the accumulator's heap footprint: O(cols·k).
-func (a *ColTopKAcc) SizeBytes() int64 { return int64(len(a.heaps)) * int64(a.k) * 16 }
+// SizeBytes is the accumulator's heap footprint: O(cols·k), thresholds
+// included.
+func (a *ColTopKAcc) SizeBytes() int64 {
+	return int64(len(a.heaps))*int64(a.k)*16 + int64(len(a.thr))*8
+}

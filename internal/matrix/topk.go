@@ -1,6 +1,9 @@
 package matrix
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // TopK holds the k largest values of a row together with their column
 // indices, in descending value order.
@@ -52,8 +55,8 @@ func (h *minHeap) heapify() {
 // at capacity it replaces the minimum only on a strictly larger value, so
 // among equal boundary values the earliest-offered index is retained. Both
 // the one-shot selectors below and the streaming accumulators in stream.go
-// funnel through this method, which is what makes their selections (and
-// tie-breaking) identical.
+// funnel through this method — by way of the gated offerRun and offerCols —
+// which is what makes their selections (and tie-breaking) identical.
 func (h *minHeap) offer(v float64, j, k int) {
 	if len(h.vals) < k {
 		h.vals = append(h.vals, v)
@@ -66,6 +69,52 @@ func (h *minHeap) offer(v float64, j, k int) {
 	if v > h.vals[0] {
 		h.vals[0], h.idx[0] = v, j
 		h.down(0, k)
+	}
+}
+
+// gateOpen is the threshold of a heap still under capacity: NaN compares
+// false with everything, so the gate !(v <= thr) passes every score — NaN and
+// ±Inf included — on to offer, whose append path then decides.
+var gateOpen = math.NaN()
+
+// threshold is the gate value for offers into h: gateOpen while h is under
+// capacity, else the heap minimum. A score with v <= threshold would be
+// dropped by offer untouched, so the gated loops below skip exactly the calls
+// that change nothing and the heap arrays stay bit-identical to one offer per
+// score.
+func (h *minHeap) threshold(k int) float64 {
+	if len(h.vals) < k {
+		return gateOpen
+	}
+	return h.vals[0]
+}
+
+// offerRun offers row[c] at index base+c for every c, in order: the row form
+// of the threshold gate, with the threshold held in a register so a rejected
+// score (most of them, once the heap is full) costs one compare. k must be
+// positive.
+func (h *minHeap) offerRun(row []float64, base, k int) {
+	thr := h.threshold(k)
+	for c, v := range row {
+		if !(v <= thr) {
+			h.offer(v, base+c, k)
+			thr = h.threshold(k)
+		}
+	}
+}
+
+// offerCols offers row[c] to heaps[c] at index i for every c: the column
+// form of the gate. thr[c] caches heaps[c].threshold(k) in one contiguous
+// slice, so a rejected score never dereferences its heap. len(heaps) and
+// len(thr) must be at least len(row); k must be positive.
+func offerCols(heaps []minHeap, thr, row []float64, i, k int) {
+	thr = thr[:len(row)]
+	for c, v := range row {
+		if !(v <= thr[c]) {
+			h := &heaps[c]
+			h.offer(v, i, k)
+			thr[c] = h.threshold(k)
+		}
 	}
 }
 
@@ -229,9 +278,7 @@ func topKOfSlice(row []float64, k int) TopK {
 		return TopK{}
 	}
 	h := minHeap{vals: make([]float64, 0, k), idx: make([]int, 0, k)}
-	for j, v := range row {
-		h.offer(v, j, k)
-	}
+	h.offerRun(row, 0, k)
 	return h.finalize()
 }
 
@@ -265,35 +312,14 @@ func (m *Dense) RowTopKMeans(k int) []float64 {
 
 // ColTopKMeans returns, for every column, the mean of its k largest values.
 // It is equivalent to m.Transpose().RowTopKMeans(k) but avoids materializing
-// the transpose. Work is split over column stripes: each worker owns a
-// contiguous range of columns and scans all rows for that stripe, so the
-// per-column heaps see rows in ascending order exactly as the sequential
-// scan did and the results are identical.
+// the transpose: the matrix is folded as one tile into the streaming column
+// accumulator, so dense and streamed CSLS share one selection loop and sum
+// their means in the same heap-array order.
 func (m *Dense) ColTopKMeans(k int) []float64 {
-	if k <= 0 || m.cols == 0 {
-		return make([]float64, m.cols)
-	}
-	if k > m.rows {
-		k = m.rows
-	}
-	// One k-sized min-heap per column keeps memory at O(cols·k).
-	heaps := make([]minHeap, m.cols)
-	for j := range heaps {
-		heaps[j] = minHeap{vals: make([]float64, 0, k), idx: make([]int, 0, k)}
-	}
-	out := make([]float64, m.cols)
-	parallelChunks(m.cols, func(jlo, jhi int) {
-		for i := 0; i < m.rows; i++ {
-			row := m.Row(i)
-			for j := jlo; j < jhi; j++ {
-				heaps[j].offer(row[j], i, k)
-			}
-		}
-		for j := jlo; j < jhi; j++ {
-			out[j] = heaps[j].heapMean()
-		}
-	})
-	return out
+	acc := NewColTopKAcc(m.cols, min(k, m.rows))
+	defer acc.Release()
+	acc.ConsumeTile(0, 0, m)
+	return acc.Means()
 }
 
 // RowRanksInPlace replaces every row with the descending rank of each

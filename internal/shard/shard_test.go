@@ -299,3 +299,47 @@ func TestWorkerPoolCancellation(t *testing.T) {
 		cancel()
 	}
 }
+
+// TestStreamPartsSubBuildsConcurrently runs every shard's StreamParts at
+// once, from several productions at once: each sub-build's consumers fan
+// their tile folds out on matrix's shared worker pool from their own
+// goroutine, so the pool's queue overflows and chunks run inline on the
+// submitters. The productions must all finish (submit never blocks) and
+// return the graphs a one-worker production returns.
+func TestStreamPartsSubBuildsConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	src := clusteredTable(rng, 640, 24, 6)
+	tgt := clusteredTable(rng, 640, 24, 6)
+	req := matrix.GraphRequest{C: 8, CRev: 8, KCol: 2}
+	serial, _ := newTestSource(t, src, tgt, Config{Shards: 6, Workers: 1, Seed: 3})
+	want, err := serial.ProduceParts(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestSource(t, src, tgt, Config{Shards: 6, Workers: 6, Seed: 3})
+	const productions = 4
+	type result struct {
+		parts matrix.GraphParts
+		err   error
+	}
+	results := make(chan result, productions)
+	for p := 0; p < productions; p++ {
+		go func() {
+			parts, err := s.ProduceParts(context.Background(), req)
+			results <- result{parts, err}
+		}()
+	}
+	for p := 0; p < productions; p++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		graphsEqual(t, want.Fwd, r.parts.Fwd, "forward")
+		graphsEqual(t, want.Rev, r.parts.Rev, "reverse")
+		for j, v := range want.ColMeans {
+			if r.parts.ColMeans[j] != v {
+				t.Fatalf("column mean %d: want %v, got %v", j, v, r.parts.ColMeans[j])
+			}
+		}
+	}
+}

@@ -173,3 +173,57 @@ func TestStreamCancellation(t *testing.T) {
 		t.Fatalf("Block under canceled ctx: %v", err)
 	}
 }
+
+// noopConsumer is the bare tile pass: what a scan costs with no selection.
+type noopConsumer struct{}
+
+func (noopConsumer) ConsumeTile(int, int, *matrix.Dense) {}
+
+// BenchmarkStreamParts measures candidate selection against the scan it
+// follows, at the sparse_exact workload's shape (5600x5600, d=128, C=64;
+// -short shrinks the tables): `scan` is one bare tile pass, the others one
+// StreamParts pass each. Every leg reports Mpair/s; the selecting legs also
+// report x-scan, their time over the scan leg's (when that ran first, as it
+// does unfiltered) — the select-over-scan ratio benchmark/README.md reads as
+// matrix.candgraph_s / sim.stream_s.
+//
+//	go test -run '^$' -bench StreamParts -benchtime 5x ./internal/sim
+func BenchmarkStreamParts(b *testing.B) {
+	n, d, c := 5600, 128, 64
+	if testing.Short() {
+		n, d, c = 1400, 32, 16
+	}
+	rng := rand.New(rand.NewSource(14))
+	st, err := NewStream(randEmb(rng, n, d), randEmb(rng, n, d), Cosine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var scanNS float64
+	leg := func(name string, pass func() error) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := pass(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(float64(n)*float64(n)/ns*1e3, "Mpair/s")
+			if name == "scan" {
+				scanNS = ns
+			} else if scanNS > 0 {
+				b.ReportMetric(ns/scanNS, "x-scan")
+			}
+		})
+	}
+	parts := func(req matrix.GraphRequest) func() error {
+		return func() error {
+			_, err := matrix.StreamParts(ctx, st, req)
+			return err
+		}
+	}
+	leg("scan", func() error { return st.StreamTiles(ctx, noopConsumer{}) })
+	leg("fwd", parts(matrix.GraphRequest{C: c}))
+	leg("fwd+rev", parts(matrix.GraphRequest{C: c, CRev: c}))
+	leg("means", parts(matrix.GraphRequest{C: c, KCol: 1}))
+}
