@@ -104,9 +104,8 @@ type cslsArgmax struct {
 
 func (c *cslsArgmax) ConsumeTile(rowOff, colOff int, tile *matrix.Dense) {
 	phiT := c.phiT[colOff : colOff+tile.Cols()]
-	// ConsumeTile carries no context and must fold every row: a tile is the
-	// pass's cancellation unit, checked by StreamTiles between tiles.
-	_ = matrix.ParallelRowsCtx(context.TODO(), tile.Rows(), func(r int) {
+	// Background never cancels: StreamTiles checks the pass's context between tiles.
+	_ = matrix.ParallelRowsCtx(context.Background(), tile.Rows(), func(r int) {
 		ps := c.phiS[rowOff+r]
 		best, bi := c.best.Vals[rowOff+r], c.best.Idx[rowOff+r]
 		for cI, v := range tile.Row(r) {

@@ -263,6 +263,10 @@ func TestCSLSStreamConsumersReleaseBacking(t *testing.T) {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
+	// sync.Pool caches per P and Match blocks on pool chunks, so with several
+	// Ps a Put can land where the next Get does not look; one P makes the
+	// round trip exact (testing.AllocsPerRun pins the same way).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, k = 512, 64
 	rng := rand.New(rand.NewSource(14))
 	st, err := sim.NewStream(randEmbeddings(rng, n, 8), randEmbeddings(rng, n, 8), sim.Cosine)

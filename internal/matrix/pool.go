@@ -16,7 +16,9 @@ import (
 // busy and the buffer exhausted), the chunk runs inline on the submitting
 // goroutine. Pool tasks are always leaf work — they never submit to the pool
 // themselves — so a task can never wait on queue capacity held by its own
-// group.
+// group. Everything built on parallelChunks (ConsumeTile of the in-tree
+// consumers, the dense selectors, Finalize, graphFromHeaps) waits on its
+// chunks and must therefore be called from a non-pool goroutine.
 type workerPool struct {
 	once  sync.Once
 	tasks chan func()

@@ -31,7 +31,9 @@ var negInf = math.Inf(-1)
 
 // TileConsumer folds streamed score tiles into running state. ConsumeTile is
 // called once per tile with the tile's global row/column offsets; tile is a
-// scratch buffer reused across calls and must not be retained.
+// scratch buffer reused across calls and must not be retained. A TileSource
+// must call it from a goroutine that is not a worker-pool task: the in-tree
+// consumers wait on pool chunks of their own (see pool.go).
 type TileConsumer interface {
 	ConsumeTile(rowOff, colOff int, tile *Dense)
 }
