@@ -28,9 +28,9 @@ func (ivf *IVF) Export() *IVFData {
 		N:         ivf.n,
 		K:         ivf.k,
 		Centroids: ivf.centroids.Data(),
-		ListPtr:   ivf.listPtr,
-		IDs:       ivf.ids,
-		Vecs:      ivf.vecs,
+		ListPtr:   ivf.scan.Bounds,
+		IDs:       ivf.scan.IDs,
+		Vecs:      ivf.scan.Vecs,
 	}
 }
 
@@ -79,21 +79,7 @@ func FromData(d *IVFData) (*IVF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ann: centroid slab: %w", err)
 	}
-	ivf := &IVF{
-		dim:       d.Dim,
-		n:         d.N,
-		k:         d.K,
-		centroids: cent,
-		cnormHalf: make([]float64, d.K),
-		listPtr:   d.ListPtr,
-		ids:       d.IDs,
-		vecs:      d.Vecs,
-	}
-	for c := 0; c < d.K; c++ {
-		row := cent.Row(c)
-		ivf.cnormHalf[c] = 0.5 * matrix.Dot4(row, row)
-	}
-	return ivf, nil
+	return newIVF(cent, d.ListPtr, d.IDs, d.Vecs), nil
 }
 
 // ExportIndexes builds (if needed) and exports the source's indexes in

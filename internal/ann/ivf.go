@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
-	"sync"
 
 	"entmatcher/internal/matrix"
 	"entmatcher/internal/quant"
@@ -110,21 +108,13 @@ type IVF struct {
 	centroids *matrix.Dense // k×dim quantizer
 	cnormHalf []float64     // ‖centroid‖²/2, for fused distance ranking
 
-	listPtr []int64   // len k+1; cell c spans listPtr[c]..listPtr[c+1]
-	ids     []int32   // len n, corpus row ids, ascending within a cell
-	vecs    []float64 // len n·dim, corpus rows in slab order
-
-	// Optional SQ8 side table (AttachQuant): the same corpus rows as int8
-	// codes in slab order, plus the quantized table for query folding.
-	// SearchQuant scans qvecs and re-ranks survivors against vecs.
-	qvecs []int8
-	qt    *quant.Table
-
-	// scratch pools each worker's per-query buffers (cell + candidate
-	// selectors, quantized-scan state) across queries AND across Search
-	// calls, so the query path allocates only its escaping results (see
-	// TestSearchAllocsPooled). Pooled per index — never copied.
-	scratch sync.Pool
+	// scan is the scan core over the cell slabs: Bounds are the k+1 list
+	// pointers (cell c spans Bounds[c]..Bounds[c+1]), IDs the n corpus row
+	// ids (ascending within a cell), Vecs the n·dim corpus rows in slab
+	// order. AttachQuant adds the optional SQ8 side table — the same rows as
+	// int8 Codes in slab order plus the quantized Table for query folding.
+	// It pools the per-worker query scratch, so an IVF is never copied.
+	scan quant.Scanner
 }
 
 // Clusters returns the number of cells the index was built with (after
@@ -137,8 +127,8 @@ func (ivf *IVF) Len() int { return ivf.n }
 // SizeBytes returns the heap footprint of the index: the vector slab, ids,
 // list pointers, and quantizer.
 func (ivf *IVF) SizeBytes() int64 {
-	return int64(len(ivf.vecs))*8 + int64(len(ivf.ids))*4 +
-		int64(len(ivf.listPtr))*8 + int64(ivf.k)*int64(ivf.dim)*8 + int64(len(ivf.cnormHalf))*8
+	return int64(len(ivf.scan.Vecs))*8 + int64(len(ivf.scan.IDs))*4 +
+		int64(len(ivf.scan.Bounds))*8 + int64(ivf.k)*int64(ivf.dim)*8 + int64(len(ivf.cnormHalf))*8
 }
 
 // Build trains the coarse quantizer on a sample of data and scatters every
@@ -160,20 +150,7 @@ func Build(ctx context.Context, data *matrix.Dense, cfg Config) (*IVF, error) {
 		return nil, err
 	}
 	k := cfg.Clusters
-	ivf := &IVF{
-		dim:       d,
-		n:         n,
-		k:         k,
-		centroids: cent,
-		cnormHalf: make([]float64, k),
-		listPtr:   make([]int64, k+1),
-		ids:       make([]int32, n),
-		vecs:      make([]float64, n*d),
-	}
-	for c := 0; c < k; c++ {
-		row := cent.Row(c)
-		ivf.cnormHalf[c] = 0.5 * matrix.Dot4(row, row)
-	}
+	ivf := newIVF(cent, make([]int64, k+1), make([]int32, n), make([]float64, n*d))
 	// Assign every corpus row to its cell (parallel; each point owns its
 	// slot), then counting-sort into the slab. Scanning rows in ascending
 	// order during the scatter leaves ids ascending within each cell.
@@ -190,204 +167,70 @@ func Build(ctx context.Context, data *matrix.Dense, cfg Config) (*IVF, error) {
 	for c := 0; c < k; c++ {
 		counts[c+1] += counts[c]
 	}
-	copy(ivf.listPtr, counts)
+	copy(ivf.scan.Bounds, counts)
 	next := make([]int64, k)
 	copy(next, counts[:k])
 	for i := 0; i < n; i++ {
 		c := assign[i]
 		p := next[c]
 		next[c]++
-		ivf.ids[p] = int32(i)
-		copy(ivf.vecs[int(p)*d:(int(p)+1)*d], data.Row(i))
+		ivf.scan.IDs[p] = int32(i)
+		copy(ivf.scan.Vecs[int(p)*d:(int(p)+1)*d], data.Row(i))
 	}
 	return ivf, nil
 }
 
-// searchScratch is one worker's reusable query state: a selector for
-// ranking cells, one for the candidate top-c, and the quantized-scan
-// buffers (query codes, per-candidate int32 scores and their slab
-// positions, the pool-threshold heap, and the re-rank pool). The selectors
-// are re-sized per query via EnsureK and every slice grows to the largest
-// request served, so a warmed scratch handles any (c, nprobe) without
-// allocating.
-type searchScratch struct {
-	cells *matrix.BoundedTopK
-	sel   *matrix.BoundedTopK
-
-	codeQ   []int8
-	ints    []int32
-	pos     []int32
-	heapBuf []int32
-	poolIDs []int
-	poolPos []int32
-
-	// groupKeys is the blocked-search cell merge buffer: packed
-	// (cell<<width | queryBit) keys from every query in a group, sorted so
-	// one walk yields each probed cell with its membership mask. Owned by
-	// the group leader's scratch.
-	groupKeys []int64
-}
-
-// getScratch fetches a pooled scratch or builds an empty one; EnsureK and
-// the ensure* helpers size it for the query at hand.
-func (ivf *IVF) getScratch() *searchScratch {
-	if sc, ok := ivf.scratch.Get().(*searchScratch); ok {
-		return sc
+// newIVF assembles an index around a quantizer and its cell slabs (which
+// Build fills in afterwards and FromData has validated), deriving cnormHalf.
+func newIVF(cent *matrix.Dense, listPtr []int64, ids []int32, vecs []float64) *IVF {
+	k, d := cent.Rows(), cent.Cols()
+	ivf := &IVF{
+		dim: d, n: len(ids), k: k,
+		centroids: cent,
+		cnormHalf: make([]float64, k),
+		scan:      quant.Scanner{Tag: "ann", Dim: d, Bounds: listPtr, IDs: ids, Vecs: vecs},
 	}
-	return &searchScratch{cells: matrix.NewBoundedTopK(0), sel: matrix.NewBoundedTopK(0)}
+	for c := 0; c < k; c++ {
+		row := cent.Row(c)
+		ivf.cnormHalf[c] = 0.5 * matrix.Dot4(row, row)
+	}
+	return ivf
 }
 
 // Search scores each query row against the nprobe nearest cells and returns
 // its top-c hits by inner product, in the codebase-wide (value desc, index
-// asc) order. queries must share the index's dimensionality and, like the
-// corpus, be the prepared (normalized) rows. nprobe and c are clamped to
-// [1, Clusters] and [1, Len]; at nprobe = Clusters every corpus point is
-// scored and the result equals the exhaustive top-c selection exactly.
+// asc) order. queries must be the prepared (normalized) rows, like the
+// corpus. At nprobe = Clusters every corpus point is scored and the result
+// equals the exhaustive top-c selection exactly. See probe for what is
+// rejected and what is clamped.
 //
-// Cells are ranked by the query's fused distance score ⟨q,centroid⟩ −
-// ‖centroid‖²/2 (the same geometry that assigned points to cells), ties by
-// ascending cell id. Candidates arrive selector-side in cell-slab order —
-// out of index order — which is why selection runs on the order-insensitive
-// BoundedTopK rather than the streaming accumulators' heaps.
+// Candidates arrive selector-side in cell-slab order — out of index order —
+// which is why selection runs on the order-insensitive BoundedTopK rather
+// than the streaming accumulators' heaps.
 func (ivf *IVF) Search(ctx context.Context, queries *matrix.Dense, c, nprobe int) ([]matrix.TopK, error) {
-	if queries == nil {
-		return nil, fmt.Errorf("ann: nil queries")
-	}
-	if queries.Cols() != ivf.dim {
-		return nil, fmt.Errorf("ann: query dim %d != index dim %d", queries.Cols(), ivf.dim)
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("ann: candidate budget %d < 1", c)
-	}
-	if c > ivf.n {
-		c = ivf.n
-	}
-	if nprobe < 1 {
-		nprobe = 1
-	}
-	if nprobe > ivf.k {
-		nprobe = ivf.k
-	}
-	nq := queries.Rows()
-	out := make([]matrix.TopK, nq)
-	// Queries run in register-blocked groups of three sharing every probed
-	// cell's slab reads (matrix.DotBlock3); the ragged remainder takes the
-	// per-query path. Scores are bit-identical either way and the selector
-	// is order-insensitive, so grouping never changes a result.
-	groups := (nq + 2) / 3
-	err := matrix.ParallelRowsCtx(ctx, groups, func(g int) {
-		qi := g * 3
-		if qi+3 <= nq {
-			ivf.searchBlock3(queries, qi, c, nprobe, out)
-			return
-		}
-		for ; qi < nq; qi++ {
-			out[qi] = ivf.searchOne(queries.Row(qi), c, nprobe)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ivf.scan.Search(ctx, queries, c, ivf.probe(nprobe))
 }
 
-// copyTopK copies a Finalize result out of pooled selector storage.
-func copyTopK(tk matrix.TopK) matrix.TopK {
-	return matrix.TopK{
-		Values:  append([]float64(nil), tk.Values...),
-		Indices: append([]int(nil), tk.Indices...),
-	}
-}
-
-// searchOne is the per-query float scan: rank cells, score every candidate
-// in the probed cells with the per-pair kernel, select top-c.
-func (ivf *IVF) searchOne(q []float64, c, nprobe int) matrix.TopK {
-	d := ivf.dim
-	sc := ivf.getScratch()
-	defer ivf.scratch.Put(sc)
-	sc.sel.EnsureK(c)
-	probes := ivf.rankCells(sc, q, nprobe)
-	for _, cell := range probes.Indices {
-		lo, hi := ivf.listPtr[cell], ivf.listPtr[cell+1]
-		for p := lo; p < hi; p++ {
-			sc.sel.Offer(matrix.Dot4(q, ivf.vecs[int(p)*d:(int(p)+1)*d]), int(ivf.ids[p]))
+// probe is the index's candidate set for the scan core: the nprobe cells
+// nearest to a query by the fused distance score ⟨q,centroid⟩ −
+// ‖centroid‖²/2 (the same geometry that assigned points to cells), ties by
+// ascending cell id — the one ranking the float and the quantized scan
+// share, so enabling quantization never changes WHICH cells a query probes.
+//
+// This is the shared entry of Search and SearchQuant, so the argument
+// contract is stated once. Rejected with an error: nil queries, a query
+// dimensionality other than the index's, c < 1 (all by the scan core) and,
+// for SearchQuant, an index without an attached quantized table. Clamped:
+// c > Len to Len, nprobe to [1, Clusters].
+func (ivf *IVF) probe(nprobe int) quant.Probe {
+	nprobe = max(1, min(nprobe, ivf.k))
+	return func(q []float64, cells *matrix.BoundedTopK) []int {
+		cells.EnsureK(nprobe)
+		for cell := 0; cell < ivf.k; cell++ {
+			cells.Offer(matrix.Dot4(q, ivf.centroids.Row(cell))-ivf.cnormHalf[cell], cell)
 		}
+		return cells.Finalize().Indices
 	}
-	return copyTopK(sc.sel.Finalize())
-}
-
-// searchBlock3 serves queries qi..qi+2 as one blocked pass. Each query keeps
-// its own probe ranking (so WHICH cells are scanned per query is exactly the
-// per-query path's), but the scans are merged: probed cells are walked in
-// ascending id with a 3-bit membership mask, and a cell all three queries
-// probe is scanned once through matrix.DotBlock3 — one slab read for three
-// scores. Cells probed by a strict subset fall back to the per-pair kernel.
-// Values are bit-identical to searchOne's and BoundedTopK is
-// order-insensitive, so the changed candidate arrival order cannot change
-// any selection.
-func (ivf *IVF) searchBlock3(queries *matrix.Dense, qi, c, nprobe int, out []matrix.TopK) {
-	d := ivf.dim
-	var scs [3]*searchScratch
-	var qs [3][]float64
-	for j := 0; j < 3; j++ {
-		scs[j] = ivf.getScratch()
-		scs[j].sel.EnsureK(c)
-		qs[j] = queries.Row(qi + j)
-	}
-	lead := scs[0]
-	lead.groupKeys = lead.groupKeys[:0]
-	for j := 0; j < 3; j++ {
-		probes := ivf.rankCells(scs[j], qs[j], nprobe)
-		for _, cell := range probes.Indices {
-			lead.groupKeys = append(lead.groupKeys, int64(cell)<<3|int64(1)<<j)
-		}
-	}
-	slices.Sort(lead.groupKeys)
-	keys := lead.groupKeys
-	var blk [3]float64
-	for x := 0; x < len(keys); {
-		cell := keys[x] >> 3
-		mask := 0
-		for ; x < len(keys) && keys[x]>>3 == cell; x++ {
-			mask |= int(keys[x] & 7)
-		}
-		lo, hi := ivf.listPtr[cell], ivf.listPtr[cell+1]
-		if mask == 7 {
-			for p := lo; p < hi; p++ {
-				matrix.DotBlock3(qs[0], qs[1], qs[2], ivf.vecs[int(p)*d:(int(p)+1)*d], &blk)
-				id := int(ivf.ids[p])
-				scs[0].sel.Offer(blk[0], id)
-				scs[1].sel.Offer(blk[1], id)
-				scs[2].sel.Offer(blk[2], id)
-			}
-			continue
-		}
-		for j := 0; j < 3; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			for p := lo; p < hi; p++ {
-				scs[j].sel.Offer(matrix.Dot4(qs[j], ivf.vecs[int(p)*d:(int(p)+1)*d]), int(ivf.ids[p]))
-			}
-		}
-	}
-	for j := 0; j < 3; j++ {
-		out[qi+j] = copyTopK(scs[j].sel.Finalize())
-		ivf.scratch.Put(scs[j])
-	}
-}
-
-// rankCells selects the nprobe cells nearest to q by the fused distance
-// score ⟨q,centroid⟩ − ‖centroid‖²/2, ties by ascending cell id — the one
-// ranking both the float and the quantized scan share, so enabling
-// quantization never changes WHICH cells a query probes. The returned TopK
-// aliases sc.cells.
-func (ivf *IVF) rankCells(sc *searchScratch, q []float64, nprobe int) matrix.TopK {
-	sc.cells.EnsureK(nprobe)
-	for cell := 0; cell < ivf.k; cell++ {
-		sc.cells.Offer(matrix.Dot4(q, ivf.centroids.Row(cell))-ivf.cnormHalf[cell], cell)
-	}
-	return sc.cells.Finalize()
 }
 
 // AttachQuant installs an SQ8 side table for this index's corpus: t must be
@@ -401,7 +244,7 @@ func (ivf *IVF) AttachQuant(t *quant.Table) error {
 	if t == nil {
 		return fmt.Errorf("ann: nil quantized table")
 	}
-	if t == ivf.qt {
+	if t == ivf.scan.Table {
 		return nil
 	}
 	if t.Rows() != ivf.n || t.Dim() != ivf.dim {
@@ -411,41 +254,22 @@ func (ivf *IVF) AttachQuant(t *quant.Table) error {
 	qvecs := make([]int8, ivf.n*ivf.dim)
 	d := ivf.dim
 	for p := 0; p < ivf.n; p++ {
-		copy(qvecs[p*d:(p+1)*d], t.Row(int(ivf.ids[p])))
+		copy(qvecs[p*d:(p+1)*d], t.Row(int(ivf.scan.IDs[p])))
 	}
-	ivf.qvecs = qvecs
-	ivf.qt = t
+	ivf.scan.Codes, ivf.scan.Table = qvecs, t
 	return nil
 }
 
 // HasQuant reports whether an SQ8 side table is attached.
-func (ivf *IVF) HasQuant() bool { return ivf.qvecs != nil }
+func (ivf *IVF) HasQuant() bool { return ivf.scan.Codes != nil }
 
 // QuantBytes returns the footprint of the attached quantized slab (0 when
 // none): the int8 code slab plus the per-dimension scales.
 func (ivf *IVF) QuantBytes() int64 {
-	if ivf.qvecs == nil {
+	if !ivf.HasQuant() {
 		return 0
 	}
-	return int64(len(ivf.qvecs)) + int64(ivf.dim)*8
-}
-
-// ensureQuantScratch sizes the quantized-scan buffers for m candidates and
-// a pool bound of p.
-func (sc *searchScratch) ensureQuantScratch(dim, m, p int) {
-	if cap(sc.codeQ) < dim {
-		sc.codeQ = make([]int8, dim)
-	}
-	sc.codeQ = sc.codeQ[:dim]
-	if cap(sc.ints) < m {
-		sc.ints = make([]int32, m)
-		sc.pos = make([]int32, m)
-	}
-	sc.ints = sc.ints[:m]
-	sc.pos = sc.pos[:m]
-	if cap(sc.heapBuf) < p {
-		sc.heapBuf = make([]int32, 0, p)
-	}
+	return int64(len(ivf.scan.Codes)) + int64(ivf.dim)*8
 }
 
 // SearchQuant is Search with the candidate scan running on the attached SQ8
@@ -461,200 +285,8 @@ func (sc *searchScratch) ensureQuantScratch(dim, m, p int) {
 // returns the approximate scores sq·DotI8 — the quantized-only escape
 // hatch.
 func (ivf *IVF) SearchQuant(ctx context.Context, queries *matrix.Dense, c, nprobe, factor int, rerank bool) ([]matrix.TopK, error) {
-	if ivf.qvecs == nil {
+	if !ivf.HasQuant() {
 		return nil, fmt.Errorf("ann: SearchQuant without an attached quantized table")
 	}
-	if queries == nil {
-		return nil, fmt.Errorf("ann: nil queries")
-	}
-	if queries.Cols() != ivf.dim {
-		return nil, fmt.Errorf("ann: query dim %d != index dim %d", queries.Cols(), ivf.dim)
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("ann: candidate budget %d < 1", c)
-	}
-	if c > ivf.n {
-		c = ivf.n
-	}
-	if nprobe < 1 {
-		nprobe = 1
-	}
-	if nprobe > ivf.k {
-		nprobe = ivf.k
-	}
-	nq := queries.Rows()
-	out := make([]matrix.TopK, nq)
-	var firstErr error
-	var errMu sync.Mutex
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	// Queries run in register-blocked groups of four sharing every probed
-	// cell's int8 slab reads (quant.DotI8Block4); the ragged remainder takes
-	// the per-query path. Integer scores are exact, so grouping never
-	// changes a candidate score, pool, or selection.
-	groups := (nq + 3) / 4
-	err := matrix.ParallelRowsCtx(ctx, groups, func(g int) {
-		qi := g * 4
-		if qi+4 <= nq {
-			if err := ivf.searchQuantBlock4(queries, qi, c, nprobe, factor, rerank, out); err != nil {
-				record(err)
-			}
-			return
-		}
-		for ; qi < nq; qi++ {
-			tk, err := ivf.searchQuantOne(queries.Row(qi), c, nprobe, factor, rerank)
-			if err != nil {
-				record(err)
-				return
-			}
-			out[qi] = tk
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// searchQuantOne is the per-query two-phase scan: rank cells by the float
-// centroid scores, score every probed candidate with the int8 kernel, then
-// re-rank the threshold pool against the float slab.
-func (ivf *IVF) searchQuantOne(q []float64, c, nprobe, factor int, rerank bool) (matrix.TopK, error) {
-	d := ivf.dim
-	sc := ivf.getScratch()
-	defer ivf.scratch.Put(sc)
-	probes := ivf.rankCells(sc, q, nprobe)
-	// Upper-bound the scanned-candidate count for scratch sizing.
-	var m int
-	for _, cell := range probes.Indices {
-		m += int(ivf.listPtr[cell+1] - ivf.listPtr[cell])
-	}
-	sc.ensureQuantScratch(d, m, quant.PoolSize(factor, c, m))
-	sq, err := ivf.qt.QuantizeQuery(q, sc.codeQ)
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	cnt := 0
-	for _, cell := range probes.Indices {
-		lo, hi := ivf.listPtr[cell], ivf.listPtr[cell+1]
-		for pp := lo; pp < hi; pp++ {
-			sc.ints[cnt] = quant.DotI8(sc.codeQ, ivf.qvecs[int(pp)*d:(int(pp)+1)*d])
-			sc.pos[cnt] = int32(pp)
-			cnt++
-		}
-	}
-	return ivf.finishQuant(sc, q, sq, c, factor, rerank, cnt), nil
-}
-
-// searchQuantBlock4 serves queries qi..qi+3 as one blocked two-phase pass:
-// per-query cell rankings (identical probe sets to the per-query path), a
-// merged ascending-cell walk with a 4-bit membership mask, and one
-// quant.DotI8Block4 slab read per fully-shared cell. Threshold, pool, and
-// re-rank then run per query exactly as in searchQuantOne.
-func (ivf *IVF) searchQuantBlock4(queries *matrix.Dense, qi, c, nprobe, factor int, rerank bool, out []matrix.TopK) error {
-	d := ivf.dim
-	var scs [4]*searchScratch
-	var qs [4][]float64
-	var sqs [4]float64
-	var ms [4]int
-	for j := 0; j < 4; j++ {
-		scs[j] = ivf.getScratch()
-		qs[j] = queries.Row(qi + j)
-	}
-	defer func() {
-		for j := 0; j < 4; j++ {
-			ivf.scratch.Put(scs[j])
-		}
-	}()
-	lead := scs[0]
-	lead.groupKeys = lead.groupKeys[:0]
-	for j := 0; j < 4; j++ {
-		probes := ivf.rankCells(scs[j], qs[j], nprobe)
-		for _, cell := range probes.Indices {
-			lead.groupKeys = append(lead.groupKeys, int64(cell)<<4|int64(1)<<j)
-			ms[j] += int(ivf.listPtr[cell+1] - ivf.listPtr[cell])
-		}
-	}
-	for j := 0; j < 4; j++ {
-		scs[j].ensureQuantScratch(d, ms[j], quant.PoolSize(factor, c, ms[j]))
-		sq, err := ivf.qt.QuantizeQuery(qs[j], scs[j].codeQ)
-		if err != nil {
-			return err
-		}
-		sqs[j] = sq
-	}
-	slices.Sort(lead.groupKeys)
-	keys := lead.groupKeys
-	var cnt [4]int
-	var blk [4]int32
-	for x := 0; x < len(keys); {
-		cell := keys[x] >> 4
-		mask := 0
-		for ; x < len(keys) && keys[x]>>4 == cell; x++ {
-			mask |= int(keys[x] & 15)
-		}
-		lo, hi := ivf.listPtr[cell], ivf.listPtr[cell+1]
-		if mask == 15 {
-			for pp := lo; pp < hi; pp++ {
-				quant.DotI8Block4(scs[0].codeQ, scs[1].codeQ, scs[2].codeQ, scs[3].codeQ,
-					ivf.qvecs[int(pp)*d:(int(pp)+1)*d], &blk)
-				for j := 0; j < 4; j++ {
-					scs[j].ints[cnt[j]] = blk[j]
-					scs[j].pos[cnt[j]] = int32(pp)
-					cnt[j]++
-				}
-			}
-			continue
-		}
-		for j := 0; j < 4; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			for pp := lo; pp < hi; pp++ {
-				scs[j].ints[cnt[j]] = quant.DotI8(scs[j].codeQ, ivf.qvecs[int(pp)*d:(int(pp)+1)*d])
-				scs[j].pos[cnt[j]] = int32(pp)
-				cnt[j]++
-			}
-		}
-	}
-	for j := 0; j < 4; j++ {
-		out[qi+j] = ivf.finishQuant(scs[j], qs[j], sqs[j], c, factor, rerank, cnt[j])
-	}
-	return nil
-}
-
-// finishQuant runs the selection tail of a quantized scan: either the
-// approximate top-c straight off the int8 scores (rerank=false) or the
-// boundary-tie-inclusive pool threshold plus exact float64 re-rank.
-func (ivf *IVF) finishQuant(sc *searchScratch, q []float64, sq float64, c, factor int, rerank bool, cnt int) matrix.TopK {
-	d := ivf.dim
-	if !rerank {
-		sc.sel.EnsureK(c)
-		for x := 0; x < cnt; x++ {
-			sc.sel.Offer(sq*float64(sc.ints[x]), int(ivf.ids[sc.pos[x]]))
-		}
-		return copyTopK(sc.sel.Finalize())
-	}
-	th := quant.PoolThreshold(sc.ints[:cnt], quant.PoolSize(factor, c, cnt), sc.heapBuf)
-	sc.poolIDs = sc.poolIDs[:0]
-	sc.poolPos = sc.poolPos[:0]
-	for x := 0; x < cnt; x++ {
-		if sc.ints[x] >= th {
-			sc.poolIDs = append(sc.poolIDs, int(ivf.ids[sc.pos[x]]))
-			sc.poolPos = append(sc.poolPos, sc.pos[x])
-		}
-	}
-	tk := matrix.RerankTopK(sc.sel, sc.poolIDs, c, func(slot int) float64 {
-		pp := int(sc.poolPos[slot])
-		return matrix.Dot4(q, ivf.vecs[pp*d:(pp+1)*d])
-	})
-	return copyTopK(tk)
+	return ivf.scan.SearchQuant(ctx, queries, c, ivf.probe(nprobe), factor, rerank)
 }

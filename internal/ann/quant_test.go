@@ -133,11 +133,11 @@ func TestAttachQuantValidation(t *testing.T) {
 	// Re-attaching the attached table is a no-op: sources sharing the index
 	// (entserver's quant tier over the float tier's) must not pay a second
 	// n×dim scatter.
-	slab := &ivf.qvecs[0]
+	slab := &ivf.scan.Codes[0]
 	if err := ivf.AttachQuant(codes); err != nil {
 		t.Fatal(err)
 	}
-	if &ivf.qvecs[0] != slab {
+	if &ivf.scan.Codes[0] != slab {
 		t.Fatal("re-attaching the same table reallocated the code slab")
 	}
 }

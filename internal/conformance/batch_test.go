@@ -40,8 +40,10 @@ func TestBlockedTilePassMatchesDot4(t *testing.T) {
 		}
 		sTab, tTab := resident.PreparedTables()
 		// *Dense satisfies matrix.RowsReader, so the same prepared tables
-		// drive the out-of-core engine's slab-windowed tile pass and the
-		// blockOOC fallback.
+		// enter through the out-of-core constructor. The stream picks its
+		// row window by table type, so these are read in place; the
+		// gathered-window pass over a non-Dense reader is pinned in
+		// internal/sim and in fault_test.go.
 		ooc, err := sim.NewStreamOOC(sTab, tTab, sim.Cosine)
 		if err != nil {
 			t.Fatalf("%s: NewStreamOOC: %v", tc.Name, err)

@@ -176,3 +176,37 @@ func (w *WriterAt) WriteAt(p []byte, off int64) (int, error) {
 	}
 	return wn, nil
 }
+
+// ReaderAt wraps an io.ReaderAt with the same deterministic fault model,
+// keyed by the read offset — the random-access read side, used to prove
+// that a disk-backed table (matrix.SlabTable) failing under a running pass
+// surfaces as a typed error instead of wrong scores. A truncation ends the
+// file at TruncateAt for every read; a flip or an error hits exactly the
+// reads whose span covers its offset, like a bad sector.
+type ReaderAt struct {
+	R   io.ReaderAt
+	Inj IOInjection
+}
+
+// NewReaderAt returns r with the injection applied per read offset.
+func NewReaderAt(r io.ReaderAt, inj IOInjection) *ReaderAt {
+	return &ReaderAt{R: r, Inj: inj}
+}
+
+// ReadAt reads from the wrapped reader and applies the injection to the
+// span [off, off+n) that came back. A span cut short by the truncation
+// reports io.EOF, as the io.ReaderAt contract requires of a short read.
+func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if r.Inj.TruncateAt >= 0 && off > r.Inj.TruncateAt {
+		return 0, io.EOF
+	}
+	n, err := r.R.ReadAt(p, off)
+	in, _, ierr := r.Inj.apply(p[:n], off)
+	if ierr != nil {
+		return in, ierr
+	}
+	if in < n {
+		return in, io.EOF
+	}
+	return n, err
+}

@@ -450,13 +450,6 @@ func (m *Dense) FindNonFinite() (i, j int, ok bool) {
 	return 0, 0, false
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SelectRows returns a new matrix whose i-th row is m's row ids[i].
 // It panics if any index is out of range.
 func (m *Dense) SelectRows(ids []int) *Dense {

@@ -251,22 +251,6 @@ func (b *BoundedTopK) EnsureK(k int) {
 	b.h.idx = b.h.idx[:0]
 }
 
-// RerankTopK is the exact-re-rank consumer of a two-phase quantized scan
-// (internal/quant): phase 1 selects a candidate pool by approximate score;
-// this re-scores every pool slot with an exact scorer and selects the final
-// top-k under the canonical (value desc, index asc) order. ids[slot] is the
-// emitted index for pool slot `slot` (they must be distinct); score(slot)
-// returns its exact value; candidates may arrive in any order — selection
-// runs on the order-insensitive BoundedTopK. sel is reconfigured to k and
-// consumed; the returned TopK aliases its storage.
-func RerankTopK(sel *BoundedTopK, ids []int, k int, score func(slot int) float64) TopK {
-	sel.EnsureK(k)
-	for slot, id := range ids {
-		sel.Offer(score(slot), id)
-	}
-	return sel.Finalize()
-}
-
 // topKOfSlice returns the k largest entries of row in descending order.
 // If k >= len(row) it returns the fully sorted row.
 func topKOfSlice(row []float64, k int) TopK {

@@ -567,13 +567,6 @@ func (cal *Calibration) shardWallNS(n, m, d, cf float64, s int) float64 {
 	return trainShardNS + assignNS + scanNS*frac + edgeNS*float64(r)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // humanBytes renders a byte count in binary units.
 func humanBytes(b int64) string {
 	switch {

@@ -20,6 +20,12 @@
 // scale-folded query with one per-query scalar and the scan is a pure
 // int8×int8 dot times one float — no per-dimension multiplies inside the
 // loop.
+//
+// The package also hosts the scan core (Scanner, scan.go): the one grouped
+// run-scanner under ann's IVF searches, float and quantized, and under
+// Source's flat scans. It lives here because the walker needs both kernel
+// families and quant is the lowest package that sees both (ann imports
+// quant, quant imports matrix).
 package quant
 
 import (

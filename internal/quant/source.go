@@ -3,7 +3,6 @@ package quant
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"entmatcher/internal/matrix"
 )
@@ -32,7 +31,9 @@ type Source struct {
 	factor         int  // pool over-fetch multiplier; <= 0 means default
 	rerank         bool // false = quantized-only escape hatch
 
-	scratch *sync.Pool // *scanScratch, persistent across queries and calls
+	// fwd scans the target table (source rows query it), rev the source
+	// table: each a Scanner over one run [0, rows) with identity ids.
+	fwd, rev *Scanner
 }
 
 // NewSource validates shapes and returns a quantized producer over the
@@ -71,8 +72,18 @@ func NewSource(inner matrix.TileSource, srcTab, tgtTab *matrix.Dense, srcQ, tgtQ
 	return &Source{
 		inner: inner, srcTab: srcTab, tgtTab: tgtTab, srcQ: srcQ, tgtQ: tgtQ,
 		factor: factor, rerank: rerank,
-		scratch: &sync.Pool{New: func() any { return newScanScratch() }},
+		fwd: flatScanner(tgtQ, tgtTab), rev: flatScanner(srcQ, srcTab),
 	}, nil
+}
+
+// flatScanner views a float table and its SQ8 codes as the scan core's
+// degenerate candidate set: a single run covering every row, positions
+// emitted as they are.
+func flatScanner(tq *Table, ft *matrix.Dense) *Scanner {
+	return &Scanner{
+		Tag: "quant", Dim: tq.dim, Bounds: []int64{0, int64(tq.rows)},
+		Vecs: ft.Data(), Codes: tq.codes, Table: tq,
+	}
 }
 
 // RerankFactor returns the resolved pool over-fetch multiplier.
@@ -104,72 +115,9 @@ func (s *Source) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense
 	return s.inner.Block(ctx, rowIDs, colIDs)
 }
 
-// searchAll scans every query row of qTab against the quantized corpus
-// cq/float corpus cf and returns per-query top-c selections.
-func (s *Source) searchAll(ctx context.Context, qTab *matrix.Dense, cq *Table, cf *matrix.Dense, c int) ([]matrix.TopK, error) {
-	nq := qTab.Rows()
-	out := make([]matrix.TopK, nq)
-	var firstErr error
-	var errMu sync.Mutex
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	// Queries run in register-blocked groups of four sharing each pass over
-	// the code slab (scanTopK4); the ragged remainder takes the per-query
-	// scan. Integer scores are exact, so grouping never changes a result.
-	groups := (nq + 3) / 4
-	err := matrix.ParallelRowsCtx(ctx, groups, func(g int) {
-		qi := g * 4
-		if qi+4 <= nq {
-			var scs [4]*scanScratch
-			var qfs [4][]float64
-			for j := 0; j < 4; j++ {
-				scs[j] = s.scratch.Get().(*scanScratch)
-				qfs[j] = qTab.Row(qi + j)
-			}
-			tks, err := scanTopK4(&scs, &qfs, cq, cf, c, s.factor, s.rerank)
-			if err != nil {
-				record(err)
-			} else {
-				// Each TopK aliases pooled storage; copy out before releasing.
-				for j := 0; j < 4; j++ {
-					out[qi+j] = matrix.TopK{
-						Values:  append([]float64(nil), tks[j].Values...),
-						Indices: append([]int(nil), tks[j].Indices...),
-					}
-				}
-			}
-			for j := 0; j < 4; j++ {
-				s.scratch.Put(scs[j])
-			}
-			return
-		}
-		for ; qi < nq; qi++ {
-			sc := s.scratch.Get().(*scanScratch)
-			tk, err := scanTopK(sc, qTab.Row(qi), cq, cf, c, s.factor, s.rerank)
-			if err != nil {
-				record(err)
-				s.scratch.Put(sc)
-				return
-			}
-			out[qi] = matrix.TopK{
-				Values:  append([]float64(nil), tk.Values...),
-				Indices: append([]int(nil), tk.Indices...),
-			}
-			s.scratch.Put(sc)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+// search runs the two-phase scan of every row of qTab over sc's table.
+func (s *Source) search(ctx context.Context, sc *Scanner, qTab *matrix.Dense, c int) ([]matrix.TopK, error) {
+	return sc.SearchQuant(ctx, qTab, c, nil, s.factor, s.rerank)
 }
 
 // SearchRow answers one forward point query — the top-k target columns for
@@ -177,25 +125,11 @@ func (s *Source) searchAll(ctx context.Context, qTab *matrix.Dense, cq *Table, c
 // build, so a point lookup served from the quantized slabs returns exactly
 // the bits a graph row would carry. The returned TopK owns its storage.
 func (s *Source) SearchRow(ctx context.Context, row, k int) (matrix.TopK, error) {
-	if err := ctx.Err(); err != nil {
-		return matrix.TopK{}, err
-	}
-	if row < 0 || row >= s.srcTab.Rows() {
-		return matrix.TopK{}, fmt.Errorf("quant: row %d out of range [0, %d)", row, s.srcTab.Rows())
-	}
-	if k < 1 {
-		return matrix.TopK{}, fmt.Errorf("quant: k %d < 1", k)
-	}
-	sc := s.scratch.Get().(*scanScratch)
-	defer s.scratch.Put(sc)
-	tk, err := scanTopK(sc, s.srcTab.Row(row), s.tgtQ, s.tgtTab, k, s.factor, s.rerank)
+	tks, err := s.SearchRows(ctx, []int{row}, k)
 	if err != nil {
 		return matrix.TopK{}, err
 	}
-	return matrix.TopK{
-		Values:  append([]float64(nil), tk.Values...),
-		Indices: append([]int(nil), tk.Indices...),
-	}, nil
+	return tks[0], nil
 }
 
 // SearchRows answers several forward point queries in one register-blocked
@@ -220,7 +154,7 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 	for i, row := range rows {
 		copy(qTab.Row(i), s.srcTab.Row(row))
 	}
-	return s.searchAll(ctx, qTab, s.tgtQ, s.tgtTab, k)
+	return s.search(ctx, s.fwd, qTab, k)
 }
 
 // ProduceParts implements matrix.PartsProducer: each requested part is one
@@ -236,17 +170,17 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 	var out matrix.GraphParts
 	var err error
 	if req.C > 0 {
-		if out.Fwd, err = s.graph(ctx, s.srcTab, s.tgtQ, s.tgtTab, req.C); err != nil {
+		if out.Fwd, err = s.graph(ctx, s.fwd, s.srcTab, s.tgtTab.Rows(), req.C); err != nil {
 			return matrix.GraphParts{}, err
 		}
 	}
 	if req.CRev > 0 {
-		if out.Rev, err = s.graph(ctx, s.tgtTab, s.srcQ, s.srcTab, req.CRev); err != nil {
+		if out.Rev, err = s.graph(ctx, s.rev, s.tgtTab, s.srcTab.Rows(), req.CRev); err != nil {
 			return matrix.GraphParts{}, err
 		}
 	}
 	if req.KCol > 0 {
-		tks, err := s.searchAll(ctx, s.tgtTab, s.srcQ, s.srcTab, req.KCol)
+		tks, err := s.search(ctx, s.rev, s.tgtTab, req.KCol)
 		if err != nil {
 			return matrix.GraphParts{}, err
 		}
@@ -255,14 +189,14 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 	return out, nil
 }
 
-// graph scans every row of qTab against the corpus (cq, cf) and assembles
-// the top-c selections into a candidate graph over the corpus rows.
-func (s *Source) graph(ctx context.Context, qTab *matrix.Dense, cq *Table, cf *matrix.Dense, c int) (*matrix.CandGraph, error) {
-	tks, err := s.searchAll(ctx, qTab, cq, cf, c)
+// graph scans every row of qTab over sc's table and assembles the top-c
+// selections into a candidate graph over its width rows.
+func (s *Source) graph(ctx context.Context, sc *Scanner, qTab *matrix.Dense, width, c int) (*matrix.CandGraph, error) {
+	tks, err := s.search(ctx, sc, qTab, c)
 	if err != nil {
 		return nil, err
 	}
-	return matrix.NewCandGraph(cf.Rows(), tks)
+	return matrix.NewCandGraph(width, tks)
 }
 
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward

@@ -20,13 +20,12 @@ import (
 type Stream struct {
 	// src and tgt are the prepared tables: row-L2-normalized copies for
 	// cosine (so a tile is a plain block matmul), the original tables for
-	// the distance metrics. Both are nil in out-of-core mode.
-	src, tgt *matrix.Dense
-	// srcR and tgtR are the out-of-core table views (NewStreamOOC): tiles
-	// are computed from row windows gathered on demand, so resident memory
-	// stays O(tile) no matter the table size. Nil in the in-RAM mode.
-	srcR, tgtR matrix.RowsReader
-	metric     Metric
+	// the distance metrics. A *matrix.Dense — resident or mmapped — is read
+	// in place; any other RowsReader (NewStreamOOC over snapshot slabs) is
+	// read through gathered row windows, so resident memory stays O(tile)
+	// no matter the table size. The table's type is the only switch.
+	src, tgt matrix.RowsReader
+	metric   Metric
 
 	tileRows, tileCols int
 
@@ -60,35 +59,11 @@ func NewStream(src, tgt *matrix.Dense, metric Metric, opts ...StreamOption) (*St
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("sim: nil embedding matrix")
 	}
-	if src.Cols() != tgt.Cols() {
-		return nil, fmt.Errorf("sim: embedding dims differ: %d vs %d", src.Cols(), tgt.Cols())
-	}
-	if src.Rows() == 0 || tgt.Rows() == 0 {
-		return nil, fmt.Errorf("%w: %d source rows, %d target rows", ErrEmptyEmbeddings, src.Rows(), tgt.Rows())
-	}
-	if i, j, ok := src.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: source[%d,%d] = %v", ErrNonFinite, i, j, src.At(i, j))
-	}
-	if i, j, ok := tgt.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: target[%d,%d] = %v", ErrNonFinite, i, j, tgt.At(i, j))
-	}
-	st := &Stream{
-		metric:   metric,
-		tileRows: matrix.DefaultTileRows,
-		tileCols: matrix.DefaultTileCols,
-	}
-	switch metric {
-	case Cosine:
+	st, err := newStream(src, tgt, metric, true, opts)
+	if err == nil && metric == Cosine {
 		st.src, st.tgt = normalizedRows(src), normalizedRows(tgt)
-	case Euclidean, Manhattan:
-		st.src, st.tgt = src, tgt
-	default:
-		return nil, fmt.Errorf("sim: unknown metric %v", metric)
 	}
-	for _, opt := range opts {
-		opt(st)
-	}
-	return st, nil
+	return st, err
 }
 
 // NewStreamPrepared returns a streaming engine over tables that are already
@@ -104,17 +79,50 @@ func NewStreamPrepared(src, tgt *matrix.Dense, metric Metric, opts ...StreamOpti
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("sim: nil embedding matrix")
 	}
-	if src.Cols() != tgt.Cols() {
-		return nil, fmt.Errorf("sim: embedding dims differ: %d vs %d", src.Cols(), tgt.Cols())
+	return newStream(src, tgt, metric, true, opts)
+}
+
+// NewStreamOOC returns an out-of-core streaming engine over prepared tables
+// served through matrix.RowsReader views — typically snapshot slab sections
+// accessed via chunked ReadAt. Tiles are computed from row windows gathered
+// per block, through the same per-row-pair kernels over the same row bytes
+// as a resident table, so every tile is bit-identical to what
+// NewStreamPrepared over the materialized tables would produce; resident
+// memory is O(tileRows·d + tileCols·d + tile) regardless of table size. (A
+// view that is itself a *matrix.Dense is simply read in place.)
+//
+// Unlike NewStream/NewStreamPrepared, no finiteness scan runs at
+// construction — the out-of-core entry point is the snapshot loader, whose
+// per-section CRCs already vouch for the bytes, and the tables were
+// validated finite when the saving run prepared them.
+func NewStreamOOC(src, tgt matrix.RowsReader, metric Metric, opts ...StreamOption) (*Stream, error) {
+	if src == nil || tgt == nil {
+		return nil, fmt.Errorf("sim: nil embedding table view")
 	}
-	if src.Rows() == 0 || tgt.Rows() == 0 {
-		return nil, fmt.Errorf("%w: %d source rows, %d target rows", ErrEmptyEmbeddings, src.Rows(), tgt.Rows())
+	return newStream(src, tgt, metric, false, opts)
+}
+
+// newStream is the one validation and assembly path behind the three
+// constructors: matching dimensions, non-empty, finite, known metric. Only
+// the two *matrix.Dense constructors set finite; NewStreamOOC skips the scan
+// (see there).
+func newStream(src, tgt matrix.RowsReader, metric Metric, finite bool, opts []StreamOption) (*Stream, error) {
+	srcRows, srcCols := src.Dims()
+	tgtRows, tgtCols := tgt.Dims()
+	if srcCols != tgtCols {
+		return nil, fmt.Errorf("sim: embedding dims differ: %d vs %d", srcCols, tgtCols)
 	}
-	if i, j, ok := src.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: source[%d,%d] = %v", ErrNonFinite, i, j, src.At(i, j))
+	if srcRows == 0 || tgtRows == 0 {
+		return nil, fmt.Errorf("%w: %d source rows, %d target rows", ErrEmptyEmbeddings, srcRows, tgtRows)
 	}
-	if i, j, ok := tgt.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: target[%d,%d] = %v", ErrNonFinite, i, j, tgt.At(i, j))
+	if finite {
+		s, t := src.(*matrix.Dense), tgt.(*matrix.Dense)
+		if i, j, ok := s.FindNonFinite(); ok {
+			return nil, fmt.Errorf("%w: source[%d,%d] = %v", ErrNonFinite, i, j, s.At(i, j))
+		}
+		if i, j, ok := t.FindNonFinite(); ok {
+			return nil, fmt.Errorf("%w: target[%d,%d] = %v", ErrNonFinite, i, j, t.At(i, j))
+		}
 	}
 	switch metric {
 	case Cosine, Euclidean, Manhattan:
@@ -134,65 +142,11 @@ func NewStreamPrepared(src, tgt *matrix.Dense, metric Metric, opts ...StreamOpti
 	return st, nil
 }
 
-// NewStreamOOC returns an out-of-core streaming engine over prepared tables
-// served through matrix.RowsReader views — typically snapshot slab sections
-// accessed via chunked ReadAt. Tiles are computed from row windows gathered
-// per block, through the same per-row-pair kernels the in-RAM engine uses,
-// so every tile is bit-identical to what NewStreamPrepared over the
-// materialized tables would produce; resident memory is O(tileRows·d +
-// tileCols·d + tile) regardless of table size.
-//
-// Unlike NewStream/NewStreamPrepared, no finiteness scan runs at
-// construction — the out-of-core entry point is the snapshot loader, whose
-// per-section CRCs already vouch for the bytes, and the tables were
-// validated finite when the saving run prepared them.
-func NewStreamOOC(src, tgt matrix.RowsReader, metric Metric, opts ...StreamOption) (*Stream, error) {
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("sim: nil embedding table view")
-	}
-	srcRows, srcCols := src.Dims()
-	tgtRows, tgtCols := tgt.Dims()
-	if srcCols != tgtCols {
-		return nil, fmt.Errorf("sim: embedding dims differ: %d vs %d", srcCols, tgtCols)
-	}
-	if srcRows == 0 || tgtRows == 0 {
-		return nil, fmt.Errorf("%w: %d source rows, %d target rows", ErrEmptyEmbeddings, srcRows, tgtRows)
-	}
-	switch metric {
-	case Cosine, Euclidean, Manhattan:
-	default:
-		return nil, fmt.Errorf("sim: unknown metric %v", metric)
-	}
-	st := &Stream{
-		srcR:     src,
-		tgtR:     tgt,
-		metric:   metric,
-		tileRows: matrix.DefaultTileRows,
-		tileCols: matrix.DefaultTileCols,
-	}
-	for _, opt := range opts {
-		opt(st)
-	}
-	return st, nil
-}
-
 // OutOfCore reports whether the stream computes tiles from disk-backed row
 // windows instead of resident tables.
-func (s *Stream) OutOfCore() bool { return s.srcR != nil }
-
-// srcDims and tgtDims unify the resident and out-of-core table shapes.
-func (s *Stream) srcDims() (rows, cols int) {
-	if s.src != nil {
-		return s.src.Rows(), s.src.Cols()
-	}
-	return s.srcR.Dims()
-}
-
-func (s *Stream) tgtDims() (rows, cols int) {
-	if s.tgt != nil {
-		return s.tgt.Rows(), s.tgt.Cols()
-	}
-	return s.tgtR.Dims()
+func (s *Stream) OutOfCore() bool {
+	src, _ := s.PreparedTables()
+	return src == nil
 }
 
 // WithDummies returns a view of the stream with n extra virtual columns of
@@ -218,14 +172,13 @@ func (s *Stream) PadCols(n int, score float64) matrix.TileSource {
 // Dims returns the score-matrix shape the stream covers, including any
 // virtual dummy columns.
 func (s *Stream) Dims() (rows, cols int) {
-	srcRows, _ := s.srcDims()
-	tgtRows, _ := s.tgtDims()
-	return srcRows, tgtRows + s.dummyCols
+	srcRows, _ := s.src.Dims()
+	return srcRows, s.RealCols() + s.dummyCols
 }
 
 // RealCols returns the number of non-dummy columns.
 func (s *Stream) RealCols() int {
-	tgtRows, _ := s.tgtDims()
+	tgtRows, _ := s.tgt.Dims()
 	return tgtRows
 }
 
@@ -241,19 +194,18 @@ func (s *Stream) Metric() Metric { return s.metric }
 // In out-of-core mode the tables are not resident and both returns are nil;
 // engines that need resident tables (ANN build, quant re-rank) must be
 // configured off the out-of-core fallback path.
-func (s *Stream) PreparedTables() (src, tgt *matrix.Dense) { return s.src, s.tgt }
-
-// TableViews exposes the out-of-core row readers (nil in resident mode) —
-// the shard partitioner gathers per-shard sub-tables through them.
-func (s *Stream) TableViews() (src, tgt matrix.RowsReader) {
-	if s.srcR != nil {
-		return s.srcR, s.tgtR
+func (s *Stream) PreparedTables() (src, tgt *matrix.Dense) {
+	src, _ = s.src.(*matrix.Dense)
+	tgt, _ = s.tgt.(*matrix.Dense)
+	if src == nil || tgt == nil {
+		return nil, nil
 	}
-	if s.src != nil {
-		return s.src, s.tgt
-	}
-	return nil, nil
+	return src, tgt
 }
+
+// TableViews exposes the prepared tables as row readers, resident or not —
+// the shard partitioner gathers per-shard sub-tables through them.
+func (s *Stream) TableViews() (src, tgt matrix.RowsReader) { return s.src, s.tgt }
 
 // MatrixBytes returns the size the dense score matrix would occupy — the
 // allocation streaming avoids; reporting and memory-budget decisions use it.
@@ -265,16 +217,12 @@ func (s *Stream) MatrixBytes() int64 {
 // TileBytes returns the size of one streamed tile buffer.
 func (s *Stream) TileBytes() int64 { return int64(s.tileRows) * int64(s.tileCols) * 8 }
 
-// kernel fills dst with the (rowOff, colOff)-offset block of real scores.
-func (s *Stream) kernel(dst *matrix.Dense, rowOff, colOff int) {
-	s.kernelTables(dst, s.src, s.tgt, rowOff, colOff)
-}
-
-// kernelTables is the metric dispatch over explicit tables; the out-of-core
-// path calls it with gathered row windows at offset 0, which computes the
-// same per-row-pair kernels over the same bits as the resident path at the
-// original offsets — the bit-identity argument for out-of-core tiles.
-func (s *Stream) kernelTables(dst, a, b *matrix.Dense, aOff, bOff int) {
+// kernel fills dst with the block of real scores between rows aOff.. of a and
+// rows bOff.. of b. Computing from a gathered window at offset 0 runs the
+// same per-row-pair kernels over the same bits as computing from the whole
+// table at the original offsets — the bit-identity argument for out-of-core
+// tiles.
+func (s *Stream) kernel(dst, a, b *matrix.Dense, aOff, bOff int) {
 	switch s.metric {
 	case Cosine:
 		matrix.MulTransposedBlockInto(dst, a, b, aOff, bOff)
@@ -285,73 +233,71 @@ func (s *Stream) kernelTables(dst, a, b *matrix.Dense, aOff, bOff int) {
 	}
 }
 
+// rowWindow serves contiguous row ranges of one table to the tile loop as
+// (table, offset) pairs: a *matrix.Dense is returned as is, zero-copy, at
+// the requested offset; any other reader is gathered into a pooled buffer
+// sized for the largest window and returned at offset 0.
+type rowWindow struct {
+	t   matrix.RowsReader
+	win matrix.Dense
+	buf []float64
+}
+
+func newRowWindow(t matrix.RowsReader, maxRows int) *rowWindow {
+	w := &rowWindow{t: t}
+	if _, resident := t.(*matrix.Dense); !resident {
+		_, d := t.Dims()
+		w.buf = matrix.GetTileBuf(maxRows * d)
+	}
+	return w
+}
+
+func (w *rowWindow) rows(row0, n int) (*matrix.Dense, int, error) {
+	if d, resident := w.t.(*matrix.Dense); resident {
+		return d, row0, nil
+	}
+	_, d := w.t.Dims()
+	if err := w.t.ReadRows(w.buf[:n*d], row0, n); err != nil {
+		return nil, 0, err
+	}
+	return &w.win, 0, w.win.Reshape(n, d, w.buf[:n*d])
+}
+
+func (w *rowWindow) release() {
+	if w.buf != nil {
+		matrix.PutTileBuf(w.buf)
+	}
+}
+
 // StreamTiles produces every tile in row-major block order and feeds each to
 // all consumers. Tiles spanning the virtual dummy range are constant-filled.
 // Cancellation is checked once per tile — each tile is an O(tileRows ×
 // tileCols × d) unit of work, the checkpoint granularity PR 1 established
-// for the dense kernels.
+// for the dense kernels — and once per row block, ahead of its source
+// window. Out of core every row block re-gathers the target table, one
+// window per tile: sequential I/O that the OS page cache absorbs across
+// adjacent row blocks.
 func (s *Stream) StreamTiles(ctx context.Context, consumers ...matrix.TileConsumer) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.OutOfCore() {
-		return s.streamTilesOOC(ctx, consumers...)
-	}
 	rows, cols := s.Dims()
 	realCols := s.RealCols()
 	buf := matrix.GetTileBuf(s.tileRows * s.tileCols)
 	defer matrix.PutTileBuf(buf)
+	srcWin, tgtWin := newRowWindow(s.src, s.tileRows), newRowWindow(s.tgt, s.tileCols)
+	defer srcWin.release()
+	defer tgtWin.release()
 	// One tile header reused across the whole pass; consumers must not
 	// retain it (the TileConsumer contract).
 	tile := new(matrix.Dense)
 	for rb := 0; rb < rows; rb += s.tileRows {
-		rn := min(s.tileRows, rows-rb)
-		for cb := 0; cb < cols; cb += s.tileCols {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			cn := min(s.tileCols, cols-cb)
-			if err := tile.Reshape(rn, cn, buf[:rn*cn]); err != nil {
-				return err
-			}
-			s.fillTile(tile, rb, cb, realCols)
-			for _, c := range consumers {
-				c.ConsumeTile(rb, cb, tile)
-			}
-		}
-	}
-	return nil
-}
-
-// streamTilesOOC is the out-of-core tile pass: the same row-major block
-// order and tile shapes as the resident pass, with each block's source and
-// target rows gathered into reusable windows first. Tile values are
-// bit-identical to the resident pass (same kernels over the same row bytes);
-// resident memory is two windows plus one tile, independent of table size.
-// The target window is re-gathered once per row block — sequential I/O that
-// the OS page cache absorbs across adjacent row blocks.
-func (s *Stream) streamTilesOOC(ctx context.Context, consumers ...matrix.TileConsumer) error {
-	rows, cols := s.Dims()
-	realCols := s.RealCols()
-	_, d := s.srcDims()
-	buf := matrix.GetTileBuf(s.tileRows * s.tileCols)
-	defer matrix.PutTileBuf(buf)
-	srcWinBuf := matrix.GetTileBuf(s.tileRows * d)
-	defer matrix.PutTileBuf(srcWinBuf)
-	tgtWinBuf := matrix.GetTileBuf(s.tileCols * d)
-	defer matrix.PutTileBuf(tgtWinBuf)
-	tile := new(matrix.Dense)
-	srcWin := new(matrix.Dense)
-	tgtWin := new(matrix.Dense)
-	for rb := 0; rb < rows; rb += s.tileRows {
-		rn := min(s.tileRows, rows-rb)
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		if err := s.srcR.ReadRows(srcWinBuf[:rn*d], rb, rn); err != nil {
-			return err
-		}
-		if err := srcWin.Reshape(rn, d, srcWinBuf[:rn*d]); err != nil {
+		rn := min(s.tileRows, rows-rb)
+		a, aOff, err := srcWin.rows(rb, rn)
+		if err != nil {
 			return err
 		}
 		for cb := 0; cb < cols; cb += s.tileCols {
@@ -362,39 +308,20 @@ func (s *Stream) streamTilesOOC(ctx context.Context, consumers ...matrix.TileCon
 			if err := tile.Reshape(rn, cn, buf[:rn*cn]); err != nil {
 				return err
 			}
-			realN := realCols - cb
-			if realN > cn {
-				realN = cn
-			}
+			// realN columns of this tile are real scores, the rest dummies.
+			realN := max(0, min(cn, realCols-cb))
 			if realN > 0 {
-				if err := s.tgtR.ReadRows(tgtWinBuf[:realN*d], cb, realN); err != nil {
+				b, bOff, err := tgtWin.rows(cb, realN)
+				if err != nil {
 					return err
 				}
-				if err := tgtWin.Reshape(realN, d, tgtWinBuf[:realN*d]); err != nil {
-					return err
-				}
-				if realN == cn {
-					s.kernelTables(tile, srcWin, tgtWin, 0, 0)
-				} else {
-					// Split tile at the dummy boundary: compute the real
-					// prefix into scratch, copy row-wise (same as fillTile).
-					real, _ := matrix.NewFromData(rn, realN, matrix.GetTileBuf(rn*realN))
-					s.kernelTables(real, srcWin, tgtWin, 0, 0)
-					for r := 0; r < rn; r++ {
-						copy(tile.Row(r)[:realN], real.Row(r))
-					}
-					matrix.PutTileBuf(real.Data())
-				}
+				s.fillReal(tile, a, b, aOff, bOff, realN)
 			}
 			if realN < cn {
-				start := realN
-				if start < 0 {
-					start = 0
-				}
 				for r := 0; r < rn; r++ {
-					row := tile.Row(r)
-					for c := start; c < cn; c++ {
-						row[c] = s.dummyScore
+					dummies := tile.Row(r)[realN:]
+					for c := range dummies {
+						dummies[c] = s.dummyScore
 					}
 				}
 			}
@@ -406,47 +333,68 @@ func (s *Stream) streamTilesOOC(ctx context.Context, consumers ...matrix.TileCon
 	return nil
 }
 
-// fillTile computes the real-score region of the tile and constant-fills any
-// dummy-column overlap.
-func (s *Stream) fillTile(tile *matrix.Dense, rowOff, colOff, realCols int) {
-	cn := tile.Cols()
-	realN := realCols - colOff // columns of this tile that are real scores
-	if realN > cn {
-		realN = cn
+// fillReal computes the first realN columns of the tile. A tile split by the
+// dummy boundary has a wider stride than its real prefix, which the block
+// kernels cannot write into, so the prefix is computed into a scratch block
+// and copied row-wise.
+func (s *Stream) fillReal(tile, a, b *matrix.Dense, aOff, bOff, realN int) {
+	if realN == tile.Cols() {
+		s.kernel(tile, a, b, aOff, bOff)
+		return
 	}
-	if realN > 0 {
-		if realN == cn {
-			s.kernel(tile, rowOff, colOff)
-		} else {
-			// Split tile: compute the real prefix into a shaped view, then
-			// fill the dummy suffix. The view shares no layout with the tile
-			// (different stride), so compute into a scratch block and copy.
-			real, _ := matrix.NewFromData(tile.Rows(), realN, matrix.GetTileBuf(tile.Rows()*realN))
-			s.kernel(real, rowOff, colOff)
-			for r := 0; r < tile.Rows(); r++ {
-				copy(tile.Row(r)[:realN], real.Row(r))
+	real, _ := matrix.NewFromData(tile.Rows(), realN, matrix.GetTileBuf(tile.Rows()*realN))
+	s.kernel(real, a, b, aOff, bOff)
+	for r := 0; r < tile.Rows(); r++ {
+		copy(tile.Row(r)[:realN], real.Row(r))
+	}
+	matrix.PutTileBuf(real.Data())
+}
+
+// blockRows returns an accessor for the listed rows of t, with ids at or
+// past limit standing for virtual rows (nil): zero-copy views into a
+// *matrix.Dense, a one-time gather of the real rows for any other reader —
+// O(|ids|·d) memory either way.
+func blockRows(t matrix.RowsReader, ids []int, limit int) (func(x int) []float64, error) {
+	if d, resident := t.(*matrix.Dense); resident {
+		return func(x int) []float64 {
+			if id := ids[x]; id < limit {
+				return d.Row(id)
 			}
-			matrix.PutTileBuf(real.Data())
+			return nil
+		}, nil
+	}
+	pos := make([]int, len(ids))
+	realIDs := make([]int, 0, len(ids))
+	for x, id := range ids {
+		pos[x] = -1
+		if id < limit {
+			pos[x] = len(realIDs)
+			realIDs = append(realIDs, id)
 		}
 	}
-	if realN < cn {
-		start := realN
-		if start < 0 {
-			start = 0
-		}
-		for r := 0; r < tile.Rows(); r++ {
-			row := tile.Row(r)
-			for c := start; c < cn; c++ {
-				row[c] = s.dummyScore
-			}
-		}
+	g, err := matrix.GatherRows(t, realIDs)
+	if err != nil {
+		return nil, err
 	}
+	return func(x int) []float64 {
+		if p := pos[x]; p >= 0 {
+			return g.Row(p)
+		}
+		return nil
+	}, nil
 }
 
 // Block materializes the sub-matrix at the row/column ID cross product,
 // computing scores directly from the embedding tables (column IDs at or past
 // RealCols yield the dummy score). This is the mini-batch construction hook
-// for blocked matchers: memory stays O(|rowIDs|·|colIDs|).
+// for blocked matchers: memory stays O(|rowIDs|·|colIDs|), plus the gathered
+// rows out of core.
+//
+// Rows are processed in groups of three; a full cosine group shares each
+// target-row read through the register-blocked kernel (matrix.DotBlock3),
+// everything else — the ragged last group, the distance metrics — takes the
+// per-pair kernel. Blocked and per-pair scores are bit-identical, so Block
+// results do not depend on the grouping.
 func (s *Stream) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -462,65 +410,29 @@ func (s *Stream) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense
 			return nil, fmt.Errorf("sim: block col %d outside %d target cols", j, cols)
 		}
 	}
-	if s.OutOfCore() {
-		return s.blockOOC(ctx, rowIDs, colIDs)
-	}
-	out := matrix.New(len(rowIDs), len(colIDs))
-	realCols := s.RealCols()
-	if s.metric == Cosine {
-		err := s.blockCosine(ctx, out,
-			func(x int) []float64 { return s.src.Row(rowIDs[x]) },
-			func(y int) []float64 {
-				if j := colIDs[y]; j < realCols {
-					return s.tgt.Row(j)
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	err := matrix.ParallelRowsCtx(ctx, len(rowIDs), func(x int) {
-		i := rowIDs[x]
-		srow := s.src.Row(i)
-		drow := out.Row(x)
-		for y, j := range colIDs {
-			if j >= realCols {
-				drow[y] = s.dummyScore
-				continue
-			}
-			trow := s.tgt.Row(j)
-			switch s.metric {
-			case Euclidean:
-				drow[y] = matrix.NegEuclidean(srow, trow)
-			case Manhattan:
-				drow[y] = matrix.NegManhattan(srow, trow)
-			}
-		}
-	})
+	srcRow, err := blockRows(s.src, rowIDs, rows)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// blockCosine fills out[x][y] = Dot4(srcRow(x), tgtRow(y)), with a nil
-// tgtRow(y) standing for a dummy column (constant dummyScore). Source rows
-// are processed in register-blocked groups of three sharing each target-row
-// read (matrix.DotBlock3); the ragged last group falls back to the per-pair
-// kernel. Every score is bit-identical to the per-pair Dot4 path, so Block
-// results do not depend on the grouping.
-func (s *Stream) blockCosine(ctx context.Context, out *matrix.Dense, srcRow, tgtRow func(int) []float64) error {
-	rows, cols := out.Rows(), out.Cols()
-	groups := (rows + 2) / 3
-	return matrix.ParallelRowsCtx(ctx, groups, func(g int) {
+	tgtRow, err := blockRows(s.tgt, colIDs, s.RealCols())
+	if err != nil {
+		return nil, err
+	}
+	pair := matrix.Dot4
+	switch s.metric {
+	case Euclidean:
+		pair = matrix.NegEuclidean
+	case Manhattan:
+		pair = matrix.NegManhattan
+	}
+	out := matrix.New(len(rowIDs), len(colIDs))
+	err = matrix.ParallelRowsCtx(ctx, (len(rowIDs)+2)/3, func(g int) {
 		x := g * 3
-		if x+3 <= rows {
+		if s.metric == Cosine && x+3 <= len(rowIDs) {
 			s0, s1, s2 := srcRow(x), srcRow(x+1), srcRow(x+2)
 			d0, d1, d2 := out.Row(x), out.Row(x+1), out.Row(x+2)
 			var blk [3]float64
-			for y := 0; y < cols; y++ {
+			for y := range colIDs {
 				trow := tgtRow(y)
 				if trow == nil {
 					d0[y], d1[y], d2[y] = s.dummyScore, s.dummyScore, s.dummyScore
@@ -531,77 +443,14 @@ func (s *Stream) blockCosine(ctx context.Context, out *matrix.Dense, srcRow, tgt
 			}
 			return
 		}
-		for ; x < rows; x++ {
-			srow := srcRow(x)
-			drow := out.Row(x)
-			for y := 0; y < cols; y++ {
-				trow := tgtRow(y)
-				if trow == nil {
+		for end := min(x+3, len(rowIDs)); x < end; x++ {
+			srow, drow := srcRow(x), out.Row(x)
+			for y := range colIDs {
+				if trow := tgtRow(y); trow != nil {
+					drow[y] = pair(srow, trow)
+				} else {
 					drow[y] = s.dummyScore
-					continue
 				}
-				drow[y] = matrix.Dot4(srow, trow)
-			}
-		}
-	})
-}
-
-// blockOOC materializes a block in out-of-core mode: the requested source
-// and (real) target rows are gathered once into small resident sub-tables,
-// then scored with the same per-element kernels as the resident Block —
-// identical values, O(|rowIDs|·d + |colIDs|·d + block) memory.
-func (s *Stream) blockOOC(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense, error) {
-	realCols := s.RealCols()
-	srcB, err := matrix.GatherRows(s.srcR, rowIDs)
-	if err != nil {
-		return nil, err
-	}
-	// Dummy columns have no backing rows; map each output column to its
-	// gathered target row, or -1 for the constant dummy score.
-	pos := make([]int, len(colIDs))
-	realIDs := make([]int, 0, len(colIDs))
-	for y, j := range colIDs {
-		if j < realCols {
-			pos[y] = len(realIDs)
-			realIDs = append(realIDs, j)
-		} else {
-			pos[y] = -1
-		}
-	}
-	tgtB, err := matrix.GatherRows(s.tgtR, realIDs)
-	if err != nil {
-		return nil, err
-	}
-	out := matrix.New(len(rowIDs), len(colIDs))
-	if s.metric == Cosine {
-		err := s.blockCosine(ctx, out,
-			func(x int) []float64 { return srcB.Row(x) },
-			func(y int) []float64 {
-				if p := pos[y]; p >= 0 {
-					return tgtB.Row(p)
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	err = matrix.ParallelRowsCtx(ctx, len(rowIDs), func(x int) {
-		srow := srcB.Row(x)
-		drow := out.Row(x)
-		for y := range colIDs {
-			p := pos[y]
-			if p < 0 {
-				drow[y] = s.dummyScore
-				continue
-			}
-			trow := tgtB.Row(p)
-			switch s.metric {
-			case Euclidean:
-				drow[y] = matrix.NegEuclidean(srow, trow)
-			case Manhattan:
-				drow[y] = matrix.NegManhattan(srow, trow)
 			}
 		}
 	})
@@ -609,11 +458,4 @@ func (s *Stream) blockOOC(ctx context.Context, rowIDs, colIDs []int) (*matrix.De
 		return nil, err
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
