@@ -88,6 +88,32 @@ func BenchmarkMatchers(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseBodies times the three dense matcher bodies that dominate the
+// paper_dense harness workload (SMat's preference builds, RInf's rank
+// transforms, Sinkhorn's normalization sweeps) in isolation at n = 1000, with
+// allocations reported: their scratch is pooled, so allocs/op must not grow
+// with n.
+func BenchmarkDenseBodies(b *testing.B) {
+	ctx := &entmatcher.MatchContext{S: benchMatrix(1000)}
+	for _, bc := range []struct {
+		name string
+		m    entmatcher.Matcher
+	}{
+		{"smat", entmatcher.NewSMat()},
+		{"rinf", entmatcher.NewRInf()},
+		{"sinkhorn", entmatcher.NewSinkhorn(entmatcher.DefaultSinkhornIterations)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.m.Match(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPipelinePrepare measures the substrate cost: dataset generation,
 // encoding and similarity-matrix construction.
 func BenchmarkPipelinePrepare(b *testing.B) {

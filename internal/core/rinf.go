@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"entmatcher/internal/matrix"
@@ -80,22 +79,14 @@ func (t ReciprocalTransform) TransformContext(ctx context.Context, s *matrix.Den
 	}
 
 	// P_st(u, v) = S(u, v) − colMax(v) + 1.
-	pst := s.Clone()
-	if err := pst.SubRowVector(colMaxes); err != nil {
-		return nil, err
-	}
-	pst.Apply(func(v float64) float64 { return v + 1 })
-	if err := ctxErr(ctx); err != nil {
+	pst := matrix.New(rows, cols)
+	if err := preferenceInto(ctx, pst, s, colMaxes); err != nil {
 		return nil, err
 	}
 
 	// P_ts(v, u) = S(u, v) − rowMax(u) + 1, stored transposed (cols×rows).
 	pts := s.Transpose()
-	if err := pts.SubRowVector(rowMaxes); err != nil {
-		return nil, err
-	}
-	pts.Apply(func(v float64) float64 { return v + 1 })
-	if err := ctxErr(ctx); err != nil {
+	if err := preferenceInto(ctx, pts, pts, rowMaxes); err != nil {
 		return nil, err
 	}
 
@@ -109,14 +100,30 @@ func (t ReciprocalTransform) TransformContext(ctx context.Context, s *matrix.Den
 	}
 	// Reciprocal rank matrix: −(R_st + R_tsᵀ)/2.
 	ptsT := pts.Transpose()
-	for i := 0; i < rows; i++ {
+	if err := matrix.ParallelRowsCtx(ctx, rows, func(i int) {
 		dst := pst.Row(i)
 		add := ptsT.Row(i)
 		for j := range dst {
 			dst[j] = -(dst[j] + add[j]) / 2
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return pst, nil
+}
+
+// preferenceInto writes dst(i, j) = (src(i, j) − best[j]) + 1 in one sweep;
+// dst may be src. The subtraction and the addition are two rounded
+// operations on purpose: folding them into src − (best − 1) changes low bits,
+// and the structural ties of the rank transform — every cell attaining its
+// column maximum has preference exactly 1 — depend on them.
+func preferenceInto(ctx context.Context, dst, src *matrix.Dense, best []float64) error {
+	return matrix.ParallelRowsCtx(ctx, dst.Rows(), func(i int) {
+		d, s := dst.Row(i), src.Row(i)
+		for j, b := range best[:len(d)] {
+			d[j] = (s[j] - b) + 1
+		}
+	})
 }
 
 // ExtraBytes counts the preference matrices in both directions plus the
@@ -297,16 +304,8 @@ func NewRInfPB(c int) *RInfPB { return &RInfPB{C: c} }
 // matching the tie-break of the dense rank transform so that RInf-pb with a
 // full-width block reproduces RInf exactly. Preference ties are structural
 // here: every cell that attains its column maximum has preference exactly 1.
-func argsortDescByKey(v []float64, key []int) []int {
-	order := make([]int, len(v))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if v[order[a]] != v[order[b]] {
-			return v[order[a]] > v[order[b]]
-		}
-		return key[order[a]] < key[order[b]]
-	})
+func argsortDescByKey(v []float64, key []int) []int32 {
+	order := make([]int32, len(v))
+	matrix.OrderDescByKey(order, v, key)
 	return order
 }

@@ -34,7 +34,7 @@ func (t SinkhornTransform) Transform(s *matrix.Dense) (*matrix.Dense, error) {
 }
 
 // TransformContext is Transform with cooperative cancellation, checked once
-// per normalization iteration (each iteration is two full passes over the
+// per normalization iteration (each iteration is two full sweeps of the
 // matrix) and inside the exponentiation kernel.
 func (t SinkhornTransform) TransformContext(ctx context.Context, s *matrix.Dense) (*matrix.Dense, error) {
 	if t.L < 0 {
@@ -55,21 +55,30 @@ func (t SinkhornTransform) TransformContext(ctx context.Context, s *matrix.Dense
 	if err := out.ApplyContext(ctx, func(v float64) float64 { return math.Exp((v - gmax) * inv) }); err != nil {
 		return nil, err
 	}
+	// Each iteration is a row normalization followed by a column one. The
+	// column scale is not applied in a sweep of its own: colScale carries it
+	// into the next iteration's row pass (bit-identical, see
+	// ScaleColsNormalizeRowsInPlace), and the last one is applied after the
+	// loop, so an iteration sweeps the matrix twice instead of three times.
 	const eps = 1e-300
+	var colScale []float64
 	for l := 0; l < t.L; l++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		out.NormalizeRowsInPlace(eps)
-		out.NormalizeColsInPlace(eps)
+		out.ScaleColsNormalizeRowsInPlace(colScale, eps)
+		colScale = out.ColNormalizers(eps)
+	}
+	if colScale != nil {
+		out.ScaleColsInPlace(colScale)
 	}
 	return out, nil
 }
 
 // ExtraBytes is the exponentiated working copy (the paper: Sinkhorn "needs
-// to store intermediate results") plus the column-sum and inverse scratch
-// vectors of each column normalization, both live alongside the copy at
-// peak, per the package accounting rule.
+// to store intermediate results") plus two column vectors — the column scale
+// the last row pass applied and the sums the next one is computed from — both
+// live alongside the copy at peak, per the package accounting rule.
 func (SinkhornTransform) ExtraBytes(rows, cols int) int64 {
 	return matBytes(rows, cols) + int64(cols)*16
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"entmatcher/internal/matrix"
 )
+
+// colGatherTile is how many columns GaleShapleyDecider gathers per pass over
+// the rows when it builds the column rank tables: 8 doubles are one cache
+// line, so a tile reads every line of s it touches exactly once.
+const colGatherTile = 8
 
 // GaleShapleyDecider computes a stable matching between rows and columns
 // (the paper's § 3.6, SMat): no row and column would both prefer each other
@@ -32,56 +36,43 @@ func (GaleShapleyDecider) Decide(ctx *Context, s *matrix.Dense) ([]Pair, []int, 
 	}
 	cc := ctx.Cancellation()
 
-	// Row preference lists: columns in descending score order.
-	rowPref := make([][]int32, rows)
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, nil, err
-			}
-		}
-		row := s.Row(i)
-		order := make([]int32, cols)
-		for j := range order {
-			order[j] = int32(j)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			va, vb := row[order[a]], row[order[b]]
-			if va != vb {
-				return va > vb
-			}
-			return order[a] < order[b]
-		})
-		rowPref[i] = order
+	// Row preference lists: row i's columns in (score desc, column asc) order
+	// at rowPref[i*cols:(i+1)*cols]. One slab, not one slice per row.
+	rowPref := make([]int32, rows*cols)
+	if err := matrix.ParallelRowsCtx(cc, rows, func(i int) {
+		matrix.OrderDesc(rowPref[i*cols:(i+1)*cols], s.Row(i))
+	}); err != nil {
+		return nil, nil, err
 	}
 
-	// Column rank tables: colRank[j][i] = position of row i in column j's
-	// preference (lower is better).
-	colRank := make([][]int32, cols)
-	{
-		order := make([]int, rows)
-		for j := 0; j < cols; j++ {
-			if j%checkRowStride == 0 {
-				if err := ctxErr(cc); err != nil {
-					return nil, nil, err
-				}
-			}
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				va, vb := s.At(order[a], j), s.At(order[b], j)
-				if va != vb {
-					return va > vb
-				}
-				return order[a] < order[b]
-			})
-			ranks := make([]int32, rows)
-			for r, i := range order {
-				ranks[i] = int32(r)
-			}
-			colRank[j] = ranks
+	// Column rank tables: colRank[j*rows+i] = position of row i in column j's
+	// preference (lower is better). The ranking primitive wants contiguous
+	// values and a column of s is strided, so each worker gathers
+	// colGatherTile columns at a time into pooled scratch — one cache line of
+	// every row per tile, Θ(rows) scratch per worker, no transposed copy of s.
+	colRank := make([]int32, cols*rows)
+	tiles := (cols + colGatherTile - 1) / colGatherTile
+	if err := matrix.ParallelRowsCtx(cc, tiles, func(t int) {
+		j0 := t * colGatherTile
+		// ParallelRowsCtx polls once per 64 items — tiles here — so poll
+		// here as well to keep the bound at checkRowStride columns.
+		if j0%checkRowStride == 0 && ctxErr(cc) != nil {
+			return
 		}
+		w := min(colGatherTile, cols-j0)
+		buf := matrix.GetTileBuf(w * rows)
+		for i := 0; i < rows; i++ {
+			for c, v := range s.Row(i)[j0 : j0+w] {
+				buf[c*rows+i] = v
+			}
+		}
+		for c := 0; c < w; c++ {
+			j := j0 + c
+			matrix.RanksDesc(colRank[j*rows:(j+1)*rows], buf[c*rows:(c+1)*rows])
+		}
+		matrix.PutTileBuf(buf)
+	}); err != nil {
+		return nil, nil, err
 	}
 
 	// Deferred acceptance.
@@ -111,7 +102,7 @@ func (GaleShapleyDecider) Decide(ctx *Context, s *matrix.Dense) ([]Pair, []int, 
 					return nil, nil, err
 				}
 			}
-			j := int(rowPref[i][next[i]])
+			j := int(rowPref[i*cols+next[i]])
 			next[i]++
 			cur := engaged[j]
 			if cur == -1 {
@@ -119,7 +110,7 @@ func (GaleShapleyDecider) Decide(ctx *Context, s *matrix.Dense) ([]Pair, []int, 
 				i = -1
 				break
 			}
-			if colRank[j][i] < colRank[j][cur] {
+			if colRank[j*rows+i] < colRank[j*rows+cur] {
 				engaged[j] = i
 				i = cur // the displaced row proposes again
 			}
@@ -155,8 +146,9 @@ func (GaleShapleyDecider) Decide(ctx *Context, s *matrix.Dense) ([]Pair, []int, 
 // ExtraBytes counts both materialized preference structures (2·n·m int32) —
 // the dominant cost that makes SMat the least space-efficient algorithm in
 // the paper's comparison — plus the deferred-acceptance bookkeeping live
-// alongside them (next/free/assigned and the column sort scratch, Θ(rows)
-// each; the engaged table, Θ(cols)), per the package accounting rule.
+// alongside them (next/free/assigned and a column's gather-and-sort scratch,
+// Θ(rows) each; the engaged table, Θ(cols)), per the package accounting rule.
+// The scratch is per worker and pooled; the rule counts it once.
 func (GaleShapleyDecider) ExtraBytes(rows, cols int) int64 {
 	return 2*int64(rows)*int64(cols)*4 + int64(rows)*32 + int64(cols)*8
 }

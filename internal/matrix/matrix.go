@@ -384,15 +384,29 @@ func (m *Dense) RowSums() []float64 {
 	return out
 }
 
-// ColSums returns the per-column sums.
+// ColSums returns the per-column sums. The workers split the columns, not the
+// rows, so every column still accumulates its rows in ascending row order and
+// the sums are bit-identical to a serial row-major sweep at any worker count.
+// Four rows are added per load and store of the accumulator; the additions of
+// one column keep their order.
 func (m *Dense) ColSums() []float64 {
 	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
+	parallelChunks(m.cols, func(lo, hi int) {
+		acc := out[lo:hi]
+		stripe := func(i int) []float64 { return m.data[i*m.cols+lo : i*m.cols+hi][:len(acc)] }
+		i := 0
+		for ; i+4 <= m.rows; i += 4 {
+			r0, r1, r2, r3 := stripe(i), stripe(i+1), stripe(i+2), stripe(i+3)
+			for j, a := range acc {
+				acc[j] = a + r0[j] + r1[j] + r2[j] + r3[j]
+			}
 		}
-	}
+		for ; i < m.rows; i++ {
+			for j, v := range stripe(i) {
+				acc[j] += v
+			}
+		}
+	})
 	return out
 }
 
@@ -400,38 +414,106 @@ func (m *Dense) ColSums() []float64 {
 // Rows whose sum has absolute value below eps are left untouched to avoid
 // division blow-up.
 func (m *Dense) NormalizeRowsInPlace(eps float64) {
-	parallelRows(m.rows, func(i int) {
-		row := m.Row(i)
-		var s float64
-		for _, v := range row {
-			s += v
+	m.ScaleColsNormalizeRowsInPlace(nil, eps)
+}
+
+// ScaleColsNormalizeRowsInPlace multiplies column j by scale[j] and then
+// normalizes the rows as NormalizeRowsInPlace does, in one sweep; a nil scale
+// stands for all ones (x·1 is x, exactly). The result is bit-identical to
+// ScaleColsInPlace followed by NormalizeRowsInPlace: the product is rounded
+// to a double before it is summed (the conversion forbids fusing it into the
+// addition), the row sum adds those doubles in ascending column order, and a
+// row the eps guard skips keeps its scaled values. This is what lets Sinkhorn
+// defer each column normalization into the next row pass.
+//
+// A row sum in column order is one chain of dependent additions, so a single
+// row runs at the adder's latency; the sweep therefore sums four rows at a
+// time — four independent chains, each in its own order.
+func (m *Dense) ScaleColsNormalizeRowsInPlace(scale []float64, eps float64) {
+	if scale == nil {
+		scale = make([]float64, m.cols)
+		for j := range scale {
+			scale[j] = 1
 		}
+	}
+	scale = scale[:m.cols]
+	divide := func(r []float64, s float64) {
 		if math.Abs(s) < eps {
 			return
 		}
 		inv := 1 / s
-		for j := range row {
-			row[j] *= inv
+		for j := range r {
+			r[j] *= inv
+		}
+	}
+	parallelChunks(m.rows, func(lo, hi int) {
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+			s0, s1, s2, s3 := scaleSum4(r0, r1, r2, r3, scale)
+			divide(r0, s0)
+			divide(r1, s1)
+			divide(r2, s2)
+			divide(r3, s3)
+		}
+		for ; i < hi; i++ {
+			r := m.Row(i)
+			divide(r, scaleSum(r, scale))
 		}
 	})
+}
+
+// scaleSum multiplies r[j] by scale[j] in place and returns the sum of the
+// products, added in ascending j order.
+func scaleSum(r, scale []float64) (s float64) {
+	r = r[:len(scale)]
+	for j, c := range scale {
+		t := float64(r[j] * c)
+		r[j] = t
+		s += t
+	}
+	return s
+}
+
+// scaleSum4 is scaleSum over four rows at once.
+func scaleSum4(r0, r1, r2, r3, scale []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(scale)], r1[:len(scale)], r2[:len(scale)], r3[:len(scale)]
+	for j, c := range scale {
+		t0, t1, t2, t3 := float64(r0[j]*c), float64(r1[j]*c), float64(r2[j]*c), float64(r3[j]*c)
+		r0[j], r1[j], r2[j], r3[j] = t0, t1, t2, t3
+		s0, s1, s2, s3 = s0+t0, s1+t1, s2+t2, s3+t3
+	}
+	return s0, s1, s2, s3
 }
 
 // NormalizeColsInPlace divides every column by its sum so columns sum to 1.
 // Columns whose sum has absolute value below eps are left untouched.
 func (m *Dense) NormalizeColsInPlace(eps float64) {
-	sums := m.ColSums()
-	inv := make([]float64, m.cols)
-	for j, s := range sums {
+	m.ScaleColsInPlace(m.ColNormalizers(eps))
+}
+
+// ColNormalizers returns the factors NormalizeColsInPlace multiplies the
+// columns by: 1/sum per column, and 1 where the sum's absolute value is below
+// eps.
+func (m *Dense) ColNormalizers(eps float64) []float64 {
+	inv := m.ColSums()
+	for j, s := range inv {
 		if math.Abs(s) < eps {
 			inv[j] = 1
 		} else {
 			inv[j] = 1 / s
 		}
 	}
+	return inv
+}
+
+// ScaleColsInPlace multiplies column j by scale[j]. len(scale) must be at
+// least Cols().
+func (m *Dense) ScaleColsInPlace(scale []float64) {
 	parallelRows(m.rows, func(i int) {
 		row := m.Row(i)
-		for j := range row {
-			row[j] *= inv[j]
+		for j, c := range scale[:len(row)] {
+			row[j] *= c
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TopK holds the k largest values of a row together with their column
 // indices, in descending value order.
@@ -317,18 +314,10 @@ func (m *Dense) ColTopKMeans(k int) []float64 {
 func (m *Dense) RowRanksInPlace() {
 	parallelRows(m.rows, func(i int) {
 		row := m.Row(i)
-		order := make([]int, len(row))
-		for j := range order {
-			order[j] = j
+		r := rankerPool.Get().(*ranker)
+		for rank, j := range r.orderDesc(row) {
+			row[j] = float64(rank + 1)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			if row[order[a]] != row[order[b]] {
-				return row[order[a]] > row[order[b]]
-			}
-			return order[a] < order[b]
-		})
-		for r, j := range order {
-			row[j] = float64(r + 1)
-		}
+		rankerPool.Put(r)
 	})
 }

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -175,5 +176,34 @@ func TestRowRanksOrderPreserving(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankingAllocatesNothingWarm pins the pooled scratch of the ranking
+// primitive: once a ranker of the row's size is in the pool, ranking a row
+// allocates nothing, and RowRanksInPlace costs its two driver closures however
+// many rows it ranks. (GOMAXPROCS is pinned because sync.Pool caches per P.)
+func TestRankingAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a share of Puts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(5))
+	m := randMatrix(rng, 64, 500)
+	vals := append([]float64(nil), m.Row(0)...)
+	key := rng.Perm(len(vals))
+	order := make([]int32, len(vals))
+	for name, rank := range map[string]func(){
+		"OrderDesc":      func() { OrderDesc(order, vals) },
+		"RanksDesc":      func() { RanksDesc(order, vals) },
+		"OrderDescByKey": func() { OrderDescByKey(order, vals, key) },
+	} {
+		rank() // warm
+		if allocs := testing.AllocsPerRun(50, rank); allocs != 0 {
+			t.Errorf("%s allocates %v times per row on warmed scratch, want 0", name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, m.RowRanksInPlace); allocs > 2 {
+		t.Errorf("RowRanksInPlace allocates %v times for %d rows, want its 2 closures", allocs, m.Rows())
 	}
 }
