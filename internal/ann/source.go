@@ -276,36 +276,9 @@ func (s *Source) nprobeFor(ivf *IVF) int {
 // than the dense path's heap-array order, so means can differ in the last
 // ulps (KCol = 1 is exact).
 func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
-	var out matrix.GraphParts
-	var err error
-	if req.C > 0 {
-		if out.Fwd, err = s.graph(ctx, s.fwdIndex, s.srcTab, s.tgtTab.Rows(), req.C); err != nil {
-			return matrix.GraphParts{}, err
-		}
-	}
-	if req.CRev > 0 {
-		if out.Rev, err = s.graph(ctx, s.revIndex, s.tgtTab, s.srcTab.Rows(), req.CRev); err != nil {
-			return matrix.GraphParts{}, err
-		}
-	}
-	if req.KCol > 0 {
-		tks, err := s.search(ctx, s.revIndex, s.tgtTab, req.KCol)
-		if err != nil {
-			return matrix.GraphParts{}, err
-		}
-		out.ColMeans = matrix.TopKMeans(tks)
-	}
-	return out, nil
-}
-
-// graph searches every query row for its top-c corpus rows and assembles the
-// selections into a candidate graph over a width-wide column space.
-func (s *Source) graph(ctx context.Context, get func(context.Context) (*IVF, error), queries *matrix.Dense, width, c int) (*matrix.CandGraph, error) {
-	tks, err := s.search(ctx, get, queries, c)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.NewCandGraph(width, tks)
+	return matrix.SearchedParts(req, s.srcTab.Rows(), s.tgtTab.Rows(),
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwdIndex, s.srcTab, c) },
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.revIndex, s.tgtTab, c) })
 }
 
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward

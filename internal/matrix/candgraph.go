@@ -260,6 +260,40 @@ func TopKMeans(tks []TopK) []float64 {
 	return out
 }
 
+// SearchedParts is ProduceParts for a producer that answers by search: fwd(c)
+// returns the top-c columns of every row, rev(c) the top-c rows of every
+// column. Each requested part is one search and nothing else is derived; the
+// column statistic is TopKMeans of a reverse search.
+func SearchedParts(req GraphRequest, rows, cols int, fwd, rev func(c int) ([]TopK, error)) (GraphParts, error) {
+	var out GraphParts
+	graph := func(search func(int) ([]TopK, error), c, width int) (*CandGraph, error) {
+		tks, err := search(c)
+		if err != nil {
+			return nil, err
+		}
+		return NewCandGraph(width, tks)
+	}
+	var err error
+	if req.C > 0 {
+		if out.Fwd, err = graph(fwd, req.C, cols); err != nil {
+			return GraphParts{}, err
+		}
+	}
+	if req.CRev > 0 {
+		if out.Rev, err = graph(rev, req.CRev, rows); err != nil {
+			return GraphParts{}, err
+		}
+	}
+	if req.KCol > 0 {
+		tks, err := rev(req.KCol)
+		if err != nil {
+			return GraphParts{}, err
+		}
+		out.ColMeans = TopKMeans(tks)
+	}
+	return out, nil
+}
+
 // BuildCandGraph streams src once and returns the forward candidate graph:
 // the top-c columns of every row (c is clamped to the matrix width). All
 // candidate selection funnels through the same bounded heap the dense

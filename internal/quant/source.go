@@ -167,36 +167,9 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 // than the dense path's heap-array order, so means can differ in the last
 // ulps at KCol > 1 (KCol = 1 is pinned exact).
 func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
-	var out matrix.GraphParts
-	var err error
-	if req.C > 0 {
-		if out.Fwd, err = s.graph(ctx, s.fwd, s.srcTab, s.tgtTab.Rows(), req.C); err != nil {
-			return matrix.GraphParts{}, err
-		}
-	}
-	if req.CRev > 0 {
-		if out.Rev, err = s.graph(ctx, s.rev, s.tgtTab, s.srcTab.Rows(), req.CRev); err != nil {
-			return matrix.GraphParts{}, err
-		}
-	}
-	if req.KCol > 0 {
-		tks, err := s.search(ctx, s.rev, s.tgtTab, req.KCol)
-		if err != nil {
-			return matrix.GraphParts{}, err
-		}
-		out.ColMeans = matrix.TopKMeans(tks)
-	}
-	return out, nil
-}
-
-// graph scans every row of qTab over sc's table and assembles the top-c
-// selections into a candidate graph over its width rows.
-func (s *Source) graph(ctx context.Context, sc *Scanner, qTab *matrix.Dense, width, c int) (*matrix.CandGraph, error) {
-	tks, err := s.search(ctx, sc, qTab, c)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.NewCandGraph(width, tks)
+	return matrix.SearchedParts(req, s.srcTab.Rows(), s.tgtTab.Rows(),
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwd, s.srcTab, c) },
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.rev, s.tgtTab, c) })
 }
 
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward

@@ -288,25 +288,27 @@ func New(path string, cfg Config, opts ...Option) (*Server, error) {
 // a memory mapping of the file instead of heap copies — the kernel pages
 // table bytes in on demand and can evict them under pressure, so a snapshot
 // far larger than RAM still serves. The vocabularies, indexes and SQ8 codes
-// (small next to the tables) load normally. When the platform has no mmap or
-// the mapping fails, it falls back to New's full load — same answers, just
-// resident — and Mapped reports which mode won. Close the returned server to
-// release the mapping.
+// (small next to the tables) load normally. Where the platform or build
+// cannot map the tables it materializes them from the reader it already
+// verified — same answers, just resident — and Mapped reports which mode
+// won. Close the returned server to release the mapping.
 func NewMapped(path string, cfg Config, opts ...Option) (*Server, error) {
 	r, err := snapshot.OpenReaderLimit(path, cfg.withDefaults().MaxSnapshotBytes)
 	if err != nil {
 		return nil, err
 	}
 	snap, err := r.Mapped(true, true)
-	if err != nil {
-		cerr := r.Close()
-		if errors.Is(err, snapshot.ErrMalformed) || cerr != nil {
-			// A malformed section would fail the full load too; surface it
-			// rather than loading the same bad bytes twice.
-			return nil, errors.Join(err, cerr)
-		}
+	if errors.Is(err, snapshot.ErrMmapUnsupported) {
 		log.Printf("entserver: mmap unavailable (%v), loading snapshot into memory", err)
-		return New(path, cfg, opts...)
+		// A materialized snapshot owns its bytes: the file is done with.
+		snap, err = r.Materialize()
+		if err = errors.Join(err, r.Close()); err != nil {
+			return nil, err
+		}
+		return NewFromSnapshot(snap, cfg, opts...)
+	}
+	if err != nil {
+		return nil, errors.Join(err, r.Close())
 	}
 	s, err := NewFromSnapshot(snap, cfg, opts...)
 	if err != nil {

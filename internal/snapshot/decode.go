@@ -3,9 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -162,29 +160,94 @@ func (c *cursor) done() error {
 	return nil
 }
 
+// The shape rules. Each reads one numeric section's prefix off c and checks
+// it against the payload length slen: every dimension capped (cursor.dim),
+// none empty, and the payload exactly as long as the shape implies. They are
+// the only statement of those rules — the open-time walk applies them to the
+// prefix alone (Reader.prefix), the decoders below to the whole payload.
+
+// cells returns a×b for two dim-capped counts, rejecting slabs no file could
+// hold so that no payload length below can overflow int64.
+func cells(a, b int) (int64, error) {
+	if a > 0 && int64(b) > (1<<56)/int64(a) {
+		return 0, fmt.Errorf("%w: implausible slab of %d×%d values", ErrMalformed, a, b)
+	}
+	return int64(a) * int64(b), nil
+}
+
+// dims reads n shape fields.
+func (c *cursor) dims(fields ...*int) (err error) {
+	for _, f := range fields {
+		if *f, err = c.dim(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// slabShape: rows, dim, then perDim header bytes per dimension and rows×dim
+// values of width bytes each.
+func slabShape(c *cursor, slen int64, what string, perDim, width int64) (sh shape, err error) {
+	if err = c.dims(&sh.rows, &sh.dim); err != nil {
+		return sh, err
+	}
+	if sh.rows <= 0 || sh.dim <= 0 {
+		return sh, fmt.Errorf("%w: empty %s %d×%d", ErrMalformed, what, sh.rows, sh.dim)
+	}
+	n, err := cells(sh.rows, sh.dim)
+	if err != nil {
+		return sh, err
+	}
+	if want, body := int64(sh.dim)*perDim+n*width, slen-int64(c.off); want != body {
+		return sh, fmt.Errorf("%w: %s claims %d×%d (%d bytes) but payload holds %d",
+			ErrMalformed, what, sh.rows, sh.dim, want, body)
+	}
+	return sh, nil
+}
+
+// tableShape: rows, cols, then rows×cols float64s.
+func tableShape(c *cursor, slen int64) (shape, error) { return slabShape(c, slen, "table", 0, 8) }
+
+// sq8Shape: rows, dim, then per-dimension scales (dim f64) and rows×dim int8
+// codes.
+func sq8Shape(c *cursor, slen int64) (shape, error) { return slabShape(c, slen, "SQ8 table", 8, 1) }
+
+// ivfShape: dim, n, k, then centroids (k×dim f64), list pointers (k+1 i64),
+// ids (n i32, padded to 8), vectors (n×dim f64).
+func ivfShape(c *cursor, slen int64) (sh shape, err error) {
+	if err = c.dims(&sh.dim, &sh.rows, &sh.k); err != nil {
+		return sh, err
+	}
+	if sh.dim <= 0 || sh.rows <= 0 || sh.k <= 0 {
+		return sh, fmt.Errorf("%w: index claims shape dim=%d n=%d k=%d", ErrMalformed, sh.dim, sh.rows, sh.k)
+	}
+	cents, err := cells(sh.k, sh.dim)
+	if err != nil {
+		return sh, err
+	}
+	vecs, err := cells(sh.rows, sh.dim)
+	if err != nil {
+		return sh, err
+	}
+	want := cents*8 + int64(sh.k+1)*8 + int64(sh.rows)*4 + int64(sh.rows%2)*4 + vecs*8
+	if body := slen - int64(c.off); want != body {
+		return sh, fmt.Errorf("%w: index claims %d payload bytes, section holds %d", ErrMalformed, want, body)
+	}
+	return sh, nil
+}
+
 // decodeTable decodes a rows/cols-prefixed dense table.
 func decodeTable(payload []byte) (*matrix.Dense, error) {
 	c := &cursor{b: payload}
-	rows, err := c.dim()
+	sh, err := tableShape(c, int64(len(payload)))
 	if err != nil {
 		return nil, err
 	}
-	cols, err := c.dim()
+	data, err := c.f64s(sh.rows * sh.dim)
 	if err != nil {
 		return nil, err
 	}
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("%w: empty table %d×%d", ErrMalformed, rows, cols)
-	}
-	if int64(rows)*int64(cols)*8 != int64(c.remaining()) {
-		return nil, fmt.Errorf("%w: table claims %d×%d (%d bytes) but payload holds %d",
-			ErrMalformed, rows, cols, int64(rows)*int64(cols)*8, c.remaining())
-	}
-	data, err := c.f64s(rows * cols)
-	if err != nil {
-		return nil, err
-	}
-	m, err := matrix.NewFromData(rows, cols, data)
+	m, err := matrix.NewFromData(sh.rows, sh.dim, data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
@@ -219,47 +282,26 @@ func decodeVocab(payload []byte) ([]string, error) {
 // decodeIVF decodes an index's flat slabs.
 func decodeIVF(payload []byte) (*ann.IVFData, error) {
 	c := &cursor{b: payload}
-	dim, err := c.dim()
+	sh, err := ivfShape(c, int64(len(payload)))
 	if err != nil {
 		return nil, err
 	}
-	n, err := c.dim()
-	if err != nil {
+	d := &ann.IVFData{Dim: sh.dim, N: sh.rows, K: sh.k}
+	if d.Centroids, err = c.f64s(d.K * d.Dim); err != nil {
 		return nil, err
 	}
-	k, err := c.dim()
-	if err != nil {
+	if d.ListPtr, err = c.i64s(d.K + 1); err != nil {
 		return nil, err
 	}
-	if dim <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("%w: index claims shape dim=%d n=%d k=%d", ErrMalformed, dim, n, k)
-	}
-	// Exact expected payload size, computed in int64 to survive hostile
-	// dimension fields (dim() already caps each at 2^40, but products could
-	// still overflow 32-bit ints).
-	want := int64(k)*int64(dim)*8 + int64(k+1)*8 + int64(n)*4 + int64(n)*int64(dim)*8
-	if n%2 != 0 {
-		want += 4 // alignment pad between ids and vecs
-	}
-	if want != int64(c.remaining()) {
-		return nil, fmt.Errorf("%w: index claims %d payload bytes, section holds %d", ErrMalformed, want, c.remaining())
-	}
-	d := &ann.IVFData{Dim: dim, N: n, K: k}
-	if d.Centroids, err = c.f64s(k * dim); err != nil {
+	if d.IDs, err = c.i32s(d.N); err != nil {
 		return nil, err
 	}
-	if d.ListPtr, err = c.i64s(k + 1); err != nil {
-		return nil, err
-	}
-	if d.IDs, err = c.i32s(n); err != nil {
-		return nil, err
-	}
-	if n%2 != 0 {
+	if d.N%2 != 0 { // alignment pad between ids and vecs
 		if _, err = c.bytes(4); err != nil {
 			return nil, err
 		}
 	}
-	if d.Vecs, err = c.f64s(n * dim); err != nil {
+	if d.Vecs, err = c.f64s(d.N * d.Dim); err != nil {
 		return nil, err
 	}
 	return d, c.done()
@@ -268,148 +310,27 @@ func decodeIVF(payload []byte) (*ann.IVFData, error) {
 // decodeSQ8 decodes a quantized table's flat slabs.
 func decodeSQ8(payload []byte) (*quant.TableData, error) {
 	c := &cursor{b: payload}
-	rows, err := c.dim()
+	sh, err := sq8Shape(c, int64(len(payload)))
 	if err != nil {
 		return nil, err
 	}
-	dim, err := c.dim()
-	if err != nil {
+	d := &quant.TableData{Rows: sh.rows, Dim: sh.dim}
+	if d.Scales, err = c.f64s(d.Dim); err != nil {
 		return nil, err
 	}
-	if rows <= 0 || dim <= 0 {
-		return nil, fmt.Errorf("%w: SQ8 table claims shape %d×%d", ErrMalformed, rows, dim)
-	}
-	want := int64(dim)*8 + int64(rows)*int64(dim)
-	if want != int64(c.remaining()) {
-		return nil, fmt.Errorf("%w: SQ8 table claims %d payload bytes, section holds %d", ErrMalformed, want, c.remaining())
-	}
-	d := &quant.TableData{Rows: rows, Dim: dim}
-	if d.Scales, err = c.f64s(dim); err != nil {
-		return nil, err
-	}
-	if d.Codes, err = c.i8s(rows * dim); err != nil {
+	if d.Codes, err = c.i8s(d.Rows * d.Dim); err != nil {
 		return nil, err
 	}
 	return d, c.done()
 }
 
-// Decode strictly decodes a snapshot from its complete byte image.
+// Decode strictly decodes a snapshot from its complete byte image: the
+// Reader's validation walk over the image, then every section materialized
+// and deep-validated.
 func Decode(data []byte) (*Snapshot, error) {
-	size := int64(len(data))
-	if size < headerLen+footerLen {
-		return nil, fmt.Errorf("%w: %d bytes is smaller than the fixed structure", ErrTruncated, size)
-	}
-	if !bytes.Equal(data[:8], headMagic[:]) {
-		return nil, ErrNotSnapshot
-	}
-	version := binary.LittleEndian.Uint32(data[8:])
-	if version != Version {
-		return nil, fmt.Errorf("%w: file is version %d, this build reads version %d", ErrVersion, version, Version)
-	}
-	nsec := int(binary.LittleEndian.Uint32(data[12:]))
-	if binary.LittleEndian.Uint64(data[16:]) != 0 {
-		return nil, fmt.Errorf("%w: reserved header field is non-zero", ErrMalformed)
-	}
-	// Footer: its tail magic sits at the very end of the file, so any
-	// truncation or torn final write destroys it.
-	foot := data[size-footerLen:]
-	if !bytes.Equal(foot[24:32], tailMagic[:]) {
-		return nil, fmt.Errorf("%w: footer magic missing (file ends mid-write?)", ErrTruncated)
-	}
-	if fv := binary.LittleEndian.Uint32(foot[20:]); fv != version {
-		return nil, fmt.Errorf("%w: header says version %d, footer says %d", ErrMalformed, version, fv)
-	}
-	idxOff := int64(binary.LittleEndian.Uint64(foot[0:]))
-	idxLen := int64(binary.LittleEndian.Uint64(foot[8:]))
-	idxCRC := binary.LittleEndian.Uint32(foot[16:])
-	if idxLen != int64(nsec)*indexEntryLen {
-		return nil, fmt.Errorf("%w: header declares %d sections, index holds %d bytes", ErrMalformed, nsec, idxLen)
-	}
-	if idxOff < headerLen || idxOff%8 != 0 || idxOff+idxLen != size-footerLen {
-		return nil, fmt.Errorf("%w: index extent [%d, %d) does not abut the footer at %d",
-			ErrTruncated, idxOff, idxOff+idxLen, size-footerLen)
-	}
-	idx := data[idxOff : idxOff+idxLen]
-	if got := crc32.Checksum(idx, castagnoli); got != idxCRC {
-		return nil, fmt.Errorf("%w: section index CRC %08x, want %08x", ErrChecksum, got, idxCRC)
-	}
-	// Walk the index: entries must be in file order, non-overlapping,
-	// aligned, within the payload area, and each payload must checksum.
-	snap := &Snapshot{}
-	seen := make(map[SectionKind]bool, nsec)
-	prevEnd := int64(headerLen)
-	for i := 0; i < nsec; i++ {
-		ent := idx[i*indexEntryLen:]
-		kind := SectionKind(binary.LittleEndian.Uint32(ent[0:]))
-		off := int64(binary.LittleEndian.Uint64(ent[8:]))
-		slen := int64(binary.LittleEndian.Uint64(ent[16:]))
-		crc := binary.LittleEndian.Uint32(ent[24:])
-		if off%8 != 0 || off < prevEnd || off-prevEnd > 7 || slen < 0 || off+slen > idxOff {
-			return nil, &SectionError{Kind: kind, Offset: off,
-				Err: fmt.Errorf("%w: extent [%d, %d) outside payload area [%d, %d)", ErrMalformed, off, off+slen, prevEnd, idxOff)}
-		}
-		// Alignment padding is part of the format: it must be zero, so every
-		// byte of the file is covered by some integrity check.
-		for _, b := range data[prevEnd:off] {
-			if b != 0 {
-				return nil, &SectionError{Kind: kind, Offset: off, Err: fmt.Errorf("%w: non-zero alignment padding", ErrMalformed)}
-			}
-		}
-		prevEnd = off + slen
-		if seen[kind] {
-			return nil, &SectionError{Kind: kind, Offset: off, Err: fmt.Errorf("%w: duplicate section", ErrMalformed)}
-		}
-		seen[kind] = true
-		payload := data[off : off+slen]
-		if got := crc32.Checksum(payload, castagnoli); got != crc {
-			return nil, &SectionError{Kind: kind, Offset: off,
-				Err: fmt.Errorf("%w: payload CRC %08x, want %08x", ErrChecksum, got, crc)}
-		}
-		var err error
-		switch kind {
-		case SectionMeta:
-			err = json.Unmarshal(payload, &snap.Meta)
-			if err != nil {
-				err = fmt.Errorf("%w: metadata: %v", ErrMalformed, err)
-			}
-		case SectionSrcTable:
-			snap.SrcTable, err = decodeTable(payload)
-		case SectionTgtTable:
-			snap.TgtTable, err = decodeTable(payload)
-		case SectionSrcVocab:
-			snap.SrcVocab, err = decodeVocab(payload)
-		case SectionTgtVocab:
-			snap.TgtVocab, err = decodeVocab(payload)
-		case SectionIVFFwd:
-			snap.FwdIndex, err = decodeIVF(payload)
-		case SectionIVFRev:
-			snap.RevIndex, err = decodeIVF(payload)
-		case SectionSQ8Src:
-			snap.SrcQuant, err = decodeSQ8(payload)
-		case SectionSQ8Tgt:
-			snap.TgtQuant, err = decodeSQ8(payload)
-		default:
-			err = fmt.Errorf("%w: unknown section kind", ErrMalformed)
-		}
-		if err != nil {
-			return nil, &SectionError{Kind: kind, Offset: off, Err: err}
-		}
-	}
-	if idxOff-prevEnd > 7 {
-		return nil, fmt.Errorf("%w: %d unaccounted bytes before the section index", ErrMalformed, idxOff-prevEnd)
-	}
-	for _, b := range data[prevEnd:idxOff] {
-		if b != 0 {
-			return nil, fmt.Errorf("%w: non-zero alignment padding before the section index", ErrMalformed)
-		}
-	}
-	for _, required := range []SectionKind{SectionMeta, SectionSrcTable, SectionTgtTable, SectionSrcVocab, SectionTgtVocab} {
-		if !seen[required] {
-			return nil, fmt.Errorf("%w: missing required section %v", ErrMalformed, required)
-		}
-	}
-	if err := snap.Validate(); err != nil {
+	r := &Reader{src: bytes.NewReader(data), size: int64(len(data)), image: data}
+	if err := r.walk(); err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return r.Materialize()
 }

@@ -26,37 +26,7 @@ const (
 // castagnoli is the CRC32C table used for every checksum in the format.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// countingWriter tracks the absolute offset and, while a section is open,
-// folds written bytes into the section CRC.
-type countingWriter struct {
-	w   io.Writer
-	off int64
-	crc uint32
-	sum bool // CRC accumulation enabled (inside a section payload)
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.off += int64(n)
-	if cw.sum {
-		cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	}
-	if err == nil && n < len(p) {
-		err = io.ErrShortWrite
-	}
-	return n, err
-}
-
 var zeroPad [8]byte
-
-// pad8 advances the writer to the next 8-byte boundary.
-func (cw *countingWriter) pad8() error {
-	if rem := cw.off & 7; rem != 0 {
-		_, err := cw.Write(zeroPad[:8-rem])
-		return err
-	}
-	return nil
-}
 
 // indexEntry is one record of the section index.
 type indexEntry struct {
@@ -66,188 +36,157 @@ type indexEntry struct {
 	crc  uint32
 }
 
-// encoder streams a snapshot into its binary form.
+// encoder streams a snapshot into its binary form, tracking the absolute
+// offset and, while a section is open, folding written bytes into the
+// section CRC. Its first write error sticks and turns later writes into
+// no-ops, so the encoding code checks err once per section and at the end
+// instead of after every field.
 type encoder struct {
-	cw      *countingWriter
+	w       io.Writer
+	off     int64
+	crc     uint32
+	sum     bool // CRC accumulation enabled (inside a section payload)
+	err     error
 	index   []indexEntry
 	scratch []byte
 }
 
-func (e *encoder) u32(v uint32) error {
-	binary.LittleEndian.PutUint32(e.scratch[:4], v)
-	_, err := e.cw.Write(e.scratch[:4])
-	return err
+func (e *encoder) write(p []byte) {
+	if e.err != nil {
+		return
+	}
+	n, err := e.w.Write(p)
+	e.off += int64(n)
+	if e.sum {
+		e.crc = crc32.Update(e.crc, castagnoli, p[:n])
+	}
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	e.err = err
 }
 
-func (e *encoder) u64(v uint64) error {
+// pad8 advances the writer to the next 8-byte boundary.
+func (e *encoder) pad8() {
+	if rem := e.off & 7; rem != 0 {
+		e.write(zeroPad[:8-rem])
+	}
+}
+
+func (e *encoder) u32(v uint32) {
+	binary.LittleEndian.PutUint32(e.scratch[:4], v)
+	e.write(e.scratch[:4])
+}
+
+func (e *encoder) u64(v uint64) {
 	binary.LittleEndian.PutUint64(e.scratch[:8], v)
-	_, err := e.cw.Write(e.scratch[:8])
-	return err
+	e.write(e.scratch[:8])
 }
 
 // f64s writes a float64 slice in little-endian chunks.
-func (e *encoder) f64s(vs []float64) error {
+func (e *encoder) f64s(vs []float64) {
 	buf := e.scratch
-	for len(vs) > 0 {
-		n := len(buf) / 8
-		if n > len(vs) {
-			n = len(vs)
+	for len(vs) > 0 && e.err == nil {
+		n := min(len(buf)/8, len(vs))
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(vs[i]))
-		}
-		if _, err := e.cw.Write(buf[: n*8 : n*8]); err != nil {
-			return err
-		}
+		e.write(buf[: n*8 : n*8])
 		vs = vs[n:]
 	}
-	return nil
 }
 
 // i64s writes an int64 slice.
-func (e *encoder) i64s(vs []int64) error {
+func (e *encoder) i64s(vs []int64) {
 	buf := e.scratch
-	for len(vs) > 0 {
-		n := len(buf) / 8
-		if n > len(vs) {
-			n = len(vs)
+	for len(vs) > 0 && e.err == nil {
+		n := min(len(buf)/8, len(vs))
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(vs[i]))
-		}
-		if _, err := e.cw.Write(buf[: n*8 : n*8]); err != nil {
-			return err
-		}
+		e.write(buf[: n*8 : n*8])
 		vs = vs[n:]
 	}
-	return nil
 }
 
 // i32s writes an int32 slice.
-func (e *encoder) i32s(vs []int32) error {
+func (e *encoder) i32s(vs []int32) {
 	buf := e.scratch
-	for len(vs) > 0 {
-		n := len(buf) / 4
-		if n > len(vs) {
-			n = len(vs)
+	for len(vs) > 0 && e.err == nil {
+		n := min(len(buf)/4, len(vs))
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(vs[i]))
-		}
-		if _, err := e.cw.Write(buf[: n*4 : n*4]); err != nil {
-			return err
-		}
+		e.write(buf[: n*4 : n*4])
 		vs = vs[n:]
 	}
-	return nil
 }
 
 // i8s writes an int8 slice as raw bytes.
-func (e *encoder) i8s(vs []int8) error {
+func (e *encoder) i8s(vs []int8) {
 	buf := e.scratch
-	for len(vs) > 0 {
-		n := len(buf)
-		if n > len(vs) {
-			n = len(vs)
+	for len(vs) > 0 && e.err == nil {
+		n := min(len(buf), len(vs))
+		for i, v := range vs[:n] {
+			buf[i] = byte(v)
 		}
-		for i := 0; i < n; i++ {
-			buf[i] = byte(vs[i])
-		}
-		if _, err := e.cw.Write(buf[:n:n]); err != nil {
-			return err
-		}
+		e.write(buf[:n:n])
 		vs = vs[n:]
 	}
-	return nil
 }
 
 // section streams one payload, recording its extent and CRC in the index.
-func (e *encoder) section(kind SectionKind, payload func() error) error {
-	if err := e.cw.pad8(); err != nil {
-		return err
+func (e *encoder) section(kind SectionKind, payload func()) {
+	e.pad8()
+	start := e.off
+	e.crc, e.sum = 0, true
+	payload()
+	e.sum = false
+	if e.err != nil {
+		e.err = fmt.Errorf("snapshot: writing section %v: %w", kind, e.err)
 	}
-	start := e.cw.off
-	e.cw.crc, e.cw.sum = 0, true
-	err := payload()
-	crc := e.cw.crc
-	e.cw.sum = false
-	if err != nil {
-		return fmt.Errorf("snapshot: writing section %v: %w", kind, err)
-	}
-	e.index = append(e.index, indexEntry{kind: kind, off: start, len: e.cw.off - start, crc: crc})
-	return nil
+	e.index = append(e.index, indexEntry{kind: kind, off: start, len: e.off - start, crc: e.crc})
 }
 
 // table encodes a Dense as rows, cols, row-major float64 data.
-func (e *encoder) table(m *matrix.Dense) error {
-	if err := e.u64(uint64(m.Rows())); err != nil {
-		return err
-	}
-	if err := e.u64(uint64(m.Cols())); err != nil {
-		return err
-	}
-	return e.f64s(m.Data())
+func (e *encoder) table(m *matrix.Dense) {
+	e.u64(uint64(m.Rows()))
+	e.u64(uint64(m.Cols()))
+	e.f64s(m.Data())
 }
 
 // vocab encodes a string list as count, then per-string u32 length + bytes.
-func (e *encoder) vocab(names []string) error {
-	if err := e.u64(uint64(len(names))); err != nil {
-		return err
-	}
+func (e *encoder) vocab(names []string) {
+	e.u64(uint64(len(names)))
 	for _, s := range names {
-		if err := e.u32(uint32(len(s))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(e.cw, s); err != nil {
-			return err
-		}
+		e.u32(uint32(len(s)))
+		e.write([]byte(s))
 	}
-	return nil
 }
 
 // ivf encodes an index's flat slabs: dim, n, k, centroids, listPtr, ids
 // (padded to 8), vecs.
-func (e *encoder) ivf(d *ann.IVFData) error {
-	if err := e.u64(uint64(d.Dim)); err != nil {
-		return err
-	}
-	if err := e.u64(uint64(d.N)); err != nil {
-		return err
-	}
-	if err := e.u64(uint64(d.K)); err != nil {
-		return err
-	}
-	if err := e.f64s(d.Centroids); err != nil {
-		return err
-	}
-	if err := e.i64s(d.ListPtr); err != nil {
-		return err
-	}
-	if err := e.i32s(d.IDs); err != nil {
-		return err
-	}
+func (e *encoder) ivf(d *ann.IVFData) {
+	e.u64(uint64(d.Dim))
+	e.u64(uint64(d.N))
+	e.u64(uint64(d.K))
+	e.f64s(d.Centroids)
+	e.i64s(d.ListPtr)
+	e.i32s(d.IDs)
 	if d.N%2 != 0 { // keep the vecs slab 8-aligned within the payload
-		if _, err := e.cw.Write(zeroPad[:4]); err != nil {
-			return err
-		}
+		e.write(zeroPad[:4])
 	}
-	return e.f64s(d.Vecs)
+	e.f64s(d.Vecs)
 }
 
 // sq8 encodes a quantized table's flat slabs: rows, dim, per-dimension
 // scales, then the raw int8 codes (the scales come first so every f64 slab
 // in the payload stays 8-aligned; the code slab needs no alignment).
-func (e *encoder) sq8(d *quant.TableData) error {
-	if err := e.u64(uint64(d.Rows)); err != nil {
-		return err
-	}
-	if err := e.u64(uint64(d.Dim)); err != nil {
-		return err
-	}
-	if err := e.f64s(d.Scales); err != nil {
-		return err
-	}
-	return e.i8s(d.Codes)
+func (e *encoder) sq8(d *quant.TableData) {
+	e.u64(uint64(d.Rows))
+	e.u64(uint64(d.Dim))
+	e.f64s(d.Scales)
+	e.i8s(d.Codes)
 }
 
 // WriteTo streams the snapshot in format-version Version to w and returns
@@ -258,31 +197,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	e := &encoder{cw: &countingWriter{w: w}, scratch: make([]byte, 64<<10)}
-	// Header.
-	if _, err := e.cw.Write(headMagic[:]); err != nil {
-		return e.cw.off, err
-	}
-	nsec := 5
-	if s.FwdIndex != nil {
-		nsec++
-	}
-	if s.RevIndex != nil {
-		nsec++
-	}
-	if s.SrcQuant != nil {
-		nsec += 2
-	}
-	if err := e.u32(Version); err != nil {
-		return e.cw.off, err
-	}
-	if err := e.u32(uint32(nsec)); err != nil {
-		return e.cw.off, err
-	}
-	if err := e.u64(0); err != nil { // reserved
-		return e.cw.off, err
-	}
-	// Payload sections.
 	meta := s.Meta
 	if meta.Tool == "" {
 		meta.Tool = "entmatcher"
@@ -292,50 +206,47 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return e.cw.off, fmt.Errorf("snapshot: encoding metadata: %w", err)
+		return 0, fmt.Errorf("snapshot: encoding metadata: %w", err)
 	}
-	steps := []struct {
+	e := &encoder{w: w, scratch: make([]byte, 64<<10)}
+	type step struct {
 		kind SectionKind
-		fn   func() error
-	}{
-		{SectionMeta, func() error { _, err := e.cw.Write(metaJSON); return err }},
-		{SectionSrcTable, func() error { return e.table(s.SrcTable) }},
-		{SectionTgtTable, func() error { return e.table(s.TgtTable) }},
-		{SectionSrcVocab, func() error { return e.vocab(s.SrcVocab) }},
-		{SectionTgtVocab, func() error { return e.vocab(s.TgtVocab) }},
+		fn   func()
+	}
+	steps := []step{
+		{SectionMeta, func() { e.write(metaJSON) }},
+		{SectionSrcTable, func() { e.table(s.SrcTable) }},
+		{SectionTgtTable, func() { e.table(s.TgtTable) }},
+		{SectionSrcVocab, func() { e.vocab(s.SrcVocab) }},
+		{SectionTgtVocab, func() { e.vocab(s.TgtVocab) }},
 	}
 	if s.FwdIndex != nil {
-		steps = append(steps, struct {
-			kind SectionKind
-			fn   func() error
-		}{SectionIVFFwd, func() error { return e.ivf(s.FwdIndex) }})
+		steps = append(steps, step{SectionIVFFwd, func() { e.ivf(s.FwdIndex) }})
 	}
 	if s.RevIndex != nil {
-		steps = append(steps, struct {
-			kind SectionKind
-			fn   func() error
-		}{SectionIVFRev, func() error { return e.ivf(s.RevIndex) }})
+		steps = append(steps, step{SectionIVFRev, func() { e.ivf(s.RevIndex) }})
 	}
 	if s.SrcQuant != nil {
-		steps = append(steps, struct {
-			kind SectionKind
-			fn   func() error
-		}{SectionSQ8Src, func() error { return e.sq8(s.SrcQuant) }})
-		steps = append(steps, struct {
-			kind SectionKind
-			fn   func() error
-		}{SectionSQ8Tgt, func() error { return e.sq8(s.TgtQuant) }})
+		steps = append(steps,
+			step{SectionSQ8Src, func() { e.sq8(s.SrcQuant) }},
+			step{SectionSQ8Tgt, func() { e.sq8(s.TgtQuant) }})
+	}
+	// Header: magic, version, section count, reserved.
+	e.write(headMagic[:])
+	e.u32(Version)
+	e.u32(uint32(len(steps)))
+	e.u64(0)
+	if e.err != nil {
+		return e.off, e.err
 	}
 	for _, st := range steps {
-		if err := e.section(st.kind, st.fn); err != nil {
-			return e.cw.off, err
+		if e.section(st.kind, st.fn); e.err != nil {
+			return e.off, e.err
 		}
 	}
 	// Section index.
-	if err := e.cw.pad8(); err != nil {
-		return e.cw.off, err
-	}
-	idxOff := e.cw.off
+	e.pad8()
+	idxOff := e.off
 	idxBuf := make([]byte, 0, len(e.index)*indexEntryLen)
 	var ent [indexEntryLen]byte
 	for _, ie := range e.index {
@@ -347,9 +258,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		binary.LittleEndian.PutUint32(ent[28:], 0)
 		idxBuf = append(idxBuf, ent[:]...)
 	}
-	if _, err := e.cw.Write(idxBuf); err != nil {
-		return e.cw.off, err
-	}
+	e.write(idxBuf)
 	// Footer.
 	var foot [footerLen]byte
 	binary.LittleEndian.PutUint64(foot[0:], uint64(idxOff))
@@ -357,10 +266,8 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(foot[16:], crc32.Checksum(idxBuf, castagnoli))
 	binary.LittleEndian.PutUint32(foot[20:], Version)
 	copy(foot[24:], tailMagic[:])
-	if _, err := e.cw.Write(foot[:]); err != nil {
-		return e.cw.off, err
-	}
-	return e.cw.off, nil
+	e.write(foot[:])
+	return e.off, e.err
 }
 
 // Write persists the snapshot at path atomically: the bytes go to a

@@ -22,16 +22,21 @@ const MmapSupported = true
 // contract (PROT_READ: writes fault) and is valid until the Reader is
 // closed. kind must be SectionSrcTable or SectionTgtTable.
 func (r *Reader) MapTable(kind SectionKind) (*matrix.Dense, error) {
-	ts, ok := r.tables[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: no table section %v", ErrMalformed, kind)
+	sec, err := r.table(kind)
+	if err != nil {
+		return nil, err
 	}
-	length := int64(ts.rows) * int64(ts.cols) * 8
+	if r.f == nil {
+		return nil, fmt.Errorf("%w: section %v: source is not a file", ErrMmapUnsupported, kind)
+	}
+	rows, cols := sec.shape.rows, sec.shape.dim
+	dataOff := sec.off + tablePrefixLen
+	length := int64(rows) * int64(cols) * 8
 	// Map from the enclosing page boundary; section payloads are 8-aligned
 	// but not page-aligned.
 	pg := int64(syscall.Getpagesize())
-	aligned := ts.dataOff &^ (pg - 1)
-	delta := ts.dataOff - aligned
+	aligned := dataOff &^ (pg - 1)
+	delta := dataOff - aligned
 	m, err := syscall.Mmap(int(r.f.Fd()), aligned, int(delta+length), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("%w: mmap section %v: %v", ErrMmapUnsupported, kind, err)
@@ -40,8 +45,8 @@ func (r *Reader) MapTable(kind SectionKind) (*matrix.Dense, error) {
 	// walk rows in ascending order, so aggressive readahead is right.
 	_ = madvise(m, syscall.MADV_SEQUENTIAL)
 	data := m[delta : delta+length]
-	vals := unsafe.Slice((*float64)(unsafe.Pointer(&data[0])), ts.rows*ts.cols)
-	d, err := matrix.NewFromData(ts.rows, ts.cols, vals)
+	vals := unsafe.Slice((*float64)(unsafe.Pointer(&data[0])), rows*cols)
+	d, err := matrix.NewFromData(rows, cols, vals)
 	if err != nil {
 		_ = syscall.Munmap(m)
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)

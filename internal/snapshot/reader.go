@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 
@@ -15,65 +16,65 @@ import (
 )
 
 // verifyChunk bounds the scratch buffer of the streaming CRC pass: opening a
-// snapshot never allocates proportionally to the file (satellite of the
-// out-of-core work — Load's whole-file read is the wrong shape for slabs
-// bigger than RAM).
+// snapshot never allocates proportionally to the file.
 const verifyChunk = 1 << 20
 
-// Reader is the out-of-core view of a snapshot file: it runs the exact
-// validation walk Decode performs — header, footer, index CRC, per-section
-// structural checks and payload CRC32Cs — but streams the checksums through a
-// fixed-size buffer and decodes only the small sections (metadata,
-// vocabularies) eagerly. The big numeric slabs (embedding tables, IVF
-// indexes, SQ8 codes) stay on disk; callers access tables through
-// chunked-ReadAt SlabTable views or platform mmap aliases, and materialize
-// index/code sections on demand.
+// tablePrefixLen is the rows/cols prefix ahead of a table section's slab.
+const tablePrefixLen = 16
+
+// Reader is the one parser of the snapshot format. Opening it runs the
+// validation walk — header, footer, index CRC, section extents, zero padding,
+// every payload CRC32C streamed through a fixed-size buffer, every numeric
+// section's shape prefix, and the cross-section layout rules — and decodes
+// only the small sections (metadata, vocabularies). Every load mode sits on
+// top: Decode and Load materialize all sections from it, Mapped aliases the
+// tables, Table serves them through chunked ReadAt.
 //
-// A Reader is safe for concurrent use after Open. Close unmaps and closes
+// The open-time contract: everything checkable in O(verifyChunk) memory is
+// checked at open. The deep slab invariants (ann.FromData's list pointers
+// and ID permutation, quant.FromData's scales and code range) are checked
+// when a section is materialized — by IVF/SQ8 callers, and by the Validate
+// that ends Mapped and Materialize. Materializing re-reads the section and
+// re-verifies its CRC, so bytes that changed after open are ErrChecksum, not
+// wrong data; table rows served through Table or a mapping are not
+// re-verified per read.
+//
+// A Reader is safe for concurrent use after open. Close unmaps and closes
 // the file: every SlabTable and mmapped Dense obtained from the Reader is
 // invalid afterwards.
 type Reader struct {
-	f    *os.File
-	path string
-	size int64
+	src   io.ReaderAt
+	f     *os.File // src when file-backed: what MapTable maps and Close closes
+	image []byte   // src's bytes when it is an in-memory image (Decode): payloads are used in place
+	size  int64
 
 	meta     Meta
 	srcVocab []string
 	tgtVocab []string
-
-	extents map[SectionKind]extent
-	tables  map[SectionKind]tableShape
+	sections map[SectionKind]*section
 
 	mu   sync.Mutex
 	maps [][]byte // active mmap regions, unmapped on Close
 }
 
-// extent is one section's payload location.
-type extent struct {
-	off int64
-	len int64
+// section is one verified index entry; shape is set for numeric sections.
+type section struct {
+	off, len int64
+	crc      uint32
+	shape    shape
 }
 
-// tableShape is the validated geometry of an embedding-table section: the
-// float64 slab starts at dataOff (16 bytes past the payload, after the
-// rows/cols prefix) and holds rows×cols values.
-type tableShape struct {
-	rows    int
-	cols    int
-	dataOff int64
-}
-
-// OpenReader opens and fully verifies the snapshot at path under the
+// OpenReader opens and verifies the snapshot at path under the
 // DefaultMaxBytes limit, without materializing the numeric slabs.
 func OpenReader(path string) (*Reader, error) {
 	return OpenReaderLimit(path, DefaultMaxBytes)
 }
 
-// VerifyFile runs the complete streaming validation walk — every structural
-// check and every CRC Load performs — in O(verifyChunk) memory and reports
-// the typed error a Load of the same file would. It is the size-bounded
-// integrity check for snapshots too large to (or never needed to) reside in
-// RAM.
+// VerifyFile is the size-bounded integrity check for snapshots too large to
+// (or never needed to) reside in RAM: it opens and closes a Reader, so it
+// reports exactly what the open-time contract covers — every structural and
+// layout check and every CRC a Load performs, in O(verifyChunk) memory, but
+// not the deep slab invariants a Load additionally enforces.
 func VerifyFile(path string, maxBytes int64) error {
 	r, err := OpenReaderLimit(path, maxBytes)
 	if err != nil {
@@ -87,41 +88,55 @@ func VerifyFile(path string, maxBytes int64) error {
 // file is rejected with ErrTooLarge without any allocation proportional to
 // its size.
 func OpenReaderLimit(path string, maxBytes int64) (*Reader, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() > maxBytes {
-		return nil, fmt.Errorf("%w: %s is %d bytes, limit %d", ErrTooLarge, path, fi.Size(), maxBytes)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{
-		f:       f,
-		path:    path,
-		size:    fi.Size(),
-		extents: make(map[SectionKind]extent),
-		tables:  make(map[SectionKind]tableShape),
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > maxBytes {
+		err = fmt.Errorf("%w: %s is %d bytes, limit %d", ErrTooLarge, path, fi.Size(), maxBytes)
 	}
-	if err := r.verify(); err != nil {
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := newReader(f, fi.Size())
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	r.f = f
+	return r, nil
+}
+
+// newReader runs the validation walk over any random-access source — the
+// seam the fault-injection tests interpose fault.ReaderAt on.
+func newReader(src io.ReaderAt, size int64) (*Reader, error) {
+	r := &Reader{src: src, size: size}
+	if err := r.walk(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// verify is Decode's validation walk restated over ReadAt: identical checks
-// in identical order, with payload CRCs streamed instead of held.
-func (r *Reader) verify() error {
+// read fills p from offset off; any failure is a file shorter (or less
+// readable) than its own structure claims.
+func (r *Reader) read(p []byte, off int64, what string) error {
+	if n, err := r.src.ReadAt(p, off); n < len(p) {
+		return fmt.Errorf("%w: %s: %v", ErrTruncated, what, err)
+	}
+	return nil
+}
+
+// walk is the format's validation walk; see Reader for what it covers.
+func (r *Reader) walk() error {
 	size := r.size
 	if size < headerLen+footerLen {
 		return fmt.Errorf("%w: %d bytes is smaller than the fixed structure", ErrTruncated, size)
 	}
 	var head [headerLen]byte
-	if _, err := r.f.ReadAt(head[:], 0); err != nil {
-		return fmt.Errorf("%w: header: %v", ErrTruncated, err)
+	if err := r.read(head[:], 0, "header"); err != nil {
+		return err
 	}
 	if !bytes.Equal(head[:8], headMagic[:]) {
 		return ErrNotSnapshot
@@ -134,9 +149,11 @@ func (r *Reader) verify() error {
 	if binary.LittleEndian.Uint64(head[16:]) != 0 {
 		return fmt.Errorf("%w: reserved header field is non-zero", ErrMalformed)
 	}
+	// Footer: its tail magic sits at the very end of the file, so any
+	// truncation or torn final write destroys it.
 	var foot [footerLen]byte
-	if _, err := r.f.ReadAt(foot[:], size-footerLen); err != nil {
-		return fmt.Errorf("%w: footer: %v", ErrTruncated, err)
+	if err := r.read(foot[:], size-footerLen, "footer"); err != nil {
+		return err
 	}
 	if !bytes.Equal(foot[24:32], tailMagic[:]) {
 		return fmt.Errorf("%w: footer magic missing (file ends mid-write?)", ErrTruncated)
@@ -157,66 +174,30 @@ func (r *Reader) verify() error {
 	// The index is nsec×32 bytes — bounded by the already-enforced file size
 	// limit — and is the one structure read whole.
 	idx := make([]byte, idxLen)
-	if _, err := r.f.ReadAt(idx, idxOff); err != nil {
-		return fmt.Errorf("%w: section index: %v", ErrTruncated, err)
+	if err := r.read(idx, idxOff, "section index"); err != nil {
+		return err
 	}
 	if got := crc32.Checksum(idx, castagnoli); got != idxCRC {
 		return fmt.Errorf("%w: section index CRC %08x, want %08x", ErrChecksum, got, idxCRC)
 	}
-	buf := make([]byte, verifyChunk)
+	// Entries must be in file order, non-overlapping, aligned and within the
+	// payload area; every byte between them is zero padding, so every byte of
+	// the file is covered by some integrity check.
+	buf := make([]byte, min(verifyChunk, size))
+	r.sections = make(map[SectionKind]*section)
 	prevEnd := int64(headerLen)
 	for i := 0; i < nsec; i++ {
 		ent := idx[i*indexEntryLen:]
 		kind := SectionKind(binary.LittleEndian.Uint32(ent[0:]))
-		off := int64(binary.LittleEndian.Uint64(ent[8:]))
-		slen := int64(binary.LittleEndian.Uint64(ent[16:]))
-		crc := binary.LittleEndian.Uint32(ent[24:])
-		if off%8 != 0 || off < prevEnd || off-prevEnd > 7 || slen < 0 || off+slen > idxOff {
-			return &SectionError{Kind: kind, Offset: off,
-				Err: fmt.Errorf("%w: extent [%d, %d) outside payload area [%d, %d)", ErrMalformed, off, off+slen, prevEnd, idxOff)}
+		sec := &section{
+			off: int64(binary.LittleEndian.Uint64(ent[8:])),
+			len: int64(binary.LittleEndian.Uint64(ent[16:])),
+			crc: binary.LittleEndian.Uint32(ent[24:]),
 		}
-		if err := r.checkZeroPad(prevEnd, off, buf); err != nil {
-			return &SectionError{Kind: kind, Offset: off, Err: err}
+		if err := r.admit(kind, sec, prevEnd, idxOff, buf); err != nil {
+			return &SectionError{Kind: kind, Offset: sec.off, Err: err}
 		}
-		prevEnd = off + slen
-		if _, dup := r.extents[kind]; dup {
-			return &SectionError{Kind: kind, Offset: off, Err: fmt.Errorf("%w: duplicate section", ErrMalformed)}
-		}
-		if err := r.checkCRC(off, slen, crc, buf); err != nil {
-			return &SectionError{Kind: kind, Offset: off, Err: err}
-		}
-		r.extents[kind] = extent{off: off, len: slen}
-		var err error
-		switch kind {
-		case SectionMeta:
-			var payload []byte
-			if payload, err = r.payload(kind); err == nil {
-				if err = json.Unmarshal(payload, &r.meta); err != nil {
-					err = fmt.Errorf("%w: metadata: %v", ErrMalformed, err)
-				}
-			}
-		case SectionSrcTable, SectionTgtTable:
-			err = r.verifyTable(kind, off, slen)
-		case SectionSrcVocab:
-			var payload []byte
-			if payload, err = r.payload(kind); err == nil {
-				r.srcVocab, err = decodeVocab(payload)
-			}
-		case SectionTgtVocab:
-			var payload []byte
-			if payload, err = r.payload(kind); err == nil {
-				r.tgtVocab, err = decodeVocab(payload)
-			}
-		case SectionIVFFwd, SectionIVFRev:
-			err = r.verifyIVFShape(kind, off, slen)
-		case SectionSQ8Src, SectionSQ8Tgt:
-			err = r.verifySQ8Shape(kind, off, slen)
-		default:
-			err = fmt.Errorf("%w: unknown section kind", ErrMalformed)
-		}
-		if err != nil {
-			return &SectionError{Kind: kind, Offset: off, Err: err}
-		}
+		prevEnd = sec.off + sec.len
 	}
 	if idxOff-prevEnd > 7 {
 		return fmt.Errorf("%w: %d unaccounted bytes before the section index", ErrMalformed, idxOff-prevEnd)
@@ -225,11 +206,62 @@ func (r *Reader) verify() error {
 		return fmt.Errorf("%w before the section index", err)
 	}
 	for _, required := range []SectionKind{SectionMeta, SectionSrcTable, SectionTgtTable, SectionSrcVocab, SectionTgtVocab} {
-		if _, ok := r.extents[required]; !ok {
+		if !r.Has(required) {
 			return fmt.Errorf("%w: missing required section %v", ErrMalformed, required)
 		}
 	}
-	return r.crossCheck()
+	return layout{
+		meta: &r.meta,
+		src:  r.shapeOf(SectionSrcTable), tgt: r.shapeOf(SectionTgtTable),
+		srcNames: len(r.srcVocab), tgtNames: len(r.tgtVocab),
+		fwd: r.shapeOf(SectionIVFFwd), rev: r.shapeOf(SectionIVFRev),
+		srcQ: r.shapeOf(SectionSQ8Src), tgtQ: r.shapeOf(SectionSQ8Tgt),
+	}.check()
+}
+
+// admit verifies one index entry — extent, leading padding, uniqueness,
+// payload CRC, then the kind's own content: the small sections are decoded,
+// the numeric ones have their shape prefix checked — and records it.
+func (r *Reader) admit(kind SectionKind, sec *section, prevEnd, idxOff int64, buf []byte) (err error) {
+	if sec.off%8 != 0 || sec.off < prevEnd || sec.off-prevEnd > 7 || sec.len < 0 || sec.len > idxOff-sec.off {
+		return fmt.Errorf("%w: extent [%d, %d+%d) outside payload area [%d, %d)", ErrMalformed, sec.off, sec.off, sec.len, prevEnd, idxOff)
+	}
+	if err := r.checkZeroPad(prevEnd, sec.off, buf); err != nil {
+		return err
+	}
+	if r.Has(kind) {
+		return fmt.Errorf("%w: duplicate section", ErrMalformed)
+	}
+	if err := r.checkCRC(sec, buf); err != nil {
+		return err
+	}
+	r.sections[kind] = sec
+	var payload []byte
+	switch kind {
+	case SectionMeta:
+		if payload, err = r.payload(kind); err == nil {
+			if err = json.Unmarshal(payload, &r.meta); err != nil {
+				err = fmt.Errorf("%w: metadata: %v", ErrMalformed, err)
+			}
+		}
+	case SectionSrcVocab:
+		if payload, err = r.payload(kind); err == nil {
+			r.srcVocab, err = decodeVocab(payload)
+		}
+	case SectionTgtVocab:
+		if payload, err = r.payload(kind); err == nil {
+			r.tgtVocab, err = decodeVocab(payload)
+		}
+	case SectionSrcTable, SectionTgtTable:
+		sec.shape, err = r.prefix(sec, tableShape)
+	case SectionIVFFwd, SectionIVFRev:
+		sec.shape, err = r.prefix(sec, ivfShape)
+	case SectionSQ8Src, SectionSQ8Tgt:
+		sec.shape, err = r.prefix(sec, sq8Shape)
+	default:
+		err = fmt.Errorf("%w: unknown section kind", ErrMalformed)
+	}
+	return err
 }
 
 // checkZeroPad verifies the ≤7 alignment bytes in [from, to) are zero.
@@ -237,11 +269,11 @@ func (r *Reader) checkZeroPad(from, to int64, buf []byte) error {
 	if to <= from {
 		return nil
 	}
-	n := to - from
-	if _, err := r.f.ReadAt(buf[:n], from); err != nil {
-		return fmt.Errorf("%w: alignment padding: %v", ErrTruncated, err)
+	pad := buf[:to-from]
+	if err := r.read(pad, from, "alignment padding"); err != nil {
+		return err
 	}
-	for _, b := range buf[:n] {
+	for _, b := range pad {
 		if b != 0 {
 			return fmt.Errorf("%w: non-zero alignment padding", ErrMalformed)
 		}
@@ -249,162 +281,73 @@ func (r *Reader) checkZeroPad(from, to int64, buf []byte) error {
 	return nil
 }
 
-// checkCRC streams the payload at [off, off+slen) through CRC32C in
-// verifyChunk-sized reads and compares against want.
-func (r *Reader) checkCRC(off, slen int64, want uint32, buf []byte) error {
+// checkCRC streams a section's payload through CRC32C in buf-sized reads
+// (an in-memory image is checksummed where it lies).
+func (r *Reader) checkCRC(sec *section, buf []byte) error {
 	var got uint32
-	for done := int64(0); done < slen; {
-		n := int64(len(buf))
-		if n > slen-done {
-			n = slen - done
+	if r.image != nil {
+		got = crc32.Checksum(r.image[sec.off:sec.off+sec.len], castagnoli)
+	} else {
+		for done := int64(0); done < sec.len; {
+			chunk := buf[:min(int64(len(buf)), sec.len-done)]
+			if err := r.read(chunk, sec.off+done, "payload"); err != nil {
+				return err
+			}
+			got = crc32.Update(got, castagnoli, chunk)
+			done += int64(len(chunk))
 		}
-		if _, err := r.f.ReadAt(buf[:n], off+done); err != nil {
-			return fmt.Errorf("%w: payload read at %d: %v", ErrTruncated, off+done, err)
-		}
-		got = crc32.Update(got, castagnoli, buf[:n])
-		done += n
 	}
-	if got != want {
-		return fmt.Errorf("%w: payload CRC %08x, want %08x", ErrChecksum, got, want)
+	if got != sec.crc {
+		return fmt.Errorf("%w: payload CRC %08x, want %08x", ErrChecksum, got, sec.crc)
 	}
 	return nil
 }
 
-// payload materializes one section's full payload — used for the small
-// sections (metadata, vocabularies) and the on-demand index/code decoders.
+// prefix applies a shape rule (decode.go) to the head of a numeric section.
+func (r *Reader) prefix(sec *section, rule func(*cursor, int64) (shape, error)) (shape, error) {
+	pre := make([]byte, min(24, sec.len))
+	if err := r.read(pre, sec.off, "shape prefix"); err != nil {
+		return shape{}, err
+	}
+	return rule(&cursor{b: pre}, sec.len)
+}
+
+// payload materializes one section's full payload. Bytes read back from the
+// source are re-verified against the section CRC: they may have changed
+// since the open-time pass.
 func (r *Reader) payload(kind SectionKind) ([]byte, error) {
-	ext, ok := r.extents[kind]
+	sec, ok := r.sections[kind]
 	if !ok {
 		return nil, fmt.Errorf("%w: section %v not present", ErrMalformed, kind)
 	}
-	b := make([]byte, ext.len)
-	if _, err := r.f.ReadAt(b, ext.off); err != nil {
-		return nil, fmt.Errorf("%w: section %v: %v", ErrTruncated, kind, err)
+	if r.image != nil {
+		return r.image[sec.off : sec.off+sec.len], nil
+	}
+	b := make([]byte, sec.len)
+	if err := r.read(b, sec.off, "section "+kind.String()); err != nil {
+		return nil, err
+	}
+	if got := crc32.Checksum(b, castagnoli); got != sec.crc {
+		return nil, fmt.Errorf("%w: section %v changed since open: payload CRC %08x, want %08x", ErrChecksum, kind, got, sec.crc)
 	}
 	return b, nil
 }
 
-// verifyTable checks an embedding-table section's shape prefix against its
-// payload length (the same checks decodeTable performs) and records the
-// slab geometry for SlabTable/mmap access.
-func (r *Reader) verifyTable(kind SectionKind, off, slen int64) error {
-	var pre [16]byte
-	if slen < 16 {
-		return ErrTruncated
-	}
-	if _, err := r.f.ReadAt(pre[:], off); err != nil {
-		return fmt.Errorf("%w: table prefix: %v", ErrTruncated, err)
-	}
-	rows, cols := binary.LittleEndian.Uint64(pre[0:]), binary.LittleEndian.Uint64(pre[8:])
-	if rows > 1<<40 || cols > 1<<40 {
-		return fmt.Errorf("%w: implausible dimension %d×%d", ErrMalformed, rows, cols)
-	}
-	if rows == 0 || cols == 0 {
-		return fmt.Errorf("%w: empty table %d×%d", ErrMalformed, rows, cols)
-	}
-	if want := int64(rows)*int64(cols)*8 + 16; want != slen {
-		return fmt.Errorf("%w: table claims %d×%d (%d bytes) but payload holds %d",
-			ErrMalformed, rows, cols, want-16, slen-16)
-	}
-	r.tables[kind] = tableShape{rows: int(rows), cols: int(cols), dataOff: off + 16}
-	return nil
-}
-
-// verifyIVFShape checks an IVF section's shape prefix against its payload
-// length — the geometry checks of decodeIVF without materializing the slabs.
-func (r *Reader) verifyIVFShape(kind SectionKind, off, slen int64) error {
-	var pre [24]byte
-	if slen < 24 {
-		return ErrTruncated
-	}
-	if _, err := r.f.ReadAt(pre[:], off); err != nil {
-		return fmt.Errorf("%w: index prefix: %v", ErrTruncated, err)
-	}
-	dim := binary.LittleEndian.Uint64(pre[0:])
-	n := binary.LittleEndian.Uint64(pre[8:])
-	k := binary.LittleEndian.Uint64(pre[16:])
-	if dim > 1<<40 || n > 1<<40 || k > 1<<40 {
-		return fmt.Errorf("%w: implausible dimension", ErrMalformed)
-	}
-	if dim == 0 || n == 0 || k == 0 {
-		return fmt.Errorf("%w: index claims shape dim=%d n=%d k=%d", ErrMalformed, dim, n, k)
-	}
-	want := int64(k)*int64(dim)*8 + int64(k+1)*8 + int64(n)*4 + int64(n)*int64(dim)*8
-	if n%2 != 0 {
-		want += 4
-	}
-	if want+24 != slen {
-		return fmt.Errorf("%w: index claims %d payload bytes, section holds %d", ErrMalformed, want, slen-24)
+// shapeOf returns a numeric section's verified shape, nil when absent.
+func (r *Reader) shapeOf(kind SectionKind) *shape {
+	if sec, ok := r.sections[kind]; ok {
+		return &sec.shape
 	}
 	return nil
 }
 
-// verifySQ8Shape checks an SQ8 section's shape prefix against its payload
-// length — the geometry checks of decodeSQ8 without materializing the codes.
-func (r *Reader) verifySQ8Shape(kind SectionKind, off, slen int64) error {
-	var pre [16]byte
-	if slen < 16 {
-		return ErrTruncated
+// table returns an embedding-table section (SectionSrcTable/SectionTgtTable).
+func (r *Reader) table(kind SectionKind) (*section, error) {
+	sec, ok := r.sections[kind]
+	if !ok || (kind != SectionSrcTable && kind != SectionTgtTable) {
+		return nil, fmt.Errorf("%w: no table section %v", ErrMalformed, kind)
 	}
-	if _, err := r.f.ReadAt(pre[:], off); err != nil {
-		return fmt.Errorf("%w: SQ8 prefix: %v", ErrTruncated, err)
-	}
-	rows, dim := binary.LittleEndian.Uint64(pre[0:]), binary.LittleEndian.Uint64(pre[8:])
-	if rows > 1<<40 || dim > 1<<40 {
-		return fmt.Errorf("%w: implausible dimension", ErrMalformed)
-	}
-	if rows == 0 || dim == 0 {
-		return fmt.Errorf("%w: SQ8 table claims shape %d×%d", ErrMalformed, rows, dim)
-	}
-	if want := int64(dim)*8 + int64(rows)*int64(dim) + 16; want != slen {
-		return fmt.Errorf("%w: SQ8 table claims %d payload bytes, section holds %d", ErrMalformed, want-16, slen-16)
-	}
-	return nil
-}
-
-// crossCheck mirrors Snapshot.Validate's metadata-level consistency checks.
-// The deep structural invariants of the index and code slabs (list pointers,
-// ID permutations, scale positivity) are enforced by ann.FromData /
-// quant.FromData when a caller materializes those sections.
-func (r *Reader) crossCheck() error {
-	src, okS := r.tables[SectionSrcTable]
-	tgt, okT := r.tables[SectionTgtTable]
-	if !okS || !okT {
-		return fmt.Errorf("%w: missing embedding table", ErrMalformed)
-	}
-	if src.cols != tgt.cols {
-		return fmt.Errorf("%w: table dims differ: %d vs %d", ErrMalformed, src.cols, tgt.cols)
-	}
-	if r.meta.SrcRows != src.rows || r.meta.TgtRows != tgt.rows || r.meta.Dim != src.cols {
-		return fmt.Errorf("%w: metadata says %d/%d rows × %d dims, tables are %d/%d × %d", ErrMalformed,
-			r.meta.SrcRows, r.meta.TgtRows, r.meta.Dim, src.rows, tgt.rows, src.cols)
-	}
-	if len(r.srcVocab) != src.rows {
-		return fmt.Errorf("%w: %d source names for %d table rows", ErrMalformed, len(r.srcVocab), src.rows)
-	}
-	if len(r.tgtVocab) != tgt.rows {
-		return fmt.Errorf("%w: %d target names for %d table rows", ErrMalformed, len(r.tgtVocab), tgt.rows)
-	}
-	_, fwd := r.extents[SectionIVFFwd]
-	_, rev := r.extents[SectionIVFRev]
-	if fwd != (r.meta.ANN != nil) {
-		return fmt.Errorf("%w: index sections and ANN metadata disagree", ErrMalformed)
-	}
-	if rev && !fwd {
-		return fmt.Errorf("%w: reverse index without a forward index", ErrMalformed)
-	}
-	_, qs := r.extents[SectionSQ8Src]
-	_, qt := r.extents[SectionSQ8Tgt]
-	if qs != qt {
-		return fmt.Errorf("%w: SQ8 sections must cover both tables or neither", ErrMalformed)
-	}
-	if qs != (r.meta.Quant != nil) {
-		return fmt.Errorf("%w: SQ8 sections and quant metadata disagree", ErrMalformed)
-	}
-	if qs && r.meta.Quant.RerankFactor < 0 {
-		return fmt.Errorf("%w: negative rerank factor %d", ErrMalformed, r.meta.Quant.RerankFactor)
-	}
-	return nil
+	return sec, nil
 }
 
 // Meta returns the decoded metadata section.
@@ -415,7 +358,7 @@ func (r *Reader) Vocabs() (src, tgt []string) { return r.srcVocab, r.tgtVocab }
 
 // Has reports whether the snapshot carries the section.
 func (r *Reader) Has(kind SectionKind) bool {
-	_, ok := r.extents[kind]
+	_, ok := r.sections[kind]
 	return ok
 }
 
@@ -426,15 +369,24 @@ func (r *Reader) Size() int64 { return r.size }
 // portable out-of-core access path. kind must be SectionSrcTable or
 // SectionTgtTable.
 func (r *Reader) Table(kind SectionKind) (*matrix.SlabTable, error) {
-	ts, ok := r.tables[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: no table section %v", ErrMalformed, kind)
+	sec, err := r.table(kind)
+	if err != nil {
+		return nil, err
 	}
-	return matrix.NewSlabTable(r.f, ts.dataOff, ts.rows, ts.cols)
+	return matrix.NewSlabTable(r.src, sec.off+tablePrefixLen, sec.shape.rows, sec.shape.dim)
+}
+
+// heapTable materializes an embedding-table section as a heap Dense.
+func (r *Reader) heapTable(kind SectionKind) (*matrix.Dense, error) {
+	payload, err := r.payload(kind)
+	if err != nil {
+		return nil, err
+	}
+	return decodeTable(payload)
 }
 
 // IVF materializes an index section on demand (SectionIVFFwd/SectionIVFRev).
-// The returned data passes decodeIVF's structural checks; callers running it
+// The returned data has the shape its prefix declares; callers running it
 // through ann.FromData get the deep invariants too.
 func (r *Reader) IVF(kind SectionKind) (*ann.IVFData, error) {
 	payload, err := r.payload(kind)
@@ -462,14 +414,28 @@ func (r *Reader) SQ8(kind SectionKind) (*quant.TableData, error) {
 // (an eighth of that) are decoded only on request; a class left out is
 // dropped from the view's metadata too, so the view validates as a snapshot
 // saved without it. Fails with ErrMmapUnsupported where tables cannot be
-// aliased — callers then fall back to Table's chunked-ReadAt views or to a
-// full Load.
+// aliased — callers then fall back to Table's chunked-ReadAt views or to
+// Materialize.
 func (r *Reader) Mapped(index, codes bool) (*Snapshot, error) {
-	src, err := r.MapTable(SectionSrcTable)
+	return r.view(r.MapTable, index, codes)
+}
+
+// Materialize decodes every section into heap copies and deep-validates the
+// result — the full load, from the file this Reader already verified. The
+// snapshot does not alias the Reader and stays valid after Close.
+func (r *Reader) Materialize() (*Snapshot, error) {
+	return r.view(r.heapTable, true, true)
+}
+
+// view is the one materialize step: tables through table, the sections
+// decoded at open as they are, index and code sections on request, then the
+// snapshot's own Validate — never a partially filled Snapshot.
+func (r *Reader) view(table func(SectionKind) (*matrix.Dense, error), index, codes bool) (*Snapshot, error) {
+	src, err := table(SectionSrcTable)
 	if err != nil {
 		return nil, err
 	}
-	tgt, err := r.MapTable(SectionTgtTable)
+	tgt, err := table(SectionTgtTable)
 	if err != nil {
 		return nil, err
 	}
@@ -515,8 +481,10 @@ func (r *Reader) Close() error {
 			first = err
 		}
 	}
-	if err := r.f.Close(); err != nil && first == nil {
-		first = err
+	if r.f != nil {
+		if err := r.f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }

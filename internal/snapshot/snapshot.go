@@ -25,8 +25,10 @@
 // snapshot visible under the target path.
 //
 // The layout is mmap-friendly: numeric slabs are little-endian, 8-byte
-// aligned, and contiguous per section. The portable loader copies them into
-// Go slices; a platform mmap loader could alias them in place.
+// aligned, and contiguous per section. Reader is the one parser: every load
+// mode — Decode and Load (heap copies), Reader.Mapped (tables aliased in
+// place), Reader.Table (chunked ReadAt) — is its validation walk plus a
+// view; see Reader for what is checked at open and what at materialization.
 package snapshot
 
 import (
@@ -108,30 +110,18 @@ const (
 	// quantized tables.
 )
 
+var kindNames = [...]string{
+	SectionMeta: "meta", SectionSrcTable: "src-table", SectionTgtTable: "tgt-table",
+	SectionSrcVocab: "src-vocab", SectionTgtVocab: "tgt-vocab",
+	SectionIVFFwd: "ivf-fwd", SectionIVFRev: "ivf-rev", SectionSQ8Src: "sq8-src", SectionSQ8Tgt: "sq8-tgt",
+}
+
 // String names the kind for error messages.
 func (k SectionKind) String() string {
-	switch k {
-	case SectionMeta:
-		return "meta"
-	case SectionSrcTable:
-		return "src-table"
-	case SectionTgtTable:
-		return "tgt-table"
-	case SectionSrcVocab:
-		return "src-vocab"
-	case SectionTgtVocab:
-		return "tgt-vocab"
-	case SectionIVFFwd:
-		return "ivf-fwd"
-	case SectionIVFRev:
-		return "ivf-rev"
-	case SectionSQ8Src:
-		return "sq8-src"
-	case SectionSQ8Tgt:
-		return "sq8-tgt"
-	default:
-		return fmt.Sprintf("kind(%d)", uint32(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint32(k))
 }
 
 // SectionError locates a typed error in a specific section of the file.
@@ -204,92 +194,133 @@ type Snapshot struct {
 	Meta     Meta
 	SrcTable *matrix.Dense // prepared rows (unit-normalized for cosine)
 	TgtTable *matrix.Dense
-	SrcVocab []string     // entity name per source table row
-	TgtVocab []string     // entity name per target table row
-	FwdIndex *ann.IVFData // nil when no index was persisted
-	RevIndex *ann.IVFData // nil when only the forward index was persisted
+	SrcVocab []string         // entity name per source table row
+	TgtVocab []string         // entity name per target table row
+	FwdIndex *ann.IVFData     // nil when no index was persisted
+	RevIndex *ann.IVFData     // nil when only the forward index was persisted
 	SrcQuant *quant.TableData // nil when no SQ8 tables were persisted
 	TgtQuant *quant.TableData // always present together with SrcQuant
 }
 
-// Validate cross-checks the snapshot's internal consistency: table shapes
-// against metadata, vocabulary lengths against table rows, index slabs
-// against the tables they claim to cover (including the full structural
-// invariants ann.FromData enforces). Both the writer and the loader call it,
-// so neither a bad producer nor a checksum-passing-but-inconsistent file
-// gets through.
-func (s *Snapshot) Validate() error {
-	if s.SrcTable == nil || s.TgtTable == nil {
+// shape is the geometry a numeric section declares in its prefix: the
+// rows×dim slab it holds (embedding tables, SQ8 codes) or covers (an IVF
+// index, whose cluster count is k).
+type shape struct{ rows, dim, k int }
+
+// layout is a snapshot reduced to what its metadata, vocabulary lengths and
+// section shapes say (a nil shape is an absent section). The consistency
+// rules between sections are stated on it once: Snapshot.Validate fills it
+// from in-memory objects, the Reader from section prefixes at open time.
+type layout struct {
+	meta               *Meta
+	src, tgt           *shape
+	srcNames, tgtNames int
+	fwd, rev           *shape
+	srcQ, tgtQ         *shape
+}
+
+// check applies every metadata/shape consistency rule of the format.
+func (l layout) check() error {
+	src, tgt := l.src, l.tgt
+	if src == nil || tgt == nil {
 		return fmt.Errorf("%w: missing embedding table", ErrMalformed)
 	}
-	if s.SrcTable.Cols() != s.TgtTable.Cols() {
-		return fmt.Errorf("%w: table dims differ: %d vs %d", ErrMalformed, s.SrcTable.Cols(), s.TgtTable.Cols())
+	if src.dim != tgt.dim {
+		return fmt.Errorf("%w: table dims differ: %d vs %d", ErrMalformed, src.dim, tgt.dim)
 	}
-	if s.SrcTable.Rows() == 0 || s.TgtTable.Rows() == 0 || s.SrcTable.Cols() == 0 {
+	if src.rows == 0 || tgt.rows == 0 || src.dim == 0 {
 		return fmt.Errorf("%w: empty embedding table (%d×%d source, %d×%d target)", ErrMalformed,
-			s.SrcTable.Rows(), s.SrcTable.Cols(), s.TgtTable.Rows(), s.TgtTable.Cols())
+			src.rows, src.dim, tgt.rows, tgt.dim)
 	}
-	if s.Meta.SrcRows != s.SrcTable.Rows() || s.Meta.TgtRows != s.TgtTable.Rows() || s.Meta.Dim != s.SrcTable.Cols() {
+	if l.meta.SrcRows != src.rows || l.meta.TgtRows != tgt.rows || l.meta.Dim != src.dim {
 		return fmt.Errorf("%w: metadata says %d/%d rows × %d dims, tables are %d/%d × %d", ErrMalformed,
-			s.Meta.SrcRows, s.Meta.TgtRows, s.Meta.Dim, s.SrcTable.Rows(), s.TgtTable.Rows(), s.SrcTable.Cols())
+			l.meta.SrcRows, l.meta.TgtRows, l.meta.Dim, src.rows, tgt.rows, src.dim)
 	}
-	if len(s.SrcVocab) != s.SrcTable.Rows() {
-		return fmt.Errorf("%w: %d source names for %d table rows", ErrMalformed, len(s.SrcVocab), s.SrcTable.Rows())
+	if l.srcNames != src.rows {
+		return fmt.Errorf("%w: %d source names for %d table rows", ErrMalformed, l.srcNames, src.rows)
 	}
-	if len(s.TgtVocab) != s.TgtTable.Rows() {
-		return fmt.Errorf("%w: %d target names for %d table rows", ErrMalformed, len(s.TgtVocab), s.TgtTable.Rows())
+	if l.tgtNames != tgt.rows {
+		return fmt.Errorf("%w: %d target names for %d table rows", ErrMalformed, l.tgtNames, tgt.rows)
 	}
-	if (s.FwdIndex != nil) != (s.Meta.ANN != nil) {
+	if (l.fwd != nil) != (l.meta.ANN != nil) {
 		return fmt.Errorf("%w: index sections and ANN metadata disagree", ErrMalformed)
 	}
-	if s.RevIndex != nil && s.FwdIndex == nil {
+	if l.rev != nil && l.fwd == nil {
 		return fmt.Errorf("%w: reverse index without a forward index", ErrMalformed)
 	}
+	if (l.srcQ != nil) != (l.tgtQ != nil) {
+		return fmt.Errorf("%w: SQ8 sections must cover both tables or neither", ErrMalformed)
+	}
+	if (l.srcQ != nil) != (l.meta.Quant != nil) {
+		return fmt.Errorf("%w: SQ8 sections and quant metadata disagree", ErrMalformed)
+	}
+	for _, c := range []struct {
+		what       string
+		sec, table *shape
+	}{
+		{"forward index", l.fwd, tgt}, {"reverse index", l.rev, src},
+		{"SQ8 source codes", l.srcQ, src}, {"SQ8 target codes", l.tgtQ, tgt},
+	} {
+		if c.sec != nil && (c.sec.rows != c.table.rows || c.sec.dim != c.table.dim) {
+			return fmt.Errorf("%w: %s covers %d×%d but its table is %d×%d", ErrMalformed,
+				c.what, c.sec.rows, c.sec.dim, c.table.rows, c.table.dim)
+		}
+	}
+	if l.fwd != nil && l.meta.ANN.Clusters != l.fwd.k {
+		return fmt.Errorf("%w: ANN metadata says %d clusters, forward index has %d", ErrMalformed,
+			l.meta.ANN.Clusters, l.fwd.k)
+	}
+	if l.srcQ != nil && l.meta.Quant.RerankFactor < 0 {
+		return fmt.Errorf("%w: negative rerank factor %d", ErrMalformed, l.meta.Quant.RerankFactor)
+	}
+	return nil
+}
+
+// Validate cross-checks the snapshot's internal consistency: the layout
+// rules (table shapes against metadata, vocabulary lengths against table
+// rows, index and code sections against the tables they claim to cover),
+// then the deep slab invariants ann.FromData and quant.FromData enforce.
+// Both the writer and every materializing load call it, so neither a bad
+// producer nor a checksum-passing-but-inconsistent file gets through.
+func (s *Snapshot) Validate() error {
+	l := layout{meta: &s.Meta, srcNames: len(s.SrcVocab), tgtNames: len(s.TgtVocab)}
+	if t := s.SrcTable; t != nil {
+		l.src = &shape{rows: t.Rows(), dim: t.Cols()}
+	}
+	if t := s.TgtTable; t != nil {
+		l.tgt = &shape{rows: t.Rows(), dim: t.Cols()}
+	}
+	if d := s.FwdIndex; d != nil {
+		l.fwd = &shape{rows: d.N, dim: d.Dim, k: d.K}
+	}
+	if d := s.RevIndex; d != nil {
+		l.rev = &shape{rows: d.N, dim: d.Dim, k: d.K}
+	}
+	if d := s.SrcQuant; d != nil {
+		l.srcQ = &shape{rows: d.Rows, dim: d.Dim}
+	}
+	if d := s.TgtQuant; d != nil {
+		l.tgtQ = &shape{rows: d.Rows, dim: d.Dim}
+	}
+	if err := l.check(); err != nil {
+		return err
+	}
 	if s.FwdIndex != nil {
-		if s.FwdIndex.N != s.TgtTable.Rows() || s.FwdIndex.Dim != s.TgtTable.Cols() {
-			return fmt.Errorf("%w: forward index covers %d×%d but target table is %d×%d", ErrMalformed,
-				s.FwdIndex.N, s.FwdIndex.Dim, s.TgtTable.Rows(), s.TgtTable.Cols())
-		}
-		if s.Meta.ANN.Clusters != s.FwdIndex.K {
-			return fmt.Errorf("%w: ANN metadata says %d clusters, forward index has %d", ErrMalformed,
-				s.Meta.ANN.Clusters, s.FwdIndex.K)
-		}
 		if _, err := ann.FromData(s.FwdIndex); err != nil {
 			return fmt.Errorf("%w: forward index: %v", ErrMalformed, err)
 		}
 	}
 	if s.RevIndex != nil {
-		if s.RevIndex.N != s.SrcTable.Rows() || s.RevIndex.Dim != s.SrcTable.Cols() {
-			return fmt.Errorf("%w: reverse index covers %d×%d but source table is %d×%d", ErrMalformed,
-				s.RevIndex.N, s.RevIndex.Dim, s.SrcTable.Rows(), s.SrcTable.Cols())
-		}
 		if _, err := ann.FromData(s.RevIndex); err != nil {
 			return fmt.Errorf("%w: reverse index: %v", ErrMalformed, err)
 		}
 	}
-	if (s.SrcQuant != nil) != (s.TgtQuant != nil) {
-		return fmt.Errorf("%w: SQ8 sections must cover both tables or neither", ErrMalformed)
-	}
-	if (s.SrcQuant != nil) != (s.Meta.Quant != nil) {
-		return fmt.Errorf("%w: SQ8 sections and quant metadata disagree", ErrMalformed)
-	}
 	if s.SrcQuant != nil {
-		if s.SrcQuant.Rows != s.SrcTable.Rows() || s.SrcQuant.Dim != s.SrcTable.Cols() {
-			return fmt.Errorf("%w: SQ8 source codes cover %d×%d but source table is %d×%d", ErrMalformed,
-				s.SrcQuant.Rows, s.SrcQuant.Dim, s.SrcTable.Rows(), s.SrcTable.Cols())
-		}
 		if _, err := quant.FromData(s.SrcQuant); err != nil {
 			return fmt.Errorf("%w: SQ8 source codes: %v", ErrMalformed, err)
 		}
-		if s.TgtQuant.Rows != s.TgtTable.Rows() || s.TgtQuant.Dim != s.TgtTable.Cols() {
-			return fmt.Errorf("%w: SQ8 target codes cover %d×%d but target table is %d×%d", ErrMalformed,
-				s.TgtQuant.Rows, s.TgtQuant.Dim, s.TgtTable.Rows(), s.TgtTable.Cols())
-		}
 		if _, err := quant.FromData(s.TgtQuant); err != nil {
 			return fmt.Errorf("%w: SQ8 target codes: %v", ErrMalformed, err)
-		}
-		if s.Meta.Quant.RerankFactor < 0 {
-			return fmt.Errorf("%w: negative rerank factor %d", ErrMalformed, s.Meta.Quant.RerankFactor)
 		}
 	}
 	return nil

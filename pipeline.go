@@ -721,45 +721,33 @@ func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, tab
 // and the requested configuration. Every divergence is an
 // ErrSnapshotMismatch: the caller asked for something this snapshot does not
 // hold, and silently rebuilding would hide exactly the staleness a
-// production loader must surface. With OutOfCore the tables stay in the file
-// (validated section-streamed, then mmapped or read through slab windows)
-// and the returned run holds the reader open — callers must Close it.
+// production loader must surface. One verified reader serves both modes: the
+// default materializes the tables from it and closes it; with OutOfCore the
+// tables stay in the file (mmapped or read through slab windows) and the
+// returned run holds the reader open — callers must Close it.
 func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err error) {
 	// Honor ctx like the fresh path does: before the (potentially large)
-	// load, and again between the reconstruction's heavy steps.
+	// verification pass, and again between the reconstruction's heavy steps.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var (
-		snap               *snapshot.Snapshot
-		r                  *snapshot.Reader
-		meta               snapshot.Meta
-		srcVocab, tgtVocab []string
-	)
-	if p.cfg.OutOfCore {
-		if r, err = snapshot.OpenReader(p.cfg.LoadSnapshot); err != nil {
-			return nil, err
-		}
-		defer func() {
-			if err != nil {
-				r.Close()
-			}
-		}()
-		meta = r.Meta()
-		srcVocab, tgtVocab = r.Vocabs()
-	} else {
-		if snap, err = snapshot.Load(p.cfg.LoadSnapshot); err != nil {
-			return nil, err
-		}
-		meta, srcVocab, tgtVocab = snap.Meta, snap.SrcVocab, snap.TgtVocab
+	r, err := snapshot.OpenReader(p.cfg.LoadSnapshot)
+	if err != nil {
+		return nil, err
 	}
-	if err := p.checkSnapshotMeta(meta); err != nil {
+	defer func() {
+		if err != nil || !p.cfg.OutOfCore {
+			r.Close()
+		}
+	}()
+	if err := p.checkSnapshotMeta(r.Meta()); err != nil {
 		return nil, err
 	}
 	task, err := p.task(d)
 	if err != nil {
 		return nil, err
 	}
+	srcVocab, tgtVocab := r.Vocabs()
 	if err := checkSnapshotVocab(d, task, srcVocab, tgtVocab); err != nil {
 		return nil, err
 	}
@@ -767,10 +755,13 @@ func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err e
 		return nil, err
 	}
 	var tables *engine.Tables
-	if r != nil {
+	if p.cfg.OutOfCore {
 		tables, err = engine.FromReader(ctx, r, p.cfg.engineKnobs())
 	} else {
-		tables, err = engine.FromSnapshot(ctx, snap, p.cfg.engineKnobs())
+		var snap *snapshot.Snapshot
+		if snap, err = r.Materialize(); err == nil {
+			tables, err = engine.FromSnapshot(ctx, snap, p.cfg.engineKnobs())
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -779,7 +770,7 @@ func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err e
 	if err != nil {
 		return nil, err
 	}
-	if r != nil {
+	if p.cfg.OutOfCore {
 		run.OutOfCoreMode, run.closer = "mmap", sync.OnceValue(r.Close)
 		if tables.Stream.OutOfCore() {
 			run.OutOfCoreMode = "readat"
@@ -789,8 +780,7 @@ func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err e
 }
 
 // checkSnapshotMeta verifies a snapshot's recorded configuration against the
-// run's — shared by the materializing and out-of-core load paths so both
-// report identical ErrSnapshotMismatch diagnostics.
+// run's.
 func (p *Pipeline) checkSnapshotMeta(meta snapshot.Meta) error {
 	if got, want := meta.Metric, uint32(p.cfg.Metric); got != want {
 		return fmt.Errorf("%w: snapshot was prepared for metric %v, run requests %v",
