@@ -48,7 +48,6 @@ func BenchmarkFigure5(b *testing.B)        { runExperiment(b, "figure5") }
 func BenchmarkFigure6(b *testing.B)        { runExperiment(b, "figure6") }
 func BenchmarkFigure7(b *testing.B)        { runExperiment(b, "figure7") }
 func BenchmarkDeepEM(b *testing.B)         { runExperiment(b, "deepem") }
-func BenchmarkSparse(b *testing.B)         { runExperiment(b, "sparse") }
 
 // benchMatrix builds a reproducible noisy-diagonal similarity matrix, the
 // workload shape every matcher sees in the experiments.

@@ -8,19 +8,12 @@
 //	benchtab -scale-medium 0.1       # override individual scales
 //	benchtab -list                   # list experiment IDs
 //	benchtab -o results.txt          # also write the output to a file
-//	benchtab -exp sparse -cand 64    # sparse engine at a single budget C
-//	benchtab -exp sparse -json BENCH_sparse.json   # machine-readable results
-//	benchtab -exp ann                # IVF nprobe→recall/speed sweep
-//	benchtab -exp ann -json BENCH_ann.json         # machine-readable sweep
-//	benchtab -exp ann -quant         # the same sweep on SQ8 quantized slabs
-//	benchtab -exp quant              # SQ8 rerank-factor sweep vs float64 scan
-//	benchtab -exp quant -json BENCH_quant.json     # machine-readable sweep
-//	benchtab -auto                   # planner decisions + planner-vs-hand live run
-//	benchtab -auto -explain          # ... with every candidate plan and rejection
-//	benchtab -auto -target-recall 0.8  # let the planner consider approximate plans
 //
 // Scales are relative to the paper's full dataset sizes; the defaults are
-// the ones recorded in EXPERIMENTS.md for a 1-CPU container.
+// the ones recorded in EXPERIMENTS.md for a 1-CPU container. Every experiment
+// is a paper artifact (a table, figure, section or appendix); engine and
+// planner performance is measured by the harness under benchmark/
+// (bash benchmark/run.sh), not here.
 package main
 
 import (
@@ -54,14 +47,11 @@ func main() {
 func run() error {
 	cfg := bench.DefaultConfig()
 	var (
-		expList  = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		quick    = flag.Bool("quick", false, "use the small smoke-test scales")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		outFile  = flag.String("o", "", "also write results to this file")
-		jsonFile = flag.String("json", "", "write machine-readable measurements (JSON, BENCH_*.json schema) to this file; currently the 'sparse' and 'ann' experiments record them")
-		verbose  = flag.Bool("v", false, "log per-run progress to stderr")
-		auto     = flag.Bool("auto", false, "shorthand for -exp planner: print the cost-based planner's engine decisions across scales and run planner-chosen vs hand-tuned live")
-		explain  = flag.Bool("explain", false, "attach each planner decision's full explanation — every candidate plan with its estimate and rejection reason — to the 'planner' experiment's tables")
+		expList = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
+		quick   = flag.Bool("quick", false, "use the small smoke-test scales")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		outFile = flag.String("o", "", "also write results to this file")
+		verbose = flag.Bool("v", false, "log per-run progress to stderr")
 	)
 	flag.Float64Var(&cfg.ScaleMedium, "scale-medium", cfg.ScaleMedium, "scale factor for DBP15K/SRPRS")
 	flag.Float64Var(&cfg.ScaleLarge, "scale-large", cfg.ScaleLarge, "scale factor for DWY100K")
@@ -71,42 +61,9 @@ func run() error {
 	flag.IntVar(&cfg.CSLSK, "csls-k", cfg.CSLSK, "CSLS neighborhood size")
 	flag.Float64Var(&cfg.AbstentionQ, "abstention-q", cfg.AbstentionQ, "validation quantile for dummy abstention")
 	flag.DurationVar(&cfg.RunTimeout, "timeout", cfg.RunTimeout, "per-matcher wall-clock budget; over-budget matchers degrade to RInf-pb then DInf (0 = unbounded)")
-	flag.BoolVar(&cfg.StreamLarge, "stream", cfg.StreamLarge, "run the large-scale table (table6) on the tiled streaming similarity engine: the dense score matrix is never allocated and only the streaming-capable matchers (DInf, CSLS, Sink.-mb) are measured; see also the 'streaming' experiment for a dense-vs-streaming comparison")
+	flag.BoolVar(&cfg.StreamLarge, "stream", cfg.StreamLarge, "run the large-scale table (table6) on the tiled streaming similarity engine: the dense score matrix is never allocated and only the streaming-capable matchers (DInf, CSLS, Sink.-mb) are measured")
 	flag.Int64Var(&cfg.MemoryBudgetBytes, "mem-budget", cfg.MemoryBudgetBytes, "per-algorithm working-memory budget in bytes behind table6's Mem. feasibility column")
-	flag.IntVar(&cfg.SparseCand, "cand", cfg.SparseCand, "restrict the 'sparse' experiment to a single candidate budget C (0 = sweep 16/32/64/128)")
-	flag.IntVar(&cfg.ANNClusters, "ann", cfg.ANNClusters, "IVF cluster count for the 'ann' experiment (0 = auto, ≈√targets)")
-	flag.IntVar(&cfg.ANNNProbe, "nprobe", cfg.ANNNProbe, "restrict the 'ann' experiment to a single probe count (0 = sweep up to the full cluster count)")
-	flag.BoolVar(&cfg.QuantANN, "quant", cfg.QuantANN, "run the 'ann' experiment's sweep on SQ8 quantized slab scans (exact float64 re-rank on; the full-coverage row stays bit-identical and is verified live)")
-	flag.IntVar(&cfg.QuantFactor, "rerank-factor", cfg.QuantFactor, "restrict the 'quant' experiment to a single rerank factor (0 = sweep 1/2/4/8); with -quant, also sets the ann sweep's factor")
-	flag.Float64Var(&cfg.PlannerTargetRecall, "target-recall", cfg.PlannerTargetRecall, "candidate-recall floor for the 'planner' experiment: 0 keeps the planner on exact-coverage plans, lower values allow approximate IVF plans")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "restrict the 'shard' experiment to a single shard count (0 = sweep 1/4/16)")
-	flag.BoolVar(&cfg.OutOfCore, "out-of-core", cfg.OutOfCore, "serve the 'shard' experiment's sharded rows from a temporary snapshot file (mmap where available, chunked reads elsewhere) instead of resident embedding slabs")
 	flag.Parse()
-	cfg.PlannerExplain = *explain
-	if *auto && *expList == "" {
-		*expList = "planner"
-	}
-
-	if cfg.SparseCand < 0 {
-		return fmt.Errorf("-cand must be non-negative")
-	}
-	if cfg.ANNClusters < 0 {
-		return fmt.Errorf("-ann must be non-negative")
-	}
-	if cfg.ANNNProbe < 0 {
-		return fmt.Errorf("-nprobe must be non-negative")
-	}
-	if cfg.QuantFactor < 0 {
-		return fmt.Errorf("-rerank-factor must be non-negative")
-	}
-	if cfg.PlannerTargetRecall < 0 || cfg.PlannerTargetRecall > 1 {
-		return fmt.Errorf("-target-recall must be in [0, 1]")
-	}
-	if cfg.ANNClusters > 0 && cfg.ANNNProbe > cfg.ANNClusters {
-		fmt.Fprintf(os.Stderr, "benchtab: warning: -nprobe %d exceeds -ann %d clusters; clamping to %d (exact coverage)\n",
-			cfg.ANNNProbe, cfg.ANNClusters, cfg.ANNClusters)
-		cfg.ANNNProbe = cfg.ANNClusters
-	}
 
 	if *list {
 		for _, exp := range bench.Experiments() {
@@ -164,24 +121,6 @@ func run() error {
 			}
 		}
 		fmt.Fprintf(out, "(%s finished in %v)\n\n", exp.ID, time.Since(start).Round(time.Second))
-	}
-	if *jsonFile != "" {
-		ids := make([]string, len(selected))
-		for i, exp := range selected {
-			ids[i] = exp.ID
-		}
-		report := env.Report(
-			fmt.Sprintf("benchtab machine-readable results for experiments: %s. Produced by: benchtab -exp %s -json %s",
-				strings.Join(ids, ", "), strings.Join(ids, ","), *jsonFile),
-			time.Now().Format("2006-01-02"),
-		)
-		if report == nil {
-			return fmt.Errorf("-json: no experiment recorded measurements (the 'sparse' experiment does)")
-		}
-		if err := report.WriteFile(*jsonFile); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote %d measurement(s) to %s\n", len(report.Benchmarks), *jsonFile)
 	}
 	if notes := env.DegradationNotes(); len(notes) > 0 {
 		fmt.Fprintf(os.Stderr, "benchtab: %d matcher run(s) degraded under the -timeout budget:\n", len(notes))

@@ -57,8 +57,8 @@
 // otherwise — so table-sized heap allocations never happen; combined with
 // -shards this is the 1M×1M-under-4GiB configuration.
 //
-// With -auto the cost-based planner (internal/plan, calibrated from the
-// checked-in BENCH_*.json measurements) picks the cheapest engine that fits
+// With -auto the cost-based planner (internal/plan, costed from the one
+// coefficient table plan.Defaults) picks the cheapest engine that fits
 // -mem-budget: dense, streaming tiles, sparse top-C graphs, IVF, or SQ8 —
 // with -target-recall it may trade candidate recall for speed through
 // approximate ANN plans. Explicit engine flags always win over the planner.

@@ -7,10 +7,55 @@ package entmatcher_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"entmatcher"
+	"entmatcher/internal/plan"
+	"entmatcher/internal/server"
 )
+
+// TestOneCalibration pins that there is one planner calibration in the tree:
+// the public facade returns plan.Defaults itself, and the two in-tree
+// planners — the pipeline's Auto mode and entserver's startup plan — reach
+// the same decision for the same tables.
+func TestOneCalibration(t *testing.T) {
+	cal, err := entmatcher.DefaultCalibration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cal, plan.Defaults()) {
+		t.Fatalf("DefaultCalibration() = %+v, want plan.Defaults() = %+v", cal, plan.Defaults())
+	}
+
+	d, err := entmatcher.GenerateBenchmark(entmatcher.ProfileDBP15KZhEn, 0.03)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := entmatcher.NewPipeline(entmatcher.PipelineConfig{Model: entmatcher.ModelRREA, Auto: true}).Prepare(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "prep.snap")
+	save := entmatcher.PipelineConfig{Model: entmatcher.ModelRREA, CandidateBudget: 16, SaveSnapshot: path}
+	if _, err := entmatcher.NewPipeline(save).Prepare(d); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(path, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := srv.Plan(), auto.Plan
+	if got == nil || want == nil {
+		t.Fatalf("missing plan: server %v, auto run %v", got, want)
+	}
+	if got.Workload != want.Workload {
+		t.Fatalf("the two planners saw different workloads: server %+v, auto run %+v", got.Workload, want.Workload)
+	}
+	if got.Chosen.Engine != want.Chosen.Engine || got.Chosen.Knobs != want.Chosen.Knobs {
+		t.Fatalf("server planned %s, auto run planned %s", got.Chosen.Label(), want.Chosen.Label())
+	}
+}
 
 func TestIntegrationDiskRoundTripPipeline(t *testing.T) {
 	d, err := entmatcher.GenerateBenchmark(entmatcher.ProfileSRPRSDbpWd, 0.03)

@@ -52,42 +52,6 @@ type Config struct {
 	// similarity engine: the dense score matrix is never allocated and only
 	// the streaming-capable matchers (DInf, CSLS, Sink.-mb) are measured.
 	StreamLarge bool
-	// SparseCand, when positive, restricts the 'sparse' experiment to a
-	// single candidate budget C instead of its default {16, 32, 64, 128}
-	// sweep, and sets the budget of the 'shard' experiment (0 = 16).
-	SparseCand int
-	// Shards, when positive, restricts the 'shard' experiment to a single
-	// shard count instead of its default {1, 4, 16} sweep.
-	Shards int
-	// OutOfCore makes the 'shard' experiment's sharded rows serve their
-	// embedding tables out-of-core from a temporary snapshot file (mmap
-	// where the platform supports it, chunked reads elsewhere) instead of
-	// resident slabs — the configuration the 1M×1M scaling run uses.
-	OutOfCore bool
-	// ANNClusters, when positive, pins the IVF cluster count of the 'ann'
-	// experiment (0 = auto, ≈ √targets).
-	ANNClusters int
-	// ANNNProbe, when positive, restricts the 'ann' experiment to a single
-	// probe count instead of its default sweep up to full coverage.
-	ANNNProbe int
-	// QuantANN runs the 'ann' experiment's sweep with SQ8 quantized slab
-	// scans (exact float64 re-rank on): the IVF candidate graphs then come
-	// from int8 codes 8× smaller than the float slabs, and the full-coverage
-	// exactness check verifies the quantized path live.
-	QuantANN bool
-	// QuantFactor, when positive, restricts the 'quant' experiment to a
-	// single rerank factor instead of its default {1, 2, 4, 8} sweep, and
-	// sets the factor used by QuantANN (0 = the library default).
-	QuantFactor int
-	// PlannerTargetRecall is the candidate-recall floor handed to the
-	// 'planner' experiment's cost-based planner (and benchtab's
-	// -target-recall flag): 0 keeps the planner on exact-coverage plans,
-	// lower values let it consider approximate IVF plans.
-	PlannerTargetRecall float64
-	// PlannerExplain attaches each planner decision's full explanation —
-	// every candidate plan with its estimate and rejection reason — to the
-	// 'planner' experiment's rendered table (benchtab -explain).
-	PlannerExplain bool
 	// RunTimeout is the per-matcher wall-clock budget. When positive, each
 	// matcher run happens inside a degradation chain (matcher → RInf-pb →
 	// DInf) so an over-budget algorithm yields a cheaper tier's answer
@@ -147,8 +111,6 @@ type Env struct {
 
 	mu           sync.Mutex
 	degradations []string
-	records      []Record
-	summary      map[string]string
 }
 
 // NewEnv returns an empty cache environment.
@@ -192,18 +154,9 @@ func (e *Env) MulDataset(p datagen.MulProfile, scale float64) (*entmatcher.Datas
 // part of the key: profiles share names across scales, and reusing another
 // instance's embeddings or tasks would silently distort results.
 func runKey(d *entmatcher.Dataset, pc entmatcher.PipelineConfig) string {
-	annK := ""
-	if pc.ANN != nil {
-		// The ANN knobs change which candidate graphs a run produces, so
-		// they are part of the identity; a nil ANN stays distinct from any
-		// configured one.
-		annK = fmt.Sprintf("%d/%d/%d/%d", pc.ANN.Clusters, pc.ANN.NProbe, pc.ANN.SampleSize, pc.ANN.Seed)
-	}
-	// Auto/TargetRecall are part of the identity too: an Auto-planned run
-	// may resolve to any engine, so it must never share a cache slot with an
-	// explicitly configured (all-zero-knob, dense) preparation. Shards
-	// likewise changes the candidate producer.
-	return fmt.Sprintf("%p|%v|%v|%v|%v|%v|%d|%s|%v|%g|%d", d, pc.Model, pc.Features, pc.Setting, pc.WithValidation, pc.Streaming, pc.CandidateBudget, annK, pc.Auto, pc.TargetRecall, pc.Shards)
+	// Streaming is the only engine knob a paper experiment sets (table6
+	// under -stream); a new one must join the key.
+	return fmt.Sprintf("%p|%v|%v|%v|%v|%v", d, pc.Model, pc.Features, pc.Setting, pc.WithValidation, pc.Streaming)
 }
 
 // embKey identifies a cached embedding table, again per dataset instance.
@@ -234,16 +187,6 @@ func (e *Env) Run(d *entmatcher.Dataset, pc entmatcher.PipelineConfig) (*entmatc
 	}
 	e.runs[rk] = run
 	return run, nil
-}
-
-// dim returns the embedding width cached for (d, pc), or 0 when those
-// embeddings have not been prepared yet. Used to stamp planner features onto
-// -json records without re-encoding.
-func (e *Env) dim(d *entmatcher.Dataset, pc entmatcher.PipelineConfig) int {
-	if emb, ok := e.embeddings[embKey(d, pc)]; ok && emb.Source != nil {
-		return emb.Source.Cols()
-	}
-	return 0
 }
 
 // encode produces the feature embeddings for a pipeline configuration.
@@ -285,13 +228,6 @@ func Experiments() []Experiment {
 		{ID: "table4", Title: "Table 4: F1 with structural information only", Run: runTable4},
 		{ID: "table5", Title: "Table 5: F1 with name / fused information", Run: runTable5},
 		{ID: "table6", Title: "Table 6: large-scale (DWY100K profile) F1, time, memory", Run: runTable6},
-		{ID: "streaming", Title: "Dense vs tiled-streaming similarity engine: F1, time, peak memory", Run: runStreaming},
-		{ID: "sparse", Title: "Sparse candidate-graph engine: Hits@1, time, peak memory vs dense across C", Run: runSparse},
-		{ID: "ann", Title: "IVF approximate candidate generation: nprobe → recall, Hits@1, build time vs exact", Run: runANN},
-		{ID: "quant", Title: "SQ8 quantized candidate scans: rerank factor → recall, build time, table bytes vs float64", Run: runQuant},
-		{ID: "planner", Title: "Cost-based engine planner: decisions across scales, and planner vs hand-tuned live", Run: runPlanner},
-		{ID: "shard", Title: "IVF-sharded matching: shard count → Hits@1, time, peak memory vs unsharded sparse", Run: runShard},
-		{ID: "batch", Title: "Register-blocked multi-query kernels: blocked vs per-pair scan throughput, coalesced serving QPS", Run: runBatch},
 		{ID: "table7", Title: "Table 7: unmatchable entities (DBP15K+)", Run: runTable7},
 		{ID: "table8", Title: "Table 8: non 1-to-1 alignment (FB_DBP_MUL)", Run: runTable8},
 		{ID: "figure4", Title: "Figure 4: STD of top-5 pairwise scores", Run: runFigure4},
@@ -366,9 +302,9 @@ func fallbackChain(cfg *Config, m entmatcher.Matcher) entmatcher.Matcher {
 
 // matchBudgeted runs m on run under cfg.RunTimeout (if any), recording a
 // degradation note on env when a cheaper tier answered. Every timed match in
-// the tables means "one matcher, cold" — the BENCH_* records and the
-// planner's sparse-build fit read it that way — so candidate graphs an
-// earlier matcher left in the run's memo are dropped first.
+// the tables means "one matcher, cold" — Table 6 and Figure 5 compare
+// matchers by it — so candidate graphs an earlier matcher left in the run's
+// memo are dropped first.
 func matchBudgeted(cfg *Config, env *Env, run *entmatcher.Run, m entmatcher.Matcher) (*entmatcher.MatchResult, entmatcher.Metrics, error) {
 	run.ForgetGraphs()
 	res, metrics, err := run.Match(fallbackChain(cfg, m))

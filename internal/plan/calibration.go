@@ -1,138 +1,99 @@
-// Calibration: the planner's per-unit cost coefficients and how they are
-// fitted from the checked-in BENCH_*.json measurement files.
-//
-// The fitter is deliberately schema-loose: it parses the report envelope the
-// bench writer emits ({"benchmarks": [{"name", "ns_per_op", ...}]}) and
-// recognizes record families by their slash-separated names — the same
-// convention every BENCH file in the repo uses. Records it does not
-// recognize are skipped, so new experiments never break old planners; a file
-// whose recognized records all vanish is reported as an error, so a schema
-// change that would silently un-calibrate the model fails loudly instead
-// (the CI calibration guard loads all six checked-in files).
+// Calibration: the planner's per-unit cost coefficients. There is one table,
+// Defaults, and every planner in the tree — the pipeline's Auto mode,
+// entserver's startup plan, the CLIs, the benchmark harness's plan.drift.*
+// probes — reads it.
 package plan
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
-
-// Calibration holds the fitted per-unit cost coefficients. All *NS fields
-// are nanoseconds per modeled unit of work on the calibrated host.
+// Calibration holds the per-unit cost coefficients. All *NS fields are
+// nanoseconds per modeled unit of work on the calibrated host.
 type Calibration struct {
 	// DenseSimNS: per scanned cell·dim, dense similarity-matrix computation
-	// plus a fused selection pass (the StreamSim*/dense benchmarks).
+	// plus a fused selection pass.
 	DenseSimNS float64
 	// DenseMatchNS: per matrix cell, one representative collective matcher
-	// running on the materialized dense matrix (median of the Sparse/*/dense
-	// rows — RInf, Sinkhorn, Hungarian, SMat are all superlinear per cell,
-	// which is exactly why dense stops scaling).
+	// running on the materialized dense matrix (the median over RInf,
+	// Sinkhorn, Hungarian and SMat — all superlinear per cell, which is
+	// exactly why dense stops scaling).
 	DenseMatchNS float64
 	// StreamPassNS: per cell·dim, one fused streaming pass (tile production
-	// and consumption, StreamSim*/stream rows).
+	// and consumption).
 	StreamPassNS float64
 	// SparseBuildNS: per cell·dim, the exhaustive one-pass top-C candidate
-	// graph build (ANN/exact/build and QUANT/float/build rows).
+	// graph build.
 	SparseBuildNS float64
 	// SparseEdgeNS: per retained candidate edge, a collective sparse matcher
-	// pass (median Sparse/*/C=* slope).
+	// pass (median slope across the matchers' C sweeps).
 	SparseEdgeNS float64
-	// ANNTrainNS: per corpusRow·cluster·dim, k-means quantizer training
-	// (ANN/train rows).
+	// ANNTrainNS: per corpusRow·cluster·dim, k-means quantizer training.
 	ANNTrainNS float64
 	// ANNCentroidNS: per query·cluster·dim, coarse cell ranking plus the
-	// per-query fixed costs of an IVF graph build (ANN/graph intercept).
+	// per-query fixed costs of an IVF graph build (the nprobe sweep's
+	// intercept).
 	ANNCentroidNS float64
-	// ANNScanNS: per probed cell·dim, the IVF inverted-list scan
-	// (ANN/graph slope in nprobe).
+	// ANNScanNS: per probed cell·dim, the IVF inverted-list scan (the nprobe
+	// sweep's slope).
 	ANNScanNS float64
 	// QuantScanRatio and QuantRerankMult model the SQ8 scan relative to the
 	// float64 scan of the same geometry: time(quant)/time(float) ≈
-	// QuantScanRatio + QuantRerankMult·(pool/targets), fitted from the
-	// QUANT/graph/factor=* rows. The ratio form keeps quant-vs-float
-	// comparisons consistent even when absolute coefficients come from a
-	// different host.
+	// QuantScanRatio + QuantRerankMult·(pool/targets). The ratio form keeps
+	// quant-vs-float comparisons consistent even when absolute coefficients
+	// come from a different host.
 	QuantScanRatio  float64
 	QuantRerankMult float64
-	// QuantEncodeNS: per table value, SQ8 encoding (QUANT/encode rows).
+	// QuantEncodeNS: per table value, SQ8 encoding.
 	QuantEncodeNS float64
 	// BlockedScanSpeedup and BlockedI8Speedup: single-thread throughput
 	// ratio of the per-pair scan to the register-blocked multi-query scan,
-	// for the float64 and int8 kernels respectively (the Batch/kernel rows
-	// of BENCH_batch.json). The streaming/sparse/ANN/quant files were fitted
-	// when every scan path streamed the corpus once per query, so their scan
-	// coefficients model the per-pair kernels; the planner divides each
+	// for the float64 and int8 kernels respectively. The scan coefficients
+	// above were measured when every scan path streamed the corpus once per
+	// query, so they model the per-pair kernels; the planner divides each
 	// blocked scan term by the matching ratio to track the current kernels.
-	// Refitting those files on a blocked build folds the speedup into the
-	// coefficients themselves, and these ratios then refit toward 1.
 	BlockedScanSpeedup float64
 	BlockedI8Speedup   float64
 	// ShardCalibMult: measured/modeled wall ratio of the sharded engine,
-	// fitted end-to-end from the gated 1M×1M out-of-core run (the Shard/
-	// rows of BENCH_shard.json). It absorbs everything the component model
-	// misses at that scale — slab I/O, per-shard gathers, matcher passes
-	// over replicated edges — so EngineShard estimates stop being pure
-	// component extrapolation.
+	// taken end to end from the gated 1M×1M out-of-core run. It absorbs
+	// everything the component model (shardWallNS) misses at that scale —
+	// slab I/O, per-shard gathers, matcher passes over replicated edges.
 	ShardCalibMult float64
 	// Recall maps probed-cluster fraction (nprobe/K) to candidate recall,
-	// fitted from the ANN/graph/nprobe=* sweep on the paper's structural
-	// embeddings — the conservative geometry (clustered corpora saturate
-	// far earlier; see BENCH_ann.json's clustered rows).
+	// measured on the paper's structural embeddings — the conservative
+	// geometry (clustered corpora saturate far earlier).
 	Recall RecallCurve
-	// Sources lists the BENCH files fitted into this calibration.
-	Sources []string
 }
 
-// Defaults returns the built-in coefficients — the values the checked-in
-// BENCH_streaming/sparse/ann/quant.json files fit to (2.70 GHz Xeon,
-// GOMAXPROCS=1), so planning without the files ranks engines the same way.
+// Defaults returns the one calibration in the tree. The numbers were measured
+// at GOMAXPROCS=1 by the engine sweeps of PRs 2–10: the streaming, sparse and
+// ANN coefficients on a 2.70 GHz Xeon (the recall curve is the DWY100K
+// structural sweep, nprobe {1,4,16,64,126} of K=126 clusters); the quant
+// coefficients, the blocked-kernel ratios and the shard multiplier (from the
+// gated 1M×1M run) on a 2.10 GHz one. They are kept at full precision so
+// plans stay bit-identical to the ones those measurements produced. Several
+// are stale — SparseBuildNS and DenseMatchNS are now several-fold too high —
+// and ROADMAP item 2 replaces the whole table from benchmark/ harness output.
 func Defaults() Calibration {
 	return Calibration{
-		DenseSimNS:      1.75,
-		DenseMatchNS:    440,
-		StreamPassNS:    0.86,
-		SparseBuildNS:   0.25,
-		SparseEdgeNS:    580,
-		ANNTrainNS:      1.05,
-		ANNCentroidNS:   2.76,
-		ANNScanNS:       0.30,
-		QuantScanRatio:  0.49,
-		QuantRerankMult: 29.4,
-		QuantEncodeNS:   8.4,
-		// The blocked-kernel ratios and the sharded drift multiplier the
-		// checked-in BENCH_batch.json / BENCH_shard.json files fit to.
-		BlockedScanSpeedup: 2.40,
-		BlockedI8Speedup:   1.53,
-		ShardCalibMult:     7.2,
-		Recall:             defaultRecallCurve(),
+		DenseSimNS:         1.751483008178711,
+		DenseMatchNS:       442.3554967921223,
+		StreamPassNS:       0.8629223161621093,
+		SparseBuildNS:      0.18789377005109043,
+		SparseEdgeNS:       579.2480995679111,
+		ANNTrainNS:         1.0474387122430628,
+		ANNCentroidNS:      1.0490662904178147,
+		ANNScanNS:          0.3151509174357634,
+		QuantScanRatio:     0.4853515208297059,
+		QuantRerankMult:    29.44102576092479,
+		QuantEncodeNS:      8.433553218841553,
+		BlockedScanSpeedup: 2.3957574622610616,
+		BlockedI8Speedup:   1.5258004186093919,
+		ShardCalibMult:     7.197867409632179,
+		Recall: RecallCurve{Points: []RecallPoint{
+			{0.007936507936507936, 0.2679586926634171},
+			{0.031746031746031744, 0.4230633280214973},
+			{0.12698412698412698, 0.6457835348706412},
+			{0.5079365079365079, 0.9231873359580053},
+			{1, 1},
+		}},
 	}
-}
-
-// blockedSpeedup and blockedI8Speedup clamp the fitted ratios to >= 1: a
-// zero value (an old serialized calibration, or a file set without
-// BENCH_batch.json) must mean "no measured speedup", never a slowdown.
-func (cal *Calibration) blockedSpeedup() float64 {
-	if cal.BlockedScanSpeedup > 1 {
-		return cal.BlockedScanSpeedup
-	}
-	return 1
-}
-
-func (cal *Calibration) blockedI8Speedup() float64 {
-	if cal.BlockedI8Speedup > 1 {
-		return cal.BlockedI8Speedup
-	}
-	return 1
-}
-
-// shardMult treats an unfitted (zero) multiplier as 1.
-func (cal *Calibration) shardMult() float64 {
-	if cal.ShardCalibMult > 0 {
-		return cal.ShardCalibMult
-	}
-	return 1
 }
 
 // RecallPoint is one fitted (probed fraction, candidate recall) sample.
@@ -146,18 +107,6 @@ type RecallPoint struct {
 // cell is the exhaustive scan).
 type RecallCurve struct {
 	Points []RecallPoint `json:"points"`
-}
-
-func defaultRecallCurve() RecallCurve {
-	// The BENCH_ann.json DWY100K structural sweep: nprobe {1,4,16,64,126}
-	// of K=126 clusters.
-	return RecallCurve{Points: []RecallPoint{
-		{0.0079, 0.268},
-		{0.0317, 0.423},
-		{0.1270, 0.646},
-		{0.5079, 0.923},
-		{1, 1},
-	}}
 }
 
 // Eval returns the fitted recall at probed fraction f (clamped to [0, 1]).
@@ -210,439 +159,4 @@ func (rc RecallCurve) Invert(target float64) (float64, bool) {
 		prev = pt
 	}
 	return 1, true // curve tops out at the implicit exact endpoint
-}
-
-// benchRecord mirrors the BENCH_*.json record schema. The planner keeps its
-// own copy of the struct rather than importing internal/bench (which imports
-// the root package, and the root package embeds the files for this planner —
-// an import cycle otherwise).
-type benchRecord struct {
-	Name       string         `json:"name"`
-	NsPerOp    float64        `json:"ns_per_op"`
-	BytesPerOp int64          `json:"bytes_per_op"`
-	Hits1      float64        `json:"hits1"`
-	Features   *benchFeatures `json:"features"`
-}
-
-// benchFeatures mirrors the optional workload-shape block some records
-// carry (bench.RecordFeatures); fitters prefer it over name tokens when
-// present.
-type benchFeatures struct {
-	SrcRows int `json:"src_rows"`
-	TgtRows int `json:"tgt_rows"`
-	Dim     int `json:"dim"`
-	Cand    int `json:"cand"`
-	Shards  int `json:"shards"`
-}
-
-type benchFile struct {
-	Description string        `json:"description"`
-	Benchmarks  []benchRecord `json:"benchmarks"`
-}
-
-// FitFile folds one BENCH_*.json file into the calibration, recognizing
-// record families by name. defaultDim supplies the embedding width for
-// record families whose names omit a d= token (the streaming file's d=32
-// runs, the structural d=128 sparse/ANN sweeps). It returns an error when
-// the file parses but contributes no recognized measurement — the signature
-// of a schema change that would silently de-calibrate the planner.
-func (cal *Calibration) FitFile(name string, data []byte, defaultDim int) error {
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("plan: %s: %w", name, err)
-	}
-	if len(f.Benchmarks) == 0 {
-		return fmt.Errorf("plan: %s: no benchmark records", name)
-	}
-	fitted := 0
-	fitted += cal.fitStreaming(f.Benchmarks, defaultDim)
-	fitted += cal.fitSparse(f.Benchmarks)
-	fitted += cal.fitANN(f.Benchmarks, defaultDim)
-	fitted += cal.fitQuant(f.Benchmarks)
-	fitted += cal.fitBatch(f.Benchmarks)
-	fitted += cal.fitShard(f.Benchmarks, defaultDim)
-	if fitted == 0 {
-		return fmt.Errorf("plan: %s: no recognized cost-model records among %d benchmarks (schema change?)", name, len(f.Benchmarks))
-	}
-	cal.Sources = append(cal.Sources, name)
-	return nil
-}
-
-// nameInt extracts an integer "key=value" token from a slash-separated
-// benchmark name, returning ok=false when absent.
-func nameInt(name, key string) (int, bool) {
-	for _, seg := range strings.Split(name, "/") {
-		if v, found := strings.CutPrefix(seg, key+"="); found {
-			i, err := strconv.Atoi(v)
-			if err != nil {
-				return 0, false
-			}
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
-}
-
-// fitStreaming fits DenseSimNS and StreamPassNS from the largest
-// StreamSimGreedy rows (the fused single-pass engine benchmark; CSLS rows
-// stream twice and are skipped).
-func (cal *Calibration) fitStreaming(recs []benchRecord, defaultDim int) int {
-	fitted := 0
-	bestN := map[string]int{}
-	bestNS := map[string]float64{}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "StreamSimGreedy/") {
-			continue
-		}
-		n, ok := nameInt(r.Name, "n")
-		if !ok || n <= 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		var kind string
-		switch {
-		case strings.Contains(r.Name, "/dense/"):
-			kind = "dense"
-		case strings.Contains(r.Name, "/stream/"):
-			kind = "stream"
-		default:
-			continue
-		}
-		if n > bestN[kind] {
-			bestN[kind] = n
-			d, ok := nameInt(r.Name, "d")
-			if !ok {
-				d = defaultDim
-			}
-			bestNS[kind] = r.NsPerOp / (float64(n) * float64(n) * float64(d))
-		}
-	}
-	if v := bestNS["dense"]; v > 0 {
-		cal.DenseSimNS = v
-		fitted++
-	}
-	if v := bestNS["stream"]; v > 0 {
-		cal.StreamPassNS = v
-		fitted++
-	}
-	return fitted
-}
-
-// fitSparse fits DenseMatchNS (median dense collective-matcher cost per
-// cell) and SparseEdgeNS (median per-edge slope across the C sweep) from
-// the Sparse/<matcher>/... rows.
-func (cal *Calibration) fitSparse(recs []benchRecord) int {
-	type sweep struct {
-		minC, maxC   int
-		minNS, maxNS float64
-		n            int
-	}
-	denseCosts := []float64{}
-	sweeps := map[string]*sweep{}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "Sparse/") || r.NsPerOp <= 0 {
-			continue
-		}
-		n, ok := nameInt(r.Name, "n")
-		if !ok || n <= 0 {
-			continue
-		}
-		matcher := strings.SplitN(r.Name, "/", 3)[1]
-		if strings.Contains(r.Name, "/dense/") {
-			denseCosts = append(denseCosts, r.NsPerOp/(float64(n)*float64(n)))
-			continue
-		}
-		c, ok := nameInt(r.Name, "C")
-		if !ok || c <= 0 {
-			continue
-		}
-		s := sweeps[matcher]
-		if s == nil {
-			s = &sweep{minC: c, maxC: c, minNS: r.NsPerOp, maxNS: r.NsPerOp, n: n}
-			sweeps[matcher] = s
-		}
-		if c < s.minC {
-			s.minC, s.minNS = c, r.NsPerOp
-		}
-		if c > s.maxC {
-			s.maxC, s.maxNS = c, r.NsPerOp
-		}
-	}
-	fitted := 0
-	if len(denseCosts) > 0 {
-		cal.DenseMatchNS = median(denseCosts)
-		fitted++
-	}
-	slopes := []float64{}
-	for _, s := range sweeps {
-		if s.maxC > s.minC && s.maxNS > s.minNS {
-			// Edges span both graph directions: (n+m)·ΔC with n=m here.
-			slopes = append(slopes, (s.maxNS-s.minNS)/(2*float64(s.n)*float64(s.maxC-s.minC)))
-		}
-	}
-	if len(slopes) > 0 {
-		cal.SparseEdgeNS = median(slopes)
-		fitted++
-	}
-	return fitted
-}
-
-// fitANN fits SparseBuildNS (exact build row), ANNTrainNS, the scan slope /
-// centroid intercept pair, and the recall curve from the non-clustered
-// ANN/... rows. The clustered capability-probe rows are skipped: the planner
-// calibrates on the conservative structural geometry.
-func (cal *Calibration) fitANN(recs []benchRecord, defaultDim int) int {
-	fitted := 0
-	k := 0
-	type probe struct {
-		frac float64
-		ns   float64 // ns per cell·dim: NsPerOp/(n·n·d)
-		n    int
-	}
-	var probes []probe
-	var curve []RecallPoint
-	for _, r := range recs {
-		if strings.Contains(r.Name, "/clustered/") {
-			continue
-		}
-		n, _ := nameInt(r.Name, "n")
-		d, ok := nameInt(r.Name, "d")
-		if !ok {
-			d = defaultDim
-		}
-		switch {
-		case strings.HasPrefix(r.Name, "ANN/exact/build/"):
-			if n > 0 && r.NsPerOp > 0 {
-				cal.SparseBuildNS = r.NsPerOp / (float64(n) * float64(n) * float64(d))
-				fitted++
-			}
-		case strings.HasPrefix(r.Name, "ANN/train/"):
-			kk, okk := nameInt(r.Name, "k")
-			if okk && n > 0 && r.NsPerOp > 0 {
-				k = kk
-				cal.ANNTrainNS = r.NsPerOp / (float64(n) * float64(kk) * float64(d))
-				fitted++
-			}
-		}
-	}
-	if k == 0 {
-		return fitted
-	}
-	for _, r := range recs {
-		if strings.Contains(r.Name, "/clustered/") || !strings.HasPrefix(r.Name, "ANN/graph/") {
-			continue
-		}
-		np, ok := nameInt(r.Name, "nprobe")
-		n, okn := nameInt(r.Name, "n")
-		if !ok || !okn || np <= 0 || n <= 0 {
-			continue
-		}
-		d, okd := nameInt(r.Name, "d")
-		if !okd {
-			d = defaultDim
-		}
-		frac := float64(np) / float64(k)
-		if r.NsPerOp > 0 {
-			probes = append(probes, probe{frac, r.NsPerOp / (float64(n) * float64(n) * float64(d)), n})
-		}
-		if r.Hits1 > 0 {
-			curve = append(curve, RecallPoint{frac, r.Hits1})
-		}
-	}
-	if len(probes) >= 2 {
-		sort.Slice(probes, func(i, j int) bool { return probes[i].frac < probes[j].frac })
-		lo, hi := probes[0], probes[len(probes)-1]
-		if hi.frac > lo.frac {
-			slope := (hi.ns - lo.ns) / (hi.frac - lo.frac)
-			intercept := lo.ns - slope*lo.frac
-			if slope > 0 {
-				cal.ANNScanNS = slope
-				fitted++
-			}
-			if intercept > 0 {
-				// The intercept is the per-query fixed cost. It was divided
-				// by n·m·d above but the model charges it per n·K·d, so
-				// convert by m/K (n = m on the fitted runs).
-				cal.ANNCentroidNS = intercept * float64(lo.n) / float64(k)
-				fitted++
-			}
-		}
-	}
-	if len(curve) >= 2 {
-		sort.Slice(curve, func(i, j int) bool { return curve[i].Frac < curve[j].Frac })
-		if curve[len(curve)-1].Frac < 1 {
-			curve = append(curve, RecallPoint{1, 1})
-		}
-		cal.Recall = RecallCurve{Points: curve}
-		fitted++
-	}
-	return fitted
-}
-
-// fitQuant fits QuantScanRatio, QuantRerankMult and QuantEncodeNS from the
-// QUANT/... rows: a least-squares line through time(factor)/time(float)
-// against pool/targets.
-func (cal *Calibration) fitQuant(recs []benchRecord) int {
-	var floatNS float64
-	var encodePerVal float64
-	type pt struct{ x, y float64 }
-	var pts []pt
-	for _, r := range recs {
-		switch {
-		case strings.HasPrefix(r.Name, "QUANT/float/build/"):
-			floatNS = r.NsPerOp
-		case strings.HasPrefix(r.Name, "QUANT/encode/"):
-			n, okn := nameInt(r.Name, "n")
-			d, okd := nameInt(r.Name, "d")
-			if okn && okd && n > 0 && d > 0 {
-				// The encode row covers both side tables.
-				encodePerVal = r.NsPerOp / (2 * float64(n) * float64(d))
-			}
-		}
-	}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "QUANT/graph/factor=") || floatNS <= 0 {
-			continue
-		}
-		factor, okf := nameInt(r.Name, "factor")
-		c, okc := nameInt(r.Name, "C")
-		n, okn := nameInt(r.Name, "n")
-		if !okf || !okc || !okn || n <= 0 {
-			continue
-		}
-		pts = append(pts, pt{x: float64(factor*c) / float64(n), y: r.NsPerOp / floatNS})
-	}
-	fitted := 0
-	if encodePerVal > 0 {
-		cal.QuantEncodeNS = encodePerVal
-		fitted++
-	}
-	if len(pts) >= 2 {
-		var sx, sy, sxx, sxy float64
-		for _, p := range pts {
-			sx += p.x
-			sy += p.y
-			sxx += p.x * p.x
-			sxy += p.x * p.y
-		}
-		nn := float64(len(pts))
-		den := nn*sxx - sx*sx
-		if den > 0 {
-			slope := (nn*sxy - sx*sy) / den
-			intercept := (sy - slope*sx) / nn
-			if slope > 0 && intercept > 0 {
-				cal.QuantRerankMult = slope
-				cal.QuantScanRatio = intercept
-				fitted++
-			}
-		}
-	}
-	return fitted
-}
-
-// fitBatch fits the blocked-kernel speedup ratios from the Batch/kernel
-// rows: for each geometry measured both ways, the per-pair/blocked ns
-// ratio, medianed per kernel family. Ratios below 1 are clamped at use
-// time, not here, so a regressing measurement still shows in the fitted
-// value.
-func (cal *Calibration) fitBatch(recs []benchRecord) int {
-	type pair struct{ perPair, blocked float64 }
-	byGeom := map[string]map[string]*pair{"float": {}, "int8": {}}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "Batch/kernel/") || r.NsPerOp <= 0 {
-			continue
-		}
-		var kind string
-		switch {
-		case strings.HasPrefix(r.Name, "Batch/kernel/float/"):
-			kind = "float"
-		case strings.HasPrefix(r.Name, "Batch/kernel/int8/"):
-			kind = "int8"
-		default:
-			continue
-		}
-		q, okq := nameInt(r.Name, "q")
-		n, okn := nameInt(r.Name, "n")
-		d, okd := nameInt(r.Name, "d")
-		if !okq || !okn || !okd {
-			continue
-		}
-		geom := fmt.Sprintf("%d/%d/%d", q, n, d)
-		p := byGeom[kind][geom]
-		if p == nil {
-			p = &pair{}
-			byGeom[kind][geom] = p
-		}
-		switch {
-		case strings.Contains(r.Name, "/per-pair/"):
-			p.perPair = r.NsPerOp
-		case strings.Contains(r.Name, "/blocked/"):
-			p.blocked = r.NsPerOp
-		}
-	}
-	fitted := 0
-	fit := func(kind string, into *float64) {
-		ratios := []float64{}
-		for _, p := range byGeom[kind] {
-			if p.perPair > 0 && p.blocked > 0 {
-				ratios = append(ratios, p.perPair/p.blocked)
-			}
-		}
-		if len(ratios) > 0 {
-			*into = median(ratios)
-			fitted++
-		}
-	}
-	fit("float", &cal.BlockedScanSpeedup)
-	fit("int8", &cal.BlockedI8Speedup)
-	return fitted
-}
-
-// fitShard fits the sharded engine's end-to-end drift multiplier: for each
-// Shard/ row, the measured wall over what the component model (shardWallNS,
-// using the coefficients fitted so far — batch rows are fitted before shard
-// files in DefaultCalibration's order) predicts for that workload,
-// medianed. The workload shape comes from the record's features block when
-// present, name tokens otherwise.
-func (cal *Calibration) fitShard(recs []benchRecord, defaultDim int) int {
-	ratios := []float64{}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "Shard/") || r.NsPerOp <= 0 {
-			continue
-		}
-		n, okn := nameInt(r.Name, "n")
-		c, okc := nameInt(r.Name, "C")
-		s, oks := nameInt(r.Name, "S")
-		if !okn || !okc || !oks || n <= 0 || c <= 0 || s <= 1 {
-			continue
-		}
-		m, d := n, defaultDim
-		if f := r.Features; f != nil {
-			if f.SrcRows > 0 {
-				n = f.SrcRows
-			}
-			if f.TgtRows > 0 {
-				m = f.TgtRows
-			}
-			if f.Dim > 0 {
-				d = f.Dim
-			}
-		}
-		model := cal.shardWallNS(float64(n), float64(m), float64(d), float64(c), s)
-		if model > 0 {
-			ratios = append(ratios, r.NsPerOp/model)
-		}
-	}
-	if len(ratios) == 0 {
-		return 0
-	}
-	cal.ShardCalibMult = median(ratios)
-	return 1
 }

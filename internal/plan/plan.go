@@ -9,13 +9,13 @@
 //
 // The cost model is a handful of per-unit coefficients (ns per scanned
 // cell·dim, ns per retained candidate edge, bytes per graph edge, ...)
-// fitted from the checked-in BENCH_streaming/sparse/ann/quant.json
-// measurements, bridged to the current register-blocked scan kernels by the
-// throughput ratios of BENCH_batch.json and drift-corrected for the sharded
-// engine by BENCH_shard.json — see calibration.go. Estimates are planning signals, not
-// predictions: they rank engines against each other on the calibrated
-// hardware profile and bound memory conservatively (the planner must never
-// pick a plan that cannot fit, so the byte model rounds up).
+// held in one constant table, Defaults (calibration.go), bridged to the
+// current register-blocked scan kernels by two throughput ratios and
+// drift-corrected for the sharded engine by one end-to-end multiplier.
+// Estimates are planning signals, not predictions: they rank engines against
+// each other on the calibrated hardware profile and bound memory
+// conservatively (the planner must never pick a plan that cannot fit, so the
+// byte model rounds up).
 //
 // The planner chooses among "full-capability" plans first: engines whose
 // outputs feed the entire collective matcher suite (dense, and the sparse
@@ -187,9 +187,6 @@ type Plan struct {
 	Workload Workload    `json:"workload"`
 	Chosen   Candidate   `json:"chosen"`
 	Rejected []Candidate `json:"rejected"`
-	// Sources lists the BENCH files the calibration was fitted from (empty
-	// when running on the built-in coefficients).
-	Sources []string `json:"calibration_sources,omitempty"`
 }
 
 // Explain renders the decision as an indented human-readable transcript:
@@ -206,11 +203,7 @@ func (p *Plan) Explain() string {
 	}
 	fmt.Fprintf(&b, "planner: workload %d×%d d=%d, budget %s, target recall %.3f\n",
 		p.Workload.SrcRows, p.Workload.TgtRows, p.Workload.Dim, budget, target)
-	if len(p.Sources) > 0 {
-		fmt.Fprintf(&b, "  calibration: %s\n", strings.Join(p.Sources, ", "))
-	} else {
-		fmt.Fprintf(&b, "  calibration: built-in defaults\n")
-	}
+	b.WriteString("  calibration: plan.Defaults (fixed table, measured on 2.1–2.7 GHz Xeons at GOMAXPROCS=1)\n")
 	fmt.Fprintf(&b, "  chosen %s: est wall %s, est peak %s, est recall %.3f\n",
 		p.Chosen.Label(), humanDuration(p.Chosen.EstWall()), humanBytes(p.Chosen.EstPeakBytes), p.Chosen.EstRecall)
 	for _, c := range p.Rejected {
@@ -295,7 +288,7 @@ func (cal *Calibration) Choose(w Workload) (*Plan, error) {
 
 	chosen := cands[best]
 	chosen.Reason = ""
-	p := &Plan{Workload: w, Chosen: chosen, Sources: append([]string(nil), cal.Sources...)}
+	p := &Plan{Workload: w, Chosen: chosen}
 	for i, c := range cands {
 		if i == best {
 			continue
@@ -415,12 +408,12 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	ivf := int64(8*(n+m)*d + 8*float64(kFwd+kRev)*d + 4*(n+m))
 	codes := int64((n+m)*d + 16*d) // SQ8 code slabs + per-dimension scales
 
-	// Every exhaustive and probed scan now runs the register-blocked
-	// multi-query kernels; the scan coefficients were fitted on per-pair
-	// builds, so the blocked throughput ratios bridge them to the current
-	// kernels (int8 scans block by four and have their own ratio).
-	blk := cal.blockedSpeedup()
-	blk8 := cal.blockedI8Speedup()
+	// Every exhaustive and probed scan runs the register-blocked multi-query
+	// kernels; the scan coefficients were measured on per-pair builds, so the
+	// blocked throughput ratios bridge them to the current kernels (int8
+	// scans block by four and have their own ratio).
+	blk := cal.BlockedScanSpeedup
+	blk8 := cal.BlockedI8Speedup
 
 	edgeNS := cal.SparseEdgeNS * (n + m) * cf
 	scanRawNS := cal.SparseBuildNS * n * m * d
@@ -540,7 +533,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 			Knobs:  Knobs{CandidateBudget: c, Shards: s},
 			EstPeakBytes: tablesRes + tileOverheadBytes + graphs +
 				shardTables,
-			EstWallNS:      int64(cal.shardWallNS(n, m, d, cf, s) * cal.shardMult()),
+			EstWallNS:      int64(cal.shardWallNS(n, m, d, cf, s) * cal.ShardCalibMult),
 			EstRecall:      cal.Recall.Eval(frac),
 			FullCapability: true,
 		})
@@ -552,8 +545,8 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 // k-means co-clustering into s cells, assigning both corpora, the
 // replicated fraction of the (blocked-kernel) exhaustive scan, and the
 // sparse matcher pass over the replicas' edges — before ShardCalibMult's
-// end-to-end drift correction. fitShard divides measured Shard/ records by
-// this same model, so the correction and its application stay consistent.
+// end-to-end drift correction (the multiplier was taken as measured wall over
+// this same model, so the correction and its application stay consistent).
 func (cal *Calibration) shardWallNS(n, m, d, cf float64, s int) float64 {
 	r := shardReplicas
 	if r > s {
@@ -562,7 +555,7 @@ func (cal *Calibration) shardWallNS(n, m, d, cf float64, s int) float64 {
 	frac := float64(r) / float64(s)
 	trainShardNS := cal.ANNTrainNS * 32768 * float64(s) * d
 	assignNS := cal.ANNCentroidNS * (n + m) * float64(s) * d
-	scanNS := cal.SparseBuildNS * n * m * d / cal.blockedSpeedup()
+	scanNS := cal.SparseBuildNS * n * m * d / cal.BlockedScanSpeedup
 	edgeNS := cal.SparseEdgeNS * (n + m) * cf
 	return trainShardNS + assignNS + scanNS*frac + edgeNS*float64(r)
 }

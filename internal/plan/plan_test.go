@@ -32,6 +32,13 @@ func TestDecisionTable(t *testing.T) {
 		{"tight_budget_streaming", Workload{SrcRows: 20000, TgtRows: 20000, Dim: 64, MemoryBudgetBytes: 40 << 20}, EngineStreaming},
 		{"relaxed_recall_annquant", Workload{SrcRows: 100000, TgtRows: 100000, Dim: 64, TargetRecall: 0.65}, EngineANNQuant},
 		{"rect_sparse", Workload{SrcRows: 4000, TgtRows: 1000, Dim: 128}, EngineSparse},
+		// Paper scale (DBP15K, D-W 100k) and the benchmark harness's two
+		// shapes: what the pipeline, entserver and plan.drift.* plan for.
+		{"dbp15k_recall_sparse", Workload{SrcRows: 15000, TgtRows: 15000, Dim: 128, TargetRecall: 0.9}, EngineSparse},
+		{"dw100k_quant", Workload{SrcRows: 100000, TgtRows: 100000, Dim: 128}, EngineQuant},
+		{"dw100k_recall_annquant", Workload{SrcRows: 100000, TgtRows: 100000, Dim: 128, TargetRecall: 0.9}, EngineANNQuant},
+		{"harness_dense_shape_sparse", Workload{SrcRows: 2100, TgtRows: 2100, Dim: 128}, EngineSparse},
+		{"harness_sparse_shape_sparse", Workload{SrcRows: 5600, TgtRows: 5600, Dim: 128}, EngineSparse},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,7 +229,7 @@ func TestWorkloadValidation(t *testing.T) {
 // TestRecallCurve pins the curve algebra: monotone evaluation, inversion
 // consistency (Eval(Invert(t)) ≥ t), and the exact endpoint.
 func TestRecallCurve(t *testing.T) {
-	rc := defaultRecallCurve()
+	rc := Defaults().Recall
 	prev := -1.0
 	for f := 0.0; f <= 1.0; f += 0.01 {
 		r := rc.Eval(f)
@@ -242,44 +249,6 @@ func TestRecallCurve(t *testing.T) {
 		if got := rc.Eval(f); got < target-1e-9 {
 			t.Errorf("Eval(Invert(%f)) = %f below target", target, got)
 		}
-	}
-}
-
-// TestFitFile exercises the calibration fitter against a synthetic report in
-// the BENCH schema and asserts both the fit and the loud failure on a
-// schema change that removes every recognized record.
-func TestFitFile(t *testing.T) {
-	cal := Defaults()
-	streaming := `{
-	  "description": "synthetic",
-	  "benchmarks": [
-	    {"name": "StreamSimGreedy/dense/n=1000", "ns_per_op": 64000000},
-	    {"name": "StreamSimGreedy/stream/n=1000", "ns_per_op": 32000000}
-	  ]
-	}`
-	if err := cal.FitFile("synthetic.json", []byte(streaming), 32); err != nil {
-		t.Fatalf("FitFile: %v", err)
-	}
-	// 64e6 ns over 1000·1000·32 cell·dims = 2.0 ns per cell·dim.
-	if math.Abs(cal.DenseSimNS-2.0) > 1e-9 {
-		t.Errorf("DenseSimNS = %f, want 2.0", cal.DenseSimNS)
-	}
-	if math.Abs(cal.StreamPassNS-1.0) > 1e-9 {
-		t.Errorf("StreamPassNS = %f, want 1.0", cal.StreamPassNS)
-	}
-	if len(cal.Sources) != 1 || cal.Sources[0] != "synthetic.json" {
-		t.Errorf("Sources = %v", cal.Sources)
-	}
-
-	unrecognized := `{"benchmarks": [{"name": "Mystery/n=10", "ns_per_op": 5}]}`
-	if err := cal.FitFile("mystery.json", []byte(unrecognized), 32); err == nil {
-		t.Error("FitFile accepted a file with no recognized records")
-	}
-	if err := cal.FitFile("broken.json", []byte("{"), 32); err == nil {
-		t.Error("FitFile accepted malformed JSON")
-	}
-	if err := cal.FitFile("empty.json", []byte(`{"benchmarks": []}`), 32); err == nil {
-		t.Error("FitFile accepted an empty benchmark list")
 	}
 }
 

@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"entmatcher"
 	"entmatcher/internal/ann"
 	"entmatcher/internal/core"
 	"entmatcher/internal/engine"
@@ -166,7 +165,7 @@ type Server struct {
 	// plan is the startup self-configuration: the cost-based planner's
 	// decision for the served workload shape, computed from the same
 	// calibration the CLIs use. Advisory except for defaultCand; nil when
-	// the calibration was unavailable.
+	// no plan could be chosen for the shape.
 	plan        *plan.Plan
 	defaultCand int
 
@@ -221,8 +220,8 @@ type Stats struct {
 	AlignGraphHits   map[string]int64 `json:"align_graph_hits"`
 	AlignGraphBytes  map[string]int64 `json:"align_graph_bytes"`
 	// Plan is the startup self-configuration plan's chosen engine in label
-	// form (e.g. "quant+sparse(C=64,f=4)"); empty when the planner
-	// calibration was unavailable at startup.
+	// form (e.g. "quant+sparse(C=64,f=4)"); empty when the planner could
+	// not choose one at startup.
 	Plan string `json:"plan,omitempty"`
 }
 
@@ -400,27 +399,23 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		qs.qsrc, _ = s.quantSrc.(*quant.Source)
 	}
 	// Self-configuration: plan the served workload with the same calibration
-	// the CLIs use. Best-effort — a calibration failure must never keep a
-	// valid snapshot from serving. The plan is advisory (logged by
-	// cmd/entserver, exposed at /statsz) except for the /align default
-	// candidate budget, which adopts the planner's choice for this shape.
+	// the CLIs use. Best-effort — a planner failure must never keep a valid
+	// snapshot from serving. The plan is advisory (logged by cmd/entserver,
+	// exposed at /statsz) except for the /align default candidate budget,
+	// which adopts the planner's choice for this shape.
 	s.defaultCand = 32
-	if cal, calErr := entmatcher.DefaultCalibration(); calErr == nil {
-		w := plan.Workload{
-			SrcRows: snap.SrcTable.Rows(),
-			TgtRows: snap.TgtTable.Rows(),
-			Dim:     snap.SrcTable.Cols(),
-		}
-		if p, perr := cal.Choose(w); perr == nil {
-			s.plan = p
-			if c := p.Chosen.Knobs.CandidateBudget; c > 0 {
-				s.defaultCand = c
-			}
-		} else {
-			log.Printf("entserver: planner: %v (serving with static defaults)", perr)
+	cal := plan.Defaults()
+	if p, perr := cal.Choose(plan.Workload{
+		SrcRows: snap.SrcTable.Rows(),
+		TgtRows: snap.TgtTable.Rows(),
+		Dim:     snap.SrcTable.Cols(),
+	}); perr == nil {
+		s.plan = p
+		if c := p.Chosen.Knobs.CandidateBudget; c > 0 {
+			s.defaultCand = c
 		}
 	} else {
-		log.Printf("entserver: planner calibration: %v (serving with static defaults)", calErr)
+		log.Printf("entserver: planner: %v (serving with static defaults)", perr)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -453,7 +448,7 @@ func (s *Server) Dims() (rows, cols int) {
 }
 
 // Plan returns the startup self-configuration plan for the served workload,
-// or nil when the planner calibration was unavailable. Callers (cmd/entserver)
+// or nil when the planner could not choose one. Callers (cmd/entserver)
 // log it so operators can compare the snapshot's engine against what the
 // planner would pick for this shape today.
 func (s *Server) Plan() *plan.Plan { return s.plan }

@@ -510,10 +510,7 @@ func (p *Pipeline) PrepareWithEmbeddingsContext(ctx context.Context, d *Dataset,
 	ep := p
 	var chosen *plan.Plan
 	if p.cfg.Auto && !p.cfg.explicitEngine() {
-		cal, err := DefaultCalibration()
-		if err != nil {
-			return nil, err
-		}
+		cal := plan.Defaults()
 		chosen, err = cal.Choose(p.cfg.planWorkload(srcSel.Rows(), tgtSel.Rows(), srcSel.Cols()))
 		if err != nil {
 			return nil, err

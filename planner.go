@@ -1,75 +1,15 @@
 package entmatcher
 
-import (
-	_ "embed"
-	"fmt"
-	"sync"
+import "entmatcher/internal/plan"
 
-	"entmatcher/internal/plan"
-)
-
-// The checked-in measurement files are compiled into the library so the
-// planner's calibration travels with the binary — a deployed entmatcher or
-// entserver plans from the same cost curves the repository's benchmarks
-// produced, with no filesystem dependency.
-var (
-	//go:embed BENCH_streaming.json
-	benchStreamingJSON []byte
-	//go:embed BENCH_sparse.json
-	benchSparseJSON []byte
-	//go:embed BENCH_ann.json
-	benchANNJSON []byte
-	//go:embed BENCH_quant.json
-	benchQuantJSON []byte
-	//go:embed BENCH_batch.json
-	benchBatchJSON []byte
-	//go:embed BENCH_shard.json
-	benchShardJSON []byte
-)
-
-var (
-	calOnce sync.Once
-	calVal  plan.Calibration
-	calErr  error
-)
-
-// DefaultCalibration returns the planner calibration fitted from the six
-// checked-in BENCH_*.json files (starting from plan.Defaults, so any record
-// family a file stops carrying keeps its built-in coefficient). The fit is
-// computed once and shared; the returned value is safe for concurrent use.
-//
-// The embedding width of each file's runs is not always in the record names,
-// so the known defaults are pinned here: the streaming benchmarks ran at
-// d=32 (see BENCH_streaming.json's description), the sparse and ANN sweeps
-// on the structural d=128 tables (embed.DefaultConfig's Dim=64 doubled by
-// the RawMix concatenation), and the quant records carry d= tokens. Order
-// matters for the two derived files: the batch file's blocked-kernel ratios
-// and the component coefficients must be in place before the shard file's
-// end-to-end drift multiplier is fitted against them (its records carry
-// their own dims in the features block; 16 is the fallback pin).
+// DefaultCalibration returns the planner's calibration, plan.Defaults — the
+// one coefficient table the pipeline's Auto mode and entserver plan from.
+// It is the facade for callers outside the module's internal tree; the error
+// result is always nil and stays in the signature only because the benchmark
+// harness (benchmark/probes.go, frozen between benchmark-only PRs) calls it
+// in this two-value form.
 func DefaultCalibration() (plan.Calibration, error) {
-	calOnce.Do(func() {
-		cal := plan.Defaults()
-		for _, f := range []struct {
-			name string
-			data []byte
-			dim  int
-		}{
-			{"BENCH_streaming.json", benchStreamingJSON, 32},
-			{"BENCH_sparse.json", benchSparseJSON, 128},
-			{"BENCH_ann.json", benchANNJSON, 128},
-			{"BENCH_quant.json", benchQuantJSON, 64},
-			{"BENCH_batch.json", benchBatchJSON, 128},
-			{"BENCH_shard.json", benchShardJSON, 16},
-		} {
-			if err := cal.FitFile(f.name, f.data, f.dim); err != nil {
-				calErr = fmt.Errorf("entmatcher: calibration: %w", err)
-				return
-			}
-		}
-		calVal = cal
-	})
-	return calVal, calErr
+	return plan.Defaults(), nil
 }
 
 // explicitEngine reports whether the configuration already pins an engine —

@@ -10,59 +10,6 @@ import (
 	"entmatcher/internal/plan"
 )
 
-// TestDefaultCalibrationLoadsAllBenchFiles is the CI calibration guard: every
-// checked-in BENCH_*.json must parse and contribute to the fitted cost model.
-// If a benchmark rewrite changes the record naming scheme, this fails before
-// the planner silently falls back to built-in coefficients.
-func TestDefaultCalibrationLoadsAllBenchFiles(t *testing.T) {
-	cal, err := DefaultCalibration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cal.Sources) != 6 {
-		t.Fatalf("calibration fitted from %d files %v, want all 6 BENCH files", len(cal.Sources), cal.Sources)
-	}
-	for _, want := range []string{"BENCH_streaming.json", "BENCH_sparse.json", "BENCH_ann.json", "BENCH_quant.json", "BENCH_batch.json", "BENCH_shard.json"} {
-		found := false
-		for _, s := range cal.Sources {
-			if s == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s did not contribute to the calibration (sources %v)", want, cal.Sources)
-		}
-	}
-	for name, v := range map[string]float64{
-		"DenseSimNS":     cal.DenseSimNS,
-		"DenseMatchNS":   cal.DenseMatchNS,
-		"StreamPassNS":   cal.StreamPassNS,
-		"SparseBuildNS":  cal.SparseBuildNS,
-		"SparseEdgeNS":   cal.SparseEdgeNS,
-		"ANNTrainNS":     cal.ANNTrainNS,
-		"ANNScanNS":      cal.ANNScanNS,
-		"QuantScanRatio": cal.QuantScanRatio,
-		"QuantEncodeNS":  cal.QuantEncodeNS,
-		"ShardCalibMult": cal.ShardCalibMult,
-	} {
-		if !(v > 0) {
-			t.Errorf("fitted coefficient %s = %v, want > 0", name, v)
-		}
-	}
-	// The blocked-kernel ratios come from BENCH_batch.json's measured
-	// per-pair/blocked pairs; a speedup at or below 1 means the file lost
-	// its kernel rows or the kernels regressed.
-	if !(cal.BlockedScanSpeedup > 1) {
-		t.Errorf("BlockedScanSpeedup = %v, want > 1 (fitted from BENCH_batch.json)", cal.BlockedScanSpeedup)
-	}
-	if !(cal.BlockedI8Speedup > 1) {
-		t.Errorf("BlockedI8Speedup = %v, want > 1 (fitted from BENCH_batch.json)", cal.BlockedI8Speedup)
-	}
-	if len(cal.Recall.Points) < 3 {
-		t.Errorf("fitted recall curve has %d points, want the nprobe sweep", len(cal.Recall.Points))
-	}
-}
-
 // TestAutoPlannerMatchesHandConfig pins the planner's reproducibility
 // contract: a run prepared under Auto must be bit-identical to a run whose
 // configuration spells out the chosen plan's knobs by hand. The planner may

@@ -9,7 +9,8 @@ package entmatcher_test
 //
 //	go test -run='^$' -bench=BenchmarkStream -benchtime=1x
 //
-// Results for this container are recorded in BENCH_streaming.json.
+// The per-run numbers the repo tracks are the benchmark harness's
+// sim.stream_s / sim.matrix_s (bash benchmark/run.sh).
 
 import (
 	"fmt"
