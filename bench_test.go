@@ -113,6 +113,42 @@ func BenchmarkDenseBodies(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseFiveMatchers times the sparse_exact harness workload's shape
+// — RInf, CSLS (k = 1), Hun., SMat, Sink. in that order on one prepared exact
+// run, graphs forgotten before each round — and reports what the round cost
+// the candidate-graph memo: full tile passes (one: CSLS reads its column
+// statistic off RInf's reverse graph) and bytes held at the end.
+func BenchmarkSparseFiveMatchers(b *testing.B) {
+	const cand = 32
+	d, err := entmatcher.GenerateBenchmark(entmatcher.ProfileDBP15KZhEn, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, err := entmatcher.NewPipeline(entmatcher.PipelineConfig{Model: entmatcher.ModelRREA, CandidateBudget: cand}).Prepare(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer run.Close()
+	matchers := []entmatcher.Matcher{
+		entmatcher.NewRInfSparse(cand), entmatcher.NewCSLSSparse(cand, 1), entmatcher.NewHungarianSparse(cand),
+		entmatcher.NewSMatSparse(cand), entmatcher.NewSinkhornSparse(cand, entmatcher.DefaultSinkhornIterations),
+	}
+	before := run.GraphStats().Passes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run.ForgetGraphs()
+		for _, m := range matchers {
+			if _, _, err := run.Match(m); err != nil {
+				b.Fatalf("%s: %v", m.Name(), err)
+			}
+		}
+	}
+	st := run.GraphStats()
+	b.ReportMetric(float64(st.Passes-before)/float64(b.N), "passes/op")
+	b.ReportMetric(float64(st.Bytes), "memo-bytes")
+}
+
 // BenchmarkPipelinePrepare measures the substrate cost: dataset generation,
 // encoding and similarity-matrix construction.
 func BenchmarkPipelinePrepare(b *testing.B) {

@@ -408,8 +408,8 @@ func run() error {
 	}
 	if *explain {
 		gs := run.GraphStats()
-		fmt.Printf("candidate graphs: %d built, %d served from the memo, %d full tile passes, %.3f GiB held\n",
-			gs.Builds, gs.Hits, gs.Passes, float64(gs.Bytes)/(1<<30))
+		fmt.Printf("candidate graphs: %d built, %d served from the memo (%d parts derived), %d full tile passes, %.3f GiB held\n",
+			gs.Builds, gs.Hits, gs.Derived, gs.Passes, float64(gs.Bytes)/(1<<30))
 	}
 	if anyDegraded {
 		return errDegraded

@@ -262,6 +262,17 @@ func (s *Source) nprobeFor(ivf *IVF) int {
 	return Config{Clusters: ivf.k}.withDefaults(ivf.n).NProbe
 }
 
+var _ matrix.RevHeadProducer = (*Source)(nil)
+
+// RevHeadIsColBest implements matrix.RevHeadProducer. The float search scores
+// the cells nprobe selects whatever the budget, so a reverse row's head is
+// the column's KCol = 1 selection; with SQ8 on, the re-rank pool grows with
+// the budget and a wider search can surface a better head.
+func (s *Source) RevHeadIsColBest() bool {
+	on, _, _ := s.quantCfg()
+	return !on
+}
+
 // ProduceParts implements matrix.PartsProducer: each requested part comes
 // from its own index search and nothing else is derived. The forward graph
 // queries the index over the target table with the source rows; the reverse

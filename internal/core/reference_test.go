@@ -7,7 +7,8 @@ package core_test
 // serial column sum — kept verbatim (the matrix methods they called are
 // inlined as ref* helpers) as the references the production bodies must stay
 // bit-identical to: same pairs, same scores, same abstentions, same transform
-// matrices.
+// matrices. SinkhornSparse's body before its column scale was deferred (three
+// serial CSR sweeps per iteration) is kept the same way.
 
 import (
 	"context"
@@ -306,6 +307,149 @@ func (t refSinkhorn) Transform(s *matrix.Dense) (*matrix.Dense, error) {
 	return out, nil
 }
 
+// refSinkhornSparse is SinkhornSparse.Match before the rewrite (the tile
+// source is resolved inline; sparseSource is not exported).
+type refSinkhornSparse struct{ core.SinkhornSparse }
+
+func (m refSinkhornSparse) Match(ctx *core.Context) (*core.Result, error) {
+	if ctx == nil {
+		return nil, core.ErrNoMatrix
+	}
+	if m.C < 1 {
+		return nil, fmt.Errorf("sinkhorn-sparse: candidate budget must be positive, got %d", m.C)
+	}
+	if m.L < 0 {
+		return nil, fmt.Errorf("sinkhorn: negative iteration count %d", m.L)
+	}
+	if m.Tau <= 0 {
+		return nil, fmt.Errorf("sinkhorn: temperature must be positive, got %v", m.Tau)
+	}
+	start := time.Now()
+	cc := ctx.Cancellation()
+	src := ctx.Stream
+	if src == nil {
+		src = &matrix.DenseTileSource{M: ctx.S}
+	}
+	rows, cols := src.Dims()
+	fwd, err := matrix.BuildCandGraph(cc, src, m.C)
+	if err != nil {
+		return nil, err
+	}
+	// The normalization kernels must visit each row's entries in ascending
+	// column order to sum exactly as the dense NormalizeRows/ColsInPlace do.
+	w := fwd.ColSortedClone()
+
+	// Numerical stabilization, as in the dense transform: subtract the
+	// global maximum before exponentiating. Every row head is that row's
+	// exact maximum for any C >= 1, so the graph's head maximum is the
+	// dense Argmax value.
+	var gmax float64
+	heads := fwd.RowHeadScores()
+	gbest := math.Inf(-1)
+	for _, v := range heads {
+		if v > gbest {
+			gbest = v
+		}
+	}
+	if !math.IsInf(gbest, -1) {
+		gmax = gbest
+	}
+	inv := 1 / m.Tau
+	for i := 0; i < rows; i++ {
+		if i%checkRowStride == 0 {
+			if err := ctxErr(cc); err != nil {
+				return nil, err
+			}
+		}
+		_, scores := w.Row(i)
+		for x, v := range scores {
+			scores[x] = math.Exp((v - gmax) * inv)
+		}
+	}
+
+	const eps = 1e-300
+	colSum := make([]float64, cols)
+	colInv := make([]float64, cols)
+	for l := 0; l < m.L; l++ {
+		if err := ctxErr(cc); err != nil {
+			return nil, err
+		}
+		// Row normalization: per-row sum in ascending column order.
+		for i := 0; i < rows; i++ {
+			_, scores := w.Row(i)
+			var s float64
+			for _, v := range scores {
+				s += v
+			}
+			if math.Abs(s) < eps {
+				continue
+			}
+			rinv := 1 / s
+			for x := range scores {
+				scores[x] *= rinv
+			}
+		}
+		// Column normalization: sums accumulate row-major exactly like
+		// Dense.ColSums, then every edge is scaled.
+		for j := range colSum {
+			colSum[j] = 0
+		}
+		for i := 0; i < rows; i++ {
+			cand, scores := w.Row(i)
+			for x, j := range cand {
+				colSum[j] += scores[x]
+			}
+		}
+		for j, s := range colSum {
+			if math.Abs(s) < eps {
+				colInv[j] = 1
+			} else {
+				colInv[j] = 1 / s
+			}
+		}
+		for i := 0; i < rows; i++ {
+			cand, scores := w.Row(i)
+			for x, j := range cand {
+				scores[x] *= colInv[j]
+			}
+		}
+	}
+
+	// Greedy: first strict maximum in ascending column order, as
+	// Dense.RowMax.
+	realCols := cols - ctx.NumDummies
+	pairs := make([]core.Pair, 0, rows)
+	var abstained []int
+	for i := 0; i < rows; i++ {
+		if i%checkRowStride == 0 {
+			if err := ctxErr(cc); err != nil {
+				return nil, err
+			}
+		}
+		cand, scores := w.Row(i)
+		best := math.Inf(-1)
+		bestJ := -1
+		for x, v := range scores {
+			if v > best {
+				best = v
+				bestJ = int(cand[x])
+			}
+		}
+		if bestJ < 0 || bestJ >= realCols {
+			abstained = append(abstained, i)
+			continue
+		}
+		pairs = append(pairs, core.Pair{Source: i, Target: bestJ, Score: best})
+	}
+	return &core.Result{
+		Matcher:    m.Name(),
+		Pairs:      pairs,
+		Abstained:  abstained,
+		Elapsed:    time.Since(start),
+		ExtraBytes: 2*fwd.SizeBytes() + int64(fwd.NNZ())*8 + int64(cols)*16 + int64(matrix.DefaultTileRows*matrix.DefaultTileCols)*8,
+	}, nil
+}
+
 // referenceCases is the adversarial suite plus shapes large enough to reach
 // what the toy matrices cannot: the radix path of the ranking primitive
 // (rows longer than 64), the four-row blocks of the Sinkhorn sweeps with a
@@ -421,6 +565,45 @@ func TestSinkhornDeferredScaleMatchesReference(t *testing.T) {
 		}
 		if l > 0 && (got.At(5, 0) != 0 || got.At(0, 7) != 0) {
 			t.Fatalf("L=%d: the dead row and column did not stay zero; the eps guards were not exercised", l)
+		}
+	}
+}
+
+// TestSinkhornDeferredScaleMatchesReferenceSparse holds SinkhornSparse to its
+// pre-rewrite body — pairs, score bits, abstentions, ExtraBytes — on the
+// reference cases at truncating and full budgets, with L walking through the
+// shapes of the deferred scale (none pending, only the trailing one, a
+// carried one, many) and a matrix whose dead row and dead column keep both
+// eps guards busy in every iteration.
+func TestSinkhornDeferredScaleMatchesReferenceSparse(t *testing.T) {
+	dead := conformance.WellSeparated(rand.New(rand.NewSource(31)), 70, 67)
+	for j := 0; j < dead.Cols(); j++ {
+		dead.Set(5, j, -100)
+	}
+	for i := 0; i < dead.Rows(); i++ {
+		dead.Set(i, 7, -100)
+	}
+	cases := append(referenceCases(), conformance.Case{Name: "dead-row-and-column-70x67", S: dead})
+	for _, c := range cases {
+		for _, budget := range []int{3, c.S.Rows() + c.S.Cols()} {
+			for _, l := range []int{0, 1, 2, 100} {
+				m := core.SinkhornSparse{C: budget, L: l, Tau: core.DefaultSinkhornTau}
+				ctx := func() *core.Context { return &core.Context{S: c.S.Clone(), NumDummies: c.NumDummies} }
+				got, err := m.Match(ctx())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refSinkhornSparse{m}.Match(ctx())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !conformance.ResultsIdentical(got, want) {
+					t.Fatalf("%s C=%d L=%d: result diverged from the reference body: %s", c.Name, budget, l, conformance.DescribeDiff(got, want))
+				}
+				if got.ExtraBytes != want.ExtraBytes {
+					t.Fatalf("%s C=%d L=%d: ExtraBytes %d, reference %d", c.Name, budget, l, got.ExtraBytes, want.ExtraBytes)
+				}
+			}
 		}
 	}
 }

@@ -45,10 +45,12 @@ func sparseSource(ctx *Context) (matrix.TileSource, int, int, error) {
 // CSLSSparse is CSLS (cross-domain similarity local scaling + greedy) over
 // a candidate graph: the rescaled score 2·S(u,v) − φ_s(u) − φ_t(v) is
 // evaluated only on u's top-C candidates. φ_t comes from a fused per-column
-// top-K consumer — in the same tiled pass as the graph on a cold source, in
-// a pass of its own carrying only the column heaps when the run's memo
-// already holds the graph; φ_s is the mean of the first K stored candidates,
-// which for C >= K is exactly the dense top-K mean.
+// top-K consumer — in the same tiled pass as the graph on a cold source; when
+// the run's memo already holds the graph, in a pass of its own carrying only
+// the column heaps, or at K = 1 with no pass at all where the memo can read
+// it off a held reverse graph (matrix.GraphMemo). φ_s is the mean of the
+// first K stored candidates, which for C >= K is exactly the dense top-K
+// mean.
 type CSLSSparse struct {
 	// C is the per-row candidate budget.
 	C int
@@ -224,30 +226,43 @@ func (m *SinkhornSparse) Match(ctx *Context) (*Result, error) {
 		}
 	}
 
+	// Each iteration is a row normalization then a column normalization. The
+	// column scale is deferred into the next iteration's row pass, as in the
+	// dense transform: one parallel sweep scales every edge by the pending
+	// colInv (all ones before the first iteration: x·1 is x), rounds the
+	// product to a double, sums the row in ascending column order and
+	// normalizes it — value for value what scaling all edges first and then
+	// normalizing rows computes. One trailing scale applies the last
+	// iteration's column normalization.
 	const eps = 1e-300
 	colSum := make([]float64, cols)
 	colInv := make([]float64, cols)
+	for j := range colInv {
+		colInv[j] = 1
+	}
+	scaleNormalizeRow := func(i int) {
+		cand, scores := w.Row(i)
+		var s float64
+		for x, j := range cand {
+			t := float64(scores[x] * colInv[j])
+			scores[x] = t
+			s += t
+		}
+		if math.Abs(s) < eps {
+			return
+		}
+		rinv := 1 / s
+		for x := range scores {
+			scores[x] *= rinv
+		}
+	}
 	for l := 0; l < m.L; l++ {
-		if err := ctxErr(cc); err != nil {
+		if err := matrix.ParallelRowsCtx(cc, rows, scaleNormalizeRow); err != nil {
 			return nil, err
 		}
-		// Row normalization: per-row sum in ascending column order.
-		for i := 0; i < rows; i++ {
-			_, scores := w.Row(i)
-			var s float64
-			for _, v := range scores {
-				s += v
-			}
-			if math.Abs(s) < eps {
-				continue
-			}
-			rinv := 1 / s
-			for x := range scores {
-				scores[x] *= rinv
-			}
-		}
-		// Column normalization: sums accumulate row-major exactly like
-		// Dense.ColSums, then every edge is scaled.
+		// Column sums accumulate row-major exactly like Dense.ColSums: a
+		// serial scatter into the cache-resident colSum (a column-parallel
+		// gather over the CSC view measured slower).
 		for j := range colSum {
 			colSum[j] = 0
 		}
@@ -264,6 +279,8 @@ func (m *SinkhornSparse) Match(ctx *Context) (*Result, error) {
 				colInv[j] = 1 / s
 			}
 		}
+	}
+	if m.L > 0 {
 		for i := 0; i < rows; i++ {
 			cand, scores := w.Row(i)
 			for x, j := range cand {

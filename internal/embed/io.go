@@ -2,11 +2,13 @@ package embed
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"entmatcher/internal/kg"
 	"entmatcher/internal/matrix"
@@ -42,25 +44,27 @@ func WriteTable(w io.Writer, g *kg.Graph, table *matrix.Dense) error {
 
 // ReadTable parses an embedding table, resolving URIs against g. Every
 // entity of g must appear exactly once and all vectors must share one
-// dimension.
+// dimension. Fields are split in place from the scanner's buffer, so a line
+// costs no string and no field slice of its own.
 func ReadTable(r io.Reader, g *kg.Graph) (*matrix.Dense, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	var table *matrix.Dense
+	var fields [][]byte
 	seen := make([]bool, g.NumEntities())
 	filled := 0
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if line == "" {
+		line := bytes.TrimRight(sc.Bytes(), "\r\n")
+		if len(line) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("embed: line %d: no vector components", lineNo)
 		}
-		id, ok := g.EntityID(fields[0])
+		id, ok := g.EntityID(string(fields[0]))
 		if !ok {
 			return nil, fmt.Errorf("embed: line %d: unknown entity %q", lineNo, fields[0])
 		}
@@ -77,7 +81,7 @@ func ReadTable(r io.Reader, g *kg.Graph) (*matrix.Dense, error) {
 		filled++
 		row := table.Row(id)
 		for j, f := range fields[1:] {
-			v, err := strconv.ParseFloat(f, 64)
+			v, err := strconv.ParseFloat(string(f), 64)
 			if err != nil {
 				return nil, fmt.Errorf("embed: line %d: bad component %q: %v", lineNo, f, err)
 			}
@@ -94,6 +98,36 @@ func ReadTable(r io.Reader, g *kg.Graph) (*matrix.Dense, error) {
 		return nil, fmt.Errorf("embed: %d of %d entities embedded", filled, g.NumEntities())
 	}
 	return table, nil
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends line's whitespace-separated fields to dst as
+// sub-slices of line: strings.Fields, same notion of whitespace, without the
+// strings.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1 // of the field being read; -1 between fields
+	for i := 0; i < len(line); {
+		space, n := false, 1
+		if c := line[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, n = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			dst = append(dst, line[start:i])
+			start = -1
+		}
+		i += n
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // Save writes the pair's embedding tables to srcPath and tgtPath.
@@ -115,7 +149,8 @@ func Save(srcPath, tgtPath string, pair *kg.Pair, e *Embeddings) error {
 	return write(tgtPath, pair.Target, e.Target)
 }
 
-// Load reads embedding tables for the pair from srcPath and tgtPath.
+// Load reads embedding tables for the pair from srcPath and tgtPath, the two
+// files concurrently. When both fail, the source file's error is returned.
 func Load(srcPath, tgtPath string, pair *kg.Pair) (*Embeddings, error) {
 	read := func(path string, g *kg.Graph) (*matrix.Dense, error) {
 		f, err := os.Open(path)
@@ -125,13 +160,20 @@ func Load(srcPath, tgtPath string, pair *kg.Pair) (*Embeddings, error) {
 		defer f.Close()
 		return ReadTable(f, g)
 	}
+	var tgt *matrix.Dense
+	var tgtErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tgt, tgtErr = read(tgtPath, pair.Target)
+	}()
 	src, err := read(srcPath, pair.Source)
+	<-done
 	if err != nil {
 		return nil, err
 	}
-	tgt, err := read(tgtPath, pair.Target)
-	if err != nil {
-		return nil, err
+	if tgtErr != nil {
+		return nil, tgtErr
 	}
 	if src.Cols() != tgt.Cols() {
 		return nil, fmt.Errorf("embed: source dim %d != target dim %d", src.Cols(), tgt.Cols())

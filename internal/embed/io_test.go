@@ -2,6 +2,9 @@ package embed
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,23 +39,82 @@ func TestWriteTableRowMismatch(t *testing.T) {
 	}
 }
 
+// TestReadTableBitExact: WriteTable then ReadTable returns every component
+// bit for bit — signed zero, denormals, values next to the format's limits —
+// through CRLF line ends, blank lines, tabs and repeated separators.
+func TestReadTableBitExact(t *testing.T) {
+	pair := testPair(t)
+	g := pair.Source
+	special := []float64{math.Copysign(0, -1), 0, 5e-324, -2.2250738585072009e-308, 1e-300, -1e-300,
+		math.MaxFloat64, 1.0000000000000002, -0.1, 1e21, 123456789.12345678}
+	table := matrix.New(g.NumEntities(), len(special))
+	for i := 0; i < table.Rows(); i++ {
+		for j := range special {
+			table.Row(i)[j] = special[(i+j)%len(special)]
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, g, table); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTable(bytes.NewReader(buf.Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.EqualBits(table) {
+		t.Fatal("round trip changed component bits")
+	}
+	// The same file as a Windows tool or a hand edit would leave it.
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var messy strings.Builder
+	messy.WriteString("\r\n\n")
+	for i, l := range lines {
+		switch i % 3 {
+		case 0:
+			l = strings.ReplaceAll(l, " ", "\t")
+		case 1:
+			l = "  " + strings.ReplaceAll(l, " ", "   ") + " "
+		}
+		messy.WriteString(l + "\r\n")
+		if i%5 == 0 {
+			messy.WriteString("\r\n")
+		}
+	}
+	back, err = ReadTable(strings.NewReader(messy.String()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.EqualBits(table) {
+		t.Fatal("CRLF, blank lines and repeated separators changed component bits")
+	}
+}
+
+// TestReadTableErrors pins every rejection with its message and line number.
 func TestReadTableErrors(t *testing.T) {
 	pair := testPair(t)
 	g := pair.Source
 	e0 := g.EntityName(0)
 	e1 := g.EntityName(1)
-	cases := map[string]string{
-		"unknown entity":  "nope 1 2\n",
-		"no components":   e0 + "\n",
-		"dim mismatch":    e0 + " 1 2\n" + e1 + " 1 2 3\n",
-		"duplicate":       e0 + " 1 2\n" + e0 + " 3 4\n",
-		"bad float":       e0 + " abc\n",
-		"empty file":      "",
-		"missing entries": e0 + " 1 2\n", // covers only one entity
+	cases := map[string]struct{ input, want string }{
+		"unknown entity":   {"nope 1 2\n", `embed: line 1: unknown entity "nope"`},
+		"no components":    {"\n" + e0 + "\n", "embed: line 2: no vector components"},
+		"whitespace line":  {e0 + " 1 2\n \t \r\n", "embed: line 2: no vector components"},
+		"dim mismatch":     {e0 + " 1 2\n\r\n" + e1 + " 1 2 3\n", "embed: line 3: dimension 3, want 2"},
+		"dim before float": {e0 + " 1 2\n" + e1 + " x 2 3\n", "embed: line 2: dimension 3, want 2"},
+		"duplicate":        {e0 + " 1 2\n" + e0 + " 3 4\n", fmt.Sprintf("embed: line 2: duplicate entity %q", e0)},
+		"bad float":        {e0 + " 1 abc\n", `embed: line 1: bad component "abc": strconv.ParseFloat: parsing "abc": invalid syntax`},
+		"empty file":       {"", "embed: empty embedding file"},
+		"blank file":       {"\r\n\n", "embed: empty embedding file"},
+		"missing entries":  {e0 + " 1 2\n", fmt.Sprintf("embed: 1 of %d entities embedded", g.NumEntities())},
+		"line too long":    {e0 + " " + strings.Repeat("1", 1<<22) + "\n", "bufio.Scanner: token too long"},
 	}
-	for name, input := range cases {
-		if _, err := ReadTable(strings.NewReader(input), g); err == nil {
+	for name, tc := range cases {
+		_, err := ReadTable(strings.NewReader(tc.input), g)
+		if err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("%s: error %q, want %q", name, err, tc.want)
 		}
 	}
 }
@@ -79,5 +141,19 @@ func TestSaveLoadFiles(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing"), tgtPath, pair); err == nil {
 		t.Fatal("missing source file accepted")
+	}
+	if _, err := Load(srcPath, filepath.Join(dir, "missing"), pair); err == nil {
+		t.Fatal("missing target file accepted")
+	}
+	// Both files bad: the source file's error is the one reported.
+	if err := os.WriteFile(tgtPath, []byte("nope 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(filepath.Join(dir, "missing"), tgtPath, pair)
+	if err == nil || !os.IsNotExist(err) {
+		t.Fatalf("both files bad: got %v, want the source file's not-exist error", err)
+	}
+	if _, err := Load(srcPath, tgtPath, pair); err == nil || !strings.Contains(err.Error(), `unknown entity "nope"`) {
+		t.Fatalf("bad target file: got %v", err)
 	}
 }

@@ -14,14 +14,36 @@ import (
 // only the parts it lacks — through the source's own PartsProducer, or in
 // one exhaustive StreamParts pass carrying just the missing accumulators.
 //
-// A part is reused only for the identical key. A wider graph is never
-// truncated and φ_t is never read off the reverse graph: SQ8's re-rank pool
-// depends on the budget and ColTopKAcc.Means sums in heap-array order, so
-// neither shortcut is bit-identical in general. A different budget replaces
-// its slot, which bounds the memo to one forward graph, one reverse graph
-// and one means vector. Every part handed out is the one the un-memoized
-// BuildCandGraph* call would have returned, and is shared: callers must not
-// mutate it (CandGraph.Row's contract; clone for scratch).
+// What may be derived. A held part answers the identical key, and one part
+// may be read off another: the kCol = 1 means are the reverse graph's row
+// heads (means[j] = 0 + head_j, 0 for an empty row — heapMean's arithmetic
+// on a one-entry heap, so a -0.0 head still becomes +0.0), whenever the
+// reverse graph is held or built by the same call and the wrapped source
+// says its heads are its columns' best scores at every budget:
+//
+//   - a plain tile source (the memo's own StreamParts pass) and shard.Source,
+//     always: the width-cRev and the width-1 column heaps see the same offers
+//     in the same order, and both keep the first-k prefix of (value desc,
+//     index asc);
+//   - ann.Source while SQ8 is off: the probed cells, hence the scored
+//     candidates, do not depend on the budget;
+//   - quant.Source, ann.Source with SQ8 on, and any producer that does not
+//     implement RevHeadProducer, never: the SQ8 re-rank pool is
+//     factor × budget, so a wider search can surface a better head.
+//
+// The source is asked per request, so EnableQuant after the memo was created
+// is honoured. Nothing else is derived: a wider graph is never truncated (the
+// SQ8 pool again) and kCol > 1 means are never summed from a reverse row
+// (ColTopKAcc.Means sums in heap-array order, a finalized row is sorted).
+// The order matters: RInf or Hun.'s transpose fallback before CSLS costs one
+// tile pass instead of two; CSLS first still pays its own pass, because no
+// reverse graph is held yet and it does not ask for one.
+//
+// A different budget replaces its slot, derived means included, which bounds
+// the memo to one forward graph, one reverse graph and one means vector.
+// Every part handed out is the one the un-memoized BuildCandGraph* call would
+// have returned, and is shared: callers must not mutate it (CandGraph.Row's
+// contract; clone for scratch).
 //
 // One build runs at a time. The lock is a one-slot channel so a caller
 // waiting behind a build still returns on its own context; a failed or
@@ -39,18 +61,30 @@ type GraphMemo struct {
 	fwdC, revC int
 	meansK     int
 
-	builds, hits, passes, bytes atomic.Int64
+	builds, hits, passes, derived, bytes atomic.Int64
 }
 
 // MemoStats counts a memo's work. Builds and Hits count producer calls:
-// one that had to build at least one part, one answered wholly from the
-// slots. Passes counts full tile passes over the wrapped source — exhaustive
-// builds and direct StreamTiles calls alike. Bytes is what the slots hold.
+// one that had to build at least one part, one answered without building.
+// Passes counts full tile passes over the wrapped source — exhaustive
+// builds and direct StreamTiles calls alike. Derived counts parts answered
+// by derivation (means read off the reverse graph) rather than by a build or
+// an exact-key hit. Bytes is what the slots hold, derived means included.
 type MemoStats struct {
-	Builds int64 `json:"builds"`
-	Hits   int64 `json:"hits"`
-	Passes int64 `json:"passes"`
-	Bytes  int64 `json:"bytes"`
+	Builds  int64 `json:"builds"`
+	Hits    int64 `json:"hits"`
+	Passes  int64 `json:"passes"`
+	Derived int64 `json:"derived"`
+	Bytes   int64 `json:"bytes"`
+}
+
+// RevHeadProducer is a PartsProducer that states whether the head of every
+// reverse-graph row is, at every budget, the score its KCol = 1 request
+// selects for that column. The memo derives those means from a held reverse
+// graph only over a source that says so; see GraphMemo for who may.
+type RevHeadProducer interface {
+	PartsProducer
+	RevHeadIsColBest() bool
 }
 
 var (
@@ -87,7 +121,10 @@ func (m *GraphMemo) PadCols(n int, score float64) TileSource { return PadCols(m.
 
 // Stats snapshots the counters; it never waits for a build.
 func (m *GraphMemo) Stats() MemoStats {
-	return MemoStats{Builds: m.builds.Load(), Hits: m.hits.Load(), Passes: m.passes.Load(), Bytes: m.bytes.Load()}
+	return MemoStats{
+		Builds: m.builds.Load(), Hits: m.hits.Load(), Passes: m.passes.Load(),
+		Derived: m.derived.Load(), Bytes: m.bytes.Load(),
+	}
 }
 
 // acquire takes the lock unless ctx ends first.
@@ -114,7 +151,7 @@ func (m *GraphMemo) Forget() {
 }
 
 // ProduceParts implements PartsProducer: the requested parts from the slots,
-// building and storing whichever are missing.
+// building and storing whichever are missing and can not be derived.
 func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphParts, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,6 +173,12 @@ func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 	if req.KCol > 0 && (m.means == nil || m.meansK != req.KCol) {
 		miss.KCol = req.KCol
 	}
+	// Missing k = 1 means come off the reverse graph this call holds or is
+	// about to build, when the source allows it.
+	derive := miss.KCol == 1 && (m.rev != nil || req.CRev > 0) && m.revHeadIsColBest()
+	if derive {
+		miss.KCol = 0
+	}
 	if miss == (GraphRequest{}) {
 		m.hits.Add(1)
 	} else {
@@ -153,14 +196,18 @@ func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 			m.means, m.meansK = built.ColMeans, miss.KCol
 		}
 		m.builds.Add(1)
-		held := int64(len(m.means)) * 8
-		for _, g := range []*CandGraph{m.fwd, m.rev} {
-			if g != nil {
-				held += g.SizeBytes()
-			}
-		}
-		m.bytes.Store(held)
 	}
+	if derive {
+		m.means, m.meansK = revHeadMeans(m.rev), 1
+		m.derived.Add(1)
+	}
+	held := int64(len(m.means)) * 8
+	for _, g := range []*CandGraph{m.fwd, m.rev} {
+		if g != nil {
+			held += g.SizeBytes()
+		}
+	}
+	m.bytes.Store(held)
 	var out GraphParts
 	if req.C > 0 {
 		out.Fwd = m.fwd
@@ -172,6 +219,32 @@ func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 		out.ColMeans = m.means
 	}
 	return out, nil
+}
+
+// revHeadIsColBest reports whether the wrapped source lets k = 1 means be
+// read off its reverse graph: a plain tile source is streamed by the memo
+// itself and always does, a producer only if it says so.
+func (m *GraphMemo) revHeadIsColBest() bool {
+	switch p := m.src.(type) {
+	case RevHeadProducer:
+		return p.RevHeadIsColBest()
+	case PartsProducer, CandGraphProducer:
+		return false
+	}
+	return true
+}
+
+// revHeadMeans is the KCol = 1 column statistic read off a reverse graph:
+// heapMean of a one-entry heap holding each row's head (0 + head, so -0.0
+// becomes +0.0), and 0 for an empty row.
+func revHeadMeans(rev *CandGraph) []float64 {
+	out := make([]float64, rev.rows)
+	for j := range out {
+		if lo := rev.rowPtr[j]; lo < rev.rowPtr[j+1] {
+			out[j] += rev.score[lo]
+		}
+	}
+	return out
 }
 
 // build produces the missing parts of req from the wrapped source. A source

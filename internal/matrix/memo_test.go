@@ -108,14 +108,18 @@ func TestMemoSameBitsAsUnmemoized(t *testing.T) {
 
 // TestMemoBuildsOnlyMissingParts pins the pass accounting of the matcher
 // sequence the issue names: RInf (forward+reverse), CSLS (forward+means),
-// Hun. (forward), SMat, Sink. stream the source twice — once with two
-// accumulators, once with the column heaps alone — and in the other order
-// Hun. builds the forward graph alone and RInf adds only the reverse one.
+// Hun. (forward), SMat, Sink. At CSLS k = 2 they stream the source twice —
+// once with two accumulators, once with the column heaps alone — and at
+// k = 1 once, the means read off RInf's reverse graph. CSLS first still pays
+// its own pass at k = 1 (no reverse graph to read), and in the Hun.-first
+// order Hun. builds the forward graph alone and RInf adds only the reverse
+// one.
 func TestMemoBuildsOnlyMissingParts(t *testing.T) {
 	ctx := context.Background()
 	m := candTestMatrices()["tie-dense-8x10"]
 	rinf := memoCall{kind: "both", c: 4, cRev: 4}
 	csls := memoCall{kind: "means", c: 4, k: 2}
+	csls1 := memoCall{kind: "means", c: 4, k: 1}
 	hun := memoCall{kind: "both", c: 4}
 	smat := memoCall{kind: "fwd", c: 4}
 	for _, tc := range []struct {
@@ -126,6 +130,10 @@ func TestMemoBuildsOnlyMissingParts(t *testing.T) {
 	}{
 		{"rinf-first", []memoCall{rinf, csls, hun, smat, smat}, []int{2, 1}, MemoStats{Builds: 2, Hits: 3, Passes: 2}},
 		{"hun-first", []memoCall{hun, rinf, smat, csls, smat}, []int{1, 1, 1}, MemoStats{Builds: 3, Hits: 2, Passes: 3}},
+		{"rinf-csls1", []memoCall{rinf, csls1}, []int{2}, MemoStats{Builds: 1, Hits: 1, Passes: 1, Derived: 1}},
+		{"rinf-first-k1", []memoCall{rinf, csls1, hun, smat, smat}, []int{2}, MemoStats{Builds: 1, Hits: 4, Passes: 1, Derived: 1}},
+		{"csls1-rinf", []memoCall{csls1, rinf}, []int{2, 1}, MemoStats{Builds: 2, Passes: 2}},
+		{"hun-first-k1", []memoCall{hun, rinf, smat, csls1, smat}, []int{1, 1}, MemoStats{Builds: 2, Hits: 3, Passes: 2, Derived: 1}},
 	} {
 		src := &countingSource{TileSource: &DenseTileSource{M: m}}
 		memo := Memo(src)
@@ -144,6 +152,60 @@ func TestMemoBuildsOnlyMissingParts(t *testing.T) {
 		got.Bytes = 0
 		if got != tc.stats {
 			t.Errorf("%s: stats = %+v, want %+v", tc.name, got, tc.stats)
+		}
+	}
+}
+
+// signedZeroMatrix has columns whose best score is -0.0, alone or tied with
+// +0.0 at a later row: heapMean turns such a head into +0.0 (0 + -0.0), and so
+// must the derivation.
+func signedZeroMatrix() *Dense {
+	nz := math.Copysign(0, -1)
+	m, _ := NewFromData(4, 5, []float64{
+		nz, 0, -1, nz, -0.5,
+		0, nz, -1, nz, -0.5,
+		-1, -1, nz, nz, -0.5,
+		-2, -2, -2, -3, nz,
+	})
+	return m
+}
+
+// TestMemoDerivedMeansSameBits: k = 1 means read off a held reverse graph —
+// whatever its budget, held from an earlier call or built by the same one —
+// are bit for bit the un-memoized builder's, on the tie-heavy, -Inf, tiny
+// and signed-zero matrices, and cost no tile pass.
+func TestMemoDerivedMeansSameBits(t *testing.T) {
+	ctx := context.Background()
+	cases := candTestMatrices()
+	cases["signed-zeros-4x5"] = signedZeroMatrix()
+	for name, m := range cases {
+		for _, shape := range candTileShapes {
+			raw := &DenseTileSource{M: m, TileRows: shape[0], TileCols: shape[1]}
+			_, want, err := BuildCandGraphWithColMeans(ctx, raw, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cRev := range []int{1, 2, m.Rows(), m.Rows() + 3} {
+				held := Memo(raw)
+				if _, _, err := held.ProduceCandGraphs(ctx, 2, cRev); err != nil {
+					t.Fatal(err)
+				}
+				_, got, err := held.ProduceCandGraphWithColMeans(ctx, 2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := held.Stats(); !floatsEqual(want, got) || st.Derived != 1 || st.Hits != 1 || st.Passes != 1 {
+					t.Fatalf("%s tiles %v cRev %d: means off a held reverse graph = %v, want %v (stats %+v)", name, shape, cRev, got, want, st)
+				}
+				same := Memo(raw)
+				parts, err := same.ProduceParts(ctx, GraphRequest{C: 2, CRev: cRev, KCol: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := same.Stats(); !floatsEqual(want, parts.ColMeans) || st.Derived != 1 || st.Builds != 1 || st.Passes != 1 {
+					t.Fatalf("%s tiles %v cRev %d: means off the same call's reverse graph = %v, want %v (stats %+v)", name, shape, cRev, parts.ColMeans, want, st)
+				}
+			}
 		}
 	}
 }
@@ -179,6 +241,61 @@ func TestMemoBudgetChangeReplaces(t *testing.T) {
 	}
 	if memo.Stats().Builds != before+1 {
 		t.Fatal("a call after Forget was not a build")
+	}
+}
+
+// TestMemoDerivedMeansFollowSlotRules: derived means live in the means slot
+// and follow its rules — counted in Bytes, replaced by a different kCol,
+// dropped by Forget — and leave the reverse graph's slot alone: a different
+// cRev still replaces the graph, and the means, which do not depend on it,
+// stay an exact-key hit.
+func TestMemoDerivedMeansFollowSlotRules(t *testing.T) {
+	ctx := context.Background()
+	m := candTestMatrices()["tie-dense-8x10"]
+	raw := &DenseTileSource{M: m}
+	memo := Memo(raw)
+	means := func(k int) []float64 {
+		t.Helper()
+		_, want, err := BuildCandGraphWithColMeans(ctx, raw, 3, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := memo.ProduceCandGraphWithColMeans(ctx, 3, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !floatsEqual(want, got) {
+			t.Fatalf("k=%d: memoized means %v, want %v", k, got, want)
+		}
+		return got
+	}
+	fwd, rev, err := memo.ProduceCandGraphs(ctx, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := means(1)
+	if st := memo.Stats(); st.Derived != 1 || st.Bytes != fwd.SizeBytes()+rev.SizeBytes()+int64(len(derived))*8 {
+		t.Fatalf("after deriving: %+v, want the derived means counted in Bytes", st)
+	}
+	means(3) // replaces the slot with a built vector
+	means(1) // derived again: the reverse graph is still held
+	if st := memo.Stats(); st.Derived != 2 || st.Builds != 2 || st.Passes != 2 {
+		t.Fatalf("after k = 1, 3, 1: %+v, want two derivations around one build", st)
+	}
+	if _, wider, err := memo.ProduceCandGraphs(ctx, 3, 5); err != nil || graphsEqual(wider, rev) {
+		t.Fatalf("a different cRev did not replace the reverse graph (err %v)", err)
+	}
+	means(1)
+	if st := memo.Stats(); st.Derived != 2 || st.Builds != 3 || st.Hits != 3 {
+		t.Fatalf("after a reverse budget change: %+v, want the held means served as a hit", st)
+	}
+	memo.Forget()
+	if got := memo.Stats().Bytes; got != 0 {
+		t.Fatalf("memo holds %d bytes after Forget", got)
+	}
+	means(1) // nothing held: built by its own pass
+	if st := memo.Stats(); st.Derived != 2 || st.Builds != 4 || st.Passes != 4 {
+		t.Fatalf("after Forget: %+v, want the means built by a pass", st)
 	}
 }
 
@@ -340,6 +457,14 @@ func TestMemoOverThreeMethodProducer(t *testing.T) {
 	}
 	if want := []string{"fwd", "both", "means"}; !reflect.DeepEqual(p.calls, want) {
 		t.Fatalf("producer saw calls %v, want %v", p.calls, want)
+	}
+	// It says nothing about its reverse heads, so k = 1 means are asked of it
+	// even with a reverse graph held.
+	if _, _, err := memo.ProduceCandGraphWithColMeans(ctx, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := memo.Stats(); st.Derived != 0 || p.calls[len(p.calls)-1] != "means" || len(p.calls) != 4 {
+		t.Fatalf("k = 1 means over a three-method producer: calls %v, stats %+v, want a fourth call and nothing derived", p.calls, st)
 	}
 	all, err := memo.ProduceParts(ctx, GraphRequest{C: 2, CRev: 2, KCol: 1})
 	if err != nil || all.Fwd == nil || all.Rev == nil || all.ColMeans == nil {

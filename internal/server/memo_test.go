@@ -38,14 +38,19 @@ func tierStat(t *testing.T, st map[string]any, key, tier string) float64 {
 
 // TestAlignRepeatServedFromMemo: the same /align twice returns byte-identical
 // bodies, the second without building a graph; a different matcher at the
-// same budget builds only the part it lacks; /statsz shows it per tier.
+// same budget builds only the part it lacks; /statsz shows it per tier. CSLS
+// (k = 1) after RInf lacks the column means: the float ann tier reads them
+// off RInf's reverse graph (1 build, 3 hits, 1 derived), the SQ8 quant tier
+// must scan for them — its re-rank pool depends on the budget, so a reverse
+// head is not provably the column's best (2 builds, 2 hits, 0 derived).
 func TestAlignRepeatServedFromMemo(t *testing.T) {
 	for _, tc := range []struct {
-		tier string
-		srv  *Server
+		tier                  string
+		srv                   *Server
+		builds, hits, derived float64
 	}{
-		{"quant", newQuantServer(t, 4)},
-		{"ann", newTestServer(t, Config{})},
+		{"quant", newQuantServer(t, 4), 2, 2, 0},
+		{"ann", newTestServer(t, Config{}), 1, 3, 1},
 	} {
 		h := tc.srv.Handler()
 		const req = `{"matcher":"RInf","cand":8}`
@@ -64,8 +69,10 @@ func TestAlignRepeatServedFromMemo(t *testing.T) {
 		alignBody(t, h, `{"matcher":"Hun.","cand":8}`) // forward graph only: held
 		alignBody(t, h, `{"matcher":"CSLS","cand":8}`) // lacks the column means
 		st = getJSON(t, h, "/statsz", http.StatusOK)
-		if b, hit := tierStat(t, st, "align_graph_builds", tc.tier), tierStat(t, st, "align_graph_hits", tc.tier); b != 2 || hit != 2 {
-			t.Fatalf("%s: after RInf, RInf, Hun., CSLS: %v builds, %v hits, want 2 and 2", tc.tier, b, hit)
+		b, hit, der := tierStat(t, st, "align_graph_builds", tc.tier), tierStat(t, st, "align_graph_hits", tc.tier), tierStat(t, st, "align_graph_derived", tc.tier)
+		if b != tc.builds || hit != tc.hits || der != tc.derived {
+			t.Fatalf("%s: after RInf, RInf, Hun., CSLS: %v builds, %v hits, %v derived, want %v, %v and %v",
+				tc.tier, b, hit, der, tc.builds, tc.hits, tc.derived)
 		}
 		if tierStat(t, st, "align_graph_builds", "exact") != 0 {
 			t.Fatalf("%s: the exact tier built graphs on a healthy server", tc.tier)

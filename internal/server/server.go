@@ -214,11 +214,14 @@ type Stats struct {
 	CoalescedDup   int64 `json:"coalesced_dup"`
 	MaxBatchSize   int64 `json:"max_batch_size"`
 	// AlignGraph* are the /align tiers' candidate-graph memo counters, keyed
-	// by tier name: producer calls that built a part, calls answered wholly
-	// from the memo, and the bytes the memo holds.
-	AlignGraphBuilds map[string]int64 `json:"align_graph_builds"`
-	AlignGraphHits   map[string]int64 `json:"align_graph_hits"`
-	AlignGraphBytes  map[string]int64 `json:"align_graph_bytes"`
+	// by tier name: producer calls that built a part, calls answered without
+	// building, parts derived from a held one (CSLS's k = 1 column statistic
+	// off the reverse graph — why the same job costs milliseconds on a float
+	// tier and a scan on an SQ8 one), and the bytes the memo holds.
+	AlignGraphBuilds  map[string]int64 `json:"align_graph_builds"`
+	AlignGraphHits    map[string]int64 `json:"align_graph_hits"`
+	AlignGraphDerived map[string]int64 `json:"align_graph_derived"`
+	AlignGraphBytes   map[string]int64 `json:"align_graph_bytes"`
 	// Plan is the startup self-configuration plan's chosen engine in label
 	// form (e.g. "quant+sparse(C=64,f=4)"); empty when the planner could
 	// not choose one at startup.
@@ -232,10 +235,10 @@ func (s *Server) Stats() Stats {
 	if s.plan != nil {
 		planLabel = s.plan.Chosen.Label()
 	}
-	builds, hits, held := map[string]int64{}, map[string]int64{}, map[string]int64{}
+	builds, hits, derived, held := map[string]int64{}, map[string]int64{}, map[string]int64{}, map[string]int64{}
 	for _, t := range s.alignTiers {
 		st := t.src.Stats()
-		builds[t.name], hits[t.name], held[t.name] = st.Builds, st.Hits, st.Bytes
+		builds[t.name], hits[t.name], derived[t.name], held[t.name] = st.Builds, st.Hits, st.Derived, st.Bytes
 	}
 	return Stats{
 		Plan:           planLabel,
@@ -254,9 +257,10 @@ func (s *Server) Stats() Stats {
 		CoalescedDup:   s.coalescedDup.Load(),
 		MaxBatchSize:   s.maxBatchSeen.Load(),
 
-		AlignGraphBuilds: builds,
-		AlignGraphHits:   hits,
-		AlignGraphBytes:  held,
+		AlignGraphBuilds:  builds,
+		AlignGraphHits:    hits,
+		AlignGraphDerived: derived,
+		AlignGraphBytes:   held,
 	}
 }
 

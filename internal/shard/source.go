@@ -101,6 +101,14 @@ func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) 
 	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }
 
+var _ matrix.RevHeadProducer = (*Source)(nil)
+
+// RevHeadIsColBest implements matrix.RevHeadProducer: every target lives in
+// one shard, whose sub-build feeds its width-CRev and width-1 column heaps the
+// same scores in the same order, so a reverse row's head is that column's
+// KCol = 1 selection at every budget.
+func (s *Source) RevHeadIsColBest() bool { return true }
+
 // ProduceParts implements matrix.PartsProducer. It runs the full sharded
 // build for the requested parts only: partition, per-shard sub-builds on a
 // bounded worker pool, then the deterministic reconciliation merge back to

@@ -406,8 +406,10 @@ func newRun(task *Task, s *Dense, stream *SimilarityStream, mctx *MatchContext) 
 }
 
 // GraphStats returns how often the run's sparse matchers built candidate
-// graphs, how often they were served from the memo instead, the full tile
-// passes streamed and the bytes the memo holds. Zero on dense runs.
+// graphs, how often they were served from the memo instead, how many parts
+// it derived from a held one (CSLS's k = 1 column statistic off the reverse
+// graph), the full tile passes streamed and the bytes the memo holds. Zero on
+// dense runs.
 func (r *Run) GraphStats() GraphStats {
 	if r.graphs == nil {
 		return GraphStats{}
