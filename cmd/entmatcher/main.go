@@ -24,46 +24,8 @@
 //	entmatcher -data ./data/1m -cand 8 -shards 64      # co-clustered sharded matching
 //	entmatcher -data ./data/1m -cand 8 -shards 64 -load-snapshot p.snap -out-of-core
 //
-// With -stream (or when -mem-budget forces it) the score matrix is computed
-// in cache-sized tiles and never materialized; the streaming-capable
-// matchers (DInf, CSLS, Sink.-mb) run fused against the tile stream.
-//
-// With -cand C the run also streams, but matching happens on sparse top-C
-// candidate graphs, which unlocks the paper's memory-heavy collective
-// matchers (RInf, Hun., SMat) at scales where the dense matrix cannot exist.
-// At C >= the larger side the sparse matchers reproduce their dense
-// counterparts exactly; smaller C trades a little recall for O(n·C) cost.
-//
-// With -ann K (requires -cand) the top-C graphs come from a pure-Go IVF
-// index — a K-cell k-means quantizer over the normalized embeddings —
-// instead of the exhaustive streaming pass, making candidate generation
-// sub-quadratic. -nprobe trades recall for speed; at -nprobe K the result is
-// bit-identical to the exact build.
-//
-// With -quant (requires -cand) every candidate scan — IVF slabs under -ann,
-// the exhaustive pass otherwise — ranks with int8 SQ8 codes ⅛ the size of
-// the float64 tables, then re-scores an over-fetched pool exactly so the
-// emitted graphs stay bit-identical at the default -rerank-factor 4.
-// -rerank-factor 0 disables the exact re-rank (quantized-only scores).
-//
-// With -shards S (requires -cand) both corpora are partitioned by an IVF
-// coarse quantizer into S co-clustered shards; candidate graphs are built per
-// shard on a bounded worker pool and reconciled into one global graph the
-// sparse matchers run on. -shards 1 is bit-identical to the exact build;
-// larger S divides scan work and per-shard memory at bounded recall cost.
-//
-// With -out-of-core (requires -load-snapshot) the embedding tables are served
-// from the snapshot file itself — mmapped where supported, chunked ReadAt
-// otherwise — so table-sized heap allocations never happen; combined with
-// -shards this is the 1M×1M-under-4GiB configuration.
-//
-// With -auto the cost-based planner (internal/plan, costed from the one
-// coefficient table plan.Defaults) picks the cheapest engine that fits
-// -mem-budget: dense, streaming tiles, sparse top-C graphs, IVF, or SQ8 —
-// with -target-recall it may trade candidate recall for speed through
-// approximate ANN plans. Explicit engine flags always win over the planner.
-// -explain prints every candidate plan with its estimated wall time, peak
-// memory, and the machine-readable reason it lost.
+// Which engine flags combine is internal/engine's rule table (README, "Engine
+// flags"); an illegal combination exits 2 with the rule's message.
 package main
 
 import (
@@ -75,6 +37,7 @@ import (
 	"time"
 
 	"entmatcher"
+	"entmatcher/internal/core"
 	"entmatcher/internal/exitcode"
 )
 
@@ -86,9 +49,10 @@ import (
 var errDegraded = errors.New("one or more matchers degraded under the time budget")
 
 // usageError marks a command line whose flags parsed individually but combine
-// illegally (e.g. -nprobe without -ann). main maps it to exit code 2 — the
-// flag package's own convention for a rejected command line — so scripts can
-// tell "you typed the command wrong" from "the run failed".
+// illegally in a way only the command line shows (e.g. -nprobe without -ann).
+// main maps it, like the library's ErrBadConfig, to exit code 2 — the flag
+// package's own convention for a rejected command line — so scripts can tell
+// "you typed the command wrong" from "the run failed".
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
@@ -100,7 +64,7 @@ func main() {
 			os.Exit(exitcode.Degraded)
 		}
 		var ue usageError
-		if errors.As(err, &ue) {
+		if errors.As(err, &ue) || errors.Is(err, entmatcher.ErrBadConfig) {
 			os.Exit(exitcode.Usage)
 		}
 		os.Exit(exitcode.Failure)
@@ -123,24 +87,23 @@ func run() error {
 		stream   = flag.Bool("stream", false, "use the tiled streaming similarity engine: scores are computed tile by tile and the dense matrix is never allocated (matchers: DInf, CSLS, Sink.-mb)")
 		memMiB   = flag.Int64("mem-budget", 0, "dense score-matrix budget in MiB; when the matrix would exceed it the run streams automatically (0 = no cap)")
 		cand     = flag.Int("cand", 0, "sparse candidate budget C: stream the scores into top-C candidate graphs and run the sparse matcher twins (CSLS, RInf, Sink., Hun., SMat) on them (0 = dense/streaming as usual)")
-		annK     = flag.Int("ann", 0, "approximate candidate generation: build the top-C graphs through an IVF index with this many k-means clusters instead of the exhaustive streaming pass (requires -cand; 0 = exact build)")
+		annK     = flag.Int("ann", 0, "approximate candidate generation: build the top-C graphs through an IVF index with this many k-means clusters instead of the exhaustive streaming pass (0 = exact build)")
 		nprobe   = flag.Int("nprobe", 0, "IVF cells scanned per query — the recall/speed knob (requires -ann; 0 = auto, clusters/16; equal to -ann reproduces the exact build bit-for-bit)")
-		useQuant = flag.Bool("quant", false, "rank candidate scans with SQ8 int8 codes (8× smaller scan tables) and re-score an over-fetched pool with exact float64 products — bit-identical graphs at the default -rerank-factor (requires -cand; composes with -ann)")
+		useQuant = flag.Bool("quant", false, "rank candidate scans with SQ8 int8 codes (8× smaller scan tables) and re-score an over-fetched pool with exact float64 products — bit-identical graphs at the default -rerank-factor (composes with -ann)")
 		rerankF  = flag.Int("rerank-factor", 4, "quantized-scan pool over-fetch multiplier: re-rank the quantized top factor×C exactly (requires -quant; 0 = no exact re-rank, serve the quantized approximations)")
-		saveSnap = flag.String("save-snapshot", "", "after preparation, persist the prepared tables (and the IVF indexes under -ann, the SQ8 tables under -quant) to this path as a crash-safe snapshot (requires -stream or -cand; written atomically: temp file, fsync, rename)")
-		loadSnap = flag.String("load-snapshot", "", "prepare from a previously saved snapshot instead of re-encoding embeddings (requires -stream or -cand; the snapshot must match -features, -setting and -ann, otherwise the run fails with a mismatch error rather than silently rebuilding)")
-		shards   = flag.Int("shards", 0, "partition both corpora into this many co-clustered shards and build the candidate graphs per shard on a bounded worker pool, reconciling into one global graph (requires -cand; 1 = bit-identical degenerate build; 0 = unsharded)")
-		ooc      = flag.Bool("out-of-core", false, "serve the embedding tables from the snapshot file itself — mmapped where supported, chunked ReadAt otherwise — instead of materializing them on the heap (requires -load-snapshot)")
+		saveSnap = flag.String("save-snapshot", "", "after preparation, persist the prepared tables (and the IVF indexes under -ann, the SQ8 tables under -quant) to this path as a crash-safe snapshot (written atomically: temp file, fsync, rename)")
+		loadSnap = flag.String("load-snapshot", "", "prepare from a previously saved snapshot instead of re-encoding embeddings (the snapshot must match -features, -setting and -ann, otherwise the run fails with a mismatch error rather than silently rebuilding)")
+		shards   = flag.Int("shards", 0, "partition both corpora into this many co-clustered shards and build the candidate graphs per shard on a bounded worker pool, reconciling into one global graph (1 = bit-identical degenerate build; 0 = unsharded)")
+		ooc      = flag.Bool("out-of-core", false, "serve the embedding tables from the snapshot file itself — mmapped where supported, chunked ReadAt otherwise — instead of materializing them on the heap")
 		auto     = flag.Bool("auto", false, "let the cost-based planner pick the engine — dense, streaming, sparse candidates, IVF, SQ8 — from the task shape and -mem-budget; explicit engine flags (-stream, -cand, -ann, -quant) always override the planner")
-		recall   = flag.Float64("target-recall", 0, "minimum estimated candidate recall the planner must meet before it may choose an approximate (IVF) plan (requires -auto; 0 = exact-coverage plans only)")
+		recall   = flag.Float64("target-recall", 0, "minimum estimated candidate recall the planner must meet before it may choose an approximate (IVF) plan (0 = exact-coverage plans only)")
 		explain  = flag.Bool("explain", false, "print the planner's full decision: every candidate plan with estimated wall time, peak memory, and the reason it was rejected (requires -auto)")
 	)
 	flag.Parse()
 	// Flags that only parameterize another flag's engine are rejected when
-	// set — at any value, including their defaults — without that engine.
-	// flag.Visit reports only flags the command line actually set, so
-	// "-rerank-factor 4" without -quant is caught even though 4 is the
-	// default value: the user typed a knob that cannot take effect.
+	// set — at any value, including their defaults — without that engine:
+	// flag.Visit reports only what the command line actually typed, which a
+	// PipelineConfig cannot show. Every other rule is cfg.Validate's.
 	explicitlySet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicitlySet[f.Name] = true })
 	if explicitlySet["nprobe"] && *annK == 0 {
@@ -149,24 +112,30 @@ func run() error {
 	if explicitlySet["rerank-factor"] && !*useQuant {
 		return usageError("-rerank-factor requires -quant (it sizes the quantized scan's re-rank pool; without -quant it cannot take effect)")
 	}
-	if *recall != 0 && !*auto {
-		return usageError("-target-recall requires -auto (only the planner can trade candidate recall for speed)")
-	}
 	if *explain && !*auto {
 		return usageError("-explain requires -auto (there is no plan to explain on an explicitly configured run)")
-	}
-	if *ooc && *loadSnap == "" {
-		return usageError("-out-of-core requires -load-snapshot (only snapshot slabs can back an out-of-core run)")
 	}
 	if *dataDir == "" {
 		return fmt.Errorf("-data is required")
 	}
-
-	d, err := entmatcher.LoadDataset(*dataDir, *dataDir)
-	if err != nil {
-		return err
+	if (*embSrc == "") != (*embTgt == "") {
+		return fmt.Errorf("-emb-src and -emb-tgt must be given together")
 	}
-	cfg := entmatcher.PipelineConfig{WithValidation: true}
+
+	cfg := entmatcher.PipelineConfig{
+		Streaming:         *stream,
+		MemoryBudgetBytes: *memMiB << 20,
+		CandidateBudget:   *cand,
+		Shards:            *shards,
+		OutOfCore:         *ooc,
+		SaveSnapshot:      *saveSnap,
+		LoadSnapshot:      *loadSnap,
+		Auto:              *auto,
+		TargetRecall:      *recall,
+		// The validation matrix is not snapshotted; a snapshot-served run skips
+		// it (MatchWithAbstention then reports a clear error if requested).
+		WithValidation: *loadSnap == "",
+	}
 	switch strings.ToLower(*model) {
 	case "rrea":
 		cfg.Model = entmatcher.ModelRREA
@@ -195,60 +164,12 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown setting %q", *setting)
 	}
-
-	cfg.Streaming = *stream
-	if *memMiB < 0 {
-		return fmt.Errorf("-mem-budget must be non-negative")
-	}
-	cfg.MemoryBudgetBytes = *memMiB << 20
-	if *cand < 0 {
-		return fmt.Errorf("-cand must be non-negative")
-	}
-	cfg.CandidateBudget = *cand
-	if *annK < 0 {
-		return fmt.Errorf("-ann must be non-negative")
-	}
-	if *nprobe < 0 {
-		return fmt.Errorf("-nprobe must be non-negative")
-	}
-	if *annK > 0 {
-		if *cand == 0 {
-			return fmt.Errorf("-ann requires -cand (the index only accelerates candidate-graph construction)")
-		}
-		if *nprobe > *annK {
-			fmt.Fprintf(os.Stderr, "warning: -nprobe %d exceeds -ann %d clusters; clamping to %d (exact coverage)\n", *nprobe, *annK, *annK)
-			*nprobe = *annK
-		}
+	if *annK != 0 {
 		cfg.ANN = &entmatcher.ANNConfig{Clusters: *annK, NProbe: *nprobe}
 	}
-	if *rerankF < 0 {
-		return fmt.Errorf("-rerank-factor must be non-negative")
-	}
 	if *useQuant {
-		if *cand == 0 {
-			return fmt.Errorf("-quant requires -cand (quantized scans only accelerate candidate-graph construction)")
-		}
 		cfg.Quant = &entmatcher.QuantConfig{RerankFactor: *rerankF, NoRerank: *rerankF == 0}
 	}
-	if *saveSnap != "" && *loadSnap != "" {
-		return fmt.Errorf("-save-snapshot and -load-snapshot are mutually exclusive")
-	}
-	if (*saveSnap != "" || *loadSnap != "") && !*stream && *cand == 0 {
-		return fmt.Errorf("-save-snapshot/-load-snapshot require a streaming run (-stream or -cand): snapshots hold the prepared streaming tables")
-	}
-	if *loadSnap != "" && (*embSrc != "" || *embTgt != "") {
-		return fmt.Errorf("-load-snapshot is incompatible with -emb-src/-emb-tgt (the snapshot already holds the prepared tables)")
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative")
-	}
-	if *shards > 0 && *cand == 0 {
-		return fmt.Errorf("-shards requires -cand (only candidate-graph construction is sharded)")
-	}
-	cfg.Shards = *shards
-	cfg.OutOfCore = *ooc
-	cfg.SaveSnapshot = *saveSnap
-	cfg.LoadSnapshot = *loadSnap
 	if *loadSnap != "" && *auto {
 		// A snapshot pins the engine shape — the planner has nothing left to
 		// decide. Flags that would make it decide anyway contradict the
@@ -261,21 +182,20 @@ func run() error {
 			return usageError("-target-recall contradicts -load-snapshot: the snapshot pins the engine shape, so the planner cannot trade recall for speed")
 		}
 		fmt.Println("planner: bypassed (snapshot pins the engine shape)")
-		*auto = false
+		*auto, cfg.Auto = false, false
 	}
-	cfg.Auto = *auto
-	cfg.TargetRecall = *recall
-	// The validation matrix is not snapshotted; a snapshot-served run skips
-	// it (MatchWithAbstention then reports a clear error if requested).
-	cfg.WithValidation = *loadSnap == ""
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
+	d, err := entmatcher.LoadDataset(*dataDir, *dataDir)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("dataset %s: %d/%d entities, %d test links, setting %v, features %v\n",
 		d.Name, d.Source.NumEntities(), d.Target.NumEntities(), d.Split.Test.Len(), cfg.Setting, cfg.Features)
 	var run *entmatcher.Run
-	if *embSrc != "" || *embTgt != "" {
-		if *embSrc == "" || *embTgt == "" {
-			return fmt.Errorf("-emb-src and -emb-tgt must be given together")
-		}
+	if *embSrc != "" {
 		emb, err := entmatcher.LoadEmbeddings(*embSrc, *embTgt, d)
 		if err != nil {
 			return err
@@ -306,8 +226,8 @@ func run() error {
 					run.Plan.Chosen.Label(), run.Plan.Chosen.EstWall().Round(time.Millisecond),
 					float64(run.Plan.Chosen.EstPeakBytes)/(1<<30))
 			}
-			// The matcher tables below key off the engine flags; adopt the
-			// planner's candidate budget so the right twins are offered.
+			// The matcher table below keys off the candidate budget; adopt
+			// the planner's so the right twins are offered.
 			*cand = run.Plan.Chosen.Knobs.CandidateBudget
 		}
 	}
@@ -326,59 +246,26 @@ func run() error {
 		fmt.Printf("similarity matrix: %d×%d\n\n", rows, cols)
 	}
 
-	available := map[string]entmatcher.Matcher{
-		"DInf":     entmatcher.NewDInf(),
-		"CSLS":     entmatcher.NewCSLS(*cslsK),
-		"RInf":     entmatcher.NewRInf(),
-		"RInf-wr":  entmatcher.NewRInfWR(),
-		"RInf-pb":  entmatcher.NewRInfPB(50),
-		"Sink.":    entmatcher.NewSinkhorn(*sinkL),
-		"Sink.-mb": entmatcher.NewSinkhornBlocked(512, *sinkL),
-		"Hun.":     entmatcher.NewHungarian(),
-		"SMat":     entmatcher.NewSMat(),
-		"RL":       entmatcher.NewRL(),
-	}
-	defaults := []string{"DInf", "CSLS", "RInf", "Sink.", "Hun.", "SMat", "RL"}
+	// What the run offers decides which body a matcher name resolves to:
+	// sparse twins on candidate graphs, the fused matchers on bare tiles.
+	table := core.OnDense
 	if *cand > 0 {
-		// Sparse candidate-graph twins: the collective matchers run on top-C
-		// graphs built in one tiled pass, no dense matrix.
-		available = map[string]entmatcher.Matcher{
-			"DInf":  entmatcher.NewDInfStream(),
-			"CSLS":  entmatcher.NewCSLSSparse(*cand, *cslsK),
-			"RInf":  entmatcher.NewRInfSparse(*cand),
-			"Sink.": entmatcher.NewSinkhornSparse(*cand, *sinkL),
-			"Hun.":  entmatcher.NewHungarianSparse(*cand),
-			"SMat":  entmatcher.NewSMatSparse(*cand),
-		}
-		defaults = []string{"DInf", "CSLS", "RInf", "Sink.", "Hun.", "SMat"}
+		table = core.OnSparse
 	} else if streaming {
-		// Only the fused streaming matchers can run without the dense matrix.
-		available = map[string]entmatcher.Matcher{
-			"DInf":     entmatcher.NewDInfStream(),
-			"CSLS":     entmatcher.NewCSLSStream(*cslsK),
-			"Sink.-mb": entmatcher.NewSinkhornBlocked(512, *sinkL),
-		}
-		defaults = []string{"DInf", "CSLS", "Sink.-mb"}
+		table = core.OnStream
+	}
+	params := core.MatcherParams{C: *cand, CSLSK: *cslsK, SinkhornL: *sinkL}
+	names := table.Names(false)
+	if *matchers != "" {
+		names = strings.Split(*matchers, ",")
 	}
 	var selected []entmatcher.Matcher
-	if *matchers == "" {
-		for _, name := range defaults {
-			selected = append(selected, available[name])
+	for _, name := range names {
+		m, err := table.New(strings.TrimSpace(name), params)
+		if err != nil {
+			return err
 		}
-	} else {
-		for _, name := range strings.Split(*matchers, ",") {
-			m, ok := available[strings.TrimSpace(name)]
-			if !ok {
-				if *cand > 0 {
-					return fmt.Errorf("unknown matcher %q under -cand (have: DInf, CSLS, RInf, Sink., Hun., SMat)", name)
-				}
-				if streaming {
-					return fmt.Errorf("unknown or dense-only matcher %q under -stream (have: DInf, CSLS, Sink.-mb)", name)
-				}
-				return fmt.Errorf("unknown matcher %q (have: DInf, CSLS, RInf, RInf-wr, RInf-pb, Sink., Sink.-mb, Hun., SMat, RL)", name)
-			}
-			selected = append(selected, m)
-		}
+		selected = append(selected, m)
 	}
 
 	fmt.Printf("%-8s  %7s  %7s  %7s  %10s  %9s\n", "matcher", "P", "R", "F1", "time", "extra mem")
@@ -388,7 +275,7 @@ func run() error {
 		var metrics entmatcher.Metrics
 		// The degradation decision keys off the requested matcher's name,
 		// not the fallback wrapper's.
-		exec := withBudget(m, *timeout, streaming)
+		exec := table.WithBudget(m, *timeout, params)
 		if cfg.Setting == entmatcher.SettingUnmatchable && (m.Name() == "Hun." || m.Name() == "SMat") {
 			res, metrics, err = run.MatchWithAbstention(exec, *abstainQ)
 		} else {
@@ -415,34 +302,4 @@ func run() error {
 		return errDegraded
 	}
 	return nil
-}
-
-// withBudget wraps m in a degradation chain under the budget: m itself,
-// then progressive-blocking RInf, then DInf as the always-answers floor (on
-// a streaming run the floor is streaming DInf — the dense fallbacks cannot
-// run without the matrix). Tiers whose name duplicates an earlier tier are
-// dropped, so asking for DInf with a budget doesn't build DInf→...→DInf. A
-// zero budget returns m unchanged.
-func withBudget(m entmatcher.Matcher, budget time.Duration, streaming bool) entmatcher.Matcher {
-	if budget <= 0 {
-		return m
-	}
-	fallbacks := []entmatcher.Matcher{entmatcher.NewRInfPB(50), entmatcher.NewDInf()}
-	if streaming {
-		fallbacks = []entmatcher.Matcher{entmatcher.NewDInfStream()}
-	}
-	tiers := []entmatcher.Matcher{m}
-	for _, fb := range fallbacks {
-		dup := false
-		for _, t := range tiers {
-			if t.Name() == fb.Name() {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tiers = append(tiers, fb)
-		}
-	}
-	return entmatcher.NewFallback(budget, tiers...)
 }

@@ -373,7 +373,10 @@ func TestCLIEntserverServesAndDrains(t *testing.T) {
 // never builds must be rejected at parse time with the usage exit code (2),
 // not silently ignored. Before the fix, `-nprobe 4` without `-ann` and
 // `-rerank-factor` without `-quant` both ran as if the flag had not been
-// typed.
+// typed. Engine flags that combine illegally fail the way the library does:
+// exit 2 with the message of the rule in internal/engine's table (or of
+// PipelineConfig.Validate), before the dataset is read — never a clamp, and
+// never the failure exit code.
 func TestCLIFlagInteractionsExitUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
@@ -390,8 +393,23 @@ func TestCLIFlagInteractionsExitUsage(t *testing.T) {
 		{[]string{"-data", dataDir, "-cand", "8", "-rerank-factor", "4", "-m", "DInf"}, "-rerank-factor requires -quant"},
 		// The default value typed explicitly is still an ignored knob.
 		{[]string{"-data", dataDir, "-cand", "8", "-rerank-factor", "4", "-nprobe", "0", "-m", "DInf"}, "requires"},
-		{[]string{"-data", dataDir, "-target-recall", "0.9", "-m", "DInf"}, "-target-recall requires -auto"},
+		{[]string{"-data", dataDir, "-target-recall", "0.9", "-m", "DInf"}, "TargetRecall requires Auto"},
 		{[]string{"-data", dataDir, "-explain", "-m", "DInf"}, "-explain requires -auto"},
+		{[]string{"-data", dataDir, "-cand", "8", "-ann", "4", "-nprobe", "9"}, "ANN.NProbe 9 exceeds ANN.Clusters 4"},
+		{[]string{"-data", dataDir, "-ann", "4"}, "ANN requires CandidateBudget > 0"},
+		{[]string{"-data", dataDir, "-quant"}, "Quant requires CandidateBudget > 0"},
+		{[]string{"-data", dataDir, "-shards", "2"}, "Shards requires CandidateBudget > 0"},
+		{[]string{"-data", dataDir, "-cand", "-1"}, "CandidateBudget must be non-negative"},
+		{[]string{"-data", dataDir, "-cand", "8", "-ann", "-4"}, "ANN fields must be non-negative"},
+		{[]string{"-data", dataDir, "-cand", "8", "-ann", "4", "-nprobe", "-1"}, "ANN fields must be non-negative"},
+		{[]string{"-data", dataDir, "-cand", "8", "-quant", "-rerank-factor", "-1"}, "Quant.RerankFactor must be non-negative"},
+		{[]string{"-data", dataDir, "-cand", "8", "-shards", "-2"}, "Shards must be non-negative"},
+		{[]string{"-data", dataDir, "-mem-budget", "-1"}, "MemoryBudgetBytes must be non-negative"},
+		{[]string{"-data", dataDir, "-cand", "8", "-save-snapshot", "a.snap", "-load-snapshot", "a.snap"}, "SaveSnapshot and LoadSnapshot are mutually exclusive"},
+		{[]string{"-data", dataDir, "-cand", "8", "-shards", "2", "-ann", "4"}, "Shards and ANN are mutually exclusive"},
+		{[]string{"-data", dataDir, "-cand", "8", "-shards", "2", "-quant"}, "Shards and Quant are mutually exclusive"},
+		{[]string{"-data", dataDir, "-cand", "8", "-ann", "4", "-load-snapshot", "a.snap", "-out-of-core"}, "OutOfCore is incompatible with ANN"},
+		{[]string{"-data", dataDir, "-cand", "8", "-out-of-core"}, "OutOfCore requires LoadSnapshot"},
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(filepath.Join(bins, "entmatcher"), tc.args...)

@@ -27,7 +27,7 @@ type Config struct {
 	// Default: round(√n) for an n-point corpus.
 	Clusters int
 	// NProbe is how many cells each query scans, the recall/speed knob.
-	// Default: max(1, Clusters/16); clamped to Clusters. nprobe = Clusters
+	// Default: AutoNProbe(Clusters); clamped to Clusters. nprobe = Clusters
 	// is exhaustive and bit-identical to the exact builders.
 	NProbe int
 	// SampleSize is how many corpus points the quantizer trains on.
@@ -61,6 +61,10 @@ func AutoClusters(n int) int {
 	return k
 }
 
+// AutoNProbe is the probe count a zero NProbe resolves to over k cells:
+// max(1, k/16).
+func AutoNProbe(k int) int { return max(1, k/16) }
+
 // withDefaults resolves the auto fields against an n-point corpus and clamps
 // everything to valid ranges.
 func (c Config) withDefaults(n int) Config {
@@ -74,10 +78,7 @@ func (c Config) withDefaults(n int) Config {
 		c.Clusters = n
 	}
 	if c.NProbe <= 0 {
-		c.NProbe = c.Clusters / 16
-	}
-	if c.NProbe < 1 {
-		c.NProbe = 1
+		c.NProbe = AutoNProbe(c.Clusters)
 	}
 	if c.NProbe > c.Clusters {
 		c.NProbe = c.Clusters

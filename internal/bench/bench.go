@@ -284,20 +284,21 @@ func (e *Env) DegradationNotes() []string {
 	return append([]string(nil), e.degradations...)
 }
 
-// fallbackChain wraps m for a budgeted run: m → RInf-pb → DInf under
-// cfg.RunTimeout, skipping fallback tiers that duplicate m itself. With no
-// budget configured, m is returned unchanged.
-func fallbackChain(cfg *Config, m entmatcher.Matcher) entmatcher.Matcher {
-	if cfg.RunTimeout <= 0 {
-		return m
+// fallbackChain wraps m for a budgeted run on run: the ladder of the run's
+// matcher table (m → RInf-pb → DInf on the dense matrix, m → streaming DInf
+// without it) under cfg.RunTimeout. With no budget configured, m is returned
+// unchanged.
+func fallbackChain(cfg *Config, run *entmatcher.Run, m entmatcher.Matcher) entmatcher.Matcher {
+	return runTable(run).WithBudget(m, cfg.RunTimeout, core.MatcherParams{C: cfg.RInfPBBlock})
+}
+
+// runTable is the matcher table of a bench run: the tables prepare dense or
+// streaming, never candidate graphs.
+func runTable(run *entmatcher.Run) *core.MatcherTable {
+	if run.S == nil {
+		return core.OnStream
 	}
-	tiers := []entmatcher.Matcher{m}
-	for _, fb := range []entmatcher.Matcher{entmatcher.NewRInfPB(cfg.RInfPBBlock), entmatcher.NewDInf()} {
-		if fb.Name() != m.Name() {
-			tiers = append(tiers, fb)
-		}
-	}
-	return entmatcher.NewFallback(cfg.RunTimeout, tiers...)
+	return core.OnDense
 }
 
 // matchBudgeted runs m on run under cfg.RunTimeout (if any), recording a
@@ -307,14 +308,14 @@ func fallbackChain(cfg *Config, m entmatcher.Matcher) entmatcher.Matcher {
 // memo are dropped first.
 func matchBudgeted(cfg *Config, env *Env, run *entmatcher.Run, m entmatcher.Matcher) (*entmatcher.MatchResult, entmatcher.Metrics, error) {
 	run.ForgetGraphs()
-	res, metrics, err := run.Match(fallbackChain(cfg, m))
+	res, metrics, err := run.Match(fallbackChain(cfg, run, m))
 	noteIfDegraded(cfg, env, m, res)
 	return res, metrics, err
 }
 
 // abstainBudgeted is matchBudgeted for the dummy-column abstention path.
 func abstainBudgeted(cfg *Config, env *Env, run *entmatcher.Run, m entmatcher.Matcher, q float64) (*entmatcher.MatchResult, entmatcher.Metrics, error) {
-	res, metrics, err := run.MatchWithAbstention(fallbackChain(cfg, m), q)
+	res, metrics, err := run.MatchWithAbstention(fallbackChain(cfg, run, m), q)
 	noteIfDegraded(cfg, env, m, res)
 	return res, metrics, err
 }

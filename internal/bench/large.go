@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"entmatcher"
+	"entmatcher/internal/core"
 	"entmatcher/internal/datagen"
 )
 
@@ -17,24 +18,19 @@ func runTable6(cfg *Config, env *Env) ([]*Table, error) {
 	profiles := datagen.DWY100K()
 	pc := entmatcher.PipelineConfig{Model: entmatcher.ModelGCN, WithValidation: true, Streaming: cfg.StreamLarge}
 
-	matchers := []entmatcher.Matcher{
-		entmatcher.NewDInf(),
-		entmatcher.NewCSLS(cfg.CSLSK),
-		entmatcher.NewRInf(),
-		entmatcher.NewRInfWR(),
-		entmatcher.NewRInfPB(cfg.RInfPBBlock),
-		entmatcher.NewSinkhorn(cfg.SinkhornL),
-		entmatcher.NewHungarian(),
-		entmatcher.NewSMat(),
-		entmatcher.NewRL(),
-	}
+	// The paper's seven plus the RInf-wr and RInf-pb scalability variants;
+	// without the dense matrix, what the streaming table has.
+	table, algos := core.OnDense, []string{"DInf", "CSLS", "RInf", "RInf-wr", "RInf-pb", "Sink.", "Hun.", "SMat", "RL"}
 	if cfg.StreamLarge {
-		// Without the dense matrix only the fused streaming matchers can run.
-		matchers = []entmatcher.Matcher{
-			entmatcher.NewDInfStream(),
-			entmatcher.NewCSLSStream(cfg.CSLSK),
-			entmatcher.NewSinkhornBlocked(512, cfg.SinkhornL),
+		table, algos = core.OnStream, core.OnStream.Names(true)
+	}
+	var matchers []entmatcher.Matcher
+	for _, name := range algos {
+		m, err := table.New(name, core.MatcherParams{C: cfg.RInfPBBlock, CSLSK: cfg.CSLSK, SinkhornL: cfg.SinkhornL})
+		if err != nil {
+			return nil, err
 		}
+		matchers = append(matchers, m)
 	}
 
 	f1 := make(map[string][]float64)

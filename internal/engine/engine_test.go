@@ -87,42 +87,94 @@ func testSnapshot(t *testing.T, withIndex, withQuant bool) *snapshot.Snapshot {
 	return snap
 }
 
-// TestProducerComposition pins the composition rule in Tables.Producer over
-// both fills (Fresh and FromSnapshot): Shards replaces the producer outright,
-// ANN is the producer with Quant riding inside it, Quant alone scans
-// exhaustively, and no knob leaves the plain stream.
+// TestProducerComposition is the rule table's test, over both fills (Fresh
+// and FromSnapshot): one row per rule — Producer refuses the value with
+// ErrKnobs and the rule's message — and one row per legal combination, which
+// must compose as documented: Shards is the sharded producer, ANN the IVF
+// producer with Quant riding inside it, Quant alone scans exhaustively, and
+// no knob leaves the plain stream.
 func TestProducerComposition(t *testing.T) {
 	ctx := context.Background()
-	annCfg := &ann.Config{Clusters: testClusters, NProbe: 2, Seed: 1}
-	quantCfg := &snapshot.QuantMeta{RerankFactor: quant.DefaultRerankFactor, Rerank: true}
+	const nprobe = 2
+	sparse := Knobs{CandidateBudget: 8}
+	with := func(edit func(*Knobs)) Knobs {
+		k := sparse
+		edit(&k)
+		return k
+	}
+	annK := with(func(k *Knobs) { k.Clusters, k.NProbe, k.Seed = testClusters, nprobe, 1 })
+	quantK := with(func(k *Knobs) { k.Quant, k.RerankFactor = true, quant.DefaultRerankFactor })
+	annQuantK := annK
+	annQuantK.Quant, annQuantK.RerankFactor = true, quant.DefaultRerankFactor
+
 	snap := testSnapshot(t, true, true)
-	fills := map[string]func(Knobs) (*Tables, error){
-		"fresh": func(k Knobs) (*Tables, error) {
-			return Fresh(ctx, snap.SrcTable, snap.TgtTable, sim.Cosine, k)
+	euclid := *snap
+	euclid.Meta.Metric = uint32(sim.Euclidean)
+	fills := map[string]func(Knobs, sim.Metric) (*Tables, error){
+		"fresh": func(k Knobs, m sim.Metric) (*Tables, error) {
+			return Fresh(ctx, snap.SrcTable, snap.TgtTable, m, k)
 		},
-		"snapshot": func(k Knobs) (*Tables, error) { return FromSnapshot(ctx, snap, k) },
+		"snapshot": func(k Knobs, m sim.Metric) (*Tables, error) {
+			if m != sim.Cosine {
+				return FromSnapshot(ctx, &euclid, k)
+			}
+			return FromSnapshot(ctx, snap, k)
+		},
 	}
 	cases := []struct {
 		name     string
 		knobs    Knobs
-		want     string // "stream", "shard", "ann" or "quant"
+		metric   sim.Metric
+		want     string // "stream", "shard", "ann" or "quant"; or
+		reject   string // the broken rule's message
 		annQuant bool   // for "ann": the IVF slabs are scanned quantized
 	}{
 		{name: "no knob", knobs: Knobs{}, want: "stream"},
-		{name: "quant alone", knobs: Knobs{Quant: quantCfg}, want: "quant"},
-		{name: "ann", knobs: Knobs{ANN: annCfg}, want: "ann"},
-		{name: "ann+quant", knobs: Knobs{ANN: annCfg, Quant: quantCfg}, want: "ann", annQuant: true},
-		{name: "shards", knobs: Knobs{Shards: 2}, want: "shard"},
-		{name: "shards win over ann+quant", knobs: Knobs{ANN: annCfg, Quant: quantCfg, Shards: 2}, want: "shard"},
+		{name: "streaming", knobs: Knobs{Streaming: true}, want: "stream"},
+		{name: "sparse", knobs: sparse, want: "stream"},
+		{name: "quant alone", knobs: quantK, want: "quant"},
+		{name: "quant, no rerank", knobs: with(func(k *Knobs) { k.Quant, k.NoRerank = true, true }), want: "quant"},
+		{name: "ann", knobs: annK, want: "ann"},
+		{name: "ann+quant", knobs: annQuantK, want: "ann", annQuant: true},
+		{name: "shards", knobs: with(func(k *Knobs) { k.Shards = 2 }), want: "shard"},
+		{name: "shards, euclidean", knobs: with(func(k *Knobs) { k.Shards = 2 }), metric: sim.Euclidean, want: "shard"},
+
+		{name: "negative cand", knobs: Knobs{CandidateBudget: -1}, reject: "CandidateBudget must be non-negative, got -1"},
+		{name: "negative ann field", knobs: with(func(k *Knobs) { k.Clusters, k.SampleSize = testClusters, -1 }), reject: "ANN fields must be non-negative"},
+		{name: "negative rerank factor", knobs: with(func(k *Knobs) { k.Quant, k.RerankFactor = true, -1 }), reject: "Quant.RerankFactor must be non-negative, got -1"},
+		{name: "negative shards", knobs: with(func(k *Knobs) { k.Shards = -1 }), reject: "Shards must be non-negative, got -1"},
+		{name: "ann without cand", knobs: Knobs{Clusters: testClusters}, reject: "ANN requires CandidateBudget > 0"},
+		{name: "auto ann without cand", knobs: Knobs{AutoClusters: true}, reject: "ANN requires CandidateBudget > 0"},
+		{name: "ann, euclidean", knobs: annK, metric: sim.Euclidean, reject: "ANN requires the cosine metric"},
+		{name: "nprobe over clusters", knobs: with(func(k *Knobs) { k.Clusters, k.NProbe = testClusters, testClusters+1 }), reject: "ANN.NProbe 5 exceeds ANN.Clusters 4"},
+		{name: "quant without cand", knobs: Knobs{Quant: true}, reject: "Quant requires CandidateBudget > 0"},
+		{name: "quant, euclidean", knobs: quantK, metric: sim.Euclidean, reject: "Quant requires the cosine metric"},
+		{name: "shards without cand", knobs: Knobs{Shards: 2}, reject: "Shards requires CandidateBudget > 0"},
+		{name: "shards with ann", knobs: with(func(k *Knobs) { k.Shards, k.Clusters = 2, testClusters }), reject: "Shards and ANN are mutually exclusive"},
+		{name: "shards with quant", knobs: with(func(k *Knobs) { k.Shards, k.Quant = 2, true }), reject: "Shards and Quant are mutually exclusive"},
+		{name: "shards with ann+quant", knobs: with(func(k *Knobs) { *k = annQuantK; k.Shards = 2 }), reject: "Shards and ANN are mutually exclusive"},
+		{name: "out-of-core ann", knobs: with(func(k *Knobs) { *k = annK; k.OutOfCore = true }), reject: "OutOfCore is incompatible with ANN"},
 	}
 	for fill, mk := range fills {
 		for _, tc := range cases {
 			t.Run(fill+"/"+tc.name, func(t *testing.T) {
-				tables, err := mk(tc.knobs)
+				fillKnobs := tc.knobs
+				if tc.reject != "" {
+					// The fills do not judge a value; give them one they can
+					// serve so the row reaches Producer.
+					fillKnobs = Knobs{}
+				}
+				tables, err := mk(fillKnobs, tc.metric)
 				if err != nil {
 					t.Fatal(err)
 				}
 				p, err := tables.Producer(tc.knobs)
+				if tc.reject != "" {
+					if !errors.Is(err, ErrKnobs) || !strings.Contains(err.Error(), tc.reject) {
+						t.Fatalf("Producer = %T, %v; want ErrKnobs naming %q", p, err, tc.reject)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,8 +195,8 @@ func TestProducerComposition(t *testing.T) {
 					if tc.want != "ann" {
 						t.Fatalf("got *ann.Source, want %s", tc.want)
 					}
-					if np := got.Config().NProbe; np != annCfg.NProbe {
-						t.Errorf("ann source probes %d cells, want the knob's %d", np, annCfg.NProbe)
+					if np := got.Config().NProbe; np != nprobe {
+						t.Errorf("ann source probes %d cells, want the knob's %d", np, nprobe)
 					}
 					ivf, err := got.ForwardIndex(ctx)
 					if err != nil {
@@ -164,21 +216,37 @@ func TestProducerComposition(t *testing.T) {
 	}
 }
 
+// TestCheckAutoGeometry pins the one shape-dependent rule: an NProbe past
+// what the auto IVF geometry resolves to — the smaller of the two
+// directions' √rows — is refused once the shape is known, and only then.
+func TestCheckAutoGeometry(t *testing.T) {
+	k := Knobs{CandidateBudget: 8, AutoClusters: true, NProbe: 7}
+	if err := k.Check(sim.Cosine, 0, 0); err != nil {
+		t.Fatalf("shape unknown: %v", err)
+	}
+	if err := k.Check(sim.Cosine, 49, 100); err != nil {
+		t.Fatalf("7 probes over min(7, 10) cells: %v", err)
+	}
+	err := k.Check(sim.Cosine, 100, 36)
+	if !errors.Is(err, ErrKnobs) || !strings.Contains(err.Error(), "exceeds the 6 clusters the auto geometry resolves to for 100×36") {
+		t.Fatalf("7 probes over min(10, 6) cells: %v", err)
+	}
+}
+
 // TestFromSnapshotMismatchDiagnostics pins the four ways a knob can ask for
 // something the snapshot cannot serve: each is snapshot.ErrMismatch with a
 // message naming the cause, never a silent rebuild.
 func TestFromSnapshotMismatchDiagnostics(t *testing.T) {
-	quantCfg := &snapshot.QuantMeta{Rerank: true}
 	cases := []struct {
 		name                 string
 		withIndex, withQuant bool
 		knobs                Knobs
 		want                 string
 	}{
-		{"no SQ8 section", true, false, Knobs{Quant: quantCfg}, "no SQ8 tables"},
-		{"no index", false, true, Knobs{ANN: &ann.Config{}}, "holds no index"},
-		{"cluster override", true, true, Knobs{ANN: &ann.Config{Clusters: testClusters + 1}}, "built with 4"},
-		{"nprobe over K", true, true, Knobs{ANN: &ann.Config{NProbe: testClusters + 1}}, "NProbe 5 exceeds"},
+		{"no SQ8 section", true, false, Knobs{Quant: true}, "no SQ8 tables"},
+		{"no index", false, true, Knobs{AutoClusters: true}, "holds no index"},
+		{"cluster override", true, true, Knobs{Clusters: testClusters + 1}, "built with 4"},
+		{"nprobe over K", true, true, Knobs{AutoClusters: true, NProbe: testClusters + 1}, "NProbe 5 exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,6 +34,11 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"entmatcher/internal/ann"
+	"entmatcher/internal/engine"
+	"entmatcher/internal/quant"
+	"entmatcher/internal/shard"
 )
 
 // Engine identifies one of the pipeline's similarity/candidate engines.
@@ -115,24 +120,13 @@ func (w Workload) validate() error {
 	return nil
 }
 
-// Knobs is a plan's concrete pipeline configuration — the exact knob values
-// a hand-written PipelineConfig would need to reproduce the plan, so a
-// planner-chosen run and its hand-configured twin are bit-identical.
-type Knobs struct {
-	Streaming       bool `json:"streaming,omitempty"`
-	CandidateBudget int  `json:"cand,omitempty"`
-	Clusters        int  `json:"clusters,omitempty"`
-	NProbe          int  `json:"nprobe,omitempty"`
-	Quant           bool `json:"quant,omitempty"`
-	RerankFactor    int  `json:"rerank_factor,omitempty"`
-	Shards          int  `json:"shards,omitempty"`
-}
-
-// Candidate is one costed plan: an engine, its knobs, the model's estimates,
-// and — when it was not chosen — the reason it lost.
+// Candidate is one costed plan: an engine, its knobs — the exact value a
+// hand-written PipelineConfig resolves to for the same engine, so a
+// planner-chosen run and its hand-configured twin are bit-identical — the
+// model's estimates, and, when it was not chosen, the reason it lost.
 type Candidate struct {
-	Engine Engine `json:"engine"`
-	Knobs  Knobs  `json:"knobs"`
+	Engine Engine       `json:"engine"`
+	Knobs  engine.Knobs `json:"knobs"`
 	// EstPeakBytes is the modeled peak working set: prepared tables plus
 	// engine state (matrix, graphs, index slabs, code slabs).
 	EstPeakBytes int64 `json:"est_peak_bytes"`
@@ -320,24 +314,6 @@ func less(a, b Candidate) bool {
 	return a.Engine < b.Engine
 }
 
-// AutoClusters mirrors internal/ann's zero-Clusters default (round √n,
-// clamped to [1, n]) so planned IVF geometry matches what the index would
-// resolve on its own.
-func AutoClusters(n int) int {
-	k := int(math.Round(math.Sqrt(float64(n))))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// defaultRerankFactor mirrors quant.DefaultRerankFactor: the pool over-fetch
-// at which the SQ8 scan is conformance-pinned bit-identical to float64.
-const defaultRerankFactor = 4
-
 // AutoShards is the planner's shard-count default for an m-row target
 // corpus: √m/8, clamped to [2, 4096] — cells an order of magnitude coarser
 // than IVF's √m probing cells, so each shard stays a substantial sub-problem
@@ -357,9 +333,6 @@ func AutoShards(m int) int {
 	}
 	return s
 }
-
-// shardReplicas mirrors internal/shard's default replication factor.
-const shardReplicas = 2
 
 // shardWorkers is the nominal worker-pool width the peak-byte model assumes;
 // the runtime pool is GOMAXPROCS-bound, but estimates must not depend on the
@@ -403,8 +376,8 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	}
 	graphs := int64((n + m) * cf * graphBytesPerEdge)
 	// IVF slabs: corpus-row copies for both directions, centroids, ids.
-	kFwd := AutoClusters(w.TgtRows)
-	kRev := AutoClusters(w.SrcRows)
+	kFwd := ann.AutoClusters(w.TgtRows)
+	kRev := ann.AutoClusters(w.SrcRows)
 	ivf := int64(8*(n+m)*d + 8*float64(kFwd+kRev)*d + 4*(n+m))
 	codes := int64((n+m)*d + 16*d) // SQ8 code slabs + per-dimension scales
 
@@ -423,7 +396,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	// the float scan of the same geometry. The fitted line is only valid
 	// while the pool is a small fraction of the corpus — cap the
 	// extrapolation once the pool stops being selective.
-	pool := math.Min(float64(defaultRerankFactor)*cf, m)
+	pool := math.Min(float64(quant.DefaultRerankFactor)*cf, m)
 	quantRatio := cal.QuantScanRatio + cal.QuantRerankMult*pool/m
 	if quantRatio > maxQuantRatio {
 		quantRatio = maxQuantRatio
@@ -433,7 +406,6 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	cands := []Candidate{
 		{
 			Engine:         EngineDense,
-			Knobs:          Knobs{},
 			EstPeakBytes:   tables + int64(16*n*m), // matrix + one matcher-held transform copy
 			EstWallNS:      int64(cal.DenseSimNS*n*m*d/blk + cal.DenseMatchNS*n*m),
 			EstRecall:      1,
@@ -441,7 +413,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		},
 		{
 			Engine:         EngineStreaming,
-			Knobs:          Knobs{Streaming: true},
+			Knobs:          engine.Knobs{Streaming: true},
 			EstPeakBytes:   tablesRes + tileOverheadBytes,
 			EstWallNS:      int64(cal.StreamPassNS * n * m * d / blk),
 			EstRecall:      1,
@@ -449,7 +421,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		},
 		{
 			Engine:         EngineSparse,
-			Knobs:          Knobs{CandidateBudget: c},
+			Knobs:          engine.Knobs{CandidateBudget: c},
 			EstPeakBytes:   tablesRes + tileOverheadBytes + graphs,
 			EstWallNS:      int64(scanNS + edgeNS),
 			EstRecall:      1,
@@ -457,7 +429,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		},
 		{
 			Engine:         EngineQuant,
-			Knobs:          Knobs{CandidateBudget: c, Quant: true, RerankFactor: defaultRerankFactor},
+			Knobs:          engine.Knobs{CandidateBudget: c, Quant: true, RerankFactor: quant.DefaultRerankFactor},
 			EstPeakBytes:   tables + tileOverheadBytes + graphs + codes,
 			EstWallNS:      int64(encodeNS + scanRawNS*quantRatio/blk8 + edgeNS),
 			EstRecall:      1, // exact float64 re-rank at the default factor is bit-identical
@@ -467,25 +439,25 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 
 	// IVF plans: the recall curve maps probed-cluster fraction to candidate
 	// recall; pick the smallest nprobe whose fitted recall meets the target,
-	// and additionally cost the index's own fast default (K/16) so a
+	// and additionally cost the index's own fast default (ann.AutoNProbe) so a
 	// recall-rejected candidate appears in the explanation when the target
 	// is above what fast probing delivers.
 	trainNS := cal.ANNTrainNS * (m*float64(kFwd) + n*float64(kRev)) * d
 	centNS := cal.ANNCentroidNS * n * float64(kFwd) * d
-	annAt := func(engine Engine, np int, quantized bool) Candidate {
+	annAt := func(e Engine, np int, quantized bool) Candidate {
 		frac := float64(np) / float64(kFwd)
 		scanRaw := cal.ANNScanNS * frac * n * m * d
 		wall := trainNS + centNS + scanRaw/blk + edgeNS
 		peak := tables + tileOverheadBytes + graphs + ivf
-		knobs := Knobs{CandidateBudget: c, Clusters: kFwd, NProbe: np}
+		knobs := engine.Knobs{CandidateBudget: c, Clusters: kFwd, NProbe: np}
 		if quantized {
 			wall = trainNS + centNS + scanRaw*quantRatio/blk8 + encodeNS + edgeNS
 			peak += codes
 			knobs.Quant = true
-			knobs.RerankFactor = defaultRerankFactor
+			knobs.RerankFactor = quant.DefaultRerankFactor
 		}
 		return Candidate{
-			Engine:         engine,
+			Engine:         e,
 			Knobs:          knobs,
 			EstPeakBytes:   peak,
 			EstWallNS:      int64(wall),
@@ -504,7 +476,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		}
 	}
 	cands = append(cands, annAt(EngineANN, tuned, false), annAt(EngineANNQuant, tuned, true))
-	if fast := max(1, kFwd/16); fast != tuned {
+	if fast := ann.AutoNProbe(kFwd); fast != tuned {
 		cands = append(cands, annAt(EngineANN, fast, false))
 	}
 
@@ -516,7 +488,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	// cells is coarse probing, so candidate recall follows the same fitted
 	// curve as IVF at fraction R/S.
 	if s := AutoShards(w.TgtRows); s > 1 {
-		r := shardReplicas
+		r := shard.DefaultReplicas
 		if r > s {
 			r = s
 		}
@@ -530,7 +502,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		shardTables := int64(8 * d * (n*frac + m/float64(s)) * float64(workers))
 		cands = append(cands, Candidate{
 			Engine: EngineShard,
-			Knobs:  Knobs{CandidateBudget: c, Shards: s},
+			Knobs:  engine.Knobs{CandidateBudget: c, Shards: s},
 			EstPeakBytes: tablesRes + tileOverheadBytes + graphs +
 				shardTables,
 			EstWallNS:      int64(cal.shardWallNS(n, m, d, cf, s) * cal.ShardCalibMult),
@@ -548,7 +520,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 // end-to-end drift correction (the multiplier was taken as measured wall over
 // this same model, so the correction and its application stay consistent).
 func (cal *Calibration) shardWallNS(n, m, d, cf float64, s int) float64 {
-	r := shardReplicas
+	r := shard.DefaultReplicas
 	if r > s {
 		r = s
 	}

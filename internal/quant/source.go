@@ -86,20 +86,6 @@ func flatScanner(tq *Table, ft *matrix.Dense) *Scanner {
 	}
 }
 
-// RerankFactor returns the resolved pool over-fetch multiplier.
-func (s *Source) RerankFactor() int {
-	if s.factor <= 0 {
-		return DefaultRerankFactor
-	}
-	return s.factor
-}
-
-// Reranks reports whether the exact float64 re-rank phase is enabled.
-func (s *Source) Reranks() bool { return s.rerank }
-
-// TableBytes returns the combined footprint of the quantized scan tables.
-func (s *Source) TableBytes() int64 { return s.srcQ.SizeBytes() + s.tgtQ.SizeBytes() }
-
 // Dims implements matrix.TileSource by delegation.
 func (s *Source) Dims() (rows, cols int) { return s.inner.Dims() }
 

@@ -342,27 +342,38 @@ func (s *Server) Close() error {
 // indexes and SQ8 tables are shared between them.
 func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Server, error) {
 	cfg = cfg.withDefaults()
-	// Serve every tier the snapshot carries: the float index, and the SQ8
-	// slabs above it. The float index/stream tiers stay below the quantized
-	// one as the degradation floor, untouched — quantization only adds a
-	// side slab to the shared index.
-	var have engine.Knobs
-	var nprobe int
-	if snap.FwdIndex != nil {
-		nprobe = cfg.NProbe
-		if nprobe <= 0 {
-			nprobe = snap.Meta.ANN.NProbe
-		}
-		if nprobe > snap.FwdIndex.K {
-			nprobe = snap.FwdIndex.K
-		}
-		have.ANN = &ann.Config{NProbe: nprobe}
+	// Self-configuration: plan the served workload with the same calibration
+	// the CLIs use. Best-effort — a planner failure must never keep a valid
+	// snapshot from serving. The plan is advisory (logged by cmd/entserver,
+	// exposed at /statsz) except for the /align default candidate budget,
+	// which adopts the planner's choice for this shape.
+	defaultCand := 32
+	cal := plan.Defaults()
+	p, perr := cal.Choose(plan.Workload{
+		SrcRows: snap.SrcTable.Rows(),
+		TgtRows: snap.TgtTable.Rows(),
+		Dim:     snap.SrcTable.Cols(),
+	})
+	if perr != nil {
+		log.Printf("entserver: planner: %v (serving with static defaults)", perr)
+	} else if c := p.Chosen.Knobs.CandidateBudget; c > 0 {
+		defaultCand = c
 	}
-	if snap.SrcQuant != nil {
-		if sim.Metric(snap.Meta.Metric) != sim.Cosine {
-			return nil, fmt.Errorf("server: snapshot carries SQ8 tables but metric %d is not cosine", snap.Meta.Metric)
+	// Serve every tier the snapshot carries: the engine description is filled
+	// from its metadata — the float index, and the SQ8 slabs above it. The
+	// float index/stream tiers stay below the quantized one as the
+	// degradation floor, untouched — quantization only adds a side slab to
+	// the shared index.
+	have := engine.Knobs{CandidateBudget: defaultCand}
+	if snap.FwdIndex != nil {
+		have.Clusters, have.NProbe = snap.FwdIndex.K, cfg.NProbe
+		if have.NProbe <= 0 {
+			have.NProbe = snap.Meta.ANN.NProbe
 		}
-		have.Quant = snap.Meta.Quant
+		have.NProbe = max(0, min(have.NProbe, have.Clusters))
+	}
+	if q := snap.Meta.Quant; snap.SrcQuant != nil && q != nil {
+		have.Quant, have.RerankFactor, have.NoRerank = true, q.RerankFactor, !q.Rerank
 	}
 	tables, err := engine.FromSnapshot(context.Background(), snap, have)
 	if err != nil {
@@ -376,6 +387,9 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		colIDs:    make([]int, snap.TgtTable.Rows()),
 		cache:     newLRU(cfg.CacheSize),
 		gate:      make(chan struct{}, cfg.MaxInFlight),
+
+		plan:        p,
+		defaultCand: defaultCand,
 	}
 	for i, name := range snap.SrcVocab {
 		s.srcByName[name] = i
@@ -384,14 +398,16 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		s.colIDs[j] = j
 	}
 	s.searchers = []TopKSearcher{nil, &exactSearcher{s: s}}
-	if have.ANN != nil {
-		s.searchers[0] = &ivfSearcher{s: s, ivf: tables.Fwd, nprobe: nprobe}
-		if s.annSrc, err = tables.Producer(engine.Knobs{ANN: have.ANN}); err != nil {
+	if have.ANN() {
+		s.searchers[0] = &ivfSearcher{s: s, ivf: tables.Fwd, nprobe: have.NProbe}
+		annOnly := have
+		annOnly.Quant = false
+		if s.annSrc, err = tables.Producer(annOnly); err != nil {
 			return nil, err
 		}
 	}
 	var qs *quantSearcher
-	if have.Quant != nil {
+	if have.Quant {
 		// With an index this is a second view over the shared indexes with
 		// the quantized scan switched on (the float annSrc is unaffected —
 		// each view dispatches on its own state); without one, exhaustive
@@ -399,27 +415,8 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		if s.quantSrc, err = tables.Producer(have); err != nil {
 			return nil, err
 		}
-		qs = &quantSearcher{s: s, factor: have.Quant.RerankFactor, rerank: have.Quant.Rerank, ivf: tables.Fwd, nprobe: nprobe}
+		qs = &quantSearcher{s: s, factor: have.RerankFactor, rerank: !have.NoRerank, ivf: tables.Fwd, nprobe: have.NProbe}
 		qs.qsrc, _ = s.quantSrc.(*quant.Source)
-	}
-	// Self-configuration: plan the served workload with the same calibration
-	// the CLIs use. Best-effort — a planner failure must never keep a valid
-	// snapshot from serving. The plan is advisory (logged by cmd/entserver,
-	// exposed at /statsz) except for the /align default candidate budget,
-	// which adopts the planner's choice for this shape.
-	s.defaultCand = 32
-	cal := plan.Defaults()
-	if p, perr := cal.Choose(plan.Workload{
-		SrcRows: snap.SrcTable.Rows(),
-		TgtRows: snap.TgtTable.Rows(),
-		Dim:     snap.SrcTable.Cols(),
-	}); perr == nil {
-		s.plan = p
-		if c := p.Chosen.Knobs.CandidateBudget; c > 0 {
-			s.defaultCand = c
-		}
-	} else {
-		log.Printf("entserver: planner: %v (serving with static defaults)", perr)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -461,9 +458,6 @@ func (s *Server) Plan() *plan.Plan { return s.plan }
 // balancers stop routing here, while in-flight requests run to completion
 // (the caller then awaits them via http.Server.Shutdown).
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight reports the number of requests currently past the admission gate.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
@@ -683,9 +677,10 @@ func (s *Server) sourceRow(w http.ResponseWriter, r *http.Request) (int, string,
 	return 0, "", false
 }
 
-// alignRequest is the /align body. Matcher names mirror the CLI's sparse
-// set; Cand is the top-C candidate budget for the sparse twins; BudgetMS
-// bounds the degradation ladder (0 = the request deadline).
+// alignRequest is the /align body. Matcher is a name core's matcher table
+// resolves on candidate graphs; Cand is the top-C candidate budget for the
+// sparse twins; BudgetMS bounds the degradation ladder (0 = the request
+// deadline).
 type alignRequest struct {
 	Matcher   string `json:"matcher"`
 	Cand      int    `json:"cand"`
@@ -774,43 +769,26 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// alignMatcher builds the requested matcher. The set mirrors the CLI's
-// sparse candidate-graph twins plus streaming DInf.
+// alignMatcher builds the requested matcher: the body core's matcher table
+// for candidate graphs resolves the name to (DInf streams).
 func (s *Server) alignMatcher(req alignRequest) (core.Matcher, error) {
-	cand := req.Cand
-	cols := s.snap.TgtTable.Rows()
-	if cand <= 0 {
+	p := core.MatcherParams{C: req.Cand, CSLSK: req.CSLSK, SinkhornL: req.SinkhornL}
+	if p.C <= 0 {
 		// The default budget is self-configured: the startup plan's chosen
 		// candidate budget for this workload shape, 32 when no plan exists.
-		cand = s.defaultCand
+		p.C = s.defaultCand
 	}
-	if cand > cols {
-		cand = cols
+	p.C = min(p.C, s.snap.TgtTable.Rows())
+	if p.CSLSK <= 0 {
+		p.CSLSK = 1
 	}
-	cslsK := req.CSLSK
-	if cslsK <= 0 {
-		cslsK = 1
+	if p.SinkhornL <= 0 {
+		p.SinkhornL = core.DefaultSinkhornIterations
 	}
-	sinkL := req.SinkhornL
-	if sinkL <= 0 {
-		sinkL = 100
+	if req.Matcher == "" {
+		req.Matcher = "DInf"
 	}
-	switch req.Matcher {
-	case "", "DInf":
-		return core.NewDInfStream(), nil
-	case "CSLS":
-		return core.NewCSLSSparse(cand, cslsK), nil
-	case "RInf":
-		return core.NewRInfSparse(cand), nil
-	case "Sink.":
-		return core.NewSinkhornSparse(cand, sinkL), nil
-	case "Hun.":
-		return core.NewHungarianSparse(cand), nil
-	case "SMat":
-		return core.NewSMatSparse(cand), nil
-	default:
-		return nil, fmt.Errorf("unknown matcher %q (have: DInf, CSLS, RInf, Sink., Hun., SMat)", req.Matcher)
-	}
+	return core.OnSparse.New(req.Matcher, p)
 }
 
 // alignTier is one rung of the /align ladder: a tile source behind its memo.

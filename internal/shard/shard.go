@@ -54,9 +54,9 @@ type Config struct {
 	// Shards=1 degenerates to the exhaustive build, bit-identically.
 	Shards int
 	// Replicas is how many nearest cells each SOURCE row is matched in
-	// (clamped to [1, Shards]; 0 = min(2, Shards)). Replication is the
-	// recall lever: a source row near a cell boundary also competes in the
-	// neighboring shard, and the reconciliation merge keeps its best
+	// (clamped to [1, Shards]; 0 = min(DefaultReplicas, Shards)). Replication
+	// is the recall lever: a source row near a cell boundary also competes in
+	// the neighboring shard, and the reconciliation merge keeps its best
 	// candidates across all of them.
 	Replicas int
 	// Workers bounds how many shard sub-builds run concurrently
@@ -75,6 +75,9 @@ type Config struct {
 	Seed int64
 }
 
+// DefaultReplicas is the replication factor a zero Replicas resolves to.
+const DefaultReplicas = 2
+
 const (
 	defaultSampleSize = 32 << 10
 	defaultIters      = 6
@@ -90,7 +93,7 @@ func (c Config) withDefaults(tgtRows int) (Config, error) {
 		c.Shards = tgtRows
 	}
 	if c.Replicas == 0 {
-		c.Replicas = 2
+		c.Replicas = DefaultReplicas
 	}
 	if c.Replicas < 1 {
 		return c, fmt.Errorf("%w: Replicas %d < 1", ErrConfig, c.Replicas)

@@ -214,9 +214,6 @@ func (s *Stream) MatrixBytes() int64 {
 	return int64(rows) * int64(cols) * 8
 }
 
-// TileBytes returns the size of one streamed tile buffer.
-func (s *Stream) TileBytes() int64 { return int64(s.tileRows) * int64(s.tileCols) * 8 }
-
 // kernel fills dst with the block of real scores between rows aOff.. of a and
 // rows bOff.. of b. Computing from a gathered window at offset 0 runs the
 // same per-row-pair kernels over the same bits as computing from the whole

@@ -362,9 +362,6 @@ func (r *Reader) Has(kind SectionKind) bool {
 	return ok
 }
 
-// Size returns the snapshot file size in bytes.
-func (r *Reader) Size() int64 { return r.size }
-
 // Table returns a chunked-ReadAt view of an embedding-table section — the
 // portable out-of-core access path. kind must be SectionSrcTable or
 // SectionTgtTable.

@@ -218,8 +218,12 @@ type QuantConfig struct {
 // ErrBadConfig is returned by Pipeline.Prepare (via PipelineConfig.Validate)
 // for configurations that would otherwise fail deep inside internal/embed or
 // internal/sim: unknown enum values, negative or non-finite fusion weights,
-// nil datasets.
+// nil datasets, and engine knobs that break internal/engine's rule table.
 var ErrBadConfig = errors.New("entmatcher: invalid pipeline configuration")
+
+func badConfig(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadConfig}, args...)...)
+}
 
 // ErrSnapshotMismatch is returned by Prepare when a loaded snapshot is
 // structurally sound but does not hold what the run asked for: a different
@@ -228,28 +232,51 @@ var ErrBadConfig = errors.New("entmatcher: invalid pipeline configuration")
 // for it without importing the internal package.
 var ErrSnapshotMismatch = snapshot.ErrMismatch
 
+// engine resolves the configuration's engine fields to the one description
+// internal/engine, the planner and entserver share. This is the only place
+// a PipelineConfig is translated.
+func (c PipelineConfig) engine() engine.Knobs {
+	k := engine.Knobs{
+		Streaming:       c.Streaming,
+		CandidateBudget: c.CandidateBudget,
+		Shards:          c.Shards,
+		OutOfCore:       c.OutOfCore,
+	}
+	if a := c.ANN; a != nil {
+		k.Clusters, k.AutoClusters = a.Clusters, a.Clusters == 0
+		k.NProbe, k.SampleSize, k.Seed = a.NProbe, a.SampleSize, a.Seed
+	}
+	if q := c.Quant; q != nil {
+		k.Quant, k.RerankFactor, k.NoRerank = true, q.RerankFactor, q.NoRerank
+	}
+	return k
+}
+
 // Validate checks the configuration up front and reports the first problem
-// with a clear, typed error (wrapped around ErrBadConfig).
+// with a clear, typed error (wrapped around ErrBadConfig). Which engine
+// knobs combine is internal/engine's rule table (Knobs.Check); what is left
+// here is what the engine description does not carry: the enums, the
+// planner's inputs and the snapshot paths.
 func (c PipelineConfig) Validate() error {
 	switch c.Model {
 	case ModelGCN, ModelRREA:
 	default:
-		return fmt.Errorf("%w: unknown encoder model %v", ErrBadConfig, c.Model)
+		return badConfig("unknown encoder model %v", c.Model)
 	}
 	switch c.Features {
 	case FeatureStructure, FeatureName, FeatureFused:
 	default:
-		return fmt.Errorf("%w: unknown feature mode %v", ErrBadConfig, c.Features)
+		return badConfig("unknown feature mode %v", c.Features)
 	}
 	switch c.Metric {
 	case MetricCosine, MetricEuclidean, MetricManhattan:
 	default:
-		return fmt.Errorf("%w: unknown similarity metric %v", ErrBadConfig, c.Metric)
+		return badConfig("unknown similarity metric %v", c.Metric)
 	}
 	switch c.Setting {
 	case SettingOneToOne, SettingUnmatchable, SettingNonOneToOne:
 	default:
-		return fmt.Errorf("%w: unknown evaluation setting %v", ErrBadConfig, c.Setting)
+		return badConfig("unknown evaluation setting %v", c.Setting)
 	}
 	for _, w := range []struct {
 		name string
@@ -259,84 +286,31 @@ func (c PipelineConfig) Validate() error {
 		{"FusionWeightStructure", c.FusionWeightStructure},
 	} {
 		if w.v < 0 || math.IsNaN(w.v) || math.IsInf(w.v, 0) {
-			return fmt.Errorf("%w: %s must be a finite non-negative number, got %v", ErrBadConfig, w.name, w.v)
+			return badConfig("%s must be a finite non-negative number, got %v", w.name, w.v)
 		}
 	}
 	if c.MemoryBudgetBytes < 0 {
-		return fmt.Errorf("%w: MemoryBudgetBytes must be non-negative, got %d", ErrBadConfig, c.MemoryBudgetBytes)
+		return badConfig("MemoryBudgetBytes must be non-negative, got %d", c.MemoryBudgetBytes)
 	}
-	if c.CandidateBudget < 0 {
-		return fmt.Errorf("%w: CandidateBudget must be non-negative, got %d", ErrBadConfig, c.CandidateBudget)
+	k := c.engine()
+	if err := k.Check(c.Metric, 0, 0); err != nil {
+		return badConfig("%w", err)
 	}
-	if c.ANN != nil {
-		if c.CandidateBudget <= 0 {
-			return fmt.Errorf("%w: ANN requires CandidateBudget > 0 (the index only accelerates candidate-graph construction)", ErrBadConfig)
-		}
-		if c.Metric != MetricCosine {
-			return fmt.Errorf("%w: ANN requires the cosine metric, got %v", ErrBadConfig, c.Metric)
-		}
-		if c.ANN.Clusters < 0 || c.ANN.NProbe < 0 || c.ANN.SampleSize < 0 {
-			return fmt.Errorf("%w: ANN fields must be non-negative, got %+v", ErrBadConfig, *c.ANN)
-		}
-		if c.ANN.Clusters > 0 && c.ANN.NProbe > c.ANN.Clusters {
-			return fmt.Errorf("%w: ANN.NProbe %d exceeds ANN.Clusters %d", ErrBadConfig, c.ANN.NProbe, c.ANN.Clusters)
-		}
-	}
-	if c.Quant != nil {
-		if c.CandidateBudget <= 0 {
-			return fmt.Errorf("%w: Quant requires CandidateBudget > 0 (quantized scans only accelerate candidate-graph construction)", ErrBadConfig)
-		}
-		if c.Metric != MetricCosine {
-			return fmt.Errorf("%w: Quant requires the cosine metric (SQ8 codes approximate inner products over the stream's normalized tables), got %v", ErrBadConfig, c.Metric)
-		}
-		if c.Quant.RerankFactor < 0 {
-			return fmt.Errorf("%w: Quant.RerankFactor must be non-negative, got %d", ErrBadConfig, c.Quant.RerankFactor)
-		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("%w: Shards must be non-negative, got %d", ErrBadConfig, c.Shards)
-	}
-	if c.Shards > 0 {
-		if c.CandidateBudget <= 0 {
-			return fmt.Errorf("%w: Shards requires CandidateBudget > 0 (only candidate-graph construction is sharded)", ErrBadConfig)
-		}
-		if c.ANN != nil {
-			return fmt.Errorf("%w: Shards and ANN are mutually exclusive (both replace the candidate-graph producer)", ErrBadConfig)
-		}
-		if c.Quant != nil {
-			return fmt.Errorf("%w: Shards and Quant are mutually exclusive (per-shard quantized scans are not supported)", ErrBadConfig)
-		}
-	}
-	if c.OutOfCore {
-		if c.LoadSnapshot == "" {
-			return fmt.Errorf("%w: OutOfCore requires LoadSnapshot (only snapshot slabs can back an out-of-core run)", ErrBadConfig)
-		}
-		if c.ANN != nil {
-			return fmt.Errorf("%w: OutOfCore is incompatible with ANN (reconstructing the IVF index materializes table-sized slabs)", ErrBadConfig)
-		}
-	}
-	if c.TargetRecall < 0 || c.TargetRecall > 1 || math.IsNaN(c.TargetRecall) {
-		return fmt.Errorf("%w: TargetRecall must be in [0, 1], got %v", ErrBadConfig, c.TargetRecall)
-	}
-	if c.TargetRecall > 0 && !c.Auto {
-		return fmt.Errorf("%w: TargetRecall requires Auto (only the planner can trade candidate recall for speed)", ErrBadConfig)
-	}
-	if c.Auto && c.LoadSnapshot != "" {
-		return fmt.Errorf("%w: Auto cannot plan a snapshot-backed run (the snapshot already fixes the engine); drop Auto or prepare fresh", ErrBadConfig)
-	}
-	if c.SaveSnapshot != "" && c.LoadSnapshot != "" {
-		return fmt.Errorf("%w: SaveSnapshot and LoadSnapshot are mutually exclusive", ErrBadConfig)
-	}
-	streaming := c.Streaming || c.CandidateBudget > 0
-	if c.SaveSnapshot != "" && !streaming {
-		return fmt.Errorf("%w: SaveSnapshot requires a streaming preparation (set Streaming or CandidateBudget; only streaming runs carry the prepared tables a snapshot captures)", ErrBadConfig)
-	}
-	if c.LoadSnapshot != "" {
-		if !streaming {
-			return fmt.Errorf("%w: LoadSnapshot requires a streaming preparation (set Streaming or CandidateBudget)", ErrBadConfig)
-		}
-		if c.WithValidation {
-			return fmt.Errorf("%w: LoadSnapshot cannot serve WithValidation (the validation matrix is not snapshotted; prepare fresh for validation-dependent matchers)", ErrBadConfig)
+	load, save := c.LoadSnapshot != "", c.SaveSnapshot != ""
+	for _, r := range []struct {
+		broken bool
+		msg    string
+	}{
+		{c.OutOfCore && !load, "OutOfCore requires LoadSnapshot (only snapshot slabs can back an out-of-core run)"},
+		{c.TargetRecall < 0 || c.TargetRecall > 1 || math.IsNaN(c.TargetRecall), fmt.Sprintf("TargetRecall must be in [0, 1], got %v", c.TargetRecall)},
+		{c.TargetRecall > 0 && !c.Auto, "TargetRecall requires Auto (only the planner can trade candidate recall for speed)"},
+		{c.Auto && load, "Auto cannot plan a snapshot-backed run (the snapshot already fixes the engine); drop Auto or prepare fresh"},
+		{save && load, "SaveSnapshot and LoadSnapshot are mutually exclusive"},
+		{(save || load) && !k.Streams(), "SaveSnapshot and LoadSnapshot require a streaming preparation (set Streaming or CandidateBudget; only streaming runs carry the prepared tables a snapshot holds)"},
+		{load && c.WithValidation, "LoadSnapshot cannot serve WithValidation (the validation matrix is not snapshotted; prepare fresh for validation-dependent matchers)"},
+	} {
+		if r.broken {
+			return badConfig("%s", r.msg)
 		}
 	}
 	return nil
@@ -460,7 +434,7 @@ func (p *Pipeline) Prepare(d *Dataset) (*Run, error) {
 // abandoned early.
 func (p *Pipeline) PrepareContext(ctx context.Context, d *Dataset) (*Run, error) {
 	if d == nil {
-		return nil, fmt.Errorf("%w: nil dataset", ErrBadConfig)
+		return nil, badConfig("nil dataset")
 	}
 	if err := p.cfg.Validate(); err != nil {
 		return nil, err
@@ -488,16 +462,16 @@ func (p *Pipeline) PrepareWithEmbeddings(d *Dataset, emb *Embeddings) (*Run, err
 // NaN-laden table surfaces as a typed error instead of a poisoned matrix.
 func (p *Pipeline) PrepareWithEmbeddingsContext(ctx context.Context, d *Dataset, emb *Embeddings) (*Run, error) {
 	if d == nil {
-		return nil, fmt.Errorf("%w: nil dataset", ErrBadConfig)
+		return nil, badConfig("nil dataset")
 	}
 	if emb == nil || emb.Source == nil || emb.Target == nil {
-		return nil, fmt.Errorf("%w: nil embeddings", ErrBadConfig)
+		return nil, badConfig("nil embeddings")
 	}
 	if err := p.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if p.cfg.LoadSnapshot != "" {
-		return nil, fmt.Errorf("%w: LoadSnapshot is incompatible with externally supplied embeddings (the snapshot already holds the prepared tables)", ErrBadConfig)
+		return nil, badConfig("LoadSnapshot is incompatible with externally supplied embeddings (the snapshot already holds the prepared tables)")
 	}
 	task, err := p.task(d)
 	if err != nil {
@@ -509,19 +483,17 @@ func (p *Pipeline) PrepareWithEmbeddingsContext(ctx context.Context, d *Dataset,
 	// Auto: once the task shape is known, let the cost-based planner pick
 	// the engine — unless an explicit engine knob already pins one, in
 	// which case the planner is bypassed wholesale (explicit always wins).
-	ep := p
+	k := p.cfg.engine()
 	var chosen *plan.Plan
-	if p.cfg.Auto && !p.cfg.explicitEngine() {
+	if p.cfg.Auto && k == (engine.Knobs{}) {
 		cal := plan.Defaults()
 		chosen, err = cal.Choose(p.cfg.planWorkload(srcSel.Rows(), tgtSel.Rows(), srcSel.Cols()))
 		if err != nil {
 			return nil, err
 		}
-		eff := p.cfg
-		eff.applyPlanKnobs(chosen.Chosen.Knobs)
-		ep = &Pipeline{cfg: eff}
+		k = chosen.Chosen.Knobs
 	}
-	run, err := ep.prepareEngines(ctx, d, emb, task, srcSel, tgtSel)
+	run, err := p.prepareEngines(ctx, d, emb, task, srcSel, tgtSel, k)
 	if err != nil {
 		return nil, err
 	}
@@ -529,61 +501,31 @@ func (p *Pipeline) PrepareWithEmbeddingsContext(ctx context.Context, d *Dataset,
 	return run, nil
 }
 
-// prepareEngines builds the fresh similarity engine (dense matrix, or the
-// streaming tables internal/engine prepares) for an already-resolved
-// configuration — p.cfg here is the effective config: either the caller's,
-// or the planner's chosen knobs.
-func (p *Pipeline) prepareEngines(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, srcSel, tgtSel *Dense) (*Run, error) {
-	streaming := p.cfg.Streaming || p.cfg.CandidateBudget > 0
-	if !streaming && p.cfg.MemoryBudgetBytes > 0 {
-		// The pre-planner auto-switch, kept for configurations that cap
-		// memory without opting into Auto: if the dense matrix alone would
-		// blow the budget, stream instead.
-		need := int64(srcSel.Rows()) * int64(tgtSel.Rows()) * 8
-		streaming = need > p.cfg.MemoryBudgetBytes
+// prepareEngines builds the fresh similarity engine k describes — the
+// caller's configuration resolved, or the planner's chosen knobs: the dense
+// matrix, or the streaming tables internal/engine prepares.
+func (p *Pipeline) prepareEngines(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, srcSel, tgtSel *Dense, k engine.Knobs) (*Run, error) {
+	// Again with the shape: an NProbe past what the auto IVF geometry
+	// resolves to would otherwise be clamped silently inside internal/ann.
+	if err := k.Check(p.cfg.Metric, srcSel.Rows(), tgtSel.Rows()); err != nil {
+		return nil, badConfig("%w", err)
 	}
-	if p.cfg.ANN != nil {
-		// Validate NProbe against the geometry the index will actually
-		// resolve — including the Clusters=0 auto default (≈ √corpus for
-		// each direction's index). Without this, an absurd explicit NProbe
-		// passes Validate (which cannot know the corpus sizes) and is then
-		// silently clamped deep inside internal/ann, violating the
-		// no-silently-ignored-knobs convention. Mirrors the snapshot-load
-		// check against the persisted index's cluster count.
-		kFwd, kRev := p.cfg.ANN.Clusters, p.cfg.ANN.Clusters
-		if kFwd <= 0 {
-			kFwd = ann.AutoClusters(tgtSel.Rows())
-			kRev = ann.AutoClusters(srcSel.Rows())
-		}
-		if k := min(kFwd, kRev); p.cfg.ANN.NProbe > k {
-			return nil, fmt.Errorf("%w: ANN.NProbe %d exceeds the %d clusters the auto geometry resolves to for %d×%d tables (set Clusters explicitly, or lower NProbe)",
-				ErrBadConfig, p.cfg.ANN.NProbe, k, srcSel.Rows(), tgtSel.Rows())
-		}
-	}
-	if !streaming {
+	// The pre-planner auto-switch, kept for configurations that cap memory
+	// without opting into Auto: if the dense matrix alone would blow the
+	// budget, stream instead.
+	need := int64(srcSel.Rows()) * int64(tgtSel.Rows()) * 8
+	if !k.Streams() && (p.cfg.MemoryBudgetBytes <= 0 || need <= p.cfg.MemoryBudgetBytes) {
 		s, err := sim.MatrixContext(ctx, srcSel, tgtSel, p.cfg.Metric)
 		if err != nil {
 			return nil, err
 		}
-		return p.assemble(ctx, d, emb, task, s, nil)
+		return p.assemble(ctx, d, emb, task, s, nil, k)
 	}
-	tables, err := engine.Fresh(ctx, srcSel, tgtSel, p.cfg.Metric, p.cfg.engineKnobs())
+	tables, err := engine.Fresh(ctx, srcSel, tgtSel, p.cfg.Metric, k)
 	if err != nil {
 		return nil, err
 	}
-	return p.assemble(ctx, d, emb, task, nil, tables)
-}
-
-// engineKnobs translates the engine fields into internal/engine's form.
-func (c PipelineConfig) engineKnobs() engine.Knobs {
-	k := engine.Knobs{Shards: c.Shards}
-	if c.ANN != nil {
-		k.ANN = &ann.Config{Clusters: c.ANN.Clusters, NProbe: c.ANN.NProbe, SampleSize: c.ANN.SampleSize, Seed: c.ANN.Seed}
-	}
-	if c.Quant != nil {
-		k.Quant = &snapshot.QuantMeta{RerankFactor: c.Quant.RerankFactor, Rerank: !c.Quant.NoRerank}
-	}
-	return k
+	return p.assemble(ctx, d, emb, task, nil, tables, k)
 }
 
 // assemble is the one tail every preparation ends in: the match context with
@@ -592,7 +534,7 @@ func (c PipelineConfig) engineKnobs() engine.Knobs {
 // matrix, and the run with its candidate-graph memo. Run.Stream keeps the
 // plain engine, so the abstention path (virtual dummy columns) rebuilds from
 // exact scores whatever producer Ctx.Stream holds.
-func (p *Pipeline) assemble(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, s *Dense, tables *engine.Tables) (*Run, error) {
+func (p *Pipeline) assemble(ctx context.Context, d *Dataset, emb *Embeddings, task *Task, s *Dense, tables *engine.Tables, k engine.Knobs) (*Run, error) {
 	mctx := &core.Context{
 		S:         s,
 		SourceAdj: eval.LocalAdjacency(d.Source, task.SourceIDs),
@@ -601,13 +543,13 @@ func (p *Pipeline) assemble(ctx context.Context, d *Dataset, emb *Embeddings, ta
 	var stream *SimilarityStream
 	if tables != nil {
 		stream = tables.Stream
-		producer, err := tables.Producer(p.cfg.engineKnobs())
+		producer, err := tables.Producer(k)
 		if err != nil {
 			return nil, err
 		}
 		mctx.Stream = producer
 		if p.cfg.SaveSnapshot != "" {
-			if err := p.saveSnapshot(ctx, d, task, tables, producer); err != nil {
+			if err := p.saveSnapshot(ctx, d, task, tables, producer, k); err != nil {
 				return nil, err
 			}
 		}
@@ -679,7 +621,7 @@ func taskVocab(g *Graph, ids []int) []string {
 // saveSnapshot persists the prepared run at cfg.SaveSnapshot. With ANN
 // configured the indexes are trained eagerly here (forward and reverse), so
 // the snapshot amortizes quantizer training as well as table preparation.
-func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, tables *engine.Tables, producer matrix.TileSource) error {
+func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, tables *engine.Tables, producer matrix.TileSource, k engine.Knobs) error {
 	sTab, tTab := tables.Stream.PreparedTables()
 	snap := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
@@ -710,7 +652,7 @@ func (p *Pipeline) saveSnapshot(ctx context.Context, d *Dataset, task *Task, tab
 	}
 	if tables.SrcQ != nil {
 		snap.SrcQuant, snap.TgtQuant = tables.SrcQ.Export(), tables.TgtQ.Export()
-		snap.Meta.Quant = p.cfg.engineKnobs().Quant
+		snap.Meta.Quant = &snapshot.QuantMeta{RerankFactor: k.RerankFactor, Rerank: !k.NoRerank}
 	}
 	return snap.Write(p.cfg.SaveSnapshot)
 }
@@ -753,19 +695,20 @@ func (p *Pipeline) prepareLoaded(ctx context.Context, d *Dataset) (_ *Run, err e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	k := p.cfg.engine()
 	var tables *engine.Tables
-	if p.cfg.OutOfCore {
-		tables, err = engine.FromReader(ctx, r, p.cfg.engineKnobs())
+	if k.OutOfCore {
+		tables, err = engine.FromReader(ctx, r, k)
 	} else {
 		var snap *snapshot.Snapshot
 		if snap, err = r.Materialize(); err == nil {
-			tables, err = engine.FromSnapshot(ctx, snap, p.cfg.engineKnobs())
+			tables, err = engine.FromSnapshot(ctx, snap, k)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	run, err := p.assemble(ctx, d, nil, task, nil, tables)
+	run, err := p.assemble(ctx, d, nil, task, nil, tables, k)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,23 @@ import (
 	"strings"
 	"testing"
 
+	"entmatcher/internal/engine"
 	"entmatcher/internal/plan"
 )
+
+// handConfig spells a plan's knobs out as the PipelineConfig fields a user
+// would set by hand — the inverse, for the knobs a plan can carry, of
+// PipelineConfig.engine.
+func handConfig(base PipelineConfig, k engine.Knobs) PipelineConfig {
+	base.Streaming, base.CandidateBudget, base.Shards = k.Streaming, k.CandidateBudget, k.Shards
+	if k.ANN() {
+		base.ANN = &ANNConfig{Clusters: k.Clusters, NProbe: k.NProbe}
+	}
+	if k.Quant {
+		base.Quant = &QuantConfig{RerankFactor: k.RerankFactor}
+	}
+	return base
+}
 
 // TestAutoPlannerMatchesHandConfig pins the planner's reproducibility
 // contract: a run prepared under Auto must be bit-identical to a run whose
@@ -28,8 +43,10 @@ func TestAutoPlannerMatchesHandConfig(t *testing.T) {
 	}
 	knobs := auto.Plan.Chosen.Knobs
 
-	hand := PipelineConfig{Model: ModelRREA}
-	hand.applyPlanKnobs(knobs)
+	hand := handConfig(PipelineConfig{Model: ModelRREA}, knobs)
+	if got := hand.engine(); got != knobs {
+		t.Fatalf("hand config resolves to %+v, plan chose %+v", got, knobs)
+	}
 	byHand, err := NewPipeline(hand).Prepare(d)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +74,43 @@ func TestAutoPlannerMatchesHandConfig(t *testing.T) {
 	for i := range resAuto.Pairs {
 		if resAuto.Pairs[i] != resHand.Pairs[i] {
 			t.Fatalf("pair %d differs: auto %v, hand %v", i, resAuto.Pairs[i], resHand.Pairs[i])
+		}
+	}
+}
+
+// TestPlannedKnobsPassTheRuleTable: the planner may only ever emit engine
+// descriptions a user could have written. Over a grid of shapes, budgets and
+// recall targets, the chosen and every rejected candidate's knobs must pass
+// internal/engine's rule table for the planned shape, and the hand-written
+// configuration spelling them out must validate and resolve back to them.
+func TestPlannedKnobsPassTheRuleTable(t *testing.T) {
+	cal := plan.Defaults()
+	shapes := []struct{ src, tgt, dim int }{
+		{1, 1, 4}, {7, 3, 8}, {100, 100, 64}, {2100, 2100, 128}, {4000, 1000, 128},
+		{1000, 40000, 32}, {100000, 100000, 128}, {1000000, 1000000, 64},
+	}
+	for _, sh := range shapes {
+		tables := int64(8 * (sh.src + sh.tgt) * sh.dim)
+		for _, budget := range []int64{0, tables + 9<<20} { // unbounded; or the tables, the tile buffers and little else
+			for _, target := range []float64{0, 0.8} {
+				w := plan.Workload{SrcRows: sh.src, TgtRows: sh.tgt, Dim: sh.dim, MemoryBudgetBytes: budget, TargetRecall: target}
+				p, err := cal.Choose(w)
+				if err != nil {
+					t.Fatalf("Choose(%+v): %v", w, err)
+				}
+				for _, c := range append([]plan.Candidate{p.Chosen}, p.Rejected...) {
+					if err := c.Knobs.Check(MetricCosine, sh.src, sh.tgt); err != nil {
+						t.Errorf("%+v: %s: %v", w, c.Label(), err)
+					}
+					hand := handConfig(PipelineConfig{}, c.Knobs)
+					if err := hand.Validate(); err != nil {
+						t.Errorf("%+v: %s by hand: %v", w, c.Label(), err)
+					}
+					if got := hand.engine(); got != c.Knobs {
+						t.Errorf("%+v: %s by hand resolves to %+v, planned %+v", w, c.Label(), got, c.Knobs)
+					}
+				}
+			}
 		}
 	}
 }
