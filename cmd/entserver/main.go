@@ -80,11 +80,10 @@ func run() error {
 		CacheSize:      *cacheSize,
 		MaxK:           *maxK,
 		NProbe:         *nprobe,
-		MaxBatch:       *maxBatch,
-		MaxWait:        *maxWait,
-	}
-	if *maxBatch <= 1 {
-		scfg.MaxBatch = -1 // <= 1 disables; Config treats 0 as "default"
+		// The flag's "<= 1" is Config's 1: every request takes the lone path
+		// (Config's 0 would mean the default).
+		MaxBatch: max(*maxBatch, 1),
+		MaxWait:  *maxWait,
 	}
 	newServer := server.New
 	if *useMmap {

@@ -283,12 +283,13 @@ func TestSourceDispatch(t *testing.T) {
 		t.Fatalf("ProduceCandGraph: %v", err)
 	}
 	assertGraphsEqual(t, "dispatch", g1, g2)
-	if as.IndexBytes() == 0 {
-		t.Error("IndexBytes = 0 after a build")
-	}
 	full := as.WithNProbe(10)
-	if full.IndexBytes() != as.IndexBytes() {
-		t.Error("WithNProbe view does not share index state")
+	built, err := as.ForwardIndex(ctx)
+	if err != nil {
+		t.Fatalf("ForwardIndex: %v", err)
+	}
+	if shared, err := full.ForwardIndex(ctx); err != nil || shared != built {
+		t.Errorf("WithNProbe view does not share index state (err %v)", err)
 	}
 	gf, err := full.ProduceCandGraph(ctx, 6)
 	if err != nil {

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -240,6 +241,59 @@ func TestSearchAllocsPooled(t *testing.T) {
 		}
 		if large > 24 {
 			t.Errorf("quantized=%v: search costs %v allocations for 4 queries, want a small constant", quantized, large)
+		}
+	}
+}
+
+// TestSearchRowsMatchesForwardGraph pins the point-lookup entry to the graph
+// build: at a partial probe count, float and SQ8, Source.SearchRows returns
+// for each listed row — repeats and any order included, and asked alone —
+// exactly the row of ProduceParts' forward graph at the same budget, and
+// rejects a row outside the source table.
+func TestSearchRowsMatchesForwardGraph(t *testing.T) {
+	ctx := context.Background()
+	rows := []int{5, 0, 69, 5, 33, 12, 48}
+	for _, sq8 := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(37))
+		st, as := newTestSource(t, rng, 70, 64, 24, Config{Clusters: 6, NProbe: 2, Seed: 3})
+		if sq8 {
+			sTab, tTab := st.PreparedTables()
+			if err := as.EnableQuant(encodeTable(t, sTab), encodeTable(t, tTab), 0, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []int{1, 7} {
+			parts, err := as.ProduceParts(ctx, matrix.GraphRequest{C: c})
+			if err != nil {
+				t.Fatalf("sq8=%v c=%d: ProduceParts: %v", sq8, c, err)
+			}
+			got, err := as.SearchRows(ctx, rows, c)
+			if err != nil {
+				t.Fatalf("sq8=%v c=%d: SearchRows: %v", sq8, c, err)
+			}
+			for i, row := range rows {
+				cols, scores := parts.Fwd.Row(row)
+				if len(got[i].Indices) != len(cols) {
+					t.Fatalf("sq8=%v c=%d row %d: %d hits, graph row has %d", sq8, c, row, len(got[i].Indices), len(cols))
+				}
+				for x := range cols {
+					if got[i].Indices[x] != int(cols[x]) || got[i].Values[x] != scores[x] {
+						t.Fatalf("sq8=%v c=%d row %d slot %d: lookup (%d, %v), graph (%d, %v)", sq8, c, row, x,
+							got[i].Indices[x], got[i].Values[x], cols[x], scores[x])
+					}
+				}
+				// Alone the row is queried in place, not gathered: same bits.
+				lone, err := as.SearchRows(ctx, []int{row}, c)
+				if err != nil {
+					t.Fatalf("sq8=%v c=%d row %d alone: %v", sq8, c, row, err)
+				}
+				if !topKEqual(lone[0], got[i]) {
+					t.Fatalf("sq8=%v c=%d row %d: alone %+v, in the batch %+v", sq8, c, row, lone[0], got[i])
+				}
+			}
+		}
+		if _, err := as.SearchRows(ctx, []int{70}, 3); !errors.Is(err, matrix.ErrSlab) {
+			t.Fatalf("sq8=%v: row past the table: err %v, want matrix.ErrSlab", sq8, err)
 		}
 	}
 }

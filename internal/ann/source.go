@@ -133,21 +133,6 @@ func (s *Source) ForwardIndex(ctx context.Context) (*IVF, error) {
 	return s.fwdIndex(ctx)
 }
 
-// IndexBytes returns the combined heap footprint of the indexes built so
-// far (0 before any graph request).
-func (s *Source) IndexBytes() int64 {
-	s.state.mu.Lock()
-	defer s.state.mu.Unlock()
-	var b int64
-	if s.state.fwd != nil {
-		b += s.state.fwd.SizeBytes()
-	}
-	if s.state.rev != nil {
-		b += s.state.rev.SizeBytes()
-	}
-	return b
-}
-
 // EnableQuant installs SQ8 side tables for both scan directions: srcQ must
 // encode the prepared source table, tgtQ the prepared target table. After
 // this call every candidate-graph request scans the quantized slabs and
@@ -206,6 +191,30 @@ func (s *Source) search(ctx context.Context, get func(context.Context) (*IVF, er
 		return ivf.SearchQuant(ctx, queries, c, np, factor, rerank)
 	}
 	return ivf.Search(ctx, queries, c, np)
+}
+
+// SearchRows answers forward point queries — the top-k target columns of each
+// listed source row, best first — through the search the forward graph is
+// built with: the same index, this view's probe count, float or SQ8 by the
+// source's own switch. A row's answer is therefore the bits that row of
+// ProduceParts' forward graph carries at the same budget, whatever rows it
+// was asked alongside. An out-of-range row is matrix.ErrSlab.
+//
+// A single row is queried in place — a one-row view of the table, which the
+// scans only read — so a server's lone lookup does not pay a row copy per
+// request; several rows are gathered into one query table.
+func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
+	var queries *matrix.Dense
+	var err error
+	if len(rows) == 1 && rows[0] >= 0 && rows[0] < s.srcTab.Rows() {
+		queries, err = matrix.NewFromData(1, s.srcTab.Cols(), s.srcTab.Row(rows[0]))
+	} else {
+		queries, err = matrix.GatherRows(s.srcTab, rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.search(ctx, s.fwdIndex, queries, k)
 }
 
 // fwdIndex returns the index over the target table, building it on first

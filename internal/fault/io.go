@@ -7,7 +7,7 @@ import (
 
 // IOInjection describes one byte-stream fault. The zero value injects
 // nothing. Offsets are absolute byte positions in the stream (for Reader and
-// Writer: bytes transferred so far; for WriterAt: the write offset). When
+// Writer: bytes transferred so far; for ReaderAt: the read offset). When
 // several fields are set they apply in order: FlipAt (corrupt, keep going),
 // then TruncateAt (stop early), then ErrAt (fail hard).
 type IOInjection struct {
@@ -73,7 +73,7 @@ func (inj IOInjection) apply(p []byte, off int64) (n int, eof bool, err error) {
 // Reader wraps an io.Reader with deterministic byte-level faults: a flipped
 // byte at offset N, a truncated stream at offset N (torn write observed at
 // read time), or an injected error at offset N. It is the read-side
-// counterpart of Writer/WriterAt, used to prove the snapshot loader rejects
+// counterpart of Writer, used to prove the snapshot loader rejects
 // every corruption a disk can serve.
 type Reader struct {
 	R   io.Reader
@@ -135,36 +135,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	n, eof, ierr := w.Inj.apply(q, w.off)
 	wn, werr := w.W.Write(q[:n])
 	w.off += int64(wn)
-	if werr != nil {
-		return wn, werr
-	}
-	if ierr != nil {
-		return wn, ierr
-	}
-	if eof {
-		return wn, io.ErrShortWrite
-	}
-	return wn, nil
-}
-
-// WriterAt wraps an io.WriterAt with the same deterministic fault model,
-// keyed by the write offset instead of a running stream position.
-type WriterAt struct {
-	W   io.WriterAt
-	Inj IOInjection
-}
-
-// NewWriterAt returns w with the injection applied per write offset.
-func NewWriterAt(w io.WriterAt, inj IOInjection) *WriterAt {
-	return &WriterAt{W: w, Inj: inj}
-}
-
-// WriteAt applies the injection to the span [off, off+len(p)) and forwards
-// the surviving prefix.
-func (w *WriterAt) WriteAt(p []byte, off int64) (int, error) {
-	q := append([]byte(nil), p...)
-	n, eof, ierr := w.Inj.apply(q, off)
-	wn, werr := w.W.WriteAt(q[:n], off)
 	if werr != nil {
 		return wn, werr
 	}

@@ -193,17 +193,6 @@ func (g *Graph) Stats() Stats {
 	}
 }
 
-// DegreeHistogram returns a map from degree value to the number of entities
-// with that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	g.Freeze()
-	h := make(map[int]int)
-	for _, edges := range g.adj {
-		h[len(edges)]++
-	}
-	return h
-}
-
 // SortedTriples returns a copy of the triples in deterministic
 // (subject, relation, object) order, for stable serialization.
 func (g *Graph) SortedTriples() []Triple {

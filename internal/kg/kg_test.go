@@ -99,14 +99,6 @@ func TestSelfLoopDegree(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := smallGraph()
-	h := g.DegreeHistogram()
-	if h[2] != 3 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestSortedTriplesDeterministic(t *testing.T) {
 	g := NewGraph("g")
 	g.AddTripleNames("b", "r", "a")

@@ -256,20 +256,6 @@ func (m *Dense) Scale(s float64) *Dense {
 	return m.Apply(func(v float64) float64 { return v * s })
 }
 
-// AddInPlace adds b to m element-wise, in place.
-func (m *Dense) AddInPlace(b *Dense) error {
-	if m.rows != b.rows || m.cols != b.cols {
-		return fmt.Errorf("%w: %d×%d + %d×%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	parallelRows(m.rows, func(i int) {
-		mr, br := m.Row(i), b.Row(i)
-		for j := range mr {
-			mr[j] += br[j]
-		}
-	})
-	return nil
-}
-
 // SubRowVector subtracts v[j] from every element of column j, in place.
 // len(v) must equal Cols().
 func (m *Dense) SubRowVector(v []float64) error {
@@ -362,15 +348,6 @@ func (m *Dense) Argmax() (int, int) {
 	return bi, bj
 }
 
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
 // RowSums returns the per-row sums.
 func (m *Dense) RowSums() []float64 {
 	out := make([]float64, m.rows)
@@ -410,21 +387,15 @@ func (m *Dense) ColSums() []float64 {
 	return out
 }
 
-// NormalizeRowsInPlace divides every row by its sum so rows sum to 1.
-// Rows whose sum has absolute value below eps are left untouched to avoid
-// division blow-up.
-func (m *Dense) NormalizeRowsInPlace(eps float64) {
-	m.ScaleColsNormalizeRowsInPlace(nil, eps)
-}
-
 // ScaleColsNormalizeRowsInPlace multiplies column j by scale[j] and then
-// normalizes the rows as NormalizeRowsInPlace does, in one sweep; a nil scale
-// stands for all ones (x·1 is x, exactly). The result is bit-identical to
-// ScaleColsInPlace followed by NormalizeRowsInPlace: the product is rounded
-// to a double before it is summed (the conversion forbids fusing it into the
-// addition), the row sum adds those doubles in ascending column order, and a
-// row the eps guard skips keeps its scaled values. This is what lets Sinkhorn
-// defer each column normalization into the next row pass.
+// divides every row by its sum so rows sum to 1, in one sweep; a nil scale
+// stands for all ones (x·1 is x, exactly), and a row whose sum has absolute
+// value below eps is left unnormalized to avoid division blow-up. The result
+// is bit-identical to ScaleColsInPlace followed by a nil-scale call: the
+// product is rounded to a double before it is summed (the conversion forbids
+// fusing it into the addition), the row sum adds those doubles in ascending
+// column order, and a row the eps guard skips keeps its scaled values. This is
+// what lets Sinkhorn defer each column normalization into the next row pass.
 //
 // A row sum in column order is one chain of dependent additions, so a single
 // row runs at the adder's latency; the sweep therefore sums four rows at a
@@ -486,15 +457,9 @@ func scaleSum4(r0, r1, r2, r3, scale []float64) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
-// NormalizeColsInPlace divides every column by its sum so columns sum to 1.
-// Columns whose sum has absolute value below eps are left untouched.
-func (m *Dense) NormalizeColsInPlace(eps float64) {
-	m.ScaleColsInPlace(m.ColNormalizers(eps))
-}
-
-// ColNormalizers returns the factors NormalizeColsInPlace multiplies the
-// columns by: 1/sum per column, and 1 where the sum's absolute value is below
-// eps.
+// ColNormalizers returns the factors that make every column sum to 1 under
+// ScaleColsInPlace: 1/sum per column, and 1 where the sum's absolute value is
+// below eps (such a column is left untouched).
 func (m *Dense) ColNormalizers(eps float64) []float64 {
 	inv := m.ColSums()
 	for j, s := range inv {

@@ -123,22 +123,11 @@ func (s *Source) SearchRow(ctx context.Context, row, k int) (matrix.TopK, error)
 // through the same grouped two-phase scan as the graph build, so each
 // returned TopK is bit-identical to SearchRow(row, k) — one corpus-slab
 // read now serves up to four queries instead of one. Every TopK owns its
-// storage.
+// storage. An out-of-range row is matrix.ErrSlab; k < 1 is the scan's error.
 func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	if err := ctx.Err(); err != nil {
+	qTab, err := matrix.GatherRows(s.srcTab, rows)
+	if err != nil {
 		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("quant: k %d < 1", k)
-	}
-	for _, row := range rows {
-		if row < 0 || row >= s.srcTab.Rows() {
-			return nil, fmt.Errorf("quant: row %d out of range [0, %d)", row, s.srcTab.Rows())
-		}
-	}
-	qTab := matrix.New(len(rows), s.srcTab.Cols())
-	for i, row := range rows {
-		copy(qTab.Row(i), s.srcTab.Row(row))
 	}
 	return s.search(ctx, s.fwd, qTab, k)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +11,21 @@ import (
 )
 
 // This file implements server-side request coalescing for /match/topk
-// (DESIGN.md § 17). Cache misses arriving while the server is busy are
+// (DESIGN.md § 13). Cache misses arriving while the server is busy are
 // collected into a bounded window (Config.MaxBatch entries, held open at
-// most Config.MaxWait) and served by ONE walk of the searcher ladder using
-// the tiers' SearchBatch entry points, which feed the register-blocked
-// multi-query kernels — one pass over the corpus slabs answers the whole
-// window. Identical (row, k) requests are deduplicated singleflight-style
-// into a single window entry.
+// most Config.MaxWait) and served by Server.lookup — the same ladder walk a
+// lone request takes — once per distinct k, so the tiers' row searches feed
+// the register-blocked multi-query kernels and one pass over the corpus
+// slabs answers the whole window. Identical (row, k) requests are
+// deduplicated singleflight-style into a single window entry.
 //
 // The contract that makes coalescing invisible to clients:
 //
-//   - Identity: every tier's SearchBatch is bit-identical to per-row Search
-//     at the same k, and a window executes one tier call per DISTINCT k, so
-//     a coalesced response carries exactly the bytes an uncoalesced one
-//     would (conformance-pinned).
+//   - Identity: a tier's answer for a row does not depend on the rows asked
+//     alongside it (TestRowAnswerIndependentOfBatchmates, and
+//     conformance-pinned under it), and a window makes one lookup per
+//     DISTINCT k, so a coalesced response carries exactly the bytes a lone
+//     one would.
 //   - Isolation: the batch runs under a context carrying the server's
 //     RequestTimeout but detached from every member request, so one
 //     client's disconnect or deadline cannot poison its batchmates — the
@@ -34,20 +34,9 @@ import (
 //     are pooled; the enqueue/wait/wake machinery allocates nothing per
 //     query once warm (pinned by TestCoalescerSteadyStateAllocs).
 
-// BatchSearcher is the optional batch extension of TopKSearcher. The
-// server's built-in tiers implement it; injected searchers (the
-// fault-injection seams) need not — the coalescer falls back to per-row
-// Search calls for them, preserving every existing failure-injection test's
-// semantics.
-type BatchSearcher interface {
-	TopKSearcher
-	// SearchBatch returns, for each source row, its top-k target columns,
-	// best first, bit-identical to per-row Search(ctx, rows[i], k).
-	SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error)
-}
-
-// batchResult is one window entry's outcome, fanned out to every waiter of
-// that entry. The TopK and degraded slices are shared read-only.
+// batchResult is one (row, k) query's share of a lookup: what the handler
+// builds the response from on either path, and what a window entry fans out
+// to every waiter. The TopK and degraded slices are shared read-only.
 type batchResult struct {
 	top      matrix.TopK
 	servedBy string
@@ -83,14 +72,13 @@ type batchWindow struct {
 	joined int           // requests attached (leader + joiners, dups included)
 	full   chan struct{} // buffered 1; signaled when the window seals early
 	rows   []int         // execution scratch: one group's rows
-	tops   []matrix.TopK // execution scratch: per-row fallback results
 }
 
 // coalescer batches concurrent /match/topk cache misses. The first miss to
 // find no open window becomes the leader: it opens one, holds it for up to
 // maxWait (or until maxBatch entries, or until every in-flight request has
-// attached — see sealIfComplete), seals it, executes the ladder once per
-// distinct k, and fans results out. Later misses join the open window and
+// attached — see sealIfComplete), seals it, looks each distinct k up once,
+// and fans results out. Later misses join the open window and
 // just wait. Everything is pooled, so the steady-state path allocates
 // nothing per query.
 type coalescer struct {
@@ -125,9 +113,9 @@ func newCoalescer(s *Server) *coalescer {
 }
 
 // do serves one cache miss through the coalescer. The returned error is
-// non-nil only when ctx expired while waiting on the batch; a searcher
-// failure travels inside the batchResult so the caller can map it to the
-// same status codes as the direct path.
+// non-nil only when ctx expired while waiting on the batch; a lookup
+// failure travels inside the batchResult so the caller maps it to the same
+// status codes as on the lone path.
 func (c *coalescer) do(ctx context.Context, row, k int) (batchResult, error) {
 	key := int64(row)<<32 | int64(k)
 	w := c.waiters.Get().(*batchWaiter)
@@ -225,7 +213,7 @@ func (c *coalescer) newItem(row, k int, w *batchWaiter) *batchItem {
 // it races the executor for the waiter: winning the CAS hands the struct to
 // the executor for reclamation; losing means a result is in flight, so it
 // is drained and returned (the handler decides what to do with a result
-// whose client already gave up — same as the direct path).
+// whose client already gave up — same as on the lone path).
 func (c *coalescer) await(ctx context.Context, w *batchWaiter) (batchResult, error) {
 	select {
 	case res := <-w.ch:
@@ -241,9 +229,9 @@ func (c *coalescer) await(ctx context.Context, w *batchWaiter) (batchResult, err
 	}
 }
 
-// execute runs the sealed window: one searcher-ladder walk per distinct k
-// (items are sorted so each same-k run becomes one blocked batch scan),
-// then fans every item's result out to its waiters.
+// execute runs the sealed window: one lookup per distinct k (items are
+// sorted so each same-k run becomes one blocked batch scan), then fans every
+// item's result out to its waiters.
 func (c *coalescer) execute(win *batchWindow) {
 	items := win.items
 	n := int64(len(items))
@@ -263,8 +251,8 @@ func (c *coalescer) execute(win *batchWindow) {
 	defer cancel()
 
 	// Insertion sort by k (windows are small): each same-k run is served by
-	// one tier call, keeping every answer bit-identical to a solo query at
-	// that exact k — no cross-k over-fetch to reason about.
+	// one lookup, keeping every answer bit-identical to a lone query at that
+	// exact k — no cross-k over-fetch to reason about.
 	for i := 1; i < len(items); i++ {
 		for j := i; j > 0 && items[j].k < items[j-1].k; j-- {
 			items[j], items[j-1] = items[j-1], items[j]
@@ -290,10 +278,9 @@ func (c *coalescer) execute(win *batchWindow) {
 	}
 }
 
-// serveGroup walks the searcher ladder once for a same-k group, mirroring
-// the direct path's degradation semantics: a tier failure logs and falls
-// through, a deadline stops the walk, a panic fails the group (contained
-// here so batchmate handlers never hang on a torn leader).
+// serveGroup looks a same-k group up in one walk of the ladder and hands each
+// item its share. A panic fails the group (contained here so batchmate
+// handlers never hang on a torn leader).
 func (c *coalescer) serveGroup(ctx context.Context, win *batchWindow, group []*batchItem) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -304,57 +291,18 @@ func (c *coalescer) serveGroup(ctx context.Context, win *batchWindow, group []*b
 			}
 		}
 	}()
-	k := group[0].k
 	rows := win.rows[:0]
 	for _, it := range group {
 		rows = append(rows, it.row)
 	}
 	win.rows = rows
-	var degraded []string
-	for _, searcher := range c.s.searchers {
-		tops, err := c.tierBatch(ctx, win, searcher, rows, k)
+	tops, servedBy, degraded, err := c.s.lookup(ctx, rows, group[0].k)
+	for i, it := range group {
+		it.res = batchResult{servedBy: servedBy, degraded: degraded, err: err}
 		if err == nil {
-			for i, it := range group {
-				it.res = batchResult{top: tops[i], servedBy: searcher.Name(), degraded: degraded}
-				c.s.countServed(searcher.Name())
-			}
-			return
+			it.res.top = tops[i]
 		}
-		if ctx.Err() != nil {
-			for _, it := range group {
-				it.res = batchResult{err: context.DeadlineExceeded, degraded: degraded}
-			}
-			return
-		}
-		log.Printf("entserver: batch searcher %s failed for %d rows: %v (degrading)",
-			searcher.Name(), len(rows), err)
-		degraded = append(degraded, searcher.Name())
 	}
-	err := fmt.Errorf("all searchers failed (%v)", degraded)
-	for _, it := range group {
-		it.res = batchResult{err: err}
-	}
-}
-
-// tierBatch queries one tier for a same-k group: the batch entry point when
-// the tier has one and the group is worth batching, per-row Search
-// otherwise (singleton groups and injected plain TopKSearchers — the latter
-// keeps every fault-injection seam behaving exactly as before).
-func (c *coalescer) tierBatch(ctx context.Context, win *batchWindow, searcher TopKSearcher, rows []int, k int) ([]matrix.TopK, error) {
-	if bs, ok := searcher.(BatchSearcher); ok && len(rows) > 1 {
-		return bs.SearchBatch(ctx, rows, k)
-	}
-	tops := win.tops[:0]
-	for _, row := range rows {
-		tk, err := searcher.Search(ctx, row, k)
-		if err != nil {
-			win.tops = tops
-			return nil, err
-		}
-		tops = append(tops, tk)
-	}
-	win.tops = tops
-	return tops, nil
 }
 
 // release resets the executed window and returns it and its items to the
@@ -370,7 +318,6 @@ func (c *coalescer) release(win *batchWindow) {
 	win.joined = 0
 	clear(win.byKey)
 	win.rows = win.rows[:0]
-	win.tops = win.tops[:0]
 	select {
 	case <-win.full: // a filler may have signaled after the leader timed out
 	default:

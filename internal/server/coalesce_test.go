@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,22 +19,32 @@ import (
 // TestCoalescedStormIdentity fires a concurrent request storm at a
 // coalescing server and checks every answer byte-for-byte against an
 // identical server with coalescing disabled: batching, dedup, and window
-// timing must be invisible in the response payload. Run under -race this
-// also exercises the window handoff protocol.
+// timing must be invisible in the response payload — on a healthy ladder and
+// on one whose index tier is down, where both paths must degrade to the same
+// tier and say so the same way. Run under -race this also exercises the
+// window handoff protocol.
 func TestCoalescedStormIdentity(t *testing.T) {
+	t.Run("healthy", func(t *testing.T) { stormIdentity(t, "ann", nil) })
+	t.Run("degraded", func(t *testing.T) {
+		stormIdentity(t, "exact", []any{"ann"},
+			WithPrimarySearcher(&failSearcher{err: errors.New("injected index failure")}))
+	})
+}
+
+func stormIdentity(t *testing.T, servedBy string, degradedFrom any, opts ...Option) {
 	snap := testSnapshot(t, 40, 40, 8, 4)
 	coalesced, err := NewFromSnapshot(snap, Config{
 		MaxInFlight: 128, MaxBatch: 8, MaxWait: 20 * time.Millisecond,
-	})
+	}, opts...)
 	if err != nil {
 		t.Fatalf("NewFromSnapshot(coalesced): %v", err)
 	}
-	direct, err := NewFromSnapshot(snap, Config{MaxInFlight: 128, MaxBatch: -1})
+	direct, err := NewFromSnapshot(snap, Config{MaxInFlight: 128, MaxBatch: 1}, opts...)
 	if err != nil {
 		t.Fatalf("NewFromSnapshot(direct): %v", err)
 	}
 	if direct.coal != nil {
-		t.Fatal("MaxBatch -1 should disable the coalescer")
+		t.Fatal("MaxBatch 1 should leave every request on the lone path")
 	}
 	// Pace the coalesced server like a production corpus so the storm's
 	// requests overlap and windows actually form; the payloads are
@@ -85,13 +96,15 @@ func TestCoalescedStormIdentity(t *testing.T) {
 			k := 3 + (w%2)*2
 			want := getJSON(t, direct.Handler(),
 				fmt.Sprintf("/match/topk?row=%d&k=%d", row, k), http.StatusOK)
-			if !reflect.DeepEqual(a.body["results"], want["results"]) {
-				t.Fatalf("row %d k %d: coalesced results %v != direct %v",
-					row, k, a.body["results"], want["results"])
+			if want["served_by"] != servedBy || !reflect.DeepEqual(want["degraded_from"], degradedFrom) {
+				t.Fatalf("row %d k %d: lone path served_by %v degraded_from %v, want %v %v",
+					row, k, want["served_by"], want["degraded_from"], servedBy, degradedFrom)
 			}
-			if a.body["served_by"] != want["served_by"] {
-				t.Fatalf("row %d k %d: served_by %v != direct %v",
-					row, k, a.body["served_by"], want["served_by"])
+			// Whether the LRU answered is timing; everything else is the payload.
+			delete(a.body, "cached")
+			delete(want, "cached")
+			if !reflect.DeepEqual(a.body, want) {
+				t.Fatalf("row %d k %d: coalesced body %v != lone %v", row, k, a.body, want)
 			}
 		}
 	}
@@ -118,43 +131,38 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
 	return out
 }
 
-// slowSearcher delays every (batch) search so tests can interleave
-// cancellations with an in-flight batch. It implements BatchSearcher by
-// delegating to the wrapped tier after the delay.
+// slowSearcher delays every search so tests can interleave cancellations
+// with an in-flight batch, then delegates to the wrapped lookup side.
 type slowSearcher struct {
-	inner   BatchSearcher
+	inner   TopKSearcher
 	delay   time.Duration
 	started chan struct{} // closed when the first search begins
 	once    sync.Once
 }
 
-func (s *slowSearcher) Name() string { return s.inner.Name() }
-
-func (s *slowSearcher) mark() {
+func (s *slowSearcher) Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
 	if s.started != nil {
 		s.once.Do(func() { close(s.started) })
 	}
-}
-
-func (s *slowSearcher) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
-	s.mark()
 	time.Sleep(s.delay)
-	return s.inner.Search(ctx, row, k)
+	return s.inner.Search(ctx, rows, k)
 }
 
-func (s *slowSearcher) SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	s.mark()
-	time.Sleep(s.delay)
-	return s.inner.SearchBatch(ctx, rows, k)
-}
-
-// slowTiers wraps every searcher tier in a fixed delay, standing in for the
-// scan time of a production-sized corpus so concurrent requests genuinely
+// slowTiers wraps every tier's lookup side in a fixed delay, standing in for
+// the scan time of a production-sized corpus so concurrent requests genuinely
 // overlap and windows form.
 func slowTiers(srv *Server, delay time.Duration) {
-	for i, s := range srv.searchers {
-		srv.searchers[i] = &slowSearcher{inner: s.(BatchSearcher), delay: delay}
+	for _, t := range srv.tiers {
+		t.rows = &slowSearcher{inner: t.rows, delay: delay}
 	}
+}
+
+// soleTier cuts the ladder down to its last tier (the exact scan) with the
+// lookup side replaced, so a test drives the coalescer over exactly one
+// searcher.
+func soleTier(srv *Server, rows TopKSearcher) {
+	srv.tiers = srv.tiers[len(srv.tiers)-1:]
+	srv.tiers[0].rows = rows
 }
 
 // TestCoalescedCancellationIsolation cancels one request while its batch is
@@ -163,12 +171,9 @@ func slowTiers(srv *Server, delay time.Duration) {
 // answer — the batch runs under a context detached from any single request.
 func TestCoalescedCancellationIsolation(t *testing.T) {
 	srv := newTestServer(t, Config{MaxBatch: 8, MaxWait: 30 * time.Millisecond})
-	slow := &slowSearcher{
-		inner:   &exactSearcher{s: srv},
-		delay:   80 * time.Millisecond,
-		started: make(chan struct{}),
-	}
-	srv.searchers = []TopKSearcher{slow}
+	exact := srv.tier("exact").rows
+	soleTier(srv, &slowSearcher{inner: exact, delay: 80 * time.Millisecond, started: make(chan struct{})})
+	slow := srv.tiers[0].rows.(*slowSearcher)
 
 	// The leader opens the window first; the cancelable request joins it.
 	leaderDone := make(chan batchResult, 1)
@@ -198,12 +203,12 @@ func TestCoalescedCancellationIsolation(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("batchmate poisoned by cancellation: %v", res.err)
 	}
-	want, err := (&exactSearcher{s: srv}).Search(context.Background(), 1, 5)
+	want, err := exact.Search(context.Background(), []int{1}, 5)
 	if err != nil {
 		t.Fatalf("reference search: %v", err)
 	}
-	if !reflect.DeepEqual(res.top, want) {
-		t.Fatalf("batchmate result %v != direct %v", res.top, want)
+	if !reflect.DeepEqual(res.top, want[0]) {
+		t.Fatalf("batchmate result %v != direct %v", res.top, want[0])
 	}
 }
 
@@ -256,13 +261,7 @@ type prebakedSearcher struct {
 	res []matrix.TopK
 }
 
-func (p *prebakedSearcher) Name() string { return "prebaked" }
-
-func (p *prebakedSearcher) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
-	return p.res[0], nil
-}
-
-func (p *prebakedSearcher) SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
+func (p *prebakedSearcher) Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
 	return p.res[:len(rows)], nil
 }
 
@@ -282,7 +281,7 @@ func TestCoalescerSteadyStateAllocs(t *testing.T) {
 	for i := range pre.res {
 		pre.res[i] = matrix.TopK{Values: []float64{1}, Indices: []int{0}}
 	}
-	srv.searchers = []TopKSearcher{pre}
+	soleTier(srv, pre)
 
 	const warmup, rounds = 8, 100
 	start := make(chan struct{}, workers)
@@ -333,50 +332,37 @@ func TestCoalescerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSearchBatchTiersMatchSearch pins each built-in tier's SearchBatch to
-// its per-row Search, bit for bit, on the served snapshot — the identity the
-// coalescer's correctness rests on (quantized, IVF, and exact tiers; the
-// quantized tier both with and without an index).
-func TestSearchBatchTiersMatchSearch(t *testing.T) {
+// TestRowAnswerIndependentOfBatchmates pins the identity the one lookup
+// contract — and so the coalescer's invisibility — rests on: on every tier of
+// the served snapshot (quantized, IVF and exact; the quantized tier both with
+// and without an index) a batch of N rows equals N batches of one, bit for
+// bit, at two k.
+func TestRowAnswerIndependentOfBatchmates(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, s TopKSearcher, rows []int, k int) {
-		t.Helper()
-		bs, ok := s.(BatchSearcher)
-		if !ok {
-			t.Fatalf("%s: does not implement BatchSearcher", s.Name())
-		}
-		got, err := bs.SearchBatch(ctx, rows, k)
-		if err != nil {
-			t.Fatalf("%s: SearchBatch: %v", s.Name(), err)
-		}
-		for i, row := range rows {
-			want, err := s.Search(ctx, row, k)
-			if err != nil {
-				t.Fatalf("%s: Search(%d): %v", s.Name(), row, err)
-			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%s: row %d: batch %v != solo %v", s.Name(), row, got[i], want)
-			}
-		}
-	}
 	rows := []int{0, 3, 3, 7, 11, 2, 39, 5}
-	t.Run("indexed", func(t *testing.T) {
-		srv, err := NewFromSnapshot(quantize(t, testSnapshot(t, 40, 40, 8, 4)), Config{})
-		if err != nil {
-			t.Fatalf("NewFromSnapshot: %v", err)
-		}
-		for _, s := range srv.searchers {
-			check(t, s, rows, 5)
-			check(t, s, rows[:1], 1)
-		}
-	})
-	t.Run("flat-quant", func(t *testing.T) {
-		srv, err := NewFromSnapshot(quantize(t, testSnapshot(t, 40, 40, 8, 0)), Config{})
-		if err != nil {
-			t.Fatalf("NewFromSnapshot: %v", err)
-		}
-		for _, s := range srv.searchers {
-			check(t, s, rows, 5)
-		}
-	})
+	for name, clusters := range map[string]int{"indexed": 4, "flat-quant": 0} {
+		t.Run(name, func(t *testing.T) {
+			srv, err := NewFromSnapshot(quantize(t, testSnapshot(t, 40, 40, 8, clusters)), Config{})
+			if err != nil {
+				t.Fatalf("NewFromSnapshot: %v", err)
+			}
+			for _, tr := range srv.tiers {
+				for _, k := range []int{1, 5} {
+					got, err := tr.rows.Search(ctx, rows, k)
+					if err != nil {
+						t.Fatalf("%s k=%d: batch: %v", tr.name, k, err)
+					}
+					for i, row := range rows {
+						want, err := tr.rows.Search(ctx, []int{row}, k)
+						if err != nil {
+							t.Fatalf("%s k=%d: row %d alone: %v", tr.name, k, row, err)
+						}
+						if !reflect.DeepEqual(got[i], want[0]) {
+							t.Fatalf("%s k=%d: row %d: among batchmates %v != alone %v", tr.name, k, row, got[i], want[0])
+						}
+					}
+				}
+			}
+		})
+	}
 }

@@ -4,21 +4,24 @@
 // streaming/ANN machinery:
 //
 //   - GET  /match/topk  — point lookup: top-k target candidates for one
-//     source entity, served from the persisted IVF index when present and
-//     degrading to the exact streaming scan when the index fails.
+//     source entity, from the best tier the snapshot carries, degrading down
+//     the tier table when one fails.
 //   - POST /align       — batch job: run a matcher over the whole task
-//     through the Fallback degradation ladder (matcher@ann → matcher@exact).
+//     through the Fallback ladder over the same tiers (matcher@quant →
+//     matcher@ann → matcher@exact).
 //   - GET  /healthz     — liveness: the process is up.
 //   - GET  /readyz      — readiness: snapshot loaded and not draining.
 //   - GET  /statsz      — observability counters: cache hits/misses,
 //     admission-gate rejections, per-tier served counts (quant/ann/exact).
 //
-// When the snapshot carries SQ8 sections (entmatcher -quant -save-snapshot),
-// both work endpoints gain a quantized top tier: /match/topk scans the int8
-// code slabs and re-ranks survivors with the exact float64 kernel (so the
-// responses carry the same bits the float tiers would), and /align runs the
-// matcher@quant tier above matcher@ann. The quant tier degrades like any
-// other — a failure falls through to the float index, then the exact scan.
+// Both endpoints range over one tier table (DESIGN.md § 13): a tier is an
+// engine producer — SQ8 scans when the snapshot carries SQ8 sections
+// (entmatcher -quant -save-snapshot), the float IVF index when it carries
+// one, the exhaustive stream always — that answers row lookups for
+// /match/topk and candidate graphs for /align. The quant tier ranks with the
+// int8 kernel and re-ranks survivors with the exact float64 kernel, so its
+// responses carry the same bits the float tiers would; a failing tier falls
+// through to the next one on either endpoint.
 //
 // Robustness contract (see DESIGN.md § 13):
 //
@@ -45,7 +48,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -80,9 +82,8 @@ type Config struct {
 	// batch may carry. Under concurrent load, misses are collected into a
 	// bounded window and served through one register-blocked batch scan
 	// per distinct k; identical (row, k) requests are deduplicated
-	// singleflight-style. 0 means the default 32; a value <= 1 (after
-	// defaulting: pass a negative) disables coalescing entirely and every
-	// request walks the searcher ladder alone.
+	// singleflight-style. 0 means the default 32; at 1 or less after that
+	// defaulting there is no window and every request takes the lone path.
 	MaxBatch int
 	// MaxWait is how long a batch leader holds its window open for
 	// batchmates before executing. Only paid when at least two requests
@@ -116,51 +117,62 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TopKSearcher answers point top-k queries for one source row. It is the
-// seam the degradation ladder walks — index-backed first, exact scan last —
-// and the seam fault-injection tests replace to prove the walk happens.
+// TopKSearcher is the one lookup contract: the top-k target columns of each
+// listed source row, best first, every row's answer independent of the rows
+// it was asked alongside. Every tier's lookup side is one, and it is the seam
+// fault-injection tests replace to prove the ladder walk happens.
 type TopKSearcher interface {
-	// Name labels the searcher in the response's served_by/degraded_from.
-	Name() string
-	// Search returns the top-k target columns for source row, best first.
-	Search(ctx context.Context, row, k int) (matrix.TopK, error)
+	Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error)
+}
+
+// searchFunc adapts an engine's row search to the contract.
+type searchFunc func(ctx context.Context, rows []int, k int) ([]matrix.TopK, error)
+
+func (f searchFunc) Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
+	return f(ctx, rows, k)
+}
+
+// tier is one rung of the ladder both work endpoints walk: an engine producer
+// seen as a row searcher (/match/topk) and as a memoized candidate-graph
+// source (/align, so a repeated job costs the matcher alone). name — "quant",
+// "ann" or "exact" — is the response's served_by, the @suffix of an /align
+// matcher and the /statsz key; served counts the lookups and jobs it answered.
+type tier struct {
+	name   string
+	rows   TopKSearcher
+	graphs *matrix.GraphMemo
+	served atomic.Int64
 }
 
 // Option customizes a Server at construction; the With* helpers are the
-// fault-injection seams used by the robustness tests.
+// fault-injection seams used by the robustness tests. Both replace one side
+// of the index ("ann") tier and need a snapshot that carries an index.
 type Option func(*Server)
 
-// WithPrimarySearcher replaces the primary (index-backed) /match/topk
-// searcher. The exact scan stays as the fallback tier, so an injected
-// failing searcher exercises the degradation path end to end.
-func WithPrimarySearcher(s TopKSearcher) Option {
-	return func(srv *Server) { srv.searchers[0] = s }
+// WithPrimarySearcher replaces the index tier's lookup side. The exact scan
+// stays below it, so an injected failing searcher exercises the degradation
+// path end to end.
+func WithPrimarySearcher(r TopKSearcher) Option {
+	return func(srv *Server) { srv.tier("ann").rows = r }
 }
 
-// WithAlignSource replaces the tile source behind the /align ANN tier, so a
-// test can make the first tier fail (or succeed) deterministically.
+// WithAlignSource replaces the index tier's graph side, so a test can make
+// /align's index tier fail (or succeed) deterministically.
 func WithAlignSource(src matrix.TileSource) Option {
-	return func(srv *Server) { srv.annSrc = src }
+	return func(srv *Server) { srv.tier("ann").graphs = matrix.Memo(src) }
 }
 
 // Server is one loaded snapshot plus the HTTP machinery around it. All
 // fields are set at construction and immutable afterwards except the
-// draining flag and the cache, both safe for concurrent use.
+// draining flag, the counters and the cache, all safe for concurrent use.
 type Server struct {
-	cfg      Config
-	snap     *snapshot.Snapshot
-	stream   *sim.Stream
-	annSrc   matrix.TileSource // nil when the snapshot has no index
-	quantSrc matrix.TileSource // nil when the snapshot has no SQ8 tables
+	cfg    Config
+	snap   *snapshot.Snapshot
+	stream *sim.Stream
 
-	// alignTiers is the /align degradation ladder, best tier first: each of
-	// quantSrc, annSrc (as left by the options) and stream behind its own
-	// candidate-graph memo, so a repeated /align costs the matcher alone.
-	alignTiers []alignTier
-
-	searchers []TopKSearcher // walked in order; last is the exact scan
+	// tiers is the degradation ladder, best first; the last is the exact scan.
+	tiers     []*tier
 	srcByName map[string]int
-	colIDs    []int // 0..cols-1, shared by the exact scans
 
 	// plan is the startup self-configuration: the cost-based planner's
 	// decision for the served workload shape, computed from the same
@@ -181,19 +193,28 @@ type Server struct {
 	mapped bool
 
 	// Observability counters behind /statsz and the drain log line.
-	cacheHits, cacheMisses                           atomic.Int64
-	gateRejections                                   atomic.Int64
-	servedQuant, servedANN, servedExact, servedOther atomic.Int64
-	batches, batchedQueries, coalescedDup            atomic.Int64
-	maxBatchSeen                                     atomic.Int64
+	cacheHits, cacheMisses                atomic.Int64
+	gateRejections                        atomic.Int64
+	batches, batchedQueries, coalescedDup atomic.Int64
+	maxBatchSeen                          atomic.Int64
+}
+
+// tier returns the tier of that name, nil when the snapshot does not carry it.
+func (s *Server) tier(name string) *tier {
+	for _, t := range s.tiers {
+		if t.name == name {
+			return t
+		}
+	}
+	return nil
 }
 
 // Stats is a point-in-time copy of the server's observability counters,
 // served at /statsz and printed in entserver's graceful-drain log line.
-// Served* count answered requests by the tier that produced the answer —
-// "quant"/"ann"/"exact" searcher names on /match/topk, the @suffix of the
-// matcher name on /align; injected test searchers with other names land in
-// ServedOther. Cache hits are counted separately (no searcher ran).
+// Served* count answered requests by the tier that produced the answer, on
+// either endpoint. Every tier is one of the three named ones, so ServedOther
+// stays 0; it is kept for the shape of /statsz. Cache hits are counted
+// separately (no tier ran).
 type Stats struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
@@ -235,9 +256,10 @@ func (s *Server) Stats() Stats {
 	if s.plan != nil {
 		planLabel = s.plan.Chosen.Label()
 	}
-	builds, hits, derived, held := map[string]int64{}, map[string]int64{}, map[string]int64{}, map[string]int64{}
-	for _, t := range s.alignTiers {
-		st := t.src.Stats()
+	served, builds, hits, derived, held := map[string]int64{}, map[string]int64{}, map[string]int64{}, map[string]int64{}, map[string]int64{}
+	for _, t := range s.tiers {
+		st := t.graphs.Stats()
+		served[t.name] = t.served.Load()
 		builds[t.name], hits[t.name], derived[t.name], held[t.name] = st.Builds, st.Hits, st.Derived, st.Bytes
 	}
 	return Stats{
@@ -246,10 +268,9 @@ func (s *Server) Stats() Stats {
 		CacheMisses:    s.cacheMisses.Load(),
 		CacheEntries:   s.cache.len(),
 		GateRejections: s.gateRejections.Load(),
-		ServedQuant:    s.servedQuant.Load(),
-		ServedANN:      s.servedANN.Load(),
-		ServedExact:    s.servedExact.Load(),
-		ServedOther:    s.servedOther.Load(),
+		ServedQuant:    served["quant"],
+		ServedANN:      served["ann"],
+		ServedExact:    served["exact"],
 		InFlight:       s.inflight.Load(),
 		Draining:       s.draining.Load(),
 		Batches:        s.batches.Load(),
@@ -261,20 +282,6 @@ func (s *Server) Stats() Stats {
 		AlignGraphHits:    hits,
 		AlignGraphDerived: derived,
 		AlignGraphBytes:   held,
-	}
-}
-
-// countServed attributes one answered request to its serving tier.
-func (s *Server) countServed(tier string) {
-	switch tier {
-	case "quant":
-		s.servedQuant.Add(1)
-	case "ann":
-		s.servedANN.Add(1)
-	case "exact":
-		s.servedExact.Add(1)
-	default:
-		s.servedOther.Add(1)
 	}
 }
 
@@ -359,11 +366,11 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 	} else if c := p.Chosen.Knobs.CandidateBudget; c > 0 {
 		defaultCand = c
 	}
-	// Serve every tier the snapshot carries: the engine description is filled
-	// from its metadata — the float index, and the SQ8 slabs above it. The
-	// float index/stream tiers stay below the quantized one as the
-	// degradation floor, untouched — quantization only adds a side slab to
-	// the shared index.
+	// Serve every engine the snapshot carries: the description is filled from
+	// its metadata — the float index, and the SQ8 slabs above it. The float
+	// index/stream tiers stay below the quantized one as the degradation
+	// floor, untouched — quantization only adds a side slab to the shared
+	// index.
 	have := engine.Knobs{CandidateBudget: defaultCand}
 	if snap.FwdIndex != nil {
 		have.Clusters, have.NProbe = snap.FwdIndex.K, cfg.NProbe
@@ -384,7 +391,6 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 		snap:      snap,
 		stream:    tables.Stream,
 		srcByName: make(map[string]int, len(snap.SrcVocab)),
-		colIDs:    make([]int, snap.TgtTable.Rows()),
 		cache:     newLRU(cfg.CacheSize),
 		gate:      make(chan struct{}, cfg.MaxInFlight),
 
@@ -394,53 +400,81 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 	for i, name := range snap.SrcVocab {
 		s.srcByName[name] = i
 	}
-	for j := range s.colIDs {
-		s.colIDs[j] = j
-	}
-	s.searchers = []TopKSearcher{nil, &exactSearcher{s: s}}
-	if have.ANN() {
-		s.searchers[0] = &ivfSearcher{s: s, ivf: tables.Fwd, nprobe: have.NProbe}
-		annOnly := have
-		annOnly.Quant = false
-		if s.annSrc, err = tables.Producer(annOnly); err != nil {
+	// The tier table: one producer per engine the snapshot carries, each
+	// answering both endpoints. With an index the quant tier is a second view
+	// over the shared indexes with the quantized scan switched on (the float
+	// view is unaffected — each dispatches on its own state); without one it
+	// scans exhaustively.
+	annOnly := have
+	annOnly.Quant = false
+	for _, d := range []struct {
+		name    string
+		carried bool
+		knobs   engine.Knobs
+	}{
+		{"quant", have.Quant, have},
+		{"ann", have.ANN(), annOnly},
+		{"exact", true, engine.Knobs{CandidateBudget: defaultCand}},
+	} {
+		if !d.carried {
+			continue
+		}
+		prod, err := tables.Producer(d.knobs)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var qs *quantSearcher
-	if have.Quant {
-		// With an index this is a second view over the shared indexes with
-		// the quantized scan switched on (the float annSrc is unaffected —
-		// each view dispatches on its own state); without one, exhaustive
-		// quantized scans serve both endpoints.
-		if s.quantSrc, err = tables.Producer(have); err != nil {
-			return nil, err
+		var rows searchFunc
+		switch p := prod.(type) {
+		case *ann.Source:
+			// Lookups keep the probe count they have always had — the recorded
+			// one, and a single cell when the snapshot recorded 0 (auto) —
+			// while /align's graphs resolve the auto geometry. Moving lookups
+			// onto the auto count changes latency and recall, so it is its own
+			// change (ROADMAP 6(a)), pinned by TestLookupProbeCountPinned.
+			rows = p.WithNProbe(max(1, have.NProbe)).SearchRows
+		case *quant.Source:
+			rows = p.SearchRows
+		default: // the plain stream
+			rows = exhaustive(tables.Stream)
 		}
-		qs = &quantSearcher{s: s, factor: have.RerankFactor, rerank: !have.NoRerank, ivf: tables.Fwd, nprobe: have.NProbe}
-		qs.qsrc, _ = s.quantSrc.(*quant.Source)
+		s.tiers = append(s.tiers, &tier{name: d.name, rows: rows, graphs: matrix.Memo(prod)})
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	for _, t := range []struct {
-		name string
-		src  matrix.TileSource
-	}{{"quant", s.quantSrc}, {"ann", s.annSrc}, {"exact", s.stream}} {
-		if t.src != nil {
-			s.alignTiers = append(s.alignTiers, alignTier{name: t.name, src: matrix.Memo(t.src)})
-		}
-	}
-	if s.searchers[0] == nil {
-		s.searchers = s.searchers[1:] // no index, no injected primary: exact only
-	}
-	if qs != nil {
-		// Prepended after the options so WithPrimarySearcher keeps replacing
-		// the float index tier, not the quant tier above it.
-		s.searchers = append([]TopKSearcher{qs}, s.searchers...)
 	}
 	if cfg.MaxBatch > 1 {
 		s.coal = newCoalescer(s)
 	}
 	return s, nil
+}
+
+// exhaustive is the exact tier's row search: one multi-row Block extraction
+// scores every target column for all the rows (cosine rows run three per pass
+// through the blocked kernel, bit-identical to one at a time), then each row
+// selects its own top-k. It is metric-faithful because it goes through the
+// same Block kernel as the batch engines, and BoundedTopK's total order
+// (value desc, index asc) makes the selection scan-order-insensitive.
+func exhaustive(stream *sim.Stream) searchFunc {
+	_, cols := stream.Dims()
+	colIDs := make([]int, cols)
+	for j := range colIDs {
+		colIDs[j] = j
+	}
+	return func(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
+		block, err := stream.Block(ctx, rows, colIDs)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]matrix.TopK, len(rows))
+		for i := range rows {
+			sel := matrix.NewBoundedTopK(k)
+			for j, v := range block.Row(i) {
+				sel.Offer(v, j)
+			}
+			out[i] = sel.Finalize()
+		}
+		return out, nil
+	}
 }
 
 // Dims reports the served task's source×target shape.
@@ -526,7 +560,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ready", "rows": rows, "cols": cols,
 		"index": s.snap.FwdIndex != nil,
-		"quant": s.quantSrc != nil,
+		"quant": s.tier("quant") != nil,
 		"mmap":  s.mapped,
 	})
 }
@@ -590,66 +624,61 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.cacheMisses.Add(1)
 
 	// Under concurrent load, route the miss through the coalescer: misses
-	// arriving within one MaxWait window are served by a single
-	// register-blocked batch scan, and identical (row, k) requests share one
-	// entry. A lone request (inflight <= 1) skips the window — no batchmates
-	// can arrive, so it takes the direct ladder at zero added latency.
+	// arriving within one MaxWait window share one lookup per distinct k, and
+	// identical (row, k) requests share one entry. A lone request
+	// (inflight <= 1) skips the window — no batchmates can arrive, so it walks
+	// the ladder itself, under its own context, at zero added latency.
+	var res batchResult
 	if s.coal != nil && s.inflight.Load() > 1 {
-		res, err := s.coal.do(r.Context(), row, k)
-		if err != nil {
+		var werr error
+		if res, werr = s.coal.do(r.Context(), row, k); werr != nil {
 			// The request's own deadline fired while waiting on the batch.
+			res.err = werr
+		}
+	} else {
+		tops, servedBy, degraded, err := s.lookup(r.Context(), []int{row}, k)
+		res = batchResult{servedBy: servedBy, degraded: degraded, err: err}
+		if err == nil {
+			res.top = tops[0]
+		}
+	}
+	if res.err != nil {
+		if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 			return
 		}
-		if res.err != nil {
-			if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
-				writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
-				return
-			}
-			writeError(w, http.StatusInternalServerError, res.err.Error())
-			return
-		}
-		resp := topKResponse{
-			Query: name, Row: row, K: k,
-			ServedBy: res.servedBy, DegradedFrom: res.degraded,
-			Results: make([]topKEntry, len(res.top.Indices)),
-		}
-		for i, col := range res.top.Indices {
-			resp.Results[i] = topKEntry{Col: col, Name: s.snap.TgtVocab[col], Score: res.top.Values[i]}
-		}
-		s.cache.add(key, resp)
-		writeJSON(w, http.StatusOK, resp)
+		writeError(w, http.StatusInternalServerError, res.err.Error())
 		return
 	}
-
-	var degraded []string
-	for _, searcher := range s.searchers {
-		top, err := searcher.Search(r.Context(), row, k)
-		if err == nil {
-			resp := topKResponse{
-				Query: name, Row: row, K: k,
-				ServedBy: searcher.Name(), DegradedFrom: degraded,
-				Results: make([]topKEntry, len(top.Indices)),
-			}
-			for i, col := range top.Indices {
-				resp.Results[i] = topKEntry{Col: col, Name: s.snap.TgtVocab[col], Score: top.Values[i]}
-			}
-			s.countServed(searcher.Name())
-			s.cache.add(key, resp)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if r.Context().Err() != nil {
-			// The deadline, not the searcher, failed: degrading further
-			// would just time out again slower.
-			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
-			return
-		}
-		log.Printf("entserver: searcher %s failed for row %d: %v (degrading)", searcher.Name(), row, err)
-		degraded = append(degraded, searcher.Name())
+	resp := topKResponse{
+		Query: name, Row: row, K: k,
+		ServedBy: res.servedBy, DegradedFrom: res.degraded,
+		Results: make([]topKEntry, len(res.top.Indices)),
 	}
-	writeError(w, http.StatusInternalServerError,
-		fmt.Sprintf("all searchers failed (%v)", degraded))
+	for i, col := range res.top.Indices {
+		resp.Results[i] = topKEntry{Col: col, Name: s.snap.TgtVocab[col], Score: res.top.Values[i]}
+	}
+	s.cache.add(key, resp)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookup is the one ladder walk: the tiers in order, best first, until one
+// answers every row. A tier failure is logged and degrades to the next tier
+// (named in degraded); an expired ctx stops the walk — the deadline, not the
+// tier, failed, and degrading further would just time out again slower.
+func (s *Server) lookup(ctx context.Context, rows []int, k int) (tops []matrix.TopK, servedBy string, degraded []string, err error) {
+	for _, t := range s.tiers {
+		if tops, err = t.rows.Search(ctx, rows, k); err == nil {
+			t.served.Add(int64(len(rows)))
+			return tops, t.name, degraded, nil
+		}
+		if ctx.Err() != nil {
+			return nil, "", degraded, context.DeadlineExceeded
+		}
+		log.Printf("entserver: tier %s failed for %d rows: %v (degrading)", t.name, len(rows), err)
+		degraded = append(degraded, t.name)
+	}
+	return nil, "", degraded, fmt.Errorf("all searchers failed (%v)", degraded)
 }
 
 // sourceRow resolves the query's source entity from ?src=<name> or
@@ -726,13 +755,12 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	if req.BudgetMS > 0 {
 		budget = time.Duration(req.BudgetMS) * time.Millisecond
 	}
-	// The degradation ladder: the requested matcher on the quantized scans
-	// (when the snapshot holds SQ8 tables), then the float ANN source, then
-	// the same matcher on the exact stream. The exact tier is the safety
-	// net — Fallback runs it under the request deadline only.
-	tiers := make([]core.Matcher, len(s.alignTiers))
-	for i, t := range s.alignTiers {
-		tiers[i] = &sourced{m: m, src: t.src, suffix: "@" + t.name}
+	// The degradation ladder: the requested matcher on each tier's graphs,
+	// best tier first. The exact tier is the safety net — Fallback runs it
+	// under the request deadline only.
+	tiers := make([]core.Matcher, len(s.tiers))
+	for i, t := range s.tiers {
+		tiers[i] = &sourced{m: m, src: t.graphs, suffix: "@" + t.name}
 	}
 	chain := core.NewFallback(budget, tiers...)
 
@@ -746,11 +774,9 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	tier := res.Matcher
-	if i := strings.LastIndexByte(tier, '@'); i >= 0 {
-		tier = tier[i+1:]
-	}
-	s.countServed(tier)
+	// Fallback names every tier it degraded past, so their count is the index
+	// of the one that answered.
+	s.tiers[len(res.DegradedFrom)].served.Add(1)
 	resp := alignResponse{
 		Matcher:      res.Matcher,
 		DegradedFrom: res.DegradedFrom,
@@ -791,12 +817,6 @@ func (s *Server) alignMatcher(req alignRequest) (core.Matcher, error) {
 	return core.OnSparse.New(req.Matcher, p)
 }
 
-// alignTier is one rung of the /align ladder: a tile source behind its memo.
-type alignTier struct {
-	name string // "quant", "ann" or "exact": the @suffix and the /statsz key
-	src  *matrix.GraphMemo
-}
-
 // sourced runs a matcher with the match context's tile source swapped, so a
 // Fallback ladder can try the same algorithm against different engines
 // (index-backed, then exact) and record which one answered.
@@ -816,130 +836,6 @@ func (t *sourced) Match(ctx *core.Context) (*core.Result, error) {
 		res.Matcher = t.Name()
 	}
 	return res, err
-}
-
-// quantSearcher answers top-k from the SQ8 code slabs: the quantized IVF
-// slab scan when the snapshot carries an index, the exhaustive quantized
-// scan otherwise. Both rank with the int8 kernel and re-rank survivors with
-// the exact float64 kernel (unless the snapshot was saved quantized-only),
-// so a healthy quant tier returns the bits the float tiers would.
-type quantSearcher struct {
-	s      *Server
-	ivf    *ann.IVF // nil → exhaustive scan through qsrc
-	nprobe int
-	factor int
-	rerank bool
-	qsrc   *quant.Source
-}
-
-func (q *quantSearcher) Name() string { return "quant" }
-
-func (q *quantSearcher) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
-	if q.ivf == nil {
-		return q.qsrc.SearchRow(ctx, row, k)
-	}
-	qm, err := matrix.NewFromData(1, q.s.snap.SrcTable.Cols(), q.s.snap.SrcTable.Row(row))
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	res, err := q.ivf.SearchQuant(ctx, qm, k, q.nprobe, q.factor, q.rerank)
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	return res[0], nil
-}
-
-// SearchBatch implements BatchSearcher: all rows share each pass over the
-// quantized code slabs (the int8 register-blocked kernel scores four queries
-// per corpus read), so results are bit-identical to per-row Search at the
-// same k — only the slab traffic shrinks.
-func (q *quantSearcher) SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	if q.ivf == nil {
-		return q.qsrc.SearchRows(ctx, rows, k)
-	}
-	qm := q.s.gatherSrcRows(rows)
-	return q.ivf.SearchQuant(ctx, qm, k, q.nprobe, q.factor, q.rerank)
-}
-
-// ivfSearcher answers top-k from the persisted IVF index.
-type ivfSearcher struct {
-	s      *Server
-	ivf    *ann.IVF
-	nprobe int
-}
-
-func (i *ivfSearcher) Name() string { return "ann" }
-
-func (i *ivfSearcher) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
-	q, err := matrix.NewFromData(1, i.s.snap.SrcTable.Cols(), i.s.snap.SrcTable.Row(row))
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	res, err := i.ivf.Search(ctx, q, k, i.nprobe)
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	return res[0], nil
-}
-
-// SearchBatch implements BatchSearcher: the IVF slab scan groups the rows
-// three per pass through the float register-blocked kernel; each query still
-// probes its own cells, so every TopK matches per-row Search bit-for-bit.
-func (i *ivfSearcher) SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	return i.ivf.Search(ctx, i.s.gatherSrcRows(rows), k, i.nprobe)
-}
-
-// exactSearcher answers top-k from a full streaming score row — the
-// always-correct floor of the searcher ladder, metric-faithful because it
-// goes through the same Block kernel as the batch engines.
-type exactSearcher struct {
-	s *Server
-}
-
-func (e *exactSearcher) Name() string { return "exact" }
-
-func (e *exactSearcher) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
-	block, err := e.s.stream.Block(ctx, []int{row}, e.s.colIDs)
-	if err != nil {
-		return matrix.TopK{}, err
-	}
-	scores := block.Row(0)
-	sel := matrix.NewBoundedTopK(k)
-	for j, v := range scores {
-		sel.Offer(v, j)
-	}
-	return sel.Finalize(), nil
-}
-
-// SearchBatch implements BatchSearcher: one multi-row Block extraction scores
-// all queries (cosine rows run three per pass through the blocked kernel),
-// then each row selects its own top-k. Scores are bit-identical to the
-// single-row path, and BoundedTopK's total order (value desc, index asc) is
-// scan-order-insensitive, so so are the selections.
-func (e *exactSearcher) SearchBatch(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	block, err := e.s.stream.Block(ctx, rows, e.s.colIDs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]matrix.TopK, len(rows))
-	for i := range rows {
-		sel := matrix.NewBoundedTopK(k)
-		for j, v := range block.Row(i) {
-			sel.Offer(v, j)
-		}
-		out[i] = sel.Finalize()
-	}
-	return out, nil
-}
-
-// gatherSrcRows copies the selected source rows into a contiguous query
-// matrix for the multi-row index search entry points.
-func (s *Server) gatherSrcRows(rows []int) *matrix.Dense {
-	qm := matrix.New(len(rows), s.snap.SrcTable.Cols())
-	for i, row := range rows {
-		copy(qm.Row(i), s.snap.SrcTable.Row(row))
-	}
-	return qm
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -130,11 +130,11 @@ func TestTopKServedByANNAndAgreesWithExact(t *testing.T) {
 	if viaANN["served_by"] != "ann" {
 		t.Fatalf("served_by = %v, want ann", viaANN["served_by"])
 	}
-	exact, err := (&exactSearcher{s: srv}).Search(context.Background(), 3, 5)
+	tops, err := srv.tier("exact").rows.Search(context.Background(), []int{3}, 5)
 	if err != nil {
 		t.Fatalf("exact search: %v", err)
 	}
-	results := viaANN["results"].([]any)
+	exact, results := tops[0], viaANN["results"].([]any)
 	if len(results) != len(exact.Indices) {
 		t.Fatalf("ann returned %d results, exact %d", len(results), len(exact.Indices))
 	}
@@ -179,9 +179,8 @@ func TestTopKCache(t *testing.T) {
 // failSearcher fails every search — the injected "index subsystem down".
 type failSearcher struct{ err error }
 
-func (f *failSearcher) Name() string { return "ann" }
-func (f *failSearcher) Search(context.Context, int, int) (matrix.TopK, error) {
-	return matrix.TopK{}, f.err
+func (f *failSearcher) Search(context.Context, []int, int) ([]matrix.TopK, error) {
+	return nil, f.err
 }
 
 func TestTopKDegradesToExactAndSurfacesIt(t *testing.T) {
@@ -203,8 +202,7 @@ func TestTopKDegradesToExactAndSurfacesIt(t *testing.T) {
 // panicSearcher panics — the recovery middleware must turn it into a 500.
 type panicSearcher struct{}
 
-func (panicSearcher) Name() string { return "ann" }
-func (panicSearcher) Search(context.Context, int, int) (matrix.TopK, error) {
+func (panicSearcher) Search(context.Context, []int, int) ([]matrix.TopK, error) {
 	panic("injected searcher panic")
 }
 
@@ -220,13 +218,12 @@ func TestPanicBecomes500(t *testing.T) {
 // context error — a hung index shard.
 type stallSearcher struct{ entered chan struct{} }
 
-func (s *stallSearcher) Name() string { return "ann" }
-func (s *stallSearcher) Search(ctx context.Context, _, _ int) (matrix.TopK, error) {
+func (s *stallSearcher) Search(ctx context.Context, _ []int, _ int) ([]matrix.TopK, error) {
 	if s.entered != nil {
 		s.entered <- struct{}{}
 	}
 	<-ctx.Done()
-	return matrix.TopK{}, ctx.Err()
+	return nil, ctx.Err()
 }
 
 func TestDeadlineReturns504(t *testing.T) {
@@ -480,23 +477,12 @@ func TestAlignServedByQuantTier(t *testing.T) {
 	}
 }
 
-// namedFailSearcher fails every search under a configurable tier name.
-type namedFailSearcher struct {
-	name string
-	err  error
-}
-
-func (f *namedFailSearcher) Name() string { return f.name }
-func (f *namedFailSearcher) Search(context.Context, int, int) (matrix.TopK, error) {
-	return matrix.TopK{}, f.err
-}
-
 func TestTopKQuantDegradesToANN(t *testing.T) {
 	srv := newQuantServer(t, 4)
-	if srv.searchers[0].Name() != "quant" {
-		t.Fatalf("quantized server's top tier is %q, want quant", srv.searchers[0].Name())
+	if srv.tiers[0].name != "quant" {
+		t.Fatalf("quantized server's top tier is %q, want quant", srv.tiers[0].name)
 	}
-	srv.searchers[0] = &namedFailSearcher{name: "quant", err: errors.New("injected quant failure")}
+	srv.tiers[0].rows = &failSearcher{err: errors.New("injected quant failure")}
 	resp := getJSON(t, srv.Handler(), "/match/topk?src=s/1&k=3", http.StatusOK)
 	if resp["served_by"] != "ann" {
 		t.Fatalf("served_by = %v, want ann", resp["served_by"])
@@ -504,6 +490,80 @@ func TestTopKQuantDegradesToANN(t *testing.T) {
 	deg := resp["degraded_from"].([]any)
 	if len(deg) != 1 || deg[0] != "quant" {
 		t.Fatalf("degraded_from = %v, want [quant]", deg)
+	}
+}
+
+// TestLookupProbeCountPinned holds the hazard of putting both endpoints on one
+// tier table: on a snapshot saved with the auto probe count (NProbe 0) the
+// "ann" and "quant" lookups answer exactly what the index returns at ONE cell
+// — what /match/topk has always probed — while the same tiers' graph side,
+// which /align ranges over, still resolves the auto geometry. Flips when
+// ROADMAP 6(a) moves lookups onto the auto count.
+func TestLookupProbeCountPinned(t *testing.T) {
+	ctx := context.Background()
+	const clusters, k = 32, 5
+	auto := ann.AutoNProbe(clusters)
+	if auto == 1 {
+		t.Fatal("the geometry must resolve to more than one cell, or the pin tells nothing")
+	}
+	snap := testSnapshot(t, 40, 200, 8, clusters)
+	snap.Meta.ANN.NProbe = 0
+	srv, err := NewFromSnapshot(quantize(t, snap), Config{})
+	if err != nil {
+		t.Fatalf("NewFromSnapshot: %v", err)
+	}
+	ivf, err := ann.FromData(snap.FwdIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgtQ, err := quant.FromData(snap.TgtQuant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ivf.AttachQuant(tgtQ); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := []int{0, 7, 19, 39}
+	queries := snap.SrcTable.SelectRows(rows)
+	oneCell := map[string][]matrix.TopK{}
+	if oneCell["ann"], err = ivf.Search(ctx, queries, k, 1); err != nil {
+		t.Fatal(err)
+	}
+	if oneCell["quant"], err = ivf.SearchQuant(ctx, queries, k, 1, snap.Meta.Quant.RerankFactor, true); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range oneCell {
+		got, err := srv.tier(name).rows.Search(ctx, rows, k)
+		if err != nil {
+			t.Fatalf("%s lookup: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s lookup is not the one-cell search:\n got  %v\n want %v", name, got, want)
+		}
+	}
+
+	atAuto, err := ivf.Search(ctx, snap.SrcTable, k, auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atOne, err := ivf.Search(ctx, snap.SrcTable, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(atAuto, atOne) {
+		t.Fatal("one cell and the auto count answer alike on this snapshot; the pin tells nothing")
+	}
+	want, err := matrix.NewCandGraph(200, atAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.tier("ann").graphs.ProduceCandGraph(ctx, k)
+	if err != nil {
+		t.Fatalf("ann graphs: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/align's ann graphs are not the index's at the auto probe count (%d cells)", auto)
 	}
 }
 
@@ -647,7 +707,7 @@ func TestAlignTiersMatchPipelineLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tiers := srv.alignTiers
+	tiers := srv.tiers
 	for i, engine := range []entmatcher.PipelineConfig{
 		{ANN: annCfg, Quant: quantCfg}, // @quant
 		{ANN: annCfg},                  // @ann
@@ -662,7 +722,7 @@ func TestAlignTiersMatchPipelineLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pipeline load: %v", tier, err)
 		}
-		srv.alignTiers = tiers[i:] // the tier under test answers first
+		srv.tiers = tiers[i:] // the tier under test answers first
 		for name, m := range map[string]entmatcher.Matcher{
 			"RInf": entmatcher.NewRInfSparse(16),
 			"Hun.": entmatcher.NewHungarianSparse(16),
