@@ -4,6 +4,7 @@
 # "green there".
 #
 #   bash ci.sh guards    the per-subsystem regression guards
+#   bash ci.sh kernels   the SQ8 scan on every int8 kernel tier of this host
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -59,10 +60,32 @@ guards() {
 	go test -run '^$' -bench DenseBodies -benchtime 1x .
 }
 
+kernels() {
+	# The SQ8 two-phase scan — rows kernel, pool selection, prefetched re-rank
+	# — must emit the same bits whichever int8 kernel the machine picks:
+	# AVX512-VNNI, AVX2 or the scalar loop (internal/quant/dot.go). Nothing
+	# but the machine picks one outside tests, so the tiers are walked in two
+	# ways. Inside internal/quant the DotI8, Scanner and PoolSelect tests
+	# force every tier the host supports in turn through the package's
+	# export_test.go override (best, then AVX2 on a VNNI host, then scalar)
+	# and hold each to dotI8Scalar and to the naive score-and-sort scan.
+	# internal/ann and internal/conformance, which that override cannot
+	# reach, run on the host's best tier and again on the scalar tier under
+	# -tags purego; between the two, what they hold — quant ≡ exact,
+	# ann+quant ≡ ann, snapshots, batching — is the selection and re-rank
+	# code every tier shares.
+	local tests='DotI8|Scanner|PoolSelect|PoolThreshold'
+	go test -race -count=1 -run "$tests" ./internal/quant
+	go test -race -count=1 ./internal/ann ./internal/conformance
+	go test -race -count=1 -tags purego -run "$tests" ./internal/quant
+	go test -race -count=1 -tags purego ./internal/ann ./internal/conformance
+}
+
 case "${1:-}" in
 guards) guards ;;
+kernels) kernels ;;
 *)
-	echo "usage: bash ci.sh guards" >&2
+	echo "usage: bash ci.sh guards|kernels" >&2
 	exit 2
 	;;
 esac

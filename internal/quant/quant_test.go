@@ -191,31 +191,6 @@ func TestExportFromDataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPoolThreshold pins the boundary semantics: the p-th largest value,
-// ties included by the caller's >= comparison, MinInt32 when everything
-// pools.
-func TestPoolThreshold(t *testing.T) {
-	scores := []int32{5, 1, 9, 3, 9, 5, 7}
-	buf := make([]int32, 0, 8)
-	cases := []struct {
-		p    int
-		want int32
-	}{
-		{1, 9}, {2, 9}, {3, 7}, {4, 5}, {5, 5}, {6, 3}, {7, math.MinInt32}, {100, math.MinInt32},
-	}
-	for _, tc := range cases {
-		if got := PoolThreshold(scores, tc.p, buf); got != tc.want {
-			t.Fatalf("PoolThreshold(p=%d) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	// All-ties: any p below len yields the tied value → the >= pool rule
-	// spans the whole collapse.
-	tied := []int32{4, 4, 4, 4}
-	if got := PoolThreshold(tied, 2, buf); got != 4 {
-		t.Fatalf("tied threshold = %d, want 4", got)
-	}
-}
-
 // FuzzQuantRoundTrip pins the encoder's reconstruction bound on arbitrary
 // finite inputs: |decode(encode(x)) − x| ≤ scale/2 per dimension (with an
 // ulp allowance for the two divisions involved).

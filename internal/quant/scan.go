@@ -3,73 +3,11 @@ package quant
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
 	"entmatcher/internal/matrix"
 )
-
-// PoolThreshold returns the boundary of the re-rank pool: the p-th largest
-// value in scores. Candidates scoring >= the boundary form the pool, so
-// every candidate TIED with the boundary is included — the rule that makes
-// the two-phase scan exact in degenerate regimes: when quantization
-// collapses many scores to the same integer (all-constant tables, 1-ulp
-// near-ties), the tie set spans the whole collapse and the re-rank becomes
-// exhaustive over it. p >= len(scores) returns math.MinInt32 (everything
-// pools). heapBuf is scratch of capacity >= p, reused across calls.
-func PoolThreshold(scores []int32, p int, heapBuf []int32) int32 {
-	if p >= len(scores) {
-		return math.MinInt32
-	}
-	if p < 1 {
-		p = 1
-	}
-	// Values-only min-heap of the p largest: the root is the boundary.
-	h := heapBuf[:0]
-	for _, v := range scores {
-		if len(h) < p {
-			h = append(h, v)
-			if len(h) == p {
-				for i := p/2 - 1; i >= 0; i-- {
-					siftDownI32(h, i)
-				}
-			}
-			continue
-		}
-		if v > h[0] {
-			h[0] = v
-			siftDownI32(h, 0)
-		}
-	}
-	if len(h) < p {
-		// Unreachable (p < len(scores) fills the heap), kept as a guard.
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			siftDownI32(h, i)
-		}
-	}
-	return h[0]
-}
-
-// siftDownI32 restores the min-heap property below node i.
-func siftDownI32(h []int32, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		j := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			j = r
-		}
-		if h[j] >= h[i] {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
 
 // PoolSize resolves the phase-1 pool bound for a top-c request over an
 // n-candidate corpus: factor×c, clamped to n. factor <= 0 means the
@@ -116,7 +54,7 @@ type Probe func(q []float64, cells *matrix.BoundedTopK) []int
 var flatRun = []int{0}
 
 // groupWidth bounds the queries one group shares slab reads across — the
-// widest register-blocked kernel (DotI8Block4) — and slotBits is the room a
+// widest register-blocked kernel (dotI8Rows4) — and slotBits is the room a
 // slot number takes in a packed walk key.
 const (
 	slotBits   = 2
@@ -136,16 +74,16 @@ type slot struct {
 	runs  []run               // runs scanned so far, in scan order
 
 	// i8Kernel state: the quantized query and its scale, one int32 score
-	// per scanned position (in runs order), the threshold heap.
-	codeQ   []int8
-	sq      float64
-	ints    []int32
-	heapBuf []int32
+	// per scanned position (in runs order).
+	codeQ []int8
+	sq    float64
+	ints  []int32
 }
 
 type scanScratch struct {
 	slots [groupWidth]slot
-	keys  []int64 // run<<slotBits|slot for every probed run of the group
+	keys  []int64      // run<<slotBits|slot for every probed run of the group
+	pool  poolSelector // i8Kernel.finish's re-rank pool, one slot at a time
 }
 
 func (s *Scanner) getScratch() *scanScratch {
@@ -179,8 +117,9 @@ type kernel interface {
 	shared(sls []slot, lo, hi int)
 	// one scores [lo, hi) for a single slot with the per-pair kernel.
 	one(sl *slot, lo, hi int)
-	// finish returns sl's top-c; the result aliases sl.sel.
-	finish(sl *slot, c int) matrix.TopK
+	// finish returns sl's top-c; the result aliases sl.sel. sc is the
+	// scratch sl belongs to.
+	finish(sc *scanScratch, sl *slot, c int) matrix.TopK
 }
 
 // Search scores every query row against the runs probe selects for it with
@@ -271,7 +210,7 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 		}
 		for j := range sls {
 			// finish aliases pooled selector storage; copy out before release.
-			tk := k.finish(&sls[j], c)
+			tk := k.finish(sc, &sls[j], c)
 			out[g*w+j] = matrix.TopK{
 				Values:  append([]float64(nil), tk.Values...),
 				Indices: append([]int(nil), tk.Indices...),
@@ -317,12 +256,13 @@ func (k f64Kernel) one(sl *slot, lo, hi int) {
 	}
 }
 
-func (f64Kernel) finish(sl *slot, _ int) matrix.TopK { return sl.sel.Finalize() }
+func (f64Kernel) finish(_ *scanScratch, sl *slot, _ int) matrix.TopK { return sl.sel.Finalize() }
 
-// i8Kernel scores Codes with DotI8 / DotI8Block4 into the slot's int32
-// buffer; selection waits for finish, which needs every score to place the
-// pool boundary. Integer scores are exact, so the blocked and per-pair forms
-// agree bit-for-bit.
+// i8Kernel scores Codes with the rows kernels of dot.go — one call per run,
+// dotI8Rows4 for a full group and dotI8Rows1 for a single slot — straight
+// into the slot's int32 buffer; selection waits for finish, which needs every
+// score to place the pool boundary. Integer scores are exact, so the blocked
+// and per-slot forms agree bit-for-bit on every kernel tier.
 type i8Kernel struct {
 	s      *Scanner
 	factor int
@@ -339,9 +279,6 @@ func (k i8Kernel) begin(sl *slot, m, c int) error {
 		sl.ints = make([]int32, 0, m)
 	}
 	sl.ints = sl.ints[:0]
-	if p := PoolSize(k.factor, c, m); cap(sl.heapBuf) < p {
-		sl.heapBuf = make([]int32, 0, p)
-	}
 	var err error
 	sl.sq, err = k.s.Table.QuantizeQuery(sl.q, sl.codeQ[:k.s.Dim])
 	return err
@@ -356,51 +293,55 @@ func (sl *slot) extend(n int) []int32 {
 }
 
 func (k i8Kernel) shared(sls []slot, lo, hi int) {
-	s, d := k.s, k.s.Dim
-	q0, q1, q2, q3 := sls[0].codeQ[:d], sls[1].codeQ[:d], sls[2].codeQ[:d], sls[3].codeQ[:d]
-	o0, o1, o2, o3 := sls[0].extend(hi-lo), sls[1].extend(hi-lo), sls[2].extend(hi-lo), sls[3].extend(hi-lo)
-	var blk [4]int32
-	for i := range o0 {
-		p := lo + i
-		DotI8Block4(q0, q1, q2, q3, s.Codes[p*d:(p+1)*d], &blk)
-		o0[i], o1[i], o2[i], o3[i] = blk[0], blk[1], blk[2], blk[3]
-	}
+	d, n := k.s.Dim, hi-lo
+	dotI8Rows4(sls[0].codeQ[:d], sls[1].codeQ[:d], sls[2].codeQ[:d], sls[3].codeQ[:d], k.s.Codes[lo*d:hi*d],
+		sls[0].extend(n), sls[1].extend(n), sls[2].extend(n), sls[3].extend(n))
 }
 
 func (k i8Kernel) one(sl *slot, lo, hi int) {
-	s, d := k.s, k.s.Dim
-	q, o := sl.codeQ[:d], sl.extend(hi-lo)
-	for i := range o {
-		p := lo + i
-		o[i] = DotI8(q, s.Codes[p*d:(p+1)*d])
-	}
+	d := k.s.Dim
+	dotI8Rows1(sl.codeQ[:d], k.s.Codes[lo*d:hi*d], sl.extend(hi-lo))
 }
 
-// finish is the one two-phase tail: with re-rank, every position scoring at
-// or above the boundary-tie-inclusive pool threshold is re-scored against
-// Vecs with the exact kernel; without, every position is offered at its
-// approximate score. sl.runs replays the scan order, so sl.ints needs no
-// parallel position array.
-func (k i8Kernel) finish(sl *slot, c int) matrix.TopK {
+// rerankAhead is how many pool rows finish prefetches ahead of the one Dot4
+// is scoring: pool rows are scattered over Vecs, so without it every row
+// costs a cache miss before its arithmetic starts.
+const rerankAhead = 3
+
+// finish is the one two-phase tail. Without re-rank every position is
+// offered at its approximate score. With it, the pool — every position
+// scoring at or above the boundary-tie-inclusive pool threshold, as an
+// ascending list — is re-scored against Vecs with the exact kernel. sl.runs
+// replays the scan order, so sl.ints needs no parallel position array: the
+// list indexes sl.ints and is mapped to slab positions in one walk.
+func (k i8Kernel) finish(sc *scanScratch, sl *slot, c int) matrix.TopK {
 	s, d := k.s, k.s.Dim
-	th := int32(math.MinInt32)
-	if k.rerank {
-		th = PoolThreshold(sl.ints, PoolSize(k.factor, c, len(sl.ints)), sl.heapBuf)
-	}
 	sl.sel.EnsureK(c)
-	x := 0
-	for _, r := range sl.runs {
-		for p := r.lo; p < r.hi; p, x = p+1, x+1 {
-			v := sl.ints[x]
-			if v < th {
-				continue
-			}
-			if k.rerank {
-				sl.sel.Offer(matrix.Dot4(sl.q, s.Vecs[p*d:(p+1)*d]), s.id(p))
-			} else {
-				sl.sel.Offer(sl.sq*float64(v), s.id(p))
+	if !k.rerank {
+		x := 0
+		for _, r := range sl.runs {
+			for p := r.lo; p < r.hi; p, x = p+1, x+1 {
+				sl.sel.Offer(sl.sq*float64(sl.ints[x]), s.id(p))
 			}
 		}
+		return sl.sel.Finalize()
+	}
+	_, pool := sc.pool.run(sl.ints, PoolSize(k.factor, c, len(sl.ints)))
+	ri, off := 0, 0 // pool[i] lies in sl.runs[ri], whose first score is sl.ints[off]
+	for i, x := range pool {
+		for int(x)-off >= sl.runs[ri].hi-sl.runs[ri].lo {
+			off += sl.runs[ri].hi - sl.runs[ri].lo
+			ri++
+		}
+		pool[i] = int32(sl.runs[ri].lo + int(x) - off)
+	}
+	for i, p32 := range pool {
+		if i+rerankAhead < len(pool) {
+			a := int(pool[i+rerankAhead])
+			prefetchRow(s.Vecs[a*d : (a+1)*d])
+		}
+		p := int(p32)
+		sl.sel.Offer(matrix.Dot4(sl.q, s.Vecs[p*d:(p+1)*d]), s.id(p))
 	}
 	return sl.sel.Finalize()
 }

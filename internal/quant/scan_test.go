@@ -291,3 +291,70 @@ func TestSearchRowsAllocsPooled(t *testing.T) {
 		t.Errorf("SearchRows costs %v allocations for 4 queries, want a small constant", large)
 	}
 }
+
+// TestScannerEveryTier reruns the scan core's pin on every int8 kernel tier
+// the host can run: whichever rows kernel scored the runs, grouped ≡ alone ≡
+// the naive reference, whose int8 scores are dotI8Scalar's.
+func TestScannerEveryTier(t *testing.T) {
+	// That pin runs at d = 20, inside every kernel's dimension tail; a second
+	// corpus at d = 150 (whole 32- and 64-byte steps, then a tail) is scanned
+	// flat and by cells on every tier and held to the scalar tier's answer.
+	rng := rand.New(rand.NewSource(65))
+	corpus, queries := randTable(rng, 120, 150), randTable(rng, 7, 150)
+	tq := mustEncode(t, corpus)
+	cells := cellScanner(rng, corpus, tq, []int64{0, 31, 31, 64, 117, 120})
+	someCells := func(q []float64, _ *matrix.BoundedTopK) []int { return []int{3, int(math.Abs(q[0])*1e3) % 3} }
+	scan := func() [][]matrix.TopK {
+		var out [][]matrix.TopK
+		for _, sc := range []struct {
+			sc    *Scanner
+			probe Probe
+		}{{flatScanner(tq, corpus), nil}, {cells, someCells}} {
+			for _, rerank := range []bool{true, false} {
+				got, err := sc.sc.SearchQuant(context.Background(), queries, 5, sc.probe, 2, rerank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, got)
+			}
+		}
+		return out
+	}
+	forceTier(t, tierScalar)
+	want := scan()
+	for _, tier := range hostTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			forceTier(t, tier)
+			TestScannerGroupsMatchGroupOfOne(t)
+			for i, got := range scan() {
+				for row := range got {
+					if !sameTopK(got[row], want[i][row]) {
+						t.Fatalf("scan %d row %d: %v, scalar tier %v", i, row, got[row], want[i][row])
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScanQuantFlat is one flat two-phase scan at the shape of the
+// benchmark harness's sparse_indexed tables (5600 rows, d = 128, C = 64,
+// default re-rank factor → a pool of 256): 512 queries, so the three stages
+// — int8 scoring, pool selection, float64 re-rank — show in one profile in
+// the proportions the engine runs them.
+func BenchmarkScanQuantFlat(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	corpus := randTable(rng, 5600, 128)
+	tq, err := Encode(context.Background(), corpus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := flatScanner(tq, corpus)
+	queries := randTable(rng, 512, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.SearchQuant(context.Background(), queries, 64, nil, 0, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
