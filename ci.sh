@@ -50,18 +50,28 @@ guards() {
 	go test -race -count=1 -short -cpu 1,2,4 -tags purego -run "$consumers" ./internal/matrix ./internal/sim ./internal/core ./internal/shard
 	go test -count=1 -run 'ConsumersReleaseBacking' ./internal/core
 
-	# Dense bodies. The dense SMat, RInf and Sinkhorn bodies run on one
-	# packed-key ranking primitive and one fused sweep per iteration
-	# (DESIGN.md §19); SinkhornSparse defers its column scale the same way.
-	# The -race leg holds the primitive to its stable-sort reference (−0.0
-	# ties +0.0, both sides of the insertion/radix switch), the three bodies
-	# to the pre-rewrite bodies kept in internal/core/reference_test.go —
-	# pairs, scores, abstentions and transform matrices bit for bit —
-	# cancellation to every checkpoint, and Table 6's memory order. The plain
-	# leg adds what -race skips: zero allocations per ranked row on warm
-	# scratch and the Figure 5 time shape. The last line keeps
-	# BenchmarkDenseBodies compiling.
-	go test -race -count=1 -cpu 1,2,4 -run 'Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder' ./internal/matrix ./internal/core
+	# Dense bodies. The dense SMat, RInf, Sinkhorn and Hungarian bodies run on
+	# one packed-key ranking primitive, one fused sweep per Sinkhorn iteration
+	# and one fused column pass per augmentation step (DESIGN.md §19), the
+	# last two on AVX2 kernels where the CPU has them; SinkhornSparse defers
+	# its column scale the same way. The -race legs hold the primitive to its
+	# stable-sort reference (−0.0 ties +0.0, both sides of the
+	# insertion/radix switch); the sweep and LAP-step kernels to the Go
+	# bodies on every tier the host has (forced through internal/matrix's
+	# export_test.go: ragged rows and columns, eps-guarded rows, dead
+	# columns, signed zeros and ties at the pivot, whole rectangular,
+	# transposed and dummy-padded assignments); the four bodies and the two
+	# orders that left sort.Slice to the pre-rewrite code kept in
+	# internal/core/reference_test.go — pairs, scores, abstentions and
+	# transform matrices bit for bit — cancellation to every checkpoint and
+	# mid-sweep, and Table 6's memory order. -cpu varies the strips in
+	# flight behind the sweep's ordered hand-off; -tags purego runs it all
+	# again on the Go bodies alone. The plain leg adds what -race skips:
+	# zero allocations per ranked row on warm scratch and the Figure 5 time
+	# shape. The last line keeps BenchmarkDenseBodies compiling.
+	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|Orderings|SinkhornCancelMidSweep'
+	go test -race -count=1 -cpu 1,2,4 -run "$dense" ./internal/matrix ./internal/core
+	go test -race -count=1 -cpu 1,2,4 -tags purego -run "$dense" ./internal/matrix ./internal/core
 	go test -count=1 -run 'RankingAllocatesNothingWarm|Figure5TimeShape' ./internal/matrix ./internal/core
 	go test -run '^$' -bench DenseBodies -benchtime 1x .
 }

@@ -235,11 +235,16 @@ func run() error {
 		}
 	}
 	rows, cols := run.Dims()
-	if *cand > cols {
+	width := cols
+	if cfg.Setting == entmatcher.SettingUnmatchable {
+		// The matchers that abstain see the abstention columns too.
+		width += run.AbstentionColumns()
+	}
+	if *cand > width {
 		// A budget past the matrix width silently degenerates to the full
 		// width anyway; clamp loudly so reported C matches what actually ran.
-		fmt.Fprintf(os.Stderr, "warning: -cand %d exceeds the %d target columns; clamping to %d\n", *cand, cols, cols)
-		*cand = cols
+		fmt.Fprintf(os.Stderr, "warning: -cand %d exceeds the %d columns a matcher sees; clamping to %d\n", *cand, width, width)
+		*cand = width
 	}
 	streaming := run.Stream != nil
 	if streaming {
@@ -262,24 +267,31 @@ func run() error {
 	if *matchers != "" {
 		names = strings.Split(*matchers, ",")
 	}
-	var selected []entmatcher.Matcher
+	// Under unmatchable entities the algorithms that force a 1-to-1
+	// assignment run with abstention columns, in every body (the table says
+	// which).
+	type selection struct {
+		m       entmatcher.Matcher
+		abstain bool
+	}
+	var selected []selection
 	for _, name := range names {
-		m, err := table.New(strings.TrimSpace(name), params)
+		name = strings.TrimSpace(name)
+		m, err := table.New(name, params)
 		if err != nil {
 			return err
 		}
-		selected = append(selected, m)
+		selected = append(selected, selection{m, cfg.Setting == entmatcher.SettingUnmatchable && table.Abstains(name)})
 	}
 
 	fmt.Printf("%-8s  %7s  %7s  %7s  %10s  %9s\n", "matcher", "P", "R", "F1", "time", "extra mem")
 	anyDegraded := false
-	for _, m := range selected {
+	for _, sel := range selected {
+		m := sel.m
 		var res *entmatcher.MatchResult
 		var metrics entmatcher.Metrics
-		// The degradation decision keys off the requested matcher's name,
-		// not the fallback wrapper's.
 		exec := table.WithBudget(m, *timeout, params)
-		if cfg.Setting == entmatcher.SettingUnmatchable && (m.Name() == "Hun." || m.Name() == "SMat") {
+		if sel.abstain {
 			res, metrics, err = run.MatchWithAbstention(exec, *abstainQ)
 		} else {
 			res, metrics, err = run.Match(exec)

@@ -187,6 +187,40 @@ func TestCLISparseCandidateFlag(t *testing.T) {
 	}
 }
 
+// TestCLIUnmatchableSparseAbstains: under -setting unmatchable the sparse
+// Hungarian and SMat twins abstain through the same abstention columns as
+// their dense bodies, so at full width (-cand past the padded width clamps
+// to it) their P/R/F1 rows are the dense padded run's.
+func TestCLIUnmatchableSparseAbstains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	bins := buildTools(t)
+	dataDir := filepath.Join(t.TempDir(), "dz")
+	runTool(t, filepath.Join(bins, "datagen"), "-profile", "D-Z", "-scale", "0.02", "-out", dataDir)
+	scores := func(out string) map[string]string {
+		rows := map[string]string{}
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) >= 4 && (strings.HasPrefix(f[0], "Hun.") || strings.HasPrefix(f[0], "SMat")) {
+				rows[strings.TrimSuffix(f[0], "-sparse")] = strings.Join(f[1:4], " ")
+			}
+		}
+		return rows
+	}
+	entm := filepath.Join(bins, "entmatcher")
+	dense := scores(runTool(t, entm, "-data", dataDir, "-setting", "unmatchable", "-m", "Hun.,SMat"))
+	sparse := scores(runTool(t, entm, "-data", dataDir, "-setting", "unmatchable", "-cand", "100000", "-m", "Hun.,SMat"))
+	if len(dense) != 2 || len(sparse) != 2 {
+		t.Fatalf("missing matcher rows: dense %v, sparse %v", dense, sparse)
+	}
+	for name, want := range dense {
+		if sparse[name] != want {
+			t.Fatalf("%s: sparse P/R/F1 %q, dense padded run %q", name, sparse[name], want)
+		}
+	}
+}
+
 // TestCLIExternalEmbeddings exercises the train-anywhere / match-here
 // workflow: embeddings produced through the library API are saved in the
 // word2vec text format and fed to the CLI via -emb-src / -emb-tgt.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"entmatcher"
+	"entmatcher/internal/core"
 	"entmatcher/internal/datagen"
 )
 
@@ -39,7 +40,7 @@ func runTable7(cfg *Config, env *Env) ([]*Table, error) {
 				var res *entmatcher.MatchResult
 				var metrics entmatcher.Metrics
 				name := m.Name()
-				if name == "Hun." || name == "SMat" {
+				if core.OnDense.Abstains(name) {
 					res, metrics, err = run.MatchWithAbstention(m, cfg.AbstentionQ)
 				} else {
 					res, metrics, err = run.Match(m)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"entmatcher/internal/matrix"
@@ -36,35 +35,27 @@ func (*SinkhornBlocked) Name() string { return "Sink.-mb" }
 // partitionBatches groups columns into batches of ~batchSize by pivot
 // popularity and assigns each row to the batch of its pivot (best) column.
 // This is the cheap stand-in for ClusterEA's learned partition: corresponding
-// entities land in the same batch whenever their top candidate does. The
-// popularity sort is stable (descending count, ascending column index) and
-// the round-robin rank assignment spreads popular pivots evenly, so the
-// partition is a pure function of rowBest — dense and streaming runs that
-// agree on the argmaxes produce identical batches.
+// entities land in the same batch whenever their top candidate does. Columns
+// are ranked by (descending count, ascending column index) with
+// matrix.OrderDesc and the round-robin rank assignment spreads popular pivots
+// evenly, so the partition is a pure function of rowBest — dense and
+// streaming runs that agree on the argmaxes produce identical batches.
 func partitionBatches(rowBest []int, cols, batchSize int) (batchRows, batchCols [][]int) {
-	colOrder := make([]int, cols)
-	for j := range colOrder {
-		colOrder[j] = j
-	}
-	popularity := make([]int, cols)
+	popularity := make([]float64, cols) // counts, exact as doubles
 	for _, j := range rowBest {
 		if j >= 0 {
 			popularity[j]++
 		}
 	}
-	sort.SliceStable(colOrder, func(a, b int) bool {
-		if popularity[colOrder[a]] != popularity[colOrder[b]] {
-			return popularity[colOrder[a]] > popularity[colOrder[b]]
-		}
-		return colOrder[a] < colOrder[b]
-	})
+	colOrder := make([]int32, cols)
+	matrix.OrderDesc(colOrder, popularity)
 	batchOf := make([]int, cols)
 	numBatches := (cols + batchSize - 1) / batchSize
 	batchCols = make([][]int, numBatches)
 	for rank, j := range colOrder {
 		b := rank % numBatches // round-robin spreads popular pivots evenly
 		batchOf[j] = b
-		batchCols[b] = append(batchCols[b], j)
+		batchCols[b] = append(batchCols[b], int(j))
 	}
 	batchRows = make([][]int, numBatches)
 	for i, j := range rowBest {

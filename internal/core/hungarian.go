@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"entmatcher/internal/matrix"
 )
@@ -119,10 +118,15 @@ func (HungarianDecider) ExtraBytes(rows, cols int) int64 {
 // width. Ties in the pivot choice break toward the smallest column index;
 // ties in the relaxation keep the earliest predecessor (strict <), matching
 // the selection contract used across the package.
+//
+// A step is one pass over the columns (matrix.LAPScan): the relaxation
+// through the last pivot and the choice of the next pivot are fused, on the
+// AVX2 kernel where the machine has one.
 func solveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 	n, m := s.Rows(), s.Cols()
 	// Minimization duals over cost = -score. 1-based arrays with a virtual
-	// row 0 / column 0.
+	// row 0 / column 0; the column scan runs over columns 1..m, so its
+	// column c is column c+1 here.
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
 	p := make([]int, m+1) // p[j]: row (1-based) assigned to column j; 0 = free
@@ -130,54 +134,29 @@ func solveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 	dist := make([]float64, m+1)
 	scanned := make([]bool, m+1)
 	ready := make([]int, 0, m) // scanned columns in pop order
+	scan := matrix.LAPScan{V: v[1:], Dist: dist[1:], Pred: pred[1:], Scanned: scanned[1:]}
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
-		for j := 1; j <= m; j++ {
-			scanned[j] = false
-			pred[j] = 0
-		}
 		ready = ready[:0]
-		row := s.Row(i - 1)
-		for j := 1; j <= m; j++ {
-			dist[j] = -row[j-1] - u[i] - v[j]
-		}
+		j1 := scan.Init(s.Row(i-1), u[i]) + 1
 		jf := -1 // free column ending the shortest augmenting path
 		var df float64
 		for {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			j1 := -1
-			best := math.Inf(1)
-			for j := 1; j <= m; j++ {
-				if !scanned[j] && dist[j] < best {
-					best = dist[j]
-					j1 = j
-				}
-			}
-			if j1 < 0 {
+			if j1 == 0 {
 				break // unreachable with finite scores; leaves row i unassigned
 			}
 			if p[j1] == 0 {
-				jf, df = j1, best
+				jf, df = j1, dist[j1]
 				break
 			}
 			scanned[j1] = true
 			ready = append(ready, j1)
 			i2 := p[j1]
-			r2 := s.Row(i2 - 1)
-			d := dist[j1]
-			for j := 1; j <= m; j++ {
-				if scanned[j] {
-					continue
-				}
-				nd := d + (-r2[j-1] - u[i2] - v[j])
-				if nd < dist[j] {
-					dist[j] = nd
-					pred[j] = j1
-				}
-			}
+			j1 = scan.Relax(s.Row(i2-1), u[i2], dist[j1], j1) + 1
 		}
 		if jf < 0 {
 			continue

@@ -33,43 +33,54 @@ type MatcherTable struct {
 }
 
 type namedMatcher struct {
-	name string
+	name  string
+	flags rowFlags
+	build func(MatcherParams) Matcher
+}
+
+type rowFlags uint8
+
+const (
 	// variant rows are not among the paper's seven: where all seven run (the
 	// dense matrix) they are offered by name only.
-	variant bool
-	build   func(MatcherParams) Matcher
-}
+	variant rowFlags = 1 << iota
+	// abstains marks the algorithms that force a 1-to-1 assignment of every
+	// source, so they can decline a match only through abstention columns
+	// (the paper's § 5.1 dummy-node recipe): Hungarian and Gale–Shapley, in
+	// every body.
+	abstains
+)
 
 var (
 	// OnDense: the materialized score matrix; every algorithm has a body.
 	OnDense = &MatcherTable{"the dense matrix", []namedMatcher{
-		{"DInf", false, func(MatcherParams) Matcher { return NewDInf() }},
-		{"CSLS", false, func(p MatcherParams) Matcher { return NewCSLS(p.CSLSK) }},
-		{"RInf", false, func(MatcherParams) Matcher { return NewRInf() }},
-		{"RInf-wr", true, func(MatcherParams) Matcher { return NewRInfWR() }},
-		{"RInf-pb", true, func(p MatcherParams) Matcher { return NewRInfPB(p.pbBlock()) }},
-		{"Sink.", false, func(p MatcherParams) Matcher { return NewSinkhorn(p.SinkhornL) }},
-		{"Sink.-mb", true, func(p MatcherParams) Matcher { return NewSinkhornBlocked(512, p.SinkhornL) }},
-		{"Hun.", false, func(MatcherParams) Matcher { return NewHungarian() }},
-		{"SMat", false, func(MatcherParams) Matcher { return NewSMat() }},
-		{"RL", false, func(MatcherParams) Matcher { return NewRL(DefaultRLConfig()) }},
+		{"DInf", 0, func(MatcherParams) Matcher { return NewDInf() }},
+		{"CSLS", 0, func(p MatcherParams) Matcher { return NewCSLS(p.CSLSK) }},
+		{"RInf", 0, func(MatcherParams) Matcher { return NewRInf() }},
+		{"RInf-wr", variant, func(MatcherParams) Matcher { return NewRInfWR() }},
+		{"RInf-pb", variant, func(p MatcherParams) Matcher { return NewRInfPB(p.pbBlock()) }},
+		{"Sink.", 0, func(p MatcherParams) Matcher { return NewSinkhorn(p.SinkhornL) }},
+		{"Sink.-mb", variant, func(p MatcherParams) Matcher { return NewSinkhornBlocked(512, p.SinkhornL) }},
+		{"Hun.", abstains, func(MatcherParams) Matcher { return NewHungarian() }},
+		{"SMat", abstains, func(MatcherParams) Matcher { return NewSMat() }},
+		{"RL", 0, func(MatcherParams) Matcher { return NewRL(DefaultRLConfig()) }},
 	}, []string{"RInf-pb", "DInf"}}
 
 	// OnStream: score tiles only; the fused matchers.
 	OnStream = &MatcherTable{"a streaming run", []namedMatcher{
-		{"DInf", false, func(MatcherParams) Matcher { return NewDInfStream() }},
-		{"CSLS", false, func(p MatcherParams) Matcher { return NewCSLSStream(p.CSLSK) }},
-		{"Sink.-mb", false, func(p MatcherParams) Matcher { return NewSinkhornBlocked(512, p.SinkhornL) }},
+		{"DInf", 0, func(MatcherParams) Matcher { return NewDInfStream() }},
+		{"CSLS", 0, func(p MatcherParams) Matcher { return NewCSLSStream(p.CSLSK) }},
+		{"Sink.-mb", 0, func(p MatcherParams) Matcher { return NewSinkhornBlocked(512, p.SinkhornL) }},
 	}, []string{"DInf"}}
 
 	// OnSparse: top-C candidate graphs; the sparse twins (DInf streams).
 	OnSparse = &MatcherTable{"candidate graphs", []namedMatcher{
-		{"DInf", false, func(MatcherParams) Matcher { return NewDInfStream() }},
-		{"CSLS", false, func(p MatcherParams) Matcher { return NewCSLSSparse(p.C, p.CSLSK) }},
-		{"RInf", false, func(p MatcherParams) Matcher { return NewRInfSparse(p.C) }},
-		{"Sink.", false, func(p MatcherParams) Matcher { return NewSinkhornSparse(p.C, p.SinkhornL) }},
-		{"Hun.", false, func(p MatcherParams) Matcher { return NewHungarianSparse(p.C) }},
-		{"SMat", false, func(p MatcherParams) Matcher { return NewSMatSparse(p.C) }},
+		{"DInf", 0, func(MatcherParams) Matcher { return NewDInfStream() }},
+		{"CSLS", 0, func(p MatcherParams) Matcher { return NewCSLSSparse(p.C, p.CSLSK) }},
+		{"RInf", 0, func(p MatcherParams) Matcher { return NewRInfSparse(p.C) }},
+		{"Sink.", 0, func(p MatcherParams) Matcher { return NewSinkhornSparse(p.C, p.SinkhornL) }},
+		{"Hun.", abstains, func(p MatcherParams) Matcher { return NewHungarianSparse(p.C) }},
+		{"SMat", abstains, func(p MatcherParams) Matcher { return NewSMatSparse(p.C) }},
 	}, []string{"DInf"}}
 )
 
@@ -78,11 +89,23 @@ var (
 func (t *MatcherTable) Names(all bool) []string {
 	var out []string
 	for _, r := range t.rows {
-		if all || !r.variant {
+		if all || r.flags&variant == 0 {
 			out = append(out, r.name)
 		}
 	}
 	return out
+}
+
+// Abstains reports whether the named algorithm forces a 1-to-1 assignment,
+// so that under unmatchable entities it must run with abstention columns
+// (the § 5.1 recipe) to decline a match. Unknown names report false.
+func (t *MatcherTable) Abstains(name string) bool {
+	for _, r := range t.rows {
+		if r.name == name {
+			return r.flags&abstains != 0
+		}
+	}
+	return false
 }
 
 // New builds the body of the named algorithm. An unknown name, or one with

@@ -1,14 +1,16 @@
 package core_test
 
-// The three dense bodies as they stood before they were rebuilt on the packed
+// The dense bodies as they stood before they were rebuilt on the packed
 // ranking primitive and the fused Sinkhorn sweep — SMat's preference builds
 // over sort.Slice, RInf's Clone → SubRowVector → Apply passes and per-row
 // sort.Slice rank transform, Sinkhorn's three sweeps per iteration with a
-// serial column sum — kept verbatim (the matrix methods they called are
-// inlined as ref* helpers) as the references the production bodies must stay
-// bit-identical to: same pairs, same scores, same abstentions, same transform
-// matrices. SinkhornSparse's body before its column scale was deferred (three
-// serial CSR sweeps per iteration) is kept the same way.
+// serial column sum, Hungarian's two column passes per augmentation step —
+// kept verbatim (the matrix methods they called are inlined as ref* helpers)
+// as the references the production bodies must stay bit-identical to: same
+// pairs, same scores, same abstentions, same transform matrices.
+// SinkhornSparse's body before its column scale was deferred (three serial
+// CSR sweeps per iteration) is kept the same way, and so are the two orders
+// that left sort.Slice (Sink.-mb's column popularity, RL's confidence).
 
 import (
 	"context"
@@ -16,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -448,6 +452,265 @@ func (m refSinkhornSparse) Match(ctx *core.Context) (*core.Result, error) {
 		Elapsed:    time.Since(start),
 		ExtraBytes: 2*fwd.SizeBytes() + int64(fwd.NNZ())*8 + int64(cols)*16 + int64(matrix.DefaultTileRows*matrix.DefaultTileCols)*8,
 	}, nil
+}
+
+// refHungarian is HungarianDecider.Decide before its augmentation step was
+// fused into one column pass, with solveLAP's two passes per step — the
+// relaxation, then the pivot scan — kept as they were.
+type refHungarian struct{ core.HungarianDecider }
+
+func (refHungarian) Decide(ctx *core.Context, s *matrix.Dense) ([]core.Pair, []int, error) {
+	rows, cols := s.Rows(), s.Cols()
+	if rows == 0 || cols == 0 {
+		return nil, nil, fmt.Errorf("hungarian: empty matrix %d×%d", rows, cols)
+	}
+	cc := ctx.Cancellation()
+	var rowOf []int
+	if rows <= cols {
+		var err error
+		rowOf, err = refSolveLAP(cc, s)
+		if err != nil {
+			return nil, nil, err
+		}
+	} else {
+		rowAssign, err := refSolveLAP(cc, s.Transpose())
+		if err != nil {
+			return nil, nil, err
+		}
+		rowOf = make([]int, cols)
+		for j := range rowOf {
+			rowOf[j] = -1
+		}
+		for origRow, origCol := range rowAssign {
+			if origCol >= 0 {
+				rowOf[origCol] = origRow
+			}
+		}
+	}
+	assigned := make([]int, rows)
+	for i := range assigned {
+		assigned[i] = -1
+	}
+	for j, i := range rowOf {
+		if i >= 0 {
+			assigned[i] = j
+		}
+	}
+	realCols := cols - ctx.NumDummies
+	pairs := make([]core.Pair, 0, rows)
+	var abstained []int
+	for i, j := range assigned {
+		if j < 0 || j >= realCols {
+			abstained = append(abstained, i)
+			continue
+		}
+		pairs = append(pairs, core.Pair{Source: i, Target: j, Score: s.At(i, j)})
+	}
+	return pairs, abstained, nil
+}
+
+func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
+	n, m := s.Rows(), s.Cols()
+	u := make([]float64, n+1)
+	v := make([]float64, m+1)
+	p := make([]int, m+1)
+	pred := make([]int, m+1)
+	dist := make([]float64, m+1)
+	scanned := make([]bool, m+1)
+	ready := make([]int, 0, m)
+
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		for j := 1; j <= m; j++ {
+			scanned[j] = false
+			pred[j] = 0
+		}
+		ready = ready[:0]
+		row := s.Row(i - 1)
+		for j := 1; j <= m; j++ {
+			dist[j] = -row[j-1] - u[i] - v[j]
+		}
+		jf := -1
+		var df float64
+		for {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			j1 := -1
+			best := math.Inf(1)
+			for j := 1; j <= m; j++ {
+				if !scanned[j] && dist[j] < best {
+					best = dist[j]
+					j1 = j
+				}
+			}
+			if j1 < 0 {
+				break
+			}
+			if p[j1] == 0 {
+				jf, df = j1, best
+				break
+			}
+			scanned[j1] = true
+			ready = append(ready, j1)
+			i2 := p[j1]
+			r2 := s.Row(i2 - 1)
+			d := dist[j1]
+			for j := 1; j <= m; j++ {
+				if scanned[j] {
+					continue
+				}
+				nd := d + (-r2[j-1] - u[i2] - v[j])
+				if nd < dist[j] {
+					dist[j] = nd
+					pred[j] = j1
+				}
+			}
+		}
+		if jf < 0 {
+			continue
+		}
+		u[i] += df
+		for _, j := range ready {
+			u[p[j]] += df - dist[j]
+			v[j] -= df - dist[j]
+		}
+		for j := jf; j != 0; {
+			pj := pred[j]
+			p[j] = p[pj]
+			j = pj
+		}
+	}
+	out := make([]int, m)
+	for j := 1; j <= m; j++ {
+		out[j-1] = p[j] - 1
+	}
+	return out, nil
+}
+
+// refPartitionBatches is SinkhornBlocked's partitionBatches before its column
+// order moved onto matrix.OrderDesc: a sort.SliceStable by (count desc,
+// index asc).
+func refPartitionBatches(rowBest []int, cols, batchSize int) (batchRows, batchCols [][]int) {
+	colOrder := make([]int, cols)
+	for j := range colOrder {
+		colOrder[j] = j
+	}
+	popularity := make([]int, cols)
+	for _, j := range rowBest {
+		if j >= 0 {
+			popularity[j]++
+		}
+	}
+	sort.SliceStable(colOrder, func(a, b int) bool {
+		if popularity[colOrder[a]] != popularity[colOrder[b]] {
+			return popularity[colOrder[a]] > popularity[colOrder[b]]
+		}
+		return colOrder[a] < colOrder[b]
+	})
+	batchOf := make([]int, cols)
+	numBatches := (cols + batchSize - 1) / batchSize
+	batchCols = make([][]int, numBatches)
+	for rank, j := range colOrder {
+		b := rank % numBatches
+		batchOf[j] = b
+		batchCols[b] = append(batchCols[b], j)
+	}
+	batchRows = make([][]int, numBatches)
+	for i, j := range rowBest {
+		if j < 0 {
+			continue
+		}
+		b := batchOf[j]
+		batchRows[b] = append(batchRows[b], i)
+	}
+	return batchRows, batchCols
+}
+
+// refByTopScore is RL's confidence order before it moved onto
+// matrix.OrderDesc: a sort.Slice by (top score desc, row asc).
+func refByTopScore(rows []int, topk []matrix.TopK) []int {
+	out := append([]int(nil), rows...)
+	sort.Slice(out, func(a, b int) bool {
+		va, vb := topk[out[a]].Values[0], topk[out[b]].Values[0]
+		if va != vb {
+			return va > vb
+		}
+		return out[a] < out[b]
+	})
+	return out
+}
+
+// TestOrderingsMatchReference pins the two orders that left sort.Slice —
+// Sink.-mb's column popularity order and RL's confidence order — to the
+// sorts they replaced, on tie-heavy inputs: few distinct counts, top scores
+// on a coarse grid with both zeros, rows unmatched (pivot −1).
+func TestOrderingsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for rep := 0; rep < 200; rep++ {
+		rows, cols := 1+rng.Intn(300), 1+rng.Intn(200)
+		rowBest := make([]int, rows)
+		for i := range rowBest {
+			rowBest[i] = rng.Intn(min(cols, 1+rng.Intn(8))+1) - 1
+		}
+		batch := 2 + rng.Intn(40)
+		gr, gc := core.PartitionBatches(rowBest, cols, batch)
+		wr, wc := refPartitionBatches(rowBest, cols, batch)
+		if !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(gc, wc) {
+			t.Fatalf("rep %d: partition diverged from the stable sort's", rep)
+		}
+
+		grid := []float64{-0.5, math.Copysign(0, -1), 0, 0.25, 0.5}
+		topk := make([]matrix.TopK, rows)
+		var remaining []int
+		for i := range topk {
+			topk[i].Values = []float64{grid[rng.Intn(len(grid))]}
+			if rng.Intn(3) > 0 {
+				remaining = append(remaining, i)
+			}
+		}
+		if got, want := core.ByTopScore(remaining, topk), refByTopScore(remaining, topk); !slices.Equal(got, want) {
+			t.Fatalf("rep %d: confidence order %v, sort.Slice %v", rep, got, want)
+		}
+	}
+}
+
+// TestHungarianMatchesReferenceBody holds the decider on the fused LAP step
+// to the two-pass body — pairs, scores, abstentions — on the reference cases
+// (square, tall through the transposed problem, wide, ties, dummies).
+func TestHungarianMatchesReferenceBody(t *testing.T) {
+	for _, c := range referenceCases() {
+		ctx := func() *core.Context { return &core.Context{S: c.S.Clone(), NumDummies: c.NumDummies} }
+		got, err := core.NewHungarian().Match(ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.NewComposite(core.NoneTransform{}, refHungarian{}, "Hun.").Match(ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !conformance.ResultsIdentical(got, want) {
+			t.Fatalf("%s: result diverged from the reference body: %s", c.Name, conformance.DescribeDiff(got, want))
+		}
+	}
+}
+
+// TestSinkhornCancelMidSweep cancels a transform from outside while its
+// sweeps run — so the cancel lands inside a strip hand-off, not at a poll —
+// and requires ctx.Err() and no matrix, every time.
+func TestSinkhornCancelMidSweep(t *testing.T) {
+	s := conformance.WellSeparated(rand.New(rand.NewSource(61)), 300, 2300)
+	tr := core.SinkhornTransform{L: 100000, Tau: core.DefaultSinkhornTau}
+	for _, delay := range []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond} {
+		cc, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		out, err := tr.TransformContext(cc, s)
+		timer.Stop()
+		cancel()
+		if out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled after %v: out=%v err=%v, want no matrix and context.Canceled", delay, out != nil, err)
+		}
+	}
 }
 
 // referenceCases is the adversarial suite plus shapes large enough to reach

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"entmatcher/internal/matrix"
@@ -241,13 +240,7 @@ func (m *RL) decide(cc context.Context, s *matrix.Dense, srcAdj, tgtAdj [][]int,
 	// Sequential pass in decreasing top-score order (most confident first),
 	// so earlier (safer) decisions inform later (harder) ones through the
 	// coherence and exclusiveness terms.
-	sort.Slice(remaining, func(a, b int) bool {
-		va, vb := topk[remaining[a]].Values[0], topk[remaining[b]].Values[0]
-		if va != vb {
-			return va > vb
-		}
-		return remaining[a] < remaining[b]
-	})
+	remaining = byTopScore(remaining, topk)
 	scores := make([]float64, m.Config.Candidates)
 	for seq, i := range remaining {
 		if seq%checkRowStride == 0 {
@@ -331,4 +324,20 @@ func coherence(i, j int, srcAdj, tgtAdj [][]int, matchOf []int) float64 {
 		return 0
 	}
 	return float64(coherent) / float64(matchedNeighbors)
+}
+
+// byTopScore returns rows (ascending) reordered by descending top-candidate
+// score, equal scores by ascending row.
+func byTopScore(rows []int, topk []matrix.TopK) []int {
+	vals := make([]float64, len(rows))
+	for x, i := range rows {
+		vals[x] = topk[i].Values[0]
+	}
+	order := make([]int32, len(rows))
+	matrix.OrderDesc(order, vals)
+	out := make([]int, len(rows))
+	for x, p := range order {
+		out[x] = rows[p]
+	}
+	return out
 }

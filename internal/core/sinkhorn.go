@@ -34,8 +34,8 @@ func (t SinkhornTransform) Transform(s *matrix.Dense) (*matrix.Dense, error) {
 }
 
 // TransformContext is Transform with cooperative cancellation, checked once
-// per normalization iteration (each iteration is two full sweeps of the
-// matrix) and inside the exponentiation kernel.
+// per normalization iteration (each iteration is one sweep of the matrix) and
+// inside the exponentiation pass.
 func (t SinkhornTransform) TransformContext(ctx context.Context, s *matrix.Dense) (*matrix.Dense, error) {
 	if t.L < 0 {
 		return nil, fmt.Errorf("sinkhorn: negative iteration count %d", t.L)
@@ -43,42 +43,47 @@ func (t SinkhornTransform) TransformContext(ctx context.Context, s *matrix.Dense
 	if t.Tau <= 0 {
 		return nil, fmt.Errorf("sinkhorn: temperature must be positive, got %v", t.Tau)
 	}
-	out := s.Clone()
 	// Numerical stabilization: subtract the global max before exp so the
-	// largest exponent is zero.
+	// largest exponent is zero. The working copy is written by the
+	// exponentiation itself.
 	gi, gj := s.Argmax()
 	var gmax float64
 	if gi >= 0 {
 		gmax = s.At(gi, gj)
 	}
 	inv := 1 / t.Tau
-	if err := out.ApplyContext(ctx, func(v float64) float64 { return math.Exp((v - gmax) * inv) }); err != nil {
+	out, err := s.MapContext(ctx, func(v float64) float64 { return math.Exp((v - gmax) * inv) })
+	if err != nil {
 		return nil, err
 	}
-	// Each iteration is a row normalization followed by a column one. The
-	// column scale is not applied in a sweep of its own: colScale carries it
-	// into the next iteration's row pass (bit-identical, see
-	// ScaleColsNormalizeRowsInPlace), and the last one is applied after the
-	// loop, so an iteration sweeps the matrix twice instead of three times.
+	// Each iteration is a row normalization followed by a column one, in one
+	// sweep (matrix.SinkhornSweep): the sweep applies the column scale the
+	// previous iteration computed (ones before the first: x·1 is x), normalizes
+	// the rows and computes the next scale, so the column normalization is
+	// deferred into the next iteration (bit-identical) and the last one is
+	// applied after the loop. The two scale vectors alternate.
 	const eps = 1e-300
-	var colScale []float64
-	for l := 0; l < t.L; l++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
+	if t.L > 0 {
+		scale, next := make([]float64, s.Cols()), make([]float64, s.Cols())
+		for j := range scale {
+			scale[j] = 1
 		}
-		out.ScaleColsNormalizeRowsInPlace(colScale, eps)
-		colScale = out.ColNormalizers(eps)
-	}
-	if colScale != nil {
-		out.ScaleColsInPlace(colScale)
+		for l := 0; l < t.L; l++ {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			out.SinkhornSweep(scale, next, eps)
+			scale, next = next, scale
+		}
+		out.ScaleColsInPlace(scale)
 	}
 	return out, nil
 }
 
 // ExtraBytes is the exponentiated working copy (the paper: Sinkhorn "needs
 // to store intermediate results") plus two column vectors — the column scale
-// the last row pass applied and the sums the next one is computed from — both
-// live alongside the copy at peak, per the package accounting rule.
+// a sweep applies and the one it computes for the next — both live alongside
+// the copy at peak, per the package accounting rule.
 func (SinkhornTransform) ExtraBytes(rows, cols int) int64 {
 	return matBytes(rows, cols) + int64(cols)*16
 }

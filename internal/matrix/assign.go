@@ -1,0 +1,222 @@
+package matrix
+
+import "math"
+
+// This file holds the inner loops of the two assignment-style dense bodies in
+// internal/core: one Sinkhorn iteration (SinkhornSweep) and one step of the
+// Jonker–Volgenant shortest-augmenting-path search (LAPScan). Each loop has a
+// portable Go body and, on amd64 with AVX2, an assembly kernel
+// (assign_amd64.s) that produces the same bits: every value the Go body
+// rounds is rounded by the kernel in the same operation order, only more of
+// them at once. The Go bodies are the purego/non-amd64 fallback and the
+// reference the kernels are tested against (assign_test.go).
+
+// assignAVX2 routes SinkhornSweep and LAPScan to their AVX2 kernels. It is the
+// package's CPUID gate (hasFastDot) read once at startup; only tests override
+// it (export_test.go).
+var assignAVX2 = hasFastDot
+
+// sweepStripBytes sizes the row strips of SinkhornSweep: a strip is written
+// by its row pass and re-read by its column pass, and stays in the core's
+// private cache in between.
+const sweepStripBytes = 512 << 10
+
+// SinkhornSweep is one Sinkhorn iteration over m, in place and in one read and
+// one write of the matrix. Column j is multiplied by scale[j] (all ones before
+// the first iteration: x·1 is x exactly) and every row is divided by its sum;
+// a row whose sum has absolute value below eps keeps its scaled values. next
+// (len Cols(), not aliasing scale) receives the column normalizers of the
+// result: 1/sum per column, or 1 where the sum's absolute value is below eps.
+//
+// The bits are those of three serial passes — scale, then row-normalize, then
+// sum the columns:
+//   - each product is rounded to a double before it is summed (never fused),
+//     and a row sum adds those doubles in ascending column order;
+//   - every column sum adds its rows in ascending row order, from +0.
+//
+// Rows are cut into strips. A worker normalizes a strip's rows (any order:
+// rows are independent) and then, after the strip before it has been added,
+// adds the strip's rows into the column sums, so the column additions keep
+// their serial row order at every worker count.
+func (m *Dense) SinkhornSweep(scale, next []float64, eps float64) {
+	cols := m.cols
+	scale, next = scale[:cols], next[:cols]
+	clear(next)
+	if cols > 0 {
+		stripRows := max(8, sweepStripBytes/(8*cols)&^7)
+		strip := func(k int) []float64 {
+			return m.data[k*stripRows*cols : min((k+1)*stripRows, m.rows)*cols]
+		}
+		parallelInOrder((m.rows+stripRows-1)/stripRows,
+			func(k int) { normalizeRows(strip(k), scale, eps) },
+			func(k int) { addRows(next, strip(k)) })
+	}
+	for j, s := range next {
+		if math.Abs(s) < eps {
+			next[j] = 1
+		} else {
+			next[j] = 1 / s
+		}
+	}
+}
+
+// normalizeRows runs SinkhornSweep's row pass over rows, a whole number of
+// rows of len(scale) each: eight rows per AVX2 kernel call, the rest (and
+// everything on the scalar tier) four and then one at a time.
+func normalizeRows(rows, scale []float64, eps float64) {
+	n := len(scale)
+	row := func(i int) []float64 { return rows[i*n : (i+1)*n] }
+	divide := func(r []float64, s float64) {
+		if math.Abs(s) < eps {
+			return
+		}
+		inv := 1 / s
+		for j := range r {
+			r[j] *= inv
+		}
+	}
+	nrows, i := len(rows)/n, 0
+	if assignAVX2 {
+		for ; i+8 <= nrows; i += 8 {
+			sweepRows8AVX2(rows[i*n:(i+8)*n], scale, eps)
+		}
+	}
+	for ; i+4 <= nrows; i += 4 {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		s0, s1, s2, s3 := scaleSum4(r0, r1, r2, r3, scale)
+		divide(r0, s0)
+		divide(r1, s1)
+		divide(r2, s2)
+		divide(r3, s3)
+	}
+	for ; i < nrows; i++ {
+		r := row(i)
+		divide(r, scaleSum(r, scale))
+	}
+}
+
+// scaleSum multiplies r[j] by scale[j] in place and returns the sum of the
+// products, added in ascending j order.
+func scaleSum(r, scale []float64) (s float64) {
+	r = r[:len(scale)]
+	for j, c := range scale {
+		t := float64(r[j] * c)
+		r[j] = t
+		s += t
+	}
+	return s
+}
+
+// scaleSum4 is scaleSum over four rows at once: four independent addition
+// chains, each in its own row's column order.
+func scaleSum4(r0, r1, r2, r3, scale []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(scale)], r1[:len(scale)], r2[:len(scale)], r3[:len(scale)]
+	for j, c := range scale {
+		t0, t1, t2, t3 := float64(r0[j]*c), float64(r1[j]*c), float64(r2[j]*c), float64(r3[j]*c)
+		r0[j], r1[j], r2[j], r3[j] = t0, t1, t2, t3
+		s0, s1, s2, s3 = s0+t0, s1+t1, s2+t2, s3+t3
+	}
+	return s0, s1, s2, s3
+}
+
+// addRows adds rows (a whole number of rows of len(acc) each) into acc in
+// ascending row order, four rows per load and store of the accumulator; the
+// additions into one column keep their order.
+func addRows(acc, rows []float64) {
+	n := len(acc)
+	if n == 0 {
+		return
+	}
+	i := 0
+	if assignAVX2 {
+		for ; i+4*n <= len(rows); i += 4 * n {
+			addRows4AVX2(acc, rows[i:i+4*n])
+		}
+	}
+	row := func(i int) []float64 { return rows[i : i+n][:len(acc)] }
+	for ; i+4*n <= len(rows); i += 4 * n {
+		r0, r1, r2, r3 := row(i), row(i+n), row(i+2*n), row(i+3*n)
+		for j, a := range acc {
+			acc[j] = a + r0[j] + r1[j] + r2[j] + r3[j]
+		}
+	}
+	for ; i < len(rows); i += n {
+		for j, v := range rows[i : i+n] {
+			acc[j] += v
+		}
+	}
+}
+
+// LAPScan is the per-column state of one search of the dense shortest
+// augmenting path solver (internal/core's solveLAP), over reduced costs
+// −score − u − v. All four slices have one entry per column: the column
+// duals V, the distance labels Dist, the predecessor columns Pred (a caller's
+// column number; 0 is the search root) and whether a column is Scanned.
+//
+// A search is Init, then one Relax per scanned column. Each returns the
+// unscanned column with the smallest label — strict < in ascending column
+// order, so ties go to the smallest column — in the same pass over the
+// columns that updates the labels: the pivot scan and the relaxation of a
+// step are one sweep, not two.
+type LAPScan struct {
+	V, Dist []float64
+	Pred    []int
+	Scanned []bool
+}
+
+// lapLanes is where the AVX2 kernel leaves its four lanes' minima: lane l
+// holds the smallest label among the unscanned columns c ≡ l (mod 4) it
+// covered and the first such column, or index −1 when it saw none.
+type lapLanes struct {
+	v [4]float64
+	i [4]int
+}
+
+// Init starts a search from a row of scores with dual u: no column is
+// scanned, Dist[c] = −row[c] − u − V[c] and Pred[c] = 0 for every column. It
+// returns the column with the smallest label, or −1 when no label is below
+// +Inf.
+func (s *LAPScan) Init(row []float64, u float64) int {
+	clear(s.Scanned)
+	return s.scan(row, u, 0, 0, true)
+}
+
+// Relax relaxes every unscanned column through a pivot whose label is d and
+// whose assigned row is row with dual u: where nd = d + (−row[c] − u − V[c])
+// is strictly below Dist[c], Dist[c] = nd and Pred[c] = pred. It returns the
+// unscanned column with the smallest label afterwards, or −1.
+func (s *LAPScan) Relax(row []float64, u, d float64, pred int) int {
+	return s.scan(row, u, d, pred, false)
+}
+
+func (s *LAPScan) scan(row []float64, u, d float64, pred int, init bool) int {
+	dist := s.Dist
+	n := len(dist)
+	row, v, pr, sc := row[:n], s.V[:n], s.Pred[:n], s.Scanned[:n]
+	k, best, c := -1, math.Inf(1), 0
+	if assignAVX2 && n >= 4 {
+		var l lapLanes
+		lapScanAVX2(row, v, dist, pr, sc, u, d, pred, init, &l)
+		for x := range l.i {
+			if l.i[x] >= 0 && (l.v[x] < best || l.v[x] == best && l.i[x] < k) {
+				k, best = l.i[x], l.v[x]
+			}
+		}
+		c = n &^ 3
+	}
+	for ; c < n; c++ {
+		if sc[c] {
+			continue
+		}
+		x := -row[c] - u - v[c]
+		if init {
+			dist[c], pr[c] = x, pred
+		} else if nd := d + x; nd < dist[c] {
+			dist[c], pr[c] = nd, pred
+		}
+		if dist[c] < best {
+			k, best = c, dist[c]
+		}
+	}
+	return k
+}

@@ -42,16 +42,22 @@ func TestMulContextMatchesMul(t *testing.T) {
 	}
 }
 
-func TestApplyContext(t *testing.T) {
+func TestMapContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randMatrix(rng, 10, 10)
-	if err := m.ApplyContext(context.Background(), func(v float64) float64 { return v + 1 }); err != nil {
+	got, err := m.MapContext(context.Background(), func(v float64) float64 { return v + 1 })
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i, v := range m.Data() {
+		if got.Data()[i] != v+1 {
+			t.Fatalf("element %d = %v, want %v", i, got.Data()[i], v+1)
+		}
 	}
 	cc, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := m.ApplyContext(cc, func(v float64) float64 { return v }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	if out, err := m.MapContext(cc, func(v float64) float64 { return v }); out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("out=%v err=%v, want nil and context.Canceled", out, err)
 	}
 }
 

@@ -239,16 +239,22 @@ func (m *Dense) Apply(fn func(float64) float64) *Dense {
 	return m
 }
 
-// ApplyContext is Apply with cooperative cancellation. On a canceled or
-// expired context it stops early and returns ctx.Err(); the matrix is then
-// partially transformed and must be discarded by the caller.
-func (m *Dense) ApplyContext(ctx context.Context, fn func(float64) float64) error {
-	return parallelRowsCtx(ctx, m.rows, func(i int) {
-		row := m.Row(i)
-		for j, v := range row {
-			row[j] = fn(v)
+// MapContext returns a new matrix holding fn(v) for every element v of m,
+// computed in one row-parallel pass that reads m and writes the result (no
+// copy first). On a canceled or expired context it stops early and returns
+// (nil, ctx.Err()).
+func (m *Dense) MapContext(ctx context.Context, fn func(float64) float64) (*Dense, error) {
+	out := New(m.rows, m.cols)
+	err := parallelRowsCtx(ctx, m.rows, func(i int) {
+		dst := out.Row(i)
+		for j, v := range m.Row(i) {
+			dst[j] = fn(v)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Scale multiplies every element by s, in place, and returns m.
@@ -332,20 +338,22 @@ func (m *Dense) ColMax() (vals []float64, idx []int) {
 	return vals, idx
 }
 
-// Argmax returns the flat (row, col) location of the global maximum.
-// For an empty matrix it returns (-1, -1).
+// Argmax returns the flat (row, col) location of the global maximum: the
+// first one in row-major order, found row-parallel (each row's first maximum,
+// then the first row holding the largest). For an empty matrix, or one with
+// nothing above −Inf, it returns (-1, -1).
 func (m *Dense) Argmax() (int, int) {
-	best := math.Inf(-1)
-	bi, bj := -1, -1
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if v > best {
-				best, bi, bj = v, i, j
-			}
+	vals, idx := m.RowMax()
+	best, bi := math.Inf(-1), -1
+	for i, v := range vals {
+		if v > best {
+			best, bi = v, i
 		}
 	}
-	return bi, bj
+	if bi < 0 {
+		return -1, -1
+	}
+	return bi, idx[bi]
 }
 
 // RowSums returns the per-row sums.
@@ -361,115 +369,12 @@ func (m *Dense) RowSums() []float64 {
 	return out
 }
 
-// ColSums returns the per-column sums. The workers split the columns, not the
-// rows, so every column still accumulates its rows in ascending row order and
-// the sums are bit-identical to a serial row-major sweep at any worker count.
-// Four rows are added per load and store of the accumulator; the additions of
-// one column keep their order.
+// ColSums returns the per-column sums, every column adding its rows in
+// ascending row order (SinkhornSweep's column pass over the whole matrix).
 func (m *Dense) ColSums() []float64 {
 	out := make([]float64, m.cols)
-	parallelChunks(m.cols, func(lo, hi int) {
-		acc := out[lo:hi]
-		stripe := func(i int) []float64 { return m.data[i*m.cols+lo : i*m.cols+hi][:len(acc)] }
-		i := 0
-		for ; i+4 <= m.rows; i += 4 {
-			r0, r1, r2, r3 := stripe(i), stripe(i+1), stripe(i+2), stripe(i+3)
-			for j, a := range acc {
-				acc[j] = a + r0[j] + r1[j] + r2[j] + r3[j]
-			}
-		}
-		for ; i < m.rows; i++ {
-			for j, v := range stripe(i) {
-				acc[j] += v
-			}
-		}
-	})
+	addRows(out, m.data)
 	return out
-}
-
-// ScaleColsNormalizeRowsInPlace multiplies column j by scale[j] and then
-// divides every row by its sum so rows sum to 1, in one sweep; a nil scale
-// stands for all ones (x·1 is x, exactly), and a row whose sum has absolute
-// value below eps is left unnormalized to avoid division blow-up. The result
-// is bit-identical to ScaleColsInPlace followed by a nil-scale call: the
-// product is rounded to a double before it is summed (the conversion forbids
-// fusing it into the addition), the row sum adds those doubles in ascending
-// column order, and a row the eps guard skips keeps its scaled values. This is
-// what lets Sinkhorn defer each column normalization into the next row pass.
-//
-// A row sum in column order is one chain of dependent additions, so a single
-// row runs at the adder's latency; the sweep therefore sums four rows at a
-// time — four independent chains, each in its own order.
-func (m *Dense) ScaleColsNormalizeRowsInPlace(scale []float64, eps float64) {
-	if scale == nil {
-		scale = make([]float64, m.cols)
-		for j := range scale {
-			scale[j] = 1
-		}
-	}
-	scale = scale[:m.cols]
-	divide := func(r []float64, s float64) {
-		if math.Abs(s) < eps {
-			return
-		}
-		inv := 1 / s
-		for j := range r {
-			r[j] *= inv
-		}
-	}
-	parallelChunks(m.rows, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
-			s0, s1, s2, s3 := scaleSum4(r0, r1, r2, r3, scale)
-			divide(r0, s0)
-			divide(r1, s1)
-			divide(r2, s2)
-			divide(r3, s3)
-		}
-		for ; i < hi; i++ {
-			r := m.Row(i)
-			divide(r, scaleSum(r, scale))
-		}
-	})
-}
-
-// scaleSum multiplies r[j] by scale[j] in place and returns the sum of the
-// products, added in ascending j order.
-func scaleSum(r, scale []float64) (s float64) {
-	r = r[:len(scale)]
-	for j, c := range scale {
-		t := float64(r[j] * c)
-		r[j] = t
-		s += t
-	}
-	return s
-}
-
-// scaleSum4 is scaleSum over four rows at once.
-func scaleSum4(r0, r1, r2, r3, scale []float64) (s0, s1, s2, s3 float64) {
-	r0, r1, r2, r3 = r0[:len(scale)], r1[:len(scale)], r2[:len(scale)], r3[:len(scale)]
-	for j, c := range scale {
-		t0, t1, t2, t3 := float64(r0[j]*c), float64(r1[j]*c), float64(r2[j]*c), float64(r3[j]*c)
-		r0[j], r1[j], r2[j], r3[j] = t0, t1, t2, t3
-		s0, s1, s2, s3 = s0+t0, s1+t1, s2+t2, s3+t3
-	}
-	return s0, s1, s2, s3
-}
-
-// ColNormalizers returns the factors that make every column sum to 1 under
-// ScaleColsInPlace: 1/sum per column, and 1 where the sum's absolute value is
-// below eps (such a column is left untouched).
-func (m *Dense) ColNormalizers(eps float64) []float64 {
-	inv := m.ColSums()
-	for j, s := range inv {
-		if math.Abs(s) < eps {
-			inv[j] = 1
-		} else {
-			inv[j] = 1 / s
-		}
-	}
-	return inv
 }
 
 // ScaleColsInPlace multiplies column j by scale[j]. len(scale) must be at

@@ -180,7 +180,7 @@ func TestNormalizeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randMatrix(rng, 20, 11)
 	m.Apply(math.Abs)
-	m.ScaleColsNormalizeRowsInPlace(nil, 1e-12)
+	m.SinkhornSweep(ones(m.Cols()), make([]float64, m.Cols()), 1e-12)
 	for i, s := range m.RowSums() {
 		if math.Abs(s-1) > 1e-9 {
 			t.Fatalf("row %d sums to %v", i, s)
@@ -192,7 +192,9 @@ func TestNormalizeCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randMatrix(rng, 17, 9)
 	m.Apply(math.Abs)
-	m.ScaleColsInPlace(m.ColNormalizers(1e-12))
+	next := make([]float64, m.Cols())
+	m.SinkhornSweep(ones(m.Cols()), next, 1e-12)
+	m.ScaleColsInPlace(next)
 	for j, s := range m.ColSums() {
 		if math.Abs(s-1) > 1e-9 {
 			t.Fatalf("col %d sums to %v", j, s)
@@ -204,9 +206,13 @@ func TestNormalizeSkipsZeroRows(t *testing.T) {
 	m := New(2, 3)
 	m.Set(0, 0, 2)
 	m.Set(0, 1, 2)
-	m.ScaleColsNormalizeRowsInPlace(nil, 1e-12)
+	next := make([]float64, 3)
+	m.SinkhornSweep(ones(3), next, 1e-12)
 	if m.At(1, 0) != 0 || m.At(1, 1) != 0 {
 		t.Fatal("zero row was modified")
+	}
+	if next[2] != 1 {
+		t.Fatalf("zero column's normalizer = %v, want 1", next[2])
 	}
 	if math.Abs(m.At(0, 0)-0.5) > 1e-12 {
 		t.Fatalf("At(0,0) = %v", m.At(0, 0))

@@ -3,6 +3,7 @@ package matrix
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // workerPool is a persistent, package-wide pool of compute goroutines. The
@@ -77,6 +78,45 @@ func parallelChunks(n int, fn func(lo, hi int)) {
 		defaultPool.submit(func() {
 			defer wg.Done()
 			fn(lo, hi)
+		})
+	}
+	wg.Wait()
+}
+
+// parallelInOrder runs a two-stage pipeline over the items [0, n): work(k)
+// on any worker, then serial(k) strictly in ascending k — serial(k) starts
+// only after serial(k-1) has returned (and happens after it), while other
+// workers already run work(k+1), work(k+2), …. Workers claim items from a
+// shared counter, so a claimed item's predecessor is always held by a running
+// goroutine and the hand-off cannot deadlock, whether the pool runs a task
+// late or the submitter runs it inline. It runs inline with one worker.
+func parallelInOrder(n int, work, serial func(k int)) {
+	var claimed, finished atomic.Int64
+	run := func() {
+		for {
+			k := claimed.Add(1) - 1
+			if k >= int64(n) {
+				return
+			}
+			work(int(k))
+			for finished.Load() != k {
+				runtime.Gosched()
+			}
+			serial(int(k))
+			finished.Store(k + 1)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		run()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		defaultPool.submit(func() {
+			defer wg.Done()
+			run()
 		})
 	}
 	wg.Wait()

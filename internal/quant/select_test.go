@@ -76,64 +76,69 @@ func checkPoolSelect(t *testing.T, ps *poolSelector, scores []int32, p int) {
 // reused across all of them as a pooled scratch is.
 func TestPoolSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	shapes := map[string]func(s []int32){
-		"gaussian": func(s []int32) { // the shape of int8 dot scores
-			for i := range s {
-				s[i] = int32(rng.NormFloat64() * 180000)
-			}
-		},
-		"all-ties": func(s []int32) {
-			for i := range s {
-				s[i] = -77
-			}
-		},
-		"few-values": func(s []int32) { // ties at every boundary
-			for i := range s {
-				s[i] = int32(rng.Intn(5)) - 2
-			}
-		},
-		"full-span": func(s []int32) { // span > 2^31: offsets need uint32
-			for i := range s {
-				s[i] = int32(rng.Uint32())
-			}
-			s[0], s[len(s)-1] = math.MinInt32, math.MaxInt32
-		},
-		"two-extremes": func(s []int32) {
+	// A slice, not a map: the shapes draw from one rng in turn, so a fixed
+	// order keeps the random rank, and with it each subtest's name, stable.
+	shapes := []struct {
+		name string
+		fill func(s []int32)
+	}{
+		{"two-extremes", func(s []int32) {
 			for i := range s {
 				s[i] = math.MinInt32
 				if rng.Intn(3) == 0 {
 					s[i] = math.MaxInt32
 				}
 			}
-		},
-		"clustered": func(s []int32) { // one far outlier: the recursion's case
+		}},
+		{"clustered", func(s []int32) { // one far outlier: the recursion's case
 			for i := range s {
 				s[i] = 1000 + int32(rng.Intn(40))
 			}
 			s[len(s)/2] = math.MaxInt32
-		},
-		"ascending": func(s []int32) { // every score passes the running bound
+		}},
+		{"ascending", func(s []int32) { // every score passes the running bound
 			for i := range s {
 				s[i] = int32(i) * 3
 			}
-		},
-		"descending": func(s []int32) {
+		}},
+		{"descending", func(s []int32) {
 			for i := range s {
 				s[i] = -int32(i) * 3
 			}
-		},
+		}},
+		{"gaussian", func(s []int32) { // the shape of int8 dot scores
+			for i := range s {
+				s[i] = int32(rng.NormFloat64() * 180000)
+			}
+		}},
+		{"all-ties", func(s []int32) {
+			for i := range s {
+				s[i] = -77
+			}
+		}},
+		{"few-values", func(s []int32) { // ties at every boundary
+			for i := range s {
+				s[i] = int32(rng.Intn(5)) - 2
+			}
+		}},
+		{"full-span", func(s []int32) { // span > 2^31: offsets need uint32
+			for i := range s {
+				s[i] = int32(rng.Uint32())
+			}
+			s[0], s[len(s)-1] = math.MinInt32, math.MaxInt32
+		}},
 	}
 	var ps poolSelector
-	for name, fill := range shapes {
+	for _, sh := range shapes {
 		for _, n := range []int{1, 2, 3, 15, 16, 17, 40, 75, 300, 1023, 5600, 20000} {
 			scores := make([]int32, n)
-			fill(scores)
+			sh.fill(scores)
 			ranks := []int{1, 2, 4, 8, 9, n / 16, n / 5, n / 4, n/4 + 1, n / 2, n - 1, n, n + 1, 1 + rng.Intn(n)}
 			for _, p := range ranks {
 				if p < 1 {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/n=%d/p=%d", name, n, p), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/n=%d/p=%d", sh.name, n, p), func(t *testing.T) {
 					checkPoolSelect(t, &ps, scores, p)
 				})
 			}

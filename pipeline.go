@@ -340,8 +340,8 @@ type Run struct {
 	// it. Non-nil exactly when S is nil: the run was prepared with
 	// Streaming, a CandidateBudget, a snapshot, or a non-dense plan.
 	Stream *SimilarityStream
-	// Ctx is the context handed to matchers. Use MatchWithDummies for
-	// matchers that require equal side sizes under the unmatchable setting.
+	// Ctx is the context handed to matchers. Use MatchWithAbstention for
+	// matchers that force a 1-to-1 assignment under the unmatchable setting.
 	Ctx *MatchContext
 	// Plan is the cost-based planner's decision when the run was prepared
 	// with Auto and no explicit engine knob: the chosen candidate plus
@@ -813,14 +813,9 @@ func (r *Run) MatchWithAbstention(m Matcher, q float64) (*MatchResult, Metrics, 
 		return nil, Metrics{}, fmt.Errorf("entmatcher: MatchWithAbstention requires WithValidation")
 	}
 	score := core.DummyScoreFromValidation(r.Ctx.Valid.S, q)
-	rows, cols := r.Dims()
-	capacity := rows / 3
-	if deficit := rows - cols; deficit > 0 {
-		capacity += deficit
-	}
 	// The padded view hides any candidate-graph producer in Ctx.Stream, so
 	// sparse matchers build from the exact tiles.
-	ctx := core.PadDummies(r.Ctx, capacity, score)
+	ctx := core.PadDummies(r.Ctx, r.AbstentionColumns(), score)
 	if err := core.ValidateContext(ctx); err != nil {
 		return nil, Metrics{}, err
 	}
@@ -831,18 +826,11 @@ func (r *Run) MatchWithAbstention(m Matcher, q float64) (*MatchResult, Metrics, 
 	return res, r.Task.Evaluate(res), nil
 }
 
-// MatchWithDummies pads the target side with dummy columns up to the row
-// count (the paper's § 5.1 recipe for Hungarian and SMat under unmatchable
-// entities), runs the matcher, and scores it. DummyScore is the similarity
-// granted to abstention; 0 is the calibrated default for cosine inputs.
-func (r *Run) MatchWithDummies(m Matcher, dummyScore float64) (*MatchResult, Metrics, error) {
-	ctx := core.WithDummies(r.Ctx, dummyScore)
-	if err := core.ValidateContext(ctx); err != nil {
-		return nil, Metrics{}, err
-	}
-	res, err := core.SafeMatch(m, ctx)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return res, r.Task.Evaluate(res), nil
+// AbstentionColumns is the number of dummy columns MatchWithAbstention
+// appends: capacity for a third of the rows to abstain, plus the deficit of
+// columns when there are more rows than columns. A matcher run through it
+// sees this many columns beyond Dims.
+func (r *Run) AbstentionColumns() int {
+	rows, cols := r.Dims()
+	return rows/3 + max(rows-cols, 0)
 }

@@ -103,10 +103,6 @@ func TestPipelineUnmatchableSetting(t *testing.T) {
 	if hun.F1 <= greedy.F1 {
 		t.Fatalf("Hungarian+abstention F1 %v not above DInf %v", hun.F1, greedy.F1)
 	}
-	// The plain-dummies path must also run (it is a no-op for square S).
-	if _, _, err := run.MatchWithDummies(NewSMat(), 0); err != nil {
-		t.Fatal(err)
-	}
 	// Abstention without validation must fail loudly.
 	bare, err := NewPipeline(PipelineConfig{Model: ModelRREA, Setting: SettingUnmatchable}).Prepare(d)
 	if err != nil {
