@@ -11,14 +11,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 guards() {
-	# Coalescer. Request coalescing must be invisible to clients: the -race
-	# leg races the storm-identity (healthy and degraded), cancellation-
-	# isolation and drain-flush protocols and holds every tier's answer for a
-	# row independent of its batchmates; the non-race leg pins the
-	# steady-state allocation budget (the allocs test skips under -race, where
-	# the runtime's own bookkeeping would drown the measurement).
-	go test -race -count=1 -run 'Coalesc|DrainFlushes|RowAnswerIndependent' ./internal/server/
-	go test -count=1 -run 'TestCoalescerSteadyStateAllocs' ./internal/server/
+	# Server. Concurrent /match/topk lookups share the LRU and the tiers'
+	# state, and neither may reach a payload: 24 workers storm one server
+	# whose small LRU evicts under them, healthy and with the index tier
+	# failed, and every body must be the bytes the same request gets alone
+	# from a fresh server. -cpu varies how the lookups interleave.
+	go test -race -count=1 -cpu 1,2,4 -run 'ConcurrentLookupIdentity' ./internal/server/
 
 	# Graph memo. The candidate-graph memo under every sparse matcher must
 	# hand out exactly the bits the un-memoized builders return — for every

@@ -24,11 +24,8 @@
 // The server sheds load instead of queuing (429 + Retry-After past
 // -max-inflight), bounds every request with -timeout, surfaces degraded
 // answers in the response's "degraded_from" field, and drains in-flight
-// requests on SIGTERM/SIGINT before exiting 0. Under concurrent load,
-// /match/topk cache misses are coalesced into register-blocked batch scans
-// (-max-batch and -max-wait tune the window; batch counters show at
-// /statsz). See internal/server for the full robustness contract and
-// internal/exitcode for the exit convention.
+// requests on SIGTERM/SIGINT before exiting 0. See internal/server for the
+// full robustness contract and internal/exitcode for the exit convention.
 package main
 
 import (
@@ -63,9 +60,7 @@ func run() error {
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline; a request that exceeds it gets 504")
 		cacheSize = flag.Int("cache", 1024, "LRU capacity (entries) for /match/topk results")
 		maxK      = flag.Int("max-k", 128, "largest k a /match/topk request may ask for")
-		nprobe    = flag.Int("nprobe", 0, "IVF cells probed per /match/topk query (0 = the snapshot's recorded value)")
-		maxBatch  = flag.Int("max-batch", 32, "largest coalesced /match/topk batch: concurrent cache misses are collected into one register-blocked batch scan (<= 1 disables coalescing)")
-		maxWait   = flag.Duration("max-wait", 500*time.Microsecond, "how long a coalescing window stays open for batchmates; only paid when at least two requests are in flight")
+		nprobe    = flag.Int("nprobe", 0, "IVF cells probed per /match/topk query (0 = the snapshot's recorded value; one cell when it recorded the auto count)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests before giving up")
 		useMmap   = flag.Bool("mmap", true, "serve the embedding tables from a memory mapping of the snapshot file (tables larger than RAM page in on demand); falls back to a full load when the platform cannot mmap")
 	)
@@ -80,10 +75,6 @@ func run() error {
 		CacheSize:      *cacheSize,
 		MaxK:           *maxK,
 		NProbe:         *nprobe,
-		// The flag's "<= 1" is Config's 1: every request takes the lone path
-		// (Config's 0 would mean the default).
-		MaxBatch: max(*maxBatch, 1),
-		MaxWait:  *maxWait,
 	}
 	newServer := server.New
 	if *useMmap {
@@ -149,9 +140,8 @@ func run() error {
 		hit += st.AlignGraphHits[tier]
 		held += st.AlignGraphBytes[tier]
 	}
-	fmt.Printf("entserver: drained, exiting (served quant=%d ann=%d exact=%d other=%d, cache hits=%d misses=%d, shed=%d, batches=%d coalesced=%d, align graphs built=%d hit=%d held=%dB)\n",
-		st.ServedQuant, st.ServedANN, st.ServedExact, st.ServedOther,
-		st.CacheHits, st.CacheMisses, st.GateRejections,
-		st.Batches, st.CoalescedDup, built, hit, held)
+	fmt.Printf("entserver: drained, exiting (served quant=%d ann=%d exact=%d, cache hits=%d misses=%d, shed=%d, align graphs built=%d hit=%d held=%dB)\n",
+		st.ServedQuant, st.ServedANN, st.ServedExact,
+		st.CacheHits, st.CacheMisses, st.GateRejections, built, hit, held)
 	return nil
 }

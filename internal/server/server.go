@@ -73,23 +73,13 @@ type Config struct {
 	// MaxK caps the k a /match/topk request may ask for. Default 128.
 	MaxK int
 	// NProbe overrides the IVF probe count for /match/topk index searches
-	// (0 = the snapshot's recorded value, or an auto default).
+	// (0 = the snapshot's recorded value; a snapshot that recorded the auto
+	// count, 0, probes ONE cell per lookup until ROADMAP 1(a) lands —
+	// TestLookupProbeCountPinned).
 	NProbe int
 	// MaxSnapshotBytes bounds the snapshot file size accepted at load
 	// (0 = snapshot.DefaultMaxBytes).
 	MaxSnapshotBytes int64
-	// MaxBatch bounds how many /match/topk cache misses one coalesced
-	// batch may carry. Under concurrent load, misses are collected into a
-	// bounded window and served through one register-blocked batch scan
-	// per distinct k; identical (row, k) requests are deduplicated
-	// singleflight-style. 0 means the default 32; at 1 or less after that
-	// defaulting there is no window and every request takes the lone path.
-	MaxBatch int
-	// MaxWait is how long a batch leader holds its window open for
-	// batchmates before executing. Only paid when at least two requests
-	// are in flight — a lone request always takes the direct path at zero
-	// added latency. Default 500µs.
-	MaxWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -108,28 +98,21 @@ func (c Config) withDefaults() Config {
 	if c.MaxSnapshotBytes <= 0 {
 		c.MaxSnapshotBytes = snapshot.DefaultMaxBytes
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 500 * time.Microsecond
-	}
 	return c
 }
 
-// TopKSearcher is the one lookup contract: the top-k target columns of each
-// listed source row, best first, every row's answer independent of the rows
-// it was asked alongside. Every tier's lookup side is one, and it is the seam
+// TopKSearcher is the one lookup contract: the top-k target columns of one
+// source row, best first. Every tier's lookup side is one, and it is the seam
 // fault-injection tests replace to prove the ladder walk happens.
 type TopKSearcher interface {
-	Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error)
+	Search(ctx context.Context, row, k int) (matrix.TopK, error)
 }
 
 // searchFunc adapts an engine's row search to the contract.
-type searchFunc func(ctx context.Context, rows []int, k int) ([]matrix.TopK, error)
+type searchFunc func(ctx context.Context, row, k int) (matrix.TopK, error)
 
-func (f searchFunc) Search(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-	return f(ctx, rows, k)
+func (f searchFunc) Search(ctx context.Context, row, k int) (matrix.TopK, error) {
+	return f(ctx, row, k)
 }
 
 // tier is one rung of the ladder both work endpoints walk: an engine producer
@@ -183,7 +166,6 @@ type Server struct {
 
 	cache    *lruCache
 	gate     chan struct{}
-	coal     *coalescer // nil when request coalescing is disabled
 	draining atomic.Bool
 	inflight atomic.Int64
 
@@ -193,10 +175,8 @@ type Server struct {
 	mapped bool
 
 	// Observability counters behind /statsz and the drain log line.
-	cacheHits, cacheMisses                atomic.Int64
-	gateRejections                        atomic.Int64
-	batches, batchedQueries, coalescedDup atomic.Int64
-	maxBatchSeen                          atomic.Int64
+	cacheHits, cacheMisses atomic.Int64
+	gateRejections         atomic.Int64
 }
 
 // tier returns the tier of that name, nil when the snapshot does not carry it.
@@ -212,9 +192,7 @@ func (s *Server) tier(name string) *tier {
 // Stats is a point-in-time copy of the server's observability counters,
 // served at /statsz and printed in entserver's graceful-drain log line.
 // Served* count answered requests by the tier that produced the answer, on
-// either endpoint. Every tier is one of the three named ones, so ServedOther
-// stays 0; it is kept for the shape of /statsz. Cache hits are counted
-// separately (no tier ran).
+// either endpoint. Cache hits are counted separately (no tier ran).
 type Stats struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
@@ -223,17 +201,14 @@ type Stats struct {
 	ServedQuant    int64 `json:"served_quant"`
 	ServedANN      int64 `json:"served_ann"`
 	ServedExact    int64 `json:"served_exact"`
-	ServedOther    int64 `json:"served_other"`
 	InFlight       int64 `json:"in_flight"`
 	Draining       bool  `json:"draining"`
-	// Coalescing counters: Batches is executed windows, BatchedQueries the
-	// unique (row, k) queries they carried (avg batch size is the ratio),
-	// CoalescedDup the extra requests answered by an existing window entry
-	// without a scan of their own, MaxBatchSize the largest window executed.
+	// Batches, BatchedQueries and CoalescedDup are always 0: every lookup
+	// serves one request. They stay only because the benchmark harness
+	// compiles against them (ROADMAP 0(f) drops them).
 	Batches        int64 `json:"batches"`
 	BatchedQueries int64 `json:"batched_queries"`
 	CoalescedDup   int64 `json:"coalesced_dup"`
-	MaxBatchSize   int64 `json:"max_batch_size"`
 	// AlignGraph* are the /align tiers' candidate-graph memo counters, keyed
 	// by tier name: producer calls that built a part, calls answered without
 	// building, parts derived from a held one (CSLS's k = 1 column statistic
@@ -273,10 +248,6 @@ func (s *Server) Stats() Stats {
 		ServedExact:    served["exact"],
 		InFlight:       s.inflight.Load(),
 		Draining:       s.draining.Load(),
-		Batches:        s.batches.Load(),
-		BatchedQueries: s.batchedQueries.Load(),
-		CoalescedDup:   s.coalescedDup.Load(),
-		MaxBatchSize:   s.maxBatchSeen.Load(),
 
 		AlignGraphBuilds:  builds,
 		AlignGraphHits:    hits,
@@ -430,10 +401,17 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 			// one, and a single cell when the snapshot recorded 0 (auto) —
 			// while /align's graphs resolve the auto geometry. Moving lookups
 			// onto the auto count changes latency and recall, so it is its own
-			// change (ROADMAP 6(a)), pinned by TestLookupProbeCountPinned.
-			rows = p.WithNProbe(max(1, have.NProbe)).SearchRows
+			// change (ROADMAP 1(a)), pinned by TestLookupProbeCountPinned.
+			view := p.WithNProbe(max(1, have.NProbe))
+			rows = func(ctx context.Context, row, k int) (matrix.TopK, error) {
+				tops, err := view.SearchRows(ctx, []int{row}, k)
+				if err != nil {
+					return matrix.TopK{}, err
+				}
+				return tops[0], nil
+			}
 		case *quant.Source:
-			rows = p.SearchRows
+			rows = p.SearchRow
 		default: // the plain stream
 			rows = exhaustive(tables.Stream)
 		}
@@ -442,38 +420,30 @@ func NewFromSnapshot(snap *snapshot.Snapshot, cfg Config, opts ...Option) (*Serv
 	for _, opt := range opts {
 		opt(s)
 	}
-	if cfg.MaxBatch > 1 {
-		s.coal = newCoalescer(s)
-	}
 	return s, nil
 }
 
-// exhaustive is the exact tier's row search: one multi-row Block extraction
-// scores every target column for all the rows (cosine rows run three per pass
-// through the blocked kernel, bit-identical to one at a time), then each row
-// selects its own top-k. It is metric-faithful because it goes through the
-// same Block kernel as the batch engines, and BoundedTopK's total order
-// (value desc, index asc) makes the selection scan-order-insensitive.
+// exhaustive is the exact tier's row search: a one-row Block extraction
+// scores every target column, then the row selects its top-k. It is
+// metric-faithful because it goes through the same Block kernel as the batch
+// engines, and BoundedTopK's total order (value desc, index asc) makes the
+// selection scan-order-insensitive.
 func exhaustive(stream *sim.Stream) searchFunc {
 	_, cols := stream.Dims()
 	colIDs := make([]int, cols)
 	for j := range colIDs {
 		colIDs[j] = j
 	}
-	return func(ctx context.Context, rows []int, k int) ([]matrix.TopK, error) {
-		block, err := stream.Block(ctx, rows, colIDs)
+	return func(ctx context.Context, row, k int) (matrix.TopK, error) {
+		block, err := stream.Block(ctx, []int{row}, colIDs)
 		if err != nil {
-			return nil, err
+			return matrix.TopK{}, err
 		}
-		out := make([]matrix.TopK, len(rows))
-		for i := range rows {
-			sel := matrix.NewBoundedTopK(k)
-			for j, v := range block.Row(i) {
-				sel.Offer(v, j)
-			}
-			out[i] = sel.Finalize()
+		sel := matrix.NewBoundedTopK(k)
+		for j, v := range block.Row(0) {
+			sel.Offer(v, j)
 		}
-		return out, nil
+		return sel.Finalize(), nil
 	}
 }
 
@@ -623,62 +593,45 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cacheMisses.Add(1)
 
-	// Under concurrent load, route the miss through the coalescer: misses
-	// arriving within one MaxWait window share one lookup per distinct k, and
-	// identical (row, k) requests share one entry. A lone request
-	// (inflight <= 1) skips the window — no batchmates can arrive, so it walks
-	// the ladder itself, under its own context, at zero added latency.
-	var res batchResult
-	if s.coal != nil && s.inflight.Load() > 1 {
-		var werr error
-		if res, werr = s.coal.do(r.Context(), row, k); werr != nil {
-			// The request's own deadline fired while waiting on the batch.
-			res.err = werr
-		}
-	} else {
-		tops, servedBy, degraded, err := s.lookup(r.Context(), []int{row}, k)
-		res = batchResult{servedBy: servedBy, degraded: degraded, err: err}
-		if err == nil {
-			res.top = tops[0]
-		}
-	}
-	if res.err != nil {
-		if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
+	top, servedBy, degraded, err := s.lookup(r.Context(), row, k)
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil {
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 			return
 		}
-		writeError(w, http.StatusInternalServerError, res.err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := topKResponse{
 		Query: name, Row: row, K: k,
-		ServedBy: res.servedBy, DegradedFrom: res.degraded,
-		Results: make([]topKEntry, len(res.top.Indices)),
+		ServedBy: servedBy, DegradedFrom: degraded,
+		Results: make([]topKEntry, len(top.Indices)),
 	}
-	for i, col := range res.top.Indices {
-		resp.Results[i] = topKEntry{Col: col, Name: s.snap.TgtVocab[col], Score: res.top.Values[i]}
+	for i, col := range top.Indices {
+		resp.Results[i] = topKEntry{Col: col, Name: s.snap.TgtVocab[col], Score: top.Values[i]}
 	}
 	s.cache.add(key, resp)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// lookup is the one ladder walk: the tiers in order, best first, until one
-// answers every row. A tier failure is logged and degrades to the next tier
-// (named in degraded); an expired ctx stops the walk — the deadline, not the
-// tier, failed, and degrading further would just time out again slower.
-func (s *Server) lookup(ctx context.Context, rows []int, k int) (tops []matrix.TopK, servedBy string, degraded []string, err error) {
+// lookup is the one ladder walk, under the request's own context: the tiers
+// in order, best first, until one answers the row. A tier failure is logged
+// and degrades to the next tier (named in degraded); an expired ctx stops the
+// walk — the deadline, not the tier, failed, and degrading further would just
+// time out again slower.
+func (s *Server) lookup(ctx context.Context, row, k int) (top matrix.TopK, servedBy string, degraded []string, err error) {
 	for _, t := range s.tiers {
-		if tops, err = t.rows.Search(ctx, rows, k); err == nil {
-			t.served.Add(int64(len(rows)))
-			return tops, t.name, degraded, nil
+		if top, err = t.rows.Search(ctx, row, k); err == nil {
+			t.served.Add(1)
+			return top, t.name, degraded, nil
 		}
 		if ctx.Err() != nil {
-			return nil, "", degraded, context.DeadlineExceeded
+			return matrix.TopK{}, "", degraded, context.DeadlineExceeded
 		}
-		log.Printf("entserver: tier %s failed for %d rows: %v (degrading)", t.name, len(rows), err)
+		log.Printf("entserver: tier %s failed for row %d: %v (degrading)", t.name, row, err)
 		degraded = append(degraded, t.name)
 	}
-	return nil, "", degraded, fmt.Errorf("all searchers failed (%v)", degraded)
+	return matrix.TopK{}, "", degraded, fmt.Errorf("all searchers failed (%v)", degraded)
 }
 
 // sourceRow resolves the query's source entity from ?src=<name> or

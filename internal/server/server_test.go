@@ -130,11 +130,11 @@ func TestTopKServedByANNAndAgreesWithExact(t *testing.T) {
 	if viaANN["served_by"] != "ann" {
 		t.Fatalf("served_by = %v, want ann", viaANN["served_by"])
 	}
-	tops, err := srv.tier("exact").rows.Search(context.Background(), []int{3}, 5)
+	exact, err := srv.tier("exact").rows.Search(context.Background(), 3, 5)
 	if err != nil {
 		t.Fatalf("exact search: %v", err)
 	}
-	exact, results := tops[0], viaANN["results"].([]any)
+	results := viaANN["results"].([]any)
 	if len(results) != len(exact.Indices) {
 		t.Fatalf("ann returned %d results, exact %d", len(results), len(exact.Indices))
 	}
@@ -179,8 +179,8 @@ func TestTopKCache(t *testing.T) {
 // failSearcher fails every search — the injected "index subsystem down".
 type failSearcher struct{ err error }
 
-func (f *failSearcher) Search(context.Context, []int, int) ([]matrix.TopK, error) {
-	return nil, f.err
+func (f *failSearcher) Search(context.Context, int, int) (matrix.TopK, error) {
+	return matrix.TopK{}, f.err
 }
 
 func TestTopKDegradesToExactAndSurfacesIt(t *testing.T) {
@@ -202,7 +202,7 @@ func TestTopKDegradesToExactAndSurfacesIt(t *testing.T) {
 // panicSearcher panics — the recovery middleware must turn it into a 500.
 type panicSearcher struct{}
 
-func (panicSearcher) Search(context.Context, []int, int) ([]matrix.TopK, error) {
+func (panicSearcher) Search(context.Context, int, int) (matrix.TopK, error) {
 	panic("injected searcher panic")
 }
 
@@ -218,12 +218,12 @@ func TestPanicBecomes500(t *testing.T) {
 // context error — a hung index shard.
 type stallSearcher struct{ entered chan struct{} }
 
-func (s *stallSearcher) Search(ctx context.Context, _ []int, _ int) ([]matrix.TopK, error) {
+func (s *stallSearcher) Search(ctx context.Context, _, _ int) (matrix.TopK, error) {
 	if s.entered != nil {
 		s.entered <- struct{}{}
 	}
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return matrix.TopK{}, ctx.Err()
 }
 
 func TestDeadlineReturns504(t *testing.T) {
@@ -498,7 +498,7 @@ func TestTopKQuantDegradesToANN(t *testing.T) {
 // "ann" and "quant" lookups answer exactly what the index returns at ONE cell
 // — what /match/topk has always probed — while the same tiers' graph side,
 // which /align ranges over, still resolves the auto geometry. Flips when
-// ROADMAP 6(a) moves lookups onto the auto count.
+// ROADMAP 1(a) moves lookups onto the auto count.
 func TestLookupProbeCountPinned(t *testing.T) {
 	ctx := context.Background()
 	const clusters, k = 32, 5
@@ -534,12 +534,14 @@ func TestLookupProbeCountPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range oneCell {
-		got, err := srv.tier(name).rows.Search(ctx, rows, k)
-		if err != nil {
-			t.Fatalf("%s lookup: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s lookup is not the one-cell search:\n got  %v\n want %v", name, got, want)
+		for i, row := range rows {
+			got, err := srv.tier(name).rows.Search(ctx, row, k)
+			if err != nil {
+				t.Fatalf("%s lookup: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s lookup of row %d is not the one-cell search:\n got  %v\n want %v", name, row, got, want[i])
+			}
 		}
 	}
 
@@ -577,12 +579,19 @@ func TestStatszCounters(t *testing.T) {
 	want := map[string]float64{
 		"cache_hits": 1, "cache_misses": 1, "cache_entries": 1,
 		"gate_rejections": 0,
-		"served_quant":    0, "served_ann": 2, "served_exact": 0, "served_other": 0,
+		"served_quant":    0, "served_ann": 2, "served_exact": 0,
 		"in_flight": 0,
+		// Kept for the benchmark harness; every lookup serves one request.
+		"batches": 0, "batched_queries": 0, "coalesced_dup": 0,
 	}
 	for key, v := range want {
 		if got := st[key]; got != v {
 			t.Errorf("statsz %s = %v, want %v", key, got, v)
+		}
+	}
+	for _, gone := range []string{"served_other", "max_batch_size"} {
+		if v, ok := st[gone]; ok {
+			t.Errorf("statsz still carries %s = %v", gone, v)
 		}
 	}
 	if st["draining"] != false {
