@@ -11,6 +11,16 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 guards() {
+	# Formatting. Every Go file in the tree, the benchmark module included,
+	# must be gofmt-clean; the list of offenders is the failure message.
+	local unformatted
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt -l: files not formatted:" >&2
+		echo "$unformatted" >&2
+		return 1
+	fi
+
 	# Server. Concurrent /match/topk lookups share the LRU and the tiers'
 	# state, and neither may reach a payload: 24 workers storm one server
 	# whose small LRU evicts under them, healthy and with the index tier

@@ -39,6 +39,8 @@ import (
 	"entmatcher"
 	"entmatcher/internal/core"
 	"entmatcher/internal/exitcode"
+	"entmatcher/internal/matrix"
+	"entmatcher/internal/quant"
 )
 
 // errDegraded marks a run that completed but only after at least one matcher
@@ -90,7 +92,7 @@ func run() error {
 		annK     = flag.Int("ann", 0, "approximate candidate generation: build the top-C graphs through an IVF index with this many k-means clusters instead of the exhaustive streaming pass (0 = exact build)")
 		nprobe   = flag.Int("nprobe", 0, "IVF cells scanned per query — the recall/speed knob (requires -ann; 0 = auto, clusters/16; equal to -ann reproduces the exact build bit-for-bit)")
 		useQuant = flag.Bool("quant", false, "rank candidate scans with SQ8 int8 codes (8× smaller scan tables) and re-score an over-fetched pool with exact float64 products — bit-identical graphs at the default -rerank-factor (composes with -ann)")
-		rerankF  = flag.Int("rerank-factor", 4, "quantized-scan pool over-fetch multiplier: re-rank the quantized top factor×C exactly (requires -quant; 0 = no exact re-rank, serve the quantized approximations)")
+		rerankF  = flag.Int("rerank-factor", quant.DefaultRerankFactor, "quantized-scan pool over-fetch multiplier: re-rank the quantized top factor×C exactly (requires -quant; 0 = no exact re-rank, serve the quantized approximations)")
 		saveSnap = flag.String("save-snapshot", "", "after preparation, persist the prepared tables (and the IVF indexes under -ann, the SQ8 tables under -quant) to this path as a crash-safe snapshot (written atomically: temp file, fsync, rename)")
 		loadSnap = flag.String("load-snapshot", "", "prepare from a previously saved snapshot instead of re-encoding embeddings (the snapshot must match -features, -setting and -ann, otherwise the run fails with a mismatch error rather than silently rebuilding)")
 		shards   = flag.Int("shards", 0, "partition both corpora into this many co-clustered shards and build the candidate graphs per shard on a bounded worker pool, reconciling into one global graph (1 = bit-identical degenerate build; 0 = unsharded)")
@@ -249,7 +251,7 @@ func run() error {
 	streaming := run.Stream != nil
 	if streaming {
 		fmt.Printf("similarity stream: %d×%d in %d×%d tiles (%.2f GiB dense matrix not allocated)\n\n",
-			rows, cols, 256, 512, float64(run.Stream.MatrixBytes())/(1<<30))
+			rows, cols, matrix.DefaultTileRows, matrix.DefaultTileCols, float64(run.Stream.MatrixBytes())/(1<<30))
 	} else {
 		fmt.Printf("similarity matrix: %d×%d\n\n", rows, cols)
 	}

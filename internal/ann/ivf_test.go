@@ -71,12 +71,12 @@ func TestSearchExactAtFullNProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ n, nq, d, k, c int }{
 		{60, 25, 16, 4, 5},
-		{60, 25, 16, 1, 60},  // single cell
-		{60, 25, 16, 60, 7},  // one point per cell
-		{33, 10, 24, 6, 40},  // c > corpus
-		{1, 3, 16, 3, 2},     // clusters > corpus
-		{50, 20, 7, 5, 5},    // short vectors (scalar dot path)
-		{64, 16, 64, 8, 64},  // embed-dim-sized
+		{60, 25, 16, 1, 60}, // single cell
+		{60, 25, 16, 60, 7}, // one point per cell
+		{33, 10, 24, 6, 40}, // c > corpus
+		{1, 3, 16, 3, 2},    // clusters > corpus
+		{50, 20, 7, 5, 5},   // short vectors (scalar dot path)
+		{64, 16, 64, 8, 64}, // embed-dim-sized
 	} {
 		corpus := randTable(rng, tc.n, tc.d, 3)
 		queries := randTable(rng, tc.nq, tc.d, 3)

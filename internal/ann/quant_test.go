@@ -29,7 +29,7 @@ func encodeTable(t *testing.T, m *matrix.Dense) *quant.Table {
 func TestSearchQuantMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ n, nq, d, k, c, nprobe int }{
-		{60, 25, 16, 4, 5, 4},   // full coverage
+		{60, 25, 16, 4, 5, 4}, // full coverage
 		{200, 40, 32, 14, 10, 14},
 		{200, 40, 32, 14, 10, 3}, // partial coverage: same probes, same pool rule
 		{50, 20, 7, 5, 5, 5},     // short vectors (scalar kernels)

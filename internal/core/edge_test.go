@@ -222,7 +222,7 @@ func TestCompositeTransformErrorPropagates(t *testing.T) {
 func TestWithDummiesDoesNotMutateOriginal(t *testing.T) {
 	s := matrix.New(4, 2)
 	ctx := &Context{S: s}
-	padded := WithDummies(ctx, -1)
+	padded := PadDummies(ctx, s.Rows()-s.Cols(), -1)
 	if ctx.S.Cols() != 2 || ctx.NumDummies != 0 {
 		t.Fatal("original context mutated")
 	}

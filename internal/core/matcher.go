@@ -344,19 +344,6 @@ func AddDummyColumns(s *matrix.Dense, n int, score float64) *matrix.Dense {
 	return out
 }
 
-// WithDummies pads the context's target side to at least the row count with
-// dummy columns at the given score (PadDummies). If the scores already have
-// at least as many columns as rows, the context is returned unchanged.
-func WithDummies(ctx *Context, score float64) *Context {
-	var rows, cols int
-	if ctx.S != nil {
-		rows, cols = ctx.S.Rows(), ctx.S.Cols()
-	} else if ctx.Stream != nil {
-		rows, cols = ctx.Stream.Dims()
-	}
-	return PadDummies(ctx, rows-cols, score)
-}
-
 // PadDummies returns a copy of ctx with n dummy (abstention) columns at score
 // appended to its scores and counted in NumDummies. It is the one
 // implementation of the § 5.1 recipe: AddDummyColumns pads a dense matrix,

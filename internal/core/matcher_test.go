@@ -206,13 +206,13 @@ func TestAddDummyColumns(t *testing.T) {
 
 func TestWithDummiesSquaresTallMatrix(t *testing.T) {
 	s := matrix.New(5, 3)
-	ctx := WithDummies(&Context{S: s}, 0)
+	ctx := PadDummies(&Context{S: s}, s.Rows()-s.Cols(), 0)
 	if ctx.S.Cols() != 5 || ctx.NumDummies != 2 {
 		t.Fatalf("cols=%d dummies=%d", ctx.S.Cols(), ctx.NumDummies)
 	}
 	wide := matrix.New(3, 5)
 	ctx2 := &Context{S: wide}
-	if WithDummies(ctx2, 0) != ctx2 {
+	if PadDummies(ctx2, wide.Rows()-wide.Cols(), 0) != ctx2 {
 		t.Fatal("wide matrix was padded")
 	}
 }

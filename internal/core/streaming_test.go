@@ -136,7 +136,7 @@ func TestSinkhornBlockedStreamMatchesDense(t *testing.T) {
 }
 
 // TestStreamingDummiesMatchDense exercises the unmatchable-entity path:
-// rows exceed columns, WithDummies pads both engines, and pairs plus
+// rows exceed columns, PadDummies pads both engines, and pairs plus
 // abstentions must agree.
 func TestStreamingDummiesMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
@@ -150,8 +150,8 @@ func TestStreamingDummiesMatchDense(t *testing.T) {
 		if metric == sim.Euclidean {
 			score = -4.6
 		}
-		dPad := WithDummies(dctx, score)
-		sPad := WithDummies(sctx, score)
+		dPad := PadDummies(dctx, src.Rows()-tgt.Rows(), score)
+		sPad := PadDummies(sctx, src.Rows()-tgt.Rows(), score)
 		if dPad.NumDummies != 17 || sPad.NumDummies != 17 {
 			t.Fatalf("dummies: dense %d stream %d, want 17", dPad.NumDummies, sPad.NumDummies)
 		}

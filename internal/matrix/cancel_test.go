@@ -17,9 +17,6 @@ func TestMulContextCanceled(t *testing.T) {
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
-	if out, err := MulTransposedContext(cc, a, randMatrix(rng, 25, 30)); out != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("transposed: out=%v err=%v", out, err)
-	}
 }
 
 func TestMulContextMatchesMul(t *testing.T) {

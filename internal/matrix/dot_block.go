@@ -27,9 +27,9 @@ func dotBlock3(a0, a1, a2, b []float64, out *[3]float64) {
 	out[2] = dotUnroll4(a2, b)
 }
 
-// DotBlock3 exposes the blocked kernel to sibling packages (internal/sim's
-// Block extraction and internal/ann's probed-cell scans). out[j] ==
-// Dot4(aj, b) bit-for-bit on every platform.
+// DotBlock3 exposes the blocked kernel to sibling packages (the f64 walker
+// of internal/quant's Scanner). out[j] == Dot4(aj, b) bit-for-bit on every
+// platform.
 func DotBlock3(a0, a1, a2, b []float64, out *[3]float64) {
 	dotBlock3(a0, a1, a2, b, out)
 }

@@ -1,14 +1,14 @@
 package matrix
 
-// This file holds the scalar and block (tile) kernels of the streaming
-// similarity engine. The streaming path computes the score matrix tile by
-// tile straight from the embedding tables, so these kernels are its inner
-// loops: a dot product for cosine scores and the shared negated-distance
-// scalars for Euclidean/Manhattan. The distance scalars are also used by the
-// dense path in internal/sim, which makes streaming and dense distance
-// scores bit-identical. The dense MulTransposed kernel now routes through
-// the same dot kernel (matmul.go), so dense and streamed cosine scores are
-// bit-identical too; consumers that compared with tolerance still hold.
+// This file holds the scalar and block (tile) kernels of the similarity
+// engine: a dot product for cosine scores and the negated-distance scalars
+// for Euclidean/Manhattan, each wrapped in a block kernel that fills a
+// destination from two row-offset windows. internal/sim's Stream runs these
+// block kernels and nothing else to turn embedding tables into scores — its
+// tiles, its Blocks and the dense matrix (the kernel written in place over
+// full-width row strips) — and MulTransposed is the cosine block kernel over
+// a whole product, so dense and streamed scores are bit-identical by
+// construction for every metric.
 //
 // On amd64 with AVX2+FMA the dot product dispatches to the vectorized
 // dotAVX2 (dot_amd64.s) for vectors of 16+ elements — the similarity pass is
@@ -53,16 +53,14 @@ func dot(a, b []float64) float64 {
 	return dotUnroll4(a, b)
 }
 
-// Dot4 exposes the streaming dot kernel to sibling packages; it is the
-// kernel behind every streamed cosine score, including the mini-batch Block
-// extraction, so all streaming cosine scores share one summation order.
+// Dot4 exposes the dot kernel to sibling packages; it is the per-pair
+// arithmetic of every cosine score (the block kernel's groups of three are
+// bit-identical to it), so all cosine scores share one summation order.
 func Dot4(a, b []float64) float64 { return dot(a, b) }
 
-// NegEuclidean returns the negated Euclidean (L2) distance between two
-// equal-length vectors, accumulated in index order — the exact arithmetic of
-// the dense distance kernel, shared so streaming and dense scores agree
-// bit-for-bit.
-func NegEuclidean(a, b []float64) float64 {
+// negEuclidean returns the negated Euclidean (L2) distance between two
+// equal-length vectors, accumulated in index order.
+func negEuclidean(a, b []float64) float64 {
 	var acc float64
 	for k, v := range a {
 		diff := v - b[k]
@@ -71,9 +69,9 @@ func NegEuclidean(a, b []float64) float64 {
 	return -math.Sqrt(acc)
 }
 
-// NegManhattan returns the negated Manhattan (L1) distance between two
+// negManhattan returns the negated Manhattan (L1) distance between two
 // equal-length vectors, accumulated in index order.
-func NegManhattan(a, b []float64) float64 {
+func negManhattan(a, b []float64) float64 {
 	var acc float64
 	for k, v := range a {
 		acc += math.Abs(v - b[k])
@@ -130,7 +128,7 @@ func NegEuclideanBlockInto(dst, a, b *Dense, aOff, bOff int) {
 		arow := a.data[(aOff+r)*d : (aOff+r+1)*d]
 		orow := dst.Row(r)
 		for c := range orow {
-			orow[c] = NegEuclidean(arow, b.data[(bOff+c)*d:(bOff+c+1)*d])
+			orow[c] = negEuclidean(arow, b.data[(bOff+c)*d:(bOff+c+1)*d])
 		}
 	})
 }
@@ -143,7 +141,7 @@ func NegManhattanBlockInto(dst, a, b *Dense, aOff, bOff int) {
 		arow := a.data[(aOff+r)*d : (aOff+r+1)*d]
 		orow := dst.Row(r)
 		for c := range orow {
-			orow[c] = NegManhattan(arow, b.data[(bOff+c)*d:(bOff+c+1)*d])
+			orow[c] = negManhattan(arow, b.data[(bOff+c)*d:(bOff+c+1)*d])
 		}
 	})
 }

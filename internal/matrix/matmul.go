@@ -1,5 +1,9 @@
 package matrix
 
+// Dense products. Mul is the general product; MulTransposed is the
+// similarity-shaped a×bᵀ, a thin caller of the cosine block kernel in
+// kernels.go — the one loop behind every cosine score.
+
 import (
 	"context"
 	"fmt"
@@ -42,50 +46,17 @@ func MulContext(ctx context.Context, a, b *Dense) (*Dense, error) {
 }
 
 // MulTransposed returns a×bᵀ without materializing the transpose.
-// a must be (m×d) and b (n×d); the result is (m×n). This is the shape of a
-// pairwise similarity computation between two embedding tables.
+// a must be (m×d) and b (n×d); the result is (m×n) — the shape of a pairwise
+// similarity computation between two embedding tables. It is the cosine
+// block kernel (MulTransposedBlockInto) over the whole product, so every
+// element is the bits a streamed cosine tile holds for the pair; the
+// conformance suite pins it to the per-pair Dot4.
 func MulTransposed(a, b *Dense) (*Dense, error) {
-	return MulTransposedContext(context.Background(), a, b)
-}
-
-// MulTransposedContext is MulTransposed with cooperative cancellation,
-// checked between row chunks of the output. The inner loop runs on the same
-// register-blocked dot kernel as the streaming tile pass (groups of three a
-// rows sharing each b-row read, per-pair dotAVX2/dotUnroll4 arithmetic), so
-// dense and streamed cosine scores are now bit-identical; historically the
-// dense path summed in plain index order and could differ in the last few
-// ulps (see TestMulTransposedKernelRegression for the pinned relationship to
-// the old scalar results).
-func MulTransposedContext(ctx context.Context, a, b *Dense) (*Dense, error) {
 	if a.cols != b.cols {
 		return nil, fmt.Errorf("%w: %d×%d · (%d×%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.rows)
-	d := a.cols
-	groups := (a.rows + 2) / 3
-	err := parallelRowsCtx(ctx, groups, func(g int) {
-		i := g * 3
-		if i+3 <= a.rows {
-			a0, a1, a2 := a.Row(i), a.Row(i+1), a.Row(i+2)
-			o0, o1, o2 := out.Row(i), out.Row(i+1), out.Row(i+2)
-			var blk [3]float64
-			for j := 0; j < b.rows; j++ {
-				dotBlock3(a0, a1, a2, b.data[j*d:(j+1)*d], &blk)
-				o0[j], o1[j], o2[j] = blk[0], blk[1], blk[2]
-			}
-			return
-		}
-		for ; i < a.rows; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.rows; j++ {
-				orow[j] = dot(arow, b.data[j*d:(j+1)*d])
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	MulTransposedBlockInto(out, a, b, 0, 0)
 	return out, nil
 }
 

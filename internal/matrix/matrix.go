@@ -221,8 +221,8 @@ func parallelRowsCtx(ctx context.Context, rows int, fn func(i int)) error {
 }
 
 // ParallelRowsCtx exposes the pool-backed row-parallel driver with
-// cooperative cancellation to sibling packages (internal/sim uses it for the
-// distance kernels). Semantics are those of parallelRowsCtx: on a non-nil
+// cooperative cancellation to sibling packages (the dense matcher bodies,
+// index training, quantization and shard assignment). Semantics are those of parallelRowsCtx: on a non-nil
 // error only a prefix of rows may have been processed.
 func ParallelRowsCtx(ctx context.Context, rows int, fn func(i int)) error {
 	return parallelRowsCtx(ctx, rows, fn)

@@ -202,6 +202,6 @@ type tileCollector struct{ dst *Dense }
 
 func (c *tileCollector) ConsumeTile(rowOff, colOff int, tile *Dense) {
 	for r := 0; r < tile.Rows(); r++ {
-		copy(c.dst.Row(rowOff+r)[colOff:colOff+tile.Cols()], tile.Row(r))
+		copy(c.dst.Row(rowOff + r)[colOff:colOff+tile.Cols()], tile.Row(r))
 	}
 }

@@ -2,6 +2,13 @@
 // target entity embeddings — the first half of the embedding-matching stage
 // (Algorithm 3, line 1 of the paper).
 //
+// One kernel turns two embedding tables into scores: Stream's tile kernel
+// (stream.go). The dense matrix (MatrixContext) is that kernel written in
+// place over full-width row strips, a Block is that kernel over gathered or
+// in-place row windows, and a tile pass is that kernel over one tile at a
+// time — so dense, streamed and Block scores agree bit for bit by
+// construction.
+//
 // Three metrics are provided, matching the choices surveyed in § 4.2:
 // cosine similarity (the paper's main setting), negative Euclidean distance
 // and negative Manhattan distance. All three are oriented so that larger
@@ -76,42 +83,18 @@ func Matrix(src, tgt *matrix.Dense, metric Metric) (*matrix.Dense, error) {
 	return MatrixContext(context.Background(), src, tgt, metric)
 }
 
-// MatrixContext is Matrix with cooperative cancellation: the pairwise kernel
-// checks ctx between row chunks and returns ctx.Err() once the context is
-// done.
+// MatrixContext is Matrix with cooperative cancellation. It is NewStream —
+// the one validation gate and the one cosine normalization — followed by the
+// stream's tile kernel written in place over the result (Stream.dense), so
+// every dense score is the bits a streamed tile or a Block holds for the
+// pair. ctx is checked once per tile row block; a done context returns
+// ctx.Err() and no matrix.
 func MatrixContext(ctx context.Context, src, tgt *matrix.Dense, metric Metric) (*matrix.Dense, error) {
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("sim: nil embedding matrix")
+	st, err := NewStream(src, tgt, metric)
+	if err != nil {
+		return nil, err
 	}
-	if src.Cols() != tgt.Cols() {
-		return nil, fmt.Errorf("sim: embedding dims differ: %d vs %d", src.Cols(), tgt.Cols())
-	}
-	if src.Rows() == 0 || tgt.Rows() == 0 {
-		return nil, fmt.Errorf("%w: %d source rows, %d target rows", ErrEmptyEmbeddings, src.Rows(), tgt.Rows())
-	}
-	if i, j, ok := src.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: source[%d,%d] = %v", ErrNonFinite, i, j, src.At(i, j))
-	}
-	if i, j, ok := tgt.FindNonFinite(); ok {
-		return nil, fmt.Errorf("%w: target[%d,%d] = %v", ErrNonFinite, i, j, tgt.At(i, j))
-	}
-	switch metric {
-	case Cosine:
-		return cosineMatrix(ctx, src, tgt)
-	case Euclidean:
-		return distanceMatrix(ctx, src, tgt, false)
-	case Manhattan:
-		return distanceMatrix(ctx, src, tgt, true)
-	default:
-		return nil, fmt.Errorf("sim: unknown metric %v", metric)
-	}
-}
-
-// cosineMatrix normalizes copies of the rows and multiplies. If the rows are
-// already unit length (as internal/embed guarantees) the normalization is a
-// near no-op but keeps the function correct for arbitrary inputs.
-func cosineMatrix(ctx context.Context, src, tgt *matrix.Dense) (*matrix.Dense, error) {
-	return matrix.MulTransposedContext(ctx, normalizedRows(src), normalizedRows(tgt))
+	return st.dense(ctx)
 }
 
 // normalizedRows returns a row-L2-normalized copy of m; zero rows stay zero.
@@ -132,33 +115,6 @@ func normalizedRows(m *matrix.Dense) *matrix.Dense {
 		}
 	}
 	return out
-}
-
-// distanceMatrix computes negated L2 or L1 distances with the same
-// pool-backed row parallelism as the cosine kernel (rows are independent, so
-// the output is identical to the former sequential scan). The scalar
-// kernels are shared with the streaming tile engine, which keeps streamed
-// and dense distance scores bit-identical. Cancellation is checked between
-// row chunks; each row is an O(|tgt|·dim) block of work.
-func distanceMatrix(ctx context.Context, src, tgt *matrix.Dense, manhattan bool) (*matrix.Dense, error) {
-	out := matrix.New(src.Rows(), tgt.Rows())
-	d := src.Cols()
-	err := matrix.ParallelRowsCtx(ctx, src.Rows(), func(i int) {
-		srow := src.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < tgt.Rows(); j++ {
-			trow := tgt.Data()[j*d : (j+1)*d]
-			if manhattan {
-				orow[j] = matrix.NegManhattan(srow, trow)
-			} else {
-				orow[j] = matrix.NegEuclidean(srow, trow)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TopScoreSTD returns the average, over all rows of S, of the standard

@@ -46,10 +46,11 @@ func WithTileShape(rows, cols int) StreamOption {
 	}
 }
 
-// NewStream validates the embedding tables exactly as MatrixContext does
-// (matching dimensions, non-empty, finite) and returns a streaming engine
-// over them. For cosine it takes row-normalized copies up front — O((n+m)·d)
-// extra memory, the only per-stream allocation that scales with the input.
+// NewStream validates the embedding tables (matching dimensions, non-empty,
+// finite, known metric) and returns a streaming engine over them. It is also
+// the dense matrix's gate: MatrixContext is NewStream plus one in-place fill.
+// For cosine it takes row-normalized copies up front — O((n+m)·d) extra
+// memory, the only per-stream allocation that scales with the input.
 func NewStream(src, tgt *matrix.Dense, metric Metric, opts ...StreamOption) (*Stream, error) {
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("sim: nil embedding matrix")
@@ -186,10 +187,11 @@ func (s *Stream) MatrixBytes() int64 {
 }
 
 // kernel fills dst with the block of scores between rows aOff.. of a and
-// rows bOff.. of b. Computing from a gathered window at offset 0 runs the
-// same per-row-pair kernels over the same bits as computing from the whole
-// table at the original offsets — the bit-identity argument for out-of-core
-// tiles.
+// rows bOff.. of b. It is the only code that turns embedding rows into
+// scores: tiles, Blocks and the dense matrix all run it. Computing from a
+// gathered window at offset 0 runs the same per-row-pair arithmetic over the
+// same bits as computing from the whole table at the original offsets — the
+// bit-identity argument for out-of-core tiles and gathered Blocks.
 func (s *Stream) kernel(dst, a, b *matrix.Dense, aOff, bOff int) {
 	switch s.metric {
 	case Cosine:
@@ -240,9 +242,9 @@ func (w *rowWindow) release() {
 // StreamTiles produces every tile in row-major block order and feeds each to
 // all consumers. Cancellation is checked once per tile — each tile is an
 // O(tileRows × tileCols × d) unit of work, the dense kernels' checkpoint
-// granularity — and once per row block, ahead of its source window. Out of core every row block re-gathers the target table, one
-// window per tile: sequential I/O that the OS page cache absorbs across
-// adjacent row blocks.
+// granularity — and once per row block, ahead of its source window. Out of
+// core every row block re-gathers the target table, one window per tile:
+// sequential I/O that the OS page cache absorbs across adjacent row blocks.
 func (s *Stream) StreamTiles(ctx context.Context, consumers ...matrix.TileConsumer) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,30 +288,56 @@ func (s *Stream) StreamTiles(ctx context.Context, consumers ...matrix.TileConsum
 	return nil
 }
 
-// blockRows returns an accessor for the listed rows of t: zero-copy views
-// into a *matrix.Dense, a one-time gather for any other reader — O(|ids|·d)
-// memory either way.
-func blockRows(t matrix.RowsReader, ids []int) (func(x int) []float64, error) {
-	if d, resident := t.(*matrix.Dense); resident {
-		return func(x int) []float64 { return d.Row(ids[x]) }, nil
+// dense writes the whole score matrix: the tile kernel run straight into
+// each full-width strip of tileRows rows of the result, with no tile buffer
+// and no copy. ctx is checked once per strip. The tables must be resident,
+// as they are on every NewStream stream (MatrixContext's only use).
+func (s *Stream) dense(ctx context.Context) (*matrix.Dense, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	rows, cols := s.Dims()
+	out := matrix.New(rows, cols)
+	a, b := s.src.(*matrix.Dense), s.tgt.(*matrix.Dense)
+	strip := new(matrix.Dense)
+	for rb := 0; rb < rows; rb += s.tileRows {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		rn := min(s.tileRows, rows-rb)
+		if err := strip.Reshape(rn, cols, out.Data()[rb*cols:(rb+rn)*cols]); err != nil {
+			return nil, err
+		}
+		s.kernel(strip, a, b, rb, 0)
+	}
+	return out, nil
+}
+
+// blockWindow serves the listed rows of t to the kernel as a (table, offset)
+// pair: an ascending run of consecutive IDs on a *matrix.Dense is read in
+// place at its first ID; anything else — scattered or repeated IDs, or any
+// table out of core — is gathered into a fresh table at offset 0.
+func blockWindow(t matrix.RowsReader, ids []int) (*matrix.Dense, int, error) {
+	if d, resident := t.(*matrix.Dense); resident && len(ids) > 0 {
+		x := 1
+		for x < len(ids) && ids[x] == ids[0]+x {
+			x++
+		}
+		if x == len(ids) {
+			return d, ids[0], nil
+		}
 	}
 	g, err := matrix.GatherRows(t, ids)
-	if err != nil {
-		return nil, err
-	}
-	return g.Row, nil
+	return g, 0, err
 }
 
 // Block materializes the sub-matrix at the row/column ID cross product,
 // computing scores directly from the embedding tables. This is the
 // mini-batch construction hook for blocked matchers: memory stays
-// O(|rowIDs|·|colIDs|), plus the gathered rows out of core.
-//
-// Rows are processed in groups of three; a full cosine group shares each
-// target-row read through the register-blocked kernel (matrix.DotBlock3),
-// everything else — the ragged last group, the distance metrics — takes the
-// per-pair kernel. Blocked and per-pair scores are bit-identical, so Block
-// results do not depend on the grouping.
+// O(|rowIDs|·|colIDs|), plus any gathered rows. Each side is a row window
+// (blockWindow) and the scores are one run of the tile kernel over the two,
+// so a Block holds exactly the bits the tile pass streams for the same
+// pairs. ctx is checked once per call.
 func (s *Stream) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -325,43 +353,15 @@ func (s *Stream) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense
 			return nil, fmt.Errorf("sim: block col %d outside %d target cols", j, cols)
 		}
 	}
-	srcRow, err := blockRows(s.src, rowIDs)
+	a, aOff, err := blockWindow(s.src, rowIDs)
 	if err != nil {
 		return nil, err
 	}
-	tgtRow, err := blockRows(s.tgt, colIDs)
+	b, bOff, err := blockWindow(s.tgt, colIDs)
 	if err != nil {
 		return nil, err
-	}
-	pair := matrix.Dot4
-	switch s.metric {
-	case Euclidean:
-		pair = matrix.NegEuclidean
-	case Manhattan:
-		pair = matrix.NegManhattan
 	}
 	out := matrix.New(len(rowIDs), len(colIDs))
-	err = matrix.ParallelRowsCtx(ctx, (len(rowIDs)+2)/3, func(g int) {
-		x := g * 3
-		if s.metric == Cosine && x+3 <= len(rowIDs) {
-			s0, s1, s2 := srcRow(x), srcRow(x+1), srcRow(x+2)
-			d0, d1, d2 := out.Row(x), out.Row(x+1), out.Row(x+2)
-			var blk [3]float64
-			for y := range colIDs {
-				matrix.DotBlock3(s0, s1, s2, tgtRow(y), &blk)
-				d0[y], d1[y], d2[y] = blk[0], blk[1], blk[2]
-			}
-			return
-		}
-		for end := min(x+3, len(rowIDs)); x < end; x++ {
-			srow, drow := srcRow(x), out.Row(x)
-			for y := range colIDs {
-				drow[y] = pair(srow, tgtRow(y))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	s.kernel(out, a, b, aOff, bOff)
 	return out, nil
 }

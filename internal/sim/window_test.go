@@ -30,18 +30,20 @@ func slabOf(t *testing.T, m *matrix.Dense) *matrix.SlabTable {
 	return st
 }
 
-// TestOneLoopOverEveryTable pins the one tile loop and the one block body
-// over both kinds of table — a *matrix.Dense read in place and a non-Dense
-// RowsReader read through gathered windows — for every metric, ragged tile
-// shapes, and matrix.PadCols dummy columns that start inside a tile's
-// column range, on a tile boundary, or are absent. Every streamed and every
-// Block score must equal the dense
-// reference bit-for-bit: sim.Matrix for the distance metrics, the per-pair
-// Dot4 of the prepared rows for cosine (sim.Matrix sums cosine in a
-// different order, so it is held to 1e-12 as in TestStreamMatchesMatrix).
+// TestOneLoopOverEveryTable pins the one tile kernel over both kinds of
+// table — a *matrix.Dense read in place and a non-Dense RowsReader read
+// through gathered windows — for every metric, ragged tile shapes, and
+// matrix.PadCols dummy columns that start inside a tile's column range, on a
+// tile boundary, or are absent. Every streamed and every Block score, and
+// the dense fill cut into ragged row strips, must equal sim.Matrix's bit for
+// bit. Block IDs cover scattered, repeated and
+// backward lists (gathered) and ascending runs of consecutive rows (read in
+// place on a resident table).
 func TestOneLoopOverEveryTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const rows, cols, d, score = 23, 17, 12, -0.25
+	// d = 20 puts cosine on the vector kernel where the CPU has one, with a
+	// scalar tail.
+	const rows, cols, d, score = 23, 17, 20, -0.25
 	src, tgt := randEmb(rng, rows, d), randEmb(rng, cols, d)
 	ctx := context.Background()
 	for _, metric := range []Metric{Cosine, Euclidean, Manhattan} {
@@ -55,17 +57,27 @@ func TestOneLoopOverEveryTable(t *testing.T) {
 		}
 		ps, pt := prepared.PreparedTables()
 		want := func(i, j int) float64 {
-			switch {
-			case j >= cols:
+			if j >= cols {
 				return score
-			case metric == Cosine:
-				w := matrix.Dot4(ps.Row(i), pt.Row(j))
-				if math.Abs(w-dense.At(i, j)) > 1e-12 {
-					t.Fatalf("cosine (%d,%d): Dot4 %v vs sim.Matrix %v", i, j, w, dense.At(i, j))
-				}
-				return w
 			}
 			return dense.At(i, j)
+		}
+		// sim.Matrix fills all 23 rows as one strip; ragged strips of 1, 4
+		// and 7 rows must write the same bits at their offsets.
+		for _, strip := range []int{1, 4, 7} {
+			st, err := NewStream(src, tgt, metric, WithTileShape(strip, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.dense(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got.Data() {
+				if w := dense.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%v strips of %d rows: element %d = %v, one strip %v", metric, strip, i, g, w)
+				}
+			}
 		}
 		for _, tab := range []struct {
 			name     string
@@ -97,15 +109,26 @@ func TestOneLoopOverEveryTable(t *testing.T) {
 							}
 						}
 					}
-					// Row counts cover full groups of three and each ragged
-					// tail; columns repeat, run backwards and reach the
-					// first and the last dummy.
+					// Scattered row counts cover full groups of three and
+					// each ragged tail; scattered columns repeat, run
+					// backwards and reach the first and the last dummy.
+					// The ascending runs — four rows, one row, the full
+					// column range — are read in place on a resident table.
+					scattered := []int{cols - 1, 0, 0, 3, cols + nd - 1, 9, cols + min(nd, 1) - 1}
+					blocks := [][2][]int{
+						{{4, 5, 6, 7}, {4, 5, 6, 7}},
+						{{rows - 1}, ids(0, cols)},
+						{ids(0, rows), ids(0, cols+nd)},
+					}
 					for _, nr := range []int{1, 2, 3, 4, 5, 7} {
 						rowIDs := make([]int, nr)
 						for x := range rowIDs {
 							rowIDs[x] = (x*5 + 2) % rows
 						}
-						colIDs := []int{cols - 1, 0, 0, 3, cols + nd - 1, 9, cols + min(nd, 1) - 1}
+						blocks = append(blocks, [2][]int{rowIDs, scattered})
+					}
+					for _, b := range blocks {
+						rowIDs, colIDs := b[0], b[1]
 						blk, err := st.Block(ctx, rowIDs, colIDs)
 						if err != nil {
 							t.Fatal(err)
@@ -113,7 +136,7 @@ func TestOneLoopOverEveryTable(t *testing.T) {
 						for x, i := range rowIDs {
 							for y, j := range colIDs {
 								if g, w := blk.At(x, y), want(i, j); math.Float64bits(g) != math.Float64bits(w) {
-									t.Fatalf("%v/%s block rows=%d dummies %d (%d,%d): %v != %v", metric, tab.name, nr, nd, i, j, g, w)
+									t.Fatalf("%v/%s block %v×%v dummies %d (%d,%d): %v != %v", metric, tab.name, rowIDs, colIDs, nd, i, j, g, w)
 								}
 							}
 						}
@@ -122,6 +145,15 @@ func TestOneLoopOverEveryTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ids returns the ascending run lo, lo+1, …, hi-1.
+func ids(lo, hi int) []int {
+	out := make([]int, hi-lo)
+	for x := range out {
+		out[x] = lo + x
+	}
+	return out
 }
 
 // TestNestedPadsMatchAddDummyColumns pads a stream twice with different
