@@ -4,9 +4,11 @@
 # "green there".
 #
 #   bash ci.sh guards    the per-subsystem regression guards
-#   bash ci.sh kernels   the SQ8 scan on every int8 kernel tier of this host
+#   bash ci.sh kernels   the f64 tile kernel and the SQ8 scan on every kernel
+#                        tier of this host
 #   bash ci.sh harness   the benchmark harness (its own module) vets, builds
 #                        and passes its own tests
+#   bash ci.sh layout    addr % 64 and size of the hot symbols in entmatcher
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -85,6 +87,22 @@ guards() {
 }
 
 kernels() {
+	# The f64 tile kernel — MulTransposedBlockInto, behind every streamed tile,
+	# dense strip, Stream.Block and MulTransposed — must emit the bits of the
+	# per-pair Dot4 whichever tier the machine picks: the 6-row AVX512VL kernel,
+	# the 3-row AVX2 kernel or the per-pair Go dispatch (internal/matrix's
+	# kernels.go). Inside internal/matrix the TileKernel tests force every tier
+	# the host supports through export_test.go (ragged row groups, dimensions
+	# around the 16-element step, offsets, signed zeros and subnormals); the
+	# heap-layout, DotBlock and MulTransposed tests, internal/sim's one tile
+	# loop (tiles, Block and the dense matrix against sim.Matrix, per metric
+	# and table kind) and internal/conformance's blocked-kernel pins run on
+	# the host's best tier, and all of it again on the Go tier under
+	# -tags purego.
+	local f64='TileKernel|Blocked|HeapLayout|DotBlock|MulTransposed|OneLoopOverEveryTable'
+	go test -race -count=1 -run "$f64" ./internal/matrix ./internal/sim ./internal/conformance
+	go test -race -count=1 -tags purego -run "$f64" ./internal/matrix ./internal/sim ./internal/conformance
+
 	# The SQ8 two-phase scan — rows kernel, pool selection, prefetched re-rank
 	# — must emit the same bits whichever int8 kernel the machine picks:
 	# AVX512-VNNI, AVX2 or the scalar loop (internal/quant/dot.go). Nothing
@@ -116,12 +134,36 @@ harness() {
 	go test -count=1 -run 'TestSpecMatchesBenchmarkJSON|TestSmokeAllWorkloads|TestCompare' ./...
 }
 
+layout() {
+	# Where the hot loops landed. A Go loop's speed can move with its code
+	# alignment, so a change that touches nothing in a hot function can still
+	# shift it; this prints addr % 64 and size of the hot text symbols of the
+	# entmatcher binary — the rank.go passes, the heap offers, the tile loop,
+	# the tile kernels and the quant rows kernels — for a before/after diff of
+	# two checkouts. It checks nothing; symbols the compiler inlined away are
+	# absent.
+	local hot
+	layout_dir=$(mktemp -d)
+	trap 'rm -rf "$layout_dir"' EXIT
+	go build -o "$layout_dir/entmatcher" ./cmd/entmatcher
+	hot='internal/matrix\.(\(\*ranker\)\.[A-Za-z]+|OrderDesc[A-Za-z]*|RanksDesc|\(\*minHeap\)\.(offerRun|down)|offerCols|MulTransposedBlockInto(\.func1)?|tileRows[A-Za-z0-9]*|dotAVX2)$'
+	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.dotI8Rows[14][A-Za-z0-9]*$'
+	printf '%-56s %7s %6s\n' symbol 'addr%64' size
+	go tool nm -n -size "$layout_dir/entmatcher" | while read -r addr size kind name; do
+		name=${name%.abi0} # assembly functions
+		if [[ $kind == [Tt] && $name =~ $hot ]]; then
+			printf '%-56s %7d %6d\n' "${name#entmatcher/}" $((16#$addr % 64)) "$size"
+		fi
+	done
+}
+
 case "${1:-}" in
 guards) guards ;;
 kernels) kernels ;;
 harness) harness ;;
+layout) layout ;;
 *)
-	echo "usage: bash ci.sh guards|kernels|harness" >&2
+	echo "usage: bash ci.sh guards|kernels|harness|layout" >&2
 	exit 2
 	;;
 esac

@@ -1,15 +1,15 @@
 package matrix
 
 // Register-blocked multi-query dot kernel: three source rows scored against
-// one shared target row per call. The streamed tile pass and every slab scan
-// are memory-bandwidth bound — each target row used to be re-read from
-// L2/DRAM once per source row — so amortizing one target-row load across a
-// block of queries raises arithmetic intensity 3× on the hottest loop in the
-// repository. The geometry is 3×1 and not wider because bit-identity with
-// the per-pair kernel is part of the contract: each pair keeps dotAVX2's
-// four YMM accumulators, and 3 pairs × 4 accumulators + 4 shared
-// target-row chunks fill all 16 architectural YMM registers (see
-// dot_block_amd64.s).
+// one shared target row per call, for scans whose query rows are not
+// consecutive rows of one table (internal/quant's f64 walker). Amortizing one
+// target-row load across a block of queries raises arithmetic intensity 3×.
+// Bit-identity with the per-pair kernel is part of the contract: each pair
+// keeps dotAVX2's four YMM accumulators, and 3 pairs × 4 accumulators + 4
+// shared target-row chunks fill the 16 YMM registers AVX2 has (see
+// dot_block_amd64.s). With AVX512VL's 32 YMM registers the same per-pair
+// layout fits six pairs; the tile kernels (tile_amd64.s) use that width where
+// the CPU has it.
 
 // dotBlock3 computes out[j] = dot(aj, b) for j in 0..2. Each out[j] is
 // bit-identical to dot(aj, b): the AVX2 path replicates dotAVX2's per-pair

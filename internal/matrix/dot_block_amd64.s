@@ -19,10 +19,11 @@
 // in a register at the FMA (b here, a there), and FP multiplication is
 // exactly commutative, so every intermediate rounds identically.
 //
-// 3×1 is the widest geometry that preserves that contract: 3 pairs × 4
-// accumulators + 4 shared b chunks = 16 YMM registers, the full
-// architectural file. Wider blocks would need to narrow the per-pair
-// accumulator count and thereby change the pinned summation order.
+// 3×1 is the widest geometry that preserves that contract in AVX2's 16 YMM
+// registers: 3 pairs × 4 accumulators + 4 shared b chunks. Narrowing the
+// per-pair accumulator count to fit more pairs would change the pinned
+// summation order. AVX512VL's YMM16–31 make room for 6 pairs at the same
+// layout; tileRows6VL (tile_amd64.s) is that geometry.
 TEXT ·dotBlock3AVX2(SB), NOSPLIT, $0-104
 	MOVQ a0_base+0(FP), SI
 	MOVQ a1_base+24(FP), R8

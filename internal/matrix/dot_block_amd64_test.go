@@ -74,9 +74,9 @@ func TestDotBlock3AVX2SharedRow(t *testing.T) {
 
 func BenchmarkDotBlockKernels(b *testing.B) {
 	// Single-row vs blocked throughput on a slab scan shape: 3 source rows
-	// against nTargets target rows of dimension d, the inner loop of a tile
-	// pass. The blocked variant touches each target row once for all three
-	// sources.
+	// against nTargets target rows of dimension d, the inner loop of the
+	// indexed walker's full groups. The blocked variant touches each target
+	// row once for all three sources.
 	const d, nTargets = 128, 512
 	rng := rand.New(rand.NewSource(29))
 	src := make([][]float64, 3)

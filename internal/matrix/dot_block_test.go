@@ -61,34 +61,3 @@ func TestDotBlockRowsMatchesDot4(t *testing.T) {
 		}
 	}
 }
-
-// TestMulTransposedBlockIntoBlockedEqualsPerPair checks the grouped tile
-// kernel against a per-pair reference on shapes that exercise full 3-row
-// groups and every ragged remainder (0, 1, 2 leftover rows).
-func TestMulTransposedBlockIntoBlockedEqualsPerPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const d = 48
-	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 16} {
-		for _, cols := range []int{1, 3, 17} {
-			a := New(rows+2, d)
-			b := New(cols+2, d)
-			for i := range a.data {
-				a.data[i] = rng.NormFloat64()
-			}
-			for i := range b.data {
-				b.data[i] = rng.NormFloat64()
-			}
-			dst := New(rows, cols)
-			MulTransposedBlockInto(dst, a, b, 2, 1)
-			for r := 0; r < rows; r++ {
-				for c := 0; c < cols; c++ {
-					want := Dot4(a.Row(2+r), b.Row(1+c))
-					if got := dst.At(r, c); got != want {
-						t.Fatalf("rows=%d cols=%d (%d,%d): blocked tile = %x, Dot4 = %x",
-							rows, cols, r, c, got, want)
-					}
-				}
-			}
-		}
-	}
-}

@@ -13,7 +13,9 @@ package matrix
 // On amd64 with AVX2+FMA the dot product dispatches to the vectorized
 // dotAVX2 (dot_amd64.s) for vectors of 16+ elements — the similarity pass is
 // >75 % of a streamed sparse match, so this is the single highest-leverage
-// kernel in the repository. The dispatch is decided once at startup from
+// kernel in the repository. The cosine block kernel runs groups of 6
+// (AVX512VL) or 3 (AVX2) source rows per assembly call (tile_amd64.s), each
+// pair with dotAVX2's arithmetic. The dispatch is decided once at startup from
 // CPUID, so every score in a process comes from the same kernel and the
 // engine's determinism and tile-shape invariance are unaffected; results may
 // differ across CPU generations by a few ulps, like any vectorized BLAS.
@@ -54,7 +56,7 @@ func dot(a, b []float64) float64 {
 }
 
 // Dot4 exposes the dot kernel to sibling packages; it is the per-pair
-// arithmetic of every cosine score (the block kernel's groups of three are
+// arithmetic of every cosine score (the tile kernels' row groups are
 // bit-identical to it), so all cosine scores share one summation order.
 func Dot4(a, b []float64) float64 { return dot(a, b) }
 
@@ -79,45 +81,65 @@ func negManhattan(a, b []float64) float64 {
 	return -acc
 }
 
+// tileWidth is the source-row group of the widest tile kernel this process
+// runs, picked once from CPUID: 6 (tileRows6VL, AVX512VL), 3 (tileRows3AVX2,
+// AVX2+FMA) or 1 (the per-pair dot). Only tests override it
+// (export_test.go).
+var tileWidth = bestTileWidth()
+
+func bestTileWidth() int {
+	switch {
+	case hasFastDot && hasAVX512VL:
+		return 6
+	case hasFastDot:
+		return 3
+	}
+	return 1
+}
+
 // MulTransposedBlockInto fills dst with the aOff/bOff-offset block of a×bᵀ:
 //
 //	dst[r][c] = dot(a.Row(aOff+r), b.Row(bOff+c))
 //
 // for r < dst.Rows(), c < dst.Cols(). The block must lie fully inside the
 // product's shape; dimensions are not re-checked here (the streaming driver
-// validates once). Source rows are processed in register-blocked groups of
-// three sharing each b-row load (dotBlock3), computed in parallel on the
-// worker pool; the ragged last group falls back to the per-pair kernel.
-// Every element is bit-identical to the per-pair dot, so tile shape and
-// blocking never change a score. The b block (dst.Cols() rows of b) is the
+// validates once). Source rows are split into groups of tileWidth, run in
+// parallel on the worker pool; each group is one tile-kernel call that walks
+// every target row of the block and stores straight into the group's output
+// rows. Every element is bit-identical to the per-pair dot, so tile shape
+// and tier never change a score. The b block (dst.Cols() rows of b) is the
 // reuse target: at tile sizes it stays resident in cache while every group
-// of a rows streams across it, and the blocking cuts its re-read traffic 3×.
+// of a rows streams across it, and each b-row load serves the whole group.
 func MulTransposedBlockInto(dst, a, b *Dense, aOff, bOff int) {
-	d := a.cols
-	groups := (dst.rows + 2) / 3
-	parallelRows(groups, func(g int) {
-		r := g * 3
-		if r+3 <= dst.rows {
-			a0 := a.data[(aOff+r)*d : (aOff+r+1)*d]
-			a1 := a.data[(aOff+r+1)*d : (aOff+r+2)*d]
-			a2 := a.data[(aOff+r+2)*d : (aOff+r+3)*d]
-			o0, o1, o2 := dst.Row(r), dst.Row(r+1), dst.Row(r+2)
-			var blk [3]float64
-			for c := range o0 {
-				brow := b.data[(bOff+c)*d : (bOff+c+1)*d]
-				dotBlock3(a0, a1, a2, brow, &blk)
-				o0[c], o1[c], o2[c] = blk[0], blk[1], blk[2]
-			}
-			return
-		}
-		for ; r < dst.rows; r++ {
-			arow := a.data[(aOff+r)*d : (aOff+r+1)*d]
-			orow := dst.Row(r)
-			for c := range orow {
-				orow[c] = dot(arow, b.data[(bOff+c)*d:(bOff+c+1)*d])
-			}
-		}
+	d, n, g := a.cols, dst.cols, tileWidth
+	bs := b.data[bOff*d : (bOff+n)*d]
+	parallelRows((dst.rows+g-1)/g, func(i int) {
+		r := i * g
+		rows := min(g, dst.rows-r)
+		tileRows(dst.data[r*n:(r+rows)*n], a.data[(aOff+r)*d:(aOff+r+rows)*d], bs, rows, d, n)
 	})
+}
+
+// tileRows writes dot(a_j, b_c) into out[j*n+c] for the rows source rows of a
+// and the n target rows of b (d elements each). Whole groups of six and then
+// three go to the widest kernel tileWidth allows; what is left, and every
+// vector shorter than dot's 16-element vector step, is scored per pair.
+func tileRows(out, a, b []float64, rows, d, n int) {
+	r := 0
+	if d >= 16 {
+		for ; tileWidth >= 6 && r+6 <= rows; r += 6 {
+			tileRows6VL(a[r*d:(r+6)*d], b, out[r*n:(r+6)*n], d, n)
+		}
+		for ; tileWidth >= 3 && r+3 <= rows; r += 3 {
+			tileRows3AVX2(a[r*d:(r+3)*d], b, out[r*n:(r+3)*n], d, n)
+		}
+	}
+	for ; r < rows; r++ {
+		arow, orow := a[r*d:(r+1)*d], out[r*n:(r+1)*n]
+		for c := range orow {
+			orow[c] = dot(arow, b[c*d:(c+1)*d])
+		}
+	}
 }
 
 // NegEuclideanBlockInto is MulTransposedBlockInto for negated Euclidean

@@ -26,10 +26,15 @@ type minHeap struct {
 // heapify had arranged them (caught by the conformance harness's
 // TestKernelsMatchOracles on tie-heavy matrices).
 func (h *minHeap) Less(i, j int) bool {
-	if h.vals[i] != h.vals[j] {
-		return h.vals[i] < h.vals[j]
+	return entryLess(h.vals[i], h.idx[i], h.vals[j], h.idx[j])
+}
+
+// entryLess is Less on (value, index) entries held outside the arrays.
+func entryLess(av float64, ai int, bv float64, bi int) bool {
+	if av != bv {
+		return av < bv
 	}
-	return h.idx[i] > h.idx[j]
+	return ai > bi
 }
 func (h *minHeap) Swap(i, j int) {
 	h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
@@ -135,23 +140,29 @@ func (h *minHeap) finalize() TopK {
 	return TopK{Values: h.vals, Indices: h.idx}
 }
 
-// down restores the min-heap property below node i within h[:n].
+// down restores the min-heap property below node i within h[:n]. It moves a
+// hole instead of swapping: the sinking entry is read once, each smaller child
+// moves up into the hole, and the entry is written once where it stops. The
+// comparisons are the swap sift's, so the array it leaves is the one a swap
+// per level leaves (pinned by TestHeapLayoutMatchesReference).
 func (h *minHeap) down(i, n int) {
+	vals, idx := h.vals[:n], h.idx[:n]
+	v, x := vals[i], idx[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		j := 2*i + 1
+		if uint(j) >= uint(n) {
+			break
 		}
-		j := l
-		if r := l + 1; r < n && h.Less(r, l) {
+		if r := j + 1; uint(r) < uint(n) && entryLess(vals[r], idx[r], vals[j], idx[j]) {
 			j = r
 		}
-		if !h.Less(j, i) {
-			return
+		if !entryLess(vals[j], idx[j], v, x) {
+			break
 		}
-		h.Swap(i, j)
+		vals[i], idx[i] = vals[j], idx[j]
 		i = j
 	}
+	vals[i], idx[i] = v, x
 }
 
 // heapMean averages the heap contents in array (heap) order. Exposed as the
