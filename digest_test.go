@@ -1,0 +1,217 @@
+package entmatcher
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"entmatcher/internal/ann"
+	"entmatcher/internal/datagen"
+	"entmatcher/internal/matrix"
+)
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/digests.txt from this build's answers")
+
+const digestFile = "testdata/digests.txt"
+
+// dotArithmetic names the float64 dot product this build scores with:
+// "fma" where matrix.Dot4 runs the AVX2+FMA kernel (every tile tier shares
+// its arithmetic), "go" where it runs the portable unrolled loop (-tags
+// purego, or a CPU without AVX2+FMA). The two sum in different orders, so
+// their answers differ in the last bits and each has its own digests. The
+// probe tells them apart by one product: x·x with x = 1+2⁻³⁰ is
+// 1+2⁻²⁹+2⁻⁶⁰, which the FMA keeps until -(1+2⁻²⁹) cancels the rest and the
+// Go loop rounds away first.
+func dotArithmetic() string {
+	a, b := make([]float64, 17), make([]float64, 17)
+	a[0], b[0] = -(1 + 0x1p-29), 1
+	a[16], b[16] = 1+0x1p-30, 1+0x1p-30
+	if matrix.Dot4(a, b) != 0 {
+		return "fma"
+	}
+	return "go"
+}
+
+// digestRungs are the sparse engines the digests cover on a rows×cols task,
+// each at candidate width 16 but for the full-width exact rung. Full NProbe
+// probes every cell of the auto geometry of the smaller side.
+func digestRungs(rows, cols int) []struct {
+	name string
+	cfg  PipelineConfig
+} {
+	const c = 16
+	k := min(ann.AutoClusters(rows), ann.AutoClusters(cols))
+	return []struct {
+		name string
+		cfg  PipelineConfig
+	}{
+		{"exact-c16", PipelineConfig{CandidateBudget: c}},
+		{"exact-full", PipelineConfig{CandidateBudget: max(rows, cols)}},
+		{"ivf-auto", PipelineConfig{CandidateBudget: c, ANN: &ANNConfig{Seed: 1}}},
+		{"ivf-full", PipelineConfig{CandidateBudget: c, ANN: &ANNConfig{Clusters: k, NProbe: k, Seed: 1}}},
+		{"sq8", PipelineConfig{CandidateBudget: c, Quant: &QuantConfig{}}},
+		{"ivf-sq8", PipelineConfig{CandidateBudget: c, ANN: &ANNConfig{Seed: 1}, Quant: &QuantConfig{}}},
+		{"shard1", PipelineConfig{CandidateBudget: c, Shards: 1}},
+		{"shard4", PipelineConfig{CandidateBudget: c, Shards: 4}},
+	}
+}
+
+// digester hashes answers in a fixed binary layout.
+type digester struct{ buf []byte }
+
+func (d *digester) int(v int) { d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(v)) }
+
+func (d *digester) float(v float64) {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, math.Float64bits(v))
+}
+
+// graph appends a candidate graph's CSR arrays: its shape, each row's edge
+// count, and every edge's column and score bits.
+func (d *digester) graph(g *matrix.CandGraph) {
+	d.int(g.Rows())
+	d.int(g.Cols())
+	for i := 0; i < g.Rows(); i++ {
+		cols, scores := g.Row(i)
+		d.int(len(cols))
+		for k, c := range cols {
+			d.int(int(c))
+			d.float(scores[k])
+		}
+	}
+}
+
+func (d *digester) sum() string { return fmt.Sprintf("%x", sha256.Sum256(d.buf)) }
+
+// answerDigests runs RInf, Hun. and CSLS sparse on every digest rung of a
+// D-W task at the benchmark harness's tiny size (×0.012, seeds 1 and 2 mixed
+// into the profile's seed as the harness does) and returns one "cell sha256"
+// line per seed × rung × matcher, each cell named after the dot arithmetic
+// arith first. A cell's hash covers the matcher's pairs with their score bits
+// and its abstentions, the P/R/F1 bits, and the run's forward and reverse
+// candidate graphs at the rung's width.
+func answerDigests(t *testing.T, arith string) []string {
+	t.Helper()
+	ctx := context.Background()
+	var lines []string
+	for seed := int64(1); seed <= 2; seed++ {
+		p := datagen.DWY100KDbpWd.Scaled(0.012)
+		p.Seed = p.Seed*1_000_003 + seed
+		d, err := datagen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emb, err := EncodeNames(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := NewPipeline(PipelineConfig{Features: FeatureName, CandidateBudget: 1}).PrepareWithEmbeddings(d, emb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, cols := base.Dims()
+		for _, rung := range digestRungs(rows, cols) {
+			cfg := rung.cfg
+			cfg.Features = FeatureName
+			run, err := NewPipeline(cfg).PrepareWithEmbeddings(d, emb)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, rung.name, err)
+			}
+			c := cfg.CandidateBudget
+			fwd, rev, err := run.graphs.ProduceCandGraphs(ctx, c, c)
+			if err != nil {
+				t.Fatalf("seed %d %s: graphs: %v", seed, rung.name, err)
+			}
+			for _, m := range []Matcher{NewRInfSparse(c), NewHungarianSparse(c), NewCSLSSparse(c, 1)} {
+				res, met, err := run.Match(m)
+				if err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, rung.name, m.Name(), err)
+				}
+				var h digester
+				h.int(len(res.Pairs))
+				for _, pr := range res.Pairs {
+					h.int(pr.Source)
+					h.int(pr.Target)
+					h.float(pr.Score)
+				}
+				h.int(len(res.Abstained))
+				for _, a := range res.Abstained {
+					h.int(a)
+				}
+				h.float(met.Precision)
+				h.float(met.Recall)
+				h.float(met.F1)
+				h.graph(fwd)
+				h.graph(rev)
+				name := strings.TrimSuffix(m.Name(), "-sparse")
+				lines = append(lines, fmt.Sprintf("%s/s%d/%s/%s %s", arith, seed, rung.name, name, h.sum()))
+			}
+			if err := run.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return lines
+}
+
+// TestAnswerDigests holds the sparse engines' answers to the digests in
+// testdata/digests.txt: any change to a pair, a score bit, an abstention,
+// P/R/F1 or a candidate-graph edge fails the cell that moved. The file holds
+// the cells of both dot arithmetics and each build checks its own. A
+// refactor meant to keep every bit leaves the file untouched; when a change
+// of answer is intended, `go test -run Digest -update .` and the same under
+// -tags purego rewrite their own lines and keep the other's.
+func TestAnswerDigests(t *testing.T) {
+	arith := dotArithmetic()
+	got := answerDigests(t, arith)
+	data, err := os.ReadFile(digestFile)
+	if err != nil && !(*updateDigests && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatalf("%v (go test -run Digest -update . writes it)", err)
+	}
+	var others []string // the other arithmetic's lines, kept by -update
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		cell, sum, _ := strings.Cut(line, " ")
+		if line == "" {
+			continue
+		}
+		if !strings.HasPrefix(cell, arith+"/") {
+			others = append(others, line)
+			continue
+		}
+		want[cell] = sum
+	}
+	if *updateDigests {
+		lines := append(got, others...)
+		slices.Sort(lines)
+		if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, line := range got {
+		cell, sum, _ := strings.Cut(line, " ")
+		switch w, ok := want[cell]; {
+		case !ok:
+			t.Errorf("cell %s has no digest in %s", cell, digestFile)
+		case w != sum:
+			t.Errorf("cell %s: answer digest %s, want %s", cell, sum, w)
+		}
+		delete(want, cell)
+	}
+	for cell := range want {
+		t.Errorf("cell %s in %s was not produced", cell, digestFile)
+	}
+}
