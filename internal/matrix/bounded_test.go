@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,7 +129,7 @@ func TestNewCandGraphRoundTrip(t *testing.T) {
 			r[j] = float64(rng.Intn(7)) / 4
 		}
 	}
-	want, err := BuildCandGraph(t.Context(), &DenseTileSource{M: m, TileRows: 5, TileCols: 7}, c)
+	want, err := BuildCandGraph(context.Background(), &DenseTileSource{M: m, TileRows: 5, TileCols: 7}, c)
 	if err != nil {
 		t.Fatalf("BuildCandGraph: %v", err)
 	}
