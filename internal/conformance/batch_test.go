@@ -10,13 +10,15 @@ import (
 	"entmatcher/internal/sim"
 )
 
-// The register-blocked multi-query kernels (matrix.DotBlock3 and
-// quant.DotI8Block4) are implementation details of the scan paths, never an
-// approximation: every score and every selection they produce must be
-// bit-identical to the per-pair Dot4/DotI8 paths, on the full adversarial
-// embedding suite — 1-ulp near-ties and duplicate rows are exactly where a
-// kernel with a different summation order would betray itself. These pins
-// hold on both the assembly and purego legs (CI runs both).
+// The register-blocked kernels — the float64 tile kernel (row groups of six
+// or three, behind every tile pass, Block and the IVF walker's probed runs)
+// and the int8 rows kernel of four queries — are implementation details of
+// the scan paths, never an approximation: every score and every selection
+// they produce must be bit-identical to the per-pair Dot4/DotI8 paths, on the
+// full adversarial embedding suite — 1-ulp near-ties and duplicate rows are
+// exactly where a kernel with a different summation order would betray
+// itself. These pins hold on both the assembly and purego legs (CI runs
+// both).
 
 // tileGrid collects a streamed score pass into a dense matrix.
 type tileGrid struct{ dst *matrix.Dense }
@@ -28,7 +30,7 @@ func (c *tileGrid) ConsumeTile(rowOff, colOff int, tile *matrix.Dense) {
 }
 
 // TestBlockedTilePassMatchesDot4 pins the streamed cosine tile pass — whose
-// inner loop now runs groups of three source rows through the blocked
+// inner loop runs groups of six or three source rows through the tile
 // kernel — to the per-pair streaming kernel, element for element, for both
 // the resident and the out-of-core engine.
 func TestBlockedTilePassMatchesDot4(t *testing.T) {
@@ -72,7 +74,7 @@ func TestBlockedTilePassMatchesDot4(t *testing.T) {
 // TestBlockedBlockExtractionMatchesDot4 pins multi-row Block extraction (the
 // shape batched server scans and blocked matchers use) on both engines:
 // every element equals Dot4 of the prepared rows, for row counts that
-// exercise full groups of three and every ragged remainder.
+// exercise full groups of six and of three and the ragged remainders.
 func TestBlockedBlockExtractionMatchesDot4(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range annCases(suiteSeed) {
@@ -133,8 +135,8 @@ func topKsIdentical(a, b matrix.TopK) bool {
 }
 
 // TestBatchedSearchesMatchSolo pins the grouped multi-query search entry
-// points — the IVF float scan (groups of three), the IVF quantized scan and
-// the exhaustive quantized scan (groups of four) — to their solo-query
+// points — the IVF float scan, the IVF quantized scan and the exhaustive
+// quantized scan (groups of four queries) — to their solo-query
 // selves on the adversarial suite: batching queries may only change slab
 // traffic, never a returned value or index, because the blocked kernels are
 // bit-identical and the selectors are scan-order-insensitive. Query counts

@@ -8,14 +8,16 @@ package matrix
 // tiles, its Blocks and the dense matrix (the kernel written in place over
 // full-width row strips) — and MulTransposed is the cosine block kernel over
 // a whole product, so dense and streamed scores are bit-identical by
-// construction for every metric.
+// construction for every metric. The indexed walker (internal/quant's
+// Scanner) runs the same cosine tile kernel through TileKernel, one call per
+// probed run, so every float64 scan shares one kernel.
 //
 // On amd64 with AVX2+FMA the dot product dispatches to the vectorized
 // dotAVX2 (dot_amd64.s) for vectors of 16+ elements — the similarity pass is
 // >75 % of a streamed sparse match, so this is the single highest-leverage
-// kernel in the repository. The cosine block kernel runs groups of 6
-// (AVX512VL) or 3 (AVX2) source rows per assembly call (tile_amd64.s), each
-// pair with dotAVX2's arithmetic. The dispatch is decided once at startup from
+// kernel in the repository. The cosine tile kernel runs groups of 6
+// (AVX512VL) or 3 (AVX2) rows per assembly call (tile_amd64.s), each pair
+// with dotAVX2's arithmetic. The dispatch is decided once at startup from
 // CPUID, so every score in a process comes from the same kernel and the
 // engine's determinism and tile-shape invariance are unaffected; results may
 // differ across CPU generations by a few ulps, like any vectorized BLAS.
@@ -59,6 +61,16 @@ func dot(a, b []float64) float64 {
 // arithmetic of every cosine score (the tile kernels' row groups are
 // bit-identical to it), so all cosine scores share one summation order.
 func Dot4(a, b []float64) float64 { return dot(a, b) }
+
+// DotBlockRows writes Dot4(a[i], b) into out[i] for every row of a; len(out)
+// must be at least len(a). It is a per-pair loop kept only because
+// benchmark/probes.go compiles against it (its matrix.dot_block3_* probe
+// times this loop), until ROADMAP 19(c) moves that probe in-tree.
+func DotBlockRows(a [][]float64, b []float64, out []float64) {
+	for i, row := range a {
+		out[i] = dot(row, b)
+	}
+}
 
 // negEuclidean returns the negated Euclidean (L2) distance between two
 // equal-length vectors, accumulated in index order.
@@ -119,6 +131,14 @@ func MulTransposedBlockInto(dst, a, b *Dense, aOff, bOff int) {
 		tileRows(dst.data[r*n:(r+rows)*n], a.data[(aOff+r)*d:(aOff+r+rows)*d], bs, rows, d, n)
 	})
 }
+
+// TileKernel is the tile kernel on the calling goroutine, for sibling
+// packages: out[j*n+c] = Dot4(a_j, b_c) for the rows rows a_j of a and the n
+// rows b_c of b, d elements each. FMA is exactly commutative in its two
+// multiplicands, so out[j*n+c] is also Dot4(b_c, a_j) bit for bit: the
+// indexed walker passes a probed run's corpus rows as a and one query as b
+// (n = 1).
+func TileKernel(out, a, b []float64, rows, d, n int) { tileRows(out, a, b, rows, d, n) }
 
 // tileRows writes dot(a_j, b_c) into out[j*n+c] for the rows source rows of a
 // and the n target rows of b (d elements each). Whole groups of six and then

@@ -31,7 +31,10 @@ func tileOperand(rng *rand.Rand, rows, d int) *Dense {
 
 // checkTileAgainstDot4 runs MulTransposedBlockInto over a NaN-filled dst and
 // holds every element to the per-pair Dot4 with math.Float64bits equality, so
-// an element the kernel skipped or wrote to the wrong place fails too.
+// an element the kernel skipped or wrote to the wrong place fails too. Then
+// it runs the same a rows in the indexed walker's orientation — TileKernel
+// with the rows as the group and each b row as the one target — and holds
+// every score to Dot4(b row, a row), operands swapped.
 func checkTileAgainstDot4(t *testing.T, dst, a, b *Dense, aOff, bOff int) {
 	t.Helper()
 	for i := range dst.data {
@@ -47,13 +50,28 @@ func checkTileAgainstDot4(t *testing.T, dst, a, b *Dense, aOff, bOff int) {
 			}
 		}
 	}
+	d, out := a.cols, make([]float64, dst.rows)
+	for c := 0; c < dst.cols; c++ {
+		q := b.Row(bOff + c)
+		for r := range out {
+			out[r] = math.NaN()
+		}
+		TileKernel(out, a.data[aOff*d:(aOff+dst.rows)*d], q, dst.rows, d, 1)
+		for r, got := range out {
+			if want := Dot4(q, a.Row(aOff+r)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d rows against target %d, d=%d, offsets (%d,%d), row %d: %x, Dot4(target, row) %x",
+					dst.rows, c, d, aOff, bOff, r, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
 }
 
 // TestTileKernelTiersMatchDot4 holds every tile-kernel tier this host has —
 // vl6, rows3 and the per-pair Go dispatch — to Dot4 bit for bit: 0–13 source
 // rows (every remainder mod 6 and mod 3), dimensions on both sides of the
-// 16-element vector step and of its multiples, 0 to 513 target rows, nonzero
-// offsets into both tables, and tables with signed zeros and subnormals.
+// 16-element vector step and of its multiples, 0 to 4, 511 and 513 target
+// rows, nonzero offsets into both tables, and tables with signed zeros and
+// subnormals; each in the tile orientation and in the walker's.
 func TestTileKernelTiersMatchDot4(t *testing.T) {
 	const aOff, bOff = 3, 5
 	for _, tier := range tileTiers() {
@@ -61,7 +79,7 @@ func TestTileKernelTiersMatchDot4(t *testing.T) {
 			forceTileTier(t, tier)
 			rng := rand.New(rand.NewSource(43))
 			for _, d := range []int{1, 15, 16, 17, 20, 128, 130} {
-				for _, cols := range []int{0, 1, 511, 513} {
+				for _, cols := range []int{0, 1, 2, 3, 4, 511, 513} {
 					a := tileOperand(rng, aOff+13+2, d)
 					b := tileOperand(rng, bOff+cols+1, d)
 					for rows := 0; rows <= 13; rows++ {
@@ -94,10 +112,13 @@ func fuzzTileEntry(x byte) float64 {
 
 // FuzzTileKernel holds every tile-kernel tier to Dot4 on arbitrary tables:
 // up to 13 source rows, dimensions up to 47, up to 40 target rows, offsets
-// into both tables.
+// into both tables; in the tile orientation and in the walker's.
 func FuzzTileKernel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 16, 200, 7}, byte(7), byte(17), byte(5), byte(2), byte(1))
 	f.Add([]byte{255, 128, 1, 1, 0}, byte(13), byte(32), byte(40), byte(0), byte(3))
+	f.Add([]byte{9, 0, 250, 3, 1, 77}, byte(11), byte(12), byte(2), byte(1), byte(0))
+	f.Add([]byte{2, 4, 130, 1}, byte(12), byte(20), byte(3), byte(3), byte(2))
+	f.Add([]byte{0, 5, 64, 192}, byte(6), byte(16), byte(4), byte(0), byte(1))
 	f.Fuzz(func(t *testing.T, data []byte, rowsB, dB, colsB, aOffB, bOffB byte) {
 		if len(data) == 0 {
 			return
@@ -118,4 +139,31 @@ func FuzzTileKernel(f *testing.F) {
 			checkTileAgainstDot4(t, New(rows, cols), a, b, aOff, bOff)
 		}
 	})
+}
+
+// TestDotBlockRowsMatchesDot4 pins the per-pair shim benchmark/probes.go
+// times: 0 through 8 query rows, each element bit-identical to Dot4.
+func TestDotBlockRowsMatchesDot4(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const d = 64
+	b := make([]float64, d)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	for nq := 0; nq <= 8; nq++ {
+		rows := make([][]float64, nq)
+		for j := range rows {
+			rows[j] = make([]float64, d)
+			for i := range rows[j] {
+				rows[j][i] = rng.NormFloat64()
+			}
+		}
+		out := make([]float64, nq)
+		DotBlockRows(rows, b, out)
+		for j := range rows {
+			if want := Dot4(rows[j], b); out[j] != want {
+				t.Fatalf("nq=%d pair=%d: DotBlockRows = %x, Dot4 = %x", nq, j, out[j], want)
+			}
+		}
+	}
 }

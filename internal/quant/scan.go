@@ -53,12 +53,14 @@ type Probe func(q []float64, cells *matrix.BoundedTopK) []int
 
 var flatRun = []int{0}
 
-// groupWidth bounds the queries one group shares slab reads across — the
-// widest register-blocked kernel (dotI8Rows4) — and slotBits is the room a
-// slot number takes in a packed walk key.
+// groupWidth bounds the queries one group walks together — the width of the
+// register-blocked int8 kernel (dotI8Rows4) — and slotBits is the room a
+// slot number takes in a packed walk key. fullMask is the membership mask of
+// a run every slot of a full group probes.
 const (
 	slotBits   = 2
 	groupWidth = 1 << slotBits
+	fullMask   = 1<<groupWidth - 1
 )
 
 // run is a contiguous span [lo, hi) of slab positions.
@@ -83,6 +85,7 @@ type slot struct {
 type scanScratch struct {
 	slots [groupWidth]slot
 	keys  []int64      // run<<slotBits|slot for every probed run of the group
+	dots  []float64    // f64Kernel's scores of one run for one slot
 	pool  poolSelector // i8Kernel.finish's re-rank pool, one slot at a time
 }
 
@@ -107,18 +110,14 @@ func (s *Scanner) id(p int) int {
 
 // kernel scores slab positions for the slots of one group. The walker
 // decides WHICH positions each slot sees; the kernel decides how they are
-// scored and selected.
+// scored and selected. sc is the scratch the slots belong to.
 type kernel interface {
-	// width is the group size the register-blocked form serves.
-	width() int
 	// begin readies sl for a top-c scan of at most m positions.
 	begin(sl *slot, m, c int) error
-	// shared scores [lo, hi) for all width slots in one pass over the slab.
-	shared(sls []slot, lo, hi int)
-	// one scores [lo, hi) for a single slot with the per-pair kernel.
-	one(sl *slot, lo, hi int)
-	// finish returns sl's top-c; the result aliases sl.sel. sc is the
-	// scratch sl belongs to.
+	// score scores positions [lo, hi) for every slot sls[j] whose bit j is
+	// set in mask.
+	score(sc *scanScratch, sls []slot, mask, lo, hi int)
+	// finish returns sl's top-c; the result aliases sl.sel.
 	finish(sc *scanScratch, sl *slot, c int) matrix.TopK
 }
 
@@ -142,12 +141,11 @@ func (s *Scanner) SearchQuant(ctx context.Context, queries *matrix.Dense, c int,
 // scan is the grouped run walker. Rejected: nil queries, a query
 // dimensionality other than Dim, c < 1. Clamped: c above the corpus size.
 //
-// Queries are served in groups of k.width(). Each query keeps its own probed
-// runs, but the group's runs are walked once, ascending, with a membership
-// mask: a run every slot of a full group probes is read once through the
-// register-blocked kernel, any other through the per-pair kernel for just
-// its members — so a short last group, down to a single query, is simply
-// the ragged tail. Blocked and per-pair scores are bit-identical and every
+// Queries are served in groups of groupWidth. Each query keeps its own probed
+// runs, but the group's runs are walked once, ascending, and each run is
+// scored for just the slots whose bit is set in its membership mask — so a
+// short last group, down to a single query, is simply the ragged tail. A
+// kernel's scores do not depend on which slots share a run, and every
 // selector is order-insensitive (BoundedTopK; the pool threshold is a rank
 // statistic), so neither grouping nor walk order can change a result.
 func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe Probe, k kernel) ([]matrix.TopK, error) {
@@ -161,18 +159,18 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 		return nil, fmt.Errorf("%s: candidate budget %d < 1", s.Tag, c)
 	}
 	c = min(c, int(s.Bounds[len(s.Bounds)-1]))
-	nq, w := queries.Rows(), k.width()
+	nq := queries.Rows()
 	out := make([]matrix.TopK, nq)
 	var firstErr error
 	var failed sync.Once
-	err := matrix.ParallelRowsCtx(ctx, (nq+w-1)/w, func(g int) {
+	err := matrix.ParallelRowsCtx(ctx, (nq+groupWidth-1)/groupWidth, func(g int) {
 		sc := s.getScratch()
 		defer s.scratch.Put(sc)
-		sls := sc.slots[:min(w, nq-g*w)]
+		sls := sc.slots[:min(groupWidth, nq-g*groupWidth)]
 		sc.keys = sc.keys[:0]
 		for j := range sls {
 			sl := &sls[j]
-			sl.q, sl.runs = queries.Row(g*w+j), sl.runs[:0]
+			sl.q, sl.runs = queries.Row(g*groupWidth+j), sl.runs[:0]
 			runs := flatRun
 			if probe != nil {
 				runs = probe(sl.q, sl.cells)
@@ -188,30 +186,23 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 			}
 		}
 		slices.Sort(sc.keys)
-		full := 1<<w - 1
 		for x := 0; x < len(sc.keys); {
 			r, mask := sc.keys[x]>>slotBits, 0
 			for ; x < len(sc.keys) && sc.keys[x]>>slotBits == r; x++ {
 				mask |= 1 << (sc.keys[x] & (groupWidth - 1))
 			}
 			lo, hi := int(s.Bounds[r]), int(s.Bounds[r+1])
-			if mask == full {
-				k.shared(sls, lo, hi)
-			}
+			k.score(sc, sls, mask, lo, hi)
 			for j := range sls {
-				if mask&(1<<j) == 0 {
-					continue
+				if mask&(1<<j) != 0 {
+					sls[j].runs = append(sls[j].runs, run{lo, hi})
 				}
-				if mask != full {
-					k.one(&sls[j], lo, hi)
-				}
-				sls[j].runs = append(sls[j].runs, run{lo, hi})
 			}
 		}
 		for j := range sls {
 			// finish aliases pooled selector storage; copy out before release.
 			tk := k.finish(sc, &sls[j], c)
-			out[g*w+j] = matrix.TopK{
+			out[g*groupWidth+j] = matrix.TopK{
 				Values:  append([]float64(nil), tk.Values...),
 				Indices: append([]int(nil), tk.Indices...),
 			}
@@ -226,50 +217,48 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 	return out, nil
 }
 
-// f64Kernel scores Vecs with matrix.Dot4 / matrix.DotBlock3 and offers
-// every score straight to the slot's selector.
+// f64Kernel scores Vecs with the tile kernel — one matrix.TileKernel call
+// per run and member slot, the run's rows as the row group and the slot's
+// query as the one target, so every score is the query's Dot4 with the row,
+// bit for bit — into pooled scratch, then offers the run's scores to the
+// slot's selector.
 type f64Kernel struct{ s *Scanner }
-
-func (f64Kernel) width() int { return 3 }
 
 func (f64Kernel) begin(sl *slot, _, c int) error {
 	sl.sel.EnsureK(c)
 	return nil
 }
 
-func (k f64Kernel) shared(sls []slot, lo, hi int) {
-	s, d := k.s, k.s.Dim
-	var blk [3]float64
-	for p := lo; p < hi; p++ {
-		matrix.DotBlock3(sls[0].q, sls[1].q, sls[2].q, s.Vecs[p*d:(p+1)*d], &blk)
-		id := s.id(p)
-		sls[0].sel.Offer(blk[0], id)
-		sls[1].sel.Offer(blk[1], id)
-		sls[2].sel.Offer(blk[2], id)
+func (k f64Kernel) score(sc *scanScratch, sls []slot, mask, lo, hi int) {
+	s, d, n := k.s, k.s.Dim, hi-lo
+	if cap(sc.dots) < n {
+		sc.dots = make([]float64, n)
 	}
-}
-
-func (k f64Kernel) one(sl *slot, lo, hi int) {
-	s, d := k.s, k.s.Dim
-	for p := lo; p < hi; p++ {
-		sl.sel.Offer(matrix.Dot4(sl.q, s.Vecs[p*d:(p+1)*d]), s.id(p))
+	dots := sc.dots[:n]
+	for j := range sls {
+		if mask&(1<<j) == 0 {
+			continue
+		}
+		matrix.TileKernel(dots, s.Vecs[lo*d:hi*d], sls[j].q, n, d, 1)
+		for i, v := range dots {
+			sls[j].sel.Offer(v, s.id(lo+i))
+		}
 	}
 }
 
 func (f64Kernel) finish(_ *scanScratch, sl *slot, _ int) matrix.TopK { return sl.sel.Finalize() }
 
 // i8Kernel scores Codes with the rows kernels of dot.go — one call per run,
-// dotI8Rows4 for a full group and dotI8Rows1 for a single slot — straight
-// into the slot's int32 buffer; selection waits for finish, which needs every
-// score to place the pool boundary. Integer scores are exact, so the blocked
-// and per-slot forms agree bit-for-bit on every kernel tier.
+// dotI8Rows4 when every slot of a full group probes it and dotI8Rows1 per
+// member slot otherwise — straight into the slots' int32 buffers; selection
+// waits for finish, which needs every score to place the pool boundary.
+// Integer scores are exact, so the blocked and per-slot forms agree
+// bit-for-bit on every kernel tier.
 type i8Kernel struct {
 	s      *Scanner
 	factor int
 	rerank bool
 }
-
-func (i8Kernel) width() int { return 4 }
 
 func (k i8Kernel) begin(sl *slot, m, c int) error {
 	if d := k.s.Dim; cap(sl.codeQ) < d {
@@ -292,15 +281,19 @@ func (sl *slot) extend(n int) []int32 {
 	return sl.ints[l:]
 }
 
-func (k i8Kernel) shared(sls []slot, lo, hi int) {
+func (k i8Kernel) score(_ *scanScratch, sls []slot, mask, lo, hi int) {
 	d, n := k.s.Dim, hi-lo
-	dotI8Rows4(sls[0].codeQ[:d], sls[1].codeQ[:d], sls[2].codeQ[:d], sls[3].codeQ[:d], k.s.Codes[lo*d:hi*d],
-		sls[0].extend(n), sls[1].extend(n), sls[2].extend(n), sls[3].extend(n))
-}
-
-func (k i8Kernel) one(sl *slot, lo, hi int) {
-	d := k.s.Dim
-	dotI8Rows1(sl.codeQ[:d], k.s.Codes[lo*d:hi*d], sl.extend(hi-lo))
+	codes := k.s.Codes[lo*d : hi*d]
+	if mask == fullMask {
+		dotI8Rows4(sls[0].codeQ[:d], sls[1].codeQ[:d], sls[2].codeQ[:d], sls[3].codeQ[:d], codes,
+			sls[0].extend(n), sls[1].extend(n), sls[2].extend(n), sls[3].extend(n))
+		return
+	}
+	for j := range sls {
+		if mask&(1<<j) != 0 {
+			dotI8Rows1(sls[j].codeQ[:d], codes, sls[j].extend(n))
+		}
+	}
 }
 
 // rerankAhead is how many pool rows finish prefetches ahead of the one Dot4

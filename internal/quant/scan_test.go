@@ -134,12 +134,25 @@ func cellScanner(rng *rand.Rand, corpus *matrix.Dense, tq *Table, bounds []int64
 
 // TestScannerGroupsMatchGroupOfOne is the scan core's pin: for every kernel
 // × candidate set × query count, each row of a grouped search equals the
-// same row searched alone bit-for-bit — whatever mix of register-blocked and
-// per-pair runs its group took — and the row searched alone equals the
-// naive score-and-sort reference.
+// same row searched alone bit-for-bit — whichever slots of its group shared
+// each run — and the row searched alone equals the naive score-and-sort
+// reference. It runs at dimensions below, inside and past the float64
+// kernels' 16-element step, over two cell layouts whose run lengths between
+// them leave every remainder mod 6 and mod 3 (the tile kernel's row groups).
 func TestScannerGroupsMatchGroupOfOne(t *testing.T) {
+	for _, d := range []int{8, 20, 130} {
+		for _, bounds := range [][]int64{
+			{0, 13, 13, 30, 41, 60, 77, 90}, // runs 13, 0, 17, 11, 19, 17, 13
+			{0, 13, 13, 30, 38, 59, 75, 90}, // runs 13, 0, 17, 8, 21, 16, 15
+		} {
+			scannerGroupsMatchGroupOfOne(t, d, bounds)
+		}
+	}
+}
+
+func scannerGroupsMatchGroupOfOne(t *testing.T, d int, bounds []int64) {
 	rng := rand.New(rand.NewSource(61))
-	const n, d, c = 90, 20, 6
+	const n, c = 90, 6
 	corpus := randTable(rng, n, d)
 	// Exact duplicates and an all-zero row: ties in both score domains.
 	copy(corpus.Row(7), corpus.Row(70))
@@ -152,9 +165,10 @@ func TestScannerGroupsMatchGroupOfOne(t *testing.T) {
 	// boundary-tie rule must then pool everything.
 	clear(queries.Row(2))
 
-	cells := cellScanner(rng, corpus, tq, []int64{0, 13, 13, 30, 41, 60, 77, 90})
-	// Every query probes cells 0 and 5 (read once per full group) plus one
-	// of 2..4 picked by the query (shared by part of a group at most).
+	cells := cellScanner(rng, corpus, tq, bounds)
+	// Every query probes cells 0 and 5 (every slot of a full group shares
+	// them) plus one of 2..4 picked by the query (shared by part of a group
+	// at most).
 	partial := func(q []float64) []int { return []int{5, 2 + int(math.Abs(q[0])*1e3)%3, 0} }
 	all := func([]float64) []int { return []int{6, 5, 4, 3, 2, 1, 0} }
 	sets := []struct {
@@ -181,10 +195,10 @@ func TestScannerGroupsMatchGroupOfOne(t *testing.T) {
 				}
 				got, err := mode.search(set.sc, qs, c, probe)
 				if err != nil {
-					t.Fatalf("%s/%s/nq=%d: %v", mode.name, set.name, nq, err)
+					t.Fatalf("d=%d %v %s/%s/nq=%d: %v", d, bounds, mode.name, set.name, nq, err)
 				}
 				if len(got) != nq {
-					t.Fatalf("%s/%s/nq=%d: %d results", mode.name, set.name, nq, len(got))
+					t.Fatalf("d=%d %v %s/%s/nq=%d: %d results", d, bounds, mode.name, set.name, nq, len(got))
 				}
 				for i := 0; i < nq; i++ {
 					q1, _ := matrix.NewFromData(1, d, queries.Row(i))
@@ -193,10 +207,10 @@ func TestScannerGroupsMatchGroupOfOne(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !sameTopK(got[i], alone[0]) {
-						t.Fatalf("%s/%s/nq=%d row %d: grouped %v != alone %v", mode.name, set.name, nq, i, got[i], alone[0])
+						t.Fatalf("d=%d %v %s/%s/nq=%d row %d: grouped %v != alone %v", d, bounds, mode.name, set.name, nq, i, got[i], alone[0])
 					}
 					if want := mode.naive(t, set.sc, queries.Row(i), c, runs(queries.Row(i))); !sameTopK(alone[0], want) {
-						t.Fatalf("%s/%s row %d: alone %v != naive %v", mode.name, set.name, i, alone[0], want)
+						t.Fatalf("d=%d %v %s/%s row %d: alone %v != naive %v", d, bounds, mode.name, set.name, i, alone[0], want)
 					}
 				}
 			}
@@ -209,7 +223,7 @@ func TestScannerGroupsMatchGroupOfOne(t *testing.T) {
 			}
 			for i, tk := range got {
 				if len(tk.Values) != 0 || len(tk.Indices) != 0 {
-					t.Fatalf("%s: empty probe set %v row %d returned %v", mode.name, runs, i, tk)
+					t.Fatalf("d=%d %v %s: empty probe set %v row %d returned %v", d, bounds, mode.name, runs, i, tk)
 				}
 			}
 		}
@@ -296,9 +310,9 @@ func TestSearchRowsAllocsPooled(t *testing.T) {
 // the host can run: whichever rows kernel scored the runs, grouped ≡ alone ≡
 // the naive reference, whose int8 scores are dotI8Scalar's.
 func TestScannerEveryTier(t *testing.T) {
-	// That pin runs at d = 20, inside every kernel's dimension tail; a second
-	// corpus at d = 150 (whole 32- and 64-byte steps, then a tail) is scanned
-	// flat and by cells on every tier and held to the scalar tier's answer.
+	// That pin runs at d = 8, 20 and 130; a second corpus at d = 150 (whole
+	// 32- and 64-byte steps, then a tail) is scanned flat and by cells on
+	// every tier and held to the scalar tier's answer.
 	rng := rand.New(rand.NewSource(65))
 	corpus, queries := randTable(rng, 120, 150), randTable(rng, 7, 150)
 	tq := mustEncode(t, corpus)
