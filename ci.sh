@@ -5,7 +5,8 @@
 #
 #   bash ci.sh guards    the per-subsystem regression guards
 #   bash ci.sh kernels   the f64 tile kernel and the SQ8 scan on every kernel
-#                        tier of this host
+#                        tier of this host, and the answer digests on both
+#                        dot arithmetics
 #   bash ci.sh harness   the benchmark harness (its own module) vets, builds
 #                        and passes its own tests
 #   bash ci.sh layout    addr % 64 and size of the hot symbols in entmatcher
@@ -88,18 +89,19 @@ guards() {
 
 kernels() {
 	# The f64 tile kernel — MulTransposedBlockInto, behind every streamed tile,
-	# dense strip, Stream.Block and MulTransposed — must emit the bits of the
+	# dense strip, Stream.Block and MulTransposed, and matrix.TileKernel,
+	# behind every probed run of the IVF walker — must emit the bits of the
 	# per-pair Dot4 whichever tier the machine picks: the 6-row AVX512VL kernel,
 	# the 3-row AVX2 kernel or the per-pair Go dispatch (internal/matrix's
 	# kernels.go). Inside internal/matrix the TileKernel tests force every tier
 	# the host supports through export_test.go (ragged row groups, dimensions
-	# around the 16-element step, offsets, signed zeros and subnormals); the
-	# heap-layout, DotBlock and MulTransposed tests, internal/sim's one tile
-	# loop (tiles, Block and the dense matrix against sim.Matrix, per metric
-	# and table kind) and internal/conformance's blocked-kernel pins run on
-	# the host's best tier, and all of it again on the Go tier under
-	# -tags purego.
-	local f64='TileKernel|Blocked|HeapLayout|DotBlock|MulTransposed|OneLoopOverEveryTable'
+	# around the 16-element step, offsets, signed zeros and subnormals, in the
+	# tile's orientation and the walker's); the heap-layout and MulTransposed
+	# tests, internal/sim's one tile loop (tiles, Block and the dense matrix
+	# against sim.Matrix, per metric and table kind) and
+	# internal/conformance's blocked-kernel pins run on the host's best tier,
+	# and all of it again on the Go tier under -tags purego.
+	local f64='TileKernel|Blocked|HeapLayout|MulTransposed|OneLoopOverEveryTable'
 	go test -race -count=1 -run "$f64" ./internal/matrix ./internal/sim ./internal/conformance
 	go test -race -count=1 -tags purego -run "$f64" ./internal/matrix ./internal/sim ./internal/conformance
 
@@ -121,6 +123,15 @@ kernels() {
 	go test -race -count=1 ./internal/ann ./internal/conformance
 	go test -race -count=1 -tags purego -run "$tests" ./internal/quant
 	go test -race -count=1 -tags purego ./internal/ann ./internal/conformance
+
+	# Answer digests, end to end. Every sparse rung's pairs, scores,
+	# abstentions, P/R/F1 and candidate graphs must hash to
+	# testdata/digests.txt on the asm build and under -tags purego, each at
+	# -cpu 1,2,4 (the worker pool's chunking must not move a bit). The Go dot
+	# product sums in another order than the FMA kernel, so the one file
+	# holds a set of cells per dot arithmetic and each leg checks its own.
+	go test -count=1 -cpu 1,2,4 -run Digest .
+	go test -count=1 -cpu 1,2,4 -tags purego -run Digest .
 }
 
 harness() {
@@ -139,15 +150,15 @@ layout() {
 	# alignment, so a change that touches nothing in a hot function can still
 	# shift it; this prints addr % 64 and size of the hot text symbols of the
 	# entmatcher binary — the rank.go passes, the heap offers, the tile loop,
-	# the tile kernels and the quant rows kernels — for a before/after diff of
-	# two checkouts. It checks nothing; symbols the compiler inlined away are
+	# the tile kernels, the IVF walker's f64 score loop and the quant rows
+	# kernels — for a before/after diff of two checkouts. It checks nothing; symbols the compiler inlined away are
 	# absent.
 	local hot
 	layout_dir=$(mktemp -d)
 	trap 'rm -rf "$layout_dir"' EXIT
 	go build -o "$layout_dir/entmatcher" ./cmd/entmatcher
 	hot='internal/matrix\.(\(\*ranker\)\.[A-Za-z]+|OrderDesc[A-Za-z]*|RanksDesc|\(\*minHeap\)\.(offerRun|down)|offerCols|MulTransposedBlockInto(\.func1)?|tileRows[A-Za-z0-9]*|dotAVX2)$'
-	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.dotI8Rows[14][A-Za-z0-9]*$'
+	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.(f64Kernel\.score|dotI8Rows[14][A-Za-z0-9]*)$'
 	printf '%-56s %7s %6s\n' symbol 'addr%64' size
 	go tool nm -n -size "$layout_dir/entmatcher" | while read -r addr size kind name; do
 		name=${name%.abi0} # assembly functions

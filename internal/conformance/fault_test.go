@@ -39,11 +39,11 @@ type tileCounter struct{ tiles int }
 
 func (c *tileCounter) ConsumeTile(int, int, *matrix.Dense) { c.tiles++ }
 
-// TestSlabFailureMidPass is the out-of-core fault contract (ROADMAP 5(c),
-// first row): over disk-backed tables, a healthy slab streams exactly the
-// resident tiles and blocks, and a slab that starts failing under a running
-// pass ends StreamTiles, Block and sharded ProduceParts with matrix.ErrSlab
-// and nothing else — no parts, no scores computed from a short read.
+// TestSlabFailureMidPass is the out-of-core fault contract (ROADMAP 15):
+// over disk-backed tables, a healthy slab streams exactly the resident tiles
+// and blocks, and a slab that starts failing under a running pass ends
+// StreamTiles, Block and sharded ProduceParts with matrix.ErrSlab and nothing
+// else — no parts, no scores computed from a short read.
 func TestSlabFailureMidPass(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range annCases(suiteSeed) {

@@ -69,7 +69,7 @@ type Calibration struct {
 // gated 1M×1M run) on a 2.10 GHz one. They are kept at full precision so
 // plans stay bit-identical to the ones those measurements produced. Several
 // are stale — SparseBuildNS and DenseMatchNS are now several-fold too high —
-// and ROADMAP item 2 replaces the whole table from benchmark/ harness output.
+// and ROADMAP item 5 replaces the whole table from benchmark/ harness output.
 func Defaults() Calibration {
 	return Calibration{
 		DenseSimNS:         1.751483008178711,
