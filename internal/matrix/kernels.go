@@ -133,8 +133,8 @@ func MulTransposedBlockInto(dst, a, b *Dense, aOff, bOff int) {
 }
 
 // TileKernel is the tile kernel on the calling goroutine, for sibling
-// packages: out[j*n+c] = Dot4(a_j, b_c) for the rows rows a_j of a and the n
-// rows b_c of b, d elements each. FMA is exactly commutative in its two
+// packages: out[j*n+c] = Dot4(a_j, b_c) for a_j = a[j*d:(j+1)*d], j < rows,
+// and b_c = b[c*d:(c+1)*d], c < n. FMA is exactly commutative in its two
 // multiplicands, so out[j*n+c] is also Dot4(b_c, a_j) bit for bit: the
 // indexed walker passes a probed run's corpus rows as a and one query as b
 // (n = 1).
