@@ -90,6 +90,24 @@ func (d *digester) graph(g *matrix.CandGraph) {
 	}
 }
 
+// answer appends a matcher's pairs with their score bits, its abstentions
+// and the P/R/F1 bits.
+func (d *digester) answer(res *MatchResult, met Metrics) {
+	d.int(len(res.Pairs))
+	for _, pr := range res.Pairs {
+		d.int(pr.Source)
+		d.int(pr.Target)
+		d.float(pr.Score)
+	}
+	d.int(len(res.Abstained))
+	for _, a := range res.Abstained {
+		d.int(a)
+	}
+	d.float(met.Precision)
+	d.float(met.Recall)
+	d.float(met.F1)
+}
+
 func (d *digester) sum() string { return fmt.Sprintf("%x", sha256.Sum256(d.buf)) }
 
 // answerDigests runs RInf, Hun. and CSLS sparse on every digest rung of a
@@ -137,19 +155,7 @@ func answerDigests(t *testing.T, arith string) []string {
 					t.Fatalf("seed %d %s %s: %v", seed, rung.name, m.Name(), err)
 				}
 				var h digester
-				h.int(len(res.Pairs))
-				for _, pr := range res.Pairs {
-					h.int(pr.Source)
-					h.int(pr.Target)
-					h.float(pr.Score)
-				}
-				h.int(len(res.Abstained))
-				for _, a := range res.Abstained {
-					h.int(a)
-				}
-				h.float(met.Precision)
-				h.float(met.Recall)
-				h.float(met.F1)
+				h.answer(res, met)
 				h.graph(fwd)
 				h.graph(rev)
 				name := strings.TrimSuffix(m.Name(), "-sparse")
@@ -157,6 +163,63 @@ func answerDigests(t *testing.T, arith string) []string {
 			}
 			if err := run.Close(); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+	return lines
+}
+
+// denseDigests runs the dense and streaming engines on a D-Z task at the
+// same tiny size (×0.012, seeds 1 and 2), each run prepared by the pipeline
+// from the dataset so its own encoder and fusion code runs, and returns one
+// "cell sha256" line per seed × engine × matcher. A cell's hash covers the
+// matcher's pairs with their score bits, its abstentions and the P/R/F1
+// bits. The dense engine runs RREA structure features in every setting —
+// Hun. and SMat abstain under unmatchable, through MatchWithAbstention at the
+// harness's q = 0.3 — and the fused features in 1-to-1; the streaming engine
+// runs its three matchers on the structure features.
+func denseDigests(t *testing.T, arith string) []string {
+	t.Helper()
+	oneToOne := append(AllMatchers(), NewRInfWR(), NewRInfPB(50))
+	cells := []struct {
+		name     string
+		cfg      PipelineConfig
+		matchers []Matcher
+		abstain  []Matcher // run through MatchWithAbstention
+	}{
+		{"dense-1to1", PipelineConfig{Model: ModelRREA}, oneToOne, nil},
+		{"dense-unmatchable", PipelineConfig{Model: ModelRREA, Setting: SettingUnmatchable, WithValidation: true},
+			[]Matcher{NewDInf()}, []Matcher{NewHungarian(), NewSMat()}},
+		{"dense-non1to1", PipelineConfig{Model: ModelRREA, Setting: SettingNonOneToOne}, AllMatchers(), nil},
+		{"dense-fused", PipelineConfig{Model: ModelRREA, Features: FeatureFused}, []Matcher{NewDInf(), NewCSLS(1), NewHungarian()}, nil},
+		{"stream", PipelineConfig{Model: ModelRREA, Streaming: true},
+			[]Matcher{NewDInfStream(), NewCSLSStream(1), NewSinkhornBlocked(64, DefaultSinkhornIterations)}, nil},
+	}
+	var lines []string
+	for seed := int64(1); seed <= 2; seed++ {
+		p := datagen.DBP15KZhEn.Scaled(0.012)
+		p.Seed = p.Seed*1_000_003 + seed
+		d, err := datagen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			run, err := NewPipeline(cell.cfg).Prepare(d)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, cell.name, err)
+			}
+			for i, m := range append(cell.matchers, cell.abstain...) {
+				match := run.Match
+				if i >= len(cell.matchers) {
+					match = func(m Matcher) (*MatchResult, Metrics, error) { return run.MatchWithAbstention(m, 0.3) }
+				}
+				res, met, err := match(m)
+				if err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, cell.name, m.Name(), err)
+				}
+				var h digester
+				h.answer(res, met)
+				lines = append(lines, fmt.Sprintf("%s/s%d/%s/%s %s", arith, seed, cell.name, m.Name(), h.sum()))
 			}
 		}
 	}
@@ -172,7 +235,7 @@ func answerDigests(t *testing.T, arith string) []string {
 // -tags purego rewrite their own lines and keep the other's.
 func TestAnswerDigests(t *testing.T) {
 	arith := dotArithmetic()
-	got := answerDigests(t, arith)
+	got := append(answerDigests(t, arith), denseDigests(t, arith)...)
 	data, err := os.ReadFile(digestFile)
 	if err != nil && !(*updateDigests && errors.Is(err, fs.ErrNotExist)) {
 		t.Fatalf("%v (go test -run Digest -update . writes it)", err)
