@@ -99,10 +99,6 @@ type (
 	Task = eval.Task
 	// Embeddings bundles unified source and target entity embeddings.
 	Embeddings = embed.Embeddings
-	// EncoderConfig controls the structural encoder.
-	EncoderConfig = embed.Config
-	// EncoderCompression selects the encoder's dynamic-range compression.
-	EncoderCompression = embed.Compression
 	// Dense is the dense matrix type used throughout.
 	Dense = matrix.Dense
 	// SimilarityStream is the tiled streaming similarity engine: it produces
@@ -122,16 +118,6 @@ const (
 	ModelGCN = embed.ModelGCN
 	// ModelRREA is the stronger encoder (the paper's R- settings).
 	ModelRREA = embed.ModelRREA
-)
-
-// Encoder compression modes.
-const (
-	// CompressNone keeps raw propagation mass (maximal hubness).
-	CompressNone = embed.CompressNone
-	// CompressSqrt applies moderate compression.
-	CompressSqrt = embed.CompressSqrt
-	// CompressLog applies the strongest compression.
-	CompressLog = embed.CompressLog
 )
 
 // Similarity metrics.

@@ -21,7 +21,11 @@ import (
 
 // Config parameterizes the IVF index. The zero value means "auto": every
 // field <= 0 is replaced by a scale-aware default at build time (see
-// withDefaults), so callers only set what they want to pin.
+// withDefaults), so callers only set what they want to pin. The quantizer
+// always trains on min(32·Clusters, n) sampled corpus points for lloydIters
+// rounds: it is only a partition — every corpus row is re-assigned exactly
+// after training — so a modest sample suffices and training stays a small
+// fraction of one exhaustive pass.
 type Config struct {
 	// Clusters is the number of k-means cells (the IVF "nlist").
 	// Default: round(√n) for an n-point corpus.
@@ -30,16 +34,6 @@ type Config struct {
 	// Default: AutoNProbe(Clusters); clamped to Clusters. nprobe = Clusters
 	// is exhaustive and bit-identical to the exact builders.
 	NProbe int
-	// SampleSize is how many corpus points the quantizer trains on.
-	// Default: 32·Clusters, clamped to [Clusters, n]. The quantizer is only
-	// a partition — every corpus row is re-assigned exactly after training —
-	// so a modest sample suffices and training stays a small fraction of one
-	// exhaustive pass.
-	SampleSize int
-	// Iters bounds the Lloyd refinement iterations. Default: 6 (with
-	// k-means++ seeding the partition stabilizes in a handful of rounds, and
-	// assignment early-stops when nothing moves).
-	Iters int
 	// Seed drives sampling and k-means++ seeding; the same (data, Config)
 	// always builds the identical index.
 	Seed int64
@@ -82,18 +76,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.NProbe > c.Clusters {
 		c.NProbe = c.Clusters
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 32 * c.Clusters
-	}
-	if c.SampleSize < c.Clusters {
-		c.SampleSize = c.Clusters
-	}
-	if c.SampleSize > n {
-		c.SampleSize = n
-	}
-	if c.Iters <= 0 {
-		c.Iters = 6
 	}
 	return c
 }
@@ -146,7 +128,7 @@ func Build(ctx context.Context, data *matrix.Dense, cfg Config) (*IVF, error) {
 	}
 	cfg = cfg.withDefaults(n)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	cent, err := trainCentroids(ctx, data, cfg.Clusters, cfg.SampleSize, cfg.Iters, rng)
+	cent, err := trainCentroids(ctx, data, cfg.Clusters, min(32*cfg.Clusters, n), rng)
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,15 @@ import (
 // is the shared matrix.Dot4 kernel (AVX2 on amd64, unrolled scalar
 // elsewhere) — the same kernel that scores every streamed tile.
 
+// lloydIters bounds the Lloyd refinement: with k-means++ seeding the
+// partition stabilizes in a handful of rounds, and the refinement stops
+// early once a round leaves every assignment unchanged.
+const lloydIters = 6
+
 // trainCentroids returns k centroids of data learned on a sampleSize-point
 // sample. Callers pass arguments already clamped (1 <= k <= sampleSize <=
-// data.Rows()); iters bounds the Lloyd refinement, which stops early once an
-// iteration leaves every assignment unchanged.
-func trainCentroids(ctx context.Context, data *matrix.Dense, k, sampleSize, iters int, rng *rand.Rand) (*matrix.Dense, error) {
+// data.Rows()).
+func trainCentroids(ctx context.Context, data *matrix.Dense, k, sampleSize int, rng *rand.Rand) (*matrix.Dense, error) {
 	n, d := data.Rows(), data.Cols()
 	sample := data
 	if sampleSize < n {
@@ -94,7 +98,7 @@ func trainCentroids(ctx context.Context, data *matrix.Dense, k, sampleSize, iter
 	prev := make([]int, s)
 	sums := make([]float64, k*d)
 	counts := make([]int, k)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < lloydIters; it++ {
 		if err := matrix.ParallelRowsCtx(ctx, s, func(i int) {
 			assign[i] = nearestCell(sample.Row(i), cent, cnormHalf)
 		}); err != nil {
@@ -149,26 +153,12 @@ func trainCentroids(ctx context.Context, data *matrix.Dense, k, sampleSize, iter
 // callers outside the index. The shard partitioner (internal/shard) trains
 // its co-clustering quantizer through this entry point so shard assignment
 // and IVF cell assignment share one code path and one determinism contract.
-// Arguments are clamped here: k to [1, n], sampleSize to [k, n], iters to
-// at least 1.
-func TrainCentroids(ctx context.Context, data *matrix.Dense, k, sampleSize, iters int, seed int64) (*matrix.Dense, error) {
+// It trains on every row of data (the caller samples), with k clamped to
+// [1, n].
+func TrainCentroids(ctx context.Context, data *matrix.Dense, k int, seed int64) (*matrix.Dense, error) {
 	n := data.Rows()
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	if sampleSize < k {
-		sampleSize = k
-	}
-	if sampleSize > n {
-		sampleSize = n
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	return trainCentroids(ctx, data, k, sampleSize, iters, rand.New(rand.NewSource(seed)))
+	k = min(max(k, 1), n)
+	return trainCentroids(ctx, data, k, n, rand.New(rand.NewSource(seed)))
 }
 
 // CentroidNormsHalf precomputes ‖c‖²/2 per centroid — the constant NearestCell

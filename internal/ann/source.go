@@ -70,7 +70,7 @@ func NewSource(inner matrix.TileSource, srcTab, tgtTab *matrix.Dense, cfg Config
 		return nil, fmt.Errorf("ann: tile source covers %d×%d but tables are %d×%d",
 			rows, cols, srcTab.Rows(), tgtTab.Rows())
 	}
-	if cfg.Clusters < 0 || cfg.NProbe < 0 || cfg.SampleSize < 0 || cfg.Iters < 0 {
+	if cfg.Clusters < 0 || cfg.NProbe < 0 {
 		return nil, fmt.Errorf("ann: negative config field: %+v", cfg)
 	}
 	if cfg.Clusters > 0 && cfg.NProbe > cfg.Clusters {

@@ -37,8 +37,6 @@ type Config struct {
 	SinkhornL int
 	// CSLSK is the CSLS neighborhood size (the paper's best k=1).
 	CSLSK int
-	// RInfPBBlock is the candidate block size of RInf-pb.
-	RInfPBBlock int
 	// AbstentionQ is the validation quantile of the § 5.1 dummy score.
 	AbstentionQ float64
 	// MemoryBudgetBytes is the per-algorithm working-memory budget behind
@@ -59,7 +57,6 @@ func DefaultConfig() Config {
 		ScaleMul:         0.20,
 		SinkhornL:        core.DefaultSinkhornIterations,
 		CSLSK:            1,
-		RInfPBBlock:      50,
 		AbstentionQ:      0.30,
 		// The paper's server fits ~2 extra matrices for a 70K×70K task;
 		// prorated to our default large scale this is ~2.2× the similarity

@@ -22,7 +22,7 @@ func runTable6(cfg *Config, env *Env) ([]*Table, error) {
 	algos := []string{"DInf", "CSLS", "RInf", "RInf-wr", "RInf-pb", "Sink.", "Hun.", "SMat", "RL"}
 	var matchers []entmatcher.Matcher
 	for _, name := range algos {
-		m, err := core.OnDense.New(name, core.MatcherParams{C: cfg.RInfPBBlock, CSLSK: cfg.CSLSK, SinkhornL: cfg.SinkhornL})
+		m, err := core.OnDense.New(name, core.MatcherParams{CSLSK: cfg.CSLSK, SinkhornL: cfg.SinkhornL})
 		if err != nil {
 			return nil, err
 		}

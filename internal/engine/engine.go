@@ -48,12 +48,11 @@ type Knobs struct {
 	CandidateBudget int `json:"cand,omitempty"`
 	// Clusters > 0 builds the graphs through an IVF index of that many
 	// cells; AutoClusters asks for the index's own geometry instead
-	// (ann.AutoClusters per direction, or a restored index's). NProbe,
-	// SampleSize and Seed are ann.Config's, zero meaning its default.
+	// (ann.AutoClusters per direction, or a restored index's). NProbe and
+	// Seed are ann.Config's, zero meaning its default.
 	Clusters     int   `json:"clusters,omitempty"`
 	AutoClusters bool  `json:"auto_clusters,omitempty"`
 	NProbe       int   `json:"nprobe,omitempty"`
-	SampleSize   int   `json:"sample_size,omitempty"`
 	Seed         int64 `json:"seed,omitempty"`
 	// Quant ranks scans with SQ8 codes: pool over-fetch RerankFactor (0 means
 	// quant.DefaultRerankFactor), survivors re-scored exactly unless NoRerank.
@@ -88,7 +87,7 @@ func (k Knobs) Check(metric sim.Metric, srcRows, tgtRows int) error {
 		args   []any
 	}{
 		{k.CandidateBudget < 0, "CandidateBudget must be non-negative, got %d", []any{k.CandidateBudget}},
-		{k.Clusters < 0 || k.NProbe < 0 || k.SampleSize < 0, "ANN fields must be non-negative, got Clusters %d, NProbe %d, SampleSize %d", []any{k.Clusters, k.NProbe, k.SampleSize}},
+		{k.Clusters < 0 || k.NProbe < 0, "ANN fields must be non-negative, got Clusters %d, NProbe %d", []any{k.Clusters, k.NProbe}},
 		{k.RerankFactor < 0, "Quant.RerankFactor must be non-negative, got %d", []any{k.RerankFactor}},
 		{k.Shards < 0, "Shards must be non-negative, got %d", []any{k.Shards}},
 		{k.ANN() && !sparse, "ANN requires CandidateBudget > 0 (the index only accelerates candidate-graph construction)", nil},
@@ -250,7 +249,7 @@ func (t *Tables) Producer(k Knobs) (matrix.TileSource, error) {
 	case k.ANN():
 		cfg := t.Index
 		if t.Fwd == nil {
-			cfg = ann.Config{Clusters: k.Clusters, SampleSize: k.SampleSize, Seed: k.Seed}
+			cfg = ann.Config{Clusters: k.Clusters, Seed: k.Seed}
 		}
 		cfg.NProbe = k.NProbe
 		var a *ann.Source

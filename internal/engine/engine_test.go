@@ -140,7 +140,7 @@ func TestProducerComposition(t *testing.T) {
 		{name: "shards, euclidean", knobs: with(func(k *Knobs) { k.Shards = 2 }), metric: sim.Euclidean, want: "shard"},
 
 		{name: "negative cand", knobs: Knobs{CandidateBudget: -1}, reject: "CandidateBudget must be non-negative, got -1"},
-		{name: "negative ann field", knobs: with(func(k *Knobs) { k.Clusters, k.SampleSize = testClusters, -1 }), reject: "ANN fields must be non-negative"},
+		{name: "negative ann field", knobs: with(func(k *Knobs) { k.Clusters, k.NProbe = testClusters, -1 }), reject: "ANN fields must be non-negative"},
 		{name: "negative rerank factor", knobs: with(func(k *Knobs) { k.Quant, k.RerankFactor = true, -1 }), reject: "Quant.RerankFactor must be non-negative, got -1"},
 		{name: "negative shards", knobs: with(func(k *Knobs) { k.Shards = -1 }), reject: "Shards must be non-negative, got -1"},
 		{name: "ann without cand", knobs: Knobs{Clusters: testClusters}, reject: "ANN requires CandidateBudget > 0"},

@@ -89,13 +89,6 @@ type Workload struct {
 	// CandidateBudget fixes the top-C width of candidate-graph plans.
 	// 0 means the planner default: min(64, TgtRows).
 	CandidateBudget int `json:"candidate_budget,omitempty"`
-	// OutOfCore declares the embedding tables live in a snapshot served
-	// through disk-backed slabs rather than on the heap. Engines that only
-	// consume the tables through the tiled streaming pass (streaming,
-	// sparse, shard+sparse) then drop the resident-table term from their
-	// peak-byte estimates; engines that must materialize table-sized state
-	// (dense, the IVF slabs, SQ8 re-rank tables) keep it.
-	OutOfCore bool `json:"out_of_core,omitempty"`
 }
 
 // ErrBadWorkload wraps workload-validation failures.
@@ -368,12 +361,6 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 	cf := float64(c)
 
 	tables := int64(8 * (n + m) * d)
-	// Engines that touch the tables only through the tiled pass can serve
-	// them from disk-backed slabs when the workload says so.
-	tablesRes := tables
-	if w.OutOfCore {
-		tablesRes = 0
-	}
 	graphs := int64((n + m) * cf * graphBytesPerEdge)
 	// IVF slabs: corpus-row copies for both directions, centroids, ids.
 	kFwd := ann.AutoClusters(w.TgtRows)
@@ -414,7 +401,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		{
 			Engine:         EngineStreaming,
 			Knobs:          engine.Knobs{Streaming: true},
-			EstPeakBytes:   tablesRes + tileOverheadBytes,
+			EstPeakBytes:   tables + tileOverheadBytes,
 			EstWallNS:      int64(cal.StreamPassNS * n * m * d / blk),
 			EstRecall:      1,
 			FullCapability: false,
@@ -422,7 +409,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		{
 			Engine:         EngineSparse,
 			Knobs:          engine.Knobs{CandidateBudget: c},
-			EstPeakBytes:   tablesRes + tileOverheadBytes + graphs,
+			EstPeakBytes:   tables + tileOverheadBytes + graphs,
 			EstWallNS:      int64(scanNS + edgeNS),
 			EstRecall:      1,
 			FullCapability: true,
@@ -482,9 +469,8 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 
 	// Sharded plan: co-cluster both corpora into S cells, scan each source
 	// row only against the targets in its R nearest cells. Scan work drops
-	// to R/S of the exhaustive pass; resident tables are replaced by the
-	// worker pool's gathered per-shard sub-tables (plus the full tables,
-	// unless the workload serves them out of core). Replicating into R of S
+	// to R/S of the exhaustive pass; the worker pool's gathered per-shard
+	// sub-tables come on top of the full tables. Replicating into R of S
 	// cells is coarse probing, so candidate recall follows the same fitted
 	// curve as IVF at fraction R/S.
 	if s := AutoShards(w.TgtRows); s > 1 {
@@ -503,7 +489,7 @@ func (cal *Calibration) enumerate(w Workload, target float64) []Candidate {
 		cands = append(cands, Candidate{
 			Engine: EngineShard,
 			Knobs:  engine.Knobs{CandidateBudget: c, Shards: s},
-			EstPeakBytes: tablesRes + tileOverheadBytes + graphs +
+			EstPeakBytes: tables + tileOverheadBytes + graphs +
 				shardTables,
 			EstWallNS:      int64(cal.shardWallNS(n, m, d, cf, s) * cal.ShardCalibMult),
 			EstRecall:      cal.Recall.Eval(frac),

@@ -77,9 +77,6 @@ type Config struct {
 	// count, 0, probes ONE cell per lookup until ROADMAP 1(a) lands —
 	// TestLookupProbeCountPinned).
 	NProbe int
-	// MaxSnapshotBytes bounds the snapshot file size accepted at load
-	// (0 = snapshot.DefaultMaxBytes).
-	MaxSnapshotBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -94,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 128
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = snapshot.DefaultMaxBytes
 	}
 	return c
 }
@@ -258,7 +252,7 @@ func (s *Server) Stats() Stats {
 
 // New loads the snapshot at path and builds a ready-to-serve Server.
 func New(path string, cfg Config, opts ...Option) (*Server, error) {
-	snap, err := snapshot.LoadLimit(path, cfg.withDefaults().MaxSnapshotBytes)
+	snap, err := snapshot.LoadLimit(path, snapshot.DefaultMaxBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +268,7 @@ func New(path string, cfg Config, opts ...Option) (*Server, error) {
 // verified — same answers, just resident — and Mapped reports which mode
 // won. Close the returned server to release the mapping.
 func NewMapped(path string, cfg Config, opts ...Option) (*Server, error) {
-	r, err := snapshot.OpenReaderLimit(path, cfg.withDefaults().MaxSnapshotBytes)
+	r, err := snapshot.OpenReaderLimit(path, snapshot.DefaultMaxBytes)
 	if err != nil {
 		return nil, err
 	}

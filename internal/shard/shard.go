@@ -17,7 +17,7 @@
 //     builders (the single shard is the whole task, gathered in order, run
 //     through the same kernels and the same heap tie-breaking).
 //   - Shards>1 is approximate: a source row only sees targets co-clustered
-//     with it in one of its Replicas nearest cells. On clustered inputs the
+//     with it in one of its DefaultReplicas nearest cells. On clustered inputs the
 //     end-to-end Hits@1 stays within a bounded delta of the exhaustive
 //     engine (see conformance/shard_test.go).
 //   - Determinism: one seed drives sampling, training and assignment;
@@ -30,99 +30,46 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"time"
 
 	"entmatcher/internal/ann"
 	"entmatcher/internal/matrix"
 )
 
-// Typed errors for errors.Is dispatch.
-var (
-	// ErrConfig reports an invalid shard configuration.
-	ErrConfig = errors.New("shard: invalid configuration")
-	// ErrDeadline reports a shard whose sub-build exceeded the per-shard
-	// deadline (Config.ShardTimeout). The whole production fails — a merged
-	// graph silently missing a shard would be wrong, not approximate.
-	ErrDeadline = errors.New("shard: per-shard deadline exceeded")
-)
+// ErrConfig reports an invalid shard configuration.
+var ErrConfig = errors.New("shard: invalid configuration")
 
-// Config parameterizes the partitioner and the per-shard build pool.
+// Config parameterizes the partitioner. Everything else is fixed: each
+// source row is matched in its min(DefaultReplicas, Shards) nearest cells,
+// min(GOMAXPROCS, Shards) sub-builds run at once (peak memory scales with
+// that × per-shard tables and graphs), and the quantizer trains for six
+// Lloyd rounds on min(max(32768, Shards), targets) sampled target rows.
 type Config struct {
-	// Shards is the number of co-clustered cells (required, >= 1).
-	// Shards=1 degenerates to the exhaustive build, bit-identically.
+	// Shards is the number of co-clustered cells (required, >= 1; clamped
+	// to the target rows). Shards=1 degenerates to the exhaustive build,
+	// bit-identically.
 	Shards int
-	// Replicas is how many nearest cells each SOURCE row is matched in
-	// (clamped to [1, Shards]; 0 = min(DefaultReplicas, Shards)). Replication
-	// is the recall lever: a source row near a cell boundary also competes in
-	// the neighboring shard, and the reconciliation merge keeps its best
-	// candidates across all of them.
-	Replicas int
-	// Workers bounds how many shard sub-builds run concurrently
-	// (0 = min(GOMAXPROCS, Shards)). Peak memory scales with Workers ×
-	// (per-shard tables + per-shard graphs).
-	Workers int
-	// ShardTimeout is the per-shard context deadline for one sub-build
-	// (0 = none). A shard that exceeds it fails the production with
-	// ErrDeadline.
-	ShardTimeout time.Duration
-	// SampleSize bounds the quantizer training sample (0 = 32768).
-	SampleSize int
-	// Iters is the Lloyd iteration count (0 = 6).
-	Iters int
 	// Seed drives sampling, training and assignment.
 	Seed int64
 }
 
-// DefaultReplicas is the replication factor a zero Replicas resolves to.
+// DefaultReplicas is how many nearest cells each SOURCE row is matched in
+// (clamped to Shards). Replication is the recall lever: a source row near a
+// cell boundary also competes in the neighboring shard, and the
+// reconciliation merge keeps its best candidates across all of them.
 const DefaultReplicas = 2
 
-const (
-	defaultSampleSize = 32 << 10
-	defaultIters      = 6
-)
+// sampleFloor is the quantizer's training sample size, raised to Shards and
+// capped at the target rows.
+const sampleFloor = 32 << 10
 
-// withDefaults clamps and defaults the configuration for a task with
-// tgtRows target rows.
-func (c Config) withDefaults(tgtRows int) (Config, error) {
+// shards checks the configuration and returns the shard count for a task
+// with tgtRows target rows.
+func (c Config) shards(tgtRows int) (int, error) {
 	if c.Shards < 1 {
-		return c, fmt.Errorf("%w: Shards %d < 1", ErrConfig, c.Shards)
+		return 0, fmt.Errorf("%w: Shards %d < 1", ErrConfig, c.Shards)
 	}
-	if c.Shards > tgtRows {
-		c.Shards = tgtRows
-	}
-	if c.Replicas == 0 {
-		c.Replicas = DefaultReplicas
-	}
-	if c.Replicas < 1 {
-		return c, fmt.Errorf("%w: Replicas %d < 1", ErrConfig, c.Replicas)
-	}
-	if c.Replicas > c.Shards {
-		c.Replicas = c.Shards
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		return c, fmt.Errorf("%w: Workers %d < 1", ErrConfig, c.Workers)
-	}
-	if c.Workers > c.Shards {
-		c.Workers = c.Shards
-	}
-	if c.SampleSize == 0 {
-		c.SampleSize = defaultSampleSize
-	}
-	if c.SampleSize < c.Shards {
-		c.SampleSize = c.Shards
-	}
-	if c.Iters == 0 {
-		c.Iters = defaultIters
-	}
-	if c.ShardTimeout < 0 {
-		return c, fmt.Errorf("%w: negative ShardTimeout %v", ErrConfig, c.ShardTimeout)
-	}
-	return c, nil
+	return min(c.Shards, tgtRows), nil
 }
 
 // Assignment is a computed co-clustering: per-shard ascending row-ID lists.
@@ -153,16 +100,16 @@ func Partition(ctx context.Context, src, tgt matrix.RowsReader, cfg Config) (*As
 	if srcDim != dim {
 		return nil, fmt.Errorf("%w: table dims differ: %d vs %d", ErrConfig, srcDim, dim)
 	}
-	cfg, err := cfg.withDefaults(tgtRows)
+	shards, err := cfg.shards(tgtRows)
 	if err != nil {
 		return nil, err
 	}
 	a := &Assignment{
-		Shards: cfg.Shards,
-		Src:    make([][]int, cfg.Shards),
-		Tgt:    make([][]int, cfg.Shards),
+		Shards: shards,
+		Src:    make([][]int, shards),
+		Tgt:    make([][]int, shards),
 	}
-	if cfg.Shards == 1 {
+	if shards == 1 {
 		// Degenerate co-clustering: the single shard is the whole task. No
 		// quantizer is trained, so Shards=1 cannot even in principle diverge
 		// from the exhaustive build.
@@ -171,7 +118,7 @@ func Partition(ctx context.Context, src, tgt matrix.RowsReader, cfg Config) (*As
 		return a, nil
 	}
 
-	cent, err := trainQuantizer(ctx, tgt, tgtRows, dim, cfg)
+	cent, err := trainQuantizer(ctx, tgt, tgtRows, shards, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +132,7 @@ func Partition(ctx context.Context, src, tgt matrix.RowsReader, cfg Config) (*As
 	}); err != nil {
 		return nil, err
 	}
-	if err := assignRows(ctx, src, dim, cfg.Replicas, cent, cnorm, func(row int, cells []int) {
+	if err := assignRows(ctx, src, dim, min(DefaultReplicas, shards), cent, cnorm, func(row int, cells []int) {
 		for _, c := range cells {
 			a.Src[c] = append(a.Src[c], row)
 		}
@@ -196,12 +143,9 @@ func Partition(ctx context.Context, src, tgt matrix.RowsReader, cfg Config) (*As
 }
 
 // trainQuantizer gathers a seeded ascending sample of the target table and
-// trains the k-means coarse quantizer on it.
-func trainQuantizer(ctx context.Context, tgt matrix.RowsReader, tgtRows, dim int, cfg Config) (*matrix.Dense, error) {
-	sampleSize := cfg.SampleSize
-	if sampleSize > tgtRows {
-		sampleSize = tgtRows
-	}
+// trains the k-means coarse quantizer of the given number of cells on it.
+func trainQuantizer(ctx context.Context, tgt matrix.RowsReader, tgtRows, shards int, seed int64) (*matrix.Dense, error) {
+	sampleSize := min(max(sampleFloor, shards), tgtRows)
 	var sample *matrix.Dense
 	if sampleSize == tgtRows {
 		var err error
@@ -209,7 +153,7 @@ func trainQuantizer(ctx context.Context, tgt matrix.RowsReader, tgtRows, dim int
 			return nil, err
 		}
 	} else {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		rng := rand.New(rand.NewSource(seed))
 		pick := rng.Perm(tgtRows)[:sampleSize]
 		sort.Ints(pick)
 		var err error
@@ -219,7 +163,7 @@ func trainQuantizer(ctx context.Context, tgt matrix.RowsReader, tgtRows, dim int
 	}
 	// Seed+1 decorrelates training randomness from the sampling permutation,
 	// mirroring internal/ann's forward/reverse seed split.
-	return ann.TrainCentroids(ctx, sample, cfg.Shards, sample.Rows(), cfg.Iters, cfg.Seed+1)
+	return ann.TrainCentroids(ctx, sample, shards, seed+1)
 }
 
 // assignRows streams a table in bounded windows and reports each row's p

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,7 +136,7 @@ func TestShardedGraphContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := clusteredTable(rng, 160, 16, 5)
 	tgt := clusteredTable(rng, 140, 16, 5)
-	s, st := newTestSource(t, src, tgt, Config{Shards: 5, Replicas: 2, Seed: 3})
+	s, st := newTestSource(t, src, tgt, Config{Shards: 5, Seed: 3})
 	ctx := context.Background()
 	const c = 6
 
@@ -176,7 +177,7 @@ func TestShardedGraphContract(t *testing.T) {
 	}
 
 	// Determinism: an identically configured source reproduces the graph.
-	s2, _ := newTestSource(t, src, tgt, Config{Shards: 5, Replicas: 2, Seed: 3})
+	s2, _ := newTestSource(t, src, tgt, Config{Shards: 5, Seed: 3})
 	got2, err := s2.ProduceCandGraph(ctx, c)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestPartitionShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := clusteredTable(rng, 120, 8, 4)
 	tgt := clusteredTable(rng, 130, 8, 4)
-	asg, err := Partition(context.Background(), src, tgt, Config{Shards: 4, Replicas: 2, Seed: 9})
+	asg, err := Partition(context.Background(), src, tgt, Config{Shards: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +239,6 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := Partition(context.Background(), src, tgt, Config{Shards: 0}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("Shards=0: got %v, want ErrConfig", err)
 	}
-	if _, err := Partition(context.Background(), src, tgt, Config{Shards: 2, Replicas: -1}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("Replicas=-1: got %v, want ErrConfig", err)
-	}
 	st, err := sim.NewStream(src, tgt, sim.Cosine)
 	if err != nil {
 		t.Fatal(err)
@@ -254,30 +252,18 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
-// TestShardDeadline pins ErrDeadline: a shard whose deadline has already
-// passed must fail the whole production with the typed error, not return a
-// partial graph.
-func TestShardDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	src := clusteredTable(rng, 256, 24, 4)
-	tgt := clusteredTable(rng, 256, 24, 4)
-	s, _ := newTestSource(t, src, tgt, Config{Shards: 4, ShardTimeout: time.Nanosecond, Seed: 2})
-	_, err := s.ProduceCandGraph(context.Background(), 4)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("got %v, want ErrDeadline", err)
-	}
-}
-
 // TestWorkerPoolCancellation drives the bounded pool under external
 // cancellation from a racing goroutine — the shutdown path the -race CI leg
 // exercises. The production must return the context error (or a graph, if
-// it won the race) without panicking, deadlocking, or leaking workers.
+// it won the race) without panicking, deadlocking, or leaking workers. Two
+// procs bound the pool at two sub-builds for six shards.
 func TestWorkerPoolCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	src := clusteredTable(rng, 512, 24, 6)
 	tgt := clusteredTable(rng, 512, 24, 6)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for trial := 0; trial < 8; trial++ {
-		s, _ := newTestSource(t, src, tgt, Config{Shards: 6, Workers: 2, Seed: int64(trial)})
+		s, _ := newTestSource(t, src, tgt, Config{Shards: 6, Seed: int64(trial)})
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
@@ -305,18 +291,21 @@ func TestWorkerPoolCancellation(t *testing.T) {
 // their tile folds out on matrix's shared worker pool from their own
 // goroutine, so the pool's queue overflows and chunks run inline on the
 // submitters. The productions must all finish (submit never blocks) and
-// return the graphs a one-worker production returns.
+// return the graphs a one-worker production (one proc) returns.
 func TestStreamPartsSubBuildsConcurrently(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	src := clusteredTable(rng, 640, 24, 6)
 	tgt := clusteredTable(rng, 640, 24, 6)
 	req := matrix.GraphRequest{C: 8, CRev: 8, KCol: 2}
-	serial, _ := newTestSource(t, src, tgt, Config{Shards: 6, Workers: 1, Seed: 3})
+	serial, _ := newTestSource(t, src, tgt, Config{Shards: 6, Seed: 3})
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
 	want, err := serial.ProduceParts(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newTestSource(t, src, tgt, Config{Shards: 6, Workers: 6, Seed: 3})
+	runtime.GOMAXPROCS(6)
+	s, _ := newTestSource(t, src, tgt, Config{Shards: 6, Seed: 3})
 	const productions = 4
 	type result struct {
 		parts matrix.GraphParts

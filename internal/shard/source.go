@@ -2,8 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"entmatcher/internal/matrix"
@@ -51,7 +51,7 @@ func NewSource(inner matrix.TileSource, src, tgt matrix.RowsReader, metric sim.M
 	if sd != td {
 		return nil, fmt.Errorf("%w: table dims differ: %d vs %d", ErrConfig, sd, td)
 	}
-	if _, err := cfg.withDefaults(tr); err != nil {
+	if _, err := cfg.shards(tr); err != nil {
 		return nil, err
 	}
 	return &Source{inner: inner, src: src, tgt: tgt, metric: metric, cfg: cfg}, nil
@@ -123,16 +123,12 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 	if err != nil {
 		return matrix.GraphParts{}, err
 	}
-	cfg, err := s.cfg.withDefaults(tgtRows)
-	if err != nil {
-		return matrix.GraphParts{}, err
-	}
 
 	// results[i] is shard i's sub-build, in its local id spaces.
 	results := make([]*matrix.GraphParts, asg.Shards)
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), asg.Shards))
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -198,19 +194,13 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 }
 
 // buildShard gathers shard i's sub-tables and runs the exhaustive builder on
-// them for the requested parts, under the per-shard deadline. The result is
+// them for the requested parts. The result is
 // in the shard's local id spaces (forward rows in local src order over the
 // local tgt space, reverse rows and means per local tgt row). The gathered
 // windows are row-gathers of the prepared tables, so every score a sub-build
 // computes is bit-identical to the score the exhaustive engine computes for
 // the same (source, target) pair.
 func (s *Source) buildShard(ctx context.Context, asg *Assignment, i int, req matrix.GraphRequest) (matrix.GraphParts, error) {
-	sctx := ctx
-	if s.cfg.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, s.cfg.ShardTimeout)
-		defer cancel()
-	}
 	srcIDs, tgtIDs := asg.Src[i], asg.Tgt[i]
 	srcTab, err := matrix.GatherRows(s.src, srcIDs)
 	if err != nil {
@@ -225,12 +215,8 @@ func (s *Source) buildShard(ctx context.Context, asg *Assignment, i int, req mat
 		return matrix.GraphParts{}, fmt.Errorf("shard %d: %w", i, err)
 	}
 	req.KCol = min(req.KCol, len(srcIDs))
-	res, err := matrix.StreamParts(sctx, ls, req)
+	res, err := matrix.StreamParts(ctx, ls, req)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			return matrix.GraphParts{}, fmt.Errorf("%w: shard %d (%d x %d) after %v",
-				ErrDeadline, i, len(srcIDs), len(tgtIDs), s.cfg.ShardTimeout)
-		}
 		return matrix.GraphParts{}, fmt.Errorf("shard %d: %w", i, err)
 	}
 	return res, nil

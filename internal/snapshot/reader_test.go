@@ -46,16 +46,37 @@ func TestOpenReaderParityWithDecode(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
 		withIndex, withQuant bool
+		oldANNKeys           bool
 	}{
-		{"plain", false, false},
-		{"index", true, false},
-		{"quant", false, true},
-		{"index+quant", true, true},
+		{"plain", false, false, false},
+		{"index", true, false, false},
+		{"quant", false, true, false},
+		{"index+quant", true, true, false},
+		{"index+old-ann-keys", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := fuzzSeed(6, 5, 3, tc.withIndex, tc.withQuant, 21)
 			if err != nil {
 				t.Fatalf("building snapshot: %v", err)
+			}
+			if tc.oldANNKeys {
+				// Older writers recorded the quantizer's training sample and
+				// Lloyd rounds, now constants, as two more "ann" keys; their
+				// snapshots must still load.
+				secs := unseal(t, data)
+				for i := range secs {
+					if secs[i].kind != SectionMeta {
+						continue
+					}
+					var m map[string]any
+					if err := json.Unmarshal(secs[i].payload, &m); err != nil {
+						t.Fatal(err)
+					}
+					m["ann"].(map[string]any)["sample_size"] = 0
+					m["ann"].(map[string]any)["iters"] = 0
+					secs[i].payload, _ = json.Marshal(m)
+				}
+				data = seal(secs, nil)
 			}
 			snap, err := Decode(data)
 			if err != nil {

@@ -143,11 +143,9 @@ func (e *SectionError) Unwrap() error { return e.Err }
 // with, so a load can verify the caller's requested index parameters against
 // what the slabs actually embody.
 type ANNMeta struct {
-	Clusters   int   `json:"clusters"`
-	NProbe     int   `json:"nprobe"`
-	SampleSize int   `json:"sample_size"`
-	Iters      int   `json:"iters"`
-	Seed       int64 `json:"seed"`
+	Clusters int   `json:"clusters"`
+	NProbe   int   `json:"nprobe"`
+	Seed     int64 `json:"seed"`
 }
 
 // QuantMeta records the quantized-scan configuration the persisted SQ8

@@ -73,18 +73,15 @@ func (s Setting) String() string {
 
 // PipelineConfig assembles a full experiment configuration. The zero value
 // is a valid default: GCN structural embeddings, cosine similarity, 1-to-1
-// evaluation; set Model: ModelRREA for the paper's stronger encoder.
+// evaluation; set Model: ModelRREA for the paper's stronger encoder. The
+// preparation itself is fixed, as in the paper's study: the encoder runs the
+// model's calibrated preset, and FeatureFused weights names and structure
+// 0.5 / 0.5 (FuseEmbeddings + PrepareWithEmbeddings take other weights).
 type PipelineConfig struct {
 	// Model is the structural encoder preset (ModelGCN by default).
 	Model embed.Model
-	// Encoder optionally overrides the model's calibrated defaults.
-	Encoder *EncoderConfig
 	// Features selects the input features.
 	Features FeatureMode
-	// FusionWeightName and FusionWeightStructure weight the FeatureFused
-	// concatenation; both zero means (0.5, 0.5).
-	FusionWeightName      float64
-	FusionWeightStructure float64
 	// Metric is the similarity metric (cosine by default).
 	Metric sim.Metric
 	// Setting is the evaluation scenario.
@@ -189,15 +186,14 @@ type PipelineConfig struct {
 }
 
 // ANNConfig tunes the IVF candidate generator; zero fields mean scale-aware
-// defaults (Clusters ≈ √targets, NProbe = Clusters/16, SampleSize =
-// 64·Clusters). See internal/ann.Config for the precise semantics.
+// defaults (Clusters ≈ √targets, NProbe = max(1, Clusters/16)). The
+// quantizer trains on min(32·Clusters, targets) sampled points. See
+// internal/ann.Config for the precise semantics.
 type ANNConfig struct {
 	// Clusters is the number of k-means cells of the coarse quantizer.
 	Clusters int
 	// NProbe is how many cells each query scans — the recall/speed knob.
 	NProbe int
-	// SampleSize is how many corpus points the quantizer trains on.
-	SampleSize int
 	// Seed drives sampling and seeding; a fixed seed makes runs identical.
 	Seed int64
 }
@@ -218,8 +214,8 @@ type QuantConfig struct {
 
 // ErrBadConfig is returned by Pipeline.Prepare (via PipelineConfig.Validate)
 // for configurations that would otherwise fail deep inside internal/embed or
-// internal/sim: unknown enum values, negative or non-finite fusion weights,
-// nil datasets, and engine knobs that break internal/engine's rule table.
+// internal/sim: unknown enum values, nil datasets, and engine knobs that
+// break internal/engine's rule table.
 var ErrBadConfig = errors.New("entmatcher: invalid pipeline configuration")
 
 func badConfig(format string, args ...any) error {
@@ -245,7 +241,7 @@ func (c PipelineConfig) engine() engine.Knobs {
 	}
 	if a := c.ANN; a != nil {
 		k.Clusters, k.AutoClusters = a.Clusters, a.Clusters == 0
-		k.NProbe, k.SampleSize, k.Seed = a.NProbe, a.SampleSize, a.Seed
+		k.NProbe, k.Seed = a.NProbe, a.Seed
 	}
 	if q := c.Quant; q != nil {
 		k.Quant, k.RerankFactor, k.NoRerank = true, q.RerankFactor, q.NoRerank
@@ -278,17 +274,6 @@ func (c PipelineConfig) Validate() error {
 	case SettingOneToOne, SettingUnmatchable, SettingNonOneToOne:
 	default:
 		return badConfig("unknown evaluation setting %v", c.Setting)
-	}
-	for _, w := range []struct {
-		name string
-		v    float64
-	}{
-		{"FusionWeightName", c.FusionWeightName},
-		{"FusionWeightStructure", c.FusionWeightStructure},
-	} {
-		if w.v < 0 || math.IsNaN(w.v) || math.IsInf(w.v, 0) {
-			return badConfig("%s must be a finite non-negative number, got %v", w.name, w.v)
-		}
 	}
 	if c.MemoryBudgetBytes < 0 {
 		return badConfig("MemoryBudgetBytes must be non-negative, got %d", c.MemoryBudgetBytes)
@@ -578,9 +563,6 @@ func (p *Pipeline) assemble(ctx context.Context, d *Dataset, emb *Embeddings, ta
 // embeddings produces the configured feature embeddings.
 func (p *Pipeline) embeddings(d *Dataset) (*Embeddings, error) {
 	encCfg := embed.DefaultConfig(p.cfg.Model)
-	if p.cfg.Encoder != nil {
-		encCfg = *p.cfg.Encoder
-	}
 	switch p.cfg.Features {
 	case FeatureStructure:
 		return embed.Encode(d, encCfg)
@@ -595,11 +577,7 @@ func (p *Pipeline) embeddings(d *Dataset) (*Embeddings, error) {
 		if err != nil {
 			return nil, err
 		}
-		wn, ws := p.cfg.FusionWeightName, p.cfg.FusionWeightStructure
-		if wn == 0 && ws == 0 {
-			wn, ws = 0.5, 0.5
-		}
-		return embed.Fuse(names, structural, wn, ws)
+		return embed.Fuse(names, structural, 0.5, 0.5)
 	default:
 		return nil, fmt.Errorf("entmatcher: unknown feature mode %v", p.cfg.Features)
 	}

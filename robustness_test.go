@@ -14,7 +14,7 @@ func TestPipelineConfigValidate(t *testing.T) {
 	if err := (PipelineConfig{}).Validate(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
-	if err := (PipelineConfig{Model: ModelRREA, Features: FeatureFused, Metric: MetricManhattan, Setting: SettingNonOneToOne, FusionWeightName: 0.7, FusionWeightStructure: 0.3}).Validate(); err != nil {
+	if err := (PipelineConfig{Model: ModelRREA, Features: FeatureFused, Metric: MetricManhattan, Setting: SettingNonOneToOne}).Validate(); err != nil {
 		t.Fatalf("full config rejected: %v", err)
 	}
 	if err := (PipelineConfig{Auto: true, MemoryBudgetBytes: 1 << 30}).Validate(); err != nil {
@@ -25,9 +25,6 @@ func TestPipelineConfigValidate(t *testing.T) {
 		{Features: 99},
 		{Metric: 99},
 		{Setting: 99},
-		{FusionWeightName: -0.1},
-		{FusionWeightStructure: math.NaN()},
-		{FusionWeightName: math.Inf(1)},
 		{MemoryBudgetBytes: 1 << 30}, // a planner input: requires Auto
 	}
 	for i, cfg := range bad {
