@@ -185,6 +185,10 @@ func TestDummyScoreFromValidation(t *testing.T) {
 	if got := DummyScoreFromValidation(nil, 0.5); got != 0 {
 		t.Fatalf("nil matrix: %v", got)
 	}
+	// A NaN quantile indexes nothing: int(NaN) would be min-int.
+	if got := DummyScoreFromValidation(v, math.NaN()); !math.IsNaN(got) {
+		t.Fatalf("q=NaN: %v, want NaN", got)
+	}
 }
 
 // TestRInfPBSmallBlockDegradesGracefully: tiny blocks must still produce a

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -395,10 +396,14 @@ const checkRowStride = 64
 // returns the q-quantile (0 ≤ q ≤ 1) of the validation rows' maximum
 // scores. With q = 0.1, roughly 90% of matchable entities score above the
 // dummy, so abstention mostly hits rows that look nothing like any target.
-// No test labels are involved.
+// No test labels are involved. A q outside [0, 1] is clamped to it; a NaN q
+// has no quantile, and the result is NaN.
 func DummyScoreFromValidation(validS *matrix.Dense, q float64) float64 {
 	if validS == nil || validS.Rows() == 0 {
 		return 0
+	}
+	if math.IsNaN(q) {
+		return q
 	}
 	if q < 0 {
 		q = 0

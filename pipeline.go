@@ -785,10 +785,14 @@ func (r *Run) Match(m Matcher) (*MatchResult, Metrics, error) {
 // maximum similarities (all validation rows are matchable, so the quantile
 // estimates the low end of genuine-match scores; no test labels are used).
 // Requires a pipeline prepared WithValidation. q = 0.3 is the calibrated
-// default used by the benchmark harness.
+// default used by the benchmark harness; values outside [0, 1] are clamped
+// to it, and a NaN q is an ErrBadConfig.
 func (r *Run) MatchWithAbstention(m Matcher, q float64) (*MatchResult, Metrics, error) {
 	if r.Ctx.Valid == nil {
 		return nil, Metrics{}, fmt.Errorf("entmatcher: MatchWithAbstention requires WithValidation")
+	}
+	if math.IsNaN(q) {
+		return nil, Metrics{}, badConfig("abstention quantile q is NaN")
 	}
 	score := core.DummyScoreFromValidation(r.Ctx.Valid.S, q)
 	// The padded view hides any candidate-graph producer in Ctx.Stream, so

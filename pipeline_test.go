@@ -1,6 +1,8 @@
 package entmatcher
 
 import (
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -102,6 +104,9 @@ func TestPipelineUnmatchableSetting(t *testing.T) {
 	}
 	if hun.F1 <= greedy.F1 {
 		t.Fatalf("Hungarian+abstention F1 %v not above DInf %v", hun.F1, greedy.F1)
+	}
+	if _, _, err := run.MatchWithAbstention(NewHungarian(), math.NaN()); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("q = NaN: got %v, want ErrBadConfig", err)
 	}
 	// Abstention without validation must fail loudly.
 	bare, err := NewPipeline(PipelineConfig{Model: ModelRREA, Setting: SettingUnmatchable}).Prepare(d)
