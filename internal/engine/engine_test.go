@@ -92,7 +92,8 @@ func testSnapshot(t *testing.T, withIndex, withQuant bool) *snapshot.Snapshot {
 // ErrKnobs and the rule's message — and one row per legal combination, which
 // must compose as documented: Shards is the sharded producer, ANN the IVF
 // producer with Quant riding inside it, Quant alone scans exhaustively, and
-// no knob leaves the plain stream.
+// no knob leaves the plain stream. Every producer's Block is the stream's,
+// bit for bit.
 func TestProducerComposition(t *testing.T) {
 	ctx := context.Background()
 	const nprobe = 2
@@ -178,6 +179,14 @@ func TestProducerComposition(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				rowIDs, colIDs := []int{5, 0, 39, 5}, []int{3, 38, 0}
+				want, err := tables.Stream.Block(ctx, rowIDs, colIDs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if block, err := p.Block(ctx, rowIDs, colIDs); err != nil || !block.EqualBits(want) {
+					t.Fatalf("%T.Block differs from the stream's (err %v)", p, err)
+				}
 				switch got := p.(type) {
 				case *sim.Stream:
 					if tc.want != "stream" || got != tables.Stream {
@@ -198,9 +207,20 @@ func TestProducerComposition(t *testing.T) {
 					if np := got.Config().NProbe; np != nprobe {
 						t.Errorf("ann source probes %d cells, want the knob's %d", np, nprobe)
 					}
+					// BuildIndexes trains the index the first forward graph
+					// then uses, and ForwardIndex hands that one out.
+					if err := got.BuildIndexes(ctx, false); err != nil {
+						t.Fatal(err)
+					}
 					ivf, err := got.ForwardIndex(ctx)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if _, err := got.ProduceCandGraph(ctx, sparse.CandidateBudget); err != nil {
+						t.Fatal(err)
+					}
+					if after, err := got.ForwardIndex(ctx); err != nil || after != ivf {
+						t.Errorf("the forward graph built another index than BuildIndexes (err %v)", err)
 					}
 					if ivf.HasQuant() != tc.annQuant {
 						t.Errorf("forward index quantized = %v, want %v", ivf.HasQuant(), tc.annQuant)

@@ -60,6 +60,9 @@ func TestStreamBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := st.MatrixBytes(); got != 15*11*8 {
+			t.Fatalf("MatrixBytes = %d, want %d", got, 15*11*8)
+		}
 		padded := matrix.PadCols(st, 4, 2.5)
 		rowIDs := []int{3, 0, 14}
 		colIDs := []int{10, 12, 1, 14} // 12 and 14 are dummy columns
