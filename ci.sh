@@ -1,17 +1,58 @@
 #!/usr/bin/env bash
-# ci.sh — CI legs a builder can run locally. The workflow
-# (.github/workflows/ci.yml) calls the same legs, so "green here" means
+# ci.sh — every CI leg, runnable locally. The workflow
+# (.github/workflows/ci.yml) only calls these legs, so "green here" means
 # "green there".
 #
+#   bash ci.sh race      vet, build, the whole suite under -race, and the
+#                        conformance suite
+#   bash ci.sh harness   the benchmark harness (its own module) vets, builds
+#                        and passes its own tests
 #   bash ci.sh guards    the per-subsystem regression guards
 #   bash ci.sh kernels   the f64 tile kernel and the SQ8 scan on every kernel
 #                        tier of this host, and the answer digests on both
 #                        dot arithmetics
-#   bash ci.sh harness   the benchmark harness (its own module) vets, builds
-#                        and passes its own tests
+#   bash ci.sh purego    the scalar kernel fallbacks under -tags purego
+#   bash ci.sh fuzz      every fuzz target for 30 s
+#   bash ci.sh smoke     the bench, planner and server smokes
 #   bash ci.sh layout    addr % 64 and size of the hot symbols in entmatcher
 set -euo pipefail
 cd "$(dirname "$0")"
+
+race() {
+	go vet ./...
+	go build ./...
+	go test -race ./...
+
+	# Conformance. One -race run of everything under internal/conformance,
+	# plus the packages whose own tests carry a conformance contract. The
+	# invariants it holds, by test-name family:
+	#  - Sparse: the sparse candidate-graph twins stay bit-identical to their
+	#    dense counterparts at full candidate width (and RInf-sparse to
+	#    RInf-pb at every width).
+	#  - ANN: the IVF candidate graphs stay bit-identical to the exhaustive
+	#    builders' at nprobe=Clusters, deterministic under a fixed seed, and
+	#    recall-monotone in nprobe (ann_test.go).
+	#  - Quant: the SQ8 two-phase scan stays bit-identical to the exhaustive
+	#    builders AND to the float IVF search at the default rerank factor on
+	#    the adversarial suite (quant_test.go).
+	#  - Shard|OutOfCore: the IVF-sharded engine stays bit-identical to the
+	#    unsharded sparse engine at Shards=1 (in-RAM and out-of-core alike),
+	#    keeps the Shards>1 Hits@1 delta bounded, and runs its worker pool
+	#    cleanly under -race with mid-build cancellation (internal/shard and
+	#    shard_test.go).
+	#  - Blocked|Batched: the register-blocked kernels (float64 tile rows
+	#    6×1/3×1, int8 4×1) stay bit-identical to the per-pair kernels they
+	#    amortize — on the adversarial suite, through the tile/IVF/quant scan
+	#    paths, and through the row searches the server tiers call
+	#    (batch_test.go). The kernels themselves and the one scan core
+	#    (Scanner, in internal/quant) are pinned on every tier by the kernels
+	#    leg.
+	#  - SlabFailure: a disk-backed table failing under a running pass ends
+	#    StreamTiles, Block and sharded ProduceParts with matrix.ErrSlab and no
+	#    parts (fault_test.go).
+	# The purego leg runs the same suites against the scalar fallbacks.
+	go test -race -count=1 ./internal/conformance/ ./internal/shard/
+}
 
 guards() {
 	# Formatting. Every Go file in the tree, the benchmark module included,
@@ -134,6 +175,118 @@ kernels() {
 	go test -count=1 -cpu 1,2,4 -tags purego -run Digest .
 }
 
+purego() {
+	# The dot_noasm.go/dot_i8_noasm.go scalar paths that non-AVX2 hosts
+	# (arm64) take — without this tag, amd64 CI never compiles them. The
+	# amd64 assembly and its differential tests are excluded by build tags,
+	# so this leg proves the pure-Go kernels satisfy the same suites. The tag
+	# also flips snapshot.MmapSupported off, so the out-of-core conformance
+	# tests run through the chunked ReadAt slab fallback on the same host —
+	# the gathered row window of sim.Stream's one tile loop, which
+	# TestOneLoopOverEveryTable (internal/sim) and TestSlabFailureMidPass
+	# (internal/conformance) also drive directly over a matrix.SlabTable on
+	# every leg.
+	go test -tags purego -count=1 ./internal/matrix/ ./internal/ann/ ./internal/quant/ ./internal/sim/ ./internal/shard/ ./internal/snapshot/ ./internal/server/ ./internal/conformance/
+}
+
+fuzz() {
+	# Every fuzz target for 30 s.
+	go test -run='^$' -fuzz=FuzzRowKernels -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzCandGraph -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzRanking -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzSinkhornSweep -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzLAPStep -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzTileKernel -fuzztime=30s ./internal/matrix/
+	go test -run='^$' -fuzz=FuzzIVFQuery -fuzztime=30s ./internal/ann/
+	go test -run='^$' -fuzz=FuzzDotI8 -fuzztime=30s ./internal/quant/
+	go test -run='^$' -fuzz=FuzzPoolSelect -fuzztime=30s ./internal/quant/
+	go test -run='^$' -fuzz=FuzzQuantRoundTrip -fuzztime=30s ./internal/quant/
+	go test -run='^$' -fuzz=FuzzReadGraph -fuzztime=30s ./internal/kg/
+	go test -run='^$' -fuzz=FuzzReadLinks -fuzztime=30s ./internal/kg/
+	go test -run='^$' -fuzz=FuzzReadNames -fuzztime=30s ./internal/kg/
+	go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=30s ./internal/snapshot/
+	go test -run='^$' -fuzz=FuzzSlabLoad -fuzztime=30s ./internal/snapshot/
+}
+
+# wait_ready polls an entserver's /readyz for up to ten seconds.
+wait_ready() {
+	local i
+	for i in $(seq 1 50); do
+		curl -sf "$1/readyz" >/dev/null && return 0
+		sleep 0.2
+	done
+}
+
+smoke() {
+	# The binaries, data and logs go to one temporary directory; a server
+	# still up when a step fails is stopped on exit.
+	local dir
+	smoke_dir=$(mktemp -d) srv=
+	dir=$smoke_dir
+	trap '[ -z "$srv" ] || kill "$srv" 2>/dev/null; rm -rf "$smoke_dir"' EXIT
+
+	# Bench smoke. Every benchmark once, BenchmarkSparseFiveMatchers among
+	# them: it reports the tile passes and memo bytes of one RInf → CSLS →
+	# Hun. → SMat → Sink. round on a prepared exact run (1 pass/op).
+	go test -run='^$' -bench=. -benchtime=1x -short ./...
+
+	# Planner smoke. End-to-end -auto path: the planner must print a chosen
+	# plan with per-candidate estimates and rejection reasons, then run on
+	# the engine it picked. And one illegal engine: the built binary must
+	# refuse it with the usage exit code and the message of the rule in
+	# internal/engine's table, not a copy of it.
+	go build -o "$dir/entmatcher" ./cmd/entmatcher
+	go run ./cmd/datagen -profile D-Z -scale 0.02 -out "$dir/planner-data"
+	"$dir/entmatcher" -data "$dir/planner-data" -auto -explain -m DInf | tee "$dir/planner.log"
+	grep -q 'planner: workload' "$dir/planner.log"
+	grep -q 'chosen' "$dir/planner.log"
+	grep -q 'rejected' "$dir/planner.log"
+	local rc=0
+	"$dir/entmatcher" -data "$dir/planner-data" -cand 8 -shards 2 -ann 4 2>"$dir/illegal.log" || rc=$?
+	test "$rc" -eq 2
+	grep -q 'Shards and ANN are mutually exclusive' "$dir/illegal.log"
+
+	# Server smoke (snapshot, serve, drain). End-to-end crash-safe-serving
+	# path: save a quantized snapshot from a tiny datagen corpus, boot
+	# entserver on it, hit /readyz, /match/topk (must answer from the SQ8
+	# quant tier) and /statsz, then assert a graceful SIGTERM drain (exit 0,
+	# "drained" printed with the served-by-tier counters). Every load mode
+	# reads the file through the one snapshot.Reader walk, so a second boot
+	# with -mmap=false must return the same /match/topk body, and
+	# -load-snapshot must print the same matcher rows (name, P, R, F1) with
+	# and without -out-of-core.
+	local addr=127.0.0.1:18931
+	go build -o "$dir/entserver" ./cmd/entserver
+	go run ./cmd/datagen -profile D-Z -scale 0.02 -out "$dir/smoke-data"
+	"$dir/entmatcher" -data "$dir/smoke-data" -cand 8 -ann 4 -quant -m DInf -save-snapshot "$dir/smoke.snap"
+	"$dir/entserver" -snapshot "$dir/smoke.snap" -addr "$addr" >"$dir/entserver.log" 2>&1 &
+	srv=$!
+	wait_ready "$addr"
+	curl -sf "$addr/readyz" | grep -q '"status":"ready"'
+	curl -sf "$addr/match/topk?row=0&k=3" | tee "$dir/topk.json" | grep -q '"results"'
+	grep -q '"served_by":"quant"' "$dir/topk.json"
+	curl -sf "$addr/statsz" | jq -e '.served_quant == 1 and .cache_misses == 1'
+	kill -TERM "$srv"
+	wait "$srv"
+	srv=
+	grep -q 'drained' "$dir/entserver.log"
+	grep -q 'served quant=1' "$dir/entserver.log"
+	"$dir/entserver" -snapshot "$dir/smoke.snap" -mmap=false -addr "$addr" >"$dir/entserver-heap.log" 2>&1 &
+	srv=$!
+	wait_ready "$addr"
+	curl -sf "$addr/readyz" | grep -q '"mmap":false'
+	curl -sf "$addr/match/topk?row=0&k=3" >"$dir/topk-heap.json"
+	diff "$dir/topk.json" "$dir/topk-heap.json"
+	kill -TERM "$srv"
+	wait "$srv"
+	srv=
+	"$dir/entmatcher" -data "$dir/smoke-data" -cand 8 -m DInf,RInf -save-snapshot "$dir/smoke-plain.snap" >/dev/null
+	"$dir/entmatcher" -data "$dir/smoke-data" -cand 8 -m DInf,RInf -load-snapshot "$dir/smoke-plain.snap" | awk '/^(DInf|RInf)/ {print $1, $2, $3, $4}' >"$dir/load-heap.txt"
+	"$dir/entmatcher" -data "$dir/smoke-data" -cand 8 -m DInf,RInf -load-snapshot "$dir/smoke-plain.snap" -out-of-core | awk '/^(DInf|RInf)/ {print $1, $2, $3, $4}' >"$dir/load-ooc.txt"
+	test -s "$dir/load-heap.txt"
+	diff "$dir/load-heap.txt" "$dir/load-ooc.txt"
+}
+
 harness() {
 	# benchmark/ is its own module, so the root build never compiles it and
 	# an internal-API refactor could break the repo's yardstick silently.
@@ -169,12 +322,9 @@ layout() {
 }
 
 case "${1:-}" in
-guards) guards ;;
-kernels) kernels ;;
-harness) harness ;;
-layout) layout ;;
+race | harness | guards | kernels | purego | fuzz | smoke | layout) "$1" ;;
 *)
-	echo "usage: bash ci.sh guards|kernels|harness|layout" >&2
+	echo "usage: bash ci.sh race|harness|guards|kernels|purego|fuzz|smoke|layout" >&2
 	exit 2
 	;;
 esac
