@@ -226,9 +226,9 @@ func denseDigests(t *testing.T, arith string) []string {
 	return lines
 }
 
-// TestAnswerDigests holds the sparse engines' answers to the digests in
-// testdata/digests.txt: any change to a pair, a score bit, an abstention,
-// P/R/F1 or a candidate-graph edge fails the cell that moved. The file holds
+// TestAnswerDigests holds the sparse, dense and streaming engines' answers to
+// the digests in testdata/digests.txt: any change to a pair, a score bit, an
+// abstention, P/R/F1 or a candidate-graph edge fails the cell that moved. The file holds
 // the cells of both dot arithmetics and each build checks its own. A
 // refactor meant to keep every bit leaves the file untouched; when a change
 // of answer is intended, `go test -run Digest -update .` and the same under

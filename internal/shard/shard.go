@@ -17,9 +17,9 @@
 //     builders (the single shard is the whole task, gathered in order, run
 //     through the same kernels and the same heap tie-breaking).
 //   - Shards>1 is approximate: a source row only sees targets co-clustered
-//     with it in one of its DefaultReplicas nearest cells. On clustered inputs the
-//     end-to-end Hits@1 stays within a bounded delta of the exhaustive
-//     engine (see conformance/shard_test.go).
+//     with it in one of its DefaultReplicas nearest cells. On clustered
+//     inputs the end-to-end Hits@1 stays within a bounded delta of the
+//     exhaustive engine (see conformance/shard_test.go).
 //   - Determinism: one seed drives sampling, training and assignment;
 //     worker scheduling never affects results (per-shard outputs land in
 //     shard-indexed slots and merge in deterministic order).

@@ -215,7 +215,8 @@ type QuantConfig struct {
 // ErrBadConfig is returned by Pipeline.Prepare (via PipelineConfig.Validate)
 // for configurations that would otherwise fail deep inside internal/embed or
 // internal/sim: unknown enum values, nil datasets, and engine knobs that
-// break internal/engine's rule table.
+// break internal/engine's rule table. MatchWithAbstention returns it for a
+// NaN quantile.
 var ErrBadConfig = errors.New("entmatcher: invalid pipeline configuration")
 
 func badConfig(format string, args ...any) error {
