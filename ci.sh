@@ -166,7 +166,8 @@ kernels() {
 	go test -race -count=1 -tags purego ./internal/ann ./internal/conformance
 
 	# Answer digests, end to end. Every sparse rung's pairs, scores,
-	# abstentions, P/R/F1 and candidate graphs must hash to
+	# abstentions, P/R/F1 and candidate graphs, and the dense and streaming
+	# engines' answers in each setting, must hash to
 	# testdata/digests.txt on the asm build and under -tags purego, each at
 	# -cpu 1,2,4 (the worker pool's chunking must not move a bit). The Go dot
 	# product sums in another order than the FMA kernel, so the one file
