@@ -17,7 +17,10 @@ import (
 
 	"entmatcher/internal/ann"
 	"entmatcher/internal/datagen"
+	"entmatcher/internal/engine"
 	"entmatcher/internal/matrix"
+	"entmatcher/internal/sim"
+	"entmatcher/internal/snapshot"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/digests.txt from this build's answers")
@@ -116,10 +119,13 @@ func (d *digester) sum() string { return fmt.Sprintf("%x", sha256.Sum256(d.buf))
 // line per seed × rung × matcher, each cell named after the dot arithmetic
 // arith first. A cell's hash covers the matcher's pairs with their score bits
 // and its abstentions, the P/R/F1 bits, and the run's forward and reverse
-// candidate graphs at the rung's width.
+// candidate graphs at the rung's width. The rungs an out-of-core run can
+// serve — all but the IVF ones, which OutOfCore rejects, and SQ8, which needs
+// mmap — run again from a snapshot of the prepared tables, as "ooc-" cells:
+// through the build's own out-of-core mode and, where that is mmap, through
+// the ReadAt slab windows as well, which must agree with it bit for bit.
 func answerDigests(t *testing.T, arith string) []string {
 	t.Helper()
-	ctx := context.Background()
 	var lines []string
 	for seed := int64(1); seed <= 2; seed++ {
 		p := datagen.DWY100KDbpWd.Scaled(0.012)
@@ -132,7 +138,8 @@ func answerDigests(t *testing.T, arith string) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := NewPipeline(PipelineConfig{Features: FeatureName, CandidateBudget: 1}).PrepareWithEmbeddings(d, emb)
+		snap := filepath.Join(t.TempDir(), "prep.snap")
+		base, err := NewPipeline(PipelineConfig{Features: FeatureName, CandidateBudget: 1, SaveSnapshot: snap}).PrepareWithEmbeddings(d, emb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,29 +151,90 @@ func answerDigests(t *testing.T, arith string) []string {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, rung.name, err)
 			}
-			c := cfg.CandidateBudget
-			fwd, rev, err := run.graphs.ProduceCandGraphs(ctx, c, c)
+			lines = append(lines, runDigests(t, run, cfg.CandidateBudget, fmt.Sprintf("%s/s%d/%s", arith, seed, rung.name))...)
+		}
+		for _, rung := range digestRungs(rows, cols) {
+			if rung.cfg.ANN != nil || rung.cfg.Quant != nil {
+				continue
+			}
+			cfg := rung.cfg
+			cfg.Features, cfg.LoadSnapshot, cfg.OutOfCore = FeatureName, snap, true
+			cell := fmt.Sprintf("%s/s%d/ooc-%s", arith, seed, rung.name)
+			run, err := NewPipeline(cfg).Prepare(d)
 			if err != nil {
-				t.Fatalf("seed %d %s: graphs: %v", seed, rung.name, err)
+				t.Fatalf("%s: %v", cell, err)
 			}
-			for _, m := range []Matcher{NewRInfSparse(c), NewHungarianSparse(c), NewCSLSSparse(c, 1)} {
-				res, met, err := run.Match(m)
-				if err != nil {
-					t.Fatalf("seed %d %s %s: %v", seed, rung.name, m.Name(), err)
+			mode := run.OutOfCoreMode
+			got := runDigests(t, run, cfg.CandidateBudget, cell)
+			if mode == "mmap" {
+				if viaReadAt := runDigests(t, prepareReadAt(t, cfg, d), cfg.CandidateBudget, cell); !slices.Equal(viaReadAt, got) {
+					t.Errorf("%s: ReadAt answers %v, mmap answers %v", cell, viaReadAt, got)
 				}
-				var h digester
-				h.answer(res, met)
-				h.graph(fwd)
-				h.graph(rev)
-				name := strings.TrimSuffix(m.Name(), "-sparse")
-				lines = append(lines, fmt.Sprintf("%s/s%d/%s/%s %s", arith, seed, rung.name, name, h.sum()))
 			}
-			if err := run.Close(); err != nil {
-				t.Fatal(err)
-			}
+			lines = append(lines, got...)
 		}
 	}
 	return lines
+}
+
+// runDigests runs RInf, Hun. and CSLS sparse at candidate width c on run,
+// closes it, and returns one "cell/matcher sha256" line per matcher.
+func runDigests(t *testing.T, run *Run, c int, cell string) []string {
+	t.Helper()
+	fwd, rev, err := run.graphs.ProduceCandGraphs(context.Background(), c, c)
+	if err != nil {
+		t.Fatalf("%s: graphs: %v", cell, err)
+	}
+	var lines []string
+	for _, m := range []Matcher{NewRInfSparse(c), NewHungarianSparse(c), NewCSLSSparse(c, 1)} {
+		res, met, err := run.Match(m)
+		if err != nil {
+			t.Fatalf("%s %s: %v", cell, m.Name(), err)
+		}
+		var h digester
+		h.answer(res, met)
+		h.graph(fwd)
+		h.graph(rev)
+		lines = append(lines, fmt.Sprintf("%s/%s %s", cell, strings.TrimSuffix(m.Name(), "-sparse"), h.sum()))
+	}
+	if err := run.Close(); err != nil {
+		t.Fatalf("%s: %v", cell, err)
+	}
+	return lines
+}
+
+// prepareReadAt is prepareLoaded's out-of-core path with the tables served
+// through the chunked-ReadAt slab windows — the path a build without mmap
+// takes — so that a build with mmap digests both.
+func prepareReadAt(t *testing.T, cfg PipelineConfig, d *Dataset) *Run {
+	t.Helper()
+	p := NewPipeline(cfg)
+	r, err := snapshot.OpenReader(cfg.LoadSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := p.task(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := r.Table(snapshot.SectionSrcTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := r.Table(snapshot.SectionTgtTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := sim.NewStreamOOC(src, tgt, sim.Metric(r.Meta().Metric))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := p.assemble(context.Background(), d, nil, task, nil, &engine.Tables{Stream: stream}, cfg.engine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.OutOfCoreMode, run.closer = "readat", r.Close
+	return run
 }
 
 // denseDigests runs the dense and streaming engines on a D-Z task at the
