@@ -46,3 +46,12 @@ func forceTileTier(tb testing.TB, tier string) {
 	tileWidth = tileTierWidths[tier]
 	tb.Cleanup(func() { tileWidth = prev })
 }
+
+// The ranking primitive's key map and route constants, for tests that build
+// rows aimed at one route of sortByKeys.
+var DescKey = descKey
+
+const (
+	InsertionRankMax = insertionRankMax
+	RankWindowBits   = rankWindowBits
+)

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -39,19 +40,26 @@ func descKey(v float64) uint64 {
 }
 
 // ranker is the scratch of one ranking: the keys, two position buffers the
-// radix passes alternate between, and the per-digit histograms. Rankers are
-// pooled, so a worker ranking row after row allocates nothing once warm.
+// radix passes alternate between, the permutation the sort was handed (for
+// the full-key restart), and the per-digit histograms. Rankers are pooled, so
+// a worker ranking row after row allocates nothing once warm.
 type ranker struct {
-	keys []uint64
-	a, b []int32
-	hist [8][256]uint32
+	keys        []uint64
+	a, b, given []int32
+	hist        [8][256]uint32
 }
 
 // insertionRankMax is the length up to which sortByKeys runs a stable
 // insertion sort instead: below it the radix's fixed cost (clearing and
-// prefix-summing 8×256 counters) exceeds the quadratic term. RInf-pb's
+// prefix-summing the digit counters) exceeds the quadratic term. RInf-pb's
 // candidate blocks are this short; full rows are not.
 const insertionRankMax = 64
+
+// rankWindowBits is how many key bits the first sort of a long row orders
+// by: the ones from the highest bit in which the row's keys differ down.
+// Three byte passes; below them the keys of a row of similarity scores
+// rarely still tie.
+const rankWindowBits = 24
 
 var rankerPool = sync.Pool{New: func() any { return new(ranker) }}
 
@@ -61,8 +69,9 @@ func (r *ranker) grow(n int) {
 		r.keys = make([]uint64, n)
 		r.a = make([]int32, n)
 		r.b = make([]int32, n)
+		r.given = make([]int32, n)
 	}
-	r.keys, r.a, r.b = r.keys[:n], r.a[:n], r.b[:n]
+	r.keys, r.a, r.b, r.given = r.keys[:n], r.a[:n], r.b[:n], r.given[:n]
 }
 
 // identity fills r.a with 0..n-1, the starting permutation of a ranking whose
@@ -74,24 +83,45 @@ func (r *ranker) identity() {
 }
 
 // sortByKeys stably reorders the permutation in r.a by ascending r.keys. The
-// passes scatter from r.a into r.b and swap the two, so the result is r.a
-// again (valid until the ranker's next use).
+// result is r.a again (valid until the ranker's next use).
+//
+// Short rows take a stable insertion sort. A long row is first radix-sorted
+// by the rankWindowBits bits below the highest bit in which its keys differ
+// — the bits above are shared, so that is the order of the keys' common
+// prefix — and then finished by a stable insertion pass on the full keys,
+// which moves only positions whose keys tie inside the window. A row whose
+// window leaves more than about 2n moves to that pass restarts from the
+// permutation it was handed on a full 64-bit radix. Every route is a stable
+// sort by the keys, so all return the same permutation.
 func (r *ranker) sortByKeys() []int32 {
 	keys := r.keys
 	n := len(keys)
 	if n <= insertionRankMax {
-		a := r.a
-		for i := 1; i < n; i++ {
-			p := a[i]
-			k := keys[p]
-			j := i
-			for ; j > 0 && keys[a[j-1]] > k; j-- {
-				a[j] = a[j-1]
-			}
-			a[j] = p
-		}
-		return a
+		r.insertionFix(n * n)
+		return r.a
 	}
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	if diff == 0 {
+		return r.a // every key equal: already stably sorted
+	}
+	lo := max(0, 64-bits.LeadingZeros64(diff)-rankWindowBits)
+	copy(r.given, r.a)
+	h := r.hist[:3]
+	clear(h)
+	for _, k := range keys {
+		k >>= lo
+		h[0][k&0xff]++
+		h[1][k>>8&0xff]++
+		h[2][k>>16&0xff]++
+	}
+	r.radixPasses(h, uint(lo))
+	if lo == 0 || r.insertionFix(2*n) {
+		return r.a
+	}
+	copy(r.a, r.given)
 	r.hist = [8][256]uint32{}
 	for _, k := range keys {
 		r.hist[0][k&0xff]++
@@ -103,11 +133,21 @@ func (r *ranker) sortByKeys() []int32 {
 		r.hist[6][k>>48&0xff]++
 		r.hist[7][k>>56]++
 	}
-	for d := range r.hist {
-		h := &r.hist[d]
-		shift := uint(8 * d)
-		if h[keys[0]>>shift&0xff] == uint32(n) {
-			continue // every key shares this digit: the pass would move nothing
+	r.radixPasses(r.hist[:], 0)
+	return r.a
+}
+
+// radixPasses runs one stable LSD byte pass per histogram, digit d being the
+// key byte at bit lo+8d, scattering from r.a into r.b and swapping the two. A
+// digit every key shares costs no pass: it would move nothing.
+func (r *ranker) radixPasses(hist [][256]uint32, lo uint) {
+	keys := r.keys
+	n := uint32(len(keys))
+	for d := range hist {
+		h := &hist[d]
+		shift := lo + uint(8*d)
+		if h[keys[0]>>shift&0xff] == n {
+			continue
 		}
 		var sum uint32
 		for b, c := range h {
@@ -122,7 +162,34 @@ func (r *ranker) sortByKeys() []int32 {
 		}
 		r.a, r.b = r.b, r.a
 	}
-	return r.a
+}
+
+// insertionFix stably insertion-sorts r.a by r.keys. It gives up, leaving r.a
+// a permutation in no particular order, and reports false once it has moved
+// positions more than budget times.
+func (r *ranker) insertionFix(budget int) bool {
+	a, keys := r.a, r.keys
+	if len(a) == 0 {
+		return true
+	}
+	last := keys[a[0]] // the largest key placed so far
+	for i := 1; i < len(a); i++ {
+		p := a[i]
+		k := keys[p]
+		if k >= last {
+			last = k
+			continue
+		}
+		j := i
+		for ; j > 0 && keys[a[j-1]] > k; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = p
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // orderDesc returns the positions of vals in (value desc, position asc)

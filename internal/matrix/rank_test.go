@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -146,22 +147,125 @@ func TestRankingMatchesStableSortReference(t *testing.T) {
 	}
 }
 
+// rankRoute names the route sortByKeys takes on vals ranked from the
+// identity, recomputed from the keys: "insertion" for short rows; for long
+// ones "window" when the radix over the RankWindowBits bits below the highest
+// differing bit separates every key, "fixup" when the full-key insertion pass
+// after it makes at most 2n moves, and "restart" when it makes more and the
+// full 64-bit radix runs from the starting permutation.
+func rankRoute(vals []float64) string {
+	n := len(vals)
+	if n <= matrix.InsertionRankMax {
+		return "insertion"
+	}
+	keys := make([]uint64, n)
+	var diff uint64
+	for i, v := range vals {
+		keys[i] = matrix.DescKey(v)
+		diff |= keys[i] ^ keys[0]
+	}
+	lo := max(0, 64-bits.LeadingZeros64(diff)-matrix.RankWindowBits)
+	if lo == 0 {
+		return "window"
+	}
+	// The insertion pass moves each position past the earlier positions of
+	// its window group whose keys are larger: the group's inversions.
+	moves := 0
+	for i := range keys {
+		for j := 0; j < i; j++ {
+			if keys[j]>>lo == keys[i]>>lo && keys[j] > keys[i] {
+				moves++
+			}
+		}
+	}
+	if moves > 2*n {
+		return "restart"
+	}
+	return "fixup"
+}
+
+// routeRows builds rows of length n aimed at each route of the long-row
+// sort: keys separated by fewer than RankWindowBits bits (the window radix is
+// the whole sort); similarity scores, whose window leaves few ties for the
+// insertion pass; and rows whose keys share the whole window and differ only
+// below it, in an order that overruns the insertion pass's budget — from the
+// start, on values that tie (so a restart's starting permutation shows in the
+// answer), or after a sorted head it fixed within budget.
+func routeRows(n int) []struct {
+	name, route string
+	vals        []float64
+} {
+	rng := rand.New(rand.NewSource(int64(n)))
+	narrow := make([]float64, n) // 0.5 plus up to 2^20 ulps
+	scores := make([]float64, n)
+	shared := make([]float64, n) // ±(0.5 plus k·2^20 ulps, k < 16): the sign bit is the top, values tie
+	sortedHead := make([]float64, n)
+	for i := range narrow {
+		narrow[i] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(1<<20)))
+		scores[i] = rng.NormFloat64()*0.1 + 0.2
+		shared[i] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(16))<<20)
+		if rng.Intn(2) == 0 {
+			shared[i] = -shared[i]
+		}
+		sortedHead[i] = math.Float64frombits(math.Float64bits(0.5) + uint64(n-i)<<8)
+	}
+	sortedHead[0] = -1 // the sign bit differs, so the window sits above the row's low bits
+	tail := sortedHead[n-max(n/4, 32):]
+	rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+	return []struct {
+		name, route string
+		vals        []float64
+	}{
+		{"narrow", "window", narrow},
+		{"scores", "fixup", scores},
+		{"shared-window", "restart", shared},
+		{"shared-window-sorted-head", "restart", sortedHead},
+	}
+}
+
+// TestRankingRoutes holds every route of the long-row sort to the stable-sort
+// references, on routeRows just past the insertion switch, mid-size and at a
+// paper_dense row's length. checkRanking's OrderDescByKey call runs the value
+// stage from the key order, so a restart there must start from that order,
+// not the identity.
+func TestRankingRoutes(t *testing.T) {
+	for _, n := range []int{65, 300, 2100} {
+		for _, c := range routeRows(n) {
+			t.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(t *testing.T) {
+				if got := rankRoute(c.vals); got != c.route {
+					t.Fatalf("row takes route %q, want %q", got, c.route)
+				}
+				checkRanking(t, c.vals)
+			})
+		}
+	}
+}
+
 // FuzzRanking decodes the input as raw doubles — every bit pattern except
 // NaN, which the finite gate keeps away from the primitive — and holds the
 // primitive to the stable-sort references. The seeds are the rows of the
 // conformance suite's adversarial matrices, tiled past the insertion/radix
-// switch so both paths start from tie-heavy, 1-ulp and duplicate inputs.
+// switch so both paths start from tie-heavy, 1-ulp and duplicate inputs,
+// then routeRows' rows, one per route of the long-row sort.
 func FuzzRanking(f *testing.F) {
+	add := func(vals []float64) {
+		buf := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		f.Add(buf)
+	}
 	for _, c := range conformance.AdversarialCases(1) {
 		for i := 0; i < c.S.Rows(); i++ {
 			row := c.S.Row(i)
 			for _, n := range []int{len(row), 5*len(row) + 61} {
-				buf := make([]byte, 0, 8*n)
-				for _, v := range repeatTo(row, n) {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-				}
-				f.Add(buf)
+				add(repeatTo(row, n))
 			}
+		}
+	}
+	for _, n := range []int{65, 300} {
+		for _, c := range routeRows(n) {
+			add(c.vals)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
