@@ -78,62 +78,97 @@ func (t ReciprocalTransform) TransformContext(ctx context.Context, s *matrix.Den
 		return out, nil
 	}
 
-	// P_st(u, v) = S(u, v) − colMax(v) + 1.
-	pst := matrix.New(rows, cols)
-	if err := preferenceInto(ctx, pst, s, colMaxes); err != nil {
+	// R_ts: every column of P_ts(v, u) = S(u, v) − rowMax(u) + 1 ranked. The
+	// ranking primitive wants contiguous values and a column of s is strided,
+	// so each tile gathers colGatherTile columns' preferences into pooled
+	// scratch — one cache line of every row per tile, no transposed copy of
+	// s — ranks them there and writes the ranks back the same way.
+	colRank := matrix.New(rows, cols)
+	if err := forTiles(ctx, cols, rows, func(j0, j1 int, order []int32) {
+		w := j1 - j0
+		buf := matrix.GetTileBuf(w * rows)
+		for i := 0; i < rows; i++ {
+			b := rowMaxes[i]
+			for c, v := range s.Row(i)[j0:j1] {
+				buf[c*rows+i] = (v - b) + 1
+			}
+		}
+		for c := 0; c < w; c++ {
+			col := buf[c*rows : (c+1)*rows]
+			matrix.OrderDesc(order, col)
+			for r, i := range order {
+				col[i] = float64(r + 1)
+			}
+		}
+		for i := 0; i < rows; i++ {
+			dst := colRank.Row(i)[j0:j1]
+			for c := range dst {
+				dst[c] = buf[c*rows+i]
+			}
+		}
+		matrix.PutTileBuf(buf)
+	}); err != nil {
 		return nil, err
 	}
 
-	// P_ts(v, u) = S(u, v) − rowMax(u) + 1, stored transposed (cols×rows).
-	pts := s.Transpose()
-	if err := preferenceInto(ctx, pts, pts, rowMaxes); err != nil {
-		return nil, err
-	}
-
-	pst.RowRanksInPlace()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	pts.RowRanksInPlace()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	// Reciprocal rank matrix: −(R_st + R_tsᵀ)/2.
-	ptsT := pts.Transpose()
-	if err := matrix.ParallelRowsCtx(ctx, rows, func(i int) {
-		dst := pst.Row(i)
-		add := ptsT.Row(i)
-		for j := range dst {
-			dst[j] = -(dst[j] + add[j]) / 2
+	// R_st: every row of P_st(u, v) = S(u, v) − colMax(v) + 1 ranked, each
+	// row's preferences built into the row they are ranked in, and the row of
+	// the reciprocal matrix −(R_st + R_ts)/2 written while both are in cache.
+	rowRank := matrix.New(rows, cols)
+	out := matrix.New(rows, cols)
+	if err := forTiles(ctx, rows, cols, func(i0, i1 int, order []int32) {
+		for i := i0; i < i1; i++ {
+			rr := rowRank.Row(i)
+			preference(rr, s.Row(i), colMaxes)
+			matrix.OrderDesc(order, rr)
+			for r, j := range order {
+				rr[j] = float64(r + 1)
+			}
+			cr, dst := colRank.Row(i), out.Row(i)
+			for j := range dst {
+				dst[j] = -(rr[j] + cr[j]) / 2
+			}
 		}
 	}); err != nil {
 		return nil, err
 	}
-	return pst, nil
+	return out, nil
 }
 
-// preferenceInto writes dst(i, j) = (src(i, j) − best[j]) + 1 in one sweep;
-// dst may be src. The subtraction and the addition are two rounded
-// operations on purpose: folding them into src − (best − 1) changes low bits,
-// and the structural ties of the rank transform — every cell attaining its
-// column maximum has preference exactly 1 — depend on them.
-func preferenceInto(ctx context.Context, dst, src *matrix.Dense, best []float64) error {
-	return matrix.ParallelRowsCtx(ctx, dst.Rows(), func(i int) {
-		d, s := dst.Row(i), src.Row(i)
-		for j, b := range best[:len(d)] {
-			d[j] = (s[j] - b) + 1
+// forTiles runs fn(lo, hi, order) over [0, items) in tiles of colGatherTile
+// items on the package pool, order being n positions of ranking scratch the
+// tile owns. ParallelRowsCtx polls ctx once per 64 tiles, so each tile polls
+// as well to keep the bound at checkRowStride items.
+func forTiles(ctx context.Context, items, n int, fn func(lo, hi int, order []int32)) error {
+	tiles := (items + colGatherTile - 1) / colGatherTile
+	return matrix.ParallelRowsCtx(ctx, tiles, func(t int) {
+		lo := t * colGatherTile
+		if lo%checkRowStride == 0 && ctxErr(ctx) != nil {
+			return
 		}
+		fn(lo, min(lo+colGatherTile, items), make([]int32, n))
 	})
 }
 
-// ExtraBytes counts the preference matrices in both directions plus the
-// transpose scratch — the memory overhead the paper attributes to RInf's
-// "computation of similarity, preference, and ranking matrices" — and the
-// row/column max value+index vectors live throughout, per the package
-// accounting rule.
+// preference writes dst[j] = (src[j] − best[j]) + 1. The subtraction and the
+// addition are two rounded operations on purpose: folding them into
+// src − (best − 1) changes low bits, and the structural ties of the rank
+// transform — every cell attaining its column maximum has preference exactly
+// 1 — depend on them.
+func preference(dst, src, best []float64) {
+	for j, b := range best[:len(dst)] {
+		dst[j] = (src[j] - b) + 1
+	}
+}
+
+// ExtraBytes counts the rank matrices in both directions and the reciprocal
+// matrix — the memory overhead the paper attributes to RInf's "computation
+// of similarity, preference, and ranking matrices" — and the row/column max
+// value+index vectors live throughout, per the package accounting rule.
 func (t ReciprocalTransform) ExtraBytes(rows, cols int) int64 {
 	if t.WithRanking {
-		// Peak: pst, pts and ptsT live together during the final merge.
+		// Peak: the row ranks, the column ranks and the result live
+		// together during the column pass.
 		return 3*matBytes(rows, cols) + int64(rows+cols)*16
 	}
 	// The no-ranking variant needs only the single combined matrix plus the
