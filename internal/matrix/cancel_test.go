@@ -77,4 +77,32 @@ func TestFindNonFinite(t *testing.T) {
 	if _, _, ok := empty.FindNonFinite(); ok {
 		t.Fatal("empty matrix flagged")
 	}
+
+	// At a size every worker gets rows of (257 columns: a scalar tail of
+	// one after the four-wide sums), the answer is still the first offender
+	// in row-major order, whichever worker finds which.
+	const rows, cols = 300, 257
+	for _, c := range []struct {
+		name string
+		bad  [][3]float64 // row, col, value
+		i, j int
+	}{
+		{"finite", nil, -1, -1},
+		{"two workers", [][3]float64{{250, 3, math.NaN()}, {20, 200, math.Inf(1)}}, 20, 200},
+		{"same row", [][3]float64{{149, 256, math.NaN()}, {149, 7, math.Inf(-1)}, {150, 0, math.NaN()}}, 149, 7},
+		{"-Inf alone", [][3]float64{{299, 128, math.Inf(-1)}}, 299, 128},
+		{"NaN in the tail", [][3]float64{{0, 256, math.NaN()}}, 0, 256},
+		{"first and last", [][3]float64{{299, 256, math.NaN()}, {0, 0, math.Inf(1)}}, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := randMatrix(rng, rows, cols)
+			for _, b := range c.bad {
+				m.Set(int(b[0]), int(b[1]), b[2])
+			}
+			i, j, ok := m.FindNonFinite()
+			if want := c.i >= 0; ok != want || (ok && (i != c.i || j != c.j)) {
+				t.Fatalf("FindNonFinite = (%d,%d,%v), want (%d,%d,%v)", i, j, ok, c.i, c.j, want)
+			}
+		})
+	}
 }

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -319,24 +321,44 @@ func (m *Dense) RowMax() (vals []float64, idx []int) {
 
 // ColMax returns, for every column, the maximum value and the row index of
 // the first occurrence of that maximum. Columns of height zero yield
-// (-Inf, -1).
+// (-Inf, -1). The rows are split into one ascending strip per worker, each
+// strip scanned into its own maxima (the first strip straight into the
+// result), and the strips merged in row order with a strict >, so a tie keeps
+// the earlier strip's row: the first occurrence, as one serial scan finds it.
 func (m *Dense) ColMax() (vals []float64, idx []int) {
-	vals = make([]float64, m.cols)
-	idx = make([]int, m.cols)
+	strips := max(1, min(runtime.GOMAXPROCS(0), m.rows/colMaxStripRows))
+	vals = make([]float64, strips*m.cols)
+	idx = make([]int, strips*m.cols)
 	for j := range vals {
-		vals[j] = math.Inf(-1)
-		idx[j] = -1
+		vals[j], idx[j] = math.Inf(-1), -1
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if v > vals[j] {
-				vals[j], idx[j] = v, i
+	h := (m.rows + strips - 1) / strips
+	parallelInOrder(strips, func(k int) {
+		v, x := vals[k*m.cols:(k+1)*m.cols], idx[k*m.cols:(k+1)*m.cols]
+		for i := k * h; i < min((k+1)*h, m.rows); i++ {
+			for j, e := range m.Row(i) {
+				if e > v[j] {
+					v[j], x[j] = e, i
+				}
 			}
 		}
-	}
-	return vals, idx
+	}, func(k int) {
+		if k == 0 {
+			return
+		}
+		v, x := vals[k*m.cols:(k+1)*m.cols], idx[k*m.cols:(k+1)*m.cols]
+		for j, e := range v {
+			if e > vals[j] {
+				vals[j], idx[j] = e, x[j]
+			}
+		}
+	})
+	return vals[:m.cols:m.cols], idx[:m.cols:m.cols]
 }
+
+// colMaxStripRows is the fewest rows ColMax gives a strip of its own: below
+// it the strip's partial maxima cost about what its rows do.
+const colMaxStripRows = 64
 
 // Argmax returns the flat (row, col) location of the global maximum: the
 // first one in row-major order, found row-parallel (each row's first maximum,
@@ -393,13 +415,53 @@ func (m *Dense) ScaleColsInPlace(scale []float64) {
 // validation primitive behind the pipeline's input gate: a single poisoned
 // score silently corrupts every downstream argmax and normalization, so
 // callers reject such matrices before matching.
+//
+// The rows are scanned in parallel, four running sums of v·0 per row: a
+// finite v adds a zero, NaN or ±Inf turns the sum NaN. A worker stops at its
+// first poisoned row, and so does every worker past the earliest one found so
+// far; that row is then searched element by element.
 func (m *Dense) FindNonFinite() (i, j int, ok bool) {
-	for p, v := range m.data {
+	var first atomic.Int64
+	first.Store(int64(m.rows))
+	parallelChunks(m.rows, func(lo, hi int) {
+		for i := lo; i < hi && int64(i) < first.Load(); i++ {
+			if rowFinite(m.Row(i)) {
+				continue
+			}
+			for f := first.Load(); int64(i) < f; f = first.Load() {
+				if first.CompareAndSwap(f, int64(i)) {
+					break
+				}
+			}
+			return
+		}
+	})
+	if i = int(first.Load()); i == m.rows {
+		return 0, 0, false
+	}
+	for j, v := range m.Row(i) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return p / m.cols, p % m.cols, true
+			return i, j, true
 		}
 	}
-	return 0, 0, false
+	panic("matrix: FindNonFinite lost its row")
+}
+
+// rowFinite reports whether every element of row is finite.
+func rowFinite(row []float64) bool {
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(row); j += 4 {
+		s0 += row[j] * 0
+		s1 += row[j+1] * 0
+		s2 += row[j+2] * 0
+		s3 += row[j+3] * 0
+	}
+	for _, v := range row[j:] {
+		s0 += v * 0
+	}
+	s := s0 + s1 + s2 + s3
+	return s == s
 }
 
 // SelectRows returns a new matrix whose i-th row is m's row ids[i].

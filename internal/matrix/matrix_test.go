@@ -152,6 +152,48 @@ func TestColMaxMatchesTransposedRowMax(t *testing.T) {
 	}
 }
 
+// TestColMaxTiesAcrossStrips holds the row-parallel ColMax to one serial
+// first-occurrence scan on columns whose maximum ties across the strip
+// boundaries of 2, 3 and 4 workers (run it at -cpu 1,2,4): ties at rows
+// 74/75, 99/100, 149/150 and 224/225, a tie of the first and last row, an
+// all-equal column, the maximum in the last strip only, NaNs around a tie,
+// and an all −Inf column (row −1).
+func TestColMaxTiesAcrossStrips(t *testing.T) {
+	const rows = 300
+	ties := [][]int{{74, 75}, {99, 100}, {149, 150}, {224, 225}, {0, 299}, {299}, {75, 150, 225}}
+	m := randMatrix(rand.New(rand.NewSource(9)), rows, len(ties)+3)
+	for j, at := range ties {
+		for _, i := range at {
+			m.Set(i, j, 10)
+		}
+	}
+	allEqual, nanTie, dead := len(ties), len(ties)+1, len(ties)+2
+	for i := 0; i < rows; i++ {
+		m.Set(i, allEqual, 0.5)
+		m.Set(i, dead, math.Inf(-1))
+		if i%2 == 0 {
+			m.Set(i, nanTie, math.NaN())
+		}
+	}
+	m.Set(151, nanTie, 10)
+	m.Set(225, nanTie, 10)
+	vals, idx := m.ColMax()
+	for j := 0; j < m.Cols(); j++ {
+		want, wi := math.Inf(-1), -1
+		for i := 0; i < rows; i++ {
+			if v := m.At(i, j); v > want {
+				want, wi = v, i
+			}
+		}
+		if vals[j] != want || idx[j] != wi {
+			t.Errorf("column %d: ColMax = (%v, %d), serial scan (%v, %d)", j, vals[j], idx[j], want, wi)
+		}
+	}
+	if len(vals) != m.Cols() || len(idx) != m.Cols() {
+		t.Fatalf("ColMax returned %d values and %d indices for %d columns", len(vals), len(idx), m.Cols())
+	}
+}
+
 func TestArgmax(t *testing.T) {
 	m, _ := NewFromData(2, 2, []float64{0, 1, 3, 2})
 	i, j := m.Argmax()
