@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"entmatcher/internal/matrix"
@@ -41,9 +42,9 @@ func (t ReciprocalTransform) Transform(s *matrix.Dense) (*matrix.Dense, error) {
 	return t.TransformContext(context.Background(), s)
 }
 
-// TransformContext is Transform with cooperative cancellation, checked
-// between the major matrix passes (preference construction, rank transforms
-// and bidirectional aggregation — each a full O(rows×cols) sweep).
+// TransformContext is Transform with cooperative cancellation, checked after
+// the row and column maxima and inside both rank passes, at least once per
+// checkRowStride columns or rows.
 func (t ReciprocalTransform) TransformContext(ctx context.Context, s *matrix.Dense) (*matrix.Dense, error) {
 	rows, cols := s.Rows(), s.Cols()
 	if rows == 0 || cols == 0 {
@@ -136,9 +137,9 @@ func (t ReciprocalTransform) TransformContext(ctx context.Context, s *matrix.Den
 }
 
 // forTiles runs fn(lo, hi, order) over [0, items) in tiles of colGatherTile
-// items on the package pool, order being n positions of ranking scratch the
-// tile owns. ParallelRowsCtx polls ctx once per 64 tiles, so each tile polls
-// as well to keep the bound at checkRowStride items.
+// items on the package pool, order being n positions of pooled ranking
+// scratch the tile owns. ParallelRowsCtx polls ctx once per 64 tiles, so
+// each tile polls as well to keep the bound at checkRowStride items.
 func forTiles(ctx context.Context, items, n int, fn func(lo, hi int, order []int32)) error {
 	tiles := (items + colGatherTile - 1) / colGatherTile
 	return matrix.ParallelRowsCtx(ctx, tiles, func(t int) {
@@ -146,9 +147,20 @@ func forTiles(ctx context.Context, items, n int, fn func(lo, hi int, order []int
 		if lo%checkRowStride == 0 && ctxErr(ctx) != nil {
 			return
 		}
-		fn(lo, min(lo+colGatherTile, items), make([]int32, n))
+		buf := orderScratch.Get().(*[]int32)
+		if cap(*buf) < n {
+			*buf = make([]int32, n)
+		}
+		fn(lo, min(lo+colGatherTile, items), (*buf)[:n])
+		orderScratch.Put(buf)
 	})
 }
+
+// orderScratch pools forTiles' ranking scratch. Allocated per tile, the
+// small buffers land in the spans the previous call's matrices freed and
+// split them, so the next n×m matrix needs fresh pages: peak RSS on a
+// matcher loop rose by about one matrix.
+var orderScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // preference writes dst[j] = (src[j] − best[j]) + 1. The subtraction and the
 // addition are two rounded operations on purpose: folding them into
@@ -168,7 +180,7 @@ func preference(dst, src, best []float64) {
 func (t ReciprocalTransform) ExtraBytes(rows, cols int) int64 {
 	if t.WithRanking {
 		// Peak: the row ranks, the column ranks and the result live
-		// together during the column pass.
+		// together during the row pass.
 		return 3*matBytes(rows, cols) + int64(rows+cols)*16
 	}
 	// The no-ranking variant needs only the single combined matrix plus the
