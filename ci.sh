@@ -108,7 +108,11 @@ guards() {
 	# last two on AVX2 kernels where the CPU has them; SinkhornSparse defers
 	# its column scale the same way. The -race legs hold the primitive to its
 	# stable-sort reference (−0.0 ties +0.0, both sides of the
-	# insertion/radix switch); the sweep and LAP-step kernels to the Go
+	# insertion/radix switch, rows aimed at each route of the long-row sort:
+	# window radix alone, insertion fix-up, budget overrun and restart); the
+	# row-parallel finiteness gate to the first offender in row-major order
+	# and ColMax to a serial scan on ties across its strip boundaries; the
+	# sweep and LAP-step kernels to the Go
 	# bodies on every tier the host has (forced through internal/matrix's
 	# export_test.go: ragged rows and columns, eps-guarded rows, dead
 	# columns, signed zeros and ties at the pivot, whole rectangular,
@@ -121,7 +125,7 @@ guards() {
 	# again on the Go bodies alone. The plain leg adds what -race skips:
 	# zero allocations per ranked row on warm scratch and the Figure 5 time
 	# shape. The last line keeps BenchmarkDenseBodies compiling.
-	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|Orderings|SinkhornCancelMidSweep'
+	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|Orderings|SinkhornCancelMidSweep|FindNonFinite|ColMaxTiesAcrossStrips'
 	go test -race -count=1 -cpu 1,2,4 -run "$dense" ./internal/matrix ./internal/core
 	go test -race -count=1 -cpu 1,2,4 -tags purego -run "$dense" ./internal/matrix ./internal/core
 	go test -count=1 -run 'RankingAllocatesNothingWarm|Figure5TimeShape' ./internal/matrix ./internal/core
@@ -166,8 +170,10 @@ kernels() {
 	go test -race -count=1 -tags purego ./internal/ann ./internal/conformance
 
 	# Answer digests, end to end. Every sparse rung's pairs, scores,
-	# abstentions, P/R/F1 and candidate graphs, and the dense and streaming
-	# engines' answers in each setting, must hash to
+	# abstentions, P/R/F1 and candidate graphs — the exact and sharded rungs
+	# again from a saved snapshot out of core, through mmap and ReadAt where
+	# the build maps and through ReadAt under purego — and the dense and
+	# streaming engines' answers in each setting, must hash to
 	# testdata/digests.txt on the asm build and under -tags purego, each at
 	# -cpu 1,2,4 (the worker pool's chunking must not move a bit). The Go dot
 	# product sums in another order than the FMA kernel, so the one file
@@ -304,14 +310,16 @@ layout() {
 	# alignment, so a change that touches nothing in a hot function can still
 	# shift it; this prints addr % 64 and size of the hot text symbols of the
 	# entmatcher binary — the rank.go passes, the heap offers, the tile loop,
-	# the tile kernels, the IVF walker's f64 score loop and the quant rows
-	# kernels — for a before/after diff of two checkouts. It checks nothing; symbols the compiler inlined away are
+	# the tile kernels, the IVF walker's f64 score loop, the quant rows
+	# kernels, and the per-Match finiteness gate and ColMax scans — for a
+	# before/after diff of two checkouts. It checks nothing; symbols the compiler inlined away are
 	# absent.
 	local hot
 	layout_dir=$(mktemp -d)
 	trap 'rm -rf "$layout_dir"' EXIT
 	go build -o "$layout_dir/entmatcher" ./cmd/entmatcher
 	hot='internal/matrix\.(\(\*ranker\)\.[A-Za-z]+|OrderDesc[A-Za-z]*|RanksDesc|\(\*minHeap\)\.(offerRun|down)|offerCols|MulTransposedBlockInto(\.func1)?|tileRows[A-Za-z0-9]*|dotAVX2)$'
+	hot+='|internal/matrix\.(\(\*Dense\)\.(FindNonFinite|ColMax)(\.func[0-9])?|rowFinite)$'
 	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.(f64Kernel\.score|dotI8Rows[14][A-Za-z0-9]*)$'
 	printf '%-56s %7s %6s\n' symbol 'addr%64' size
 	go tool nm -n -size "$layout_dir/entmatcher" | while read -r addr size kind name; do

@@ -156,7 +156,9 @@ var ErrBadInput = errors.New("core: invalid match input")
 // matcher sees the context: it rejects missing/empty/NaN-poisoned similarity
 // matrices and shape-inconsistent side inputs with typed, wrapped errors.
 // Matchers may assume a validated context and keep only their cheap local
-// checks.
+// checks. The finiteness scan (Dense.FindNonFinite) reads every score once,
+// row-parallel on the matrix package's worker pool, on every Match; it
+// reports the first non-finite score in row-major order.
 //
 // For a streaming context (S nil, Stream set) the finiteness scan is
 // skipped: materializing every score to check it would defeat streaming, and

@@ -8,8 +8,8 @@ import (
 
 // This file is the one ranking primitive under the dense matcher bodies:
 // "order positions by (value desc, index asc)". SMat's row preference lists
-// and column rank tables, RInf's rank transform (RowRanksInPlace) and
-// RInf-pb's block ranking all call it, so they share one tie-break.
+// and column rank tables, RInf's rank transform and RInf-pb's block ranking
+// all call it, so they share one tie-break.
 //
 // The order is the one of the comparator
 //
@@ -18,12 +18,12 @@ import (
 // over finite values: total because the indices are distinct, and with −0.0
 // tying +0.0 because == says so. It is computed without a comparator: every
 // value maps to a uint64 whose ascending order is the value's descending
-// order (descKey), and a stable LSD byte radix sorts positions by that key.
+// order (descKey), and positions are stably sorted by that key (sortByKeys:
+// a radix over the bits that separate the row, then an insertion pass).
 // Stability supplies the index tie-break — positions start in ascending index
-// order — and a digit every key shares costs no pass, so a row of similar
-// magnitudes pays for its live bytes only. Inputs are finite-gated upstream
-// (core.ValidateContext); ±Inf order correctly, NaNs land at a deterministic
-// place (by sign and payload) that no caller relies on.
+// order. Inputs are finite-gated upstream (core.ValidateContext); ±Inf order
+// correctly, NaNs land at a deterministic place (by sign and payload) that no
+// caller relies on.
 
 // descKey maps v to a key whose ascending unsigned order is descending value
 // order. The raw bits of a non-negative double ascend with its value and

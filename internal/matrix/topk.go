@@ -319,9 +319,11 @@ func (m *Dense) ColTopKMeans(k int) []float64 {
 // 2, and so on. Ties are broken by column order. The transform is performed
 // in place; the original values are lost.
 //
-// This is the rank conversion step of the RInf reciprocal matcher
-// (Zeng et al., VLDB J 2021): converting preference scores to ranks
-// amplifies score differences before bidirectional aggregation.
+// This is the rank conversion of the RInf reciprocal matcher (Zeng et al.,
+// VLDB J 2021) on a whole matrix: converting preference scores to ranks
+// amplifies score differences before bidirectional aggregation. The dense
+// RInf body ranks the same way row by row and column strip by column strip,
+// building the preferences as it goes.
 func (m *Dense) RowRanksInPlace() {
 	parallelRows(m.rows, func(i int) {
 		row := m.Row(i)
