@@ -9,8 +9,8 @@
 #                        and passes its own tests
 #   bash ci.sh guards    the per-subsystem regression guards
 #   bash ci.sh kernels   the f64 tile kernel and the SQ8 scan on every kernel
-#                        tier of this host, and the answer digests on both
-#                        dot arithmetics
+#                        tier of this host, and the answer digests on the asm
+#                        and purego builds
 #   bash ci.sh purego    the scalar kernel fallbacks under -tags purego
 #   bash ci.sh fuzz      every fuzz target for 30 s
 #   bash ci.sh smoke     the bench, planner and server smokes
@@ -172,21 +172,22 @@ kernels() {
 	# Answer digests, end to end. Every sparse rung's pairs, scores,
 	# abstentions, P/R/F1 and candidate graphs — the exact and sharded rungs
 	# again from a saved snapshot out of core, through mmap and ReadAt where
-	# the build maps and through ReadAt under purego — and the dense and
-	# streaming engines' answers in each setting, must hash to
-	# testdata/digests.txt on the asm build and under -tags purego, each at
-	# -cpu 1,2,4 (the worker pool's chunking must not move a bit). The Go dot
-	# product sums in another order than the FMA kernel, so the one file
-	# holds a set of cells per dot arithmetic and each leg checks its own.
+	# the build maps and through ReadAt under purego — the dense and
+	# streaming engines' answers in each setting, and the server's
+	# /match/topk and /align bodies on two saved IVF snapshots (loaded, and
+	# mapped where the build maps), must hash to testdata/digests.txt on the
+	# asm build and under -tags purego, each at -cpu 1,2,4 (the worker pool's
+	# chunking must not move a bit). The Go dot product sums in the assembly
+	# kernel's order, so both legs check the same cells of the one file.
 	go test -count=1 -cpu 1,2,4 -run Digest .
 	go test -count=1 -cpu 1,2,4 -tags purego -run Digest .
 }
 
 purego() {
-	# The dot_noasm.go/dot_i8_noasm.go scalar paths that non-AVX2 hosts
-	# (arm64) take — without this tag, amd64 CI never compiles them. The
-	# amd64 assembly and its differential tests are excluded by build tags,
-	# so this leg proves the pure-Go kernels satisfy the same suites. The tag
+	# The pure-Go kernels that non-AVX2 hosts (arm64) take: the per-pair tile
+	# tier on dotFMA, the Go assign bodies and dot_i8_noasm.go. The tag
+	# leaves the amd64 assembly out of the build, so this leg proves the
+	# pure-Go kernels satisfy the same suites on their own. The tag
 	# also flips snapshot.MmapSupported off, so the out-of-core conformance
 	# tests run through the chunked ReadAt slab fallback on the same host —
 	# the gathered row window of sim.Stream's one tile loop, which

@@ -4,13 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"entmatcher/internal/datagen"
 	"entmatcher/internal/engine"
 	"entmatcher/internal/matrix"
+	"entmatcher/internal/server"
 	"entmatcher/internal/sim"
 	"entmatcher/internal/snapshot"
 )
@@ -26,24 +28,6 @@ import (
 var updateDigests = flag.Bool("update", false, "rewrite testdata/digests.txt from this build's answers")
 
 const digestFile = "testdata/digests.txt"
-
-// dotArithmetic names the float64 dot product this build scores with:
-// "fma" where matrix.Dot4 runs the AVX2+FMA kernel (every tile tier shares
-// its arithmetic), "go" where it runs the portable unrolled loop (-tags
-// purego, or a CPU without AVX2+FMA). The two sum in different orders, so
-// their answers differ in the last bits and each has its own digests. The
-// probe tells them apart by one product: x·x with x = 1+2⁻³⁰ is
-// 1+2⁻²⁹+2⁻⁶⁰, which the FMA keeps until -(1+2⁻²⁹) cancels the rest and the
-// Go loop rounds away first.
-func dotArithmetic() string {
-	a, b := make([]float64, 17), make([]float64, 17)
-	a[0], b[0] = -(1 + 0x1p-29), 1
-	a[16], b[16] = 1+0x1p-30, 1+0x1p-30
-	if matrix.Dot4(a, b) != 0 {
-		return "fma"
-	}
-	return "go"
-}
 
 // digestRungs are the sparse engines the digests cover on a rows×cols task,
 // each at candidate width 16 but for the full-width exact rung. Full NProbe
@@ -113,31 +97,39 @@ func (d *digester) answer(res *MatchResult, met Metrics) {
 
 func (d *digester) sum() string { return fmt.Sprintf("%x", sha256.Sum256(d.buf)) }
 
+// digestTask generates the D-W task of the sparse and server digests at the
+// benchmark harness's tiny size (×0.012, seed mixed into the profile's seed
+// as the harness does) and encodes its name embeddings.
+func digestTask(t *testing.T, seed int64) (*Dataset, *Embeddings) {
+	t.Helper()
+	p := datagen.DWY100KDbpWd.Scaled(0.012)
+	p.Seed = p.Seed*1_000_003 + seed
+	d, err := datagen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, err := EncodeNames(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, emb
+}
+
 // answerDigests runs RInf, Hun. and CSLS sparse on every digest rung of a
 // D-W task at the benchmark harness's tiny size (×0.012, seeds 1 and 2 mixed
 // into the profile's seed as the harness does) and returns one "cell sha256"
-// line per seed × rung × matcher, each cell named after the dot arithmetic
-// arith first. A cell's hash covers the matcher's pairs with their score bits
-// and its abstentions, the P/R/F1 bits, and the run's forward and reverse
-// candidate graphs at the rung's width. The rungs an out-of-core run can
+// line per seed × rung × matcher. A cell's hash covers the matcher's pairs
+// with their score bits and its abstentions, the P/R/F1 bits, and the run's
+// forward and reverse candidate graphs at the rung's width. The rungs an out-of-core run can
 // serve — all but the IVF ones, which OutOfCore rejects, and SQ8, which needs
 // mmap — run again from a snapshot of the prepared tables, as "ooc-" cells:
 // through the build's own out-of-core mode and, where that is mmap, through
 // the ReadAt slab windows as well, which must agree with it bit for bit.
-func answerDigests(t *testing.T, arith string) []string {
+func answerDigests(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for seed := int64(1); seed <= 2; seed++ {
-		p := datagen.DWY100KDbpWd.Scaled(0.012)
-		p.Seed = p.Seed*1_000_003 + seed
-		d, err := datagen.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		emb, err := EncodeNames(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d, emb := digestTask(t, seed)
 		snap := filepath.Join(t.TempDir(), "prep.snap")
 		base, err := NewPipeline(PipelineConfig{Features: FeatureName, CandidateBudget: 1, SaveSnapshot: snap}).PrepareWithEmbeddings(d, emb)
 		if err != nil {
@@ -151,7 +143,7 @@ func answerDigests(t *testing.T, arith string) []string {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, rung.name, err)
 			}
-			lines = append(lines, runDigests(t, run, cfg.CandidateBudget, fmt.Sprintf("%s/s%d/%s", arith, seed, rung.name))...)
+			lines = append(lines, runDigests(t, run, cfg.CandidateBudget, fmt.Sprintf("s%d/%s", seed, rung.name))...)
 		}
 		for _, rung := range digestRungs(rows, cols) {
 			if rung.cfg.ANN != nil || rung.cfg.Quant != nil {
@@ -159,7 +151,7 @@ func answerDigests(t *testing.T, arith string) []string {
 			}
 			cfg := rung.cfg
 			cfg.Features, cfg.LoadSnapshot, cfg.OutOfCore = FeatureName, snap, true
-			cell := fmt.Sprintf("%s/s%d/ooc-%s", arith, seed, rung.name)
+			cell := fmt.Sprintf("s%d/ooc-%s", seed, rung.name)
 			run, err := NewPipeline(cfg).Prepare(d)
 			if err != nil {
 				t.Fatalf("%s: %v", cell, err)
@@ -246,7 +238,7 @@ func prepareReadAt(t *testing.T, cfg PipelineConfig, d *Dataset) *Run {
 // Hun. and SMat abstain under unmatchable, through MatchWithAbstention at the
 // harness's q = 0.3 — and the fused features in 1-to-1; the streaming engine
 // runs its three matchers on the structure features.
-func denseDigests(t *testing.T, arith string) []string {
+func denseDigests(t *testing.T) []string {
 	t.Helper()
 	oneToOne := append(AllMatchers(), NewRInfWR(), NewRInfPB(50))
 	cells := []struct {
@@ -287,50 +279,127 @@ func denseDigests(t *testing.T, arith string) []string {
 				}
 				var h digester
 				h.answer(res, met)
-				lines = append(lines, fmt.Sprintf("%s/s%d/%s/%s %s", arith, seed, cell.name, m.Name(), h.sum()))
+				lines = append(lines, fmt.Sprintf("s%d/%s/%s %s", seed, cell.name, m.Name(), h.sum()))
 			}
 		}
 	}
 	return lines
 }
 
-// TestAnswerDigests holds the sparse, dense and streaming engines' answers to
-// the digests in testdata/digests.txt: any change to a pair, a score bit, an
-// abstention, P/R/F1 or a candidate-graph edge fails the cell that moved. The file holds
-// the cells of both dot arithmetics and each build checks its own. A
-// refactor meant to keep every bit leaves the file untouched; when a change
-// of answer is intended, `go test -run Digest -update .` and the same under
-// -tags purego rewrite their own lines and keep the other's.
+// serveDigests saves two snapshots of the seed-1 D-W task of answerDigests
+// and serves each through server.New — and through server.NewMapped as well
+// where the build maps, which must answer the same bytes — returning one
+// "serve/…" line per snapshot × endpoint. The "ivf-sq8" snapshot records an
+// explicit probe count, so its lookups come from the SQ8 quant tier; the
+// "ivf-auto" snapshot is float IVF saved with the auto probe count (0) over
+// 48 cells, whose lookups probe one cell while /align resolves the auto
+// geometry (ROADMAP 1(a)). The topk cell hashes the /match/topk body of
+// every source row at k = 10, each align cell the /align body of one
+// matcher at candidate width 16, with elapsed_ms masked.
+func serveDigests(t *testing.T) []string {
+	t.Helper()
+	d, emb := digestTask(t, 1)
+	var lines []string
+	for _, snap := range []struct {
+		name string
+		cfg  PipelineConfig
+	}{
+		{"ivf-sq8", PipelineConfig{ANN: &ANNConfig{Clusters: 16, NProbe: 4, Seed: 1}, Quant: &QuantConfig{}}},
+		{"ivf-auto", PipelineConfig{ANN: &ANNConfig{Clusters: 48, Seed: 1}}},
+	} {
+		cfg := snap.cfg
+		cfg.Features, cfg.CandidateBudget = FeatureName, 16
+		cfg.SaveSnapshot = filepath.Join(t.TempDir(), snap.name+".snap")
+		run, err := NewPipeline(cfg).PrepareWithEmbeddings(d, emb)
+		if err != nil {
+			t.Fatalf("serve/%s: %v", snap.name, err)
+		}
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(cfg.SaveSnapshot, server.Config{})
+		if err != nil {
+			t.Fatalf("serve/%s: %v", snap.name, err)
+		}
+		got := serverDigests(t, srv, "serve/s1/"+snap.name)
+		if snapshot.MmapSupported {
+			mapped, err := server.NewMapped(cfg.SaveSnapshot, server.Config{})
+			if err != nil {
+				t.Fatalf("serve/%s: %v", snap.name, err)
+			}
+			if !mapped.Mapped() {
+				t.Fatalf("serve/%s: NewMapped did not map the tables", snap.name)
+			}
+			if viaMmap := serverDigests(t, mapped, "serve/s1/"+snap.name); !slices.Equal(viaMmap, got) {
+				t.Errorf("serve/%s: mapped server answers %v, loaded server answers %v", snap.name, viaMmap, got)
+			}
+			if err := mapped.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lines = append(lines, got...)
+	}
+	return lines
+}
+
+var elapsedField = regexp.MustCompile(`"elapsed_ms":\d+`)
+
+// serverDigests returns srv's topk and align lines under the cell prefix.
+func serverDigests(t *testing.T, srv *server.Server, cell string) []string {
+	t.Helper()
+	h := srv.Handler()
+	body := func(req *http.Request) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %s %s: status %d (body %s)", cell, req.Method, req.URL, rec.Code, rec.Body)
+		}
+		return elapsedField.ReplaceAll(rec.Body.Bytes(), []byte(`"elapsed_ms":0`))
+	}
+	var topk digester
+	rows, _ := srv.Dims()
+	for row := 0; row < rows; row++ {
+		topk.buf = append(topk.buf, body(httptest.NewRequest(http.MethodGet, fmt.Sprintf("/match/topk?row=%d&k=10", row), nil))...)
+	}
+	lines := []string{fmt.Sprintf("%s/topk %s", cell, topk.sum())}
+	for _, m := range []string{"RInf", "Hun.", "CSLS"} {
+		req := httptest.NewRequest(http.MethodPost, "/align", strings.NewReader(fmt.Sprintf(`{"matcher":%q,"cand":16}`, m)))
+		align := digester{buf: body(req)}
+		lines = append(lines, fmt.Sprintf("%s/align/%s %s", cell, m, align.sum()))
+	}
+	return lines
+}
+
+// TestAnswerDigests holds the sparse, dense and streaming engines' answers
+// and the server's response bodies to the digests in testdata/digests.txt:
+// any change to a pair, a score bit, an abstention, P/R/F1, a
+// candidate-graph edge or a served byte fails the cell that moved. Every
+// build scores with one dot-product arithmetic (internal/matrix's kernels.go),
+// so the asm and purego builds check the same cells. A refactor meant to
+// keep every bit leaves the file untouched; when a change of answer is
+// intended, `go test -run Digest -update .` rewrites it.
 func TestAnswerDigests(t *testing.T) {
-	arith := dotArithmetic()
-	got := append(answerDigests(t, arith), denseDigests(t, arith)...)
-	data, err := os.ReadFile(digestFile)
-	if err != nil && !(*updateDigests && errors.Is(err, fs.ErrNotExist)) {
-		t.Fatalf("%v (go test -run Digest -update . writes it)", err)
-	}
-	var others []string // the other arithmetic's lines, kept by -update
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		cell, sum, _ := strings.Cut(line, " ")
-		if line == "" {
-			continue
-		}
-		if !strings.HasPrefix(cell, arith+"/") {
-			others = append(others, line)
-			continue
-		}
-		want[cell] = sum
-	}
+	got := append(answerDigests(t), denseDigests(t)...)
+	got = append(got, serveDigests(t)...)
 	if *updateDigests {
-		lines := append(got, others...)
-		slices.Sort(lines)
+		slices.Sort(got)
 		if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(digestFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(digestFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
+	}
+	data, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatalf("%v (go test -run Digest -update . writes it)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if cell, sum, ok := strings.Cut(line, " "); ok {
+			want[cell] = sum
+		}
 	}
 	for _, line := range got {
 		cell, sum, _ := strings.Cut(line, " ")

@@ -16,8 +16,8 @@ import (
 // determinism contract the conformance suite pins.
 //
 // Distances use the identity ‖x−c‖² = ‖x‖² + ‖c‖² − 2⟨x,c⟩ so the inner loop
-// is the shared matrix.Dot4 kernel (AVX2 on amd64, unrolled scalar
-// elsewhere) — the same kernel that scores every streamed tile.
+// is the shared matrix.Dot4 kernel — the same kernel, and the same bits on
+// every build, that scores every streamed tile.
 
 // lloydIters bounds the Lloyd refinement: with k-means++ seeding the
 // partition stabilizes in a handful of rounds, and the refinement stops

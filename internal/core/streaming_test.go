@@ -14,10 +14,8 @@ import (
 
 // Golden equivalence tests: every streaming matcher must produce the same
 // pairs — same targets, same abstentions, same tie-breaking — as its dense
-// counterpart on the same embeddings. For the distance metrics the scalar
-// kernels are shared and scores must match bit-for-bit; for cosine the
-// streaming kernel's unrolled summation may differ in the last ulps, so
-// scores are compared with a tight tolerance while selections stay exact.
+// counterpart on the same embeddings, with the same score bits: both engines
+// score through the one tile kernel for every metric.
 
 func randEmbeddings(rng *rand.Rand, rows, d int) *matrix.Dense {
 	m := matrix.New(rows, d)
@@ -43,12 +41,10 @@ func engines(t *testing.T, src, tgt *matrix.Dense, metric sim.Metric) (dense, st
 	return &Context{S: s}, &Context{Stream: st}
 }
 
-func requireSameResult(t *testing.T, metric sim.Metric, want, got *Result) {
+// requireSameResult requires the streamed result to be the dense one: the
+// same pairs with the same score bits, and the same abstentions.
+func requireSameResult(t *testing.T, want, got *Result) {
 	t.Helper()
-	scoreTol := 0.0
-	if metric == sim.Cosine {
-		scoreTol = 1e-9
-	}
 	if len(got.Pairs) != len(want.Pairs) {
 		t.Fatalf("%d streamed pairs vs %d dense pairs", len(got.Pairs), len(want.Pairs))
 	}
@@ -57,7 +53,7 @@ func requireSameResult(t *testing.T, metric sim.Metric, want, got *Result) {
 		if g.Source != w.Source || g.Target != w.Target {
 			t.Fatalf("pair %d: streamed (%d→%d) vs dense (%d→%d)", i, g.Source, g.Target, w.Source, w.Target)
 		}
-		if math.Abs(g.Score-w.Score) > scoreTol {
+		if math.Float64bits(g.Score) != math.Float64bits(w.Score) {
 			t.Fatalf("pair %d (%d→%d): streamed score %v vs dense %v", i, g.Source, g.Target, g.Score, w.Score)
 		}
 	}
@@ -86,7 +82,7 @@ func TestDInfStreamMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResult(t, metric, want, got)
+			requireSameResult(t, want, got)
 			if got.Matcher != want.Matcher {
 				t.Fatalf("matcher name %q vs %q", got.Matcher, want.Matcher)
 			}
@@ -109,7 +105,7 @@ func TestCSLSStreamMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResult(t, metric, want, got)
+			requireSameResult(t, want, got)
 		}
 	}
 }
@@ -131,7 +127,7 @@ func TestSinkhornBlockedStreamMatchesDense(t *testing.T) {
 		}
 		// Distance kernels are shared, so the mini-batches are bit-identical
 		// and the Sinkhorn outputs must be too.
-		requireSameResult(t, metric, want, got)
+		requireSameResult(t, want, got)
 	}
 }
 
@@ -163,7 +159,7 @@ func TestStreamingDummiesMatchDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, metric, want, got)
+		requireSameResult(t, want, got)
 		if len(want.Abstained) == 0 || len(want.Pairs) == 0 {
 			t.Fatalf("%v: test is vacuous (%d pairs, %d abstained); tune the dummy score",
 				metric, len(want.Pairs), len(want.Abstained))
@@ -177,7 +173,7 @@ func TestStreamingDummiesMatchDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, metric, wantC, gotC)
+		requireSameResult(t, wantC, gotC)
 	}
 }
 
@@ -232,7 +228,7 @@ func TestPaddedRunsMatchDense(t *testing.T) {
 				if len(want.Pairs) == 0 || len(want.Abstained) == 0 {
 					t.Fatalf("%v %s: vacuous (%d pairs, %d abstained); retune the dummy score", metric, m.Name(), len(want.Pairs), len(want.Abstained))
 				}
-				requireSameResult(t, sim.Euclidean, want, got) // zero tolerance: same scores
+				requireSameResult(t, want, got)
 			}
 		}
 	}
@@ -268,7 +264,7 @@ func TestStreamingTieBreaking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, sim.Euclidean, want, got)
+	requireSameResult(t, want, got)
 	for _, p := range got.Pairs {
 		if p.Target%3 != 0 {
 			t.Fatalf("row %d matched duplicate column %d instead of its first occurrence", p.Source, p.Target)
@@ -293,7 +289,7 @@ func TestStreamingMatchersOnDenseContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, sim.Euclidean, want, got) // zero tolerance: same matrix
+	requireSameResult(t, want, got)
 }
 
 func TestStreamingContextValidation(t *testing.T) {

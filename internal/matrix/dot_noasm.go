@@ -2,8 +2,8 @@
 
 package matrix
 
-// hasFastDot is false without the amd64 assembly kernel; all streamed cosine
-// scores come from the portable dotUnroll4.
+// hasFastDot is false without the amd64 assembly kernel; the dot product of
+// 16+ elements runs dotFMA in Go, with the assembly's bits.
 const hasFastDot = false
 
 // dotAVX2 is never called when hasFastDot is false; this stub keeps the

@@ -12,15 +12,20 @@ package matrix
 // Scanner) runs the same cosine tile kernel through TileKernel, one call per
 // probed run, so every float64 scan shares one kernel.
 //
-// On amd64 with AVX2+FMA the dot product dispatches to the vectorized
-// dotAVX2 (dot_amd64.s) for vectors of 16+ elements — the similarity pass is
-// >75 % of a streamed sparse match, so this is the single highest-leverage
-// kernel in the repository. The cosine tile kernel runs groups of 6
-// (AVX512VL) or 3 (AVX2) rows per assembly call (tile_amd64.s), each pair
-// with dotAVX2's arithmetic. The dispatch is decided once at startup from
-// CPUID, so every score in a process comes from the same kernel and the
-// engine's determinism and tile-shape invariance are unaffected; results may
-// differ across CPU generations by a few ulps, like any vectorized BLAS.
+// The dot product of a vector of 16+ elements has one arithmetic on every
+// build: dotFMA's 16 FMA lanes, reduction tree and sequential FMA tail. On
+// amd64 with AVX2+FMA it runs vectorized as dotAVX2 (dot_amd64.s) — the
+// similarity pass is >75 % of a streamed sparse match, so this is the single
+// highest-leverage kernel in the repository — and the cosine tile kernel
+// runs groups of 6 (AVX512VL) or 3 (AVX2) rows per assembly call
+// (tile_amd64.s), each pair with the same arithmetic. Everywhere else (-tags
+// purego, other architectures, CPUs without AVX2+FMA) dotFMA runs in Go and
+// returns the same bits, so a score does not depend on the build or the CPU.
+// Shorter vectors take dotUnroll4 on every build. The dispatch is decided
+// once at startup from CPUID. The one order costs the builds without the
+// assembly: on an amd64 CPU without hardware FMA, math.FMA is emulated in
+// software, so dotFMA runs far slower there than where FMA is an instruction.
+// That case is not measured; the hosts this was measured on all have FMA.
 
 import "math"
 
@@ -45,14 +50,41 @@ func dotUnroll4(a, b []float64) float64 {
 	return ((s0 + s1) + (s2 + s3)) + t
 }
 
-// dot is the kernel behind every streamed cosine score: the AVX2+FMA path
-// when the CPU supports it and the vector is long enough to fill a vector
-// step, the portable unrolled scalar otherwise. Short vectors always take
-// the scalar path, so low-dimensional scores are identical on every
-// platform.
+// dotFMA is the dot product of every vector of 16+ elements, in dotAVX2's
+// order: 16 FMA lanes over 16-element steps (lane l sums the elements i with
+// i mod 16 == l), reduced lanewise as (acc0+acc1)+(acc2+acc3) over the four
+// 4-lane groups, then (l0+l2)+(l1+l3) across lanes, with the tail folded in
+// by sequential FMAs. TestDotAVX2MatchesReference holds the assembly to it
+// bit for bit.
+func dotFMA(a, b []float64) float64 {
+	var acc [16]float64
+	n := len(a) &^ 15
+	for i := 0; i < n; i += 16 {
+		for l := 0; l < 16; l++ {
+			acc[l] = math.FMA(a[i+l], b[i+l], acc[l])
+		}
+	}
+	var r [4]float64
+	for l := 0; l < 4; l++ {
+		r[l] = (acc[l] + acc[4+l]) + (acc[8+l] + acc[12+l])
+	}
+	res := (r[0] + r[2]) + (r[1] + r[3])
+	for i := n; i < len(a); i++ {
+		res = math.FMA(a[i], b[i], res)
+	}
+	return res
+}
+
+// dot is the kernel behind every cosine score: dotFMA's arithmetic for a
+// vector that fills a 16-element step — vectorized when the CPU has AVX2+FMA
+// — and dotUnroll4 for a shorter one, so every score has the same bits on
+// every build.
 func dot(a, b []float64) float64 {
-	if hasFastDot && len(a) >= 16 {
-		return dotAVX2(a, b)
+	if len(a) >= 16 {
+		if hasFastDot {
+			return dotAVX2(a, b)
+		}
+		return dotFMA(a, b)
 	}
 	return dotUnroll4(a, b)
 }

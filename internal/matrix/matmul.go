@@ -61,9 +61,8 @@ func MulTransposed(a, b *Dense) (*Dense, error) {
 }
 
 // Dot returns the inner product of two equal-length vectors through the
-// shared streaming kernel (Dot4): vectorized on AVX2+FMA machines, the
-// unrolled scalar otherwise, identical bits to every streamed cosine score.
-// It panics if the lengths differ.
+// shared streaming kernel (Dot4), identical bits to every streamed cosine
+// score on every build. It panics if the lengths differ.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("matrix: Dot length mismatch %d vs %d", len(a), len(b)))
