@@ -15,6 +15,8 @@
 #   bash ci.sh fuzz      every fuzz target for 30 s
 #   bash ci.sh smoke     the bench, planner and server smokes
 #   bash ci.sh layout    addr % 64 and size of the hot symbols in entmatcher
+#   bash ci.sh ab REF    alternating benchmark pairs, REF against this
+#                        checkout, with a verdict per end-to-end metric
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -130,6 +132,16 @@ guards() {
 	go test -race -count=1 -cpu 1,2,4 -tags purego -run "$dense" ./internal/matrix ./internal/core
 	go test -count=1 -run 'RankingAllocatesNothingWarm|Figure5TimeShape' ./internal/matrix ./internal/core
 	go test -run '^$' -bench DenseBodies -benchtime 1x .
+
+	# Sparse LAP. solveSparseLAP cuts each augmenting search at its best free
+	# column (a bound on pushes, and an early exit from each score-sorted
+	# row), which must leave the search of the uncut solver kept in
+	# internal/core/hungarian_sparse_ref_test.go: the same assignment on ties,
+	# −Inf edges, failed searches (dead regions), wide and tall graphs at
+	# every candidate width, and on a digest rung the same scanned columns
+	# with no more relaxations or pushes. Both kernel legs, as above.
+	go test -race -count=1 -cpu 1,2,4 -run 'SparseLAP' ./internal/core
+	go test -race -count=1 -cpu 1,2,4 -tags purego -run 'SparseLAP' ./internal/core
 }
 
 kernels() {
@@ -312,9 +324,9 @@ layout() {
 	# shift it; this prints addr % 64 and size of the hot text symbols of the
 	# entmatcher binary — the rank.go passes, the heap offers, the tile loop,
 	# the tile kernels, the IVF walker's f64 score loop, the quant rows
-	# kernels, and the per-Match finiteness gate and ColMax scans — for a
-	# before/after diff of two checkouts. It checks nothing; symbols the compiler inlined away are
-	# absent.
+	# kernels, the per-Match finiteness gate and ColMax scans, and the sparse
+	# LAP solver — for a before/after diff of two checkouts. It checks
+	# nothing; symbols the compiler inlined away are absent.
 	local hot
 	layout_dir=$(mktemp -d)
 	trap 'rm -rf "$layout_dir"' EXIT
@@ -322,6 +334,7 @@ layout() {
 	hot='internal/matrix\.(\(\*ranker\)\.[A-Za-z]+|OrderDesc[A-Za-z]*|RanksDesc|\(\*minHeap\)\.(offerRun|down)|offerCols|MulTransposedBlockInto(\.func1)?|tileRows[A-Za-z0-9]*|dotAVX2)$'
 	hot+='|internal/matrix\.(\(\*Dense\)\.(FindNonFinite|ColMax)(\.func[0-9])?|rowFinite)$'
 	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.(f64Kernel\.score|dotI8Rows[14][A-Za-z0-9]*)$'
+	hot+='|internal/core\.solveSparseLAP$'
 	printf '%-56s %7s %6s\n' symbol 'addr%64' size
 	go tool nm -n -size "$layout_dir/entmatcher" | while read -r addr size kind name; do
 		name=${name%.abi0} # assembly functions
@@ -331,10 +344,156 @@ layout() {
 	done
 }
 
+# idle_stall_pct prints the host's CPU stall share (the "some total" line of
+# /proc/pressure/cpu) over two seconds in which this script runs nothing,
+# or nothing where PSI is unavailable.
+idle_stall_pct() {
+	[ -r /proc/pressure/cpu ] || return 0
+	local s0 s1 t0 t1
+	s0=$(awk '$1 == "some" { sub("total=", "", $5); print $5 }' /proc/pressure/cpu) t0=$(date +%s%6N)
+	sleep 2
+	s1=$(awk '$1 == "some" { sub("total=", "", $5); print $5 }' /proc/pressure/cpu) t1=$(date +%s%6N)
+	awk -v s=$((s1 - s0)) -v t=$((t1 - t0)) 'BEGIN { printf "%.2f", 100 * s / t }'
+}
+
+ab() {
+	# A/B pairs of the benchmark harness: the parent checkout (a git worktree
+	# of REF under .bench_build/ab/) against this one, each running its own
+	# benchmark/run.sh with its own --out. Pair k of a workload runs both
+	# sides on seed k (or on the seed -seed pins), the parent first on odd
+	# k. Before and after each run the host's CPU stall share is sampled
+	# over two idle seconds (idle_stall_pct); a pair with a sample above 2 %
+	# on either side ran beside other load and is dropped and run again, at
+	# most three times. (A run's own threads hold the share at 5–8 % on two
+	# cores, so the share over the run itself cannot tell other load from
+	# the run.) Per workload and
+	# end-to-end metric it prints both medians, the parent's quartiles, how
+	# many pairs the change won and a verdict: better (or worse) when the
+	# change's median is better (worse) by more than the parent's
+	# interquartile distance and the change won (lost) at least 9 in 10
+	# pairs, unresolved otherwise. It adds no metric and no bound, and edits
+	# nothing under benchmark/.
+	#   bash ci.sh ab [-n PAIRS] [-s SECONDS] [-seed S] REF [WORKLOAD ...]
+	local pairs=10 seconds=24 seed=
+	while [ $# -gt 0 ]; do
+		case $1 in
+		-n) pairs=$2 && shift 2 ;;
+		-s) seconds=$2 && shift 2 ;;
+		-seed) seed=$2 && shift 2 ;;
+		*) break ;;
+		esac
+	done
+	if [ $# -lt 1 ]; then
+		echo "usage: bash ci.sh ab [-n PAIRS] [-s SECONDS] [-seed S] REF [WORKLOAD ...]" >&2
+		return 2
+	fi
+	local ref=$1
+	shift
+	local workloads=("$@")
+	[ ${#workloads[@]} -gt 0 ] || workloads=(paper_dense sparse_exact sparse_indexed serve_mixed)
+	ab_root=$PWD ab_tree=$PWD/.bench_build/ab/parent
+	local runs=$PWD/.bench_build/ab/runs better
+	better=$(jq -r '.end_to_end[] | "\(.name)\t\(.better)"' BENCHMARK.json)
+	git worktree remove --force "$ab_tree" 2>/dev/null || true
+	git worktree add --detach "$ab_tree" "$ref" >/dev/null
+	trap 'git -C "$ab_root" worktree remove --force "$ab_tree"' EXIT
+	echo "# ab: parent $(git -C "$ab_tree" rev-parse --short HEAD) vs change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pairs, --seconds $seconds"
+
+	local wl k try side before after drop discarded first
+	for wl in "${workloads[@]}"; do
+		rm -rf "${runs:?}/$wl"
+		discarded=0
+		for k in $(seq 1 "$pairs"); do
+			first=parent
+			[ $((k % 2)) -eq 1 ] || first=change
+			for try in 1 2 3; do
+				drop=
+				for side in $first $([ $first = parent ] && echo change || echo parent); do
+					local dir=$ab_root out=$runs/$wl/$k/$side
+					[ $side = change ] || dir=$ab_tree
+					rm -rf "$out" && mkdir -p "$out"
+					before=$(idle_stall_pct)
+					(cd "$dir" && bash benchmark/run.sh --workload "$wl" --seed "${seed:-$k}" \
+						--seconds "$seconds" --trace 0 --out "$out") >"$out/run.log" 2>&1 || true
+					after=$(idle_stall_pct)
+					if [ ! -s "$out/results.jsonl" ]; then
+						echo "ab: $wl pair $k: $side wrote no result (see $out/run.log)" >&2
+						return 1
+					fi
+					if [ -n "$before" ] && awk -v a="$before" -v b="$after" 'BEGIN { exit !(a > 2 || b > 2) }'; then
+						drop="$drop $side ${before}%/${after}%"
+					fi
+				done
+				[ -n "$drop" ] || break
+				echo "ab: $wl pair $k dropped (CPU stall$drop)" >&2
+				discarded=$((discarded + 1))
+				[ "$try" -lt 3 ] || rm -rf "${runs:?}/$wl/$k"
+			done
+		done
+		ab_report "$wl" "$runs/$wl" "$discarded" "$better"
+	done
+}
+
+# ab_report prints one workload's table from its pair directories
+# (<pair>/<side>/results.jsonl).
+ab_report() {
+	local wl=$1 dir=$2 discarded=$3 better=$4 k side
+	for k in $(ls "$dir" 2>/dev/null | sort -n); do
+		for side in parent change; do
+			jq -r --arg k "$k" --arg side "$side" \
+				'"\($k)\t\($side)\t-failed\t\(.failed)", (.metrics | to_entries[] | "\($k)\t\($side)\t\(.key)\t\(.value.value)")' \
+				"$dir/$k/$side/results.jsonl"
+		done
+	done | awk -F'\t' -v wl="$wl" -v discarded="$discarded" -v better="$better" '
+		function sortv(a, n,   i, j, t) {
+			for (i = 2; i <= n; i++)
+				for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		}
+		function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+		# The quartiles of Python statistics.quantiles(n=4), the exclusive
+		# method the benchmark harness and the driver use.
+		function quart(a, n, p,   pos, lo) {
+			if (n < 2) return a[1]
+			pos = p * (n + 1); lo = int(pos)
+			if (lo < 1) lo = 1
+			if (lo > n - 1) lo = n - 1
+			return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
+		}
+		BEGIN {
+			nb = split(better, lines, "\n")
+			for (i = 1; i <= nb; i++) { split(lines[i], f, "\t"); dir[f[1]] = f[2]; order[i] = f[1] }
+		}
+		$3 == "-failed" { failed[$2] += $4; if (!($1 in seen)) { seen[$1] = 1; npairs++ }; next }
+		{ v[$3, $2, $1] = $4; has[$3, $1]++; pair[$1] = 1 }
+		END {
+			printf "## %s: %d pairs kept, %d dropped for CPU stall, failed operations parent %d, change %d\n",
+				wl, npairs, discarded, failed["parent"], failed["change"]
+			for (i = 1; i <= nb; i++) {
+				m = order[i]; n = 0; wins = 0
+				for (k in pair) {
+					if (has[m, k] != 2) continue
+					n++; p[n] = v[m, "parent", k]; c[n] = v[m, "change", k]
+					if ((dir[m] == "lower" && c[n] < p[n]) || (dir[m] == "higher" && c[n] > p[n])) wins++
+				}
+				if (n == 0) continue
+				sortv(p, n); sortv(c, n)
+				mp = median(p, n); mc = median(c, n); q1 = quart(p, n, 0.25); q3 = quart(p, n, 0.75)
+				gain = dir[m] == "lower" ? mp - mc : mc - mp
+				need = int((9 * n + 9) / 10)
+				verdict = "unresolved"
+				if (gain > q3 - q1 && wins >= need) verdict = "better"
+				if (-gain > q3 - q1 && n - wins >= need) verdict = "worse"
+				printf "%s `%s` %.6g → %.6g [%.6g, %.6g] (%+.1f %%, %d/%d) %s\n",
+					wl, m, mp, mc, q1, q3, mp == 0 ? 0 : 100 * (mc - mp) / mp, wins, n, verdict
+			}
+		}'
+}
+
 case "${1:-}" in
 race | harness | guards | kernels | purego | fuzz | smoke | layout) "$1" ;;
+ab) shift && ab "$@" ;;
 *)
-	echo "usage: bash ci.sh race|harness|guards|kernels|purego|fuzz|smoke|layout" >&2
+	echo "usage: bash ci.sh race|harness|guards|kernels|purego|fuzz|smoke|layout|ab" >&2
 	exit 2
 	;;
 esac

@@ -30,6 +30,13 @@ import (
 // every unmatchable row re-walks its whole component to prove
 // unreachability, which is quadratic in the component size.
 //
+// Each search also stops doing work that cannot change its augmenting path
+// (solveSparseLAP states the argument): it pushes no heap entry at or above
+// the best free column relaxed so far, and it leaves a score-sorted row as
+// soon as a lower bound on the row's remaining labels — its next score
+// against the largest column dual, vmax — exceeds that column's label.
+// Every pop, label, dual update and assignment is the uncut search's.
+//
 // When rows > cols the solver runs on the reverse graph (the transposed
 // problem's forward graph), exactly as the dense decider transposes, so the
 // two agree at full candidate width.
@@ -74,7 +81,7 @@ func (m *HungarianSparse) Match(ctx *Context) (*Result, error) {
 		assigned[i] = -1
 	}
 	if rows <= cols {
-		rowCol, err := solveSparseLAP(cc, fwd)
+		rowCol, _, err := solveSparseLAP(cc, fwd)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +89,7 @@ func (m *HungarianSparse) Match(ctx *Context) (*Result, error) {
 	} else {
 		// More rows than columns: solve on the reverse graph, whose rows
 		// are the original columns.
-		colRow, err := solveSparseLAP(cc, rev)
+		colRow, _, err := solveSparseLAP(cc, rev)
 		if err != nil {
 			return nil, err
 		}
@@ -195,6 +202,13 @@ func (h *distHeap) pop() (float64, int32) {
 	return d0, j0
 }
 
+// lapWork tallies one solveSparseLAP run: the candidate edges whose label
+// it computed, its heap pushes and the columns it scanned. A seed fixes all
+// three, so a change to the search can be held to them exactly.
+type lapWork struct {
+	relaxed, pushes, scanned int
+}
+
 // solveSparseLAP returns, for each graph row, the assigned column (-1 for
 // abandoned rows), maximizing total score over the candidate edges. It is
 // the restricted-edge twin of solveLAP: the same shortest-path formulation
@@ -207,7 +221,31 @@ func (h *distHeap) pop() (float64, int32) {
 // skipped by all later searches; a failure never occurs at full candidate
 // width, where every search reaches a free column, so the dense equivalence
 // is unaffected.
-func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, error) {
+//
+// Two cuts skip work that cannot change the augmenting path; every pop,
+// label, dual update and assignment is the one the uncut search makes.
+//   - Free-column bound. (bd, bj) is the least (label, column) of any free
+//     column relaxed so far in this search. The search ends at the first
+//     free column it pops, which is never above the bound, so an entry at or
+//     above (bd, bj) cannot pop before the search ends and is not pushed.
+//     A failed search never relaxes a free column: its bound stays +Inf and
+//     its touched region — the dead region it marks — is unchanged.
+//   - Sorted-row early exit. A row's candidates come in descending score
+//     order, and every column dual is at most vmax, so
+//     d + (−score − u − vmax), evaluated in the label's own order, is a lower
+//     bound on this candidate's label and on every later one's (rounding is
+//     monotone). Once it is strictly above bd the rest of the row is
+//     skipped; the equal case still runs, for the column tie-break. The
+//     duals only fall in exact arithmetic, so vmax is 0 unless a rounded
+//     dual update lifts some v above it, and it is raised when one does.
+//
+// Both cuts need labels in a total order. Scores are finite or −Inf, so
+// labels stay ordered until a search ends at an infinite label — a row
+// matched through a −Inf edge. Its duals are infinite, later labels can be
+// NaN and the heap's order is no longer total, so from then on the solver
+// cuts nothing and pushes what the uncut search pushes. Validated inputs
+// never get there: a similarity matrix holds no −Inf.
+func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, error) {
 	n, m := g.Rows(), g.Cols()
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
@@ -219,25 +257,45 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, error) {
 	touched := make([]int32, 0, 256) // columns with a finite label, for reset
 	ready := make([]int32, 0, 256)   // scanned columns in pop order
 	var h distHeap
+	var work lapWork
+	vmax := 0.0 // the largest column dual
+	cut := true // the cuts hold: every label so far is ordered
 	for j := range dist {
 		dist[j] = math.Inf(1)
 	}
 
 	for i := 1; i <= n; i++ {
 		if err := ctxErr(ctx); err != nil {
-			return nil, err
+			return nil, work, err
 		}
 		p[0] = i
+		bd, bj := math.Inf(1), math.MaxInt // free-column bound
+		if !cut {
+			bd = math.NaN() // every comparison with it fails: nothing is cut
+		}
 		cand, scores := g.Row(i - 1)
+		ui := u[i]
 		for x, c := range cand {
+			if -scores[x]-ui-vmax > bd {
+				break
+			}
 			j := int(c) + 1
 			if dead[j] {
 				continue
 			}
-			dist[j] = -scores[x] - u[i] - v[j]
+			work.relaxed++
+			d := -scores[x] - ui - v[j]
+			if d > bd || (d == bd && j >= bj) {
+				continue
+			}
+			if p[j] == 0 && cut {
+				bd, bj = d, j
+			}
+			dist[j] = d
 			pred[j] = 0
 			touched = append(touched, int32(j))
-			h.push(dist[j], int32(j))
+			h.push(d, int32(j))
+			work.pushes++
 		}
 		jf := -1 // free column ending the shortest augmenting path
 		var df float64
@@ -254,27 +312,38 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, error) {
 			}
 			scanned[j1] = true
 			ready = append(ready, jc)
+			work.scanned++
 			if pops++; pops&63 == 0 {
 				if err := ctxErr(ctx); err != nil {
-					return nil, err
+					return nil, work, err
 				}
 			}
 			i2 := p[j1]
+			u2 := u[i2]
 			cand2, scores2 := g.Row(i2 - 1)
 			for x, c := range cand2 {
+				if d+(-scores2[x]-u2-vmax) > bd {
+					break
+				}
 				j := int(c) + 1
 				if scanned[j] || dead[j] {
 					continue
 				}
-				nd := d + (-scores2[x] - u[i2] - v[j])
-				if nd < dist[j] {
-					if math.IsInf(dist[j], 1) {
-						touched = append(touched, int32(j))
-					}
-					dist[j] = nd
-					pred[j] = jc
-					h.push(nd, int32(j))
+				work.relaxed++
+				nd := d + (-scores2[x] - u2 - v[j])
+				if !(nd < dist[j]) || nd > bd || (nd == bd && j >= bj) {
+					continue
 				}
+				if math.IsInf(dist[j], 1) {
+					touched = append(touched, int32(j))
+				}
+				if p[j] == 0 && cut {
+					bd, bj = nd, j
+				}
+				dist[j] = nd
+				pred[j] = jc
+				h.push(nd, int32(j))
+				work.pushes++
 			}
 		}
 		if jf < 0 {
@@ -285,11 +354,17 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, error) {
 				dead[jc] = true
 			}
 		} else {
+			if math.IsInf(df, 0) {
+				cut = false // matched through a −Inf edge; see above
+			}
 			u[i] += df
 			for _, jc := range ready {
 				j := int(jc)
 				u[p[j]] += df - dist[j]
 				v[j] -= df - dist[j]
+				if v[j] > vmax {
+					vmax = v[j]
+				}
 			}
 			for j := jf; j != 0; {
 				pj := int(pred[j])
@@ -315,7 +390,7 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, error) {
 			out[p[j]-1] = j - 1
 		}
 	}
-	return out, nil
+	return out, work, nil
 }
 
 // NewHungarianSparse returns the sparse optimal-assignment matcher with

@@ -57,18 +57,35 @@ func dotUnroll4(a, b []float64) float64 {
 // by sequential FMAs. TestDotAVX2MatchesReference holds the assembly to it
 // bit for bit.
 func dotFMA(a, b []float64) float64 {
-	var acc [16]float64
+	// Named accumulators over re-sliced 16-element windows keep the lanes in
+	// registers and the window loads free of bounds checks.
+	var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 float64
 	n := len(a) &^ 15
+	b = b[:len(a)]
 	for i := 0; i < n; i += 16 {
-		for l := 0; l < 16; l++ {
-			acc[l] = math.FMA(a[i+l], b[i+l], acc[l])
-		}
+		x, y := a[i:i+16:i+16], b[i:i+16:i+16]
+		a0 = math.FMA(x[0], y[0], a0)
+		a1 = math.FMA(x[1], y[1], a1)
+		a2 = math.FMA(x[2], y[2], a2)
+		a3 = math.FMA(x[3], y[3], a3)
+		a4 = math.FMA(x[4], y[4], a4)
+		a5 = math.FMA(x[5], y[5], a5)
+		a6 = math.FMA(x[6], y[6], a6)
+		a7 = math.FMA(x[7], y[7], a7)
+		a8 = math.FMA(x[8], y[8], a8)
+		a9 = math.FMA(x[9], y[9], a9)
+		a10 = math.FMA(x[10], y[10], a10)
+		a11 = math.FMA(x[11], y[11], a11)
+		a12 = math.FMA(x[12], y[12], a12)
+		a13 = math.FMA(x[13], y[13], a13)
+		a14 = math.FMA(x[14], y[14], a14)
+		a15 = math.FMA(x[15], y[15], a15)
 	}
-	var r [4]float64
-	for l := 0; l < 4; l++ {
-		r[l] = (acc[l] + acc[4+l]) + (acc[8+l] + acc[12+l])
-	}
-	res := (r[0] + r[2]) + (r[1] + r[3])
+	r0 := (a0 + a4) + (a8 + a12)
+	r1 := (a1 + a5) + (a9 + a13)
+	r2 := (a2 + a6) + (a10 + a14)
+	r3 := (a3 + a7) + (a11 + a15)
+	res := (r0 + r2) + (r1 + r3)
 	for i := n; i < len(a); i++ {
 		res = math.FMA(a[i], b[i], res)
 	}
