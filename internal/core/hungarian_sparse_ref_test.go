@@ -256,10 +256,13 @@ func solveBoth(t *testing.T, s *matrix.Dense, c int) (got, want []int, gw, ww co
 // TestSparseLAPMatchesReference holds the cut solver to the reference on
 // every input kind, wide, square and tall, at every candidate width from 1
 // to full: the same assignment, the same scanned columns, and no more
-// relaxations or pushes.
+// relaxations or pushes. The "wide" inputs fail an early exit that bounds
+// labels with 0 instead of the largest column dual; the "hubs" inputs must
+// leave some rows abstaining, so failed searches and dead regions run.
 func TestSparseLAPMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {6, 6}, {9, 17}, {17, 9}, {24, 24}, {31, 48}, {48, 31}}
 	for _, kind := range []string{"dyadic", "random", "wide", "hubs", "neginf"} {
+		abstained := 0
 		for si, sh := range shapes {
 			rng := rand.New(rand.NewSource(int64(1000*si + len(kind))))
 			for rep := 0; rep < 3; rep++ {
@@ -273,54 +276,17 @@ func TestSparseLAPMatchesReference(t *testing.T) {
 					if gw.Scanned != ww.Scanned || gw.Relaxed > ww.Relaxed || gw.Pushes > ww.Pushes {
 						t.Fatalf("%s: work %+v, reference %+v", name, gw, ww)
 					}
+					for _, j := range got {
+						if j < 0 {
+							abstained++
+						}
+					}
 				}
 			}
 		}
-	}
-}
-
-// TestSparseLAPRoundedDuals runs both solvers on many small "wide" inputs
-// of random shape, where rounded dual updates leave some column duals above
-// 0: the early exit must bound labels with the largest dual, not with 0.
-func TestSparseLAPRoundedDuals(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for rep := 0; rep < 400; rep++ {
-		rows, cols := 3+rng.Intn(30), 3+rng.Intn(30)
-		s := lapScores(rng, "wide", rows, cols)
-		for c := 1; c <= max(rows, cols); c += 1 + rng.Intn(4) {
-			got, want, gw, ww := solveBoth(t, s, c)
-			if !slices.Equal(got, want) {
-				t.Fatalf("rep %d %dx%d c %d: assignment %v, reference %v", rep, rows, cols, c, got, want)
-			}
-			if gw.Scanned != ww.Scanned || gw.Relaxed > ww.Relaxed || gw.Pushes > ww.Pushes {
-				t.Fatalf("rep %d %dx%d c %d: work %+v, reference %+v", rep, rows, cols, c, gw, ww)
-			}
+		if kind == "hubs" && abstained == 0 {
+			t.Error("hubs: no row abstained, so no search failed")
 		}
-	}
-}
-
-// TestSparseLAPAbandonsLikeReference pins inputs whose narrow searches fail:
-// hub-crowded rows at C = 1 and 2 must abstain exactly where the reference
-// abstains, and some must abstain, so the dead-region path is exercised.
-func TestSparseLAPAbandonsLikeReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	abstained := 0
-	for rep := 0; rep < 20; rep++ {
-		s := lapScores(rng, "hubs", 40, 40)
-		for c := 1; c <= 2; c++ {
-			got, want, _, _ := solveBoth(t, s, c)
-			if !slices.Equal(got, want) {
-				t.Fatalf("rep %d c %d: assignment %v, reference %v", rep, c, got, want)
-			}
-			for _, j := range got {
-				if j < 0 {
-					abstained++
-				}
-			}
-		}
-	}
-	if abstained == 0 {
-		t.Fatal("no row abstained: the inputs never reach a failed search")
 	}
 }
 
