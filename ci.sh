@@ -451,7 +451,7 @@ ab_report() {
 		}
 		function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
 		# The quartiles of Python statistics.quantiles(n=4), the exclusive
-		# method the benchmark harness and the driver use.
+		# method the benchmark harness uses (benchmark/compare.go).
 		function quart(a, n, p,   pos, lo) {
 			if (n < 2) return a[1]
 			pos = p * (n + 1); lo = int(pos)
