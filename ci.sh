@@ -139,9 +139,10 @@ guards() {
 	# internal/core/hungarian_sparse_ref_test.go: the same assignment on ties,
 	# −Inf edges, failed searches (dead regions), wide and tall graphs at
 	# every candidate width, and on a digest rung the same scanned columns
-	# with no more relaxations or pushes. Both kernel legs, as above.
+	# with no more relaxations or pushes. The solver has no build-tagged code
+	# (only the digest rung's graph build differs between kernel tiers, which
+	# the kernels leg's purego digests cover), so one leg.
 	go test -race -count=1 -cpu 1,2,4 -run 'SparseLAP' ./internal/core
-	go test -race -count=1 -cpu 1,2,4 -tags purego -run 'SparseLAP' ./internal/core
 }
 
 kernels() {
@@ -344,47 +345,44 @@ layout() {
 	done
 }
 
-# idle_stall_pct prints the host's CPU stall share (the "some total" line of
-# /proc/pressure/cpu) over two seconds in which this script runs nothing,
-# or nothing where PSI is unavailable.
-idle_stall_pct() {
-	[ -r /proc/pressure/cpu ] || return 0
-	local s0 s1 t0 t1
-	s0=$(awk '$1 == "some" { sub("total=", "", $5); print $5 }' /proc/pressure/cpu) t0=$(date +%s%6N)
-	sleep 2
-	s1=$(awk '$1 == "some" { sub("total=", "", $5); print $5 }' /proc/pressure/cpu) t1=$(date +%s%6N)
-	awk -v s=$((s1 - s0)) -v t=$((t1 - t0)) 'BEGIN { printf "%.2f", 100 * s / t }'
+# cpu_clock prints four cumulative counters: the time in µs, the CPU stall
+# time in µs (the "some total" of /proc/pressure/cpu, 0 where PSI is
+# unavailable), and the steal and total ticks of /proc/stat's cpu line.
+cpu_clock() {
+	local stall=0
+	[ ! -r /proc/pressure/cpu ] || stall=$(awk '$1 == "some" { sub("total=", "", $5); print $5 }' /proc/pressure/cpu)
+	awk -v now="$(date +%s%6N)" -v s="$stall" '$1 == "cpu" { t = 0; for (i = 2; i <= 9; i++) t += $i; print now, s, $9, t; exit }' /proc/stat
 }
 
 ab() {
 	# A/B pairs of the benchmark harness: the parent checkout (a git worktree
 	# of REF under .bench_build/ab/) against this one, each running its own
-	# benchmark/run.sh with its own --out. Pair k of a workload runs both
-	# sides on seed k (or on the seed -seed pins), the parent first on odd
-	# k. Before and after each run the host's CPU stall share is sampled
-	# over two idle seconds (idle_stall_pct); a pair with a sample above 2 %
-	# on either side ran beside other load and is dropped and run again, at
-	# most three times. (A run's own threads hold the share at 5–8 % on two
-	# cores, so the share over the run itself cannot tell other load from
-	# the run.) Per workload and
-	# end-to-end metric it prints both medians, the parent's quartiles, how
-	# many pairs the change won and a verdict: better (or worse) when the
-	# change's median is better (worse) by more than the parent's
-	# interquartile distance and the change won (lost) at least 9 in 10
-	# pairs, unresolved otherwise. It adds no metric and no bound, and edits
-	# nothing under benchmark/.
-	#   bash ci.sh ab [-n PAIRS] [-s SECONDS] [-seed S] REF [WORKLOAD ...]
-	local pairs=10 seconds=24 seed=
+	# benchmark/run.sh with its own --out for BENCHMARK.json's run_seconds,
+	# both on the seed -seed pins (default 1, the harness's own). The parent
+	# runs first on odd pairs. Over each run it reads two shares of the CPU:
+	# stalled (/proc/pressure/cpu, load inside this machine) and stolen
+	# (/proc/stat, load from other guests of a virtual machine's host). A
+	# pair whose two runs differ by more than 5 points in either share ran
+	# one side beside load the other did not see, and is dropped and run
+	# again, at most three times. (A run's own threads hold its stall share
+	# at 2–16 % on two cores, so no absolute bound separates other load from
+	# the run.) The report per workload is benchmark/run.sh
+	# --compare of the kept pairs — medians, spreads, and "regressed" past a
+	# metric's bound — with, per metric, the pairs the change won and
+	# "better" when it won at least 9 in 10 and its median gains more than
+	# the parent's interquartile distance. It exits 1 if a metric regressed.
+	# It adds no metric and no bound, and edits nothing under benchmark/.
+	#   bash ci.sh ab [-n PAIRS] [-seed S] REF [WORKLOAD ...]
+	local pairs=10 seed=1
 	while [ $# -gt 0 ]; do
 		case $1 in
 		-n) pairs=$2 && shift 2 ;;
-		-s) seconds=$2 && shift 2 ;;
 		-seed) seed=$2 && shift 2 ;;
 		*) break ;;
 		esac
 	done
 	if [ $# -lt 1 ]; then
-		echo "usage: bash ci.sh ab [-n PAIRS] [-s SECONDS] [-seed S] REF [WORKLOAD ...]" >&2
+		echo "usage: bash ci.sh ab [-n PAIRS] [-seed S] REF [WORKLOAD ...]" >&2
 		return 2
 	fi
 	local ref=$1
@@ -392,101 +390,82 @@ ab() {
 	local workloads=("$@")
 	[ ${#workloads[@]} -gt 0 ] || workloads=(paper_dense sparse_exact sparse_indexed serve_mixed)
 	ab_root=$PWD ab_tree=$PWD/.bench_build/ab/parent
-	local runs=$PWD/.bench_build/ab/runs better
-	better=$(jq -r '.end_to_end[] | "\(.name)\t\(.better)"' BENCHMARK.json)
+	local runs=$PWD/.bench_build/ab/runs seconds
+	seconds=$(jq -r .run_seconds BENCHMARK.json)
 	git worktree remove --force "$ab_tree" 2>/dev/null || true
 	git worktree add --detach "$ab_tree" "$ref" >/dev/null
 	trap 'git -C "$ab_root" worktree remove --force "$ab_tree"' EXIT
-	echo "# ab: parent $(git -C "$ab_tree" rev-parse --short HEAD) vs change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pairs, --seconds $seconds"
+	echo "# ab: parent $(git -C "$ab_tree" rev-parse --short HEAD) vs change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pairs, seed $seed, --seconds $seconds"
+	# Build both harnesses first, so no run's stall window holds a compile.
+	(cd "$ab_tree" && bash benchmark/run.sh -h) >/dev/null 2>&1
+	bash benchmark/run.sh -h >/dev/null 2>&1
 
-	local wl k try side before after drop discarded first
+	local wl k try side c0 first dropped regressed=0
 	for wl in "${workloads[@]}"; do
 		rm -rf "${runs:?}/$wl"
-		discarded=0
+		dropped=0
 		for k in $(seq 1 "$pairs"); do
 			first=parent
 			[ $((k % 2)) -eq 1 ] || first=change
 			for try in 1 2 3; do
-				drop=
+				declare -A share=()
 				for side in $first $([ $first = parent ] && echo change || echo parent); do
 					local dir=$ab_root out=$runs/$wl/$k/$side
 					[ $side = change ] || dir=$ab_tree
 					rm -rf "$out" && mkdir -p "$out"
-					before=$(idle_stall_pct)
-					(cd "$dir" && bash benchmark/run.sh --workload "$wl" --seed "${seed:-$k}" \
+					c0=$(cpu_clock)
+					(cd "$dir" && bash benchmark/run.sh --workload "$wl" --seed "$seed" \
 						--seconds "$seconds" --trace 0 --out "$out") >"$out/run.log" 2>&1 || true
-					after=$(idle_stall_pct)
+					share[$side]=$(awk -v a="$c0" -v b="$(cpu_clock)" 'BEGIN {
+						split(a, x, " "); split(b, y, " ")
+						printf "%.1f/%.1f", 100 * (y[2] - x[2]) / (y[1] - x[1]), 100 * (y[3] - x[3]) / (y[4] - x[4])
+					}')
 					if [ ! -s "$out/results.jsonl" ]; then
 						echo "ab: $wl pair $k: $side wrote no result (see $out/run.log)" >&2
 						return 1
 					fi
-					if [ -n "$before" ] && awk -v a="$before" -v b="$after" 'BEGIN { exit !(a > 2 || b > 2) }'; then
-						drop="$drop $side ${before}%/${after}%"
-					fi
 				done
-				[ -n "$drop" ] || break
-				echo "ab: $wl pair $k dropped (CPU stall$drop)" >&2
-				discarded=$((discarded + 1))
+				echo "ab: $wl pair $k: CPU stall/steal % parent ${share[parent]}, change ${share[change]}" >&2
+				awk -v a="${share[parent]}" -v b="${share[change]}" 'BEGIN {
+					split(a, x, "/"); split(b, y, "/")
+					exit !(x[1] - y[1] > 5 || y[1] - x[1] > 5 || x[2] - y[2] > 5 || y[2] - x[2] > 5)
+				}' || break
+				echo "ab: $wl pair $k dropped" >&2
+				dropped=$((dropped + 1))
 				[ "$try" -lt 3 ] || rm -rf "${runs:?}/$wl/$k"
 			done
 		done
-		ab_report "$wl" "$runs/$wl" "$discarded" "$better"
+		ab_report "$wl" "$runs/$wl" "$dropped" || regressed=1
 	done
+	return $regressed
 }
 
 # ab_report prints one workload's table from its pair directories
-# (<pair>/<side>/results.jsonl).
+# (<pair>/<side>/results.jsonl) and fails if a metric regressed.
 ab_report() {
-	local wl=$1 dir=$2 discarded=$3 better=$4 k side
-	for k in $(ls "$dir" 2>/dev/null | sort -n); do
-		for side in parent change; do
-			jq -r --arg k "$k" --arg side "$side" \
-				'"\($k)\t\($side)\t-failed\t\(.failed)", (.metrics | to_entries[] | "\($k)\t\($side)\t\(.key)\t\(.value.value)")' \
-				"$dir/$k/$side/results.jsonl"
-		done
-	done | awk -F'\t' -v wl="$wl" -v discarded="$discarded" -v better="$better" '
-		function sortv(a, n,   i, j, t) {
-			for (i = 2; i <= n; i++)
-				for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-		}
-		function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
-		# The quartiles of Python statistics.quantiles(n=4), the exclusive
-		# method the benchmark harness uses (benchmark/compare.go).
-		function quart(a, n, p,   pos, lo) {
-			if (n < 2) return a[1]
-			pos = p * (n + 1); lo = int(pos)
-			if (lo < 1) lo = 1
-			if (lo > n - 1) lo = n - 1
-			return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
-		}
-		BEGIN {
-			nb = split(better, lines, "\n")
-			for (i = 1; i <= nb; i++) { split(lines[i], f, "\t"); dir[f[1]] = f[2]; order[i] = f[1] }
-		}
-		$3 == "-failed" { failed[$2] += $4; if (!($1 in seen)) { seen[$1] = 1; npairs++ }; next }
-		{ v[$3, $2, $1] = $4; has[$3, $1]++; pair[$1] = 1 }
-		END {
-			printf "## %s: %d pairs kept, %d dropped for CPU stall, failed operations parent %d, change %d\n",
-				wl, npairs, discarded, failed["parent"], failed["change"]
-			for (i = 1; i <= nb; i++) {
-				m = order[i]; n = 0; wins = 0
-				for (k in pair) {
-					if (has[m, k] != 2) continue
-					n++; p[n] = v[m, "parent", k]; c[n] = v[m, "change", k]
-					if ((dir[m] == "lower" && c[n] < p[n]) || (dir[m] == "higher" && c[n] > p[n])) wins++
-				}
-				if (n == 0) continue
-				sortv(p, n); sortv(c, n)
-				mp = median(p, n); mc = median(c, n); q1 = quart(p, n, 0.25); q3 = quart(p, n, 0.75)
-				gain = dir[m] == "lower" ? mp - mc : mc - mp
-				need = int((9 * n + 9) / 10)
-				verdict = "unresolved"
-				if (gain > q3 - q1 && wins >= need) verdict = "better"
-				if (-gain > q3 - q1 && n - wins >= need) verdict = "worse"
-				printf "%s `%s` %.6g → %.6g [%.6g, %.6g] (%+.1f %%, %d/%d) %s\n",
-					wl, m, mp, mc, q1, q3, mp == 0 ? 0 : 100 * (mc - mp) / mp, wins, n, verdict
-			}
-		}'
+	local wl=$1 dir=$2 dropped=$3 k side table wins status=0
+	for side in parent change; do
+		cat "$dir"/*/$side/results.jsonl >"$dir/$side.jsonl"
+	done
+	table=$(bash benchmark/run.sh --compare "$dir/parent.jsonl" "$dir/change.jsonl") || status=1
+	wins=$(for k in "$dir"/*/; do
+		jq -rn --slurpfile p "$k/parent/results.jsonl" --slurpfile c "$k/change/results.jsonl" \
+			'$p[0].metrics as $a | $c[0].metrics | to_entries[] | select($a[.key]) | "\(.key)\t\($a[.key].value)\t\(.value.value)"'
+	done | awk -F'\t' -v better="$(jq -r '.end_to_end[] | "\(.name)\t\(.better)"' BENCHMARK.json)" '
+		BEGIN { nl = split(better, l, "\n"); for (i = 1; i <= nl; i++) { split(l[i], f, "\t"); d[f[1]] = f[2] } }
+		$1 in d { n[$1]++; if (d[$1] == "lower" ? $3 < $2 : $3 > $2) w[$1]++ }
+		END { for (m in n) print m, w[m] + 0, n[m] }')
+	echo "## $wl: $(ls -d "$dir"/*/ | wc -l) pairs kept, $dropped tries dropped, failed operations parent $(jq -s 'map(.failed) | add' "$dir/parent.jsonl"), change $(jq -s 'map(.failed) | add' "$dir/change.jsonl")"
+	# "worse" and "spread A" are percent of the parent's median, so the change
+	# gains more than the parent's interquartile distance when -worse > spread A.
+	awk -v wins="$wins" '
+		BEGIN { nl = split(wins, l, "\n"); for (i = 1; i <= nl; i++) { split(l[i], f, " "); w[f[1]] = f[2]; p[f[1]] = f[3] } }
+		$1 == "workload" { print $0 "  won"; next }
+		{
+			gain = -($5 + 0); n = p[$2]
+			print $0 "  " w[$2] "/" n (gain > $7 + 0 && w[$2] >= int((9 * n + 9) / 10) ? " better" : "")
+		}' <<<"$table"
+	return $status
 }
 
 case "${1:-}" in
