@@ -30,7 +30,7 @@ race() {
 	# invariants it holds, by test-name family:
 	#  - Sparse: the sparse candidate-graph twins stay bit-identical to their
 	#    dense counterparts at full candidate width (and RInf-sparse to
-	#    RInf-pb at every width).
+	#    RInf-pb at every width: one body under two labels).
 	#  - ANN: the IVF candidate graphs stay bit-identical to the exhaustive
 	#    builders' at nprobe=Clusters, deterministic under a fixed seed, and
 	#    recall-monotone in nprobe (ann_test.go).
@@ -121,13 +121,17 @@ guards() {
 	# transposed and dummy-padded assignments); the four bodies and the two
 	# orders that left sort.Slice to the pre-rewrite code kept in
 	# internal/core/reference_test.go — pairs, scores, abstentions and
-	# transform matrices bit for bit — cancellation to every checkpoint and
-	# mid-sweep, and Table 6's memory order. -cpu varies the strips in
+	# transform matrices bit for bit — RInf-pb, which runs the candidate-graph
+	# body, to its map-based predecessor kept in
+	# internal/core/rinf_pb_ref_test.go (block widths on both sides of the
+	# insertion/radix switch, dense and streamed contexts, bit for bit),
+	# cancellation to every checkpoint and mid-sweep, and Table 6's memory
+	# order. -cpu varies the strips in
 	# flight behind the sweep's ordered hand-off; -tags purego runs it all
 	# again on the Go bodies alone. The plain leg adds what -race skips:
 	# zero allocations per ranked row on warm scratch and the Figure 5 time
 	# shape. The last line keeps BenchmarkDenseBodies compiling.
-	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|Orderings|SinkhornCancelMidSweep|FindNonFinite|ColMaxTiesAcrossStrips'
+	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|RInfPBMatchesReference|Orderings|SinkhornCancelMidSweep|FindNonFinite|ColMaxTiesAcrossStrips'
 	go test -race -count=1 -cpu 1,2,4 -run "$dense" ./internal/matrix ./internal/core
 	go test -race -count=1 -cpu 1,2,4 -tags purego -run "$dense" ./internal/matrix ./internal/core
 	go test -count=1 -run 'RankingAllocatesNothingWarm|Figure5TimeShape' ./internal/matrix ./internal/core
@@ -137,7 +141,9 @@ guards() {
 	# column (a bound on pushes, and an early exit from each score-sorted
 	# row), which must leave the search of the uncut solver kept in
 	# internal/core/hungarian_sparse_ref_test.go: the same assignment on ties,
-	# −Inf edges, failed searches (dead regions), wide and tall graphs at
+	# −Inf edges (a search that reaches its free column only through one
+	# abstains its row, so no −Inf edge is matched), failed searches (dead
+	# regions), wide and tall graphs at
 	# every candidate width, and on a digest rung the same scanned columns
 	# with no more relaxations or pushes. The solver has no build-tagged code
 	# (only the digest rung's graph build differs between kernel tiers, which

@@ -159,7 +159,9 @@ func NewRInf() Matcher { return core.NewRInf() }
 // NewRInfWR returns the RInf variant without the ranking process.
 func NewRInfWR() Matcher { return core.NewRInfWR() }
 
-// NewRInfPB returns the progressive-blocking RInf variant with block size c.
+// NewRInfPB returns the progressive-blocking RInf variant with block size c:
+// reciprocal ranking within each entity's top-c block, the NewRInfSparse
+// body labelled "RInf-pb". It holds no n×n array.
 func NewRInfPB(c int) Matcher { return core.NewRInfPB(c) }
 
 // NewSinkhorn returns the Sinkhorn-operation matcher with l iterations
@@ -212,8 +214,8 @@ func NewCSLSStream(k int) Matcher { return core.NewCSLSStream(k) }
 // and streaming runs (PipelineConfig.CandidateBudget prepares streaming).
 
 // NewRInfSparse returns the sparse reciprocal matcher (RInf) with candidate
-// budget c. It computes exactly what NewRInfPB(c) computes, from one
-// streaming pass and without the dense matrix.
+// budget c. NewRInfPB(c) is the same body under the paper's label; both
+// read the scores in one streaming pass and need no dense matrix.
 func NewRInfSparse(c int) Matcher { return core.NewRInfSparse(c) }
 
 // NewCSLSSparse returns sparse CSLS with candidate budget c and φ

@@ -192,13 +192,13 @@ func tieHeavyScores(rng *rand.Rand, rows, cols, levels int) *matrix.Dense {
 	return m
 }
 
-// TestRInfPBMatchesRInfAtFullWidth pins the contract argsortDescByKey claims:
-// with a block size covering every candidate (C ≥ max(rows, cols)), the
-// progressive-blocking variant must reproduce full RInf element for element —
-// same pairs, same scores (bit-exact: both compute −(rank_st+rank_ts)/2 with
-// exact integer-valued arithmetic), same abstentions — even on tie-heavy
-// matrices where the shared tie-break (ascending entity index) decides
-// almost every rank.
+// TestRInfPBMatchesRInfAtFullWidth pins the contract of the block rankings'
+// tie-break (matrix.OrderDescByKey): with a block size covering every
+// candidate (C ≥ max(rows, cols)), the progressive-blocking variant must
+// reproduce full RInf element for element — same pairs, same scores
+// (bit-exact: both compute −(rank_st+rank_ts)/2 with exact integer-valued
+// arithmetic), same abstentions — even on tie-heavy matrices where the
+// shared tie-break (ascending entity index) decides almost every rank.
 func TestRInfPBMatchesRInfAtFullWidth(t *testing.T) {
 	shapes := [][2]int{{30, 30}, {20, 35}, {35, 20}}
 	for seed := int64(0); seed < 4; seed++ {

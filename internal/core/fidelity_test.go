@@ -74,14 +74,17 @@ func runFastest(t *testing.T, s *matrix.Dense, reps int, matchers ...Matcher) ma
 // TestTable6MemoryOrder pins the working-memory order of Table 6 and
 // Figure 5b as the ExtraBytes accounting reports it at n = 600: DInf leanest;
 // CSLS and Sink. one matrix; SMat's two int32 preference tables, one matrix
-// and a little more; the RInf variants above them, full RInf — three
-// matrices — the most. Expected deviations from the paper, encoded so they
-// cannot silently grow: Hun. (in-place duals) and RL sit below CSLS here,
-// where the paper marks Hun. memory-infeasible.
+// and a little more; RInf-wr and full RInf above them, full RInf — three
+// matrices — the most. RInf-pb, the variant Table 6 marks as fitting the
+// memory budget, holds its two top-C blocks and no n×n array: strictly
+// between DInf and one matrix, so below CSLS, Sink. and RInf-wr. Expected
+// deviations from the paper, encoded so they cannot silently grow: Hun.
+// (in-place duals) and RL sit below CSLS here, where the paper marks Hun.
+// memory-infeasible.
 func TestTable6MemoryOrder(t *testing.T) {
 	res := runFastest(t, embeddingScores(600, 32, 1.5, 1), 1, table6Matchers()...)
 	mem := func(name string) int64 { return res[name].ExtraBytes }
-	chain := []string{"DInf", "CSLS", "Sink.", "SMat", "RInf-wr", "RInf-pb", "RInf"}
+	chain := []string{"DInf", "CSLS", "Sink.", "SMat", "RInf-wr", "RInf"}
 	for k := 1; k < len(chain); k++ {
 		lo, hi := chain[k-1], chain[k]
 		if mem(lo) > mem(hi) {
@@ -96,22 +99,25 @@ func TestTable6MemoryOrder(t *testing.T) {
 	if one := matBytes(600, 600); mem("RInf") < 3*one || mem("SMat") < one || mem("SMat") >= 2*one {
 		t.Errorf("RInf %d B / SMat %d B: want three matrices and one matrix of int32 tables (matrix = %d B)", mem("RInf"), mem("SMat"), one)
 	}
+	if one := matBytes(600, 600); mem("RInf-pb") >= one || mem("RInf-pb") <= mem("DInf") {
+		t.Errorf("RInf-pb %d B: want strictly between DInf (%d B) and one matrix (%d B)", mem("RInf-pb"), mem("DInf"), one)
+	}
 }
 
 // TestFigure5TimeShape pins the qualitative time order of Table 6 and
-// Figure 5a at n = 600: DInf fastest, CSLS next, and the rank transform, the
-// Sinkhorn iterations and the two assignment deciders each at least 5×
-// DInf; RInf-wr faster than RInf. RInf-pb (C = 50) is held to RInf at
-// n = 3000: since the rank transform runs at radix speed, selecting the top
-// 50 of a 600-entry row costs about what ranking it does, and the blocked
-// variant only pulls ahead from n ≈ 1000 up (measured 0.86× at 600, 1.2× at
-// 1000, 1.9× at 2000, 2.6× at 3000) — the regime the paper's claim (DWY100K)
-// is about. Expected deviation, not asserted: RL is fast here.
+// Figure 5a at n = 600, best of five interleaved rounds: DInf fastest, CSLS
+// next, and the rank transform, the Sinkhorn iterations and the two
+// assignment deciders each at least 5× DInf; RInf-wr faster than RInf.
+// RInf-pb (C = 50) is held to RInf at n = 3000: the rank transform runs at
+// radix speed, so the blocked variant's margin is thin at 600 and grows with
+// n (measured 1.15× at 600, 1.6× at 1000, 1.8× at 2000, 2.6× at 3000) — the
+// regime the paper's claim (DWY100K) is about. Expected deviation, not
+// asserted: RL is fast here.
 func TestFigure5TimeShape(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing shape: skipped under -short and -race")
 	}
-	res := runFastest(t, embeddingScores(600, 32, 1.5, 1), 3, table6Matchers()...)
+	res := runFastest(t, embeddingScores(600, 32, 1.5, 1), 5, table6Matchers()...)
 	took := func(name string) time.Duration { return res[name].Elapsed }
 	heavy := []string{"RInf", "Sink.", "Hun.", "SMat"}
 	for _, name := range append([]string{"CSLS", "RInf-wr", "RInf-pb"}, heavy...) {

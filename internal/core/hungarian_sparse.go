@@ -239,12 +239,11 @@ type lapWork struct {
 //     duals only fall in exact arithmetic, so vmax is 0 unless a rounded
 //     dual update lifts some v above it, and it is raised when one does.
 //
-// Both cuts need labels in a total order. Scores are finite or −Inf, so
-// labels stay ordered until a search ends at an infinite label — a row
-// matched through a −Inf edge. Its duals are infinite, later labels can be
-// NaN and the heap's order is no longer total, so from then on the solver
-// cuts nothing and pushes what the uncut search pushes. Validated inputs
-// never get there: a similarity matrix holds no −Inf.
+// A search that ends at an infinite label reached its free column only
+// through a −Inf edge. The row abstains, as after a failed search, but marks
+// nothing dead: a free column was reachable, so the region is no Hall
+// violator. No −Inf edge is ever matched, so the duals stay finite and every
+// label is finite or +Inf — the total order both cuts need.
 func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, error) {
 	n, m := g.Rows(), g.Cols()
 	u := make([]float64, n+1)
@@ -259,7 +258,6 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 	var h distHeap
 	var work lapWork
 	vmax := 0.0 // the largest column dual
-	cut := true // the cuts hold: every label so far is ordered
 	for j := range dist {
 		dist[j] = math.Inf(1)
 	}
@@ -270,9 +268,6 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 		}
 		p[0] = i
 		bd, bj := math.Inf(1), math.MaxInt // free-column bound
-		if !cut {
-			bd = math.NaN() // every comparison with it fails: nothing is cut
-		}
 		cand, scores := g.Row(i - 1)
 		ui := u[i]
 		for x, c := range cand {
@@ -288,7 +283,7 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 			if d > bd || (d == bd && j >= bj) {
 				continue
 			}
-			if p[j] == 0 && cut {
+			if p[j] == 0 {
 				bd, bj = d, j
 			}
 			dist[j] = d
@@ -337,7 +332,7 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 				if math.IsInf(dist[j], 1) {
 					touched = append(touched, int32(j))
 				}
-				if p[j] == 0 && cut {
+				if p[j] == 0 {
 					bd, bj = nd, j
 				}
 				dist[j] = nd
@@ -346,17 +341,18 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 				work.pushes++
 			}
 		}
-		if jf < 0 {
+		switch {
+		case jf < 0:
 			// No free column reachable: row i goes to its fallback dummy
 			// (abstains), and every touched column — all matched within the
 			// failed tree — is dead for the rest of the run.
 			for _, jc := range touched {
 				dead[jc] = true
 			}
-		} else {
-			if math.IsInf(df, 0) {
-				cut = false // matched through a −Inf edge; see above
-			}
+		case math.IsInf(df, 1):
+			// Reachable only through a −Inf edge: row i abstains, nothing
+			// is dead (see above).
+		default:
 			u[i] += df
 			for _, jc := range ready {
 				j := int(jc)

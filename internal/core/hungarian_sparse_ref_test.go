@@ -2,10 +2,12 @@ package core_test
 
 // The sparse LAP solver as it stood before its searches were cut at the best
 // free column — no free-column bound on pushes, no sorted-row early exit —
-// kept verbatim (with its heap) as the reference the production solver must
-// match assignment for assignment. The reference tallies the same work the
-// production solver does, so a test can hold the cuts to scanning exactly
-// the same columns while relaxing and pushing no more.
+// kept verbatim (with its heap, and with the production solver's rule that a
+// search ending at an infinite label abstains its row) as the reference the
+// production solver must match assignment for assignment. The reference
+// tallies the same work the production solver does, so a test can hold the
+// cuts to scanning exactly the same columns while relaxing and pushing no
+// more.
 
 import (
 	"context"
@@ -152,11 +154,14 @@ func refSolveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, core.LA
 				}
 			}
 		}
-		if jf < 0 {
+		switch {
+		case jf < 0:
 			for _, jc := range touched {
 				dead[jc] = true
 			}
-		} else {
+		case math.IsInf(df, 1):
+			// Reachable only through a −Inf edge: abstain, nothing is dead.
+		default:
 			u[i] += df
 			for _, jc := range ready {
 				j := int(jc)
@@ -258,7 +263,9 @@ func solveBoth(t *testing.T, s *matrix.Dense, c int) (got, want []int, gw, ww co
 // to full: the same assignment, the same scanned columns, and no more
 // relaxations or pushes. The "wide" inputs fail an early exit that bounds
 // labels with 0 instead of the largest column dual; the "hubs" inputs must
-// leave some rows abstaining, so failed searches and dead regions run.
+// leave some rows abstaining, so failed searches and dead regions run. No
+// edge at −Inf is ever matched, so in the "neginf" inputs every row whose
+// edges are all −Inf abstains.
 func TestSparseLAPMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {6, 6}, {9, 17}, {17, 9}, {24, 24}, {31, 48}, {48, 31}}
 	for _, kind := range []string{"dyadic", "random", "wide", "hubs", "neginf"} {
@@ -276,9 +283,17 @@ func TestSparseLAPMatchesReference(t *testing.T) {
 					if gw.Scanned != ww.Scanned || gw.Relaxed > ww.Relaxed || gw.Pushes > ww.Pushes {
 						t.Fatalf("%s: work %+v, reference %+v", name, gw, ww)
 					}
-					for _, j := range got {
+					for r, j := range got {
 						if j < 0 {
 							abstained++
+							continue
+						}
+						i, k := r, j // the edge in s
+						if sh[0] > sh[1] {
+							i, k = j, r
+						}
+						if math.IsInf(s.At(i, k), -1) {
+							t.Fatalf("%s: row %d matched to column %d through a −Inf edge", name, i, k)
 						}
 					}
 				}

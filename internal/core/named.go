@@ -8,7 +8,7 @@ import (
 
 // MatcherParams are the hyper-parameters the named constructors take. C is
 // the candidate budget of the sparse twins and, on a dense run, RInf-pb's
-// block size (0 = 50).
+// block size (0 = 50) — the same candidate-graph body, labelled "RInf-pb".
 type MatcherParams struct {
 	C, CSLSK, SinkhornL int
 }

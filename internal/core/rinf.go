@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"entmatcher/internal/matrix"
 )
@@ -199,160 +197,4 @@ func NewRInf() *Composite {
 // trading a small accuracy drop for far less time and memory.
 func NewRInfWR() *Composite {
 	return NewComposite(ReciprocalTransform{WithRanking: false}, GreedyDecider{}, "RInf-wr")
-}
-
-// RInfPB is the progressive-blocking variant of RInf (the paper's Table 6):
-// reciprocal ranking is computed only within each entity's top-C candidate
-// block, bounding memory at O(n·C) instead of O(n²). Candidates outside the
-// block receive the worst rank, so the result approaches full RInf as C
-// grows.
-type RInfPB struct {
-	// C is the per-entity candidate block size.
-	C int
-}
-
-// Name returns the paper's label for the variant.
-func (RInfPB) Name() string { return "RInf-pb" }
-
-// Match runs the blocked reciprocal matching.
-func (m *RInfPB) Match(ctx *Context) (*Result, error) {
-	if ctx == nil || ctx.S == nil {
-		return nil, ErrNoMatrix
-	}
-	if m.C < 1 {
-		return nil, fmt.Errorf("RInf-pb: block size must be positive, got %d", m.C)
-	}
-	start := time.Now()
-	cc := ctx.Cancellation()
-	s := ctx.S
-	rows, cols := s.Rows(), s.Cols()
-	if rows == 0 || cols == 0 {
-		return nil, fmt.Errorf("RInf-pb: empty matrix %d×%d", rows, cols)
-	}
-	c := m.C
-	if c > cols {
-		c = cols
-	}
-	cRev := m.C
-	if cRev > rows {
-		cRev = rows
-	}
-
-	rowMaxes, _ := s.RowMax()
-	colMaxes, _ := s.ColMax()
-
-	// Forward blocks: for each row, the top-c columns ranked by the
-	// source-side preference p_st.
-	fwd := s.RowTopK(c)
-	if err := ctxErr(cc); err != nil {
-		return nil, err
-	}
-	// rankST[i] maps candidate column -> rank (1-based) for row i.
-	rankST := make([]map[int]int, rows)
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
-		tk := fwd[i]
-		prefs := make([]float64, len(tk.Indices))
-		for x, j := range tk.Indices {
-			prefs[x] = tk.Values[x] - colMaxes[j] + 1
-		}
-		order := argsortDescByKey(prefs, tk.Indices)
-		mrank := make(map[int]int, len(order))
-		for r, x := range order {
-			mrank[tk.Indices[x]] = r + 1
-		}
-		rankST[i] = mrank
-	}
-
-	// Reverse blocks: for each column, the top-cRev rows ranked by the
-	// target-side preference p_ts.
-	sT := s.Transpose()
-	rev := sT.RowTopK(cRev)
-	if err := ctxErr(cc); err != nil {
-		return nil, err
-	}
-	rankTS := make([]map[int]int, cols)
-	for j := 0; j < cols; j++ {
-		if j%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
-		tk := rev[j]
-		prefs := make([]float64, len(tk.Indices))
-		for x, i := range tk.Indices {
-			prefs[x] = tk.Values[x] - rowMaxes[i] + 1
-		}
-		order := argsortDescByKey(prefs, tk.Indices)
-		mrank := make(map[int]int, len(order))
-		for r, x := range order {
-			mrank[tk.Indices[x]] = r + 1
-		}
-		rankTS[j] = mrank
-	}
-
-	// Combine: average rank with the worst-rank penalty for absences.
-	penalty := float64(m.C + 1)
-	realCols := cols - ctx.NumDummies
-	pairs := make([]Pair, 0, rows)
-	var abstained []int
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
-		best := math.Inf(1)
-		bestJ := -1
-		// Iterate candidates in deterministic (top-k) order, not map order.
-		for _, j := range fwd[i].Indices {
-			rst := rankST[i][j]
-			rts, ok := rankTS[j][i]
-			r2 := penalty
-			if ok {
-				r2 = float64(rts)
-			}
-			avg := (float64(rst) + r2) / 2
-			// Tie-break on the smaller column index, matching the greedy
-			// first-occurrence rule of the full RInf.
-			if avg < best || (avg == best && bestJ >= 0 && j < bestJ) {
-				best = avg
-				bestJ = j
-			}
-		}
-		if bestJ < 0 {
-			abstained = append(abstained, i)
-			continue
-		}
-		if bestJ >= realCols {
-			abstained = append(abstained, i)
-			continue
-		}
-		pairs = append(pairs, Pair{Source: i, Target: bestJ, Score: -best})
-	}
-	return &Result{
-		Matcher:    m.Name(),
-		Pairs:      pairs,
-		Abstained:  abstained,
-		Elapsed:    time.Since(start),
-		ExtraBytes: matBytes(rows, cols) + int64(rows+cols)*int64(m.C)*24,
-	}, nil
-}
-
-// NewRInfPB returns the progressive-blocking RInf variant with block size c.
-func NewRInfPB(c int) *RInfPB { return &RInfPB{C: c} }
-
-// argsortDescByKey returns the position permutation sorting v in descending
-// order; ties are broken by the ascending secondary key (the entity index),
-// matching the tie-break of the dense rank transform so that RInf-pb with a
-// full-width block reproduces RInf exactly. Preference ties are structural
-// here: every cell that attains its column maximum has preference exactly 1.
-func argsortDescByKey(v []float64, key []int) []int32 {
-	order := make([]int32, len(v))
-	matrix.OrderDescByKey(order, v, key)
-	return order
 }

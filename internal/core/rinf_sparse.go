@@ -3,34 +3,43 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"entmatcher/internal/matrix"
 )
 
-// RInfSparse is the reciprocal-preference matcher (RInf) over a candidate
-// graph. It computes exactly what RInfPB computes — per-entity preference
-// ranking within the top-C block in both directions, averaged with a
-// worst-rank penalty for absences — but from the top-C candidate graphs and
-// with array-based rank joins instead of per-entity hash maps, so it scales
-// to 100k×100k where RInfPB's dense top-k input cannot exist.
+// RInfSparse is the reciprocal-preference matcher (RInf) over candidate
+// graphs — the progressive blocking of the paper's Table 6: each entity's
+// preferences are ranked only within its top-C block, in both directions,
+// and the two ranks averaged with a worst-rank penalty (C+1) for a pair
+// outside the other side's block. The rank joins run on arrays aligned with
+// the graph's edges, so working memory is O((rows+cols)·C) and no n×n array
+// is ever held. NewRInfPB labels the body "RInf-pb" (on a dense run it reads
+// the matrix as a tile source), NewRInfSparse "RInf-sparse".
 //
 // Both direction's statistics come from one BuildCandGraphs call — a single
 // streaming pass on a cold source, no pass at all when the run's memo
-// (matrix.GraphMemo) already holds both graphs: the forward graph's row heads are the exact row maxima and the reverse
-// graph's row heads the exact column maxima (a top-C head is the true
-// maximum for any C >= 1), which is all the preference construction
-// p(u,v) = S(u,v) − max S + 1 needs. At C >= max(rows, cols) the result is
-// bit-identical to RInfPB at the same C, and hence (by RInfPB's pinned
-// full-width property) to dense RInf.
+// (matrix.GraphMemo) already holds both graphs: the forward graph's row heads
+// are the exact row maxima and the reverse graph's row heads the exact column
+// maxima (a top-C head is the true maximum for any C >= 1), which is all the
+// preference construction p(u,v) = S(u,v) − max S + 1 needs. Both rankings
+// break preference ties by ascending entity id, the dense rank transform's
+// tie-break, so at C >= max(rows, cols) the result is dense RInf's.
 type RInfSparse struct {
 	// C is the per-entity candidate budget (the progressive-blocking block
-	// size). The absence penalty is C+1, unclamped, matching RInfPB.
-	C int
+	// size). The absence penalty is C+1, unclamped.
+	C  int
+	pb bool // labelled "RInf-pb"
 }
 
-// Name returns "RInf-sparse".
-func (*RInfSparse) Name() string { return "RInf-sparse" }
+// Name returns "RInf-pb" for a NewRInfPB body, "RInf-sparse" otherwise.
+func (m *RInfSparse) Name() string {
+	if m.pb {
+		return "RInf-pb"
+	}
+	return "RInf-sparse"
+}
 
 // Match runs sparse reciprocal matching.
 func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
@@ -38,7 +47,7 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 		return nil, ErrNoMatrix
 	}
 	if m.C < 1 {
-		return nil, fmt.Errorf("rinf-sparse: candidate budget must be positive, got %d", m.C)
+		return nil, fmt.Errorf("%s: candidate budget must be positive, got %d", m.Name(), m.C)
 	}
 	start := time.Now()
 	cc := ctx.Cancellation()
@@ -71,7 +80,8 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 		for x, j := range cand {
 			prefBuf = append(prefBuf, scores[x]-colMaxes[j]+1)
 		}
-		orderBuf = sortPrefDesc(prefBuf, cand, orderBuf)
+		orderBuf = slices.Grow(orderBuf[:0], len(cand))[:len(cand)]
+		matrix.OrderDescByKey(orderBuf, prefBuf, cand)
 		for r, x := range orderBuf {
 			rankST[base+x] = int32(r + 1)
 		}
@@ -99,7 +109,8 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 		for x, i := range cand {
 			prefBuf = append(prefBuf, scores[x]-rowMaxes[i]+1)
 		}
-		orderBuf = sortPrefDesc(prefBuf, cand, orderBuf)
+		orderBuf = slices.Grow(orderBuf[:0], len(cand))[:len(cand)]
+		matrix.OrderDescByKey(orderBuf, prefBuf, cand)
 		for r, x := range orderBuf {
 			scatter[cand[x]] = int32(r + 1)
 		}
@@ -112,7 +123,8 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 	}
 
 	// Combine: average rank with the worst-rank penalty for absences,
-	// iterating candidates in top-k order exactly as RInfPB does.
+	// iterating candidates in top-k order; equal averages go to the smaller
+	// column, the greedy first-occurrence rule of the full RInf.
 	penalty := float64(m.C + 1)
 	realCols := cols - ctx.NumDummies
 	pairs := make([]Pair, 0, rows)
@@ -165,30 +177,6 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 // (block size) c.
 func NewRInfSparse(c int) *RInfSparse { return &RInfSparse{C: c} }
 
-// sortPrefDesc returns the position permutation sorting prefs in descending
-// order with ties broken by ascending key — the same total order as
-// argsortDescByKey, which RInfPB uses. Keys are distinct column/row ids, so
-// the order is strict and any comparison sort yields the identical
-// permutation; insertion sort fits because candidate lists are short and
-// arrive nearly sorted (preferences correlate with the stored score order).
-// The result reuses buf's storage.
-func sortPrefDesc(prefs []float64, keys []int32, buf []int32) []int32 {
-	buf = buf[:0]
-	for x := range prefs {
-		buf = append(buf, int32(x))
-	}
-	for a := 1; a < len(buf); a++ {
-		x := buf[a]
-		b := a - 1
-		for b >= 0 {
-			y := buf[b]
-			if prefs[y] > prefs[x] || (prefs[y] == prefs[x] && keys[y] < keys[x]) {
-				break
-			}
-			buf[b+1] = y
-			b--
-		}
-		buf[b+1] = x
-	}
-	return buf
-}
+// NewRInfPB returns the progressive-blocking RInf variant with block size c:
+// the RInfSparse body under the paper's label.
+func NewRInfPB(c int) *RInfSparse { return &RInfSparse{C: c, pb: true} }

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// This file is the one ranking primitive under the dense matcher bodies:
-// "order positions by (value desc, index asc)". SMat's row preference lists
-// and column rank tables, RInf's rank transform and RInf-pb's block ranking
-// all call it, so they share one tie-break.
+// This file is the one ranking primitive under the matcher bodies: "order
+// positions by (value desc, index asc)". SMat's row preference lists and
+// column rank tables, RInf's rank transform and the candidate-graph RInf's
+// per-entity block rankings all call it, so they share one tie-break.
 //
 // The order is the one of the comparator
 //
@@ -22,8 +22,7 @@ import (
 // a radix over the bits that separate the row, then an insertion pass).
 // Stability supplies the index tie-break — positions start in ascending index
 // order. Inputs are finite-gated upstream (core.ValidateContext); ±Inf order
-// correctly, NaNs land at a deterministic place (by sign and payload) that no
-// caller relies on.
+// correctly, NaNs land at a deterministic place that no caller relies on.
 
 // descKey maps v to a key whose ascending unsigned order is descending value
 // order. The raw bits of a non-negative double ascend with its value and
@@ -51,8 +50,8 @@ type ranker struct {
 
 // insertionRankMax is the length up to which sortByKeys runs a stable
 // insertion sort instead: below it the radix's fixed cost (clearing and
-// prefix-summing the digit counters) exceeds the quadratic term. RInf-pb's
-// candidate blocks are this short; full rows are not.
+// prefix-summing the digit counters) exceeds the quadratic term. Candidate
+// blocks at the usual budgets are this short; full rows are not.
 const insertionRankMax = 64
 
 // rankWindowBits is how many key bits the first sort of a long row orders
@@ -226,12 +225,19 @@ func RanksDesc(ranks []int32, vals []float64) {
 
 // OrderDescByKey is OrderDesc with the tie-break taken from key instead of
 // the position: equal values are ordered by ascending key[position]. Keys
-// must be distinct for the order to be total; they need not be sorted (the
-// positions are first ordered by key, then stably by value).
-func OrderDescByKey(order []int32, vals []float64, key []int) {
+// must be distinct for the order to be total; they need not be sorted. A row
+// of up to insertionRankMax entries is insertion-sorted in place on the pair
+// (value desc, key asc); a longer one is ordered by key first, then stably
+// by value.
+func OrderDescByKey(order []int32, vals []float64, key []int32) {
+	n := len(vals)
+	if n <= insertionRankMax {
+		insertionByKey(order[:n], vals, key)
+		return
+	}
 	r := rankerPool.Get().(*ranker)
-	r.grow(len(vals))
-	for i, k := range key[:len(vals)] {
+	r.grow(n)
+	for i, k := range key[:n] {
 		r.keys[i] = uint64(k) ^ 1<<63 // signed order
 	}
 	r.identity()
@@ -239,6 +245,24 @@ func OrderDescByKey(order []int32, vals []float64, key []int) {
 	for i, v := range vals {
 		r.keys[i] = descKey(v)
 	}
-	copy(order[:len(vals)], r.sortByKeys())
+	copy(order, r.sortByKeys())
 	rankerPool.Put(r)
+}
+
+// insertionByKey fills order with 0..len(order)-1 sorted by (vals desc, key
+// asc) with one insertion pass. Candidate blocks arrive in stored-score order
+// and their preferences correlate with it, so few positions move far.
+func insertionByKey(order []int32, vals []float64, key []int32) {
+	for a := range order {
+		x := int32(a)
+		b := a - 1
+		for ; b >= 0; b-- {
+			y := order[b]
+			if vals[y] > vals[x] || (vals[y] == vals[x] && key[y] < key[x]) {
+				break
+			}
+			order[b+1] = y
+		}
+		order[b+1] = x
+	}
 }

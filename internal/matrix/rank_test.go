@@ -27,7 +27,7 @@ func refOrderDesc(vals []float64) []int32 {
 }
 
 // refOrderDescByKey breaks value ties by ascending key instead.
-func refOrderDescByKey(vals []float64, key []int) []int32 {
+func refOrderDescByKey(vals []float64, key []int32) []int32 {
 	order := make([]int32, len(vals))
 	for i := range order {
 		order[i] = int32(i)
@@ -77,9 +77,9 @@ func checkRanking(t *testing.T, vals []float64) {
 	}
 
 	// Keys in an order unrelated to the positions, negative ones included.
-	key := rand.New(rand.NewSource(int64(n))).Perm(n)
-	for i := range key {
-		key[i] -= n / 2
+	key := make([]int32, n)
+	for i, k := range rand.New(rand.NewSource(int64(n))).Perm(n) {
+		key[i] = int32(k - n/2)
 	}
 	matrix.OrderDescByKey(got, vals, key)
 	if wantK := refOrderDescByKey(vals, key); !slices.Equal(got, wantK) {

@@ -191,12 +191,17 @@ func TestRankingAllocatesNothingWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randMatrix(rng, 64, 500)
 	vals := append([]float64(nil), m.Row(0)...)
-	key := rng.Perm(len(vals))
+	key := make([]int32, len(vals))
+	for i, k := range rng.Perm(len(vals)) {
+		key[i] = int32(k)
+	}
 	order := make([]int32, len(vals))
+	short := InsertionRankMax // a candidate block: the insertion path
 	for name, rank := range map[string]func(){
-		"OrderDesc":      func() { OrderDesc(order, vals) },
-		"RanksDesc":      func() { RanksDesc(order, vals) },
-		"OrderDescByKey": func() { OrderDescByKey(order, vals, key) },
+		"OrderDesc":            func() { OrderDesc(order, vals) },
+		"RanksDesc":            func() { RanksDesc(order, vals) },
+		"OrderDescByKey":       func() { OrderDescByKey(order, vals, key) },
+		"OrderDescByKey/short": func() { OrderDescByKey(order[:short], vals[:short], key[:short]) },
 	} {
 		rank() // warm
 		if allocs := testing.AllocsPerRun(50, rank); allocs != 0 {
