@@ -83,9 +83,13 @@ guards() {
 	# means read off a held reverse graph — is held to the same bits per
 	# producer (TestMemoDerived*: signed zeros, ties at the head, an IVF
 	# column with no neighbour; never over SQ8 or a three-method producer) and
-	# the orders run at CSLS k = 1 and 3. Both kernel legs: the asm build, and
-	# the purego scalar fallbacks (-short there: twelve of the 120 matcher
-	# orders, the scalar kernels under -race are slow).
+	# the orders run at CSLS k = 1 and 3. Over SQ8 the k = 1 means come back
+	# with the reverse build instead: TestMemoColStatByProduct holds that
+	# by-product to a separate search bit for bit, on every SQ8 engine and
+	# setting and on an input where a wide reverse head is not the
+	# statistic. Both kernel legs: the asm build, and the purego scalar
+	# fallbacks (-short there: twelve of the 120 matcher orders, the scalar
+	# kernels under -race are slow).
 	go test -race -count=1 -run 'Memo|GraphOnce' ./internal/matrix ./internal/core ./internal/server .
 	go test -race -count=1 -short -tags purego -run 'Memo|GraphOnce' ./internal/matrix ./internal/core ./internal/server .
 
@@ -331,16 +335,17 @@ layout() {
 	# shift it; this prints addr % 64 and size of the hot text symbols of the
 	# entmatcher binary — the rank.go passes, the heap offers, the tile loop,
 	# the tile kernels, the IVF walker's f64 score loop, the quant rows
-	# kernels, the per-Match finiteness gate and ColMax scans, and the sparse
-	# LAP solver — for a before/after diff of two checkouts. It checks
-	# nothing; symbols the compiler inlined away are absent.
+	# kernels and two-phase tail (i8Kernel.finish, which also carries the
+	# column statistic), the per-Match finiteness gate and ColMax scans, and
+	# the sparse LAP solver — for a before/after diff of two checkouts. It
+	# checks nothing; symbols the compiler inlined away are absent.
 	local hot
 	layout_dir=$(mktemp -d)
 	trap 'rm -rf "$layout_dir"' EXIT
 	go build -o "$layout_dir/entmatcher" ./cmd/entmatcher
 	hot='internal/matrix\.(\(\*ranker\)\.[A-Za-z]+|OrderDesc[A-Za-z]*|RanksDesc|\(\*minHeap\)\.(offerRun|down)|offerCols|MulTransposedBlockInto(\.func1)?|tileRows[A-Za-z0-9]*|dotAVX2)$'
 	hot+='|internal/matrix\.(\(\*Dense\)\.(FindNonFinite|ColMax)(\.func[0-9])?|rowFinite)$'
-	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.(f64Kernel\.score|dotI8Rows[14][A-Za-z0-9]*)$'
+	hot+='|internal/sim\.\(\*Stream\)\.StreamTiles$|internal/quant\.(f64Kernel\.score|i8Kernel\.finish|dotI8Rows[14][A-Za-z0-9]*)$'
 	hot+='|internal/core\.solveSparseLAP$'
 	printf '%-56s %7s %6s\n' symbol 'addr%64' size
 	go tool nm -n -size "$layout_dir/entmatcher" | while read -r addr size kind name; do

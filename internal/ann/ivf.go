@@ -268,8 +268,15 @@ func (ivf *IVF) QuantBytes() int64 {
 // returns the approximate scores sq·DotI8 — the quantized-only escape
 // hatch.
 func (ivf *IVF) SearchQuant(ctx context.Context, queries *matrix.Dense, c, nprobe, factor int, rerank bool) ([]matrix.TopK, error) {
+	return ivf.searchQuant(ctx, queries, c, nprobe, factor, rerank, 0, nil)
+}
+
+// searchQuant is SearchQuant that also writes each query's column statistic
+// at kCol into a non-nil means: the scan's by-product
+// (quant.Scanner.SearchQuant).
+func (ivf *IVF) searchQuant(ctx context.Context, queries *matrix.Dense, c, nprobe, factor int, rerank bool, kCol int, means []float64) ([]matrix.TopK, error) {
 	if !ivf.HasQuant() {
 		return nil, fmt.Errorf("ann: SearchQuant without an attached quantized table")
 	}
-	return ivf.scan.SearchQuant(ctx, queries, c, ivf.probe(nprobe), factor, rerank)
+	return ivf.scan.SearchQuant(ctx, queries, c, ivf.probe(nprobe), factor, rerank, kCol, means)
 }

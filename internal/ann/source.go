@@ -179,17 +179,26 @@ func (s *Source) quantCfg() (on bool, factor int, rerank bool) {
 }
 
 // search runs one query table against the index that get returns (building
-// it on first use), dispatching to the quantized scan when enabled.
-func (s *Source) search(ctx context.Context, get func(context.Context) (*IVF, error), queries *matrix.Dense, c int) ([]matrix.TopK, error) {
+// it on first use), dispatching to the quantized scan when enabled, and
+// writes the column statistic at kCol into a non-nil means (see
+// matrix.SearchedParts): the SQ8 scan's by-product, or the float answer's
+// first kCol — the float search scores the same cells at every budget.
+func (s *Source) search(ctx context.Context, get func(context.Context) (*IVF, error), queries *matrix.Dense, c, kCol int, means []float64) ([]matrix.TopK, error) {
 	ivf, err := get(ctx)
 	if err != nil {
 		return nil, err
 	}
 	np := s.nprobeFor(ivf)
 	if on, factor, rerank := s.quantCfg(); on {
-		return ivf.SearchQuant(ctx, queries, c, np, factor, rerank)
+		return ivf.searchQuant(ctx, queries, c, np, factor, rerank, kCol, means)
 	}
-	return ivf.Search(ctx, queries, c, np)
+	tks, err := ivf.Search(ctx, queries, c, np)
+	if err == nil && means != nil {
+		for j, tk := range tks {
+			means[j] = matrix.HeadMean(tk.Values, kCol)
+		}
+	}
+	return tks, err
 }
 
 // SearchRows answers forward point queries — the top-k target columns of each
@@ -213,7 +222,7 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 	if err != nil {
 		return nil, err
 	}
-	return s.search(ctx, s.fwdIndex, queries, k)
+	return s.search(ctx, s.fwdIndex, queries, k, 0, nil)
 }
 
 // fwdIndex returns the index over the target table, building it on first
@@ -281,11 +290,14 @@ func (s *Source) RevHeadIsColBest() bool {
 	return !on
 }
 
-// ProduceParts implements matrix.PartsProducer: each requested part comes
-// from its own index search and nothing else is derived. The forward graph
-// queries the index over the target table with the source rows; the reverse
-// graph and the column statistic query the mirror index over the source
-// table with the target rows.
+// ProduceParts implements matrix.PartsProducer through matrix.SearchedParts.
+// The forward graph queries the index over the target table with the source
+// rows; the reverse graph and the column statistic query the mirror index
+// over the source table with the target rows, one search for both when
+// KCol <= CRev. Nothing is derived from a held part here; the graph memo
+// reads KCol = 1 off a held reverse graph while SQ8 is off
+// (RevHeadIsColBest) and asks for it alongside a reverse build while it is
+// on.
 //
 // The column statistic (CSLS's φ_t: per-target mean of its KCol best scores)
 // is an estimate: at partial nprobe a column that surfaces fewer than KCol
@@ -296,8 +308,10 @@ func (s *Source) RevHeadIsColBest() bool {
 // ulps (KCol = 1 is exact).
 func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
 	return matrix.SearchedParts(req, s.srcTab.Rows(), s.tgtTab.Rows(),
-		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwdIndex, s.srcTab, c) },
-		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.revIndex, s.tgtTab, c) })
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwdIndex, s.srcTab, c, 0, nil) },
+		func(c, kCol int, means []float64) ([]matrix.TopK, error) {
+			return s.search(ctx, s.revIndex, s.tgtTab, c, kCol, means)
+		})
 }
 
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward

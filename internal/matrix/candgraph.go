@@ -248,44 +248,59 @@ func PartsCandGraphWithColMeans(ctx context.Context, p PartsProducer, c, kCol in
 func TopKMeans(tks []TopK) []float64 {
 	out := make([]float64, len(tks))
 	for j, tk := range tks {
-		if len(tk.Values) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range tk.Values {
-			sum += v
-		}
-		out[j] = sum / float64(len(tk.Values))
+		out[j] = HeadMean(tk.Values, len(tk.Values))
 	}
 	return out
 }
 
-// SearchedParts is ProduceParts for a producer that answers by search: fwd(c)
-// returns the top-c columns of every row, rev(c) the top-c rows of every
-// column. Each requested part is one search and nothing else is derived; the
-// column statistic is TopKMeans of a reverse search.
-func SearchedParts(req GraphRequest, rows, cols int, fwd, rev func(c int) ([]TopK, error)) (GraphParts, error) {
-	var out GraphParts
-	graph := func(search func(int) ([]TopK, error), c, width int) (*CandGraph, error) {
-		tks, err := search(c)
-		if err != nil {
-			return nil, err
-		}
-		return NewCandGraph(width, tks)
+// HeadMean is TopKMeans' arithmetic on the first k of values (all of them
+// when there are fewer): summed in stored order, 0 for none. A search whose
+// budget-k answer is a prefix of its wider one gets its statistic this way.
+func HeadMean(values []float64, k int) float64 {
+	values = values[:min(k, len(values))]
+	if len(values) == 0 {
+		return 0
 	}
-	var err error
+	var sum float64
+	for _, v := range values {
+		sum += v
+	}
+	return sum / float64(len(values))
+}
+
+// SearchedParts is ProduceParts for a producer that answers by search: fwd(c)
+// returns the top-c columns of every row, rev(c, kCol, means) the top-c rows
+// of every column and, when means is non-nil (1 <= kCol <= c), writes
+// means[j]: TopKMeans of column j's answer to a separate rev(kCol, 0, nil),
+// bit for bit. So a request for the reverse graph and a column statistic at
+// KCol <= CRev is one reverse search; every other part is one search of its
+// own, and nothing is derived.
+func SearchedParts(req GraphRequest, rows, cols int, fwd func(c int) ([]TopK, error), rev func(c, kCol int, means []float64) ([]TopK, error)) (GraphParts, error) {
+	var out GraphParts
 	if req.C > 0 {
-		if out.Fwd, err = graph(fwd, req.C, cols); err != nil {
+		tks, err := fwd(req.C)
+		if err != nil {
+			return GraphParts{}, err
+		}
+		if out.Fwd, err = NewCandGraph(cols, tks); err != nil {
 			return GraphParts{}, err
 		}
 	}
 	if req.CRev > 0 {
-		if out.Rev, err = graph(rev, req.CRev, rows); err != nil {
+		kCol := 0
+		if req.KCol > 0 && req.KCol <= req.CRev {
+			kCol, out.ColMeans = req.KCol, make([]float64, cols)
+		}
+		tks, err := rev(req.CRev, kCol, out.ColMeans)
+		if err != nil {
+			return GraphParts{}, err
+		}
+		if out.Rev, err = NewCandGraph(rows, tks); err != nil {
 			return GraphParts{}, err
 		}
 	}
-	if req.KCol > 0 {
-		tks, err := rev(req.KCol)
+	if req.KCol > 0 && out.ColMeans == nil {
+		tks, err := rev(req.KCol, 0, nil)
 		if err != nil {
 			return GraphParts{}, err
 		}

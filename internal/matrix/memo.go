@@ -14,30 +14,36 @@ import (
 // only the parts it lacks — through the source's own PartsProducer, or in
 // one exhaustive StreamParts pass carrying just the missing accumulators.
 //
-// What may be derived. A held part answers the identical key, and one part
-// may be read off another: the kCol = 1 means are the reverse graph's row
-// heads (means[j] = 0 + head_j, 0 for an empty row — heapMean's arithmetic
-// on a one-entry heap, so a -0.0 head still becomes +0.0), whenever the
-// reverse graph is held or built by the same call and the wrapped source
-// says its heads are its columns' best scores at every budget:
+// What may be derived. A held part answers the identical key, and the
+// kCol = 1 means may come without a build of their own, in one of two ways.
+// They are read off the reverse graph's row heads (means[j] = 0 + head_j, 0
+// for an empty row — heapMean's arithmetic on a one-entry heap, so a -0.0
+// head still becomes +0.0), whenever the reverse graph is held or built by
+// the same call and the wrapped source says its heads are its columns' best
+// scores at every budget:
 //
 //   - a plain tile source (the memo's own StreamParts pass) and shard.Source,
 //     always: the width-cRev and the width-1 column heaps see the same offers
 //     in the same order, and both keep the first-k prefix of (value desc,
 //     index asc);
 //   - ann.Source while SQ8 is off: the probed cells, hence the scored
-//     candidates, do not depend on the budget;
-//   - quant.Source, ann.Source with SQ8 on, and any producer that does not
-//     implement RevHeadProducer, never: the SQ8 re-rank pool is
-//     factor × budget, so a wider search can surface a better head.
+//     candidates, do not depend on the budget.
+//
+// Or they are built with the reverse graph: over a PartsProducer that does
+// not say so — quant.Source, ann.Source with SQ8 on, whose re-rank pool is
+// factor × budget, so a wider search can surface a better head — every
+// reverse build made while no means are held asks for KCol = 1 as well,
+// which matrix.SearchedParts answers as the same reverse search's
+// by-product. A producer with only the three CandGraphProducer methods gets
+// neither: its means are always a call of their own.
 //
 // The source is asked per request, so EnableQuant after the memo was created
 // is honoured. Nothing else is derived: a wider graph is never truncated (the
 // SQ8 pool again) and kCol > 1 means are never summed from a reverse row
 // (ColTopKAcc.Means sums in heap-array order, a finalized row is sorted).
 // The order matters: RInf or Hun.'s transpose fallback before CSLS costs one
-// tile pass instead of two; CSLS first still pays its own pass, because no
-// reverse graph is held yet and it does not ask for one.
+// tile pass or reverse search instead of two; CSLS first still pays its own,
+// because no reverse graph is held yet and it does not ask for one.
 //
 // A different budget replaces its slot, derived means included, which bounds
 // the memo to one forward graph, one reverse graph and one means vector.
@@ -69,8 +75,9 @@ type GraphMemo struct {
 // one that had to build at least one part, one answered without building.
 // Passes counts full tile passes over the wrapped source — exhaustive
 // builds and direct StreamTiles calls alike. Derived counts parts answered
-// by derivation (means read off the reverse graph) rather than by a build or
-// an exact-key hit. Bytes is what the slots hold, derived means included.
+// without a build of their own — read off a held reverse graph, or returned
+// alongside the reverse build — rather than by a build or an exact-key hit.
+// Bytes is what the slots hold, derived means included.
 type MemoStats struct {
 	Builds  int64 `json:"builds"`
 	Hits    int64 `json:"hits"`
@@ -170,10 +177,18 @@ func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 		miss.KCol = req.KCol
 	}
 	// Missing k = 1 means come off the reverse graph this call holds or is
-	// about to build, when the source allows it.
-	derive := miss.KCol == 1 && (m.rev != nil || req.CRev > 0) && m.revHeadIsColBest()
+	// about to build, when the source allows it. A parts producer that does
+	// not allow it returns them alongside a reverse build instead, so every
+	// reverse build it makes while no means are held carries them.
+	headIsBest := m.revHeadIsColBest()
+	derive := miss.KCol == 1 && (m.rev != nil || req.CRev > 0) && headIsBest
 	if derive {
 		miss.KCol = 0
+	}
+	_, parts := m.src.(PartsProducer)
+	along := parts && !headIsBest && miss.CRev > 0 && (miss.KCol == 1 || miss.KCol == 0 && m.means == nil)
+	if along {
+		miss.KCol = 1
 	}
 	if miss == (GraphRequest{}) {
 		m.hits.Add(1)
@@ -192,6 +207,9 @@ func (m *GraphMemo) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 			m.means, m.meansK = built.ColMeans, miss.KCol
 		}
 		m.builds.Add(1)
+		if along {
+			m.derived.Add(1)
+		}
 	}
 	if derive {
 		m.means, m.meansK = revHeadMeans(m.rev), 1

@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -495,5 +496,129 @@ func TestMemoPaddedViewBypasses(t *testing.T) {
 	}
 	if st := memo.Stats(); st != (MemoStats{Passes: 1}) {
 		t.Fatalf("a padded build: memo counters %+v, want one tile pass and nothing built, hit or held", st)
+	}
+}
+
+// searchProducer answers by search through SearchedParts, as the SQ8
+// producers do, over a dense matrix, and says nothing about its reverse
+// heads. Its reverse search writes the column statistic as the prefix of
+// each column's top-c (exact on a dense matrix) and logs every search as
+// "fwd c" or "rev c k".
+type searchProducer struct {
+	TileSource
+	m        *Dense
+	searches []string
+}
+
+func (p *searchProducer) ProduceParts(_ context.Context, req GraphRequest) (GraphParts, error) {
+	rows, cols := p.m.Rows(), p.m.Cols()
+	return SearchedParts(req, rows, cols,
+		func(c int) ([]TopK, error) {
+			p.searches = append(p.searches, fmt.Sprintf("fwd %d", c))
+			return p.m.RowTopK(c), nil
+		},
+		func(c, kCol int, means []float64) ([]TopK, error) {
+			p.searches = append(p.searches, fmt.Sprintf("rev %d %d", c, kCol))
+			tks := p.m.Transpose().RowTopK(c)
+			for j := range means {
+				means[j] = HeadMean(tks[j].Values, kCol)
+			}
+			return tks, nil
+		})
+}
+
+func (p *searchProducer) ProduceCandGraph(ctx context.Context, c int) (*CandGraph, error) {
+	return PartsCandGraph(ctx, p, c)
+}
+
+func (p *searchProducer) ProduceCandGraphs(ctx context.Context, c, cRev int) (*CandGraph, *CandGraph, error) {
+	return PartsCandGraphs(ctx, p, c, cRev)
+}
+
+func (p *searchProducer) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*CandGraph, []float64, error) {
+	return PartsCandGraphWithColMeans(ctx, p, c, kCol)
+}
+
+// TestSearchedPartsReverseSearches: a request for the reverse graph and a
+// column statistic at KCol <= CRev is one reverse search carrying the
+// statistic, KCol > CRev two; the parts are the separate requests' bits.
+func TestSearchedPartsReverseSearches(t *testing.T) {
+	ctx := context.Background()
+	m := candTestMatrices()["tie-dense-8x10"]
+	for _, tc := range []struct {
+		req  GraphRequest
+		want []string
+	}{
+		{GraphRequest{CRev: 3, KCol: 1}, []string{"rev 3 1"}},
+		{GraphRequest{CRev: 3, KCol: 3}, []string{"rev 3 3"}},
+		{GraphRequest{C: 2, CRev: 3, KCol: 4}, []string{"fwd 2", "rev 3 0", "rev 4 0"}},
+		{GraphRequest{KCol: 2}, []string{"rev 2 0"}},
+	} {
+		p := &searchProducer{TileSource: &DenseTileSource{M: m}, m: m}
+		got, err := p.ProduceParts(ctx, tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.searches, tc.want) {
+			t.Fatalf("%+v: searches %v, want %v", tc.req, p.searches, tc.want)
+		}
+		var one [3]GraphParts
+		for i, part := range []GraphRequest{{C: tc.req.C}, {CRev: tc.req.CRev}, {KCol: tc.req.KCol}} {
+			if one[i], err = p.ProduceParts(ctx, part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := (GraphParts{Fwd: one[0].Fwd, Rev: one[1].Rev, ColMeans: one[2].ColMeans}); !partsEqual(want, got) {
+			t.Fatalf("%+v: parts differ from the separate requests'", tc.req)
+		}
+	}
+}
+
+// TestMemoMeansAlongReverseBuild: over a parts producer whose reverse heads
+// are not the column statistic, a reverse build made while no means are held
+// asks for KCol = 1 too, so CSLS after RInf or Hun.'s reverse build is a hit
+// counted as derived; CSLS first, or means at k > 1 already held, add
+// nothing to the reverse build.
+func TestMemoMeansAlongReverseBuild(t *testing.T) {
+	ctx := context.Background()
+	m := candTestMatrices()["tie-dense-8x10"]
+	rinf := memoCall{kind: "both", c: 4, cRev: 4}
+	csls1 := memoCall{kind: "means", c: 4, k: 1}
+	csls3 := memoCall{kind: "means", c: 4, k: 3}
+	hun := memoCall{kind: "both", c: 4}
+	for _, tc := range []struct {
+		name     string
+		calls    []memoCall
+		searches []string
+		stats    MemoStats
+	}{
+		{"rinf-csls1", []memoCall{rinf, csls1}, []string{"fwd 4", "rev 4 1"}, MemoStats{Builds: 1, Hits: 1, Derived: 1}},
+		{"hun-rinf-csls1", []memoCall{hun, rinf, csls1}, []string{"fwd 4", "rev 4 1"}, MemoStats{Builds: 2, Hits: 1, Derived: 1}},
+		{"csls1-rinf", []memoCall{csls1, rinf}, []string{"fwd 4", "rev 1 0", "rev 4 0"}, MemoStats{Builds: 2}},
+		{"csls3-rinf-csls3", []memoCall{csls3, rinf, csls3}, []string{"fwd 4", "rev 3 0", "rev 4 0"}, MemoStats{Builds: 2, Hits: 1}},
+	} {
+		p := &searchProducer{TileSource: &DenseTileSource{M: m}, m: m}
+		memo := Memo(p)
+		for _, mc := range tc.calls {
+			want, err := mc.run(ctx, &DenseTileSource{M: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mc.run(ctx, memo)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !partsEqual(want, got) {
+				t.Fatalf("%s: %+v: memoized parts differ from the exhaustive build", tc.name, mc)
+			}
+		}
+		if !reflect.DeepEqual(p.searches, tc.searches) {
+			t.Errorf("%s: searches %v, want %v", tc.name, p.searches, tc.searches)
+		}
+		got := memo.Stats()
+		got.Bytes = 0
+		if got != tc.stats {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, got, tc.stats)
+		}
 	}
 }

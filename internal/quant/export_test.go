@@ -30,3 +30,9 @@ func forceTier(tb testing.TB, tier i8Tier) {
 	kernelTier = tier
 	tb.Cleanup(func() { kernelTier = prev })
 }
+
+// ScanTally reads the int8 scan's counters: query rows searched and
+// positions scored since the process started.
+func ScanTally() (queries, positions int64) {
+	return scanTally.queries.Load(), scanTally.positions.Load()
+}

@@ -3,8 +3,10 @@ package quant
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"entmatcher/internal/matrix"
 )
@@ -73,6 +75,7 @@ type slot struct {
 	q     []float64
 	cells *matrix.BoundedTopK // the Probe's ranking scratch
 	sel   *matrix.BoundedTopK // top-c selector
+	stat  *matrix.BoundedTopK // the column statistic's top-kCol selector
 	runs  []run               // runs scanned so far, in scan order
 
 	// i8Kernel state: the quantized query and its scale, one int32 score
@@ -83,10 +86,11 @@ type slot struct {
 }
 
 type scanScratch struct {
-	slots [groupWidth]slot
-	keys  []int64      // run<<slotBits|slot for every probed run of the group
-	dots  []float64    // f64Kernel's scores of one run for one slot
-	pool  poolSelector // i8Kernel.finish's re-rank pool, one slot at a time
+	slots  [groupWidth]slot
+	keys   []int64      // run<<slotBits|slot for every probed run of the group
+	dots   []float64    // f64Kernel's scores of one run for one slot
+	pool   poolSelector // i8Kernel.finish's re-rank pool, one slot at a time
+	pooled []int32      // the int8 scores of the pool's members, in pool order
 }
 
 func (s *Scanner) getScratch() *scanScratch {
@@ -95,7 +99,8 @@ func (s *Scanner) getScratch() *scanScratch {
 	}
 	sc := new(scanScratch)
 	for j := range sc.slots {
-		sc.slots[j].cells, sc.slots[j].sel = matrix.NewBoundedTopK(0), matrix.NewBoundedTopK(0)
+		sl := &sc.slots[j]
+		sl.cells, sl.sel, sl.stat = matrix.NewBoundedTopK(0), matrix.NewBoundedTopK(0), matrix.NewBoundedTopK(0)
 	}
 	return sc
 }
@@ -117,15 +122,17 @@ type kernel interface {
 	// score scores positions [lo, hi) for every slot sls[j] whose bit j is
 	// set in mask.
 	score(sc *scanScratch, sls []slot, mask, lo, hi int)
-	// finish returns sl's top-c; the result aliases sl.sel.
-	finish(sc *scanScratch, sl *slot, c int) matrix.TopK
+	// finish returns sl's top-c, aliasing sl.sel, and for kCol > 0 the
+	// column statistic a kCol-budget scan of the same query selects: the
+	// mean of its top-kCol, best first (matrix.HeadMean).
+	finish(sc *scanScratch, sl *slot, c, kCol int) (matrix.TopK, float64)
 }
 
 // Search scores every query row against the runs probe selects for it with
 // the exact float64 kernel and returns each row's top-c under (value desc,
 // index asc). See scan for the argument contract.
 func (s *Scanner) Search(ctx context.Context, queries *matrix.Dense, c int, probe Probe) ([]matrix.TopK, error) {
-	return s.scan(ctx, queries, c, probe, f64Kernel{s})
+	return s.scan(ctx, queries, c, probe, f64Kernel{s}, 0, nil)
 }
 
 // SearchQuant is Search as a two-phase scan: every probed position is scored
@@ -134,9 +141,20 @@ func (s *Scanner) Search(ctx context.Context, queries *matrix.Dense, c int, prob
 // exact kernel, and the top-c comes from those exact scores. rerank=false
 // skips the second phase and returns the approximate scores sq·DotI8.
 // Codes and Table must be set.
-func (s *Scanner) SearchQuant(ctx context.Context, queries *matrix.Dense, c int, probe Probe, factor int, rerank bool) ([]matrix.TopK, error) {
-	return s.scan(ctx, queries, c, probe, i8Kernel{s, factor, rerank})
+//
+// A non-nil means (one entry per query, 1 <= kCol <= c) asks for a
+// by-product: means[q] is what matrix.TopKMeans gives for query q's answer
+// to a separate kCol-budget SearchQuant, bit for bit. The int8 scores do not
+// depend on the budget and the kCol pool is the top of this one, so the
+// statistic costs a rank statistic over the pool's scores and no rescan.
+func (s *Scanner) SearchQuant(ctx context.Context, queries *matrix.Dense, c int, probe Probe, factor int, rerank bool, kCol int, means []float64) ([]matrix.TopK, error) {
+	return s.scan(ctx, queries, c, probe, i8Kernel{s, factor, rerank}, kCol, means)
 }
+
+// scanTally counts the int8 scan's work since the process started: query
+// rows searched and positions scored. Tests read it to pin how many scans an
+// engine runs; nothing else does.
+var scanTally struct{ queries, positions atomic.Int64 }
 
 // scan is the grouped run walker. Rejected: nil queries, a query
 // dimensionality other than Dim, c < 1. Clamped: c above the corpus size.
@@ -148,7 +166,11 @@ func (s *Scanner) SearchQuant(ctx context.Context, queries *matrix.Dense, c int,
 // kernel's scores do not depend on which slots share a run, and every
 // selector is order-insensitive (BoundedTopK; the pool threshold is a rank
 // statistic), so neither grouping nor walk order can change a result.
-func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe Probe, k kernel) ([]matrix.TopK, error) {
+//
+// means, when non-nil, receives each query's column statistic at kCol (see
+// SearchQuant). Rejected: a means length other than the query count, kCol
+// outside [1, c]. kCol is clamped with c.
+func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe Probe, k kernel, kCol int, means []float64) ([]matrix.TopK, error) {
 	if queries == nil {
 		return nil, fmt.Errorf("%s: nil queries", s.Tag)
 	}
@@ -158,8 +180,14 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 	if c < 1 {
 		return nil, fmt.Errorf("%s: candidate budget %d < 1", s.Tag, c)
 	}
-	c = min(c, int(s.Bounds[len(s.Bounds)-1]))
 	nq := queries.Rows()
+	if means == nil {
+		kCol = 0
+	} else if len(means) != nq || kCol < 1 || kCol > c {
+		return nil, fmt.Errorf("%s: column statistic at k = %d into %d means for %d queries at budget %d", s.Tag, kCol, len(means), nq, c)
+	}
+	c = min(c, int(s.Bounds[len(s.Bounds)-1]))
+	kCol = min(kCol, c)
 	out := make([]matrix.TopK, nq)
 	var firstErr error
 	var failed sync.Once
@@ -201,7 +229,10 @@ func (s *Scanner) scan(ctx context.Context, queries *matrix.Dense, c int, probe 
 		}
 		for j := range sls {
 			// finish aliases pooled selector storage; copy out before release.
-			tk := k.finish(sc, &sls[j], c)
+			tk, stat := k.finish(sc, &sls[j], c, kCol)
+			if means != nil {
+				means[g*groupWidth+j] = stat
+			}
 			out[g*groupWidth+j] = matrix.TopK{
 				Values:  append([]float64(nil), tk.Values...),
 				Indices: append([]int(nil), tk.Indices...),
@@ -246,7 +277,12 @@ func (k f64Kernel) score(sc *scanScratch, sls []slot, mask, lo, hi int) {
 	}
 }
 
-func (f64Kernel) finish(_ *scanScratch, sl *slot, _ int) matrix.TopK { return sl.sel.Finalize() }
+// finish: the float scores do not depend on the budget, so a kCol-budget
+// scan selects this one's first kCol.
+func (f64Kernel) finish(_ *scanScratch, sl *slot, _, kCol int) (matrix.TopK, float64) {
+	tk := sl.sel.Finalize()
+	return tk, matrix.HeadMean(tk.Values, kCol)
+}
 
 // i8Kernel scores Codes with the rows kernels of dot.go — one call per run,
 // dotI8Rows4 when every slot of a full group probes it and dotI8Rows1 per
@@ -270,6 +306,10 @@ func (k i8Kernel) begin(sl *slot, m, c int) error {
 	sl.ints = sl.ints[:0]
 	var err error
 	sl.sq, err = k.s.Table.QuantizeQuery(sl.q, sl.codeQ[:k.s.Dim])
+	if err == nil {
+		scanTally.queries.Add(1)
+		scanTally.positions.Add(int64(m))
+	}
 	return err
 }
 
@@ -302,12 +342,20 @@ func (k i8Kernel) score(_ *scanScratch, sls []slot, mask, lo, hi int) {
 const rerankAhead = 3
 
 // finish is the one two-phase tail. Without re-rank every position is
-// offered at its approximate score. With it, the pool — every position
-// scoring at or above the boundary-tie-inclusive pool threshold, as an
-// ascending list — is re-scored against Vecs with the exact kernel. sl.runs
-// replays the scan order, so sl.ints needs no parallel position array: the
-// list indexes sl.ints and is mapped to slab positions in one walk.
-func (k i8Kernel) finish(sc *scanScratch, sl *slot, c int) matrix.TopK {
+// offered at its approximate score, and a kCol-budget scan would select the
+// first kCol of the same order. With it, the pool — every position scoring
+// at or above the boundary-tie-inclusive pool threshold, as an ascending
+// list — is re-scored against Vecs with the exact kernel. sl.runs replays
+// the scan order, so sl.ints needs no parallel position array: the list
+// indexes sl.ints and is mapped to slab positions in one walk.
+//
+// The column statistic rides the re-rank. A kCol-budget scan pools the
+// positions scoring at least thK, the PoolSize(factor, kCol, n)-th largest
+// int8 score; PoolSize grows with the budget, so that pool is the top of
+// this one and thK is the same rank statistic over this pool's scores alone.
+// Its members' exact scores are offered to sl.stat as they are computed,
+// and BoundedTopK's selection does not depend on offer order.
+func (k i8Kernel) finish(sc *scanScratch, sl *slot, c, kCol int) (matrix.TopK, float64) {
 	s, d := k.s, k.s.Dim
 	sl.sel.EnsureK(c)
 	if !k.rerank {
@@ -317,9 +365,22 @@ func (k i8Kernel) finish(sc *scanScratch, sl *slot, c int) matrix.TopK {
 				sl.sel.Offer(sl.sq*float64(sl.ints[x]), s.id(p))
 			}
 		}
-		return sl.sel.Finalize()
+		tk := sl.sel.Finalize()
+		return tk, matrix.HeadMean(tk.Values, kCol)
 	}
-	_, pool := sc.pool.run(sl.ints, PoolSize(k.factor, c, len(sl.ints)))
+	n := len(sl.ints)
+	_, pool := sc.pool.run(sl.ints, PoolSize(k.factor, c, n))
+	thK := int32(math.MinInt32)
+	if kCol > 0 {
+		sl.stat.EnsureK(kCol)
+		sc.pooled = grow(sc.pooled, len(pool))
+		for i, x := range pool {
+			sc.pooled[i] = sl.ints[x]
+		}
+		if pk := PoolSize(k.factor, kCol, n); pk < n {
+			thK = sc.pool.kthOf(sc.pooled, pk)
+		}
+	}
 	ri, off := 0, 0 // pool[i] lies in sl.runs[ri], whose first score is sl.ints[off]
 	for i, x := range pool {
 		for int(x)-off >= sl.runs[ri].hi-sl.runs[ri].lo {
@@ -334,7 +395,15 @@ func (k i8Kernel) finish(sc *scanScratch, sl *slot, c int) matrix.TopK {
 			prefetchRow(s.Vecs[a*d : (a+1)*d])
 		}
 		p := int(p32)
-		sl.sel.Offer(matrix.Dot4(sl.q, s.Vecs[p*d:(p+1)*d]), s.id(p))
+		v, id := matrix.Dot4(sl.q, s.Vecs[p*d:(p+1)*d]), s.id(p)
+		sl.sel.Offer(v, id)
+		if kCol > 0 && sc.pooled[i] >= thK {
+			sl.stat.Offer(v, id)
+		}
 	}
-	return sl.sel.Finalize()
+	tk := sl.sel.Finalize()
+	if kCol == 0 {
+		return tk, 0
+	}
+	return tk, matrix.HeadMean(sl.stat.Finalize().Values, kCol)
 }

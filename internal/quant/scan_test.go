@@ -28,7 +28,7 @@ var scanModes = []scanMode{
 
 func (m scanMode) search(sc *Scanner, q *matrix.Dense, c int, probe Probe) ([]matrix.TopK, error) {
 	if m.quant {
-		return sc.SearchQuant(context.Background(), q, c, probe, m.factor, m.rerank)
+		return sc.SearchQuant(context.Background(), q, c, probe, m.factor, m.rerank, 0, nil)
 	}
 	return sc.Search(context.Background(), q, c, probe)
 }
@@ -260,7 +260,7 @@ func TestScannerArguments(t *testing.T) {
 	// into int8) fails the whole call, whichever group it sat in.
 	poisoned := randTable(rng, 6, 8)
 	poisoned.Set(5, 2, math.Inf(1))
-	if got, err := sc.SearchQuant(context.Background(), poisoned, 3, nil, 0, true); err == nil || got != nil {
+	if got, err := sc.SearchQuant(context.Background(), poisoned, 3, nil, 0, true, 0, nil); err == nil || got != nil {
 		t.Errorf("non-finite query: %v, %v", got, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -325,7 +325,7 @@ func TestScannerEveryTier(t *testing.T) {
 			probe Probe
 		}{{flatScanner(tq, corpus), nil}, {cells, someCells}} {
 			for _, rerank := range []bool{true, false} {
-				got, err := sc.sc.SearchQuant(context.Background(), queries, 5, sc.probe, 2, rerank)
+				got, err := sc.sc.SearchQuant(context.Background(), queries, 5, sc.probe, 2, rerank, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -355,7 +355,10 @@ func TestScannerEveryTier(t *testing.T) {
 // benchmark harness's sparse_indexed tables (5600 rows, d = 128, C = 64,
 // default re-rank factor → a pool of 256): 512 queries, so the three stages
 // — int8 scoring, pool selection, float64 re-rank — show in one profile in
-// the proportions the engine runs them.
+// the proportions the engine runs them. "plain" is the scan alone,
+// "colstat-k1" the same scan also returning the k = 1 column statistic, as a
+// reverse build does for the graph memo; the two differ by the statistic's
+// cost alone.
 func BenchmarkScanQuantFlat(b *testing.B) {
 	rng := rand.New(rand.NewSource(64))
 	corpus := randTable(rng, 5600, 128)
@@ -365,10 +368,18 @@ func BenchmarkScanQuantFlat(b *testing.B) {
 	}
 	sc := flatScanner(tq, corpus)
 	queries := randTable(rng, 512, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.SearchQuant(context.Background(), queries, 64, nil, 0, true); err != nil {
-			b.Fatal(err)
-		}
+	means := make([]float64, queries.Rows())
+	for _, bc := range []struct {
+		name  string
+		kCol  int
+		means []float64
+	}{{"plain", 0, nil}, {"colstat-k1", 1, means}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.SearchQuant(context.Background(), queries, 64, nil, 0, true, bc.kCol, bc.means); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

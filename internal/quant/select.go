@@ -65,9 +65,7 @@ func (ps *poolSelector) run(scores []int32, p int) (int32, []int32) {
 		// The list would never fill: count the scores themselves, then
 		// collect. The store is unconditional and the cursor moves on a hit,
 		// so the sweep has no unpredictable branch.
-		ps.vals = grow(ps.vals, n)
-		copy(ps.vals, scores)
-		th := ps.kth(ps.vals, p)
+		th := ps.kthOf(scores, p)
 		ps.pool = grow(ps.pool, n+1)
 		m := 0
 		for x, v := range scores {
@@ -183,6 +181,14 @@ func (ps *poolSelector) kth(vals []int32, r int) int32 {
 		vals[j] = v
 	}
 	return vals[r-1]
+}
+
+// kthOf returns the r-th largest of scores (1 <= r <= len(scores)), leaving
+// scores as they are.
+func (ps *poolSelector) kthOf(scores []int32, r int) int32 {
+	ps.vals = grow(ps.vals, len(scores))
+	copy(ps.vals, scores)
+	return ps.kth(ps.vals, r)
 }
 
 // grow returns s with length n, reallocating (with headroom) only when the

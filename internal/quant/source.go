@@ -99,9 +99,10 @@ func (s *Source) Block(ctx context.Context, rowIDs, colIDs []int) (*matrix.Dense
 	return s.inner.Block(ctx, rowIDs, colIDs)
 }
 
-// search runs the two-phase scan of every row of qTab over sc's table.
-func (s *Source) search(ctx context.Context, sc *Scanner, qTab *matrix.Dense, c int) ([]matrix.TopK, error) {
-	return sc.SearchQuant(ctx, qTab, c, nil, s.factor, s.rerank)
+// search runs the two-phase scan of every row of qTab over sc's table,
+// writing the column statistic at kCol into a non-nil means.
+func (s *Source) search(ctx context.Context, sc *Scanner, qTab *matrix.Dense, c, kCol int, means []float64) ([]matrix.TopK, error) {
+	return sc.SearchQuant(ctx, qTab, c, nil, s.factor, s.rerank, kCol, means)
 }
 
 // SearchRow answers one forward point query — the top-k target columns for
@@ -127,13 +128,17 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 	if err != nil {
 		return nil, err
 	}
-	return s.search(ctx, s.fwd, qTab, k)
+	return s.search(ctx, s.fwd, qTab, k, 0, nil)
 }
 
-// ProduceParts implements matrix.PartsProducer: each requested part is one
-// two-phase scan and nothing else is derived. The forward graph scans the
-// target-side codes with each source row as the query; the reverse graph and
-// the column statistic scan the source-side codes with each target row.
+// ProduceParts implements matrix.PartsProducer through matrix.SearchedParts.
+// The forward graph scans the target-side codes with each source row as the
+// query; the reverse graph and the column statistic scan the source-side
+// codes with each target row, one scan for both when KCol <= CRev (the
+// statistic is then the scan's by-product, SearchQuant's means). Nothing is
+// derived from a held part: the re-rank pool grows with the budget, so a
+// reverse row's head need not be the column's KCol = 1 selection, and the
+// graph memo asks for the statistic alongside a reverse build instead.
 //
 // Like ann.Source, the column statistic (CSLS's φ_t) is estimated from each
 // target row's KCol best scores, summed in descending-score order rather
@@ -141,8 +146,10 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 // ulps at KCol > 1 (KCol = 1 is pinned exact).
 func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
 	return matrix.SearchedParts(req, s.srcTab.Rows(), s.tgtTab.Rows(),
-		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwd, s.srcTab, c) },
-		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.rev, s.tgtTab, c) })
+		func(c int) ([]matrix.TopK, error) { return s.search(ctx, s.fwd, s.srcTab, c, 0, nil) },
+		func(c, kCol int, means []float64) ([]matrix.TopK, error) {
+			return s.search(ctx, s.rev, s.tgtTab, c, kCol, means)
+		})
 }
 
 // ProduceCandGraph implements matrix.CandGraphProducer: the forward

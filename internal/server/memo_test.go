@@ -39,17 +39,18 @@ func tierStat(t *testing.T, st map[string]any, key, tier string) float64 {
 // TestAlignRepeatServedFromMemo: the same /align twice returns byte-identical
 // bodies, the second without building a graph; a different matcher at the
 // same budget builds only the part it lacks; /statsz shows it per tier. CSLS
-// (k = 1) after RInf lacks the column means: the float ann tier reads them
-// off RInf's reverse graph (1 build, 3 hits, 1 derived), the SQ8 quant tier
-// must scan for them — its re-rank pool depends on the budget, so a reverse
-// head is not provably the column's best (2 builds, 2 hits, 0 derived).
+// (k = 1) after RInf needs the column means, and neither tier scans for
+// them again (1 build, 3 hits, 1 derived on both): the float ann tier reads
+// them off RInf's reverse graph, and the SQ8 quant tier — whose re-rank pool
+// depends on the budget, so a reverse head is not provably the column's
+// best — got them from RInf's reverse search as its by-product.
 func TestAlignRepeatServedFromMemo(t *testing.T) {
 	for _, tc := range []struct {
 		tier                  string
 		srv                   *Server
 		builds, hits, derived float64
 	}{
-		{"quant", newQuantServer(t, 4), 2, 2, 0},
+		{"quant", newQuantServer(t, 4), 1, 3, 1},
 		{"ann", newTestServer(t, Config{}), 1, 3, 1},
 	} {
 		h := tc.srv.Handler()

@@ -314,14 +314,21 @@ func memoTables(seed int64) (src, tgt *matrix.Dense) {
 	return table(40), table(33)
 }
 
+// How a memo comes by the k = 1 means after a reverse build.
+const (
+	readOffHead = iota // derived from the held reverse graph by the means call
+	builtAlong         // derived: returned with the reverse build itself
+)
+
 // TestMemoDerivedMeansEveryProducer pins the derivation's contract per
 // producer: after a reverse graph is held, the k = 1 column means a memo
 // hands out are bit for bit what the un-memoized
 // BuildCandGraphWithColMeans(src, c, 1) returns for the wrapped source —
-// derived (no build) where the source allows it, built where it does not.
+// read off the reverse graph where the source says its heads are the column
+// best, returned alongside the reverse build by the SQ8 producers.
 func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	cc := context.Background()
-	check := func(name string, raw matrix.TileSource, memo *matrix.GraphMemo, c int, derives bool) {
+	check := func(name string, raw matrix.TileSource, memo *matrix.GraphMemo, c int, how int) {
 		t.Helper()
 		if _, _, err := matrix.BuildCandGraphs(cc, memo, c, c); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -341,11 +348,15 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 			}
 		}
 		after := memo.Stats()
-		if derives && (after.Derived != before.Derived+1 || after.Builds != before.Builds || after.Passes != before.Passes) {
-			t.Fatalf("%s c=%d: %+v -> %+v, want the means derived without a build", name, c, before, after)
-		}
-		if !derives && (after.Derived != 0 || after.Builds != before.Builds+1) {
-			t.Fatalf("%s c=%d: %+v -> %+v, want the means built and nothing derived", name, c, before, after)
+		switch how {
+		case readOffHead:
+			if after.Derived != before.Derived+1 || after.Builds != before.Builds || after.Passes != before.Passes {
+				t.Fatalf("%s c=%d: %+v -> %+v, want the means derived without a build", name, c, before, after)
+			}
+		case builtAlong:
+			if before.Derived != 1 || before.Builds != 1 || after.Derived != 1 || after.Builds != 1 || after.Hits != before.Hits+1 {
+				t.Fatalf("%s c=%d: %+v -> %+v, want the means built with the reverse graph and served as a hit", name, c, before, after)
+			}
 		}
 	}
 
@@ -357,7 +368,7 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	for _, tc := range cases {
 		for _, c := range []int{1, 2, tc.S.Rows() + tc.S.Cols()} {
 			raw := &matrix.DenseTileSource{M: tc.S, TileRows: 2, TileCols: 3}
-			check(tc.Name, raw, matrix.Memo(raw), c, true)
+			check(tc.Name, raw, matrix.Memo(raw), c, readOffHead)
 		}
 	}
 
@@ -385,7 +396,7 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	srcQ, tgtQ := encode(sTab), encode(tTab)
 
 	plain := newANN()
-	check("ann", plain, matrix.Memo(plain), 5, true)
+	check("ann", plain, matrix.Memo(plain), 5, readOffHead)
 
 	// An IVF whose reverse index has an empty cell sitting exactly on target
 	// 0's row: at nprobe = 1 that column surfaces no neighbour, its reverse
@@ -415,25 +426,26 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	if cols, _ := revGraph.Row(0); len(cols) != 0 {
 		t.Fatalf("target 0 surfaced %d neighbours through an empty cell", len(cols))
 	}
-	check("ann-empty-column", sparse, matrix.Memo(sparse), 5, true)
+	check("ann-empty-column", sparse, matrix.Memo(sparse), 5, readOffHead)
 
 	sh, err := shard.NewSource(st, sTab, tTab, sim.Cosine, shard.Config{Shards: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("shard", sh, matrix.Memo(sh), 5, true)
+	check("shard", sh, matrix.Memo(sh), 5, readOffHead)
 
-	// SQ8 never derives: the re-rank pool grows with the budget. The ann
-	// source is switched after its memo was created — the memo asks per call.
+	// SQ8 never reads a head: the re-rank pool grows with the budget. It
+	// returns the means with the reverse build instead. The ann source is
+	// switched after its memo was created — the memo asks per call.
 	q, err := quant.NewSource(st, sTab, tTab, srcQ, tgtQ, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("quant", q, matrix.Memo(q), 5, false)
+	check("quant", q, matrix.Memo(q), 5, builtAlong)
 	toggled := newANN()
 	memo := matrix.Memo(toggled)
 	if err := toggled.EnableQuant(srcQ, tgtQ, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	check("ann+quant", toggled, memo, 5, false)
+	check("ann+quant", toggled, memo, 5, builtAlong)
 }
