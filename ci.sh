@@ -108,21 +108,23 @@ guards() {
 	go test -race -count=1 -short -cpu 1,2,4 -tags purego -run "$consumers" ./internal/matrix ./internal/sim ./internal/core ./internal/shard
 	go test -count=1 -run 'ConsumersReleaseBacking' ./internal/core
 
-	# Dense bodies. The dense SMat, RInf, Sinkhorn and Hungarian bodies run on
-	# one packed-key ranking primitive, one fused sweep per Sinkhorn iteration
-	# and one fused column pass per augmentation step (DESIGN.md §19), the
-	# last two on AVX2 kernels where the CPU has them; SinkhornSparse defers
-	# its column scale the same way. The -race legs hold the primitive to its
-	# stable-sort reference (−0.0 ties +0.0, both sides of the
-	# insertion/radix switch, rows aimed at each route of the long-row sort:
+	# Dense bodies. The dense SMat and RInf bodies run on one packed-key
+	# ranking primitive and Sinkhorn on one fused sweep per iteration, on AVX2
+	# kernels where the CPU has them (DESIGN.md §19); SinkhornSparse defers its
+	# column scale the same way. The dense Hungarian runs the sparse LAP
+	# search from a top-C₀ graph of the matrix, falling back to the whole
+	# dense row where a row's prefix runs out. The -race legs hold the
+	# primitive to its stable-sort reference (−0.0 ties +0.0, both sides of
+	# the insertion/radix switch, rows aimed at each route of the long-row sort:
 	# window radix alone, insertion fix-up, budget overrun and restart); the
 	# row-parallel finiteness gate to the first offender in row-major order
 	# and ColMax to a serial scan on ties across its strip boundaries; the
-	# sweep and LAP-step kernels to the Go
-	# bodies on every tier the host has (forced through internal/matrix's
-	# export_test.go: ragged rows and columns, eps-guarded rows, dead
-	# columns, signed zeros and ties at the pivot, whole rectangular,
-	# transposed and dummy-padded assignments); the four bodies and the two
+	# sweep kernels to the Go bodies on every tier the host has (forced
+	# through internal/matrix's export_test.go: ragged rows and columns,
+	# eps-guarded rows, dead columns, signed zeros); the Hungarian decider at
+	# start widths 1, 2, 8 and C₀ to the dense two-pass solver (an all-equal
+	# block and a dummy block wider than C₀ among the inputs), and its work on
+	# the digest D-Z task to pinned counts; the four bodies and the two
 	# orders that left sort.Slice to the pre-rewrite code kept in
 	# internal/core/reference_test.go — pairs, scores, abstentions and
 	# transform matrices bit for bit — RInf-pb, which runs the candidate-graph
@@ -135,7 +137,7 @@ guards() {
 	# again on the Go bodies alone. The plain leg adds what -race skips:
 	# zero allocations per ranked row on warm scratch and the Figure 5 time
 	# shape. The last line keeps BenchmarkDenseBodies compiling.
-	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|LAPScan|LAPSolve|HungarianMatchesReference|RInfPBMatchesReference|Orderings|SinkhornCancelMidSweep|FindNonFinite|ColMaxTiesAcrossStrips'
+	local dense='Ranking|DenseBodies|SinkhornDeferred|Table6MemoryOrder|SinkhornSweep|HungarianWorkOnDigestTask|HungarianMatchesReference|RInfPBMatchesReference|Orderings|SinkhornCancelMidSweep|FindNonFinite|ColMaxTiesAcrossStrips'
 	go test -race -count=1 -cpu 1,2,4 -run "$dense" ./internal/matrix ./internal/core
 	go test -race -count=1 -cpu 1,2,4 -tags purego -run "$dense" ./internal/matrix ./internal/core
 	go test -count=1 -run 'RankingAllocatesNothingWarm|Figure5TimeShape' ./internal/matrix ./internal/core
@@ -226,7 +228,6 @@ fuzz() {
 	go test -run='^$' -fuzz=FuzzCandGraph -fuzztime=30s ./internal/matrix/
 	go test -run='^$' -fuzz=FuzzRanking -fuzztime=30s ./internal/matrix/
 	go test -run='^$' -fuzz=FuzzSinkhornSweep -fuzztime=30s ./internal/matrix/
-	go test -run='^$' -fuzz=FuzzLAPStep -fuzztime=30s ./internal/matrix/
 	go test -run='^$' -fuzz=FuzzTileKernel -fuzztime=30s ./internal/matrix/
 	go test -run='^$' -fuzz=FuzzIVFQuery -fuzztime=30s ./internal/ann/
 	go test -run='^$' -fuzz=FuzzDotI8 -fuzztime=30s ./internal/quant/
@@ -337,8 +338,9 @@ layout() {
 	# the tile kernels, the IVF walker's f64 score loop, the quant rows
 	# kernels and two-phase tail (i8Kernel.finish, which also carries the
 	# column statistic), the per-Match finiteness gate and ColMax scans, and
-	# the sparse LAP solver — for a before/after diff of two checkouts. It
-	# checks nothing; symbols the compiler inlined away are absent.
+	# the LAP solver behind both Hungarian matchers — for a before/after diff
+	# of two checkouts. It checks nothing; symbols the compiler inlined away
+	# are absent.
 	local hot
 	layout_dir=$(mktemp -d)
 	trap 'rm -rf "$layout_dir"' EXIT

@@ -156,10 +156,17 @@ func TestExtraBytesAccounting(t *testing.T) {
 			return 2*int64(r)*int64(c)*4 + int64(r)*32 + int64(c)*8
 		}},
 		{"hungarian", HungarianDecider{}.ExtraBytes, func(r, c int) int64 {
-			if r <= c {
-				return int64(r)*16 + int64(c)*41
+			// The top-C₀ graph and the selections it is copied from, the
+			// search's arrays and its heap bound over the solved orientation
+			// (n ≤ m); tall inputs add Sᵀ and the rows-long assignment.
+			bound := func(n, m int64) int64 {
+				w := min(int64(lapStartWidth), m)
+				return n*w*12 + (n+1)*8 + n*(w*16+48) + (n+1)*8 + (m+1)*30 + m*12 + n*8 + (n*w+3*m)*12
 			}
-			return mb(r, c) + int64(c)*16 + int64(r)*41
+			if r <= c {
+				return bound(int64(r), int64(c))
+			}
+			return mb(r, c) + int64(r)*8 + bound(int64(c), int64(r))
 		}},
 	}
 	shapes := [][2]int{{5, 7}, {7, 5}, {40, 40}, {1, 1}}

@@ -12,11 +12,11 @@ import (
 // HungarianSparse solves the linear assignment problem restricted to a
 // candidate graph: Jonker–Volgenant shortest augmenting paths run over each
 // row's top-C candidate edges only, with a lazy-deletion binary heap ordered
-// by (distance, column) in place of the dense solver's O(cols) pivot scan,
-// and one-shot dual updates from the final distance labels. This is the same
-// arithmetic as the dense solveLAP, so at full candidate width
-// (C ≥ max(rows, cols)) the assignment is bit-identical to the dense
-// decider's.
+// by (distance, column) as the pivot order, and one-shot dual updates from
+// the final distance labels. The dense decider runs the same search
+// (solveSparseLAP) with whole dense rows behind its candidate prefixes, so at
+// full candidate width (C ≥ max(rows, cols)) the assignment is bit-identical
+// to the dense decider's.
 //
 // Below full width the restricted problem may be infeasible for some rows: a
 // row whose reachable region contains no free column abandons the search and
@@ -74,48 +74,26 @@ func (m *HungarianSparse) Match(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 
-	// assigned[i] = column of row i, or -1. Mirrors the dense decider: the
-	// solver always runs on the side with fewer rows.
-	assigned := make([]int, rows)
-	for i := range assigned {
-		assigned[i] = -1
+	// Mirrors the dense decider: the solver runs on the side with fewer
+	// rows, for tall inputs the reverse graph, whose rows are the original
+	// columns.
+	g := fwd
+	if rows > cols {
+		g = rev
 	}
-	if rows <= cols {
-		rowCol, _, err := solveSparseLAP(cc, fwd)
-		if err != nil {
-			return nil, err
-		}
-		copy(assigned, rowCol)
-	} else {
-		// More rows than columns: solve on the reverse graph, whose rows
-		// are the original columns.
-		colRow, _, err := solveSparseLAP(cc, rev)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range colRow {
-			if i >= 0 {
-				assigned[i] = j
-			}
-		}
+	solved, _, err := solveSparseLAP(cc, g, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	realCols := cols - ctx.NumDummies
-	pairs := make([]Pair, 0, rows)
-	var abstained []int
-	for i, j := range assigned {
-		if j < 0 || j >= realCols {
-			abstained = append(abstained, i)
-			continue
-		}
+	pairs, abstained := lapAnswer(solved, rows, cols-ctx.NumDummies, rows > cols, func(i, j int) float64 {
 		v, ok := edgeScore(fwd, i, j)
 		if !ok && rev != nil {
 			// Tall-matrix assignments come from the reverse graph; the edge
 			// may be outside row i's forward block.
 			v, _ = edgeScore(rev, j, i)
 		}
-		pairs = append(pairs, Pair{Source: i, Target: j, Score: v})
-	}
+		return v
+	})
 	// The graphs, the solver's dual/assignment/scratch arrays over the
 	// rows + columns of the solved orientation, the search heap (worst case
 	// one entry per candidate edge), and the streaming tile.
@@ -132,6 +110,36 @@ func (m *HungarianSparse) Match(ctx *Context) (*Result, error) {
 		Elapsed:    time.Since(start),
 		ExtraBytes: extra,
 	}, nil
+}
+
+// lapAnswer turns the solver's answer on the solved orientation into pairs
+// and abstentions: solved[r] is the column of graph row r, or -1, and a tall
+// input was solved transposed, so its answer is mapped back to the original
+// rows. A row left unassigned or assigned to one of the dummy columns from
+// realCols on abstains; score gives a pair's score.
+func lapAnswer(solved []int, rows, realCols int, tall bool, score func(i, j int) float64) ([]Pair, []int) {
+	assigned := solved // row -> column or -1
+	if tall {
+		assigned = make([]int, rows)
+		for i := range assigned {
+			assigned[i] = -1
+		}
+		for j, i := range solved {
+			if i >= 0 {
+				assigned[i] = j
+			}
+		}
+	}
+	pairs := make([]Pair, 0, rows)
+	var abstained []int
+	for i, j := range assigned {
+		if j < 0 || j >= realCols {
+			abstained = append(abstained, i)
+			continue
+		}
+		pairs = append(pairs, Pair{Source: i, Target: j, Score: score(i, j)})
+	}
+	return pairs, abstained
 }
 
 // edgeScore finds the stored score of edge (i, j) in g, scanning row i's
@@ -202,25 +210,52 @@ func (h *distHeap) pop() (float64, int32) {
 	return d0, j0
 }
 
+// compact drops the entries that can no longer pop — stale ones, whose
+// distance is not their column's label, and those of scanned columns — by
+// pushing the live ones again into the front of the same arrays. Pops come
+// in (distance, column) order over the live entries, so the sequence of
+// live pops is unchanged.
+func (h *distHeap) compact(dist []float64, scanned []bool) {
+	d, j := h.d, h.j
+	h.reset()
+	for x, c := range j {
+		if !scanned[c] && d[x] == dist[c] {
+			h.push(d[x], c)
+		}
+	}
+}
+
 // lapWork tallies one solveSparseLAP run: the candidate edges whose label
-// it computed, its heap pushes and the columns it scanned. A seed fixes all
-// three, so a change to the search can be held to them exactly.
+// it computed, its heap pushes, the columns it scanned (one row scan each)
+// and the row scans that went on to the whole dense row. A seed fixes all
+// four, so a change to the search can be held to them exactly.
 type lapWork struct {
-	relaxed, pushes, scanned int
+	relaxed, pushes, scanned, wholeRows int
 }
 
 // solveSparseLAP returns, for each graph row, the assigned column (-1 for
-// abandoned rows), maximizing total score over the candidate edges. It is
-// the restricted-edge twin of solveLAP: the same shortest-path formulation
-// over reduced costs (cost = −score − u − v), the same one-shot dual updates
-// from the final distance labels, the same strict-< relaxation and
-// (distance, column) lexicographic pivot order — realized with a
-// lazy-deletion binary heap and touch lists so one search step costs
-// O(C log) instead of O(cols). Columns inside failed alternating trees are
-// marked dead (see the HungarianSparse comment for the Hall argument) and
-// skipped by all later searches; a failure never occurs at full candidate
-// width, where every search reaches a free column, so the dense equivalence
-// is unaffected.
+// abandoned rows), maximizing total score over the candidate edges: per
+// free row, a Jonker–Volgenant shortest-path search over reduced costs
+// (cost = −score − u − v), with one-shot dual updates from the final
+// distance labels (u[p[j]] += df − dist[j], v[j] −= df − dist[j] over the
+// scanned columns), strict-< relaxation and (distance, column)
+// lexicographic pivot order — realized with a lazy-deletion binary heap and
+// touch lists so one search step costs O(C log) instead of O(cols). Columns
+// inside failed alternating trees are marked dead (see the HungarianSparse
+// comment for the Hall argument) and skipped by all later searches; a
+// failure never occurs at full candidate width, where every search reaches a
+// free column.
+//
+// With s non-nil (the dense decider), g holds a sorted prefix of every row
+// of s. A row scan whose prefix ends before the early exit below rules out
+// the rest of the row — its scores are at most the prefix's last — goes on
+// to relax the whole row of s in index order: for the search's first row,
+// after undoing its prefix, as the uncut search's first pass.
+// The order in which one row's columns are relaxed changes no pop, so every
+// search is the full-width one over s. A whole-row pass can push up to
+// cols entries, so the heap is compacted to its live entries whenever one
+// leaves it above 2·cols: it then never holds more than NNZ(g) + 3·cols
+// entries, and is made with that capacity.
 //
 // Two cuts skip work that cannot change the augmenting path; every pop,
 // label, dual update and assignment is the one the uncut search makes.
@@ -244,7 +279,7 @@ type lapWork struct {
 // nothing dead: a free column was reachable, so the region is no Hall
 // violator. No −Inf edge is ever matched, so the duals stay finite and every
 // label is finite or +Inf — the total order both cuts need.
-func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, error) {
+func solveSparseLAP(ctx context.Context, g *matrix.CandGraph, s *matrix.Dense) ([]int, lapWork, error) {
 	n, m := g.Rows(), g.Cols()
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
@@ -256,6 +291,13 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 	touched := make([]int32, 0, 256) // columns with a finite label, for reset
 	ready := make([]int32, 0, 256)   // scanned columns in pop order
 	var h distHeap
+	if s != nil {
+		// The bounds the dense search keeps within (see above).
+		h.d = make([]float64, 0, g.NNZ()+3*m)
+		h.j = make([]int32, 0, g.NNZ()+3*m)
+		touched = make([]int32, 0, 2*m)
+		ready = make([]int32, 0, m)
+	}
 	var work lapWork
 	vmax := 0.0 // the largest column dual
 	for j := range dist {
@@ -270,8 +312,10 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 		bd, bj := math.Inf(1), math.MaxInt // free-column bound
 		cand, scores := g.Row(i - 1)
 		ui := u[i]
+		whole := s != nil && len(cand) < m // the row goes on past its prefix
 		for x, c := range cand {
 			if -scores[x]-ui-vmax > bd {
+				whole = false
 				break
 			}
 			j := int(c) + 1
@@ -291,6 +335,35 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 			touched = append(touched, int32(j))
 			h.push(d, int32(j))
 			work.pushes++
+		}
+		if whole && (len(cand) == 0 || -scores[len(cand)-1]-ui-vmax <= bd) {
+			// Undo the prefix and run the uncut search's first pass over
+			// the whole row, in index order.
+			work.wholeRows++
+			for _, jc := range touched {
+				dist[jc] = math.Inf(1)
+			}
+			touched = touched[:0]
+			h.reset()
+			bd, bj = math.Inf(1), math.MaxInt
+			for jj, sc := range s.Row(i - 1) {
+				j := jj + 1
+				if dead[j] {
+					continue
+				}
+				d := -sc - ui - v[j]
+				if d > bd || (d == bd && j >= bj) {
+					continue
+				}
+				if p[j] == 0 {
+					bd, bj = d, j
+				}
+				dist[j] = d
+				pred[j] = 0
+				touched = append(touched, int32(j))
+				h.push(d, int32(j))
+				work.pushes++
+			}
 		}
 		jf := -1 // free column ending the shortest augmenting path
 		var df float64
@@ -316,8 +389,10 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 			i2 := p[j1]
 			u2 := u[i2]
 			cand2, scores2 := g.Row(i2 - 1)
+			whole := s != nil && len(cand2) < m
 			for x, c := range cand2 {
 				if d+(-scores2[x]-u2-vmax) > bd {
+					whole = false
 					break
 				}
 				j := int(c) + 1
@@ -339,6 +414,34 @@ func solveSparseLAP(ctx context.Context, g *matrix.CandGraph) ([]int, lapWork, e
 				pred[j] = jc
 				h.push(nd, int32(j))
 				work.pushes++
+			}
+			if whole && (len(cand2) == 0 || d+(-scores2[len(cand2)-1]-u2-vmax) <= bd) {
+				// The same relaxation over the whole row, in index order. A
+				// prefix column relaxed again keeps its label: the new one
+				// is the same, or cut by a bound that has only fallen.
+				// The bound test runs first: most of the row fails it.
+				work.wholeRows++
+				row := s.Row(i2 - 1)
+				for jj, vj := range v[1 : len(row)+1] {
+					nd := d + (-row[jj] - u2 - vj)
+					j := jj + 1
+					if nd > bd || scanned[j] || dead[j] || !(nd < dist[j]) || (nd == bd && j >= bj) {
+						continue
+					}
+					if math.IsInf(dist[j], 1) {
+						touched = append(touched, int32(j))
+					}
+					if p[j] == 0 {
+						bd, bj = nd, j
+					}
+					dist[j] = nd
+					pred[j] = jc
+					h.push(nd, int32(j))
+					work.pushes++
+				}
+				if h.len() > 2*m {
+					h.compact(dist, scanned)
+				}
 			}
 		}
 		switch {

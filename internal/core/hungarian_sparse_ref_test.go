@@ -351,3 +351,59 @@ func TestSparseLAPWorkOnDigestRung(t *testing.T) {
 		t.Fatalf("work %+v, reference %+v", gw, ww)
 	}
 }
+
+// TestHungarianWorkOnDigestTask runs the dense decider on the seed-1 D-Z task
+// of the answer digests (×0.012, RREA structure features, cosine) and pins
+// its work exactly: row scans, relaxed prefix edges, heap pushes and
+// whole-row passes. Its scanned columns are the dense two-pass solver's (one
+// row scan each, besides each search's first row on both sides); its
+// relaxed edges stay far below rows × cols, and the scores it reads (edges
+// plus whole rows) below a tenth of the solver's full row per search and per
+// scan. -v logs both.
+func TestHungarianWorkOnDigestTask(t *testing.T) {
+	p := datagen.DBP15KZhEn.Scaled(0.012)
+	p.Seed = p.Seed*1_000_003 + 1
+	d, err := datagen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, err := embed.Encode(d, embed.DefaultConfig(embed.ModelRREA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := eval.OneToOneTask(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.Matrix(emb.Source.SelectRows(task.SourceIDs), emb.Target.SelectRows(task.TargetIDs), sim.Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Rows() > s.Cols() {
+		t.Fatalf("%d×%d: the task is tall; the scan comparison below needs rows ≤ cols", s.Rows(), s.Cols())
+	}
+	got, err := core.HungarianWork(s, core.LAPStartWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, scans, err := refSolveLAP(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d×%d, C₀ = %d: %+v; the dense solver scanned %d columns, %d labels each",
+		s.Rows(), s.Cols(), core.LAPStartWidth, got, scans, s.Cols())
+	if got.Scanned != scans {
+		t.Fatalf("%d scanned columns, the dense solver scanned %d", got.Scanned, scans)
+	}
+	if want := (core.LAPWork{Relaxed: 2425, Pushes: 2895, Scanned: 741, WholeRows: 42}); got != want {
+		t.Fatalf("work %+v, pinned %+v", got, want)
+	}
+	if got.Relaxed*4 > s.Rows()*s.Cols() {
+		t.Fatalf("%d relaxed edges: not far below %d×%d", got.Relaxed, s.Rows(), s.Cols())
+	}
+	// Scores read: the prefixes' edges and the whole rows, against the
+	// dense solver's full row per search and per scan.
+	if read, dense := got.Relaxed+got.WholeRows*s.Cols(), (scans+s.Rows())*s.Cols(); read*10 > dense {
+		t.Fatalf("%d scores read, the dense solver %d", read, dense)
+	}
+}

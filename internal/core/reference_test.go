@@ -4,10 +4,11 @@ package core_test
 // ranking primitive and the fused Sinkhorn sweep — SMat's preference builds
 // over sort.Slice, RInf's Clone → SubRowVector → Apply passes and per-row
 // sort.Slice rank transform, Sinkhorn's three sweeps per iteration with a
-// serial column sum, Hungarian's two column passes per augmentation step —
-// kept verbatim (the matrix methods they called are inlined as ref* helpers)
-// as the references the production bodies must stay bit-identical to: same
-// pairs, same scores, same abstentions, same transform matrices.
+// serial column sum, Hungarian's dense solver with two column passes per
+// augmentation step — kept verbatim (the matrix methods they called are
+// inlined as ref* helpers) as the references the production bodies must stay
+// bit-identical to: same pairs, same scores, same abstentions, same
+// transform matrices.
 // SinkhornSparse's body before its column scale was deferred (three serial
 // CSR sweeps per iteration) is kept the same way, and so are the two orders
 // that left sort.Slice (Sink.-mb's column popularity, RL's confidence).
@@ -454,9 +455,10 @@ func (m refSinkhornSparse) Match(ctx *core.Context) (*core.Result, error) {
 	}, nil
 }
 
-// refHungarian is HungarianDecider.Decide before its augmentation step was
-// fused into one column pass, with solveLAP's two passes per step — the
-// relaxation, then the pivot scan — kept as they were.
+// refHungarian is HungarianDecider.Decide on its dense solver, before the
+// augmentation step was fused into one column pass and before the decider
+// moved onto the candidate-graph search: solveLAP with its two passes per
+// step — the relaxation, then the pivot scan — kept as it was.
 type refHungarian struct{ core.HungarianDecider }
 
 func (refHungarian) Decide(ctx *core.Context, s *matrix.Dense) ([]core.Pair, []int, error) {
@@ -468,12 +470,12 @@ func (refHungarian) Decide(ctx *core.Context, s *matrix.Dense) ([]core.Pair, []i
 	var rowOf []int
 	if rows <= cols {
 		var err error
-		rowOf, err = refSolveLAP(cc, s)
+		rowOf, _, err = refSolveLAP(cc, s)
 		if err != nil {
 			return nil, nil, err
 		}
 	} else {
-		rowAssign, err := refSolveLAP(cc, s.Transpose())
+		rowAssign, _, err := refSolveLAP(cc, s.Transpose())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -509,7 +511,9 @@ func (refHungarian) Decide(ctx *core.Context, s *matrix.Dense) ([]core.Pair, []i
 	return pairs, abstained, nil
 }
 
-func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
+// refSolveLAP returns, for each column, the row assigned to it (-1 if none),
+// with the number of column scans its searches made: one per scanned column.
+func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, int, error) {
 	n, m := s.Rows(), s.Cols()
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
@@ -518,6 +522,7 @@ func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 	dist := make([]float64, m+1)
 	scanned := make([]bool, m+1)
 	ready := make([]int, 0, m)
+	scans := 0
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
@@ -534,7 +539,7 @@ func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 		var df float64
 		for {
 			if err := ctxErr(ctx); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			j1 := -1
 			best := math.Inf(1)
@@ -567,6 +572,7 @@ func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 				}
 			}
 		}
+		scans += len(ready)
 		if jf < 0 {
 			continue
 		}
@@ -585,7 +591,7 @@ func refSolveLAP(ctx context.Context, s *matrix.Dense) ([]int, error) {
 	for j := 1; j <= m; j++ {
 		out[j-1] = p[j] - 1
 	}
-	return out, nil
+	return out, scans, nil
 }
 
 // refPartitionBatches is SinkhornBlocked's partitionBatches before its column
@@ -675,22 +681,49 @@ func TestOrderingsMatchReference(t *testing.T) {
 	}
 }
 
-// TestHungarianMatchesReferenceBody holds the decider on the fused LAP step
-// to the two-pass body — pairs, scores, abstentions — on the reference cases
-// (square, tall through the transposed problem, wide, ties, dummies).
+// TestHungarianMatchesReferenceBody holds the decider — the candidate-graph
+// search over the dense rows — to the dense two-pass body: pairs, scores,
+// abstentions, on the reference cases (square, tall through the transposed
+// problem, wide, ties, dummies) at its start width and at widths 1, 2 and 8,
+// where most row scans run out of candidates and fall back to the whole row.
+// Two inputs aim at that fallback at the start width too: an all-equal
+// block, where every row scan and every search's first pass takes it, and a
+// dummy block wider than the start width whose all-equal scores sit above
+// most real ones, so they fill most of every row's prefix (both checked).
 func TestHungarianMatchesReferenceBody(t *testing.T) {
-	for _, c := range referenceCases() {
+	rng := rand.New(rand.NewSource(67))
+	constant := matrix.New(50, 50)
+	constant.Fill(0.5)
+	dummies := conformance.WithDummyCols("wide-dummies-60x45+40", conformance.WellSeparated(rng, 60, 45), 40, 0.9)
+	cases := append(referenceCases(), conformance.Case{Name: "constant-50x50", S: constant}, dummies)
+	w, err := core.HungarianWork(constant, core.LAPStartWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.WholeRows != w.Scanned+constant.Rows() {
+		t.Fatalf("constant block: %d whole-row passes over %d row scans and %d searches, want one per scan and search", w.WholeRows, w.Scanned, constant.Rows())
+	}
+	if w, err = core.HungarianWork(dummies.S, core.LAPStartWidth); err != nil || w.WholeRows == 0 {
+		t.Fatalf("wide dummy block: no whole-row pass (%+v, %v)", w, err)
+	}
+	for _, c := range cases {
 		ctx := func() *core.Context { return &core.Context{S: c.S.Clone(), NumDummies: c.NumDummies} }
-		got, err := core.NewHungarian().Match(ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := core.NewComposite(core.NoneTransform{}, refHungarian{}, "Hun.").Match(ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !conformance.ResultsIdentical(got, want) {
-			t.Fatalf("%s: result diverged from the reference body: %s", c.Name, conformance.DescribeDiff(got, want))
+		for _, c0 := range []int{1, 2, 8, core.LAPStartWidth} {
+			m := core.NewHungarian()
+			if c0 != core.LAPStartWidth {
+				m = core.NewHungarianAt(c0)
+			}
+			got, err := m.Match(ctx())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !conformance.ResultsIdentical(got, want) {
+				t.Fatalf("%s at start width %d: result diverged from the reference body: %s", c.Name, c0, conformance.DescribeDiff(got, want))
+			}
 		}
 	}
 }

@@ -2,18 +2,17 @@ package matrix
 
 import "math"
 
-// This file holds the inner loops of the two assignment-style dense bodies in
-// internal/core: one Sinkhorn iteration (SinkhornSweep) and one step of the
-// Jonker–Volgenant shortest-augmenting-path search (LAPScan). Each loop has a
-// portable Go body and, on amd64 with AVX2, an assembly kernel
-// (assign_amd64.s) that produces the same bits: every value the Go body
-// rounds is rounded by the kernel in the same operation order, only more of
-// them at once. The Go bodies are the purego/non-amd64 fallback and the
-// reference the kernels are tested against (assign_test.go).
+// This file holds the inner loop of the dense Sinkhorn body in internal/core:
+// one Sinkhorn iteration (SinkhornSweep). Its two passes have portable Go
+// bodies and, on amd64 with AVX2, assembly kernels (assign_amd64.s) that
+// produce the same bits: every value the Go body rounds is rounded by the
+// kernel in the same operation order, only more of them at once. The Go
+// bodies are the purego/non-amd64 fallback and the reference the kernels are
+// tested against (assign_test.go).
 
-// assignAVX2 routes SinkhornSweep and LAPScan to their AVX2 kernels. It is the
-// package's CPUID gate (hasFastDot) read once at startup; only tests override
-// it (export_test.go).
+// assignAVX2 routes SinkhornSweep's row and column passes to their AVX2
+// kernels. It is the package's CPUID gate (hasFastDot) read once at startup;
+// only tests override it (export_test.go).
 var assignAVX2 = hasFastDot
 
 // sweepStripBytes sizes the row strips of SinkhornSweep: a strip is written
@@ -145,78 +144,4 @@ func addRows(acc, rows []float64) {
 			acc[j] += v
 		}
 	}
-}
-
-// LAPScan is the per-column state of one search of the dense shortest
-// augmenting path solver (internal/core's solveLAP), over reduced costs
-// −score − u − v. All four slices have one entry per column: the column
-// duals V, the distance labels Dist, the predecessor columns Pred (a caller's
-// column number; 0 is the search root) and whether a column is Scanned.
-//
-// A search is Init, then one Relax per scanned column. Each returns the
-// unscanned column with the smallest label — strict < in ascending column
-// order, so ties go to the smallest column — in the same pass over the
-// columns that updates the labels: the pivot scan and the relaxation of a
-// step are one sweep, not two.
-type LAPScan struct {
-	V, Dist []float64
-	Pred    []int
-	Scanned []bool
-}
-
-// lapLanes is where the AVX2 kernel leaves its four lanes' minima: lane l
-// holds the smallest label among the unscanned columns c ≡ l (mod 4) it
-// covered and the first such column, or index −1 when it saw none.
-type lapLanes struct {
-	v [4]float64
-	i [4]int
-}
-
-// Init starts a search from a row of scores with dual u: no column is
-// scanned, Dist[c] = −row[c] − u − V[c] and Pred[c] = 0 for every column. It
-// returns the column with the smallest label, or −1 when no label is below
-// +Inf.
-func (s *LAPScan) Init(row []float64, u float64) int {
-	clear(s.Scanned)
-	return s.scan(row, u, 0, 0, true)
-}
-
-// Relax relaxes every unscanned column through a pivot whose label is d and
-// whose assigned row is row with dual u: where nd = d + (−row[c] − u − V[c])
-// is strictly below Dist[c], Dist[c] = nd and Pred[c] = pred. It returns the
-// unscanned column with the smallest label afterwards, or −1.
-func (s *LAPScan) Relax(row []float64, u, d float64, pred int) int {
-	return s.scan(row, u, d, pred, false)
-}
-
-func (s *LAPScan) scan(row []float64, u, d float64, pred int, init bool) int {
-	dist := s.Dist
-	n := len(dist)
-	row, v, pr, sc := row[:n], s.V[:n], s.Pred[:n], s.Scanned[:n]
-	k, best, c := -1, math.Inf(1), 0
-	if assignAVX2 && n >= 4 {
-		var l lapLanes
-		lapScanAVX2(row, v, dist, pr, sc, u, d, pred, init, &l)
-		for x := range l.i {
-			if l.i[x] >= 0 && (l.v[x] < best || l.v[x] == best && l.i[x] < k) {
-				k, best = l.i[x], l.v[x]
-			}
-		}
-		c = n &^ 3
-	}
-	for ; c < n; c++ {
-		if sc[c] {
-			continue
-		}
-		x := -row[c] - u - v[c]
-		if init {
-			dist[c], pr[c] = x, pred
-		} else if nd := d + x; nd < dist[c] {
-			dist[c], pr[c] = nd, pred
-		}
-		if dist[c] < best {
-			k, best = c, dist[c]
-		}
-	}
-	return k
 }

@@ -21,15 +21,3 @@ func sweepRows8AVX2(rows, scale []float64, eps float64)
 //
 //go:noescape
 func addRows4AVX2(acc, rows []float64)
-
-// lapScanAVX2 is LAPScan.scan over the first len(dist)&^3 columns, leaving
-// each lane's smallest unscanned label and its first column in out for the
-// caller to reduce and continue over the ragged tail. The reduced cost is
-// ((−row[c]) − u) − v[c] with the negation a sign flip (−0 stays distinct
-// from 0 − x), relaxed as d + cost; labels and predecessors are replaced only
-// where the new label is strictly smaller and the column is unscanned, and a
-// lane takes a new minimum only on a strict <. With init, every label is
-// written and every predecessor set to pred. Implemented in assign_amd64.s.
-//
-//go:noescape
-func lapScanAVX2(row, v, dist []float64, pred []int, scanned []bool, u, d float64, predVal int, init bool, out *lapLanes)

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// The Sinkhorn sweep and LAP scan kernels (see assign_amd64.go). Registers
+// The Sinkhorn sweep kernels (see assign_amd64.go). Registers
 // are 256-bit only. Bit-identity with the Go bodies in assign.go rests on
 // three rules: every product is rounded on its own (VMULPD, never an FMA),
 // every sum keeps its serial operand order (one lane per row or column), and
@@ -25,13 +25,6 @@ DATA assignTailMask<>+72(SB)/8, $-1
 DATA assignTailMask<>+80(SB)/8, $-1
 DATA assignTailMask<>+88(SB)/8, $0
 GLOBL assignTailMask<>(SB), RODATA|NOPTR, $96
-
-// lapIota is the column offsets of the four lanes of a block.
-DATA lapIota<>+0(SB)/8, $0
-DATA lapIota<>+8(SB)/8, $1
-DATA lapIota<>+16(SB)/8, $2
-DATA lapIota<>+24(SB)/8, $3
-GLOBL lapIota<>(SB), RODATA|NOPTR, $32
 
 // TRANSPOSE4 turns four row vectors Y0..Y3 (rows a..d, columns j..j+3) into
 // four column vectors Y0..Y3 whose lanes are rows a..d. Clobbers Y4..Y7.
@@ -291,93 +284,5 @@ addscalar:
 	JNZ    addscalar
 
 adddone:
-	VZEROUPPER
-	RET
-
-// func lapScanAVX2(row, v, dist []float64, pred []int, scanned []bool, u, d float64, predVal int, init bool, out *lapLanes)
-//
-// Lane l covers columns c ≡ l (mod 4). Constants: Y15 the sign bit, Y14 u,
-// Y13 d, Y12 predVal, Y8 the lane step 4, Y7 zero. State: Y11 each lane's
-// smallest label (+Inf), Y10 its column (−1), Y9 the block's columns.
-TEXT ·lapScanAVX2(SB), NOSPLIT, $0-160
-	MOVQ         row_base+0(FP), SI
-	MOVQ         v_base+24(FP), R8
-	MOVQ         dist_base+48(FP), DI
-	MOVQ         dist_len+56(FP), CX
-	MOVQ         pred_base+72(FP), R9
-	MOVQ         scanned_base+96(FP), R10
-	VBROADCASTSD u+120(FP), Y14
-	VBROADCASTSD d+128(FP), Y13
-	VPBROADCASTQ predVal+136(FP), Y12
-	MOVBLZX      init+144(FP), R11
-	MOVQ         out+152(FP), BX
-	ANDQ         $-4, CX
-	VPCMPEQQ     Y15, Y15, Y15
-	VPSLLQ       $63, Y15, Y15
-	VPXOR        Y7, Y7, Y7
-	MOVQ         $0x7FF0000000000000, AX
-	MOVQ         AX, X11
-	VPBROADCASTQ X11, Y11
-	VPCMPEQQ     Y10, Y10, Y10
-	VMOVDQU      lapIota<>(SB), Y9
-	MOVQ         $4, AX
-	MOVQ         AX, X8
-	VPBROADCASTQ X8, Y8
-	XORQ         AX, AX
-	CMPQ         AX, CX
-	JGE          lapdone
-	TESTQ        R11, R11
-	JNZ          initblock
-
-	PCALIGN $64
-
-relaxblock:
-	// cost = ((−row) − u) − v; nd = d + cost.
-	VMOVUPD    (SI)(AX*8), Y0
-	VXORPD     Y15, Y0, Y0
-	VSUBPD     Y14, Y0, Y0
-	VSUBPD     (R8)(AX*8), Y0, Y0
-	VADDPD     Y13, Y0, Y0
-	// Update where nd < dist on an unscanned column.
-	VMOVUPD    (DI)(AX*8), Y1
-	VPMOVZXBQ  (R10)(AX*1), Y2
-	VPCMPEQQ   Y7, Y2, Y2
-	VCMPPD     $1, Y1, Y0, Y3
-	VANDPD     Y2, Y3, Y3
-	VBLENDVPD  Y3, Y0, Y1, Y1
-	VMOVUPD    Y1, (DI)(AX*8)
-	VMASKMOVPD Y12, Y3, (R9)(AX*8)
-	// Lane minimum over the unscanned labels.
-	VCMPPD     $1, Y11, Y1, Y4
-	VANDPD     Y2, Y4, Y4
-	VBLENDVPD  Y4, Y1, Y11, Y11
-	VBLENDVPD  Y4, Y9, Y10, Y10
-	VPADDQ     Y8, Y9, Y9
-	ADDQ       $4, AX
-	CMPQ       AX, CX
-	JLT        relaxblock
-	JMP        lapdone
-
-	PCALIGN $64
-
-initblock:
-	// dist = ((−row) − u) − v and pred = predVal on every column.
-	VMOVUPD   (SI)(AX*8), Y0
-	VXORPD    Y15, Y0, Y0
-	VSUBPD    Y14, Y0, Y0
-	VSUBPD    (R8)(AX*8), Y0, Y0
-	VMOVUPD   Y0, (DI)(AX*8)
-	VMOVDQU   Y12, (R9)(AX*8)
-	VCMPPD    $1, Y11, Y0, Y4
-	VBLENDVPD Y4, Y0, Y11, Y11
-	VBLENDVPD Y4, Y9, Y10, Y10
-	VPADDQ    Y8, Y9, Y9
-	ADDQ      $4, AX
-	CMPQ      AX, CX
-	JLT       initblock
-
-lapdone:
-	VMOVUPD Y11, (BX)
-	VMOVDQU Y10, 32(BX)
 	VZEROUPPER
 	RET

@@ -8,7 +8,3 @@ package matrix
 func sweepRows8AVX2(rows, scale []float64, eps float64) { panic("matrix: sweepRows8AVX2 without asm") }
 
 func addRows4AVX2(acc, rows []float64) { panic("matrix: addRows4AVX2 without asm") }
-
-func lapScanAVX2(row, v, dist []float64, pred []int, scanned []bool, u, d float64, predVal int, init bool, out *lapLanes) {
-	panic("matrix: lapScanAVX2 without asm")
-}

@@ -2,8 +2,8 @@ package matrix
 
 import "testing"
 
-// assignTiers lists the kernel tiers of SinkhornSweep and LAPScan this host
-// can run, best first: the AVX2 kernels where the CPUID gate allows them, and
+// assignTiers lists the kernel tiers of SinkhornSweep this host can run, best
+// first: the AVX2 kernels where the CPUID gate allows them, and
 // the Go bodies on every build.
 func assignTiers() []string {
 	if hasFastDot {
