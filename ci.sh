@@ -161,9 +161,10 @@ kernels() {
 	# The f64 tile kernel — MulTransposedBlockInto, behind every streamed tile,
 	# dense strip, Stream.Block and MulTransposed, and matrix.TileKernel,
 	# behind every probed run of the IVF walker — must emit the bits of the
-	# per-pair Dot4 whichever tier the machine picks: the 6-row AVX512VL kernel,
-	# the 3-row AVX2 kernel or the per-pair Go dispatch (internal/matrix's
-	# kernels.go). Inside internal/matrix the TileKernel tests force every tier
+	# per-pair Dot4 whichever tier the machine picks: the ZMM kernel of 6 rows
+	# by 2 targets (AVX512VL, with its one-target pass for an odd last
+	# target), the 3-row YMM AVX2 kernel or the per-pair Go dispatch
+	# (internal/matrix's kernels.go). Inside internal/matrix the TileKernel tests force every tier
 	# the host supports through export_test.go (ragged row groups, dimensions
 	# around the 16-element step, offsets, signed zeros and subnormals, in the
 	# tile's orientation and the walker's); the heap-layout and MulTransposed
@@ -385,6 +386,11 @@ ab() {
 	# "better" when it won at least 9 in 10 and its median gains more than
 	# the parent's interquartile distance. It exits 1 if a metric regressed.
 	# It adds no metric and no bound, and edits nothing under benchmark/.
+	# Each workload's report is also saved to
+	# .bench_build/ab/<parent>-<change>-seed<S>-<workload>.txt, commits as in
+	# the header line; an interrupt (INT or TERM, taken once the running
+	# harness returns) saves the report of the pairs the workload kept so far
+	# under the same name before exiting.
 	#   bash ci.sh ab [-n PAIRS] [-seed S] REF [WORKLOAD ...]
 	local pairs=10 seed=1
 	while [ $# -gt 0 ]; do
@@ -408,14 +414,20 @@ ab() {
 	git worktree remove --force "$ab_tree" 2>/dev/null || true
 	git worktree add --detach "$ab_tree" "$ref" >/dev/null
 	trap 'git -C "$ab_root" worktree remove --force "$ab_tree"' EXIT
-	echo "# ab: parent $(git -C "$ab_tree" rev-parse --short HEAD) vs change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pairs, seed $seed, --seconds $seconds"
+	local parent change header
+	parent=$(git -C "$ab_tree" rev-parse --short HEAD)
+	change=$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)
+	header="# ab: parent $parent vs change $change, $pairs pairs, seed $seed, --seconds $seconds"
+	echo "$header"
 	# Build both harnesses first, so no run's stall window holds a compile.
 	(cd "$ab_tree" && bash benchmark/run.sh -h) >/dev/null 2>&1
 	bash benchmark/run.sh -h >/dev/null 2>&1
 
-	local wl k try side c0 first dropped regressed=0
+	local wl k try side c0 first dropped report regressed=0
+	trap 'ab_interrupted; exit 130' INT TERM
 	for wl in "${workloads[@]}"; do
 		rm -rf "${runs:?}/$wl"
+		report=$ab_root/.bench_build/ab/$parent-$change-seed$seed-$wl.txt
 		dropped=0
 		for k in $(seq 1 "$pairs"); do
 			first=parent
@@ -448,9 +460,27 @@ ab() {
 				[ "$try" -lt 3 ] || rm -rf "${runs:?}/$wl/$k"
 			done
 		done
-		ab_report "$wl" "$runs/$wl" "$dropped" || regressed=1
+		k=
+		{ echo "$header" && ab_report "$wl" "$runs/$wl" "$dropped"; } | tee "$report" || regressed=1
 	done
+	trap - INT TERM
 	return $regressed
+}
+
+# ab_interrupted saves the interrupted workload's report over the pairs it
+# completed: the pair in progress (k) is discarded. ab's locals are in scope.
+ab_interrupted() {
+	[ -n "${wl:-}" ] && [ -n "${k:-}" ] || return 0
+	rm -rf "${runs:?}/$wl/$k"
+	if ! ls -d "$runs/$wl"/*/ >/dev/null 2>&1; then
+		echo "ab: $wl interrupted before its first pair completed; nothing saved" >&2
+		return 0
+	fi
+	{
+		echo "$header (interrupted in $wl pair $k)"
+		ab_report "$wl" "$runs/$wl" "$dropped"
+	} | tee "$report" || true
+	echo "ab: $wl interrupted; saved $report" >&2
 }
 
 # ab_report prints one workload's table from its pair directories

@@ -69,8 +69,9 @@ func checkTileAgainstDot4(t *testing.T, dst, a, b *Dense, aOff, bOff int) {
 // TestTileKernelTiersMatchDot4 holds every tile-kernel tier this host has —
 // vl6, rows3 and the per-pair Go dispatch — to Dot4 bit for bit: 0–13 source
 // rows (every remainder mod 6 and mod 3), dimensions on both sides of the
-// 16-element vector step and of its multiples, 0 to 4, 511 and 513 target
-// rows, nonzero offsets into both tables, and tables with signed zeros and
+// 16-element vector step and of its multiples, 0 to 4 and 511 to 513 target
+// rows (vl6's two-target steps with and without its one-target pass),
+// nonzero offsets into both tables, and tables with signed zeros and
 // subnormals; each in the tile orientation and in the walker's.
 func TestTileKernelTiersMatchDot4(t *testing.T) {
 	const aOff, bOff = 3, 5
@@ -78,8 +79,8 @@ func TestTileKernelTiersMatchDot4(t *testing.T) {
 		t.Run(tier, func(t *testing.T) {
 			forceTileTier(t, tier)
 			rng := rand.New(rand.NewSource(43))
-			for _, d := range []int{1, 15, 16, 17, 20, 128, 130} {
-				for _, cols := range []int{0, 1, 2, 3, 4, 511, 513} {
+			for _, d := range []int{1, 15, 16, 17, 20, 31, 32, 128, 130} {
+				for _, cols := range []int{0, 1, 2, 3, 4, 511, 512, 513} {
 					a := tileOperand(rng, aOff+13+2, d)
 					b := tileOperand(rng, bOff+cols+1, d)
 					for rows := 0; rows <= 13; rows++ {
@@ -139,6 +140,29 @@ func FuzzTileKernel(f *testing.F) {
 			checkTileAgainstDot4(t, New(rows, cols), a, b, aOff, bOff)
 		}
 	})
+}
+
+// BenchmarkTileKernel times each tile-kernel tier in cache on one goroutine:
+// 252 source rows against 512 target rows at d = 128 (1.5 MiB of operands),
+// the shape of one streamed tile's row strip. It reports GFLOP/s, two flops
+// per multiply-add, for comparison with the core's FMA peak (DESIGN §17).
+//
+//	go test -run '^$' -bench TileKernel ./internal/matrix
+func BenchmarkTileKernel(b *testing.B) {
+	const rows, n, d = 252, 512, 128
+	rng := rand.New(rand.NewSource(47))
+	// Normal values only: a subnormal operand costs a microcode assist.
+	x, y := randMatrix(rng, rows, d), randMatrix(rng, n, d)
+	out := make([]float64, rows*n)
+	for _, tier := range tileTiers() {
+		b.Run(tier, func(b *testing.B) {
+			forceTileTier(b, tier)
+			for i := 0; i < b.N; i++ {
+				TileKernel(out, x.data, y.data, rows, d, n)
+			}
+			b.ReportMetric(2*rows*n*d*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+	}
 }
 
 // TestDotBlockRowsMatchesDot4 pins the per-pair shim benchmark/probes.go

@@ -145,7 +145,8 @@ func (noopConsumer) ConsumeTile(int, int, *matrix.Dense) {}
 // StreamParts pass each. Every leg reports Mpair/s; the selecting legs also
 // report x-scan, their time over the scan leg's (when that ran first, as it
 // does unfiltered) — the select-over-scan ratio benchmark/README.md reads as
-// matrix.candgraph_s / sim.stream_s.
+// matrix.candgraph_s / sim.stream_s. The scan leg also reports GFLOP/s, two
+// flops per multiply-add, for comparison with the core's FMA peak (DESIGN §17).
 //
 //	go test -run '^$' -bench StreamParts -benchtime 5x ./internal/sim
 func BenchmarkStreamParts(b *testing.B) {
@@ -171,6 +172,7 @@ func BenchmarkStreamParts(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(n)/ns*1e3, "Mpair/s")
 			if name == "scan" {
 				scanNS = ns
+				b.ReportMetric(2*float64(n)*float64(n)*float64(d)/ns, "GFLOP/s")
 			} else if scanNS > 0 {
 				b.ReportMetric(ns/scanNS, "x-scan")
 			}
