@@ -461,7 +461,8 @@ ab() {
 			done
 		done
 		k=
-		{ echo "$header" && ab_report "$wl" "$runs/$wl" "$dropped"; } | tee "$report" || regressed=1
+		echo "$header" >"$report"
+		ab_report "$wl" "$runs/$wl" "$dropped" | tee -a "$report" || regressed=1
 	done
 	trap - INT TERM
 	return $regressed
@@ -476,10 +477,8 @@ ab_interrupted() {
 		echo "ab: $wl interrupted before its first pair completed; nothing saved" >&2
 		return 0
 	fi
-	{
-		echo "$header (interrupted in $wl pair $k)"
-		ab_report "$wl" "$runs/$wl" "$dropped"
-	} | tee "$report" || true
+	echo "$header (interrupted in $wl pair $k)" | tee "$report"
+	ab_report "$wl" "$runs/$wl" "$dropped" | tee -a "$report" || true
 	echo "ab: $wl interrupted; saved $report" >&2
 }
 
