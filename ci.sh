@@ -164,10 +164,11 @@ kernels() {
 	# per-pair Dot4 whichever tier the machine picks: the ZMM kernel of 6 rows
 	# by 2 targets (AVX512VL, with its one-target pass for an odd last
 	# target), the 3-row YMM AVX2 kernel or the per-pair Go dispatch
-	# (internal/matrix's kernels.go). Inside internal/matrix the TileKernel tests force every tier
-	# the host supports through export_test.go (ragged row groups, dimensions
-	# around the 16-element step, offsets, signed zeros and subnormals, in the
-	# tile's orientation and the walker's); the heap-layout and MulTransposed
+	# (internal/matrix's kernels.go). Inside internal/matrix the TileKernel
+	# tests force every tier the host supports through export_test.go
+	# (ragged row groups, dimensions around the 16-element step, odd and even
+	# target counts, offsets, signed zeros and subnormals, in the tile's
+	# orientation and the walker's); the heap-layout and MulTransposed
 	# tests, internal/sim's one tile loop (tiles, Block and the dense matrix
 	# against sim.Matrix, per metric and table kind) and
 	# internal/conformance's blocked-kernel pins run on the host's best tier,

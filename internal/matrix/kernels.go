@@ -18,10 +18,11 @@ package matrix
 // similarity pass is >75 % of a streamed sparse match, so this is the single
 // highest-leverage kernel in the repository — and the cosine tile kernel
 // runs groups of 6 rows against 2 targets per step in ZMM registers
-// (AVX512VL) or 3 rows against 1 target in YMM registers (AVX2) per assembly
-// call (tile_amd64.s), each pair with the same arithmetic. Everywhere else (-tags
-// purego, other architectures, CPUs without AVX2+FMA) dotFMA runs in Go and
-// returns the same bits, so a score does not depend on the build or the CPU.
+// (AVX512VL) or 3 rows against 1 target in YMM registers (AVX2) per
+// assembly call (tile_amd64.s), each pair with the same arithmetic.
+// Everywhere else (-tags purego, other architectures, CPUs without
+// AVX2+FMA) dotFMA runs in Go and returns the same bits, so a score does not
+// depend on the build or the CPU.
 // Shorter vectors take dotUnroll4 on every build. The dispatch is decided
 // once at startup from CPUID. The one order costs the builds without the
 // assembly: on an amd64 CPU without hardware FMA, math.FMA is emulated in
@@ -145,8 +146,8 @@ func negManhattan(a, b []float64) float64 {
 
 // tileWidth is the source-row group of the widest tile kernel this process
 // runs, picked once from CPUID: 6 (tileRows6VL, the ZMM 6×2 kernel,
-// AVX512VL), 3 (tileRows3AVX2, AVX2+FMA) or 1 (the per-pair dot). Only tests override it
-// (export_test.go).
+// AVX512VL), 3 (tileRows3AVX2, AVX2+FMA) or 1 (the per-pair dot). Only tests
+// override it (export_test.go).
 var tileWidth = bestTileWidth()
 
 func bestTileWidth() int {
