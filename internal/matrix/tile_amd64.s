@@ -11,9 +11,9 @@
 // pair the kernels keep dotAVX2's four 4-lane accumulators (lane l of
 // accumulator q sums elements i with i mod 16 == 4q+l), its lanewise
 // (acc0+acc1)+(acc2+acc3) tree, its cross-lane (l0+l2)+(l1+l3) reduction and
-// its sequential scalar-FMA tail over the last d mod 16 elements. Only which
-// operand sits in a register at the FMA differs (the target chunk here, the
-// source chunk there), and FP multiplication is exactly commutative.
+// its sequential scalar-FMA tail over the last d mod 16 elements. Only the
+// order of the two multiplicands at the FMA may differ from dotAVX2's, and FP
+// multiplication is exactly commutative.
 //
 // Arguments of both kernels: a holds the group's source rows (d each,
 // row-major), b holds n target rows (d each), out holds the group's output
@@ -161,8 +161,8 @@ done3:
 // Six source rows against two target rows per step, in ZMM registers. Pair
 // (row j, target t) keeps dotAVX2's four 4-lane accumulators as two 8-lane
 // ones: ZMM a holds lanes 0–7 (acc0 in its low half, acc1 in its high half)
-// and ZMM b lanes 8–15 (acc2, acc3), so every FMA is the same lanewise FMA as
-// before. The accumulators of pair (j, t) are Z(4j+2t) and Z(4j+2t+1)
+// and ZMM b lanes 8–15 (acc2, acc3), so every FMA is lanewise the one
+// dotAVX2 does. The accumulators of pair (j, t) are Z(4j+2t) and Z(4j+2t+1)
 // (Z0–Z23), the two targets' chunks Z24–Z27, the source row's chunks Z28/Z29.
 // A last odd target (and n = 1, the indexed walker's call) takes a one-target
 // pass over the t = 0 accumulators with the same reduction and registers.
