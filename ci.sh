@@ -463,7 +463,7 @@ ab() {
 		done
 		k=
 		echo "$header" >"$report"
-		ab_report "$wl" "$runs/$wl" "$dropped" | tee -a "$report" || regressed=1
+		ab_report "$wl" "$runs/$wl" "$dropped" "$pairs" | tee -a "$report" || regressed=1
 	done
 	trap - INT TERM
 	return $regressed
@@ -479,14 +479,18 @@ ab_interrupted() {
 		return 0
 	fi
 	echo "$header (interrupted in $wl pair $k)" | tee "$report"
-	ab_report "$wl" "$runs/$wl" "$dropped" | tee -a "$report" || true
+	ab_report "$wl" "$runs/$wl" "$dropped" "$pairs" | tee -a "$report" || true
 	echo "ab: $wl interrupted; saved $report" >&2
 }
 
 # ab_report prints one workload's table from its pair directories
-# (<pair>/<side>/results.jsonl) and fails if a metric regressed.
+# (<pair>/<side>/results.jsonl) and fails if a metric regressed. A set that
+# kept fewer pairs than the requested N (an interrupt, or a pair dropped on
+# every try) is short: its header says so and no row gets a verdict — no
+# "better", and --compare's ok/unresolved/regressed reads "short" — though a
+# metric past its bound still fails it.
 ab_report() {
-	local wl=$1 dir=$2 dropped=$3 k side table wins status=0
+	local wl=$1 dir=$2 dropped=$3 want=$4 k side table wins kept size status=0
 	for side in parent change; do
 		cat "$dir"/*/$side/results.jsonl >"$dir/$side.jsonl"
 	done
@@ -498,16 +502,21 @@ ab_report() {
 		BEGIN { nl = split(better, l, "\n"); for (i = 1; i <= nl; i++) { split(l[i], f, "\t"); d[f[1]] = f[2] } }
 		$1 in d { n[$1]++; if (d[$1] == "lower" ? $3 < $2 : $3 > $2) w[$1]++ }
 		END { for (m in n) print m, w[m] + 0, n[m] }')
-	echo "## $wl: $(ls -d "$dir"/*/ | wc -l) pairs kept, $dropped tries dropped, failed operations parent $(jq -s 'map(.failed) | add' "$dir/parent.jsonl"), change $(jq -s 'map(.failed) | add' "$dir/change.jsonl")"
+	kept=$(ls -d "$dir"/*/ | wc -l)
+	size="$kept pairs kept"
+	[ "$kept" -eq "$want" ] || size="short: $kept of $want pairs"
+	echo "## $wl: $size, $dropped tries dropped, failed operations parent $(jq -s 'map(.failed) | add' "$dir/parent.jsonl"), change $(jq -s 'map(.failed) | add' "$dir/change.jsonl")"
 	# "worse" and "spread A" are percent of the parent's median, so the change
 	# gains more than the parent's interquartile distance when -worse > spread A.
-	awk -v wins="$wins" '
+	awk -v wins="$wins" -v short=$((kept != want)) '
 		BEGIN { nl = split(wins, l, "\n"); for (i = 1; i <= nl; i++) { split(l[i], f, " "); w[f[1]] = f[2]; p[f[1]] = f[3] } }
 		$1 == "workload" { print $0 "  won"; next }
+		short { sub(/  (ok|unresolved|regressed) \(n=/, "  short (n="); print $0 "  " w[$2] "/" p[$2]; next }
 		{
 			gain = -($5 + 0); n = p[$2]
 			print $0 "  " w[$2] "/" n (gain > $7 + 0 && w[$2] >= int((9 * n + 9) / 10) ? " better" : "")
 		}' <<<"$table"
+	[ "$status" -eq 0 ] || [ "$kept" -eq "$want" ] || echo "## $wl: a metric is past its bound on this short set"
 	return $status
 }
 

@@ -278,10 +278,11 @@ func TestSourceDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildCandGraph(ann): %v", err)
 	}
-	g2, err := as.ProduceCandGraph(ctx, 6)
+	parts, err := as.ProduceParts(ctx, matrix.GraphRequest{C: 6})
 	if err != nil {
-		t.Fatalf("ProduceCandGraph: %v", err)
+		t.Fatalf("ProduceParts: %v", err)
 	}
+	g2 := parts.Fwd
 	assertGraphsEqual(t, "dispatch", g1, g2)
 	full := as.WithNProbe(10)
 	built, err := as.ForwardIndex(ctx)
@@ -291,7 +292,7 @@ func TestSourceDispatch(t *testing.T) {
 	if shared, err := full.ForwardIndex(ctx); err != nil || shared != built {
 		t.Errorf("WithNProbe view does not share index state (err %v)", err)
 	}
-	gf, err := full.ProduceCandGraph(ctx, 6)
+	gf, err := matrix.BuildCandGraph(ctx, full, 6)
 	if err != nil {
 		t.Fatalf("ProduceCandGraph(full): %v", err)
 	}

@@ -168,7 +168,7 @@ func TestSourceQuantMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotF, gotR, err := annSrc.ProduceCandGraphs(cc, 7, 7)
+	gotF, gotR, err := matrix.BuildCandGraphs(cc, annSrc, 7, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,25 +279,12 @@ func (s *Source) nprobeFor(ivf *IVF) int {
 	return Config{Clusters: ivf.k}.withDefaults(ivf.n).NProbe
 }
 
-var _ matrix.RevHeadProducer = (*Source)(nil)
-
-// RevHeadIsColBest implements matrix.RevHeadProducer. The float search scores
-// the cells nprobe selects whatever the budget, so a reverse row's head is
-// the column's KCol = 1 selection; with SQ8 on, the re-rank pool grows with
-// the budget and a wider search can surface a better head.
-func (s *Source) RevHeadIsColBest() bool {
-	on, _, _ := s.quantCfg()
-	return !on
-}
-
 // ProduceParts implements matrix.PartsProducer through matrix.SearchedParts.
 // The forward graph queries the index over the target table with the source
 // rows; the reverse graph and the column statistic query the mirror index
 // over the source table with the target rows, one search for both when
-// KCol <= CRev. Nothing is derived from a held part here; the graph memo
-// reads KCol = 1 off a held reverse graph while SQ8 is off
-// (RevHeadIsColBest) and asks for it alongside a reverse build while it is
-// on.
+// KCol <= CRev — which is how the graph memo gets CSLS's k = 1 statistic
+// with every reverse build it makes while holding no means.
 //
 // The column statistic (CSLS's φ_t: per-target mean of its KCol best scores)
 // is an estimate: at partial nprobe a column that surfaces fewer than KCol
@@ -312,22 +299,4 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 		func(c, kCol int, means []float64) ([]matrix.TopK, error) {
 			return s.search(ctx, s.revIndex, s.tgtTab, c, kCol, means)
 		})
-}
-
-// ProduceCandGraph implements matrix.CandGraphProducer: the forward
-// candidate graph from the index instead of the exhaustive pass.
-func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	return matrix.PartsCandGraph(ctx, s, c)
-}
-
-// ProduceCandGraphs implements matrix.CandGraphProducer; the reverse graph
-// comes from the mirror index over the source table.
-func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	return matrix.PartsCandGraphs(ctx, s, c, cRev)
-}
-
-// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer; see
-// ProduceParts for how the column statistic is estimated.
-func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }

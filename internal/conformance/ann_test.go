@@ -170,7 +170,7 @@ func TestANNGraphExactAtFullCoverage(t *testing.T) {
 				if err != nil {
 					t.Fatalf("exact C=%d: %v", c, err)
 				}
-				gotF, gotR, err := src.ProduceCandGraphs(cc, c, c)
+				gotF, gotR, err := matrix.BuildCandGraphs(cc, src, c, c)
 				if err != nil {
 					t.Fatalf("ann C=%d: %v", c, err)
 				}
@@ -185,7 +185,7 @@ func TestANNGraphExactAtFullCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("exact colmeans: %v", err)
 			}
-			gotG, gotM, err := src.ProduceCandGraphWithColMeans(cc, 3, 1)
+			gotG, gotM, err := matrix.BuildCandGraphWithColMeans(cc, src, 3, 1)
 			if err != nil {
 				t.Fatalf("ann colmeans: %v", err)
 			}
@@ -271,7 +271,7 @@ func TestANNRecallMonotoneAndFloored(t *testing.T) {
 			prev := -1.0
 			var atHalf float64
 			for np := 1; np <= k; np++ {
-				g, err := src.WithNProbe(np).ProduceCandGraph(cc, c)
+				g, err := matrix.BuildCandGraph(cc, src.WithNProbe(np), c)
 				if err != nil {
 					t.Fatalf("nprobe=%d: %v", np, err)
 				}
@@ -307,18 +307,18 @@ func TestANNDeterministicAcrossBuilds(t *testing.T) {
 			_, srcA := annSource(t, tc, cfg)
 			_, srcB := annSource(t, tc, cfg)
 			c := min(6, tc.Tgt.Rows())
-			gA, err := srcA.ProduceCandGraph(cc, c)
+			gA, err := matrix.BuildCandGraph(cc, srcA, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gB, err := srcB.ProduceCandGraph(cc, c)
+			gB, err := matrix.BuildCandGraph(cc, srcB, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !graphsIdentical(gA, gB) {
 				t.Fatal("same-seed builds produced different graphs")
 			}
-			gA2, err := srcA.ProduceCandGraph(cc, c)
+			gA2, err := matrix.BuildCandGraph(cc, srcA, c)
 			if err != nil {
 				t.Fatal(err)
 			}

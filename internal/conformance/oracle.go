@@ -184,14 +184,16 @@ func OracleSinkhorn(s *matrix.Dense, l int, tau float64) *matrix.Dense {
 // OracleAssignmentValue returns the maximum total score of a complete
 // assignment of the smaller side of s to distinct members of the larger side,
 // by exhaustive bitmask dynamic programming. It certifies the Hungarian
-// decider's optimality; the larger dimension must be at most 20.
+// decider's optimality. Up to 20 columns the mask runs over the columns;
+// wider matrices take oracleWideAssignment, whose mask runs over the at most
+// 16 rows.
 func OracleAssignmentValue(s *matrix.Dense) (float64, error) {
 	if s.Rows() > s.Cols() {
 		return OracleAssignmentValue(s.Transpose())
 	}
 	n, m := s.Rows(), s.Cols()
 	if m > 20 {
-		return 0, fmt.Errorf("conformance: exhaustive assignment limited to 20 columns, got %d", m)
+		return oracleWideAssignment(s)
 	}
 	ninf := math.Inf(-1)
 	size := 1 << m
@@ -225,6 +227,37 @@ func OracleAssignmentValue(s *matrix.Dense) (float64, error) {
 		}
 	}
 	return ans, nil
+}
+
+// oracleWideAssignment is OracleAssignmentValue for rows ≤ 16 < cols: the
+// columns are taken in order, and best[mask] is the largest total of the rows
+// in mask assigned to distinct columns among those taken so far.
+func oracleWideAssignment(s *matrix.Dense) (float64, error) {
+	n, m := s.Rows(), s.Cols()
+	if n > 16 {
+		return 0, fmt.Errorf("conformance: exhaustive assignment over %d columns limited to 16 rows, got %d", m, n)
+	}
+	ninf := math.Inf(-1)
+	best := make([]float64, 1<<n)
+	for mask := 1; mask < len(best); mask++ {
+		best[mask] = ninf
+	}
+	for j := 0; j < m; j++ {
+		// Descending masks read only entries column j has not yet extended.
+		for mask := len(best) - 1; mask >= 0; mask-- {
+			if best[mask] == ninf {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) == 0 {
+					if v := best[mask] + s.At(i, j); v > best[mask|1<<i] {
+						best[mask|1<<i] = v
+					}
+				}
+			}
+		}
+	}
+	return best[len(best)-1], nil
 }
 
 func popcount(x int) int {

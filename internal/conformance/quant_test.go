@@ -62,7 +62,7 @@ func TestQuantGraphExactVsExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("exact C=%d: %v", c, err)
 				}
-				gotF, gotR, err := src.ProduceCandGraphs(cc, c, c)
+				gotF, gotR, err := matrix.BuildCandGraphs(cc, src, c, c)
 				if err != nil {
 					t.Fatalf("quant C=%d: %v", c, err)
 				}
@@ -77,7 +77,7 @@ func TestQuantGraphExactVsExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("exact colmeans: %v", err)
 			}
-			gotG, gotM, err := src.ProduceCandGraphWithColMeans(cc, 3, 1)
+			gotG, gotM, err := matrix.BuildCandGraphWithColMeans(cc, src, 3, 1)
 			if err != nil {
 				t.Fatalf("quant colmeans: %v", err)
 			}
@@ -121,11 +121,11 @@ func TestQuantGraphMatchesFloatIVF(t *testing.T) {
 					t.Fatalf("EnableQuant: %v", err)
 				}
 				c := min(5, tc.Tgt.Rows())
-				wantF, wantR, err := floatSrc.ProduceCandGraphs(cc, c, c)
+				wantF, wantR, err := matrix.BuildCandGraphs(cc, floatSrc, c, c)
 				if err != nil {
 					t.Fatalf("float IVF nprobe=%d: %v", nprobe, err)
 				}
-				gotF, gotR, err := qSrc.ProduceCandGraphs(cc, c, c)
+				gotF, gotR, err := matrix.BuildCandGraphs(cc, qSrc, c, c)
 				if err != nil {
 					t.Fatalf("quant IVF nprobe=%d: %v", nprobe, err)
 				}

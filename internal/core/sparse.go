@@ -13,9 +13,10 @@ import (
 // needed) and run the matching logic over the O(rows·C) edges alone, which
 // is what lets the paper's heaviest algorithms — RInf, Hungarian, SMat — run
 // at DWY100K scale without the dense matrix. The graphs come from the
-// matrix.BuildCandGraph* entry points: one tiled pass over the score stream
-// when nothing is held, and on a prepared Run — whose tile source sits
-// behind a matrix.GraphMemo — only the parts no earlier matcher has built.
+// matrix.BuildCandGraph* entry points: one tiled pass over the score stream,
+// or the source's own PartsProducer, when nothing is held, and on a prepared
+// Run — whose tile source sits behind a matrix.GraphMemo — only the parts no
+// earlier matcher has built.
 // Graphs obtained this way are shared and read-only; a twin that needs
 // scratch (SinkhornSparse) clones.
 //
@@ -47,8 +48,8 @@ func sparseSource(ctx *Context) (matrix.TileSource, int, int, error) {
 // evaluated only on u's top-C candidates. φ_t comes from a fused per-column
 // top-K consumer — in the same tiled pass as the graph on a cold source; when
 // the run's memo already holds the graph, in a pass of its own carrying only
-// the column heaps, or at K = 1 with no pass at all where the memo can read
-// it off a held reverse graph (matrix.GraphMemo). φ_s is the mean of the
+// the column heaps, or at K = 1 with no pass at all when the memo took it
+// with an earlier reverse build (matrix.GraphMemo). φ_s is the mean of the
 // first K stored candidates, which for C >= K is exactly the dense top-K
 // mean.
 type CSLSSparse struct {

@@ -216,7 +216,7 @@ func TestProducerComposition(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := got.ProduceCandGraph(ctx, sparse.CandidateBudget); err != nil {
+					if _, err := matrix.BuildCandGraph(ctx, got, sparse.CandidateBudget); err != nil {
 						t.Fatal(err)
 					}
 					if after, err := got.ForwardIndex(ctx); err != nil || after != ivf {

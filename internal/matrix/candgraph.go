@@ -135,12 +135,11 @@ func (g *CandGraph) ColSortedClone() *CandGraph {
 	return out
 }
 
-// CandGraphProducer is implemented by tile sources that can produce
-// candidate graphs directly — without streaming every score of the matrix —
-// such as the IVF approximate-nearest-neighbor index in internal/ann. The
-// Build* entry points below dispatch to a producer when the source
-// implements one, so every sparse matcher transparently consumes approximate
-// candidates when the pipeline installs such a source.
+// CandGraphProducer is the three-call surface of a tile source that answers
+// candidate-graph requests itself instead of being streamed exhaustively.
+// The Build* entry points below dispatch to it first; in this module
+// GraphMemo is the one implementation, and the engines (ann, quant, shard)
+// implement PartsProducer.
 //
 // Producers own the clamping of budgets to the matrix shape and must return
 // graphs satisfying the CandGraph CSR contract (rows in (value desc, index
@@ -179,11 +178,11 @@ type GraphParts struct {
 	ColMeans []float64
 }
 
-// PartsProducer is the one entry point behind a CandGraphProducer: every
-// part independently requestable, so no caller pays for a forward graph it
-// already has. The in-tree producers (ann, quant, shard, the memo) implement
-// this and express their three Produce* methods through the Parts* adapters
-// below.
+// PartsProducer is the producer contract: every part independently
+// requestable, so no caller pays for a forward graph it already has. The
+// in-tree engines (ann, quant, shard) and the memo implement it; the Build*
+// entry points reach it through the parts* adapters below, under the same
+// producer contract as CandGraphProducer.
 type PartsProducer interface {
 	Dims() (rows, cols int)
 	ProduceParts(ctx context.Context, req GraphRequest) (GraphParts, error)
@@ -205,8 +204,8 @@ func checkBuild(src TileSource, c int) error {
 	return checkBudget(c)
 }
 
-// PartsCandGraph is ProduceCandGraph over a PartsProducer.
-func PartsCandGraph(ctx context.Context, p PartsProducer, c int) (*CandGraph, error) {
+// partsCandGraph is ProduceCandGraph over a PartsProducer.
+func partsCandGraph(ctx context.Context, p PartsProducer, c int) (*CandGraph, error) {
 	if err := checkBudget(c); err != nil {
 		return nil, err
 	}
@@ -214,8 +213,8 @@ func PartsCandGraph(ctx context.Context, p PartsProducer, c int) (*CandGraph, er
 	return parts.Fwd, err
 }
 
-// PartsCandGraphs is ProduceCandGraphs over a PartsProducer.
-func PartsCandGraphs(ctx context.Context, p PartsProducer, c, cRev int) (fwd, rev *CandGraph, err error) {
+// partsCandGraphs is ProduceCandGraphs over a PartsProducer.
+func partsCandGraphs(ctx context.Context, p PartsProducer, c, cRev int) (fwd, rev *CandGraph, err error) {
 	if err := checkBudget(c); err != nil {
 		return nil, nil, err
 	}
@@ -223,10 +222,10 @@ func PartsCandGraphs(ctx context.Context, p PartsProducer, c, cRev int) (fwd, re
 	return parts.Fwd, parts.Rev, err
 }
 
-// PartsCandGraphWithColMeans is ProduceCandGraphWithColMeans over a
+// partsCandGraphWithColMeans is ProduceCandGraphWithColMeans over a
 // PartsProducer. kCol <= 0 yields all-zero means, mirroring
 // Dense.ColTopKMeans, without asking the producer for them.
-func PartsCandGraphWithColMeans(ctx context.Context, p PartsProducer, c, kCol int) (*CandGraph, []float64, error) {
+func partsCandGraphWithColMeans(ctx context.Context, p PartsProducer, c, kCol int) (*CandGraph, []float64, error) {
 	if err := checkBudget(c); err != nil {
 		return nil, nil, err
 	}
@@ -315,9 +314,9 @@ func SearchedParts(req GraphRequest, rows, cols int, fwd func(c int) ([]TopK, er
 // RowTopK uses, so at c >= cols the graph holds every score of every row in
 // Dense.RowTopK order, bit-exactly.
 //
-// Sources implementing CandGraphProducer (the ANN index source) produce the
-// graph directly instead of being streamed exhaustively; their result may be
-// approximate below full coverage.
+// A source implementing CandGraphProducer, or else PartsProducer (the ANN,
+// SQ8 and sharded engines), produces the graph itself instead of being
+// streamed exhaustively; its result may be approximate below full coverage.
 func BuildCandGraph(ctx context.Context, src TileSource, c int) (*CandGraph, error) {
 	if err := checkBuild(src, c); err != nil {
 		return nil, err
@@ -325,7 +324,7 @@ func BuildCandGraph(ctx context.Context, src TileSource, c int) (*CandGraph, err
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraph(ctx, c)
 	}
-	return PartsCandGraph(ctx, exhaustive{src}, c)
+	return partsCandGraph(ctx, partsOf(src), c)
 }
 
 // BuildCandGraphs streams src once and returns both the forward graph
@@ -342,7 +341,7 @@ func BuildCandGraphs(ctx context.Context, src TileSource, c, cRev int) (fwd, rev
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraphs(ctx, c, cRev)
 	}
-	return PartsCandGraphs(ctx, exhaustive{src}, c, cRev)
+	return partsCandGraphs(ctx, partsOf(src), c, cRev)
 }
 
 // BuildCandGraphWithColMeans streams src once and returns the forward graph
@@ -357,7 +356,15 @@ func BuildCandGraphWithColMeans(ctx context.Context, src TileSource, c, kCol int
 	if p, ok := src.(CandGraphProducer); ok {
 		return p.ProduceCandGraphWithColMeans(ctx, c, kCol)
 	}
-	return PartsCandGraphWithColMeans(ctx, exhaustive{src}, c, kCol)
+	return partsCandGraphWithColMeans(ctx, partsOf(src), c, kCol)
+}
+
+// partsOf is src's own PartsProducer, or StreamParts over it.
+func partsOf(src TileSource) PartsProducer {
+	if p, ok := src.(PartsProducer); ok {
+		return p
+	}
+	return exhaustive{src}
 }
 
 // exhaustive is the PartsProducer of a plain tile source: StreamParts.
@@ -372,7 +379,10 @@ func (e exhaustive) ProduceParts(ctx context.Context, req GraphRequest) (GraphPa
 // RunningTopK for the forward graph, a ColTopKAcc(CRev) for the reverse
 // graph, a ColTopKAcc(KCol) for the column means. C and CRev are clamped to
 // the matrix shape; KCol is used as given (see BuildCandGraphWithColMeans).
-// An empty request streams nothing.
+// KCol = 1 beside a reverse graph takes no accumulator: the width-CRev and
+// width-1 column heaps see the same offers in the same order and keep the
+// first-k prefix of (value desc, index asc), so those means are the reverse
+// graph's row heads (revHeadMeans). An empty request streams nothing.
 func StreamParts(ctx context.Context, src TileSource, req GraphRequest) (GraphParts, error) {
 	rows, cols := src.Dims()
 	var consumers []TileConsumer
@@ -388,7 +398,8 @@ func StreamParts(ctx context.Context, src TileSource, req GraphRequest) (GraphPa
 		defer revAcc.Release()
 		consumers = append(consumers, revAcc)
 	}
-	if req.KCol > 0 {
+	headMeans := req.KCol == 1 && revAcc != nil
+	if req.KCol > 0 && !headMeans {
 		meanAcc = NewColTopKAcc(cols, req.KCol)
 		defer meanAcc.Release()
 		consumers = append(consumers, meanAcc)
@@ -407,10 +418,25 @@ func StreamParts(ctx context.Context, src TileSource, req GraphRequest) (GraphPa
 	if err != nil {
 		return GraphParts{}, err
 	}
-	if meanAcc != nil {
+	if headMeans {
+		out.ColMeans = revHeadMeans(out.Rev)
+	} else if meanAcc != nil {
 		out.ColMeans = meanAcc.Means()
 	}
 	return out, nil
+}
+
+// revHeadMeans is the KCol = 1 column statistic read off a reverse graph:
+// heapMean of a one-entry heap holding each row's head (0 + head, so -0.0
+// becomes +0.0), and 0 for an empty row.
+func revHeadMeans(rev *CandGraph) []float64 {
+	out := make([]float64, rev.rows)
+	for j := range out {
+		if lo := rev.rowPtr[j]; lo < rev.rowPtr[j+1] {
+			out[j] += rev.score[lo]
+		}
+	}
+	return out
 }
 
 // NewCandGraph assembles a candidate graph from per-row TopK selections over

@@ -108,13 +108,14 @@ func TestMemoSameBitsAsUnmemoized(t *testing.T) {
 }
 
 // TestMemoBuildsOnlyMissingParts pins the pass accounting of the matcher
-// sequence the issue names: RInf (forward+reverse), CSLS (forward+means),
-// Hun. (forward), SMat, Sink. At CSLS k = 2 they stream the source twice —
-// once with two accumulators, once with the column heaps alone — and at
-// k = 1 once, the means read off RInf's reverse graph. CSLS first still pays
-// its own pass at k = 1 (no reverse graph to read), and in the Hun.-first
-// order Hun. builds the forward graph alone and RInf adds only the reverse
-// one.
+// sequence RInf (forward+reverse), CSLS (forward+means), Hun. (forward),
+// SMat, Sink. At CSLS k = 2 they stream the source twice — once with two
+// accumulators, once with the column heaps alone — and at k = 1 once, the
+// means returned with RInf's reverse graph (its row heads; no accumulator of
+// their own). Every reverse build made while no means are held returns them,
+// so each order counts one derived part. CSLS first still pays its own pass
+// at k = 1 (no reverse build to ride), and in the Hun.-first order Hun.
+// builds the forward graph alone and RInf adds only the reverse one.
 func TestMemoBuildsOnlyMissingParts(t *testing.T) {
 	ctx := context.Background()
 	m := candTestMatrices()["tie-dense-8x10"]
@@ -129,8 +130,8 @@ func TestMemoBuildsOnlyMissingParts(t *testing.T) {
 		consumers []int
 		stats     MemoStats
 	}{
-		{"rinf-first", []memoCall{rinf, csls, hun, smat, smat}, []int{2, 1}, MemoStats{Builds: 2, Hits: 3, Passes: 2}},
-		{"hun-first", []memoCall{hun, rinf, smat, csls, smat}, []int{1, 1, 1}, MemoStats{Builds: 3, Hits: 2, Passes: 3}},
+		{"rinf-first", []memoCall{rinf, csls, hun, smat, smat}, []int{2, 1}, MemoStats{Builds: 2, Hits: 3, Passes: 2, Derived: 1}},
+		{"hun-first", []memoCall{hun, rinf, smat, csls, smat}, []int{1, 1, 1}, MemoStats{Builds: 3, Hits: 2, Passes: 3, Derived: 1}},
 		{"rinf-csls1", []memoCall{rinf, csls1}, []int{2}, MemoStats{Builds: 1, Hits: 1, Passes: 1, Derived: 1}},
 		{"rinf-first-k1", []memoCall{rinf, csls1, hun, smat, smat}, []int{2}, MemoStats{Builds: 1, Hits: 4, Passes: 1, Derived: 1}},
 		{"csls1-rinf", []memoCall{csls1, rinf}, []int{2, 1}, MemoStats{Builds: 2, Passes: 2}},
@@ -171,10 +172,10 @@ func signedZeroMatrix() *Dense {
 	return m
 }
 
-// TestMemoDerivedMeansSameBits: k = 1 means read off a held reverse graph —
-// whatever its budget, held from an earlier call or built by the same one —
-// are bit for bit the un-memoized builder's, on the tie-heavy, -Inf, tiny
-// and signed-zero matrices, and cost no tile pass.
+// TestMemoDerivedMeansSameBits: k = 1 means returned with a reverse build —
+// whatever its budget, asked for by a later call or by the same one — are
+// bit for bit the un-memoized builder's, on the tie-heavy, -Inf, tiny and
+// signed-zero matrices, and cost no tile pass of their own.
 func TestMemoDerivedMeansSameBits(t *testing.T) {
 	ctx := context.Background()
 	cases := candTestMatrices()
@@ -196,7 +197,7 @@ func TestMemoDerivedMeansSameBits(t *testing.T) {
 					t.Fatal(err)
 				}
 				if st := held.Stats(); !floatsEqual(want, got) || st.Derived != 1 || st.Hits != 1 || st.Passes != 1 {
-					t.Fatalf("%s tiles %v cRev %d: means off a held reverse graph = %v, want %v (stats %+v)", name, shape, cRev, got, want, st)
+					t.Fatalf("%s tiles %v cRev %d: means after a reverse build = %v, want %v (stats %+v)", name, shape, cRev, got, want, st)
 				}
 				same := Memo(raw)
 				parts, err := same.ProduceParts(ctx, GraphRequest{C: 2, CRev: cRev, KCol: 1})
@@ -247,9 +248,9 @@ func TestMemoBudgetChangeReplaces(t *testing.T) {
 
 // TestMemoDerivedMeansFollowSlotRules: derived means live in the means slot
 // and follow its rules — counted in Bytes, replaced by a different kCol,
-// dropped by Forget — and leave the reverse graph's slot alone: a different
-// cRev still replaces the graph, and the means, which do not depend on it,
-// stay an exact-key hit.
+// dropped by Forget — and are never read off a held reverse graph later:
+// k = 1 after k = 3 is a build. A different cRev still replaces the graph,
+// and the means, which do not depend on it, stay an exact-key hit.
 func TestMemoDerivedMeansFollowSlotRules(t *testing.T) {
 	ctx := context.Background()
 	m := candTestMatrices()["tie-dense-8x10"]
@@ -279,15 +280,15 @@ func TestMemoDerivedMeansFollowSlotRules(t *testing.T) {
 		t.Fatalf("after deriving: %+v, want the derived means counted in Bytes", st)
 	}
 	means(3) // replaces the slot with a built vector
-	means(1) // derived again: the reverse graph is still held
-	if st := memo.Stats(); st.Derived != 2 || st.Builds != 2 || st.Passes != 2 {
-		t.Fatalf("after k = 1, 3, 1: %+v, want two derivations around one build", st)
+	means(1) // built again: the held reverse graph is not read
+	if st := memo.Stats(); st.Derived != 1 || st.Builds != 3 || st.Passes != 3 {
+		t.Fatalf("after k = 1, 3, 1: %+v, want one derivation and two means builds", st)
 	}
 	if _, wider, err := memo.ProduceCandGraphs(ctx, 3, 5); err != nil || graphsEqual(wider, rev) {
 		t.Fatalf("a different cRev did not replace the reverse graph (err %v)", err)
 	}
 	means(1)
-	if st := memo.Stats(); st.Derived != 2 || st.Builds != 3 || st.Hits != 3 {
+	if st := memo.Stats(); st.Derived != 1 || st.Builds != 4 || st.Hits != 2 {
 		t.Fatalf("after a reverse budget change: %+v, want the held means served as a hit", st)
 	}
 	memo.Forget()
@@ -295,7 +296,7 @@ func TestMemoDerivedMeansFollowSlotRules(t *testing.T) {
 		t.Fatalf("memo holds %d bytes after Forget", got)
 	}
 	means(1) // nothing held: built by its own pass
-	if st := memo.Stats(); st.Derived != 2 || st.Builds != 4 || st.Passes != 4 {
+	if st := memo.Stats(); st.Derived != 1 || st.Builds != 5 || st.Passes != 5 {
 		t.Fatalf("after Forget: %+v, want the means built by a pass", st)
 	}
 }
@@ -410,69 +411,6 @@ func TestMemoConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// threeMethodProducer exposes only the CandGraphProducer surface, as a
-// producer written outside this repository would.
-type threeMethodProducer struct {
-	TileSource
-	calls []string
-}
-
-func (p *threeMethodProducer) ProduceCandGraph(ctx context.Context, c int) (*CandGraph, error) {
-	p.calls = append(p.calls, "fwd")
-	return PartsCandGraph(ctx, exhaustive{p.TileSource}, c)
-}
-
-func (p *threeMethodProducer) ProduceCandGraphs(ctx context.Context, c, cRev int) (*CandGraph, *CandGraph, error) {
-	p.calls = append(p.calls, "both")
-	return PartsCandGraphs(ctx, exhaustive{p.TileSource}, c, cRev)
-}
-
-func (p *threeMethodProducer) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*CandGraph, []float64, error) {
-	p.calls = append(p.calls, "means")
-	return PartsCandGraphWithColMeans(ctx, exhaustive{p.TileSource}, c, kCol)
-}
-
-// TestMemoOverThreeMethodProducer: a producer without a parts entry point is
-// memoized through the smallest of its calls that covers the missing parts.
-func TestMemoOverThreeMethodProducer(t *testing.T) {
-	ctx := context.Background()
-	m := candTestMatrices()["tie-dense-8x10"]
-	raw := &DenseTileSource{M: m}
-	p := &threeMethodProducer{TileSource: raw}
-	memo := Memo(p)
-	calls := []memoCall{
-		{kind: "fwd", c: 4}, {kind: "both", c: 4, cRev: 3}, {kind: "means", c: 4, k: 2}, {kind: "both", c: 4, cRev: 3}, {kind: "fwd", c: 4},
-	}
-	for i, mc := range calls {
-		want, err := mc.run(ctx, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mc.run(ctx, memo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !partsEqual(want, got) {
-			t.Fatalf("call %d: memoized parts differ", i)
-		}
-	}
-	if want := []string{"fwd", "both", "means"}; !reflect.DeepEqual(p.calls, want) {
-		t.Fatalf("producer saw calls %v, want %v", p.calls, want)
-	}
-	// It says nothing about its reverse heads, so k = 1 means are asked of it
-	// even with a reverse graph held.
-	if _, _, err := memo.ProduceCandGraphWithColMeans(ctx, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := memo.Stats(); st.Derived != 0 || p.calls[len(p.calls)-1] != "means" || len(p.calls) != 4 {
-		t.Fatalf("k = 1 means over a three-method producer: calls %v, stats %+v, want a fourth call and nothing derived", p.calls, st)
-	}
-	all, err := memo.ProduceParts(ctx, GraphRequest{C: 2, CRev: 2, KCol: 1})
-	if err != nil || all.Fwd == nil || all.Rev == nil || all.ColMeans == nil {
-		t.Fatalf("three-part request over a three-method producer: %+v, %v", all, err)
-	}
-}
-
 // TestMemoPaddedViewBypasses: a dummy-padded view is a different score
 // matrix. The generic PadCols wrapper over a memo is not a producer, so a
 // graph over it is built from its tiles and nothing is memoized; the tile
@@ -499,9 +437,8 @@ func TestMemoPaddedViewBypasses(t *testing.T) {
 	}
 }
 
-// searchProducer answers by search through SearchedParts, as the SQ8
-// producers do, over a dense matrix, and says nothing about its reverse
-// heads. Its reverse search writes the column statistic as the prefix of
+// searchProducer answers by search through SearchedParts, as the index
+// producers do, over a dense matrix. Its reverse search writes the column statistic as the prefix of
 // each column's top-c (exact on a dense matrix) and logs every search as
 // "fwd c" or "rev c k".
 type searchProducer struct {
@@ -525,18 +462,6 @@ func (p *searchProducer) ProduceParts(_ context.Context, req GraphRequest) (Grap
 			}
 			return tks, nil
 		})
-}
-
-func (p *searchProducer) ProduceCandGraph(ctx context.Context, c int) (*CandGraph, error) {
-	return PartsCandGraph(ctx, p, c)
-}
-
-func (p *searchProducer) ProduceCandGraphs(ctx context.Context, c, cRev int) (*CandGraph, *CandGraph, error) {
-	return PartsCandGraphs(ctx, p, c, cRev)
-}
-
-func (p *searchProducer) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*CandGraph, []float64, error) {
-	return PartsCandGraphWithColMeans(ctx, p, c, kCol)
 }
 
 // TestSearchedPartsReverseSearches: a request for the reverse graph and a
@@ -574,9 +499,8 @@ func TestSearchedPartsReverseSearches(t *testing.T) {
 	}
 }
 
-// TestMemoMeansAlongReverseBuild: over a parts producer whose reverse heads
-// are not the column statistic, a reverse build made while no means are held
-// asks for KCol = 1 too, so CSLS after RInf or Hun.'s reverse build is a hit
+// TestMemoMeansAlongReverseBuild: over a parts producer, a reverse build
+// made while no means are held asks for KCol = 1 too, so CSLS after RInf or Hun.'s reverse build is a hit
 // counted as derived; CSLS first, or means at k > 1 already held, add
 // nothing to the reverse build.
 func TestMemoMeansAlongReverseBuild(t *testing.T) {

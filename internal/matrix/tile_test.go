@@ -93,9 +93,14 @@ func TestTileKernelTiersMatchDot4(t *testing.T) {
 }
 
 // fuzzTileEntry decodes one fuzz byte into a table entry: a few codes are
-// signed zeros, subnormals and tiny normals, the rest a dyadic grid dense in
-// ties.
+// signed zeros, subnormals and tiny normals, the top quarter thirds with full
+// mantissas — so products and partial sums round, and a kernel that adds its
+// lanes in another order gets other bits — and the rest a dyadic grid dense
+// in ties, on which every sum is exact.
 func fuzzTileEntry(x byte) float64 {
+	if x >= 0xC0 {
+		return float64(int(x)-0xE0) / 3
+	}
 	switch x {
 	case 0:
 		return 0

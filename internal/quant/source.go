@@ -135,10 +135,11 @@ func (s *Source) SearchRows(ctx context.Context, rows []int, k int) ([]matrix.To
 // The forward graph scans the target-side codes with each source row as the
 // query; the reverse graph and the column statistic scan the source-side
 // codes with each target row, one scan for both when KCol <= CRev (the
-// statistic is then the scan's by-product, SearchQuant's means). Nothing is
-// derived from a held part: the re-rank pool grows with the budget, so a
-// reverse row's head need not be the column's KCol = 1 selection, and the
-// graph memo asks for the statistic alongside a reverse build instead.
+// statistic is then the scan's by-product, SearchQuant's means) — which is
+// how the graph memo gets CSLS's k = 1 statistic with every reverse build it
+// makes while holding no means. The re-rank pool grows with the budget, so a
+// reverse row's head need not be the column's KCol = 1 selection; the
+// by-product is that selection, not the head.
 //
 // Like ann.Source, the column statistic (CSLS's φ_t) is estimated from each
 // target row's KCol best scores, summed in descending-score order rather
@@ -150,22 +151,4 @@ func (s *Source) ProduceParts(ctx context.Context, req matrix.GraphRequest) (mat
 		func(c, kCol int, means []float64) ([]matrix.TopK, error) {
 			return s.search(ctx, s.rev, s.tgtTab, c, kCol, means)
 		})
-}
-
-// ProduceCandGraph implements matrix.CandGraphProducer: the forward
-// candidate graph from the quantized scan instead of the float64 tile pass.
-func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	return matrix.PartsCandGraph(ctx, s, c)
-}
-
-// ProduceCandGraphs implements matrix.CandGraphProducer; the reverse graph
-// scans the source-side codes with each target row as the query.
-func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	return matrix.PartsCandGraphs(ctx, s, c, cRev)
-}
-
-// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer; see
-// ProduceParts for how the column statistic is estimated.
-func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
 }

@@ -2,6 +2,7 @@ package quant_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"entmatcher"
@@ -10,16 +11,27 @@ import (
 	"entmatcher/internal/quant"
 )
 
-// TestScanTallyRInfHunCSLS pins the int8 scanning of the matcher sequence
-// RInf → Hun. → CSLS (k = 1) on the answer digests' D-W task (×0.012, seeds
-// 1 and 2) through the flat SQ8 and the IVF+SQ8 engines at C = 16: two query
-// tables are searched — the forward one and the reverse one, which also
-// returns CSLS's column statistic — and the positions scored are one forward
-// and one reverse search's, where a separate statistic search would add a
-// second reverse pass.
+// TestScanTallyRInfHunCSLS pins the int8 scanning of the matchers RInf,
+// Hun. and CSLS (k = 1), in all six orders, on the answer digests' D-W task
+// (×0.012, seeds 1 and 2) through the flat SQ8 and the IVF+SQ8 engines at
+// C = 16. Where RInf precedes CSLS two query tables are searched — the
+// forward one and the reverse one, which also returns CSLS's column
+// statistic — and the positions scored are one forward and one reverse
+// search's. Where CSLS precedes RInf it asks for its statistic before any
+// reverse build and pays a reverse search of its own: forward + 2 × reverse.
+// Hun. on a square task builds the forward graph alone.
 func TestScanTallyRInfHunCSLS(t *testing.T) {
 	const c = 16
 	ctx := context.Background()
+	matchers := []struct {
+		name string
+		new  func() entmatcher.Matcher
+	}{
+		{"RInf", func() entmatcher.Matcher { return entmatcher.NewRInfSparse(c) }},
+		{"Hun.", func() entmatcher.Matcher { return entmatcher.NewHungarianSparse(c) }},
+		{"CSLS", func() entmatcher.Matcher { return entmatcher.NewCSLSSparse(c, 1) }},
+	}
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for seed := int64(1); seed <= 2; seed++ {
 		p := datagen.DWY100KDbpWd.Scaled(0.012)
 		p.Seed = p.Seed*1_000_003 + seed
@@ -51,28 +63,38 @@ func TestScanTallyRInfHunCSLS(t *testing.T) {
 				q1, p1 := quant.ScanTally()
 				one[i].queries, one[i].positions = q1-q0, p1-p0
 			}
-			q0, p0 := quant.ScanTally()
-			for _, m := range []entmatcher.Matcher{entmatcher.NewRInfSparse(c), entmatcher.NewHungarianSparse(c), entmatcher.NewCSLSSparse(c, 1)} {
-				if _, _, err := run.Match(m); err != nil {
-					t.Fatal(err)
-				}
-			}
-			q1, p1 := quant.ScanTally()
-			queries, positions := q1-q0, p1-p0
 			fwd, rev := one[0], one[1]
-			t.Logf("s%d/%s: %d query rows, %d int8 positions scored (forward %d/%d, reverse %d/%d; a separate statistic search would make it %d/%d)",
-				seed, eng.name, queries, positions, fwd.queries, fwd.positions, rev.queries, rev.positions,
-				fwd.queries+2*rev.queries, fwd.positions+2*rev.positions)
 			rows, cols := run.Dims()
 			if fwd.queries != int64(rows) || rev.queries != int64(cols) {
 				t.Fatalf("s%d/%s: one search of each direction took %d and %d query rows on a %d×%d task", seed, eng.name, fwd.queries, rev.queries, rows, cols)
 			}
-			if queries != fwd.queries+rev.queries || positions != fwd.positions+rev.positions {
-				t.Fatalf("s%d/%s: RInf, Hun., CSLS searched %d query rows and scored %d positions, want one forward and one reverse search's %d and %d",
-					seed, eng.name, queries, positions, fwd.queries+rev.queries, fwd.positions+rev.positions)
-			}
-			if st := run.GraphStats(); st.Builds != 1 || st.Hits != 2 || st.Derived != 1 {
-				t.Fatalf("s%d/%s: memo %+v, want 1 build, 2 hits, 1 derived", seed, eng.name, st)
+			for _, order := range orders {
+				run.ForgetGraphs()
+				before := run.GraphStats()
+				q0, p0 := quant.ScanTally()
+				names := ""
+				for _, i := range order {
+					if _, _, err := run.Match(matchers[i].new()); err != nil {
+						t.Fatal(err)
+					}
+					names += matchers[i].name + " "
+				}
+				q1, p1 := quant.ScanTally()
+				queries, positions := q1-q0, p1-p0
+				revSearches, derived := int64(1), int64(1)
+				if slices.Index(order[:], 2) < slices.Index(order[:], 0) {
+					revSearches, derived = 2, 0
+				}
+				wantQ, wantP := fwd.queries+revSearches*rev.queries, fwd.positions+revSearches*rev.positions
+				t.Logf("s%d/%s %s: %d query rows, %d int8 positions scored (forward %d/%d, reverse %d/%d)",
+					seed, eng.name, names, queries, positions, fwd.queries, fwd.positions, rev.queries, rev.positions)
+				if queries != wantQ || positions != wantP {
+					t.Fatalf("s%d/%s %s: searched %d query rows and scored %d positions, want forward + %d × reverse: %d and %d",
+						seed, eng.name, names, queries, positions, revSearches, wantQ, wantP)
+				}
+				if got := run.GraphStats().Derived - before.Derived; got != derived {
+					t.Fatalf("s%d/%s %s: %d parts derived, want %d", seed, eng.name, names, got, derived)
+				}
 			}
 		}
 	}

@@ -206,9 +206,9 @@ type Stats struct {
 	// AlignGraph* are the /align tiers' candidate-graph memo counters, keyed
 	// by tier name: producer calls that built a part, calls answered without
 	// building, parts got without a build of their own (CSLS's k = 1 column
-	// statistic read off the reverse graph on a float tier, returned with the
-	// reverse search on an SQ8 one — why CSLS after RInf costs milliseconds),
-	// and the bytes the memo holds.
+	// statistic, returned with every reverse build made while no means are
+	// held — why CSLS after RInf costs milliseconds), and the bytes the memo
+	// holds.
 	AlignGraphBuilds  map[string]int64 `json:"align_graph_builds"`
 	AlignGraphHits    map[string]int64 `json:"align_graph_hits"`
 	AlignGraphDerived map[string]int64 `json:"align_graph_derived"`

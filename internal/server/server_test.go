@@ -283,7 +283,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 	}
 }
 
-// failTileSource implements TileSource + CandGraphProducer but fails every
+// failTileSource implements TileSource + PartsProducer but fails every
 // call — the /align ANN tier's "index subsystem down".
 type failTileSource struct {
 	inner matrix.TileSource
@@ -297,14 +297,8 @@ func (f *failTileSource) StreamTiles(context.Context, ...matrix.TileConsumer) er
 func (f *failTileSource) Block(context.Context, []int, []int) (*matrix.Dense, error) {
 	return nil, f.err
 }
-func (f *failTileSource) ProduceCandGraph(context.Context, int) (*matrix.CandGraph, error) {
-	return nil, f.err
-}
-func (f *failTileSource) ProduceCandGraphs(context.Context, int, int) (*matrix.CandGraph, *matrix.CandGraph, error) {
-	return nil, nil, f.err
-}
-func (f *failTileSource) ProduceCandGraphWithColMeans(context.Context, int, int) (*matrix.CandGraph, []float64, error) {
-	return nil, nil, f.err
+func (f *failTileSource) ProduceParts(context.Context, matrix.GraphRequest) (matrix.GraphParts, error) {
+	return matrix.GraphParts{}, f.err
 }
 
 func postAlign(t *testing.T, h http.Handler, body string, wantStatus int) map[string]any {

@@ -91,19 +91,19 @@ func TestShardsOneBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFwd, gotRev, err := s.ProduceCandGraphs(ctx, c, cRev)
+	gotFwd, gotRev, err := matrix.BuildCandGraphs(ctx, s, c, cRev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	graphsEqual(t, wantFwd, gotFwd, "fwd")
 	graphsEqual(t, wantRev, gotRev, "rev")
 
-	if _, rev0, err := s.ProduceCandGraphs(ctx, c, 0); err != nil {
+	if _, rev0, err := matrix.BuildCandGraphs(ctx, s, c, 0); err != nil {
 		t.Fatal(err)
 	} else if rev0 != nil {
 		t.Fatal("cRev=0 must return a nil reverse graph")
 	}
-	onlyFwd, err := s.ProduceCandGraph(ctx, c)
+	onlyFwd, err := matrix.BuildCandGraph(ctx, s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestShardsOneBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFwdM, gotMeans, err := s.ProduceCandGraphWithColMeans(ctx, c, kCol)
+	gotFwdM, gotMeans, err := matrix.BuildCandGraphWithColMeans(ctx, s, c, kCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestShardedGraphContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ProduceCandGraph(ctx, c)
+	got, err := matrix.BuildCandGraph(ctx, s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestShardedGraphContract(t *testing.T) {
 
 	// Determinism: an identically configured source reproduces the graph.
 	s2, _ := newTestSource(t, src, tgt, Config{Shards: 5, Seed: 3})
-	got2, err := s2.ProduceCandGraph(ctx, c)
+	got2, err := matrix.BuildCandGraph(ctx, s2, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestWorkerPoolCancellation(t *testing.T) {
 			time.Sleep(time.Duration(trial) * 200 * time.Microsecond)
 			cancel()
 		}()
-		g, err := s.ProduceCandGraph(ctx, 4)
+		g, err := matrix.BuildCandGraph(ctx, s, 4)
 		<-done
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {

@@ -84,30 +84,6 @@ func (s *Source) Assignment(ctx context.Context) (*Assignment, error) {
 	return s.asg, s.err
 }
 
-// ProduceCandGraph implements matrix.CandGraphProducer.
-func (s *Source) ProduceCandGraph(ctx context.Context, c int) (*matrix.CandGraph, error) {
-	return matrix.PartsCandGraph(ctx, s, c)
-}
-
-// ProduceCandGraphs implements matrix.CandGraphProducer; rev is nil when
-// cRev <= 0.
-func (s *Source) ProduceCandGraphs(ctx context.Context, c, cRev int) (fwd, rev *matrix.CandGraph, err error) {
-	return matrix.PartsCandGraphs(ctx, s, c, cRev)
-}
-
-// ProduceCandGraphWithColMeans implements matrix.CandGraphProducer.
-func (s *Source) ProduceCandGraphWithColMeans(ctx context.Context, c, kCol int) (*matrix.CandGraph, []float64, error) {
-	return matrix.PartsCandGraphWithColMeans(ctx, s, c, kCol)
-}
-
-var _ matrix.RevHeadProducer = (*Source)(nil)
-
-// RevHeadIsColBest implements matrix.RevHeadProducer: every target lives in
-// one shard, whose sub-build feeds its width-CRev and width-1 column heaps the
-// same scores in the same order, so a reverse row's head is that column's
-// KCol = 1 selection at every budget.
-func (s *Source) RevHeadIsColBest() bool { return true }
-
 // ProduceParts implements matrix.PartsProducer. It runs the full sharded
 // build for the requested parts only: partition, per-shard sub-builds on a
 // bounded worker pool, then the deterministic reconciliation merge back to

@@ -184,8 +184,8 @@ func TestMemoEveryEngineEveryOrder(t *testing.T) {
 
 // TestGraphOnceAcrossMatchers pins the tentpole's accounting through the
 // public API: the five sparse matchers on one prepared exact run stream the
-// tables once at CSLS k = 1 (forward+reverse; the column statistic is read
-// off the reverse graph) and twice at k = 3 (the column heaps alone need
+// tables once at CSLS k = 1 (forward+reverse; the column statistic comes
+// with the reverse graph) and twice at k = 3 (the column heaps alone need
 // their own pass) instead of five times; ForgetGraphs makes the next matcher
 // cold again; Close drops the graphs; dense runs never touch a memo, and a
 // dummy-padded match never memoizes (its exact tile pass is counted).
@@ -211,8 +211,8 @@ func TestGraphOnceAcrossMatchers(t *testing.T) {
 	}
 	run := prepare()
 	st := fiveMatchers(run, 3)
-	if st.Builds != 2 || st.Hits != 3 || st.Passes != 2 || st.Derived != 0 || st.Bytes == 0 {
-		t.Fatalf("after five matchers at CSLS k=3: %+v, want 2 builds, 3 hits, 2 tile passes", st)
+	if st.Builds != 2 || st.Hits != 3 || st.Passes != 2 || st.Derived != 1 || st.Bytes == 0 {
+		t.Fatalf("after five matchers at CSLS k=3: %+v, want 2 builds, 3 hits, 2 tile passes, 1 derived part (unused k = 1 means)", st)
 	}
 	if _, _, err := run.MatchWithAbstention(NewSMatSparse(memoCand), 0.3); err != nil {
 		t.Fatal(err)
@@ -314,21 +314,15 @@ func memoTables(seed int64) (src, tgt *matrix.Dense) {
 	return table(40), table(33)
 }
 
-// How a memo comes by the k = 1 means after a reverse build.
-const (
-	readOffHead = iota // derived from the held reverse graph by the means call
-	builtAlong         // derived: returned with the reverse build itself
-)
-
 // TestMemoDerivedMeansEveryProducer pins the derivation's contract per
-// producer: after a reverse graph is held, the k = 1 column means a memo
-// hands out are bit for bit what the un-memoized
-// BuildCandGraphWithColMeans(src, c, 1) returns for the wrapped source —
-// read off the reverse graph where the source says its heads are the column
-// best, returned alongside the reverse build by the SQ8 producers.
+// producer: a memo's first reverse build returns the k = 1 column means with
+// it, bit for bit what the un-memoized BuildCandGraphWithColMeans(src, c, 1)
+// returns for the wrapped source, and CSLS after it is a hit — off the
+// reverse graph's row heads on the exhaustive pass and the shard
+// sub-builds, from the reverse search on the index producers.
 func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	cc := context.Background()
-	check := func(name string, raw matrix.TileSource, memo *matrix.GraphMemo, c int, how int) {
+	check := func(name string, raw matrix.TileSource, memo *matrix.GraphMemo, c int) {
 		t.Helper()
 		if _, _, err := matrix.BuildCandGraphs(cc, memo, c, c); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -347,16 +341,8 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 				t.Fatalf("%s c=%d: memoized k=1 means %v, un-memoized %v", name, c, got, want)
 			}
 		}
-		after := memo.Stats()
-		switch how {
-		case readOffHead:
-			if after.Derived != before.Derived+1 || after.Builds != before.Builds || after.Passes != before.Passes {
-				t.Fatalf("%s c=%d: %+v -> %+v, want the means derived without a build", name, c, before, after)
-			}
-		case builtAlong:
-			if before.Derived != 1 || before.Builds != 1 || after.Derived != 1 || after.Builds != 1 || after.Hits != before.Hits+1 {
-				t.Fatalf("%s c=%d: %+v -> %+v, want the means built with the reverse graph and served as a hit", name, c, before, after)
-			}
+		if after := memo.Stats(); before.Derived != 1 || before.Builds != 1 || after.Derived != 1 || after.Builds != 1 || after.Hits != before.Hits+1 {
+			t.Fatalf("%s c=%d: %+v -> %+v, want the means built with the reverse graph and served as a hit", name, c, before, after)
 		}
 	}
 
@@ -368,7 +354,7 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	for _, tc := range cases {
 		for _, c := range []int{1, 2, tc.S.Rows() + tc.S.Cols()} {
 			raw := &matrix.DenseTileSource{M: tc.S, TileRows: 2, TileCols: 3}
-			check(tc.Name, raw, matrix.Memo(raw), c, readOffHead)
+			check(tc.Name, raw, matrix.Memo(raw), c)
 		}
 	}
 
@@ -396,7 +382,7 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	srcQ, tgtQ := encode(sTab), encode(tTab)
 
 	plain := newANN()
-	check("ann", plain, matrix.Memo(plain), 5, readOffHead)
+	check("ann", plain, matrix.Memo(plain), 5)
 
 	// An IVF whose reverse index has an empty cell sitting exactly on target
 	// 0's row: at nprobe = 1 that column surfaces no neighbour, its reverse
@@ -426,26 +412,26 @@ func TestMemoDerivedMeansEveryProducer(t *testing.T) {
 	if cols, _ := revGraph.Row(0); len(cols) != 0 {
 		t.Fatalf("target 0 surfaced %d neighbours through an empty cell", len(cols))
 	}
-	check("ann-empty-column", sparse, matrix.Memo(sparse), 5, readOffHead)
+	check("ann-empty-column", sparse, matrix.Memo(sparse), 5)
 
 	sh, err := shard.NewSource(st, sTab, tTab, sim.Cosine, shard.Config{Shards: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("shard", sh, matrix.Memo(sh), 5, readOffHead)
+	check("shard", sh, matrix.Memo(sh), 5)
 
-	// SQ8 never reads a head: the re-rank pool grows with the budget. It
-	// returns the means with the reverse build instead. The ann source is
-	// switched after its memo was created — the memo asks per call.
+	// SQ8: the re-rank pool grows with the budget, so the means are the
+	// reverse scan's by-product rather than its heads. The ann source is
+	// switched after its memo was created.
 	q, err := quant.NewSource(st, sTab, tTab, srcQ, tgtQ, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("quant", q, matrix.Memo(q), 5, builtAlong)
+	check("quant", q, matrix.Memo(q), 5)
 	toggled := newANN()
 	memo := matrix.Memo(toggled)
 	if err := toggled.EnableQuant(srcQ, tgtQ, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	check("ann+quant", toggled, memo, 5, builtAlong)
+	check("ann+quant", toggled, memo, 5)
 }
