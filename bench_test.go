@@ -149,6 +149,47 @@ func BenchmarkSparseFiveMatchers(b *testing.B) {
 	b.ReportMetric(float64(st.Bytes), "memo-bytes")
 }
 
+// BenchmarkSparseBodies times each sparse matcher of the sparse_exact harness
+// workload through Run.Match (scoring included) on graphs the run's memo
+// already holds — D-W ×0.08 with name features and C = 64, as that workload
+// (×0.02 under -short) — so each op is the body's own passes and the scorer,
+// not the tile pass.
+func BenchmarkSparseBodies(b *testing.B) {
+	const cand = 64
+	scale := 0.08
+	if testing.Short() {
+		scale = 0.02
+	}
+	d, err := entmatcher.GenerateBenchmark(entmatcher.ProfileDWY100KWd, scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, err := entmatcher.NewPipeline(entmatcher.PipelineConfig{Features: entmatcher.FeatureName, CandidateBudget: cand}).Prepare(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer run.Close()
+	matchers := []entmatcher.Matcher{
+		entmatcher.NewRInfSparse(cand), entmatcher.NewCSLSSparse(cand, 1), entmatcher.NewHungarianSparse(cand),
+		entmatcher.NewSMatSparse(cand), entmatcher.NewSinkhornSparse(cand, entmatcher.DefaultSinkhornIterations),
+	}
+	for _, m := range matchers {
+		if _, _, err := run.Match(m); err != nil {
+			b.Fatalf("%s: %v", m.Name(), err)
+		}
+	}
+	for _, m := range matchers {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := run.Match(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPipelinePrepare measures the substrate cost: dataset generation,
 // encoding and similarity-matrix construction.
 func BenchmarkPipelinePrepare(b *testing.B) {

@@ -29,8 +29,8 @@ race() {
 	# plus the packages whose own tests carry a conformance contract. The
 	# invariants it holds, by test-name family:
 	#  - Sparse: the sparse candidate-graph twins stay bit-identical to their
-	#    dense counterparts at full candidate width (and RInf-sparse to
-	#    RInf-pb at every width: one body under two labels).
+	#    dense counterparts at full candidate width (and RInf-sparse to the
+	#    progressive-blocking oracle, OracleRInfPB, at every width).
 	#  - ANN: the IVF candidate graphs stay bit-identical to the exhaustive
 	#    builders' at nprobe=Clusters, deterministic under a fixed seed, and
 	#    recall-monotone in nprobe (ann_test.go).
@@ -208,6 +208,17 @@ kernels() {
 	# kernel's order, so both legs check the same cells of the one file.
 	go test -count=1 -cpu 1,2,4 -run Digest .
 	go test -count=1 -cpu 1,2,4 -tags purego -run Digest .
+
+	# The sparse bodies' parallel passes. CandGraph.SinkhornSweep normalizes
+	# row strips on any worker and hands their column additions on in row
+	# order; RInf-sparse's rank joins and combine and CSLS-sparse's row pass
+	# run in tiles on the worker pool. Each must keep the bits of its serial
+	# reference — the three serial passes, and in internal/core the bodies
+	# kept in reference_test.go and rinf_pb_ref_test.go — which the tests
+	# also check at GOMAXPROCS 1, 2, 3 and 8 themselves. The sweep has no
+	# build-tagged code, so one leg.
+	local sparse='CandGraphSinkhornSweep|SinkhornDeferredScaleMatchesReferenceSparse|RInfPBMatchesReference|CSLSSparseMatchesReference'
+	go test -race -count=1 -cpu 1,2,4 -run "$sparse" ./internal/matrix ./internal/core
 }
 
 purego() {
@@ -240,6 +251,7 @@ fuzz() {
 	go test -run='^$' -fuzz=FuzzReadNames -fuzztime=30s ./internal/kg/
 	go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=30s ./internal/snapshot/
 	go test -run='^$' -fuzz=FuzzSlabLoad -fuzztime=30s ./internal/snapshot/
+	go test -run='^$' -fuzz=FuzzScore -fuzztime=30s ./internal/eval/
 }
 
 # wait_ready polls an entserver's /readyz for up to ten seconds.
@@ -384,8 +396,9 @@ ab() {
 	# the run.) The report per workload is benchmark/run.sh
 	# --compare of the kept pairs — medians, spreads, and "regressed" past a
 	# metric's bound — with, per metric, the pairs the change won and
-	# "better" when it won at least 9 in 10 and its median gains more than
-	# the parent's interquartile distance. It exits 1 if a metric regressed.
+	# "better" when at least ten pairs were kept, it won at least 9 in 10 and
+	# its median gains more than the parent's interquartile distance. It
+	# exits 1 if a metric regressed.
 	# It adds no metric and no bound, and edits nothing under benchmark/.
 	# Each workload's report is also saved to
 	# .bench_build/ab/<parent>-<change>-seed<S>-<workload>.txt, commits as in
@@ -488,7 +501,10 @@ ab_interrupted() {
 # kept fewer pairs than the requested N (an interrupt, or a pair dropped on
 # every try) is short: its header says so and no row gets a verdict — no
 # "better", and --compare's ok/unresolved/regressed reads "short" — though a
-# metric past its bound still fails it.
+# metric past its bound still fails it. A complete set of fewer than ten
+# pairs (a smoke run, -n 2) gets no "better" either: over one or two parent
+# runs the interquartile distance is about 0, and 2 of 2 wins is a coin
+# tossed twice.
 ab_report() {
 	local wl=$1 dir=$2 dropped=$3 want=$4 k side table wins kept size status=0
 	for side in parent change; do
@@ -514,7 +530,7 @@ ab_report() {
 		short { sub(/  (ok|unresolved|regressed) \(n=/, "  short (n="); print $0 "  " w[$2] "/" p[$2]; next }
 		{
 			gain = -($5 + 0); n = p[$2]
-			print $0 "  " w[$2] "/" n (gain > $7 + 0 && w[$2] >= int((9 * n + 9) / 10) ? " better" : "")
+			print $0 "  " w[$2] "/" n (n >= 10 && gain > $7 + 0 && w[$2] >= int((9 * n + 9) / 10) ? " better" : "")
 		}' <<<"$table"
 	[ "$status" -eq 0 ] || [ "$kept" -eq "$want" ] || echo "## $wl: a metric is past its bound on this short set"
 	return $status

@@ -181,6 +181,83 @@ func OracleSinkhorn(s *matrix.Dense, l int, tau float64) *matrix.Dense {
 	return out
 }
 
+// OracleRInfPB is RInf under progressive blocking at block size c (the
+// paper's RInf-pb; RInf-sparse's contract at every c) by its definition,
+// with full sorts and one rank map per entity. Each row ranks its top-c
+// columns (OracleTopK) by the preference S(u,v) − max_u' S(u',v) + 1, each
+// column its top-c rows by S(u,v) − max_v' S(u,v') + 1, both descending with
+// ties by ascending entity id. A candidate's cost is the mean of its two
+// ranks, c+1 standing in for a rank outside the other side's block, and each
+// row picks its candidate of least cost, ties to the smaller column. The
+// result is one pair per row with a non-empty block (Score: minus the cost);
+// which of those a dummy column turns into abstentions is the caller's.
+func OracleRInfPB(s *matrix.Dense, c int) []core.Pair {
+	rows, cols := s.Rows(), s.Cols()
+	rowMax, colMax := make([]float64, rows), make([]float64, cols)
+	for i := range rowMax {
+		rowMax[i] = math.Inf(-1)
+	}
+	for j := range colMax {
+		colMax[j] = math.Inf(-1)
+	}
+	for i := 0; i < rows; i++ {
+		for j, v := range s.Row(i) {
+			if v > rowMax[i] {
+				rowMax[i] = v
+			}
+			if v > colMax[j] {
+				colMax[j] = v
+			}
+		}
+	}
+	// ranks maps each entity of a block to its 1-based rank by (pref desc,
+	// entity asc).
+	ranks := func(tk matrix.TopK, best []float64) map[int]int {
+		order := make([]int, len(tk.Indices))
+		for x := range order {
+			order[x] = x
+		}
+		pref := func(x int) float64 { return tk.Values[x] - best[tk.Indices[x]] + 1 }
+		sort.Slice(order, func(a, b int) bool {
+			pa, pb := pref(order[a]), pref(order[b])
+			if pa != pb {
+				return pa > pb
+			}
+			return tk.Indices[order[a]] < tk.Indices[order[b]]
+		})
+		out := make(map[int]int, len(order))
+		for r, x := range order {
+			out[tk.Indices[x]] = r + 1
+		}
+		return out
+	}
+	fwd := OracleTopK(s, c)
+	colRanks := make([]map[int]int, cols)
+	for j, tk := range OracleTopK(s.Transpose(), c) {
+		colRanks[j] = ranks(tk, rowMax)
+	}
+	penalty := float64(c + 1)
+	var pairs []core.Pair
+	for i, tk := range fwd {
+		rowRanks := ranks(tk, colMax)
+		best, bestJ := math.Inf(1), -1
+		for _, j := range tk.Indices {
+			r2 := penalty
+			if r, ok := colRanks[j][i]; ok {
+				r2 = float64(r)
+			}
+			cost := (float64(rowRanks[j]) + r2) / 2
+			if cost < best || (cost == best && j < bestJ) {
+				best, bestJ = cost, j
+			}
+		}
+		if bestJ >= 0 {
+			pairs = append(pairs, core.Pair{Source: i, Target: bestJ, Score: -best})
+		}
+	}
+	return pairs
+}
+
 // OracleAssignmentValue returns the maximum total score of a complete
 // assignment of the smaller side of s to distinct members of the larger side,
 // by exhaustive bitmask dynamic programming. It certifies the Hungarian

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -455,6 +456,101 @@ func (m refSinkhornSparse) Match(ctx *core.Context) (*core.Result, error) {
 	}, nil
 }
 
+// refCSLSSparse is CSLSSparse.Match before its row pass ran on the worker
+// pool: one serial loop over the rows.
+type refCSLSSparse struct{ core.CSLSSparse }
+
+func (m refCSLSSparse) Match(ctx *core.Context) (*core.Result, error) {
+	if ctx == nil {
+		return nil, core.ErrNoMatrix
+	}
+	if m.C < 1 {
+		return nil, fmt.Errorf("csls-sparse: candidate budget must be positive, got %d", m.C)
+	}
+	if m.K < 1 {
+		return nil, fmt.Errorf("csls-sparse: K must be positive, got %d", m.K)
+	}
+	start := time.Now()
+	cc := ctx.Cancellation()
+	src := ctx.Stream
+	if src == nil {
+		src = &matrix.DenseTileSource{M: ctx.S}
+	}
+	rows, cols := src.Dims()
+	kRow := m.K
+	if kRow > cols {
+		kRow = cols
+	}
+	kCol := m.K
+	if kCol > rows {
+		kCol = rows
+	}
+	c := m.C
+	if c < kRow {
+		// φ_s averages the first kRow candidates, so the graph must keep at
+		// least that many.
+		c = kRow
+	}
+	fwd, phiT, err := matrix.BuildCandGraphWithColMeans(cc, src, c, kCol)
+	if err != nil {
+		return nil, err
+	}
+
+	realCols := cols - ctx.NumDummies
+	pairs := make([]core.Pair, 0, rows)
+	var abstained []int
+	for i := 0; i < rows; i++ {
+		if i%checkRowStride == 0 {
+			if err := ctxErr(cc); err != nil {
+				return nil, err
+			}
+		}
+		cand, scores := fwd.Row(i)
+		// φ_s: mean of the row's top-kRow scores, summed in descending
+		// order exactly as Dense.RowTopKMeans.
+		n := kRow
+		if n > len(scores) {
+			n = len(scores)
+		}
+		var phiS float64
+		if n > 0 {
+			var s float64
+			for _, v := range scores[:n] {
+				s += v
+			}
+			phiS = s / float64(n)
+		}
+		best := math.Inf(-1)
+		bestJ := -1
+		for x, j32 := range cand {
+			j := int(j32)
+			// Same association order as the dense transform:
+			// (2·v − φ_s) − φ_t.
+			tv := scores[x]*2 - phiS
+			tv -= phiT[j]
+			// Candidates are stored in score order, not column order, so the
+			// dense argmax's first-maximum rule becomes an explicit
+			// smallest-column tie-break.
+			if tv > best || (tv == best && j < bestJ) {
+				best = tv
+				bestJ = j
+			}
+		}
+		if bestJ < 0 || bestJ >= realCols {
+			abstained = append(abstained, i)
+			continue
+		}
+		pairs = append(pairs, core.Pair{Source: i, Target: bestJ, Score: best})
+	}
+	return &core.Result{
+		Matcher:    m.Name(),
+		Pairs:      pairs,
+		Abstained:  abstained,
+		Elapsed:    time.Since(start),
+		ExtraBytes: fwd.SizeBytes() + int64(cols)*int64(kCol)*16 + int64(rows+cols)*8 + int64(matrix.DefaultTileRows*matrix.DefaultTileCols)*8,
+	}, nil
+}
+
 // refHungarian is HungarianDecider.Decide on its dense solver, before the
 // augmentation step was fused into one column pass and before the decider
 // moved onto the candidate-graph search: solveLAP with its two passes per
@@ -865,12 +961,64 @@ func TestSinkhornDeferredScaleMatchesReference(t *testing.T) {
 	}
 }
 
+// raggedSource is an approximate producer over a dense matrix, as an index
+// below full coverage is: its forward graph keeps a prefix of every exact row
+// — none of every seventh row, a third, two thirds or all of the others.
+type raggedSource struct{ *matrix.DenseTileSource }
+
+func (r raggedSource) ProduceParts(ctx context.Context, req matrix.GraphRequest) (matrix.GraphParts, error) {
+	parts, err := matrix.StreamParts(ctx, r.DenseTileSource, req)
+	if err != nil || parts.Fwd == nil {
+		return parts, err
+	}
+	g := parts.Fwd
+	tks := make([]matrix.TopK, g.Rows())
+	for i := range tks {
+		cand, scores := g.Row(i)
+		n := len(cand) * (i%3 + 1) / 3
+		if i%7 == 6 {
+			n = 0
+		}
+		idx := make([]int, n)
+		for x := range idx {
+			idx[x] = int(cand[x])
+		}
+		tks[i] = matrix.TopK{Values: scores[:n], Indices: idx}
+	}
+	parts.Fwd, err = matrix.NewCandGraph(g.Cols(), tks)
+	return parts, err
+}
+
+// sweepCases reach the graph sweep's strip hand-off (matrix.CandGraph's
+// SinkhornSweep): at full width 3.6 to 3.7 strips, in row counts of 1, 2 and
+// 3 mod 4, each with a dead row and a dead column (exponentials that
+// underflow to zero, so both eps guards run) and a row whose exponentials are
+// subnormal and sum below eps.
+func sweepCases() []conformance.Case {
+	rng := rand.New(rand.NewSource(37))
+	var cases []conformance.Case
+	for _, rows := range []int{401, 402, 403} {
+		s := conformance.WellSeparated(rng, rows, 397)
+		for j := 0; j < s.Cols(); j++ {
+			s.Set(5, j, -100)
+			s.Set(9, j, 1-35.45-1e-4*float64(j))
+		}
+		for i := 0; i < rows; i++ {
+			s.Set(i, 7, -100)
+		}
+		cases = append(cases, conformance.Case{Name: fmt.Sprintf("strips-%dx397", rows), S: s})
+	}
+	return cases
+}
+
 // TestSinkhornDeferredScaleMatchesReferenceSparse holds SinkhornSparse to its
 // pre-rewrite body — pairs, score bits, abstentions, ExtraBytes — on the
 // reference cases at truncating and full budgets, with L walking through the
 // shapes of the deferred scale (none pending, only the trailing one, a
 // carried one, many) and a matrix whose dead row and dead column keep both
-// eps guards busy in every iteration.
+// eps guards busy in every iteration; then on the sweep's multi-strip cases
+// and on ragged rows from an approximate producer; at GOMAXPROCS 1, 2, 3
+// and 8.
 func TestSinkhornDeferredScaleMatchesReferenceSparse(t *testing.T) {
 	dead := conformance.WellSeparated(rand.New(rand.NewSource(31)), 70, 67)
 	for j := 0; j < dead.Cols(); j++ {
@@ -880,24 +1028,76 @@ func TestSinkhornDeferredScaleMatchesReferenceSparse(t *testing.T) {
 		dead.Set(i, 7, -100)
 	}
 	cases := append(referenceCases(), conformance.Case{Name: "dead-row-and-column-70x67", S: dead})
-	for _, c := range cases {
-		for _, budget := range []int{3, c.S.Rows() + c.S.Cols()} {
-			for _, l := range []int{0, 1, 2, 100} {
-				m := core.SinkhornSparse{C: budget, L: l, Tau: core.DefaultSinkhornTau}
-				ctx := func() *core.Context { return &core.Context{S: c.S.Clone(), NumDummies: c.NumDummies} }
-				got, err := m.Match(ctx())
-				if err != nil {
-					t.Fatal(err)
+	cases = append(cases, sweepCases()...)
+	ragged := conformance.WithDummyCols("ragged-producer-150x120+4", conformance.WellSeparated(rand.New(rand.NewSource(39)), 150, 120), 4, 0.5)
+	cases = append(cases, ragged)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			// The multi-strip cases stop at L = 5: every iteration runs the same
+			// sweep, and a hundred over 160 000 edges cost a minute under -race.
+			ls := []int{0, 1, 2, 100}
+			if c.S.Rows() > 400 {
+				ls = []int{0, 1, 2, 5}
+			}
+			for _, budget := range []int{3, c.S.Rows() + c.S.Cols()} {
+				for _, l := range ls {
+					m := core.SinkhornSparse{C: budget, L: l, Tau: core.DefaultSinkhornTau}
+					ctx := func() *core.Context {
+						s := c.S.Clone()
+						if c.Name == ragged.Name {
+							return &core.Context{S: s, Stream: raggedSource{&matrix.DenseTileSource{M: s}}, NumDummies: c.NumDummies}
+						}
+						return &core.Context{S: s, NumDummies: c.NumDummies}
+					}
+					got, err := m.Match(ctx())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := refSinkhornSparse{m}.Match(ctx())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !conformance.ResultsIdentical(got, want) {
+						t.Fatalf("GOMAXPROCS=%d %s C=%d L=%d: result diverged from the reference body: %s", procs, c.Name, budget, l, conformance.DescribeDiff(got, want))
+					}
+					if got.ExtraBytes != want.ExtraBytes {
+						t.Fatalf("GOMAXPROCS=%d %s C=%d L=%d: ExtraBytes %d, reference %d", procs, c.Name, budget, l, got.ExtraBytes, want.ExtraBytes)
+					}
 				}
-				want, err := refSinkhornSparse{m}.Match(ctx())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !conformance.ResultsIdentical(got, want) {
-					t.Fatalf("%s C=%d L=%d: result diverged from the reference body: %s", c.Name, budget, l, conformance.DescribeDiff(got, want))
-				}
-				if got.ExtraBytes != want.ExtraBytes {
-					t.Fatalf("%s C=%d L=%d: ExtraBytes %d, reference %d", c.Name, budget, l, got.ExtraBytes, want.ExtraBytes)
+			}
+		}
+	}
+}
+
+// TestCSLSSparseMatchesReference holds CSLSSparse to its serial body at
+// GOMAXPROCS 1, 2, 3 and 8 — pairs, score bits, abstentions, ExtraBytes — on
+// the reference cases at budgets 1, 3 and full width and K = 1 and 3, on a
+// dense context and on streamed tiles.
+func TestCSLSSparseMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range referenceCases() {
+			dense := &core.Context{S: c.S, NumDummies: c.NumDummies}
+			for _, ctx := range []*core.Context{dense, conformance.StreamContext(dense, 5, 4)} {
+				for _, budget := range []int{1, 3, c.S.Rows() + c.S.Cols()} {
+					for _, k := range []int{1, 3} {
+						m := core.CSLSSparse{C: budget, K: k}
+						got, err := m.Match(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := refCSLSSparse{m}.Match(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !conformance.ResultsIdentical(got, want) || got.ExtraBytes != want.ExtraBytes {
+							t.Fatalf("GOMAXPROCS=%d %s stream=%v C=%d K=%d: diverged from the serial body (ExtraBytes %d, reference %d): %s",
+								procs, c.Name, ctx.Stream != nil, budget, k, got.ExtraBytes, want.ExtraBytes, conformance.DescribeDiff(got, want))
+						}
+					}
 				}
 			}
 		}

@@ -10,6 +10,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -178,7 +179,11 @@ func refArgsortDescByKey(v []float64, key []int) []int32 {
 // context and on streamed tiles of two shapes: the same pairs, scores and
 // abstentions, under the same label. A score is minus an average of two
 // ranks, never zero or NaN, so ResultsIdentical's == is bit equality.
+//
+// Each comparison runs at GOMAXPROCS 1, 2, 3 and 8: the rank joins and the
+// combine run on the worker pool in tiles of a few rows.
 func TestRInfPBMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range referenceCases() {
 		rows, cols := tc.S.Rows(), tc.S.Cols()
 		for _, c := range []int{1, 2, 5, 50, max(rows, cols), rows + cols} {
@@ -188,18 +193,21 @@ func TestRInfPBMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ctx := range []*core.Context{
-					dense,
-					conformance.StreamContext(dense, 5, 4),
-					conformance.StreamContext(dense, 0, 0),
-				} {
-					got, err := core.NewRInfPB(c).Match(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Matcher != want.Matcher || !conformance.ResultsIdentical(got, want) {
-						t.Fatalf("stream=%v: %s diverged from the reference: %s",
-							ctx.Stream != nil, got.Matcher, conformance.DescribeDiff(got, want))
+				for _, procs := range []int{1, 2, 3, 8} {
+					runtime.GOMAXPROCS(procs)
+					for _, ctx := range []*core.Context{
+						dense,
+						conformance.StreamContext(dense, 5, 4),
+						conformance.StreamContext(dense, 0, 0),
+					} {
+						got, err := core.NewRInfPB(c).Match(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Matcher != want.Matcher || !conformance.ResultsIdentical(got, want) {
+							t.Fatalf("GOMAXPROCS=%d stream=%v: %s diverged from the reference: %s",
+								procs, ctx.Stream != nil, got.Matcher, conformance.DescribeDiff(got, want))
+						}
 					}
 				}
 			})

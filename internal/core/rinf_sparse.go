@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"entmatcher/internal/matrix"
@@ -66,26 +69,21 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 	// 1-based rank of edge p's column within its row's preference order
 	// p_st = v − colMax + 1 (descending, ties by ascending column id).
 	rankST := make([]int32, fwd.NNZ())
-	prefBuf := make([]float64, 0, 64)
-	orderBuf := make([]int32, 0, 64)
-	var base int32
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
+	if err := forRankTiles(cc, rows, 0, func(lo, hi int, sc *rankScratch) {
+		for i := lo; i < hi; i++ {
+			cand, scores := fwd.Row(i)
+			pref, order := sc.block(len(cand))
+			for x, j := range cand {
+				pref[x] = scores[x] - colMaxes[j] + 1
+			}
+			matrix.OrderDescByKey(order, pref, cand)
+			ranks := rankST[fwd.RowOffset(i):]
+			for r, x := range order {
+				ranks[x] = int32(r + 1)
 			}
 		}
-		cand, scores := fwd.Row(i)
-		prefBuf = prefBuf[:0]
-		for x, j := range cand {
-			prefBuf = append(prefBuf, scores[x]-colMaxes[j]+1)
-		}
-		orderBuf = slices.Grow(orderBuf[:0], len(cand))[:len(cand)]
-		matrix.OrderDescByKey(orderBuf, prefBuf, cand)
-		for r, x := range orderBuf {
-			rankST[base+x] = int32(r + 1)
-		}
-		base += int32(len(cand))
+	}); err != nil {
+		return nil, err
 	}
 
 	// Reverse ranks delivered onto the forward edges: rankTS[p] is the
@@ -93,33 +91,30 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 	// p_ts = v − rowMax + 1, or 0 when the row is outside the column's
 	// reverse block. The join walks the forward graph's transpose view
 	// column by column against the reverse graph, scattering ranks through
-	// a rows-length scratch that is wiped per column — O(nnz) total, no
-	// hashing.
+	// the worker's rows-length scratch, wiped per column — O(nnz) total, no
+	// hashing. Columns write disjoint edges, so they run in parallel.
 	rankTS := make([]int32, fwd.NNZ())
 	csc := fwd.CSCView()
-	scatter := make([]int32, rows)
-	for j := 0; j < cols; j++ {
-		if j%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
+	if err := forRankTiles(cc, cols, rows, func(lo, hi int, sc *rankScratch) {
+		for j := lo; j < hi; j++ {
+			cand, scores := rev.Row(j) // candidate source rows of column j
+			pref, order := sc.block(len(cand))
+			for x, i := range cand {
+				pref[x] = scores[x] - rowMaxes[i] + 1
+			}
+			matrix.OrderDescByKey(order, pref, cand)
+			for r, x := range order {
+				sc.scatter[cand[x]] = int32(r + 1)
+			}
+			for x := csc.ColPtr[j]; x < csc.ColPtr[j+1]; x++ {
+				rankTS[csc.Pos[x]] = sc.scatter[csc.RowIdx[x]]
+			}
+			for _, i := range cand {
+				sc.scatter[i] = 0
 			}
 		}
-		cand, scores := rev.Row(j) // candidate source rows of column j
-		prefBuf = prefBuf[:0]
-		for x, i := range cand {
-			prefBuf = append(prefBuf, scores[x]-rowMaxes[i]+1)
-		}
-		orderBuf = slices.Grow(orderBuf[:0], len(cand))[:len(cand)]
-		matrix.OrderDescByKey(orderBuf, prefBuf, cand)
-		for r, x := range orderBuf {
-			scatter[cand[x]] = int32(r + 1)
-		}
-		for x := csc.ColPtr[j]; x < csc.ColPtr[j+1]; x++ {
-			rankTS[csc.Pos[x]] = scatter[csc.RowIdx[x]]
-		}
-		for _, i := range cand {
-			scatter[i] = 0
-		}
+	}); err != nil {
+		return nil, err
 	}
 
 	// Combine: average rank with the worst-rank penalty for absences,
@@ -127,23 +122,18 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 	// column, the greedy first-occurrence rule of the full RInf.
 	penalty := float64(m.C + 1)
 	realCols := cols - ctx.NumDummies
-	pairs := make([]Pair, 0, rows)
-	var abstained []int
-	var p int32
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
+	rowPairs := make([]Pair, rows)
+	if err := matrix.ParallelRowsCtx(cc, rows, func(i int) {
 		cand, _ := fwd.Row(i)
+		p := fwd.RowOffset(i)
+		st, ts := rankST[p:p+len(cand)], rankTS[p:p+len(cand)]
 		best := math.Inf(1)
 		bestJ := -1
 		for x := range cand {
 			j := int(cand[x])
-			rst := float64(rankST[p+int32(x)])
+			rst := float64(st[x])
 			r2 := penalty
-			if rts := rankTS[p+int32(x)]; rts != 0 {
+			if rts := ts[x]; rts != 0 {
 				r2 = float64(rts)
 			}
 			avg := (rst + r2) / 2
@@ -152,23 +142,21 @@ func (m *RInfSparse) Match(ctx *Context) (*Result, error) {
 				bestJ = j
 			}
 		}
-		p += int32(len(cand))
-		if bestJ < 0 || bestJ >= realCols {
-			abstained = append(abstained, i)
-			continue
-		}
-		pairs = append(pairs, Pair{Source: i, Target: bestJ, Score: -best})
+		rowPairs[i] = rowPair(i, bestJ, realCols, -best)
+	}); err != nil {
+		return nil, err
 	}
+	pairs, abstained := collectRowPairs(rowPairs)
 	return &Result{
 		Matcher:   m.Name(),
 		Pairs:     pairs,
 		Abstained: abstained,
 		Elapsed:   time.Since(start),
 		// Both graphs, the transpose view with its position join, the two
-		// rank arrays, the max vectors and the per-column scatter are live
-		// together at peak.
+		// rank arrays, the max vectors and one per-column scatter per worker
+		// are live together at peak.
 		ExtraBytes: fwd.SizeBytes() + rev.SizeBytes() + int64(fwd.NNZ())*16 +
-			int64(cols+1)*8 + int64(rows+cols)*8 + int64(rows)*4 +
+			int64(cols+1)*8 + int64(rows+cols)*8 + int64(runtime.GOMAXPROCS(0))*int64(rows)*4 +
 			int64(matrix.DefaultTileRows*matrix.DefaultTileCols)*8,
 	}, nil
 }
@@ -180,3 +168,45 @@ func NewRInfSparse(c int) *RInfSparse { return &RInfSparse{C: c} }
 // NewRInfPB returns the progressive-blocking RInf variant with block size c:
 // the RInfSparse body under the paper's label.
 func NewRInfPB(c int) *RInfSparse { return &RInfSparse{C: c, pb: true} }
+
+// rankScratch is one worker's scratch for RInfSparse's rank joins: a block's
+// preferences and order, and the reverse join's scatter, all zero between
+// columns.
+type rankScratch struct {
+	pref    []float64
+	order   []int32
+	scatter []int32
+}
+
+// block returns the preference and order scratch for a block of n entries.
+func (sc *rankScratch) block(n int) ([]float64, []int32) {
+	sc.pref = slices.Grow(sc.pref[:0], n)[:n]
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	return sc.pref, sc.order
+}
+
+// rankScratchPool keeps one rankScratch per worker across Match calls.
+var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// rankTile is how many rows (columns) a forRankTiles tile ranks: small, so
+// that a graph of a few hundred rows already spreads over the workers.
+const rankTile = 8
+
+// forRankTiles runs fn(lo, hi, sc) over [0, n) in tiles of rankTile items on
+// the package pool, sc being pooled scratch whose scatter holds at least
+// scatter zeros. ParallelRowsCtx polls ctx once per 64 tiles, so a tile
+// polls as well to keep the bound at checkRowStride items.
+func forRankTiles(ctx context.Context, n, scatter int, fn func(lo, hi int, sc *rankScratch)) error {
+	return matrix.ParallelRowsCtx(ctx, (n+rankTile-1)/rankTile, func(t int) {
+		lo := t * rankTile
+		if lo%checkRowStride == 0 && ctxErr(ctx) != nil {
+			return
+		}
+		sc := rankScratchPool.Get().(*rankScratch)
+		if len(sc.scatter) < scatter {
+			sc.scatter = make([]int32, scatter)
+		}
+		fn(lo, min(lo+rankTile, n), sc)
+		rankScratchPool.Put(sc)
+	})
+}

@@ -99,14 +99,8 @@ func (m *CSLSSparse) Match(ctx *Context) (*Result, error) {
 	}
 
 	realCols := cols - ctx.NumDummies
-	pairs := make([]Pair, 0, rows)
-	var abstained []int
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
+	rowPairs := make([]Pair, rows)
+	if err := matrix.ParallelRowsCtx(cc, rows, func(i int) {
 		cand, scores := fwd.Row(i)
 		// φ_s: mean of the row's top-kRow scores, summed in descending
 		// order exactly as Dense.RowTopKMeans.
@@ -138,12 +132,11 @@ func (m *CSLSSparse) Match(ctx *Context) (*Result, error) {
 				bestJ = j
 			}
 		}
-		if bestJ < 0 || bestJ >= realCols {
-			abstained = append(abstained, i)
-			continue
-		}
-		pairs = append(pairs, Pair{Source: i, Target: bestJ, Score: best})
+		rowPairs[i] = rowPair(i, bestJ, realCols, best)
+	}); err != nil {
+		return nil, err
 	}
+	pairs, abstained := collectRowPairs(rowPairs)
 	return &Result{
 		Matcher:    m.Name(),
 		Pairs:      pairs,
@@ -215,107 +208,54 @@ func (m *SinkhornSparse) Match(ctx *Context) (*Result, error) {
 		gmax = gbest
 	}
 	inv := 1 / m.Tau
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
+	if err := matrix.ParallelRowsCtx(cc, rows, func(i int) {
 		_, scores := w.Row(i)
 		for x, v := range scores {
 			scores[x] = math.Exp((v - gmax) * inv)
 		}
+	}); err != nil {
+		return nil, err
 	}
 
-	// Each iteration is a row normalization then a column normalization. The
-	// column scale is deferred into the next iteration's row pass, as in the
-	// dense transform: one parallel sweep scales every edge by the pending
-	// colInv (all ones before the first iteration: x·1 is x), rounds the
-	// product to a double, sums the row in ascending column order and
-	// normalizes it — value for value what scaling all edges first and then
-	// normalizing rows computes. One trailing scale applies the last
-	// iteration's column normalization.
+	// Each iteration is a row normalization then a column normalization, in
+	// one sweep (matrix.CandGraph.SinkhornSweep), as in the dense transform:
+	// the sweep applies the column scale the previous iteration computed
+	// (ones before the first: x·1 is x), normalizes the rows and computes the
+	// next scale, so each column normalization is deferred into the next
+	// iteration (bit-identical) and the last one is applied by the greedy
+	// pass. The two scale vectors alternate.
 	const eps = 1e-300
-	colSum := make([]float64, cols)
-	colInv := make([]float64, cols)
-	for j := range colInv {
-		colInv[j] = 1
-	}
-	scaleNormalizeRow := func(i int) {
-		cand, scores := w.Row(i)
-		var s float64
-		for x, j := range cand {
-			t := float64(scores[x] * colInv[j])
-			scores[x] = t
-			s += t
-		}
-		if math.Abs(s) < eps {
-			return
-		}
-		rinv := 1 / s
-		for x := range scores {
-			scores[x] *= rinv
-		}
+	scale, next := make([]float64, cols), make([]float64, cols)
+	for j := range scale {
+		scale[j] = 1
 	}
 	for l := 0; l < m.L; l++ {
-		if err := matrix.ParallelRowsCtx(cc, rows, scaleNormalizeRow); err != nil {
+		if err := ctxErr(cc); err != nil {
 			return nil, err
 		}
-		// Column sums accumulate row-major exactly like Dense.ColSums: a
-		// serial scatter into the cache-resident colSum (a column-parallel
-		// gather over the CSC view measured slower).
-		for j := range colSum {
-			colSum[j] = 0
-		}
-		for i := 0; i < rows; i++ {
-			cand, scores := w.Row(i)
-			for x, j := range cand {
-				colSum[j] += scores[x]
-			}
-		}
-		for j, s := range colSum {
-			if math.Abs(s) < eps {
-				colInv[j] = 1
-			} else {
-				colInv[j] = 1 / s
-			}
-		}
-	}
-	if m.L > 0 {
-		for i := 0; i < rows; i++ {
-			cand, scores := w.Row(i)
-			for x, j := range cand {
-				scores[x] *= colInv[j]
-			}
-		}
+		w.SinkhornSweep(scale, next, eps)
+		scale, next = next, scale
 	}
 
-	// Greedy: first strict maximum in ascending column order, as
-	// Dense.RowMax.
+	// Greedy over the column-scaled edges (scale is all ones at L = 0): first
+	// strict maximum in ascending column order, as Dense.RowMax.
 	realCols := cols - ctx.NumDummies
-	pairs := make([]Pair, 0, rows)
-	var abstained []int
-	for i := 0; i < rows; i++ {
-		if i%checkRowStride == 0 {
-			if err := ctxErr(cc); err != nil {
-				return nil, err
-			}
-		}
+	rowPairs := make([]Pair, rows)
+	if err := matrix.ParallelRowsCtx(cc, rows, func(i int) {
 		cand, scores := w.Row(i)
 		best := math.Inf(-1)
 		bestJ := -1
-		for x, v := range scores {
-			if v > best {
+		for x, j := range cand {
+			if v := scores[x] * scale[j]; v > best {
 				best = v
-				bestJ = int(cand[x])
+				bestJ = int(j)
 			}
 		}
-		if bestJ < 0 || bestJ >= realCols {
-			abstained = append(abstained, i)
-			continue
-		}
-		pairs = append(pairs, Pair{Source: i, Target: bestJ, Score: best})
+		rowPairs[i] = rowPair(i, bestJ, realCols, best)
+	}); err != nil {
+		return nil, err
 	}
+	pairs, abstained := collectRowPairs(rowPairs)
 	return &Result{
 		Matcher:    m.Name(),
 		Pairs:      pairs,
@@ -323,6 +263,31 @@ func (m *SinkhornSparse) Match(ctx *Context) (*Result, error) {
 		Elapsed:    time.Since(start),
 		ExtraBytes: 2*fwd.SizeBytes() + int64(fwd.NNZ())*8 + int64(cols)*16 + int64(matrix.DefaultTileRows*matrix.DefaultTileCols)*8,
 	}, nil
+}
+
+// rowPair is row i's greedy answer: its pair with column bestJ, or a pair
+// with Target -1 when bestJ is no real column (none, or a dummy). Row-parallel
+// passes write one per row; collectRowPairs gathers them.
+func rowPair(i, bestJ, realCols int, score float64) Pair {
+	if bestJ < 0 || bestJ >= realCols {
+		return Pair{Source: i, Target: -1}
+	}
+	return Pair{Source: i, Target: bestJ, Score: score}
+}
+
+// collectRowPairs compacts one rowPair per row, in place and in row order,
+// into the pairs and the abstained rows.
+func collectRowPairs(rowPairs []Pair) ([]Pair, []int) {
+	pairs := rowPairs[:0]
+	var abstained []int
+	for i, p := range rowPairs {
+		if p.Target < 0 {
+			abstained = append(abstained, i)
+			continue
+		}
+		pairs = append(pairs, p)
+	}
+	return pairs, abstained
 }
 
 // NewCSLSSparse returns sparse CSLS with candidate budget c and φ

@@ -11,6 +11,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"entmatcher/internal/core"
@@ -37,37 +38,72 @@ func (m Metrics) String() string {
 }
 
 // Score compares predicted pairs against gold pairs (both in the same index
-// space). Duplicate predictions of the same pair are counted once.
+// space). Duplicate predictions of the same pair are counted once, and so
+// are duplicate gold pairs. Both lists are walked in (Source, Target) order:
+// matchers emit their pairs in it and the tasks their gold, and a list that
+// is not is sorted in a copy.
 func Score(predicted []core.Pair, gold []core.Pair) Metrics {
-	goldSet := make(map[[2]int]bool, len(gold))
-	for _, g := range gold {
-		goldSet[[2]int{g.Source, g.Target}] = true
-	}
-	seen := make(map[[2]int]bool, len(predicted))
-	correct := 0
-	distinct := 0
-	for _, p := range predicted {
-		key := [2]int{p.Source, p.Target}
-		if seen[key] {
+	pred, ref := byPair(predicted), byPair(gold)
+	correct, distinct, y := 0, 0, 0
+	for x := range pred {
+		if x > 0 && samePair(pred[x-1], pred[x]) {
 			continue
 		}
-		seen[key] = true
 		distinct++
-		if goldSet[key] {
+		for y < len(ref) && pairLess(ref[y], pred[x]) {
+			y++
+		}
+		if y < len(ref) && samePair(ref[y], pred[x]) {
 			correct++
 		}
 	}
-	m := Metrics{Correct: correct, Predicted: distinct, Gold: len(goldSet)}
+	goldN := 0
+	for y := range ref {
+		if y == 0 || !samePair(ref[y-1], ref[y]) {
+			goldN++
+		}
+	}
+	m := Metrics{Correct: correct, Predicted: distinct, Gold: goldN}
 	if distinct > 0 {
 		m.Precision = float64(correct) / float64(distinct)
 	}
-	if len(goldSet) > 0 {
-		m.Recall = float64(correct) / float64(len(goldSet))
+	if goldN > 0 {
+		m.Recall = float64(correct) / float64(goldN)
 	}
 	if m.Precision+m.Recall > 0 {
 		m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
 	}
 	return m
+}
+
+// pairLess orders pairs by (Source, Target), the order Score walks in; it
+// ignores Score.
+func pairLess(a, b core.Pair) bool {
+	return a.Source < b.Source || (a.Source == b.Source && a.Target < b.Target)
+}
+
+// samePair reports whether a and b link the same two entities.
+func samePair(a, b core.Pair) bool { return a.Source == b.Source && a.Target == b.Target }
+
+// byPair returns pairs in pairLess order: pairs itself when it is, else a
+// sorted copy.
+func byPair(pairs []core.Pair) []core.Pair {
+	for x := 1; x < len(pairs); x++ {
+		if pairLess(pairs[x], pairs[x-1]) {
+			pairs = slices.Clone(pairs)
+			slices.SortFunc(pairs, func(a, b core.Pair) int {
+				if pairLess(a, b) {
+					return -1
+				}
+				if pairLess(b, a) {
+					return 1
+				}
+				return 0
+			})
+			break
+		}
+	}
+	return pairs
 }
 
 // Task is one alignment problem: align SourceIDs (rows) against TargetIDs

@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"entmatcher/internal/core"
@@ -47,6 +50,123 @@ func TestScoreEmpty(t *testing.T) {
 	m := Score(nil, nil)
 	if m.Precision != 0 || m.Recall != 0 || m.F1 != 0 {
 		t.Fatalf("empty score = %v", m)
+	}
+}
+
+// refScore is Score before the merge walk: two hash sets.
+func refScore(predicted []core.Pair, gold []core.Pair) Metrics {
+	goldSet := make(map[[2]int]bool, len(gold))
+	for _, g := range gold {
+		goldSet[[2]int{g.Source, g.Target}] = true
+	}
+	seen := make(map[[2]int]bool, len(predicted))
+	correct := 0
+	distinct := 0
+	for _, p := range predicted {
+		key := [2]int{p.Source, p.Target}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		distinct++
+		if goldSet[key] {
+			correct++
+		}
+	}
+	m := Metrics{Correct: correct, Predicted: distinct, Gold: len(goldSet)}
+	if distinct > 0 {
+		m.Precision = float64(correct) / float64(distinct)
+	}
+	if len(goldSet) > 0 {
+		m.Recall = float64(correct) / float64(len(goldSet))
+	}
+	if m.Precision+m.Recall > 0 {
+		m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
+	}
+	return m
+}
+
+// pairsFrom decodes two bytes per pair: a source and a target in [-3, 12],
+// so small inputs are full of duplicates, shared pairs and negative indices.
+// Score values vary too; Score must ignore them.
+func pairsFrom(data []byte) []core.Pair {
+	pairs := make([]core.Pair, 0, len(data)/2)
+	for x := 0; x+1 < len(data); x += 2 {
+		pairs = append(pairs, core.Pair{Source: int(data[x]%16) - 3, Target: int(data[x+1]%16) - 3, Score: float64(data[x])})
+	}
+	return pairs
+}
+
+// TestScoreMatchesMapReference holds Score to the hash-set body on every
+// input shape: sorted, unsorted and reversed lists, duplicates on either
+// side, negative indices, empty and nil lists — and leaves its inputs as they
+// were.
+func TestScoreMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lists := [][]core.Pair{nil, {}, {{Source: -1, Target: -2}}}
+	for _, n := range []int{1, 2, 5, 40, 300} {
+		for _, span := range []int{2, 8, 1000} {
+			pairs := make([]core.Pair, n)
+			for x := range pairs {
+				pairs[x] = core.Pair{Source: rng.Intn(span) - span/4, Target: rng.Intn(span) - span/4, Score: rng.Float64()}
+			}
+			sorted := byPair(pairs)
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			lists = append(lists, pairs, sorted, reversed, slices.CompactFunc(slices.Clone(sorted), samePair))
+		}
+	}
+	for a, pred := range lists {
+		for b, gold := range lists {
+			pIn, gIn := slices.Clone(pred), slices.Clone(gold)
+			if got, want := Score(pred, gold), refScore(pred, gold); got != want {
+				t.Fatalf("lists %d, %d: Score = %+v, reference %+v", a, b, got, want)
+			}
+			if !slices.Equal(pred, pIn) || !slices.Equal(gold, gIn) {
+				t.Fatalf("lists %d, %d: Score modified its input", a, b)
+			}
+		}
+	}
+}
+
+// FuzzScore holds Score to the hash-set body on arbitrary pair lists.
+func FuzzScore(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 2, 1, 1}, []byte{1, 1, 3, 3})
+	f.Add([]byte{9, 0, 0, 9, 0, 0}, []byte{0, 0, 0, 0, 9, 0})
+	f.Add([]byte{}, []byte{0, 1})
+	f.Fuzz(func(t *testing.T, p, g []byte) {
+		pred, gold := pairsFrom(p), pairsFrom(g)
+		if got, want := Score(pred, gold), refScore(pred, gold); got != want {
+			t.Fatalf("Score(%v, %v) = %+v, reference %+v", pred, gold, got, want)
+		}
+	})
+}
+
+// BenchmarkScore scores a one-pair-per-row answer against 1-to-1 gold at
+// paper_dense's task size (2 100) and sparse_exact's (5 600), by Score and by
+// the hash-set body it replaced.
+func BenchmarkScore(b *testing.B) {
+	for _, n := range []int{2100, 5600} {
+		rng := rand.New(rand.NewSource(1))
+		pred, gold := make([]core.Pair, n), make([]core.Pair, n)
+		for i := range gold {
+			gold[i] = core.Pair{Source: i, Target: i}
+			pred[i] = core.Pair{Source: i, Target: i, Score: rng.Float64()}
+			if rng.Intn(5) == 0 {
+				pred[i].Target = rng.Intn(n)
+			}
+		}
+		for _, sc := range []struct {
+			name  string
+			score func(p, g []core.Pair) Metrics
+		}{{"merge", Score}, {"map", refScore}} {
+			b.Run(fmt.Sprintf("%s/%d", sc.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc.score(pred, gold)
+				}
+			})
+		}
 	}
 }
 

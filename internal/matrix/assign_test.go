@@ -3,6 +3,8 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -169,6 +171,114 @@ func FuzzSinkhornSweep(f *testing.F) {
 	})
 }
 
+// refGraphSweep is CandGraph.SinkhornSweep as three serial passes — scale the
+// edges, normalize the rows, sum the columns in row order.
+func refGraphSweep(g *CandGraph, scale []float64, eps float64) []float64 {
+	for i := 0; i < g.Rows(); i++ {
+		c, v := g.Row(i)
+		var s float64
+		for x, j := range c {
+			t := float64(v[x] * scale[j])
+			v[x] = t
+			s += t
+		}
+		if math.Abs(s) < eps {
+			continue
+		}
+		inv := 1 / s
+		for x := range v {
+			v[x] *= inv
+		}
+	}
+	next := make([]float64, g.Cols())
+	for i := 0; i < g.Rows(); i++ {
+		c, v := g.Row(i)
+		for x, j := range c {
+			next[j] += v[x]
+		}
+	}
+	for j, s := range next {
+		if math.Abs(s) < eps {
+			next[j] = 1
+		} else {
+			next[j] = 1 / s
+		}
+	}
+	return next
+}
+
+// sweepGraph is sweepInput as a candidate graph in ascending column order,
+// with ragged rows: every seventh row empty, every fifth one to three
+// edges, the rest a random subset of the columns. Rows 0–4 keep sweepInput's
+// features (a dead row, a negative row, subnormals; the row of quarters keeps
+// four edges, an exact sum of 1), and so does the dead column.
+func sweepGraph(rng *rand.Rand, rows, cols int) (*CandGraph, []float64) {
+	m, scale := sweepInput(rng, rows, cols)
+	g := &CandGraph{rows: rows, cols: cols, rowPtr: make([]int64, rows+1)}
+	for i := 0; i < rows; i++ {
+		keep := 0.5 + 0.5*rng.Float64()
+		switch {
+		case i == 4:
+			keep = 4 / float64(cols)
+		case i%7 == 6:
+			keep = 0
+		case i%5 == 2:
+			keep = float64(1+rng.Intn(3)) / float64(cols)
+		}
+		for j, v := range m.Row(i) {
+			if rng.Float64() < keep || (i == 4 && j < 4) {
+				g.colIdx = append(g.colIdx, int32(j))
+				g.score = append(g.score, v)
+			}
+		}
+		g.rowPtr[i+1] = int64(len(g.colIdx))
+	}
+	return g, scale
+}
+
+// clone copies the graph's storage.
+func (g *CandGraph) clone() *CandGraph {
+	return &CandGraph{rows: g.rows, cols: g.cols, rowPtr: slices.Clone(g.rowPtr), colIdx: slices.Clone(g.colIdx), score: slices.Clone(g.score)}
+}
+
+// TestCandGraphSinkhornSweepMatchesReference holds the graph sweep to the
+// three serial passes — the edges and the next column normalizers bit for
+// bit — at GOMAXPROCS 1, 2, 3 and 8: single-strip graphs of every small
+// shape, and graphs of three to four strips whose row counts are 1, 2, 3 and
+// 0 mod 4; ragged and empty rows, eps-guarded rows and columns, signed zeros
+// and subnormals; the same eps and scales as the dense sweep's test.
+func TestCandGraphSinkhornSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var shapes [][2]int
+	for rows := 0; rows <= 17; rows++ {
+		for _, cols := range []int{1, 2, 3, 5, 9, 33} {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	shapes = append(shapes, [2]int{145, 2000}, [2]int{146, 2000}, [2]int{147, 2000}, [2]int{148, 2000})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, sh := range shapes {
+			g, scale := sweepGraph(rng, sh[0], sh[1])
+			if stripRows := max(1, sweepStripBytes/(12*max(1, g.NNZ()/max(1, sh[0])))); sh[0] > 100 && sh[0] < 3*stripRows {
+				t.Fatalf("%d×%d: %d rows of %d edges are fewer than three strips of %d rows", sh[0], sh[1], sh[0], g.NNZ(), stripRows)
+			}
+			for _, eps := range []float64{1e-300, 0.3, 1, 0} {
+				for _, sc := range [][]float64{ones(sh[1]), scale} {
+					got, want := g.clone(), g.clone()
+					next := make([]float64, sh[1])
+					got.SinkhornSweep(sc, next, eps)
+					wantNext := refGraphSweep(want, sc, eps)
+					if !sameBits(got.score, want.score) || !sameBits(next, wantNext) {
+						t.Fatalf("GOMAXPROCS=%d %d×%d eps=%g scale=%v: graph sweep diverged from the serial passes", procs, sh[0], sh[1], eps, sc[0])
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAssignKernels times one Sinkhorn iteration at the paper_dense width
 // on every tier. The sweeps iterate Sinkhorn on a
 // positive matrix, so no value drifts into the subnormals.
@@ -189,5 +299,29 @@ func BenchmarkAssignKernels(b *testing.B) {
 				scale, next = next, scale
 			}
 		})
+	}
+}
+
+// BenchmarkCandGraphSweep times one Sinkhorn iteration of the graph sweep at
+// the sparse_exact shape: 5 600 rows of 64 candidates among 5 600 columns.
+func BenchmarkCandGraphSweep(b *testing.B) {
+	const n, c = 5600, 64
+	rng := rand.New(rand.NewSource(59))
+	g := &CandGraph{rows: n, cols: n, rowPtr: make([]int64, n+1)}
+	for i := 0; i < n; i++ {
+		cols := rng.Perm(n)[:c]
+		slices.Sort(cols)
+		for _, j := range cols {
+			g.colIdx = append(g.colIdx, int32(j))
+			g.score = append(g.score, 0.01+rng.Float64())
+		}
+		g.rowPtr[i+1] = int64(len(g.colIdx))
+	}
+	scale, next := make([]float64, n), make([]float64, n)
+	g.SinkhornSweep(ones(n), scale, 1e-300)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SinkhornSweep(scale, next, 1e-300)
+		scale, next = next, scale
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CandGraph is a compressed-sparse-row candidate graph over a score matrix:
@@ -41,6 +42,11 @@ func (g *CandGraph) Row(i int) ([]int32, []float64) {
 	lo, hi := g.rowPtr[i], g.rowPtr[i+1]
 	return g.colIdx[lo:hi], g.score[lo:hi]
 }
+
+// RowOffset returns the position of row i's first edge in the graph's edge
+// order: an array aligned with the edges holds row i's entries at
+// [RowOffset(i), RowOffset(i+1)).
+func (g *CandGraph) RowOffset(i int) int { return int(g.rowPtr[i]) }
 
 // SizeBytes returns the heap footprint of the graph's storage, the quantity
 // the ExtraBytes accounting rule tracks.
@@ -109,29 +115,33 @@ func (g *CandGraph) CSCView() *CSC {
 // ascending column id instead of descending score. Kernels that must sum a
 // row in ascending column order to stay bit-identical with their dense
 // counterparts (Sinkhorn's row normalization, greedy argmax) run on this
-// layout. Built via the transpose view, so it costs O(nnz) with no per-row
-// sort.
+// layout. Rows are sorted independently, in parallel.
 func (g *CandGraph) ColSortedClone() *CandGraph {
 	out := &CandGraph{
 		rows:   g.rows,
 		cols:   g.cols,
-		rowPtr: make([]int64, g.rows+1),
+		rowPtr: slices.Clone(g.rowPtr),
 		colIdx: make([]int32, len(g.colIdx)),
 		score:  make([]float64, len(g.score)),
 	}
-	copy(out.rowPtr, g.rowPtr)
-	next := make([]int64, g.rows)
-	copy(next, g.rowPtr[:g.rows])
-	csc := g.CSCView()
-	for j := 0; j < g.cols; j++ {
-		for x := csc.ColPtr[j]; x < csc.ColPtr[j+1]; x++ {
-			i := csc.RowIdx[x]
-			p := next[i]
-			next[i]++
-			out.colIdx[p] = int32(j)
-			out.score[p] = g.score[csc.Pos[x]]
+	parallelChunks(g.rows, func(lo, hi int) {
+		// keys[y] is (column << 32 | stored position) of the row's y-th
+		// smallest column.
+		var keys []uint64
+		for i := lo; i < hi; i++ {
+			p := g.rowPtr[i]
+			cand, scores := g.Row(i)
+			keys = keys[:0]
+			for x, j := range cand {
+				keys = append(keys, uint64(j)<<32|uint64(x))
+			}
+			slices.Sort(keys)
+			for y, k := range keys {
+				out.colIdx[p+int64(y)] = int32(k >> 32)
+				out.score[p+int64(y)] = scores[uint32(k)]
+			}
 		}
-	}
+	})
 	return out
 }
 
