@@ -214,11 +214,11 @@ kernels() {
 	# order; RInf-sparse's rank joins and combine and CSLS-sparse's row pass
 	# run in tiles on the worker pool. Each must keep the bits of its serial
 	# reference — the three serial passes, and in internal/core the bodies
-	# kept in reference_test.go and rinf_pb_ref_test.go — which the tests
-	# also check at GOMAXPROCS 1, 2, 3 and 8 themselves. The sweep has no
-	# build-tagged code, so one leg.
+	# kept in reference_test.go and rinf_pb_ref_test.go. The tests set
+	# GOMAXPROCS 1, 2, 3 and 8 themselves, so a -cpu list would only repeat
+	# them. The sweep has no build-tagged code, so one leg.
 	local sparse='CandGraphSinkhornSweep|SinkhornDeferredScaleMatchesReferenceSparse|RInfPBMatchesReference|CSLSSparseMatchesReference'
-	go test -race -count=1 -cpu 1,2,4 -run "$sparse" ./internal/matrix ./internal/core
+	go test -race -count=1 -run "$sparse" ./internal/matrix ./internal/core
 }
 
 purego() {

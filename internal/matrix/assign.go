@@ -248,19 +248,10 @@ func sum4(v0, v1, v2, v3 []float64) (s0, s1, s2, s3 float64) {
 	return sumFrom(s0, v0[n:]), sumFrom(s1, v1[n:]), sumFrom(s2, v2[n:]), sumFrom(s3, v3[n:])
 }
 
-// addEdges adds each v[x] into acc[c[x]], in stored order, four edges per
-// loop step.
+// addEdges adds each v[x] into acc[c[x]], in stored order.
 func addEdges(acc []float64, c []int32, v []float64) {
 	v = v[:len(c)]
-	x := 0
-	for ; x+4 <= len(c); x += 4 {
-		c4, v4 := c[x:x+4:x+4], v[x:x+4:x+4]
-		acc[c4[0]] += v4[0]
-		acc[c4[1]] += v4[1]
-		acc[c4[2]] += v4[2]
-		acc[c4[3]] += v4[3]
-	}
-	for ; x < len(c); x++ {
-		acc[c[x]] += v[x]
+	for x, j := range c {
+		acc[j] += v[x]
 	}
 }
